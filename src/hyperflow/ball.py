@@ -23,7 +23,6 @@ from .lorentz import (
     HyperboloidPoint,
     OrthonormalFrame,
     as_vector,
-    frame_coordinates,
     minkowski_inner,
 )
 
@@ -78,11 +77,53 @@ def ball_projection(frame: OrthonormalFrame, r: float, x) -> BallPoint:
     """Project a point of H^m(-r) into the unit ball through a frame.
 
     In frame coordinates a_1..a_{m+1} the image is (a_1..a_m)/(a_{m+1}+sqrt(r)).
+    A batch of one of ``ball_projection_rows``.
     """
     coords = x.coords if isinstance(x, HyperboloidPoint) else as_vector(x, frame.m)
-    pt = HyperboloidPoint(coords, r)
-    a = frame_coordinates(frame, pt.coords)
-    return BallPoint(a[:-1] / (a[-1] + np.sqrt(r)))
+    return BallPoint(ball_projection_rows(frame, r, coords[None, :])[0])
+
+
+def ball_projection_rows(frame: OrthonormalFrame, r: float, X) -> np.ndarray:
+    """Project every row of X, a point of H^m(-r), into the unit ball through a frame.
+
+    Each row passes the checks of ``HyperboloidPoint`` (finite, on the upper
+    sheet within max(MEMBERSHIP_TOL, 1e-13 |x|^2)) and its image those of
+    ``BallPoint`` (finite, |y| <= 1 + 1e-12), raising the same errors.  The
+    frame coordinates are summed one column at a time in a fixed order, so a
+    row gives the same bits alone as in any batch.
+    """
+    Xv = np.asarray(X, dtype=float)
+    if Xv.ndim != 2 or Xv.shape[1] != frame.m + 1:
+        raise InvalidArgumentError(f"expected rows of length {frame.m + 1}, got shape {Xv.shape}")
+    if not np.all(np.isfinite(Xv)):
+        raise InvalidArgumentError("vector has non-finite entries")
+    if r <= 0:
+        raise InvalidArgumentError("r must be positive")
+    # rows too large to square give nan here, and nan fails the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        space2 = np.sum(Xv[:, :-1] ** 2, axis=1)
+        time2 = Xv[:, -1] ** 2
+        q = space2 - time2
+        on = np.abs(q + r) <= np.maximum(MEMBERSHIP_TOL, 1e-13 * (space2 + time2))
+    bad = np.flatnonzero(~(on & (Xv[:, -1] > 0)))
+    if bad.size:
+        k = bad[0]
+        raise DomainError(f"row {k} with <x,x> = {q[k]:.3e} is not on H^{frame.m}(-{r})")
+    V = frame.vectors
+    # a = signs * (V[:, :-1] x_bar - V[:, -1] x_last), one column at a time
+    acc = np.zeros((Xv.shape[0], frame.m + 1))
+    for j in range(frame.m):
+        acc += Xv[:, j : j + 1] * V[None, :, j]
+    acc -= Xv[:, -1:] * V[None, :, -1]
+    acc[:, -1] = -acc[:, -1]
+    Y = acc[:, :-1] / (acc[:, -1:] + np.sqrt(r))
+    if not np.all(np.isfinite(Y)):
+        raise InvalidArgumentError("ball point must be a finite 1-d vector")
+    norms = np.linalg.norm(Y, axis=1)
+    outside = np.flatnonzero(norms > 1.0 + 1e-12)
+    if outside.size:
+        raise DomainError(f"|y| = {norms[outside[0]]:.6f} is not inside the unit ball")
+    return Y
 
 
 def ball_projection_inverse(frame: OrthonormalFrame, r: float, y) -> HyperboloidPoint:

@@ -407,9 +407,10 @@ def hyperbolic_flow_batch(d, X, t: float) -> np.ndarray:
     window = existence_window(d)
     if window.t_max is not None and t >= window.t_max:
         raise TimeOutOfRangeError(f"t={t} >= hyperbolic maximal time T={window.t_max}")
+    r_top = d.r if isinstance(d, Ambient) else 1.0
     q = np.sum(Xv[:, :-1] ** 2, axis=1) - Xv[:, -1] ** 2
-    scale = np.maximum(1.0, np.sum(Xv * Xv, axis=1))
-    if np.any(np.abs(q + 1.0) > 1e-8 * scale) or np.any(Xv[:, -1] <= 0):
+    scale = np.maximum(r_top, np.sum(Xv * Xv, axis=1))
+    if np.any(np.abs(q + r_top) > 1e-8 * scale) or np.any(Xv[:, -1] <= 0):
         raise InvalidArgumentError("batch rows are not on the ambient hyperboloid")
     return _hyperbolic_flow_rows(d, Xv, float(t))
 

@@ -106,7 +106,11 @@ def _signature_gram_schmidt(vectors: list[np.ndarray]) -> list[np.ndarray]:
     At each step the remaining vector whose residual has the largest
     |<v,v>| is accepted (stable argmax, so already-orthonormal inputs pass
     through unchanged).  Residuals that are numerically dependent or null
-    cannot be normalized and abort the construction.
+    cannot be normalized and abort the construction.  One pass leaves Gram
+    errors that grow with the boost of the inputs (above 1e-12 for some
+    moderately boosted sets), so the accepted vectors are orthogonalized a
+    second time ("twice is enough"); exact pairings of 0 and +-1 leave
+    orthonormal inputs bit-unchanged by that pass.
     """
     scale = max(float(np.linalg.norm(v)) for v in vectors)
     remaining = [v.copy() for v in vectors]
@@ -123,7 +127,12 @@ def _signature_gram_schmidt(vectors: list[np.ndarray]) -> list[np.ndarray]:
         if abs(q) < 1e-10 * float(np.dot(w, w)):
             raise FrameConstructionError("hit a numerically null direction while orthonormalizing")
         accepted.append(w / np.sqrt(abs(q)))
-    return accepted
+    refined: list[np.ndarray] = []
+    for w in accepted:
+        for u in refined:
+            w = w - (minkowski_inner(w, u) / minkowski_inner(u, u)) * u
+        refined.append(w / np.sqrt(abs(minkowski_norm2(w))))
+    return refined
 
 
 def orthonormalize_frame(vectors) -> "OrthonormalFrame":

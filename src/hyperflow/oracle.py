@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .descriptors import chart_dim, dimensions, immerse
 from .errors import (
@@ -723,6 +722,10 @@ def geodesic_sphere_collapse_time(n: int, cosh_rho0: float) -> float:
     Integrates the radius equation with a stiff-safe stop at rho = 1e-4 and
     closes the gap with the exact local behavior rho^2 ~ 2 n (t* - t).
     """
+    # imported here: scipy.integrate is most of the package's import time,
+    # and this oracle is its only user
+    from scipy.integrate import solve_ivp
+
     if cosh_rho0 <= 1.0:
         raise InvalidArgumentError("need cosh(rho0) > 1")
     rho0 = math.acosh(cosh_rho0)

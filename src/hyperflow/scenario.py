@@ -4,13 +4,15 @@ A scenario bundles a descriptor with a time grid, a sampling plan, oracle
 settings and an output list.  ``run_scenario`` writes trajectory CSVs in
 hyperboloid and ball coordinates plus JSON reports (existence window, limit
 report, invariant report); ``run_invariant_battery`` drives the checks that
-``verify`` gates on.  Outputs are deterministic for a fixed seed, and the
-environment variable HYPERFLOW_THREADS caps the parallel sample map.
+``verify`` gates on.  Outputs are deterministic for a fixed seed.  The
+trajectory and ball writers flow all samples in one batch per grid time;
+the environment variable HYPERFLOW_THREADS no longer affects them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -20,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import oracle
-from .ball import ball_projection
+from .ball import ball_projection, ball_projection_rows
 from .catalog import CATALOG, catalog_descriptor
 from .descriptors import (
     Ambient,
@@ -34,12 +36,14 @@ from .descriptors import (
     dimensions,
     immerse,
 )
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, TimeOutOfRangeError
 from .flow import (
     ExistenceWindow,
+    _validate_point,
     existence_window,
     gauge_lorentz_to_hyperbolic,
     hyperbolic_flow,
+    hyperbolic_flow_batch,
     lorentz_flow,
 )
 from .limits import (
@@ -53,7 +57,7 @@ from .limits import (
     forward_limit,
     hausdorff_distance,
 )
-from .lorentz import OrthonormalFrame, minkowski_inner
+from .lorentz import OrthonormalFrame, as_vector, minkowski_inner
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,9 @@ class TimeGrid:
     clip_to_existence: bool = True
 
     def __post_init__(self):
+        for name, value in (("start", self.start), ("end", self.end)):
+            if not math.isfinite(value):
+                raise InvalidArgumentError(f"time_grid.{name} must be finite, got {value!r}")
         if self.steps < 2:
             raise InvalidArgumentError("time grid needs steps >= 2")
         if not (self.start < self.end):
@@ -88,8 +95,9 @@ class OracleSettings:
     tolerance: float = 1e-3
 
     def __post_init__(self):
-        if self.fd_step <= 0 or self.dt <= 0 or self.tolerance <= 0:
-            raise InvalidArgumentError("oracle settings must be positive")
+        for name, value in (("fd_step", self.fd_step), ("dt", self.dt), ("tolerance", self.tolerance)):
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidArgumentError(f"oracle.{name} must be positive and finite, got {value!r}")
 
 
 _ALL_OUTPUTS = ("trajectory", "ball", "window", "limits", "invariants")
@@ -135,9 +143,15 @@ def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:
             float(orc.get("dt", 1e-4)),
             float(orc.get("tolerance", 1e-3)),
         ),
-        outputs=tuple(obj.get("outputs", _ALL_OUTPUTS)),
+        outputs=_outputs_from_json(obj.get("outputs", list(_ALL_OUTPUTS))),
         frame=frame,
     )
+
+
+def _outputs_from_json(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InvalidArgumentError(f"outputs must be a list of output names, got {value!r}")
+    return tuple(value)
 
 
 def load_scenario(source: str | Path) -> Scenario:
@@ -196,6 +210,11 @@ def sample_times(lo: float | None, hi: float | None, count: int, rng, span: floa
 
 
 def _max_workers() -> int:
+    """Pool size for ``parallel_map``: HYPERFLOW_THREADS, else min(8, CPUs).
+
+    Nothing in the package calls it any more; it stays until the benchmark,
+    which records it, stops reading it.
+    """
     cap = os.environ.get("HYPERFLOW_THREADS")
     if cap:
         return max(1, int(cap))
@@ -203,6 +222,12 @@ def _max_workers() -> int:
 
 
 def parallel_map(fn: Callable, items: Sequence) -> list:
+    """Map ``fn`` over ``items`` on a thread pool, in order.
+
+    Unused by the package: the GIL-bound pool only slowed ``run_scenario``
+    down, which now flows its samples in batches.  It stays until the
+    benchmark, whose tracer wraps it by name, stops referring to it.
+    """
     workers = _max_workers()
     if workers == 1 or len(items) <= 1:
         return [fn(it) for it in items]
@@ -383,8 +408,34 @@ def invariant_report_to_json(rep: InvariantReport) -> dict:
 # artifact writers
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _flow_samples(d, X0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Flowed sample points as an (S, T, m+1) array, one batched flow per grid time.
+
+    Times far enough back overflow doubles; they are refused here, before
+    anything is written, instead of writing inf/nan rows.
+    """
+    out = np.empty((X0.shape[0], times.size, X0.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t in enumerate(times.tolist()):
+            try:
+                rows = hyperbolic_flow_batch(d, X0, t)
+            except OverflowError:
+                rows = None
+            if rows is None or not np.all(np.isfinite(rows)):
+                raise TimeOutOfRangeError(f"flowed points are not finite at t={t!r}; the time grid leaves the range of doubles")
+            out[:, k] = rows
+    return out
+
+
+def _write_sample_rows(path: Path, symbol: str, times: np.ndarray, values: np.ndarray) -> None:
+    """Write ``sample_id,t,<symbol>_1,...`` rows of an (S, T, k) array, sample by sample."""
+    k = values.shape[2]
+    line = "%d,%.17g" + ",%.17g" * k + "\n"
+    ts = times.tolist()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("sample_id,t," + ",".join(f"{symbol}_{i + 1}" for i in range(k)) + "\n")
+        for sid, block in enumerate(values):
+            fh.writelines(line % (sid, t, *row) for t, row in zip(ts, block.tolist()))
 
 
 def _clipped_grid(scn: Scenario) -> tuple[np.ndarray, float | None]:
@@ -418,26 +469,18 @@ def run_scenario(source: str | Path, out_dir: str | Path, seed: int | None = Non
     written: dict[str, str] = {}
 
     if "trajectory" in scn.outputs or "ball" in scn.outputs:
-        rows = parallel_map(
-            lambda item: [(item[0], t, hyperbolic_flow(d, item[1], float(t))) for t in times],
-            list(enumerate(points)),
-        )
+        for x in points:
+            _validate_point(d, as_vector(x, dims.m))
+        flowed = _flow_samples(d, np.array(points), times)
+        if "ball" in scn.outputs:
+            ball = ball_projection_rows(frame, 1.0, flowed.reshape(-1, dims.m + 1)).reshape(*flowed.shape[:2], dims.m)
         if "trajectory" in scn.outputs:
             path = out / f"{scn.name}_trajectory.csv"
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("sample_id,t," + ",".join(f"x_{i + 1}" for i in range(dims.m + 1)) + "\n")
-                for chunk in rows:
-                    for sid, t, x in chunk:
-                        fh.write(f"{sid},{_fmt(t)}," + ",".join(_fmt(v) for v in x) + "\n")
+            _write_sample_rows(path, "x", times, flowed)
             written["trajectory"] = str(path)
         if "ball" in scn.outputs:
             path = out / f"{scn.name}_ball.csv"
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("sample_id,t," + ",".join(f"y_{i + 1}" for i in range(dims.m)) + "\n")
-                for chunk in rows:
-                    for sid, t, x in chunk:
-                        y = ball_projection(frame, 1.0, x).coords
-                        fh.write(f"{sid},{_fmt(t)}," + ",".join(_fmt(v) for v in y) + "\n")
+            _write_sample_rows(path, "y", times, ball)
             written["ball"] = str(path)
 
     summary: dict = {

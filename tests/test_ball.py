@@ -11,6 +11,7 @@ from conftest import random_admissible_frame
 from hyperflow.ball import (
     ball_projection,
     ball_projection_inverse,
+    ball_projection_rows,
     boundary_limit,
     boundary_transition,
     conformal_mean_curvature,
@@ -46,6 +47,37 @@ class TestBallProjection:
     def test_off_hyperboloid_rejected(self):
         with pytest.raises(DomainError):
             ball_projection(OrthonormalFrame.standard(2), 1.0, [1.0, 0.0, 1.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_rows_equal_single_projections(self, seed):
+        # a row must give the same bits alone as inside any batch
+        rng = np.random.default_rng(seed)
+        frame = random_admissible_frame(rng, 3)
+        r = float(rng.uniform(0.5, 3.0))
+        s = rng.normal(scale=2.0, size=(12, 3))
+        rho = np.linalg.norm(s, axis=1)
+        X = math.sqrt(r) * np.column_stack([np.sinh(rho)[:, None] * s / rho[:, None], np.cosh(rho)])
+        Y = ball_projection_rows(frame, r, X)
+        for k, x in enumerate(X):
+            assert Y[k].tobytes() == ball_projection(frame, r, x).coords.tobytes()
+
+    @pytest.mark.parametrize(
+        "r, row",
+        [
+            (1.0, [1.0, 0.0, 1.0]),  # null, off the hyperboloid
+            (1.0, [0.0, 0.0, -1.0]),  # lower sheet
+            # spacelike, yet within the absolute membership tolerance of a
+            # tiny hyperboloid: its image lies outside the unit ball
+            (1e-30, [math.sqrt(1e-12 + 5e-11), 0.0, 1e-6]),
+        ],
+    )
+    def test_bad_row_in_a_batch_rejected(self, r, row):
+        good = [0.0, 0.0, math.sqrt(r)]
+        with pytest.raises(DomainError):
+            ball_projection_rows(OrthonormalFrame.standard(2), r, np.array([good, row, good]))
+        with pytest.raises(DomainError):
+            ball_projection(OrthonormalFrame.standard(2), r, row)
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 10**6))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_admissible_frame
@@ -67,6 +67,9 @@ class TestOrthonormalizeFrame:
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**6))
+    # boosted draws whose single Gram-Schmidt pass left Gram errors above 1e-12
+    @example(seed=3172)
+    @example(seed=6308)
     def test_random_perturbations_stay_admissible(self, seed):
         rng = np.random.default_rng(seed)
         frame = random_admissible_frame(rng, 3)

@@ -8,21 +8,39 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import random_admissible_frame
+from hyperflow.ball import ball_projection
 from hyperflow.catalog import CATALOG, catalog_names
-from hyperflow.descriptors import descriptor_to_json
-from hyperflow.errors import InvalidArgumentError
-from hyperflow.flow import lorentz_flow
+from hyperflow.descriptors import Ambient, descriptor_to_json, dimensions, immerse
+from hyperflow.errors import InvalidArgumentError, TimeOutOfRangeError
+from hyperflow.flow import hyperbolic_flow, lorentz_flow
+from hyperflow.lorentz import OrthonormalFrame
 from hyperflow.scenario import (
     OracleSettings,
     Sampling,
     Scenario,
     TimeGrid,
+    chart_samples,
     load_scenario,
     run_invariant_battery,
     run_scenario,
     scenario_from_json,
     verify_scenario,
 )
+
+
+def write_scenario(path, name, d, **settings):
+    path.write_text(json.dumps({"name": name, "descriptor": descriptor_to_json(d), **settings}))
+    return path
+
+
+def read_rows(path):
+    """(sample_id, t, coordinates) of every CSV row; %.17g round-trips exactly."""
+    rows = []
+    for line in path.read_text().splitlines()[1:]:
+        sid, t, *coords = line.split(",")
+        rows.append((int(sid), float(t), np.array([float(v) for v in coords])))
+    return rows
 
 
 def run_cli(*args):
@@ -63,6 +81,18 @@ class TestScenarioParsing:
             TimeGrid(1.0, 0.0, 5)
         with pytest.raises(InvalidArgumentError):
             TimeGrid(0.0, 1.0, 1)
+        with pytest.raises(InvalidArgumentError, match="time_grid.start"):
+            TimeGrid(-math.inf, 1.0, 5)
+        with pytest.raises(InvalidArgumentError, match="time_grid.end"):
+            TimeGrid(0.0, math.inf, 5)
+        with pytest.raises(InvalidArgumentError, match="time_grid.end"):
+            TimeGrid(0.0, math.nan, 5)
+
+    @pytest.mark.parametrize("field", ["fd_step", "dt", "tolerance"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_oracle_settings_rejected(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=f"oracle.{field}"):
+            OracleSettings(**{field: value})
 
     def test_explicit_frame_accepted(self):
         spec = {
@@ -97,6 +127,56 @@ class TestRunScenario:
         run_scenario("tube_h3", b)
         for name in ("tube_h3_trajectory.csv", "tube_h3_ball.csv", "tube_h3_limits.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("frame_kind", ["standard", "random"])
+    def test_rows_match_scalar_flow_and_projection(self, catalog_entry, frame_kind, tmp_path):
+        # the batched writer must reproduce the scalar flow and projection bit for bit
+        name, d = catalog_entry
+        m = dimensions(d).m
+        frame = OrthonormalFrame.standard(m)
+        if frame_kind == "random":
+            frame = random_admissible_frame(np.random.default_rng(41), m)
+        steps = 25
+        path = write_scenario(
+            tmp_path / "scn.json",
+            name,
+            d,
+            time_grid={"start": -3.0, "end": 2.0, "steps": steps},
+            sampling={"per_dim": 4, "seed": 11},
+            outputs=["trajectory", "ball"],
+            frame=frame.vectors.tolist(),
+        )
+        run_scenario(path, tmp_path)
+        points = [immerse(d, u) for u in chart_samples(d, 4, 11)]
+        traj = read_rows(tmp_path / f"{name}_trajectory.csv")
+        ball = read_rows(tmp_path / f"{name}_ball.csv")
+        assert [sid for sid, _, _ in traj] == [sid for sid in range(len(points)) for _ in range(steps)]
+        assert len(ball) == len(traj)
+        for (sid, t, x), (sid_b, t_b, y) in zip(traj, ball):
+            assert (sid_b, t_b) == (sid, t)
+            expected = hyperbolic_flow(d, points[sid], t)
+            assert x.tobytes() == expected.tobytes()
+            assert y.tobytes() == ball_projection(frame, 1.0, expected).coords.tobytes()
+
+    def test_scaled_ambient_trajectory(self, tmp_path):
+        # H^2(-2) does not move; its rows are on <x,x> = -2, not -1
+        d = Ambient(2, 2.0)
+        path = write_scenario(tmp_path / "scn.json", "h2r2", d, outputs=["trajectory"])
+        run_scenario(path, tmp_path)
+        points = [immerse(d, u) for u in chart_samples(d, 3, 7)]
+        for sid, _, x in read_rows(tmp_path / "h2r2_trajectory.csv"):
+            assert x.tobytes() == points[sid].tobytes()
+
+    @pytest.mark.parametrize("start", [-709.0, -1000.0])
+    def test_overflowing_grid_writes_nothing(self, tmp_path, start):
+        # e^(-nt) leaves double range: in numpy at -709 (inf rows), in math.exp at -1000
+        path = write_scenario(
+            tmp_path / "scn.json", "far", CATALOG["circle_h2"],
+            time_grid={"start": start, "end": 0.0, "steps": 3}, outputs=["trajectory", "ball"],
+        )
+        with pytest.raises(TimeOutOfRangeError, match="not finite"):
+            run_scenario(path, tmp_path / "out")
+        assert not list((tmp_path / "out").glob("*.csv"))
 
     def test_seed_changes_samples(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -168,6 +248,21 @@ class TestCli:
         blocker.write_text("")
         out = run_cli("run", "ambient_h3", "--out", str(blocker))
         assert out.returncode == 4
+
+    @pytest.mark.parametrize(
+        "field, settings",
+        [
+            ("time_grid.end", {"time_grid": {"start": -1.0, "end": "inf", "steps": 5}}),
+            ("oracle.tolerance", {"oracle": {"tolerance": "nan"}}),
+            ("outputs", {"outputs": "window"}),
+        ],
+    )
+    def test_bad_field_exit_two(self, tmp_path, field, settings):
+        path = write_scenario(tmp_path / "scn.json", "bad", CATALOG["horocycle_h2"], **settings)
+        out = run_cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert out.returncode == 2
+        assert field in out.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_thread_cap_is_honored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPERFLOW_THREADS", "1")
