@@ -373,42 +373,61 @@ def _sinhc(q: float) -> float:
     return math.sinh(q) / q
 
 
-def _hyperbolic_chart(s: np.ndarray, r: float) -> np.ndarray:
-    """Polar chart R^l -> H^l(-r), Lorentz coordinates with time last."""
-    q = float(np.linalg.norm(s))
-    return math.sqrt(r) * np.concatenate([_sinhc(q) * s, [math.cosh(q)]])
+# The chart helpers below work on rows, a (K, k) array of chart parameters.
+# Each row gets the arithmetic the one-point chart always had, so a row
+# gives the same bits alone as in any batch: reductions go through a stacked
+# matmul, which runs the same BLAS dot/gemv kernel per row as the 1-d call,
+# and sinh, cosh, sin and cos come from ``math`` per entry, because numpy's
+# vectorized versions differ from them in the last bit for some inputs.
+
+
+def _row_dots(A: np.ndarray) -> np.ndarray:
+    """Euclidean |a|^2 of every row, with the kernel of ``np.dot(a, a)``."""
+    return np.matmul(A[..., None, :], A[..., :, None])[..., 0, 0]
+
+
+def _hyperbolic_chart(S: np.ndarray, r: float) -> np.ndarray:
+    """Polar chart R^l -> H^l(-r) on rows, Lorentz coordinates with time last."""
+    q = np.sqrt(_row_dots(S)).tolist()
+    out = np.empty((S.shape[0], S.shape[1] + 1))
+    out[:, :-1] = np.array(list(map(_sinhc, q)))[:, None] * S
+    out[:, -1] = list(map(math.cosh, q))
+    return math.sqrt(r) * out
 
 
 def _sphere_chart(angles: np.ndarray, radius2: float) -> np.ndarray:
-    """Polar angles -> point of S^p(radius2) in R^(p+1)."""
-    p = angles.size
-    x = np.empty(p + 1)
-    sin_prod = 1.0
-    for i in range(p):
-        x[i] = sin_prod * math.cos(angles[i])
-        sin_prod *= math.sin(angles[i])
-    x[p] = sin_prod
+    """Polar angles -> points of S^p(radius2) in R^(p+1), on rows."""
+    K, p = angles.shape
+    cols = angles.T.tolist()
+    x = np.empty((K, p + 1))
+    x[:, 0] = list(map(math.cos, cols[0]))
+    sin_prod = np.array(list(map(math.sin, cols[0])))
+    for i in range(1, p):
+        x[:, i] = sin_prod * np.array(list(map(math.cos, cols[i])))
+        sin_prod = sin_prod * np.array(list(map(math.sin, cols[i])))
+    x[:, p] = sin_prod
     return math.sqrt(radius2) * x
 
 
-def _leaf_immersion(leaf: ProductOfSpheres, u: np.ndarray, ambient_radius2: float | None) -> np.ndarray:
+def _leaf_immersion(leaf: ProductOfSpheres, U: np.ndarray, ambient_radius2: float | None) -> np.ndarray:
     if leaf.is_point:
         if ambient_radius2 is None:
             raise InvalidArgumentError("a point leaf needs its context sphere radius")
-        return math.sqrt(max(ambient_radius2, 0.0)) * np.asarray(leaf.point_position, dtype=float)
+        pos = math.sqrt(max(ambient_radius2, 0.0)) * np.asarray(leaf.point_position, dtype=float)
+        return np.tile(pos, (U.shape[0], 1))
     blocks, k = [], 0
     for p, s in leaf.factors:
-        blocks.append(_sphere_chart(u[k : k + p], s))
+        blocks.append(_sphere_chart(U[:, k : k + p], s))
         k += p
-    return np.concatenate(blocks)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
-def _euclidean_immersion(e: EuclideanIso, u: np.ndarray) -> np.ndarray:
-    w = e.offset_array.copy()
-    w[: e.flat_dim] += u[: e.flat_dim]
+def _euclidean_immersion(e: EuclideanIso, U: np.ndarray) -> np.ndarray:
+    w = np.tile(e.offset_array, (U.shape[0], 1))
+    w[:, : e.flat_dim] += U[:, : e.flat_dim]
     if e.spheres is not None:
         k0 = e.flat_dim
-        w[k0 : k0 + e.spheres.coords_dim] += _leaf_immersion(e.spheres, u[e.flat_dim :], None)
+        w[:, k0 : k0 + e.spheres.coords_dim] += _leaf_immersion(e.spheres, U[:, e.flat_dim :], None)
     return w
 
 
@@ -416,7 +435,8 @@ def _euclidean_immersion(e: EuclideanIso, u: np.ndarray) -> np.ndarray:
 
 
 def _product_assemble(d: FullProduct, xv: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.concatenate([xv[:-1], y, [xv[-1]]])
+    """Place Lorentz and leaf blocks; one point, or rows along the last axis."""
+    return np.concatenate([xv[..., :-1], y, xv[..., -1:]], axis=-1)
 
 
 def _product_split(d: FullProduct, x: np.ndarray, validate: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -436,6 +456,30 @@ def _product_split(d: FullProduct, x: np.ndarray, validate: bool = False) -> tup
                     raise DomainError(f"leaf factor block has squared radius != {s}")
                 k += p + 1
     return xv, y
+
+
+def _check_product_rows(d: FullProduct, X: np.ndarray) -> None:
+    """The checks of ``_product_split(validate=True)`` on every row of X.
+
+    Kept apart from the one-point checks, which the scalar flows run on
+    every call and which are several times cheaper on a single point.
+    """
+    V = np.concatenate([X[:, : d.l], X[:, -1:]], axis=1)
+    Y = X[:, d.l : -1]
+    q = np.sum(V[:, :-1] ** 2, axis=1) - V[:, -1] ** 2
+    if np.any((np.abs(q + d.r) > _POINT_TOL * max(1.0, d.r)) | (V[:, -1] <= 0)):
+        raise DomainError("Lorentz block is not on the upper sheet of H^l(-r)")
+    if d.leaf.is_point:
+        want = math.sqrt(max(d.r - 1.0, 0.0)) * np.asarray(d.leaf.point_position)
+        if np.any(np.abs(Y - want) > _POINT_TOL):
+            raise DomainError("point leaf block is away from its fixed position")
+        return
+    k = 0
+    for p, s in d.leaf.factors:
+        block = Y[:, k : k + p + 1]
+        if np.any(np.abs(np.sum(block * block, axis=1) - s) > _POINT_TOL * max(1.0, s)):
+            raise DomainError(f"leaf factor block has squared radius != {s}")
+        k += p + 1
 
 
 # placement of an umbilic level: deterministic orthonormal complement of xi
@@ -521,14 +565,33 @@ def _umbilic_placement(umb: UmbilicData):
 
 
 def _umbilic_embed(d: Umbilic, inner_point: np.ndarray) -> np.ndarray:
-    """Map an inner-model point into H^m(-1) through the level's placement."""
+    """Map inner-model points into H^m(-1) through the level's placement.
+
+    Takes one point or rows along the last axis; a row gives the same bits
+    either way (see ``_row_dots``).
+    """
     pl = _umbilic_placement(d.umb)
     if isinstance(pl, _HyperbolicPlacement):
-        return pl.eta + pl.scale * (pl.J @ inner_point)
+        return pl.eta + pl.scale * np.matmul(pl.J, inner_point[..., None])[..., 0]
     if isinstance(pl, _SphericalPlacement):
-        return pl.eta + pl.J @ inner_point
+        return pl.eta + np.matmul(pl.J, inner_point[..., None])[..., 0]
     w = inner_point
-    return pl.x0 + pl.W @ w - (float(np.dot(w, w)) / (2.0 * pl.a)) * pl.xi
+    shift = (_row_dots(w) / (2.0 * pl.a))[..., None] * pl.xi
+    return pl.x0 + np.matmul(pl.W, w[..., None])[..., 0] - shift
+
+
+def _umbilic_split_rows(d: Umbilic, X: np.ndarray) -> np.ndarray:
+    """Inner-model coordinates of rows of ambient points, without membership checks."""
+    pl = _umbilic_placement(d.umb)
+    sig = np.ones(X.shape[1])
+    sig[-1] = -1.0
+    if isinstance(pl, _HyperbolicPlacement):
+        rel = (X - pl.eta[None, :]) / pl.scale
+        signs = np.append(np.ones(pl.J.shape[1] - 1), -1.0)
+        return (rel @ (sig[:, None] * pl.J)) * signs[None, :]
+    if isinstance(pl, _SphericalPlacement):
+        return (X - pl.eta[None, :]) @ (sig[:, None] * pl.J)
+    return (X - pl.x0[None, :]) @ (sig[:, None] * pl.W)
 
 
 def _umbilic_split(d: Umbilic, x: np.ndarray, tol: float = _POINT_TOL) -> np.ndarray:
@@ -550,30 +613,44 @@ def _umbilic_split(d: Umbilic, x: np.ndarray, tol: float = _POINT_TOL) -> np.nda
 
 
 def immerse(d, u) -> np.ndarray:
-    """Evaluate the canonical chart of a descriptor at chart parameters u."""
-    uv = np.atleast_1d(np.asarray(u, dtype=float))
-    if uv.size != chart_dim(d):
-        raise InvalidArgumentError(f"chart needs {chart_dim(d)} parameters, got {uv.size}")
-    if not np.all(np.isfinite(uv)):
+    """Evaluate the canonical chart of a descriptor at chart parameters u.
+
+    A batch of one of ``immerse_rows``.
+    """
+    return immerse_rows(d, np.asarray(u, dtype=float).reshape(1, -1))[0]
+
+
+def immerse_rows(d, U) -> np.ndarray:
+    """The canonical chart at every row of a (K, n) array: (K, m+1) points.
+
+    Row k has the same bits as ``immerse(d, U[k])``, whatever the batch.
+    """
+    Uv = np.asarray(U, dtype=float)
+    n = chart_dim(d)
+    if Uv.ndim != 2:
+        raise InvalidArgumentError(f"chart rows must form a 2-d array, got shape {Uv.shape}")
+    if Uv.shape[1] != n:
+        raise InvalidArgumentError(f"chart needs {n} parameters, got {Uv.shape[1]}")
+    if not np.isfinite(Uv).all():
         raise InvalidArgumentError("chart parameters must be finite")
-    return _immerse(d, uv)
+    return _immerse(d, Uv)
 
 
-def _immerse(d, u: np.ndarray) -> np.ndarray:
+def _immerse(d, U: np.ndarray) -> np.ndarray:
     if isinstance(d, Ambient):
-        return _hyperbolic_chart(u, d.r)
+        return _hyperbolic_chart(U, d.r)
     if isinstance(d, FullProduct):
-        xv = _hyperbolic_chart(u[: d.l], d.r)
-        y = _leaf_immersion(d.leaf, u[d.l :], d.r - 1.0)
+        xv = _hyperbolic_chart(U[:, : d.l], d.r)
+        y = _leaf_immersion(d.leaf, U[:, d.l :], d.r - 1.0)
         return _product_assemble(d, xv, y)
     if isinstance(d, Umbilic):
         inner = d.inner
         if isinstance(inner, ProductOfSpheres):
-            z = _leaf_immersion(inner, u, d.umb.a**2 - 1.0)
+            z = _leaf_immersion(inner, U, d.umb.a**2 - 1.0)
         elif isinstance(inner, EuclideanIso):
-            z = _euclidean_immersion(inner, u)
+            z = _euclidean_immersion(inner, U)
         else:
-            z = _immerse(inner, u)
+            z = _immerse(inner, U)
         return _umbilic_embed(d, z)
     raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
 

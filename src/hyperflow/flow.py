@@ -35,14 +35,17 @@ from .descriptors import (
     FullProduct,
     ProductOfSpheres,
     Umbilic,
+    _POINT_TOL,
+    _check_product_rows,
     _product_assemble,
     _product_split,
     _umbilic_embed,
     _umbilic_placement,
     _umbilic_split,
+    _umbilic_split_rows,
     dimensions,
 )
-from .errors import GaugeDomainError, InvalidArgumentError, TimeOutOfRangeError
+from .errors import DomainError, GaugeDomainError, InvalidArgumentError, TimeOutOfRangeError
 from .lorentz import as_vector, minkowski_inner
 
 
@@ -294,6 +297,42 @@ def _validate_point(d, x: np.ndarray) -> None:
         _product_split(d, x, validate=True)
 
 
+def _validate_rows(d, X: np.ndarray) -> None:
+    """Every membership check ``hyperbolic_flow`` makes on its input, row-wise.
+
+    Rows off the ambient quadric (with ``_validate_point``'s rounding floor),
+    on the lower sheet or not finite raise InvalidArgumentError; rows off a
+    product block or an umbilic level, at any depth of the recursion, raise
+    DomainError.  ``hyperbolic_flow_batch`` checks only the quadric, so
+    callers that flow unvalidated rows call this once per batch.
+    """
+    m = dimensions(d).m
+    if X.ndim != 2 or X.shape[1] != m + 1:
+        raise InvalidArgumentError(f"expected rows of length {m + 1}, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise InvalidArgumentError("vector has non-finite entries")
+    r_top = d.r if isinstance(d, Ambient) else 1.0
+    q = np.sum(X[:, :-1] ** 2, axis=1) - X[:, -1] ** 2
+    floor = 1e-12 * np.sum(X * X, axis=1)
+    if np.any((np.abs(q + r_top) > np.maximum(1e-8 * max(1.0, r_top), floor)) | (X[:, -1] <= 0)):
+        raise InvalidArgumentError("flow input point is not on the ambient hyperboloid")
+    _validate_levels(d, X)
+
+
+def _validate_levels(d, X: np.ndarray) -> None:
+    """Product blocks and umbilic levels, following ``_hyperbolic_flow``'s recursion."""
+    if dimensions(d).n == 0 or isinstance(d, Ambient):
+        return
+    if isinstance(d, FullProduct):
+        _check_product_rows(d, X)
+        return
+    Z = _umbilic_split_rows(d, X)
+    if np.any(np.abs(_umbilic_embed(d, Z) - X) > _POINT_TOL):
+        raise DomainError("point is not on the umbilical hypersurface of this level")
+    if isinstance(d.inner, (Ambient, FullProduct, Umbilic)):
+        _validate_levels(d.inner, Z)
+
+
 def _lorentz_flow(d, x: np.ndarray, t: float) -> np.ndarray:
     dims = dimensions(d)
     n = dims.n
@@ -399,9 +438,9 @@ def _hyperbolic_flow(d, x: np.ndarray, t: float) -> np.ndarray:
 def hyperbolic_flow_batch(d, X, t: float) -> np.ndarray:
     """Hyperbolic flow of many points at once; rows of X are worked in bulk.
 
-    Rows must already lie on the immersed submanifold (no per-row membership
-    checks beyond the ambient quadric); use ``hyperbolic_flow`` for single
-    validated evaluations.
+    Rows must already lie on the immersed submanifold: only the ambient
+    quadric is checked here.  ``_validate_rows`` makes the other membership
+    checks of ``hyperbolic_flow`` on a whole batch.
     """
     Xv = np.atleast_2d(np.asarray(X, dtype=float))
     window = existence_window(d)
@@ -457,11 +496,8 @@ def _hyperbolic_flow_rows(d, X: np.ndarray, t: float) -> np.ndarray:
 def _umbilic_inner_flow_rows(d: Umbilic, X: np.ndarray, s: float) -> np.ndarray:
     pl = _umbilic_placement(d.umb)
     inner = d.inner
-    sig = np.ones(X.shape[1])
-    sig[-1] = -1.0
+    Z = _umbilic_split_rows(d, X)
     if isinstance(inner, ProductOfSpheres):
-        rel = X - pl.eta[None, :]
-        Z = rel @ (sig[:, None] * pl.J)
         n1 = inner.dim
         R2 = pl.radius2
         if inner.is_point or n1 == 0:
@@ -471,20 +507,15 @@ def _umbilic_inner_flow_rows(d: Umbilic, X: np.ndarray, s: float) -> np.ndarray:
             moved = math.exp(n1 * s / R2) * (Z * _leaf_column_scales(inner, te)[None, :])
         return pl.eta[None, :] + moved @ pl.J.T
     if isinstance(inner, EuclideanIso):
-        rel = X - pl.x0[None, :]
-        W = rel @ (sig[:, None] * pl.W)
-        out = W.copy()
+        out = Z.copy()
         if inner.spheres is not None:
             k0 = inner.flat_dim
             k1 = k0 + inner.spheres.coords_dim
             off = inner.offset_array[k0:k1]
-            out[:, k0:k1] = off[None, :] + (W[:, k0:k1] - off[None, :]) * _leaf_column_scales(inner.spheres, s)[None, :]
+            out[:, k0:k1] = off[None, :] + (Z[:, k0:k1] - off[None, :]) * _leaf_column_scales(inner.spheres, s)[None, :]
         norm2 = np.sum(out * out, axis=1)
         return pl.x0[None, :] + out @ pl.W.T - (norm2 / (2.0 * pl.a))[:, None] * pl.xi[None, :]
-    # hyperbolic hypersurface: descale into the unit-curvature model and recurse
-    rel = (X - pl.eta[None, :]) / pl.scale
-    signs = np.append(np.ones(pl.J.shape[1] - 1), -1.0)
-    Z = (rel @ (sig[:, None] * pl.J)) * signs[None, :]
+    # hyperbolic hypersurface: the coordinates are in the unit-curvature model
     moved = _hyperbolic_flow_rows(inner, Z, s / pl.scale**2)
     return pl.eta[None, :] + pl.scale * (moved @ pl.J.T)
 

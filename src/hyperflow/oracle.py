@@ -16,18 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .descriptors import chart_dim, dimensions, immerse
+from .descriptors import chart_dim, dimensions, immerse, immerse_rows
 from .errors import (
     ChartDegenerateError,
     InsufficientSamplesError,
     InvalidArgumentError,
     TimeOutOfRangeError,
 )
-from .flow import existence_window, hyperbolic_flow, hyperbolic_flow_batch, lorentz_flow
+from .flow import _validate_rows, existence_window, hyperbolic_flow, hyperbolic_flow_batch, lorentz_flow
 from .lorentz import minkowski_inner
 
 _COND_LIMIT = 1e12
@@ -61,6 +62,17 @@ class AmbientSpace:
             return float(np.dot(u[:-1], v[:-1]) - u[-1] * v[-1])
         return float(np.dot(u, v))
 
+    def signature(self, dim: int) -> np.ndarray:
+        """Diagonal of the metric on R^dim: ones, and -1 last when Lorentzian."""
+        sig = np.ones(dim)
+        if self.lorentzian_signature:
+            sig[-1] = -1.0
+        return sig
+
+    def inner_rows(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """``inner`` along the last axis of two broadcastable arrays."""
+        return np.sum(U * V * self.signature(U.shape[-1]), axis=-1)
+
 
 EUCLIDEAN = AmbientSpace("euclidean")
 LORENTZIAN = AmbientSpace("lorentzian")
@@ -70,35 +82,30 @@ HYPERBOLOID = AmbientSpace("hyperboloid")
 
 @dataclass(frozen=True)
 class ImmersionEvaluator:
-    """A pure chart map u -> point together with its ambient signature."""
+    """A pure chart map u -> point together with its ambient signature.
+
+    ``rows``, when given, is the same map on many chart points at once: it
+    takes a (K, chart_dim) array of chart points and returns the (K, dim)
+    array of their images, row k agreeing with ``func(U[k])`` to rounding.
+    Like ``func`` it receives only chart points and returns only points, so
+    the checks built on it stay blind to how the points are produced.
+    ``at_rows`` uses it, and without it calls the evaluator once per row.
+    """
 
     chart_dim: int
     ambient: AmbientSpace
     func: Callable[[np.ndarray], np.ndarray]
+    rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, u) -> np.ndarray:
         return np.asarray(self.func(np.asarray(u, dtype=float)), dtype=float)
 
-
-def _derivatives(imm: ImmersionEvaluator, u: np.ndarray, h: float):
-    """Central first and second chart derivatives of the immersion at u."""
-    n = imm.chart_dim
-    center = imm(u)
-    plus = [imm(u + h * _e(n, i)) for i in range(n)]
-    minus = [imm(u - h * _e(n, i)) for i in range(n)]
-    first = [(plus[i] - minus[i]) / (2.0 * h) for i in range(n)]
-    second = [[None] * n for _ in range(n)]
-    for i in range(n):
-        second[i][i] = (plus[i] - 2.0 * center + minus[i]) / h**2
-    for i in range(n):
-        for j in range(i + 1, n):
-            pp = imm(u + h * (_e(n, i) + _e(n, j)))
-            pm = imm(u + h * (_e(n, i) - _e(n, j)))
-            mp = imm(u - h * (_e(n, i) - _e(n, j)))
-            mm = imm(u - h * (_e(n, i) + _e(n, j)))
-            mixed = (pp - pm - mp + mm) / (4.0 * h**2)
-            second[i][j] = second[j][i] = mixed
-    return center, first, second
+    def at_rows(self, U) -> np.ndarray:
+        """Points at every row of a (K, chart_dim) array of chart points."""
+        Uv = np.asarray(U, dtype=float)
+        if self.rows is not None:
+            return np.asarray(self.rows(Uv), dtype=float)
+        return np.array([self(u) for u in Uv])
 
 
 def _e(n: int, i: int) -> np.ndarray:
@@ -117,8 +124,9 @@ def _metric_inverse(imm: ImmersionEvaluator, first: list[np.ndarray]) -> tuple[n
     return g, np.linalg.inv(g)
 
 
+@lru_cache(maxsize=64)
 def _stencil_offsets(n: int, h: float) -> np.ndarray:
-    """Chart offsets of the central-difference stencil.
+    """Chart offsets of the central-difference stencil, as a read-only array.
 
     Layout: center; then +h e_i, -h e_i per axis; then the four corner
     offsets of each axis pair i < j in the order ++, +-, -+, --.
@@ -131,14 +139,14 @@ def _stencil_offsets(n: int, h: float) -> np.ndarray:
         for j in range(i + 1, n):
             for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                 offs.append(h * (si * _e(n, i) + sj * _e(n, j)))
-    return np.asarray(offs)
+    out = np.asarray(offs)
+    out.flags.writeable = False
+    return out
 
 
-def _mc_from_stencil(vals: np.ndarray, n: int, h: float, ambient: AmbientSpace) -> np.ndarray:
-    """Mean curvature from stencil values laid out by ``_stencil_offsets``."""
+def _stencil_derivatives(vals: np.ndarray, n: int, h: float):
+    """Center, central first and second derivatives from ``_stencil_offsets`` values."""
     center = vals[0]
-    if n == 0:
-        return np.zeros_like(center)
     first = [(vals[1 + 2 * i] - vals[2 + 2 * i]) / (2.0 * h) for i in range(n)]
     second = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -150,6 +158,14 @@ def _mc_from_stencil(vals: np.ndarray, n: int, h: float, ambient: AmbientSpace) 
             pp, pm, mp, mm = vals[base + 4 * k : base + 4 * k + 4]
             second[i][j] = second[j][i] = (pp - pm - mp + mm) / (4.0 * h**2)
             k += 1
+    return center, first, second
+
+
+def _mc_from_stencil(vals: np.ndarray, n: int, h: float, ambient: AmbientSpace) -> np.ndarray:
+    """Mean curvature from stencil values laid out by ``_stencil_offsets``."""
+    if n == 0:
+        return np.zeros_like(vals[0])
+    center, first, second = _stencil_derivatives(vals, n, h)
     g = np.array([[ambient.inner(first[i], first[j]) for j in range(n)] for i in range(n)])
     if np.linalg.cond(g) > _COND_LIMIT:
         raise ChartDegenerateError("induced metric is numerically singular at this chart point")
@@ -178,7 +194,7 @@ def numeric_mean_curvature(imm: ImmersionEvaluator, u, h: float = 1e-3, richards
     n = imm.chart_dim
     if n == 0:
         return np.zeros_like(imm(uv))
-    vals = np.array([imm(uv + off) for off in _stencil_offsets(n, h)])
+    vals = imm.at_rows(uv + _stencil_offsets(n, h))
     return _mc_from_stencil(vals, n, h, imm.ambient)
 
 
@@ -190,8 +206,8 @@ def second_fundamental_form(imm: ImmersionEvaluator, u, h: float = 1e-3):
     Returns (center, first derivatives, metric, II) for reuse by callers.
     """
     uv = np.asarray(u, dtype=float)
-    center, first, second = _derivatives(imm, uv, h)
     n = imm.chart_dim
+    center, first, second = _stencil_derivatives(imm.at_rows(uv + _stencil_offsets(n, h)), n, h)
     g, ginv = _metric_inverse(imm, first)
     frame = list(first)
     if imm.ambient.intrinsic_to_quadric:
@@ -214,54 +230,38 @@ def _general_tangential(imm: ImmersionEvaluator, frame: list[np.ndarray], w: np.
     return sum(coeff[i] * frame[i] for i in range(k))
 
 
-def _normal_basis(imm: ImmersionEvaluator, center: np.ndarray, first: list[np.ndarray]) -> list[np.ndarray]:
-    """Orthonormal basis of the normal space (inside the quadric, when any)."""
-    frame = list(first)
-    if imm.ambient.intrinsic_to_quadric:
-        frame = frame + [center]
-    dim = center.size
-    basis: list[np.ndarray] = []
-    cands = []
-    for i in range(dim):
-        v = _e(dim, i)
-        v = v - _general_tangential(imm, frame, v) if frame else v
-        cands.append(v)
-    need = dim - len(frame)
-    for _ in range(need):
-        norms = []
-        for v in cands:
-            w = v.copy()
-            for b in basis:
-                w -= imm.ambient.inner(w, b) * b
-            norms.append((abs(imm.ambient.inner(w, w)), w))
-        k = int(np.argmax([q for q, _ in norms]))
-        q, w = norms[k]
-        cands.pop(k)
-        if q < 1e-18:
-            raise ChartDegenerateError("could not complete a normal basis")
-        basis.append(w / math.sqrt(q))
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # flow-equation residuals
 
 
 def descriptor_immersion(d, t: float | None = None, gauge: str = "hyperbolic") -> ImmersionEvaluator:
-    """Chart evaluator of a descriptor, optionally pushed by one of its flows."""
-    dims = dimensions(d)
+    """Chart evaluator of a descriptor, optionally pushed by one of its flows.
+
+    Without a time, and in the hyperbolic gauge, the evaluator also maps
+    rows of chart points in one pass: ``immerse_rows``, the row-wise form of
+    the membership checks ``hyperbolic_flow`` makes, and
+    ``hyperbolic_flow_batch``.  The Lorentzian gauge evaluates row by row.
+    """
+    rows = None
     if t is None:
         func = lambda u: immerse(d, u)
+        rows = lambda U: immerse_rows(d, U)
         ambient = HYPERBOLOID
     elif gauge == "hyperbolic":
         func = lambda u: hyperbolic_flow(d, immerse(d, u), t)
+
+        def rows(U: np.ndarray) -> np.ndarray:
+            X = immerse_rows(d, U)
+            _validate_rows(d, X)
+            return hyperbolic_flow_batch(d, X, t)
+
         ambient = HYPERBOLOID
     elif gauge == "lorentz":
         func = lambda u: lorentz_flow(d, immerse(d, u), t)
         ambient = LORENTZIAN
     else:
         raise InvalidArgumentError(f"unknown gauge {gauge!r}")
-    return ImmersionEvaluator(chart_dim(d), ambient, func)
+    return ImmersionEvaluator(chart_dim(d), ambient, func, rows)
 
 
 def pde_residual(
@@ -366,6 +366,9 @@ def transport_normal_frame(
     the moving basis, so its entries stay at the geometric rotation rate
     even where boosted coordinates make raw projector matrices large.  The
     segment is split into sub-segments, each with a freshly seeded basis.
+    A does not depend on the coefficients, so every chart point a
+    sub-segment needs is known before its integration starts: the basis is
+    evaluated there in one batch and all A matrices are formed at once.
     Codimension one needs no integration: the single coefficient rides the
     smooth unit normal field unchanged.
     """
@@ -376,48 +379,40 @@ def transport_normal_frame(
         return []
     current = [np.asarray(z, dtype=float).copy() for z in frame]
     n_sub = 4
+    delta = 1e-5
+    sub_steps = max(4, steps // n_sub)
     for seg in range(n_sub):
         ta, tb = seg / n_sub, (seg + 1) / n_sub
         seed = a + 0.5 * (ta + tb) * (b - a)
         field = _normal_frame_field(imm, seed, h)
-
-        def N(t: float) -> list[np.ndarray]:
-            return field(a + t * (b - a))
-
-        N0 = N(ta)
+        dt = (tb - ta) / sub_steps
+        # the times the RK4 loop below asks A for, in its own arithmetic:
+        # t + dt need not equal the next step's t, and then both are kept
+        keys: list[float] = []
+        if k > 1:
+            for i in range(sub_steps):
+                t = ta + i * dt
+                keys += [t, t + dt / 2.0, t + dt]
+            keys = list(dict.fromkeys(keys))
+        ts = np.array([ta, tb] + [s for t in keys for s in (t, t + delta, t - delta)])
+        frames = field(a + ts[:, None] * (b - a))
+        N0, N1 = frames[0], frames[1]
         coeff = np.array([[imm.ambient.inner(nu, z) for z in current] for nu in N0])
         if k == 1:
-            current = [coeff[0, 0] * N(tb)[0]]
+            current = [coeff[0, 0] * N1[0]]
             continue
 
-        delta = 1e-5
-        memo: dict[float, np.ndarray] = {}
-
-        def A(t: float) -> np.ndarray:
-            got = memo.get(t)
-            if got is not None:
-                return got
-            Nt, Np, Nm = N(t), N(t + delta), N(t - delta)
-            M = np.array(
-                [
-                    [imm.ambient.inner(Nt[i], (Np[j] - Nm[j]) / (2.0 * delta)) for j in range(k)]
-                    for i in range(k)
-                ]
-            )
-            M = 0.5 * (M - M.T)
-            memo[t] = M
-            return M
-
-        sub_steps = max(4, steps // n_sub)
-        dt = (tb - ta) / sub_steps
+        Nt, Np, Nm = frames[2::3], frames[3::3], frames[4::3]
+        sig = imm.ambient.signature(frames.shape[-1])
+        M = np.einsum("tid,tjd->tij", Nt * sig, (Np - Nm) / (2.0 * delta))
+        A = dict(zip(keys, 0.5 * (M - M.transpose(0, 2, 1))))
         for i in range(sub_steps):
             t = ta + i * dt
-            k1 = -A(t) @ coeff
-            k2 = -A(t + dt / 2.0) @ (coeff + dt / 2.0 * k1)
-            k3 = -A(t + dt / 2.0) @ (coeff + dt / 2.0 * k2)
-            k4 = -A(t + dt) @ (coeff + dt * k3)
+            k1 = -A[t] @ coeff
+            k2 = -A[t + dt / 2.0] @ (coeff + dt / 2.0 * k1)
+            k3 = -A[t + dt / 2.0] @ (coeff + dt / 2.0 * k2)
+            k4 = -A[t + dt] @ (coeff + dt * k3)
             coeff = coeff + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        N1 = N(tb)
         current = [sum(coeff[i, j] * N1[i] for i in range(k)) for j in range(k)]
 
     # strip accumulated drift without touching the orientation
@@ -476,8 +471,7 @@ def isoparametric_residual_of(
     samples = _chain_samples([np.asarray(u, dtype=float) for u in chart_samples])
     if len(samples) < 2:
         raise InsufficientSamplesError("need at least two chart samples")
-    center, first, _ = _derivatives(imm, samples[0], h)
-    frame = _normal_basis(imm, center, first)
+    frame = list(_normal_frame_field(imm, samples[0], h)(samples[0][None, :])[0])
     baseline = principal_curvatures(imm, samples[0], frame, h)
     spread = 0.0
     for prev, here in zip(samples, samples[1:]):
@@ -508,53 +502,80 @@ def poincare_ball_factor() -> ConformalFactor:
     )
 
 
+def _first_derivative_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float):
+    """Points (P, dim) and central first derivatives (P, n, dim) at P chart points.
+
+    One ``at_rows`` call evaluates the 1 + 2n point stencils of all of them.
+    """
+    P, n = U.shape
+    offs = _stencil_offsets(n, h)[: 1 + 2 * n]
+    vals = imm.at_rows((U[:, None, :] + offs[None, :, :]).reshape(P * (1 + 2 * n), n))
+    vals = vals.reshape(P, 1 + 2 * n, -1)
+    return vals[:, 0], (vals[:, 1::2] - vals[:, 2::2]) / (2.0 * h)
+
+
 def _first_derivatives(imm: ImmersionEvaluator, u: np.ndarray, h: float):
-    n = imm.chart_dim
-    center = imm(u)
-    first = [(imm(u + h * _e(n, i)) - imm(u - h * _e(n, i))) / (2.0 * h) for i in range(n)]
-    return center, first
+    center, first = _first_derivative_rows(imm, np.asarray(u, dtype=float)[None, :], h)
+    return center[0], first[0]
+
+
+def _normal_candidates(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Each axis e_i minus its tangential part, at P points: (P, i, dim).
+
+    The tangent frame is the chart derivatives, plus the position vector
+    inside a quadric; its Gram matrix must be well conditioned.
+    """
+    T = np.concatenate([first, center[:, None, :]], axis=1) if imm.ambient.intrinsic_to_quadric else first
+    P, kt, dim = T.shape
+    eye = np.broadcast_to(np.eye(dim), (P, dim, dim))
+    if kt == 0:
+        return eye.copy()
+    sig = imm.ambient.signature(dim)
+    G = np.einsum("pad,pbd->pab", T * sig, T)
+    if np.any(np.linalg.cond(G) > _COND_LIMIT):
+        raise ChartDegenerateError("degenerate frame while projecting")
+    # <e_i, f_a> is the i-th coordinate of f_a times the metric sign of axis i
+    coeff = np.linalg.solve(G, T * sig)
+    return eye - np.einsum("pai,pad->pid", coeff, T)
 
 
 def _normal_frame_field(imm: ImmersionEvaluator, u0: np.ndarray, h: float):
-    """A smooth orthonormal normal frame near u0, as a callable u -> vectors.
+    """A smooth orthonormal normal frame near u0, as a row-wise field.
 
-    The Gram-Schmidt pivot order is frozen at u0 so the frame varies smoothly
-    on the differencing stencil.
+    The field maps a (P, n) array of chart points to the (P, k, dim) frames
+    at them, with one ``at_rows`` call.  The Gram-Schmidt pivot order is
+    chosen at u0, each step taking the remaining candidate axis whose part
+    orthogonal to the chosen ones is largest, and then frozen so the frame
+    varies smoothly on the differencing stencil.
     """
-    center, first = _first_derivatives(imm, u0, h)
-    tangent = list(first) + ([center] if imm.ambient.intrinsic_to_quadric else [])
-    dim = center.size
+    center, first = _first_derivative_rows(imm, np.asarray(u0, dtype=float)[None, :], h)
+    W = _normal_candidates(imm, center, first)[0]
+    available = list(range(W.shape[0]))
     order: list[int] = []
     basis: list[np.ndarray] = []
-    available = list(range(dim))
-    for _ in range(dim - len(tangent)):
-        best, best_q, best_w = None, -1.0, None
-        for i in available:
-            w = _e(dim, i) - _general_tangential(imm, tangent, _e(dim, i))
-            for b in basis:
-                w = w - imm.ambient.inner(w, b) * b
-            q = abs(imm.ambient.inner(w, w))
-            if q > best_q:
-                best, best_q, best_w = i, q, w
-        if best_q < 1e-18:
+    for _ in range(W.shape[0] - first.shape[1] - (1 if imm.ambient.intrinsic_to_quadric else 0)):
+        R = W[available]
+        for b in basis:
+            R = R - imm.ambient.inner_rows(R, b)[:, None] * b
+        q = np.abs(imm.ambient.inner_rows(R, R))
+        j = int(np.argmax(q))
+        if q[j] < 1e-18:
             raise ChartDegenerateError("could not seed a smooth normal frame")
-        order.append(best)
-        available.remove(best)
-        basis.append(best_w / math.sqrt(best_q))
+        order.append(available.pop(j))
+        basis.append(R[j] / math.sqrt(q[j]))
 
-    def field(u: np.ndarray) -> list[np.ndarray]:
-        c, f = _first_derivatives(imm, u, h)
-        frame = list(f) + ([c] if imm.ambient.intrinsic_to_quadric else [])
+    def field(U: np.ndarray) -> np.ndarray:
+        W = _normal_candidates(imm, *_first_derivative_rows(imm, np.asarray(U, dtype=float), h))
         out: list[np.ndarray] = []
         for i in order:
-            w = _e(dim, i) - _general_tangential(imm, frame, _e(dim, i))
+            w = W[:, i]
             for b in out:
-                w = w - imm.ambient.inner(w, b) * b
-            q = imm.ambient.inner(w, w)
-            if abs(q) < 1e-18:
+                w = w - imm.ambient.inner_rows(w, b)[:, None] * b
+            q = np.abs(imm.ambient.inner_rows(w, w))
+            if np.any(q < 1e-18):
                 raise ChartDegenerateError("normal frame degenerated off-center")
-            out.append(w / math.sqrt(abs(q)))
-        return out
+            out.append(w / np.sqrt(q)[:, None])
+        return np.stack(out, axis=1) if out else np.zeros((W.shape[0], 0, W.shape[2]))
 
     return field
 
@@ -602,7 +623,7 @@ def normal_curvature_vectors(
     uv = np.asarray(u, dtype=float)
     n = imm.chart_dim
     field = _normal_frame_field(imm, uv, h)
-    k = len(field(uv))
+    k = field(uv[None, :]).shape[1]
     if k < 2 or n < 2:
         return np.zeros((0, 0, imm(uv).size))
     out = []
@@ -610,7 +631,7 @@ def normal_curvature_vectors(
         for j in range(i + 1, n):
             row = []
             for a in range(k):
-                Za = lambda v, a=a: field(v)[a]
+                Za = lambda v, a=a: field(v[None, :])[0, a]
                 Gj = lambda v, a=a, j=j: _covariant_normal_derivative(imm, Za, j, v, h, conformal)
                 Gi = lambda v, a=a, i=i: _covariant_normal_derivative(imm, Za, i, v, h, conformal)
                 DiDj = _covariant_normal_derivative(imm, Gj, i, uv, h, conformal)
@@ -699,7 +720,7 @@ def normal_holonomy_defect(
         dP = (P(t + delta) - P(t - delta)) / (2.0 * delta)
         return (dP @ Pt - Pt @ dP) @ Z
 
-    start = np.column_stack(_normal_frame_field(imm, u0, h)(u0))
+    start = _normal_frame_field(imm, u0, h)(u0[None, :])[0].T
     Z = start.copy()
     dt = 1.0 / steps
     for k in range(steps):

@@ -134,11 +134,11 @@ def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:
             float(grid.get("start", -2.0)),
             float(grid.get("end", 2.0)),
             int(grid.get("steps", 9)),
-            bool(grid.get("clip_to_existence", True)),
+            _bool_from_json(grid, "clip_to_existence", True, "time_grid"),
         ),
         sampling=Sampling(int(samp.get("per_dim", 3)), int(samp.get("seed", 7))),
         oracle=OracleSettings(
-            bool(orc.get("enabled", True)),
+            _bool_from_json(orc, "enabled", True, "oracle"),
             float(orc.get("fd_step", 1e-3)),
             float(orc.get("dt", 1e-4)),
             float(orc.get("tolerance", 1e-3)),
@@ -146,6 +146,14 @@ def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:
         outputs=_outputs_from_json(obj.get("outputs", list(_ALL_OUTPUTS))),
         frame=frame,
     )
+
+
+def _bool_from_json(section: dict, key: str, default: bool, path: str) -> bool:
+    """A JSON boolean field; strings such as "false" are refused, not read as truthy."""
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise InvalidArgumentError(f"{path}.{key} must be true or false, got {value!r}")
+    return value
 
 
 def _outputs_from_json(value) -> tuple[str, ...]:
@@ -411,19 +419,24 @@ def invariant_report_to_json(rep: InvariantReport) -> dict:
 def _flow_samples(d, X0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Flowed sample points as an (S, T, m+1) array, one batched flow per grid time.
 
-    Times far enough back overflow doubles; they are refused here, before
-    anything is written, instead of writing inf/nan rows.
+    Times far enough back overflow doubles, in the rows or in their squared
+    norms; they are refused here, before anything is written, instead of
+    writing rows whose <x,x> cannot be evaluated.
     """
     out = np.empty((X0.shape[0], times.size, X0.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, t in enumerate(times.tolist()):
             try:
-                rows = hyperbolic_flow_batch(d, X0, t)
+                out[:, k] = hyperbolic_flow_batch(d, X0, t)
             except OverflowError:
-                rows = None
-            if rows is None or not np.all(np.isfinite(rows)):
-                raise TimeOutOfRangeError(f"flowed points are not finite at t={t!r}; the time grid leaves the range of doubles")
-            out[:, k] = rows
+                out[:, k:] = np.nan  # math.exp overflowed; refused with the rest below
+                break
+        finite = np.isfinite(np.sum(out * out, axis=2)).all(axis=0)
+    if not finite.all():
+        t = times.tolist()[int(np.argmin(finite))]
+        raise TimeOutOfRangeError(
+            f"flowed points or their squared norms are not finite at t={t!r}; the time grid leaves the range of doubles"
+        )
     return out
 
 
@@ -473,7 +486,8 @@ def run_scenario(source: str | Path, out_dir: str | Path, seed: int | None = Non
             _validate_point(d, as_vector(x, dims.m))
         flowed = _flow_samples(d, np.array(points), times)
         if "ball" in scn.outputs:
-            ball = ball_projection_rows(frame, 1.0, flowed.reshape(-1, dims.m + 1)).reshape(*flowed.shape[:2], dims.m)
+            r_top = d.r if isinstance(d, Ambient) else 1.0
+            ball = ball_projection_rows(frame, r_top, flowed.reshape(-1, dims.m + 1)).reshape(*flowed.shape[:2], dims.m)
         if "trajectory" in scn.outputs:
             path = out / f"{scn.name}_trajectory.csv"
             _write_sample_rows(path, "x", times, flowed)

@@ -20,6 +20,7 @@ from hyperflow.descriptors import (
     descriptor_to_json,
     dimensions,
     immerse,
+    immerse_rows,
     mean_curvature,
 )
 from hyperflow.errors import DomainError, EmptyHypersurfaceError, InvalidArgumentError
@@ -138,6 +139,73 @@ class TestImmerse:
     def test_wrong_chart_length_rejected(self):
         with pytest.raises(InvalidArgumentError):
             immerse(CATALOG["tube_h3"], [0.1])
+
+
+def geodesic_chain(depth: int):
+    """``circle_h2`` wrapped ``depth`` times in a geodesic umbilic inclusion."""
+    d = CATALOG["circle_h2"]
+    for _ in range(depth):
+        d = Umbilic(derive_umbilic([1.0] + [0.0] * (dimensions(d).m + 1), 0.0), d)
+    return d
+
+
+def _tilted_descriptors():
+    """Levels whose placements have no zero or unit entries, so rounding shows."""
+    xs = np.array([0.3, 0.4, 0.2, 0.0])
+    xs[3] = -math.sqrt(1.0 + xs[:3] @ xs[:3])
+    xh = np.array([1.2, 0.3, 0.1, 0.0, 0.5])
+    xh[4] = math.sqrt(xh[:4] @ xh[:4] - 1.0)
+    return {
+        "tilted_sphere": Umbilic(derive_umbilic(xs, 1.7), ProductOfSpheres(((2, 1.7**2 - 1.0),))),
+        "tilted_equidistant": Umbilic(derive_umbilic(xh, 0.4), CATALOG["tube_h3"]),
+        "tilted_horosphere": Umbilic(
+            derive_umbilic([0.6, 0.0, 0.8, 0.0, -1.0], 0.9),
+            EuclideanIso(1, ProductOfSpheres(((1, 0.5),)), offset=(0.1, 0.2, -0.3)),
+        ),
+        "scaled_ambient": Ambient(4, 2.5),
+    }
+
+
+BIT_CASES = {**CATALOG, **{f"chain{k}": geodesic_chain(k) for k in range(1, 9)}, **_tilted_descriptors()}
+
+
+class TestImmerseRows:
+    @pytest.mark.parametrize("name", sorted(BIT_CASES))
+    def test_rows_match_single_points_bitwise(self, name):
+        # a row gives the same bits alone as in a batch, signed zeros included
+        d = BIT_CASES[name]
+        n = chart_dim(d)
+        rng = np.random.default_rng(5)
+        U = np.array(chart_samples(d, 5, 13) + [rng.normal(size=n) * s for s in (1e-8, 1e-3, 1.0)])
+        X = immerse_rows(d, U)
+        assert X.shape == (len(U), dimensions(d).m + 1)
+        for u, x in zip(U, X):
+            single = immerse(d, u)
+            assert x.tobytes() == single.tobytes()
+
+    def test_charts_keep_the_one_point_arithmetic(self):
+        # |s| as np.linalg.norm takes it, sinh/cosh/sin/cos from math: the
+        # arithmetic of the one-point charts, which written trajectories keep
+        d = Ambient(3, 2.5)
+        U = np.array(chart_samples(d, 3, 4))
+        for u, x in zip(U, immerse_rows(d, U)):
+            q = float(np.linalg.norm(u))
+            want = math.sqrt(2.5) * np.append(math.sinh(q) / q * u, math.cosh(q))
+            assert x.tobytes() == want.tobytes()
+        d = CATALOG["geodesic_sphere_h3"]  # the level x_4 = 2, placed on the first three axes
+        U = np.array(chart_samples(d, 3, 4))
+        for (a0, a1), x in zip(U, immerse_rows(d, U)):
+            z = math.sqrt(3.0) * np.array([math.cos(a0), math.sin(a0) * math.cos(a1), math.sin(a0) * math.sin(a1)])
+            assert x.tobytes() == np.append(z, 2.0).tobytes()
+
+    def test_bad_rows_rejected(self):
+        d = CATALOG["tube_h3"]
+        with pytest.raises(InvalidArgumentError):
+            immerse_rows(d, np.zeros((3, 1)))
+        with pytest.raises(InvalidArgumentError):
+            immerse_rows(d, np.zeros(2))
+        with pytest.raises(InvalidArgumentError):
+            immerse_rows(d, np.array([[0.1, 0.2], [np.nan, 0.0]]))
 
 
 class TestMeanCurvature:

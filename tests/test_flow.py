@@ -7,10 +7,21 @@ import numpy as np
 import pytest
 
 from hyperflow.catalog import CATALOG
-from hyperflow.descriptors import Ambient, ProductOfSpheres, dimensions, immerse
+from hyperflow.descriptors import (
+    Ambient,
+    FullProduct,
+    ProductOfSpheres,
+    Umbilic,
+    _umbilic_embed,
+    _umbilic_split,
+    dimensions,
+    immerse,
+    immerse_rows,
+)
 from hyperflow.errors import GaugeDomainError, GeometryError, TimeOutOfRangeError
 from hyperflow.flow import (
     GaugeParams,
+    _validate_rows,
     existence_window,
     gauge_hyperbolic_to_lorentz,
     gauge_lorentz_to_hyperbolic,
@@ -328,3 +339,59 @@ class TestGaugeParams:
         for t in (-700.0, -2.0, 0.0, 2.0):
             assert g.s_alpha_of_w(t) == t
             assert g.v_alpha(t) == 1.0
+
+
+def _on_quadric(y: np.ndarray) -> np.ndarray:
+    """y rescaled onto the upper sheet of H(-1)."""
+    return y / math.sqrt(-minkowski_inner(y, y))
+
+
+def _off_level(d, x: np.ndarray, depth: int, rng) -> np.ndarray:
+    """x moved off the level at ``depth`` (0 = outermost), staying on every level above it."""
+    if depth == 0:
+        return _on_quadric(x + 1e-4 * rng.normal(size=x.size))
+    inner = _umbilic_split(d, x)
+    return _umbilic_embed(d, _off_level(d.inner, inner, depth - 1, rng))
+
+
+def _levels(d) -> int:
+    """Nesting depth at which _off_level can still move a point off a level."""
+    if isinstance(d, Umbilic) and isinstance(d.inner, (FullProduct, Umbilic)):
+        return 1 + _levels(d.inner)
+    return 0 if isinstance(d, Ambient) else 1
+
+
+def _outcome(call):
+    try:
+        call()
+    except GeometryError as exc:
+        return type(exc)
+    return None
+
+
+class TestValidateRows:
+    """The row validator refuses exactly what the scalar flow refuses."""
+
+    def test_same_verdicts_as_the_scalar_flow(self, catalog_entry):
+        name, d = catalog_entry
+        rng = np.random.default_rng(8)
+        U = np.array(chart_samples(d, 3, 4)[:3])
+        X = immerse_rows(d, U)
+        _validate_rows(d, X)  # on-level rows pass
+        cases = [("lower sheet", -X[0]), ("off quadric", 1.01 * X[0])]
+        cases += [(f"off level {k}", _off_level(d, X[1], k, rng)) for k in range(_levels(d))]
+        for label, bad in cases:
+            scalar = _outcome(lambda: hyperbolic_flow(d, bad, 0.0))
+            rows = _outcome(lambda: _validate_rows(d, np.vstack([X[2], bad])))
+            assert rows is scalar, (name, label)
+            if not isinstance(d, Ambient):
+                assert scalar is not None, (name, label)
+
+    def test_nested_inner_level_is_checked(self):
+        # a point on the outer geodesic level but off the inner one
+        d = CATALOG["circle_in_h4_nested"]
+        x = immerse(d, [0.4])
+        bad = _off_level(d, x, 2, np.random.default_rng(2))
+        assert abs(minkowski_inner(bad, np.asarray(d.umb.xi)) - d.umb.a) < 1e-12
+        assert _outcome(lambda: _validate_rows(d, bad[None, :])) is _outcome(lambda: hyperbolic_flow(d, bad, 0.1))
+        assert _outcome(lambda: _validate_rows(d, bad[None, :])) is not None

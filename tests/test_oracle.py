@@ -186,6 +186,58 @@ class TestIsoparametricResidual:
         assert oracle.isoparametric_residual_of(imm, samples) > 1e-2
 
 
+class TestRowEvaluation:
+    def test_at_rows_falls_back_to_single_calls(self):
+        imm = circle_evaluator(1.5)
+        U = np.array([[0.1], [0.7], [-2.0]])
+        X = imm.at_rows(U)
+        assert X.shape == (3, 2)
+        for u, x in zip(U, X):
+            assert x.tobytes() == imm(u).tobytes()
+
+    @pytest.mark.parametrize("t", [None, 0.2])
+    def test_descriptor_rows_match_single_calls(self, catalog_entry, t):
+        name, d = catalog_entry
+        imm = oracle.descriptor_immersion(d, t)
+        U = np.array(chart_samples(d, 3, 9)[:5])
+        X = imm.at_rows(U)
+        for u, x in zip(U, X):
+            assert np.max(np.abs(x - imm(u))) <= 1e-15 * max(1.0, float(np.max(np.abs(x))))
+
+    @pytest.mark.parametrize("t", [None, -0.4, 0.2])
+    @pytest.mark.parametrize("name", [n for n in sorted(CATALOG) if dimensions(CATALOG[n]).codim > 0])
+    def test_frame_field_rows(self, name, t):
+        # the row-wise field agrees with one point at a time and is a
+        # signature-orthonormal frame of the normal space inside the quadric
+        d = CATALOG[name]
+        dims = dimensions(d)
+        imm = oracle.descriptor_immersion(d, t)
+        h = 1e-3
+        U = np.array(chart_samples(d, 3, 23)[:6])
+        field = oracle._normal_frame_field(imm, U[0], h)
+        F = field(U)
+        assert F.shape == (len(U), dims.codim, dims.m + 1)
+        for p, u in enumerate(U):
+            assert np.max(np.abs(F[p] - field(u[None, :])[0])) < 1e-12
+        sig = imm.ambient.signature(dims.m + 1)
+        gram = np.einsum("pid,pjd->pij", F * sig, F)
+        assert np.max(np.abs(gram - np.eye(dims.codim))) < 1e-12
+        center, first = oracle._first_derivative_rows(imm, U, h)
+        tangent = np.concatenate([first, center[:, None, :]], axis=1)
+        scale = np.linalg.norm(tangent, axis=2)[:, None, :]
+        assert np.max(np.abs(np.einsum("pid,pad->pia", F * sig, tangent)) / scale) < 1e-12
+
+    def test_transport_round_trip(self):
+        # transporting a codimension-2 frame out and back returns it
+        d = CATALOG["clifford_tube_h5"]
+        imm = oracle.descriptor_immersion(d, 0.1)
+        a, b = np.array([0.2, 0.4, -0.3]), np.array([0.5, 0.9, 0.1])
+        frame = list(oracle._normal_frame_field(imm, a, 1e-3)(a[None, :])[0])
+        there = oracle.transport_normal_frame(imm, a, b, frame)
+        back = oracle.transport_normal_frame(imm, b, a, there)
+        assert np.max(np.abs(np.array(back) - np.array(frame))) < 1e-6
+
+
 class TestFlatNormalBundle:
     def test_great_circle_holonomy(self):
         imm = oracle.ImmersionEvaluator(

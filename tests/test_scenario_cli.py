@@ -255,6 +255,8 @@ class TestCli:
             ("time_grid.end", {"time_grid": {"start": -1.0, "end": "inf", "steps": 5}}),
             ("oracle.tolerance", {"oracle": {"tolerance": "nan"}}),
             ("outputs", {"outputs": "window"}),
+            ("time_grid.clip_to_existence", {"time_grid": {"clip_to_existence": "false"}}),
+            ("oracle.enabled", {"oracle": {"enabled": "false"}}),
         ],
     )
     def test_bad_field_exit_two(self, tmp_path, field, settings):
@@ -263,6 +265,27 @@ class TestCli:
         assert out.returncode == 2
         assert field in out.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_scaled_ambient_ball(self, tmp_path):
+        # H^2(-2) projects into the unit ball with its own r
+        path = write_scenario(tmp_path / "scn.json", "h2r2", Ambient(2, 2.0), outputs=["ball"])
+        out = run_cli("run", str(path), "--out", str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        rows = read_rows(tmp_path / "h2r2_ball.csv")
+        assert rows and all(np.linalg.norm(y) < 1.0 for _, _, y in rows)
+
+    @pytest.mark.parametrize("start, code", [(-300.0, 0), (-400.0, 2)])
+    def test_far_back_grid(self, tmp_path, start, code):
+        # at -400 circle_h2 rows are near 1e174 and their squares overflow
+        path = write_scenario(
+            tmp_path / "scn.json", "far", CATALOG["circle_h2"],
+            time_grid={"start": start, "end": 0.0, "steps": 3}, outputs=["trajectory"],
+        )
+        out = run_cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert out.returncode == code, out.stderr
+        if code:
+            assert "time grid" in out.stderr
+            assert not list((tmp_path / "out").glob("*.csv"))
 
     def test_thread_cap_is_honored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HYPERFLOW_THREADS", "1")
