@@ -32,6 +32,9 @@ from .flow import _validate_rows, existence_window, hyperbolic_flow, hyperbolic_
 from .lorentz import minkowski_inner
 
 _COND_LIMIT = 1e12
+# steps of the Euler walk whose stencils are differenced together; larger
+# blocks save little time and hold proportionally more flowed stencils
+_EULER_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -145,37 +148,51 @@ def _stencil_offsets(n: int, h: float) -> np.ndarray:
 
 
 def _stencil_derivatives(vals: np.ndarray, n: int, h: float):
-    """Center, central first and second derivatives from ``_stencil_offsets`` values."""
-    center = vals[0]
-    first = [(vals[1 + 2 * i] - vals[2 + 2 * i]) / (2.0 * h) for i in range(n)]
-    second = [[None] * n for _ in range(n)]
-    for i in range(n):
-        second[i][i] = (vals[1 + 2 * i] - 2.0 * center + vals[2 + 2 * i]) / h**2
-    base = 1 + 2 * n
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            pp, pm, mp, mm = vals[base + 4 * k : base + 4 * k + 4]
-            second[i][j] = second[j][i] = (pp - pm - mp + mm) / (4.0 * h**2)
-            k += 1
+    """Center, central first and second derivatives from ``_stencil_offsets`` values.
+
+    ``vals`` holds P stencils, (P, K, dim); the results are the centers
+    (P, dim), first derivatives (P, n, dim) and second derivatives
+    (P, n, n, dim).
+    """
+    center = vals[:, 0]
+    plus, minus = vals[:, 1 : 1 + 2 * n : 2], vals[:, 2 : 2 + 2 * n : 2]
+    first = (plus - minus) / (2.0 * h)
+    second = np.empty((vals.shape[0], n, n, vals.shape[2]))
+    idx = np.arange(n)
+    second[:, idx, idx] = (plus - 2.0 * center[:, None] + minus) / h**2
+    if n > 1:
+        i, j = np.triu_indices(n, 1)
+        corners = vals[:, 1 + 2 * n :].reshape(vals.shape[0], len(i), 4, -1)
+        pp, pm, mp, mm = corners.transpose(2, 0, 1, 3)
+        second[:, i, j] = second[:, j, i] = (pp - pm - mp + mm) / (4.0 * h**2)
     return center, first, second
 
 
 def _mc_from_stencil(vals: np.ndarray, n: int, h: float, ambient: AmbientSpace) -> np.ndarray:
-    """Mean curvature from stencil values laid out by ``_stencil_offsets``."""
+    """Mean curvature (P, dim) from P stencils (P, K, dim) laid out by ``_stencil_offsets``.
+
+    Raises ``ChartDegenerateError`` when the induced metric of any stencil
+    is numerically singular.
+    """
     if n == 0:
-        return np.zeros_like(vals[0])
+        return np.zeros_like(vals[:, 0])
     center, first, second = _stencil_derivatives(vals, n, h)
-    g = np.array([[ambient.inner(first[i], first[j]) for j in range(n)] for i in range(n)])
-    if np.linalg.cond(g) > _COND_LIMIT:
+    sig = ambient.signature(vals.shape[2])
+    g = np.einsum("pid,pjd->pij", first * sig, first)
+    if np.any(np.linalg.cond(g) > _COND_LIMIT):
         raise ChartDegenerateError("induced metric is numerically singular at this chart point")
     ginv = np.linalg.inv(g)
-    trace = sum(ginv[i, j] * second[i][j] for i in range(n) for j in range(n))
-    coeff = ginv @ np.array([ambient.inner(trace, first[j]) for j in range(n)])
-    H = trace - sum(coeff[k] * first[k] for k in range(n))
+    trace = np.einsum("pij,pijd->pd", ginv, second)
+    coeff = np.einsum("pij,pjd,d,pd->pi", ginv, first, sig, trace)
+    H = trace - np.einsum("pk,pkd->pd", coeff, first)
     if ambient.intrinsic_to_quadric:
-        H = H + (n / ambient.inner(center, center)) * center
+        H = H + (n / ambient.inner_rows(center, center))[:, None] * center
     return H
+
+
+def _check_fd_step(h: float) -> None:
+    if not (1e-4 <= h <= 1e-2):
+        raise InvalidArgumentError("step h must lie in [1e-4, 1e-2]")
 
 
 def numeric_mean_curvature(imm: ImmersionEvaluator, u, h: float = 1e-3, richardson: bool = False) -> np.ndarray:
@@ -184,8 +201,7 @@ def numeric_mean_curvature(imm: ImmersionEvaluator, u, h: float = 1e-3, richards
     With ``richardson`` the h and h/2 estimates are extrapolated to O(h^4);
     used by the acceptance runs where an extra digit matters.
     """
-    if not (1e-4 <= h <= 1e-2):
-        raise InvalidArgumentError("step h must lie in [1e-4, 1e-2]")
+    _check_fd_step(h)
     if richardson:
         coarse = numeric_mean_curvature(imm, u, h)
         fine = numeric_mean_curvature(imm, u, h / 2.0)
@@ -195,7 +211,7 @@ def numeric_mean_curvature(imm: ImmersionEvaluator, u, h: float = 1e-3, richards
     if n == 0:
         return np.zeros_like(imm(uv))
     vals = imm.at_rows(uv + _stencil_offsets(n, h))
-    return _mc_from_stencil(vals, n, h, imm.ambient)
+    return _mc_from_stencil(vals[None], n, h, imm.ambient)[0]
 
 
 def second_fundamental_form(imm: ImmersionEvaluator, u, h: float = 1e-3):
@@ -207,7 +223,8 @@ def second_fundamental_form(imm: ImmersionEvaluator, u, h: float = 1e-3):
     """
     uv = np.asarray(u, dtype=float)
     n = imm.chart_dim
-    center, first, second = _stencil_derivatives(imm.at_rows(uv + _stencil_offsets(n, h)), n, h)
+    vals = imm.at_rows(uv + _stencil_offsets(n, h))
+    center, first, second = (a[0] for a in _stencil_derivatives(vals[None], n, h))
     g, ginv = _metric_inverse(imm, first)
     frame = list(first)
     if imm.ambient.intrinsic_to_quadric:
@@ -307,27 +324,41 @@ def evolve_and_compare(
     Each sample is stepped by x <- x + dt * H_numeric(flow surface at t_k)
     and reprojected to the hyperboloid; the return value is the largest
     Euclidean distance to the closed-form position at t1.  Error is O(dt)
-    from the stepping plus O(h^2) from the differencing.  All samples share
-    one batched flow evaluation per step, so the walk stays fast at small dt.
+    from the stepping plus O(h^2) from the differencing.  H_numeric at step
+    k depends on the flow surface at t0 + k dt only, not on the walked
+    points, so it is evaluated up front for a block of steps at a time: one
+    batched flow of every sample's stencil per step, then one differencing
+    of all the block's stencils, then the sequential updates of all samples
+    at once.
     """
-    if dt <= 0 or dt > 1e-4:
-        raise InvalidArgumentError("dt must be positive and at most 1e-4")
+    if not (0.0 < dt <= 1e-4):
+        raise InvalidArgumentError(f"dt must be positive and at most 1e-4, got {dt!r}")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise InvalidArgumentError(f"t0 and t1 must be finite, got {t0!r} and {t1!r}")
+    _check_fd_step(h)
+    steps = round((t1 - t0) / dt)
+    if steps < 1:
+        raise InvalidArgumentError(f"t1={t1} lies less than half a step dt={dt} after t0={t0}")
+    samples = np.array(chart_samples, dtype=float)
+    if samples.shape[0] == 0:
+        raise InsufficientSamplesError("no chart samples given")
+    n = chart_dim(d)
+    if samples.shape[1:] != (n,):
+        raise InvalidArgumentError(f"chart needs {n} parameters, got samples of shape {samples.shape[1:]}")
     window = existence_window(d)
     if window.t_max is not None and t1 >= window.t_max:
         raise TimeOutOfRangeError(f"t1={t1} reaches past the collapse time {window.t_max}")
-    steps = int(round((t1 - t0) / dt))
-    n = chart_dim(d)
     offs = _stencil_offsets(n, h)
-    K = offs.shape[0]
-    samples = [np.asarray(u, dtype=float) for u in chart_samples]
-    stencil_points = np.vstack([[immerse(d, u + off) for off in offs] for u in samples])
+    S, K = samples.shape[0], offs.shape[0]
+    stencil_points = immerse_rows(d, (samples[:, None, :] + offs).reshape(S * K, n))
     X = np.array([hyperbolic_flow(d, immerse(d, u), t0) for u in samples])
-    for k in range(steps):
-        flowed = hyperbolic_flow_batch(d, stencil_points, t0 + k * dt)
-        for s in range(len(samples)):
-            H = _mc_from_stencil(flowed[s * K : (s + 1) * K], n, h, HYPERBOLOID)
-            X[s] = X[s] + dt * H
-            X[s] = X[s] / math.sqrt(-minkowski_inner(X[s], X[s]))
+    for k0 in range(0, steps, _EULER_BLOCK):
+        ks = range(k0, min(k0 + _EULER_BLOCK, steps))
+        flowed = np.stack([hyperbolic_flow_batch(d, stencil_points, t0 + k * dt) for k in ks])
+        H = _mc_from_stencil(flowed.reshape(len(ks) * S, K, -1), n, h, HYPERBOLOID).reshape(len(ks), S, -1)
+        for Hk in H:
+            X = X + dt * Hk
+            X = X / np.sqrt(-HYPERBOLOID.inner_rows(X, X))[:, None]
     worst = 0.0
     for s, u in enumerate(samples):
         target = hyperbolic_flow(d, immerse(d, u), t0 + steps * dt)
@@ -672,21 +703,13 @@ def flat_normal_residual(
     return worst
 
 
-def _normal_projector(imm: ImmersionEvaluator, u: np.ndarray, h: float) -> np.ndarray:
-    """Matrix of the orthogonal projection onto the normal space at u."""
-    center, first = _first_derivatives(imm, u, h)
-    frame = list(first) + ([center] if imm.ambient.intrinsic_to_quadric else [])
-    dim = center.size
-    P = np.eye(dim)
-    sig = np.ones(dim)
-    if imm.ambient.lorentzian_signature:
-        sig[-1] = -1.0
-    k = len(frame)
-    G = np.array([[imm.ambient.inner(frame[i], frame[j]) for j in range(k)] for i in range(k)])
-    F = np.column_stack(frame)
-    # tangential projector w -> F G^-1 F^T eta w in the ambient signature
-    P -= F @ np.linalg.solve(G, (F * sig[:, None]).T)
-    return P
+def _normal_projector_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float) -> np.ndarray:
+    """Matrices (P, dim, dim) of the orthogonal projections onto the normal spaces at P chart points.
+
+    Column i of a projector is the image of the axis e_i, which is the i-th
+    row ``_normal_candidates`` returns.
+    """
+    return _normal_candidates(imm, *_first_derivative_rows(imm, U, h)).transpose(0, 2, 1)
 
 
 def normal_holonomy_defect(
@@ -703,32 +726,39 @@ def normal_holonomy_defect(
     one chart period and comparing with the start.  The transport integrates
     the subspace-tracking equation zeta' = [P', P] zeta (P the normal
     projector along the loop) with a classical 4th order scheme; for a
-    trivial-holonomy bundle the defect is at the differencing floor.
+    trivial-holonomy bundle the defect is at the differencing floor.  P does
+    not depend on zeta, so the projectors at every time the scheme asks for,
+    and at the partners of its central difference in time, are evaluated up
+    front in one batch and all commutators are formed at once.
     """
     u0 = np.asarray(u_start, dtype=float)
     per = np.asarray(period, dtype=float)
+    if steps < 1:
+        raise InvalidArgumentError(f"the loop needs steps >= 1, got {steps!r}")
+    if not np.all(np.isfinite(per)):
+        raise InvalidArgumentError(f"the chart period must be finite, got {period!r}")
     if np.max(np.abs(imm(u0 + per) - imm(u0))) > 1e-9:
         raise InvalidArgumentError("the chart period does not close the loop")
 
-    def P(t: float) -> np.ndarray:
-        return _normal_projector(imm, u0 + t * per, h)
-
     delta = 1e-4
-
-    def rhs(t: float, Z: np.ndarray) -> np.ndarray:
-        Pt = P(t)
-        dP = (P(t + delta) - P(t - delta)) / (2.0 * delta)
-        return (dP @ Pt - Pt @ dP) @ Z
+    dt = 1.0 / steps
+    # the times the RK4 loop below asks for, in its own arithmetic: t + dt
+    # need not equal the next step's t, and then both are kept
+    keys = list(dict.fromkeys(s for k in range(steps) for s in (k * dt, k * dt + dt / 2.0, k * dt + dt)))
+    ts = np.array([s for t in keys for s in (t, t + delta, t - delta)])
+    proj = _normal_projector_rows(imm, u0 + ts[:, None] * per, h)
+    Pt = proj[0::3]
+    dP = (proj[1::3] - proj[2::3]) / (2.0 * delta)
+    C = dict(zip(keys, dP @ Pt - Pt @ dP))
 
     start = _normal_frame_field(imm, u0, h)(u0[None, :])[0].T
     Z = start.copy()
-    dt = 1.0 / steps
     for k in range(steps):
         t = k * dt
-        k1 = rhs(t, Z)
-        k2 = rhs(t + dt / 2.0, Z + dt / 2.0 * k1)
-        k3 = rhs(t + dt / 2.0, Z + dt / 2.0 * k2)
-        k4 = rhs(t + dt, Z + dt * k3)
+        k1 = C[t] @ Z
+        k2 = C[t + dt / 2.0] @ (Z + dt / 2.0 * k1)
+        k3 = C[t + dt / 2.0] @ (Z + dt / 2.0 * k2)
+        k4 = C[t + dt] @ (Z + dt * k3)
         Z = Z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return float(np.max(np.abs(Z - start)))
 

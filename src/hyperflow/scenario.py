@@ -85,6 +85,8 @@ class Sampling:
     def __post_init__(self):
         if self.per_dim < 2:
             raise InvalidArgumentError("sampling needs per_dim >= 2")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"sampling.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -133,10 +135,10 @@ def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:
         time_grid=TimeGrid(
             float(grid.get("start", -2.0)),
             float(grid.get("end", 2.0)),
-            int(grid.get("steps", 9)),
+            _int_from_json(grid, "steps", 9, "time_grid"),
             _bool_from_json(grid, "clip_to_existence", True, "time_grid"),
         ),
-        sampling=Sampling(int(samp.get("per_dim", 3)), int(samp.get("seed", 7))),
+        sampling=Sampling(_int_from_json(samp, "per_dim", 3, "sampling"), _int_from_json(samp, "seed", 7, "sampling")),
         oracle=OracleSettings(
             _bool_from_json(orc, "enabled", True, "oracle"),
             float(orc.get("fd_step", 1e-3)),
@@ -153,6 +155,14 @@ def _bool_from_json(section: dict, key: str, default: bool, path: str) -> bool:
     value = section.get(key, default)
     if not isinstance(value, bool):
         raise InvalidArgumentError(f"{path}.{key} must be true or false, got {value!r}")
+    return value
+
+
+def _int_from_json(section: dict, key: str, default: int, path: str) -> int:
+    """A JSON integer field; floats, strings and booleans are refused, not truncated or parsed."""
+    value = section.get(key, default)
+    if type(value) is not int:
+        raise InvalidArgumentError(f"{path}.{key} must be an integer, got {value!r}")
     return value
 
 

@@ -8,7 +8,13 @@ import pytest
 from hyperflow import oracle
 from hyperflow.catalog import CATALOG
 from hyperflow.descriptors import dimensions, immerse
-from hyperflow.errors import ChartDegenerateError, TimeOutOfRangeError
+from hyperflow.errors import (
+    ChartDegenerateError,
+    InsufficientSamplesError,
+    InvalidArgumentError,
+    TimeOutOfRangeError,
+)
+from hyperflow.flow import hyperbolic_flow, hyperbolic_flow_batch
 from hyperflow.lorentz import minkowski_inner
 from hyperflow.scenario import chart_samples
 
@@ -158,6 +164,35 @@ class TestEvolveAndCompare:
         err = oracle.evolve_and_compare(d, chart_samples(d, 2, 5)[:2], 0.0, 0.01, 1e-4, h=5e-4)
         assert err < 1e-9
 
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            ((0.02, 0.0, 1e-5), InvalidArgumentError),  # backwards
+            ((0.0, 3e-6, 1e-5), InvalidArgumentError),  # rounds to zero steps
+            ((0.0, 0.01, math.nan), InvalidArgumentError),
+            ((0.0, math.nan, 1e-5), InvalidArgumentError),
+            ((math.inf, 0.01, 1e-5), InvalidArgumentError),
+        ],
+    )
+    def test_unusable_times_refused(self, args, error):
+        d = CATALOG["tube_h3"]
+        with pytest.raises(error):
+            oracle.evolve_and_compare(d, chart_samples(d, 2, 5)[:2], *args)
+
+    @pytest.mark.parametrize("h", [1.0, 1e-6, math.nan])
+    def test_step_h_outside_the_differencing_range_refused(self, h):
+        d = CATALOG["tube_h3"]
+        with pytest.raises(InvalidArgumentError, match="step h"):
+            oracle.evolve_and_compare(d, chart_samples(d, 2, 5)[:2], 0.0, 1e-3, 1e-5, h=h)
+
+    def test_samples_of_the_wrong_dimension_refused(self):
+        with pytest.raises(InvalidArgumentError, match="chart needs 2"):
+            oracle.evolve_and_compare(CATALOG["tube_h3"], [np.zeros(3)], 0.0, 1e-3, 1e-5)
+
+    def test_no_samples_refused(self):
+        with pytest.raises(InsufficientSamplesError):
+            oracle.evolve_and_compare(CATALOG["tube_h3"], [], 0.0, 1e-3, 1e-5)
+
     def test_geodesic_sphere_radius_ode(self):
         # the independent scalar oracle reproduces the circle collapse time
         T = oracle.geodesic_sphere_collapse_time(1, 2.0)
@@ -240,12 +275,7 @@ class TestRowEvaluation:
 
 class TestFlatNormalBundle:
     def test_great_circle_holonomy(self):
-        imm = oracle.ImmersionEvaluator(
-            1,
-            oracle.SPHERE,
-            lambda u: np.array([0.0, 0.0, math.cos(u[0]), math.sin(u[0])]),
-        )
-        defect = oracle.normal_holonomy_defect(imm, [0.2], [2.0 * math.pi])
+        defect = oracle.normal_holonomy_defect(_great_circle(), [0.2], [2.0 * math.pi])
         assert defect < 1e-6
 
     def test_tilted_circle_holonomy(self):
@@ -258,6 +288,17 @@ class TestFlatNormalBundle:
 
         imm = oracle.ImmersionEvaluator(1, oracle.SPHERE, chart)
         assert oracle.normal_holonomy_defect(imm, [0.1], [2.0 * math.pi]) < 1e-6
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_loop_without_steps_refused(self, steps):
+        imm = _great_circle()
+        with pytest.raises(InvalidArgumentError, match="steps"):
+            oracle.normal_holonomy_defect(imm, [0.2], [2.0 * math.pi], steps=steps)
+
+    @pytest.mark.parametrize("period", [math.nan, math.inf])
+    def test_non_finite_period_refused(self, period):
+        with pytest.raises(InvalidArgumentError, match="period"):
+            oracle.normal_holonomy_defect(_great_circle(), [0.2], [period])
 
     def test_flat_torus_in_s3(self):
         # the diagonal torus has flat normal bundle inside the 3-sphere
@@ -297,3 +338,188 @@ def _twisted_surface() -> oracle.ImmersionEvaluator:
         return 0.3 * np.array([math.cos(a), math.sin(a), 0.8 * math.cos(a + b), math.sin(b)])
 
     return oracle.ImmersionEvaluator(2, oracle.EUCLIDEAN, chart)
+
+
+def _great_circle() -> oracle.ImmersionEvaluator:
+    return oracle.ImmersionEvaluator(
+        1, oracle.SPHERE, lambda u: np.array([0.0, 0.0, math.cos(u[0]), math.sin(u[0])])
+    )
+
+
+def _torus_knot() -> oracle.ImmersionEvaluator:
+    # a (1, 2) curve on the Clifford torus: its normal holonomy in S^3 is a
+    # rotation by its total torsion, so the defect is far from zero
+    return oracle.ImmersionEvaluator(
+        1,
+        oracle.SPHERE,
+        lambda u: np.array([math.cos(u[0]), math.sin(u[0]), math.cos(2.0 * u[0]), math.sin(2.0 * u[0])])
+        / math.sqrt(2.0),
+    )
+
+
+# Per-stencil and per-call forms of the batched oracle paths, kept as the
+# references the batched code is compared against.
+
+
+def _derivatives_reference(vals, n, h):
+    center = vals[0]
+    first = [(vals[1 + 2 * i] - vals[2 + 2 * i]) / (2.0 * h) for i in range(n)]
+    second = [[None] * n for _ in range(n)]
+    for i in range(n):
+        second[i][i] = (vals[1 + 2 * i] - 2.0 * center + vals[2 + 2 * i]) / h**2
+    base = 1 + 2 * n
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            pp, pm, mp, mm = vals[base + 4 * k : base + 4 * k + 4]
+            second[i][j] = second[j][i] = (pp - pm - mp + mm) / (4.0 * h**2)
+            k += 1
+    return center, first, second
+
+
+def _mc_reference(vals, n, h, ambient):
+    center, first, second = _derivatives_reference(vals, n, h)
+    g = np.array([[ambient.inner(first[i], first[j]) for j in range(n)] for i in range(n)])
+    ginv = np.linalg.inv(g)
+    trace = sum(ginv[i, j] * second[i][j] for i in range(n) for j in range(n))
+    coeff = ginv @ np.array([ambient.inner(trace, first[j]) for j in range(n)])
+    H = trace - sum(coeff[k] * first[k] for k in range(n))
+    if ambient.intrinsic_to_quadric:
+        H = H + (n / ambient.inner(center, center)) * center
+    return H
+
+
+def _stencils(imm, U, h):
+    offs = oracle._stencil_offsets(imm.chart_dim, h)
+    return imm.at_rows((U[:, None, :] + offs).reshape(-1, imm.chart_dim)).reshape(len(U), len(offs), -1)
+
+
+def _projector_reference(imm, u, h):
+    center, first = oracle._first_derivatives(imm, u, h)
+    frame = list(first) + ([center] if imm.ambient.intrinsic_to_quadric else [])
+    G = np.array([[imm.ambient.inner(a, b) for b in frame] for a in frame])
+    F = np.column_stack(frame)
+    sig = imm.ambient.signature(center.size)
+    return np.eye(center.size) - F @ np.linalg.solve(G, (F * sig[:, None]).T)
+
+
+def _holonomy_reference(imm, u0, per, steps, h=1e-3):
+    u0, per = np.asarray(u0, dtype=float), np.asarray(per, dtype=float)
+    P = lambda t: _projector_reference(imm, u0 + t * per, h)
+    delta = 1e-4
+
+    def rhs(t, Z):
+        Pt = P(t)
+        dP = (P(t + delta) - P(t - delta)) / (2.0 * delta)
+        return (dP @ Pt - Pt @ dP) @ Z
+
+    start = oracle._normal_frame_field(imm, u0, h)(u0[None, :])[0].T
+    Z = start.copy()
+    dt = 1.0 / steps
+    for k in range(steps):
+        t = k * dt
+        k1 = rhs(t, Z)
+        k2 = rhs(t + dt / 2.0, Z + dt / 2.0 * k1)
+        k3 = rhs(t + dt / 2.0, Z + dt / 2.0 * k2)
+        k4 = rhs(t + dt, Z + dt * k3)
+        Z = Z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return float(np.max(np.abs(Z - start)))
+
+
+def _euler_reference(d, samples, t0, t1, dt, h=1e-3):
+    n = dimensions(d).n
+    offs = oracle._stencil_offsets(n, h)
+    K = len(offs)
+    stencil_points = np.vstack([[immerse(d, u + off) for off in offs] for u in samples])
+    X = np.array([hyperbolic_flow(d, immerse(d, u), t0) for u in samples])
+    steps = round((t1 - t0) / dt)
+    for k in range(steps):
+        flowed = hyperbolic_flow_batch(d, stencil_points, t0 + k * dt)
+        for s in range(len(samples)):
+            X[s] = X[s] + dt * _mc_reference(flowed[s * K : (s + 1) * K], n, h, oracle.HYPERBOLOID)
+            X[s] = X[s] / math.sqrt(-minkowski_inner(X[s], X[s]))
+    return max(
+        float(np.linalg.norm(X[s] - hyperbolic_flow(d, immerse(d, u), t0 + steps * dt)))
+        for s, u in enumerate(samples)
+    )
+
+
+class TestBatchedOracle:
+    @pytest.mark.parametrize("t, gauge", [(None, "hyperbolic"), (0.2, "hyperbolic"), (0.2, "lorentz")])
+    def test_mean_curvature_rows(self, catalog_entry, t, gauge):
+        # P stacked stencils give what one call per stencil and the
+        # per-stencil reference give
+        name, d = catalog_entry
+        imm = oracle.descriptor_immersion(d, t, gauge)
+        n, h = imm.chart_dim, 1e-3
+        vals = _stencils(imm, np.array(chart_samples(d, 3, 13)[:5]), h)
+        H = oracle._mc_from_stencil(vals, n, h, imm.ambient)
+        assert H.shape == (len(vals), vals.shape[2])
+        for p in range(len(vals)):
+            ref = _mc_reference(vals[p], n, h, imm.ambient)
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(H[p] - oracle._mc_from_stencil(vals[p : p + 1], n, h, imm.ambient)[0])) <= 1e-12 * scale
+            assert np.max(np.abs(H[p] - ref)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("name", ["circle_h2", "tube_h3", "clifford_tube_h5", "circle_in_h4_nested"])
+    def test_stencil_derivatives_bitwise(self, name):
+        # the row-wise derivatives, and the second fundamental form built
+        # on them, are the per-stencil ones bit for bit
+        d = CATALOG[name]
+        imm = oracle.descriptor_immersion(d, 0.1)
+        n, h = imm.chart_dim, 1e-3
+        U = np.array(chart_samples(d, 3, 19)[:4])
+        vals = _stencils(imm, U, h)
+        center, first, second = oracle._stencil_derivatives(vals, n, h)
+        for p, u in enumerate(U):
+            c0, f0, s0 = _derivatives_reference(vals[p], n, h)
+            assert center[p].tobytes() == c0.tobytes()
+            assert first[p].tobytes() == np.array(f0).tobytes()
+            assert second[p].tobytes() == np.array(s0).tobytes()
+            _, _, g, II = oracle.second_fundamental_form(imm, u, h)
+            g0, _ = oracle._metric_inverse(imm, f0)
+            frame = f0 + [c0]
+            assert g.tobytes() == g0.tobytes()
+            for i in range(n):
+                for j in range(n):
+                    w = s0[i][j] - oracle._general_tangential(imm, frame, s0[i][j])
+                    assert II[i][j].tobytes() == w.tobytes()
+
+    def test_degenerate_stencil_in_a_batch(self):
+        imm = oracle.descriptor_immersion(CATALOG["tube_h3"])
+        vals = _stencils(imm, np.array(chart_samples(CATALOG["tube_h3"], 2, 3)[:3]), 1e-3)
+        vals[1] = vals[1, 0]  # a stencil collapsed to its center
+        with pytest.raises(ChartDegenerateError):
+            oracle._mc_from_stencil(vals, 2, 1e-3, imm.ambient)
+
+    @pytest.mark.parametrize("name", ["tube_h3", "clifford_tube_h5", "geodesic_sphere_h3"])
+    def test_euler_walk_matches_per_step_loop(self, name):
+        # 150 steps: two full blocks and a partial one
+        d = CATALOG[name]
+        us = chart_samples(d, 2, 11)[:3]
+        walked = oracle.evolve_and_compare(d, us, 0.0, 1.5e-3, 1e-5)
+        assert abs(walked - _euler_reference(d, us, 0.0, 1.5e-3, 1e-5)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "imm, U",
+        [
+            (_great_circle(), np.linspace(0.0, 6.0, 7)[:, None]),
+            (_torus_knot(), np.linspace(0.0, 6.0, 7)[:, None]),
+            # the Lorentzian signature, where a projector is not symmetric
+            (oracle.descriptor_immersion(CATALOG["clifford_tube_h5"], 0.1), np.array(chart_samples(CATALOG["clifford_tube_h5"], 2, 5)[:4])),
+        ],
+        ids=["great_circle", "torus_knot", "clifford_tube_h5"],
+    )
+    def test_projector_rows(self, imm, U):
+        h = 1e-3
+        proj = oracle._normal_projector_rows(imm, U, h)
+        for p, u in enumerate(U):
+            assert np.max(np.abs(proj[p] - _projector_reference(imm, u, h))) < 1e-12
+
+    @pytest.mark.parametrize("imm", [_great_circle(), _torus_knot()], ids=["great_circle", "torus_knot"])
+    def test_holonomy_matches_per_call_loop(self, imm):
+        defect = oracle.normal_holonomy_defect(imm, [0.3], [2.0 * math.pi], steps=64)
+        assert abs(defect - _holonomy_reference(imm, [0.3], [2.0 * math.pi], 64)) < 1e-12
+
+    def test_torus_knot_has_holonomy(self):
+        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) > 1e-2

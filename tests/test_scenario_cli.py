@@ -94,6 +94,19 @@ class TestScenarioParsing:
         with pytest.raises(InvalidArgumentError, match=f"oracle.{field}"):
             OracleSettings(**{field: value})
 
+    @pytest.mark.parametrize(
+        "section, key", [("time_grid", "steps"), ("sampling", "per_dim"), ("sampling", "seed")]
+    )
+    @pytest.mark.parametrize("value", [9.9, 4.0, "3", True, None])
+    def test_integer_fields_refuse_non_integers(self, section, key, value):
+        spec = {"descriptor": descriptor_to_json(CATALOG["circle_h2"]), section: {key: value}}
+        with pytest.raises(InvalidArgumentError, match=f"{section}.{key}"):
+            scenario_from_json(spec)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="sampling.seed"):
+            Sampling(3, -1)
+
     def test_explicit_frame_accepted(self):
         spec = {
             "descriptor": descriptor_to_json(CATALOG["circle_h2"]),
@@ -257,6 +270,10 @@ class TestCli:
             ("outputs", {"outputs": "window"}),
             ("time_grid.clip_to_existence", {"time_grid": {"clip_to_existence": "false"}}),
             ("oracle.enabled", {"oracle": {"enabled": "false"}}),
+            ("time_grid.steps", {"time_grid": {"steps": 9.9}}),
+            ("sampling.per_dim", {"sampling": {"per_dim": "3"}}),
+            ("sampling.seed", {"sampling": {"seed": 7.5}}),
+            ("sampling.seed", {"sampling": {"seed": -1}}),
         ],
     )
     def test_bad_field_exit_two(self, tmp_path, field, settings):
