@@ -280,12 +280,58 @@ def lorentz_flow(d, x, t: float) -> np.ndarray:
     """Closed-form Lorentzian flow of a descriptor, on its maximal domain.
 
     The maximal domain can extend below the conversion bound -r/(2n); such
-    times are legal here but are refused by the gauge conversions.
+    times are legal here but are refused by the gauge conversions.  A batch
+    of one of ``lorentz_flow_batch``, after every membership check that
+    ``_validate_rows`` makes (the checks ``hyperbolic_flow`` makes).
     """
+    X = as_vector(x, dimensions(d).m)[None, :]
+    _validate_rows(d, X)
+    return _lorentz_flow_rows(d, X, float(t))[0]
+
+
+def lorentz_flow_batch(d, X, t: float) -> np.ndarray:
+    """Lorentzian flow of many points at once; rows of X are worked in bulk.
+
+    Rows must already lie on the immersed submanifold: only the ambient
+    quadric is checked here, as in ``hyperbolic_flow_batch``.  Times at or
+    past the Lorentzian collapse bound raise TimeOutOfRangeError.
+    """
+    return _lorentz_flow_rows(d, _quadric_rows(d, X), float(t))
+
+
+def _lorentz_flow_rows(d, X: np.ndarray, t: float) -> np.ndarray:
     dims = dimensions(d)
-    xv = as_vector(x, dims.m)
-    _validate_point(d, xv)
-    return _lorentz_flow(d, xv, float(t))
+    n = dims.n
+    if n == 0:
+        return X.copy()
+    if isinstance(d, Ambient):
+        return GaugeParams(n=d.m, r=d.r, l=d.m).a1(t) * X
+    if isinstance(d, FullProduct):
+        a1 = GaugeParams(n=n, r=d.r, l=d.l).a1(t)
+        cols = np.empty(dims.m + 1)
+        cols[: d.l] = a1
+        cols[-1] = a1
+        cols[d.l : dims.m] = _leaf_column_scales(d.leaf, t)
+        return X * cols[None, :]
+    if isinstance(d, Umbilic):
+        umb = d.umb
+        if abs(umb.one_minus_alpha2) < 1e-8:
+            # horospherical branch; also the stable limit of the generic one
+            return _umbilic_inner_flow_rows(d, X, t) - n * t * umb.beta * umb.xi_array[None, :]
+        window = existence_window(d)
+        if window.t_dprime is not None and t >= window.t_dprime:
+            raise TimeOutOfRangeError(f"t={t} >= Lorentzian collapse bound {window.t_dprime}")
+        g = GaugeParams(n=n, alpha=umb.alpha, one_minus_alpha2=umb.one_minus_alpha2)
+        scale = math.sqrt(_positive_radicand(2.0 * n * t * umb.one_minus_alpha2 + 1.0, t))
+        f1 = _umbilic_inner_flow_rows(d, X, g.s_alpha(t))
+        return scale * (f1 - umb.eta_array[None, :]) + umb.eta_array[None, :]
+    raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
+
+
+def _positive_radicand(rad: float, t: float) -> float:
+    if rad <= 0:
+        raise TimeOutOfRangeError(f"flow radicand {rad:.3e} <= 0 at t={t}")
+    return rad
 
 
 def _validate_point(d, x: np.ndarray) -> None:
@@ -331,39 +377,6 @@ def _validate_levels(d, X: np.ndarray) -> None:
         raise DomainError("point is not on the umbilical hypersurface of this level")
     if isinstance(d.inner, (Ambient, FullProduct, Umbilic)):
         _validate_levels(d.inner, Z)
-
-
-def _lorentz_flow(d, x: np.ndarray, t: float) -> np.ndarray:
-    dims = dimensions(d)
-    n = dims.n
-    if n == 0:
-        return x.copy()
-    if isinstance(d, Ambient):
-        g = GaugeParams(n=d.m, r=d.r, l=d.m)
-        return g.a1(t) * x
-    if isinstance(d, FullProduct):
-        xv, y = _product_split(d, x, validate=True)
-        g = GaugeParams(n=n, r=d.r, l=d.l)
-        return _product_assemble(d, g.a1(t) * xv, _leaf_euclidean_flow(d.leaf, y, t))
-    if isinstance(d, Umbilic):
-        umb = d.umb
-        g = GaugeParams(n=n, alpha=umb.alpha, one_minus_alpha2=umb.one_minus_alpha2)
-        if abs(umb.one_minus_alpha2) < 1e-8:
-            # horospherical branch; also the stable limit of the generic one
-            return _umbilic_inner_flow(d, x, t) - n * t * umb.beta * umb.xi_array
-        window = existence_window(d)
-        if window.t_dprime is not None and t >= window.t_dprime:
-            raise TimeOutOfRangeError(f"t={t} >= Lorentzian collapse bound {window.t_dprime}")
-        scale = math.sqrt(_positive_radicand(2.0 * n * t * umb.one_minus_alpha2 + 1.0, t))
-        f1 = _umbilic_inner_flow(d, x, g.s_alpha(t))
-        return scale * (f1 - umb.eta_array) + umb.eta_array
-    raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
-
-
-def _positive_radicand(rad: float, t: float) -> float:
-    if rad <= 0:
-        raise TimeOutOfRangeError(f"flow radicand {rad:.3e} <= 0 at t={t}")
-    return rad
 
 
 def _umbilic_inner_flow(d: Umbilic, x: np.ndarray, s: float) -> np.ndarray:
@@ -430,9 +443,9 @@ def _hyperbolic_flow(d, x: np.ndarray, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched hyperbolic flow (row-wise over many points; the workhorse of the
-# forward Euler comparison, where the same closed form is evaluated on a
-# whole differencing stencil per step)
+# batched hyperbolic flow (row-wise over many points: the run writers, the
+# invariant battery and the oracle's stencils evaluate the closed form on
+# whole arrays of points at once)
 
 
 def hyperbolic_flow_batch(d, X, t: float) -> np.ndarray:
@@ -442,16 +455,24 @@ def hyperbolic_flow_batch(d, X, t: float) -> np.ndarray:
     quadric is checked here.  ``_validate_rows`` makes the other membership
     checks of ``hyperbolic_flow`` on a whole batch.
     """
-    Xv = np.atleast_2d(np.asarray(X, dtype=float))
     window = existence_window(d)
     if window.t_max is not None and t >= window.t_max:
         raise TimeOutOfRangeError(f"t={t} >= hyperbolic maximal time T={window.t_max}")
+    return _hyperbolic_flow_rows(d, _quadric_rows(d, X), float(t))
+
+
+def _quadric_rows(d, X) -> np.ndarray:
+    """X as float rows, refused unless every row is on the upper sheet of <x,x> = -r."""
+    Xv = np.atleast_2d(np.asarray(X, dtype=float))
+    m = dimensions(d).m
+    if Xv.ndim != 2 or Xv.shape[1] != m + 1:
+        raise InvalidArgumentError(f"expected rows of length {m + 1}, got shape {Xv.shape}")
     r_top = d.r if isinstance(d, Ambient) else 1.0
     q = np.sum(Xv[:, :-1] ** 2, axis=1) - Xv[:, -1] ** 2
     scale = np.maximum(r_top, np.sum(Xv * Xv, axis=1))
     if np.any(np.abs(q + r_top) > 1e-8 * scale) or np.any(Xv[:, -1] <= 0):
         raise InvalidArgumentError("batch rows are not on the ambient hyperboloid")
-    return _hyperbolic_flow_rows(d, Xv, float(t))
+    return Xv
 
 
 def _leaf_column_scales(leaf: ProductOfSpheres, t: float) -> np.ndarray:

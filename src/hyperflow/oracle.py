@@ -28,7 +28,15 @@ from .errors import (
     InvalidArgumentError,
     TimeOutOfRangeError,
 )
-from .flow import _validate_rows, existence_window, hyperbolic_flow, hyperbolic_flow_batch, lorentz_flow
+from .flow import (
+    _hyperbolic_flow_rows,
+    _validate_rows,
+    existence_window,
+    hyperbolic_flow,
+    hyperbolic_flow_batch,
+    lorentz_flow,
+    lorentz_flow_batch,
+)
 from .lorentz import minkowski_inner
 
 _COND_LIMIT = 1e12
@@ -254,31 +262,29 @@ def _general_tangential(imm: ImmersionEvaluator, frame: list[np.ndarray], w: np.
 def descriptor_immersion(d, t: float | None = None, gauge: str = "hyperbolic") -> ImmersionEvaluator:
     """Chart evaluator of a descriptor, optionally pushed by one of its flows.
 
-    Without a time, and in the hyperbolic gauge, the evaluator also maps
-    rows of chart points in one pass: ``immerse_rows``, the row-wise form of
-    the membership checks ``hyperbolic_flow`` makes, and
-    ``hyperbolic_flow_batch``.  The Lorentzian gauge evaluates row by row.
+    The evaluator also maps rows of chart points in one pass: ``immerse_rows``
+    and, at a time, the row-wise form of the membership checks the scalar
+    flows make (``_validate_rows``) followed by ``hyperbolic_flow_batch`` or
+    ``lorentz_flow_batch``.  Either way it receives chart points and
+    returns points only.
     """
-    rows = None
     if t is None:
         func = lambda u: immerse(d, u)
         rows = lambda U: immerse_rows(d, U)
-        ambient = HYPERBOLOID
-    elif gauge == "hyperbolic":
-        func = lambda u: hyperbolic_flow(d, immerse(d, u), t)
-
-        def rows(U: np.ndarray) -> np.ndarray:
-            X = immerse_rows(d, U)
-            _validate_rows(d, X)
-            return hyperbolic_flow_batch(d, X, t)
-
-        ambient = HYPERBOLOID
+        return ImmersionEvaluator(chart_dim(d), HYPERBOLOID, func, rows)
+    if gauge == "hyperbolic":
+        flow, flow_batch, ambient = hyperbolic_flow, hyperbolic_flow_batch, HYPERBOLOID
     elif gauge == "lorentz":
-        func = lambda u: lorentz_flow(d, immerse(d, u), t)
-        ambient = LORENTZIAN
+        flow, flow_batch, ambient = lorentz_flow, lorentz_flow_batch, LORENTZIAN
     else:
         raise InvalidArgumentError(f"unknown gauge {gauge!r}")
-    return ImmersionEvaluator(chart_dim(d), ambient, func, rows)
+
+    def rows(U: np.ndarray) -> np.ndarray:
+        X = immerse_rows(d, U)
+        _validate_rows(d, X)
+        return flow_batch(d, X, t)
+
+    return ImmersionEvaluator(chart_dim(d), ambient, lambda u: flow(d, immerse(d, u), t), rows)
 
 
 def pde_residual(
@@ -327,7 +333,8 @@ def evolve_and_compare(
     from the stepping plus O(h^2) from the differencing.  H_numeric at step
     k depends on the flow surface at t0 + k dt only, not on the walked
     points, so it is evaluated up front for a block of steps at a time: one
-    batched flow of every sample's stencil per step, then one differencing
+    row-wise flow of every sample's stencil per step (the stencil rows are
+    validated once, before the first step), then one differencing
     of all the block's stencils, then the sequential updates of all samples
     at once.
     """
@@ -351,10 +358,11 @@ def evolve_and_compare(
     offs = _stencil_offsets(n, h)
     S, K = samples.shape[0], offs.shape[0]
     stencil_points = immerse_rows(d, (samples[:, None, :] + offs).reshape(S * K, n))
+    _validate_rows(d, stencil_points)  # once: the rows do not change from step to step
     X = np.array([hyperbolic_flow(d, immerse(d, u), t0) for u in samples])
     for k0 in range(0, steps, _EULER_BLOCK):
         ks = range(k0, min(k0 + _EULER_BLOCK, steps))
-        flowed = np.stack([hyperbolic_flow_batch(d, stencil_points, t0 + k * dt) for k in ks])
+        flowed = np.stack([_hyperbolic_flow_rows(d, stencil_points, float(t0 + k * dt)) for k in ks])
         H = _mc_from_stencil(flowed.reshape(len(ks) * S, K, -1), n, h, HYPERBOLOID).reshape(len(ks), S, -1)
         for Hk in H:
             X = X + dt * Hk

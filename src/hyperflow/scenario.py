@@ -5,8 +5,9 @@ settings and an output list.  ``run_scenario`` writes trajectory CSVs in
 hyperboloid and ball coordinates plus JSON reports (existence window, limit
 report, invariant report); ``run_invariant_battery`` drives the checks that
 ``verify`` gates on.  Outputs are deterministic for a fixed seed.  The
-trajectory and ball writers flow all samples in one batch per grid time;
-the environment variable HYPERFLOW_THREADS no longer affects them.
+trajectory and ball writers flow all samples in one batch per grid time, and
+the battery's closed-form checks one batch per sampled time; the environment
+variable HYPERFLOW_THREADS no longer affects them.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import oracle
-from .ball import ball_projection, ball_projection_rows
+from .ball import ball_projection_rows
 from .catalog import CATALOG, catalog_descriptor
 from .descriptors import (
     Ambient,
     FullProduct,
     Umbilic,
+    _row_dots,
     chart_box,
     chart_dim,
     classify_shape,
@@ -35,16 +37,17 @@ from .descriptors import (
     descriptor_to_json,
     dimensions,
     immerse,
+    immerse_rows,
 )
 from .errors import InvalidArgumentError, TimeOutOfRangeError
 from .flow import (
     ExistenceWindow,
     _validate_point,
+    _validate_rows,
     existence_window,
     gauge_lorentz_to_hyperbolic,
-    hyperbolic_flow,
     hyperbolic_flow_batch,
-    lorentz_flow,
+    lorentz_flow_batch,
 )
 from .limits import (
     FORWARD_FOCAL,
@@ -57,7 +60,7 @@ from .limits import (
     forward_limit,
     hausdorff_distance,
 )
-from .lorentz import OrthonormalFrame, as_vector, minkowski_inner
+from .lorentz import OrthonormalFrame, as_vector
 
 
 @dataclass(frozen=True)
@@ -116,17 +119,23 @@ class Scenario:
     frame: OrthonormalFrame | None = None  # None means the standard frame
 
     def __post_init__(self):
+        # the name prefixes every artifact file, so it must not leave the output directory
+        name = self.name
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise InvalidArgumentError(f"scenario name must be a file name without path separators, got {name!r}")
         for out in self.outputs:
             if out not in _ALL_OUTPUTS:
                 raise InvalidArgumentError(f"unknown output kind {out!r}")
 
 
 def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError(f"a scenario must be a JSON object, got {type(obj).__name__}")
     if "descriptor" not in obj:
         raise InvalidArgumentError("scenario is missing the descriptor")
-    grid = obj.get("time_grid", {})
-    samp = obj.get("sampling", {})
-    orc = obj.get("oracle", {})
+    grid = _section_from_json(obj, "time_grid")
+    samp = _section_from_json(obj, "sampling")
+    orc = _section_from_json(obj, "oracle")
     frame_spec = obj.get("frame", "standard")
     frame = None if frame_spec == "standard" else OrthonormalFrame(np.asarray(frame_spec, dtype=float))
     return Scenario(
@@ -148,6 +157,14 @@ def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:
         outputs=_outputs_from_json(obj.get("outputs", list(_ALL_OUTPUTS))),
         frame=frame,
     )
+
+
+def _section_from_json(obj: dict, key: str) -> dict:
+    """An optional JSON object section; arrays, numbers and null are refused."""
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise InvalidArgumentError(f"{key} must be a JSON object, got {value!r}")
+    return value
 
 
 def _bool_from_json(section: dict, key: str, default: bool, path: str) -> bool:
@@ -287,29 +304,35 @@ def run_invariant_battery(
 ) -> InvariantReport:
     """All closed-form and oracle checks for one descriptor.
 
-    ``lorentz_eval``/``hyperbolic_eval`` default to the real flows; tests may
-    substitute corrupted evaluators as negative controls.  Tolerances scale
-    with ``tolerance_scale``.
+    The samples are immersed and validated once; every closed-form check
+    then flows all of them in one batch per time.  ``lorentz_eval`` and
+    ``hyperbolic_eval`` map rows of points and a time to rows of flowed
+    points; they default to ``lorentz_flow_batch``/``hyperbolic_flow_batch``
+    and tests may substitute corrupted evaluators as negative controls.
+    Tolerances scale with ``tolerance_scale``, which must be positive and
+    finite.
     """
-    F = lorentz_eval or (lambda x, t: lorentz_flow(d, x, t))
-    f = hyperbolic_eval or (lambda x, t: hyperbolic_flow(d, x, t))
+    _check_tolerance_scale(tolerance_scale)
+    F = lorentz_eval or (lambda X, t: lorentz_flow_batch(d, X, t))
+    f = hyperbolic_eval or (lambda X, t: hyperbolic_flow_batch(d, X, t))
     dims = dimensions(d)
     n = dims.n
     window = existence_window(d)
     rng = np.random.default_rng(sampling.seed)
     us = chart_samples(d, sampling.per_dim, sampling.seed)
-    points = [immerse(d, u) for u in us]
+    X = immerse_rows(d, np.array(us))
+    _validate_rows(d, X)
     report = InvariantReport()
     ts = tolerance_scale
 
     # norm law <F,F> = <x,x> - 2nt on the Lorentzian domain
     lo, hi = lorentz_time_range(d)
     times = sample_times(lo, hi, 40, rng)
+    norms = _norm2_rows(X)
     worst = 0.0
-    for x in points:
-        for t in times:
-            Fx = F(x, float(t))
-            worst = max(worst, abs(minkowski_inner(Fx, Fx) - (minkowski_inner(x, x) - 2.0 * n * t)))
+    for t in times.tolist():
+        FX = F(X, t)
+        worst = max(worst, float(np.max(np.abs(_norm2_rows(FX) - (norms - 2.0 * n * t)))))
     report.add("norm_law", worst, 1e-9 * ts)
 
     # gauge round trip between the two flows; sampling stays away from the
@@ -318,10 +341,9 @@ def run_invariant_battery(
     hyp_hi = window.t_max
     times_h = sample_times(None, hyp_hi, 25, rng, span=2.0 / max(n, 1))
     worst = 0.0
-    for x in points:
-        for t in times_h:
-            via_gauge = gauge_lorentz_to_hyperbolic(F, n, 1.0, x, float(t)) if n > 0 else x
-            worst = max(worst, float(np.max(np.abs(f(x, float(t)) - via_gauge))))
+    for t in times_h.tolist():
+        via_gauge = gauge_lorentz_to_hyperbolic(F, n, 1.0, X, t) if n > 0 else X
+        worst = max(worst, float(np.max(np.abs(f(X, t) - via_gauge))))
     report.add("gauge_roundtrip", worst, 1e-12 * ts)
 
     if settings.enabled:
@@ -347,37 +369,43 @@ def run_invariant_battery(
 
     # limit consistency
     flags = classify_shape(d)
+    frame = OrthonormalFrame.standard(dims.m)
     if not flags.totally_geodesic and n > 0:
         back = backward_limit(d, us, estimate_dim=False)
-        frame = OrthonormalFrame.standard(dims.m)
-        flowed = np.array([ball_projection(frame, 1.0, f(x, -15.0)).coords for x in points])
+        flowed = ball_projection_rows(frame, 1.0, f(X, -15.0))
         report.add("backward_limit_consistency", hausdorff_distance(flowed, back.samples), 1e-5 * ts)
 
     fwd = forward_limit(d, us)
     if fwd.variant == FORWARD_STATIONARY:
-        worst = max(float(np.max(np.abs(f(x, 5.0) - x))) for x in points)
+        worst = float(np.max(np.abs(f(X, 5.0) - X)))
         report.add("forward_limit_consistency", worst, 1e-12 * ts)
     elif fwd.variant == FORWARD_FOCAL:
         T = window.t_max
-        d_coarse = max(
-            float(np.linalg.norm(f(x, T - 1e-6) - s)) for x, s in zip(points, fwd.samples)
-        )
-        d_fine = max(
-            float(np.linalg.norm(f(x, T - 1e-9) - s)) for x, s in zip(points, fwd.samples)
-        )
+        S = np.asarray(fwd.samples, dtype=float)
+        d_coarse = float(np.max(np.sqrt(_row_dots(f(X, T - 1e-6) - S))))
+        d_fine = float(np.max(np.sqrt(_row_dots(f(X, T - 1e-9) - S))))
         report.add("forward_limit_consistency", d_coarse, 1e-2 * ts)
         report.add("focal_refinement_monotone", d_fine / max(d_coarse, 1e-300), 1.0)
     elif fwd.variant == FORWARD_GEODESIC:
-        worst = max(float(np.max(np.abs(f(x, 15.0) - s))) for x, s in zip(points, fwd.samples))
+        worst = float(np.max(np.abs(f(X, 15.0) - np.asarray(fwd.samples, dtype=float))))
         report.add("forward_limit_consistency", worst, 1e-5 * ts)
     elif fwd.variant == FORWARD_IDEAL_POINT:
-        frame = OrthonormalFrame.standard(dims.m)
-        worst = max(
-            float(np.linalg.norm(ball_projection(frame, 1.0, f(x, 15.0)).coords - fwd.ideal_point))
-            for x in points
-        )
+        Y = ball_projection_rows(frame, 1.0, f(X, 15.0))
+        worst = float(np.max(np.sqrt(_row_dots(Y - fwd.ideal_point))))
         report.add("forward_limit_consistency", worst, 1e-5 * ts)
     return report
+
+
+def _check_tolerance_scale(tolerance_scale: float) -> None:
+    if not (math.isfinite(tolerance_scale) and tolerance_scale > 0):
+        raise InvalidArgumentError(
+            f"tolerance scale (--tolerance-scale) must be positive and finite, got {tolerance_scale!r}"
+        )
+
+
+def _norm2_rows(X: np.ndarray) -> np.ndarray:
+    """<x,x> of every row, with the arithmetic of ``minkowski_inner(x, x)``."""
+    return _row_dots(X[:, :-1]) - X[:, -1] * X[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +506,7 @@ def _clipped_grid(scn: Scenario) -> tuple[np.ndarray, float | None]:
 
 def run_scenario(source: str | Path, out_dir: str | Path, seed: int | None = None, tolerance_scale: float = 1.0) -> dict:
     """Run one scenario and write its artifacts; returns a summary dict."""
+    _check_tolerance_scale(tolerance_scale)
     scn = load_scenario(source)
     if seed is not None:
         scn = Scenario(scn.name, scn.descriptor, scn.time_grid, Sampling(scn.sampling.per_dim, seed), scn.oracle, scn.outputs, scn.frame)

@@ -18,7 +18,7 @@ from hyperflow.descriptors import (
     immerse,
     immerse_rows,
 )
-from hyperflow.errors import GaugeDomainError, GeometryError, TimeOutOfRangeError
+from hyperflow.errors import GaugeDomainError, GeometryError, InvalidArgumentError, TimeOutOfRangeError
 from hyperflow.flow import (
     GaugeParams,
     _validate_rows,
@@ -28,10 +28,12 @@ from hyperflow.flow import (
     hyperbolic_flow,
     hyperbolic_flow_batch,
     lorentz_flow,
+    lorentz_flow_batch,
     sphere_leaf_flow,
 )
 from hyperflow.lorentz import Membership, ambient_membership, minkowski_inner
 from hyperflow.scenario import chart_samples, lorentz_time_range, sample_times
+from test_descriptors import BIT_CASES
 
 LN2 = math.log(2.0)
 
@@ -384,6 +386,7 @@ class TestValidateRows:
             scalar = _outcome(lambda: hyperbolic_flow(d, bad, 0.0))
             rows = _outcome(lambda: _validate_rows(d, np.vstack([X[2], bad])))
             assert rows is scalar, (name, label)
+            assert _outcome(lambda: lorentz_flow(d, bad, 0.0)) is scalar, (name, label)
             if not isinstance(d, Ambient):
                 assert scalar is not None, (name, label)
 
@@ -395,3 +398,59 @@ class TestValidateRows:
         assert abs(minkowski_inner(bad, np.asarray(d.umb.xi)) - d.umb.a) < 1e-12
         assert _outcome(lambda: _validate_rows(d, bad[None, :])) is _outcome(lambda: hyperbolic_flow(d, bad, 0.1))
         assert _outcome(lambda: _validate_rows(d, bad[None, :])) is not None
+
+
+class TestLorentzFlowBatch:
+    """Rows of ``lorentz_flow_batch`` against the scalar entry point, its batch of one."""
+
+    @pytest.mark.parametrize("name", sorted(BIT_CASES))
+    def test_rows_match_scalar_flow(self, name):
+        # bit for bit on the catalog and the geodesic chains; the tilted
+        # placements have general entries, where BLAS may sum the products of
+        # a batch of one in another order than those of a larger batch
+        d = BIT_CASES[name]
+        X = immerse_rows(d, np.array(chart_samples(d, 3, 17)[:6]))
+        lo, hi = lorentz_time_range(d)
+        for t in sample_times(lo, hi, 5, np.random.default_rng(5)).tolist() + [0.0]:
+            rows = lorentz_flow_batch(d, X, t)
+            assert rows.shape == X.shape
+            for x, row in zip(X, rows):
+                single = lorentz_flow(d, x, t)
+                if name.startswith("tilted"):
+                    assert np.max(np.abs(row - single)) <= 1e-15 * max(1.0, float(np.max(np.abs(row)))), (name, t)
+                else:
+                    assert row.tobytes() == single.tobytes(), (name, t)
+
+    def test_time_bounds_refused_like_the_scalar_flow(self, catalog_entry):
+        name, d = catalog_entry
+        X = immerse_rows(d, np.array(chart_samples(d, 3, 2)[:3]))
+        lo, hi = lorentz_time_range(d)
+        beyond = ([hi + 0.1] if hi is not None else []) + ([lo - 0.1] if lo is not None else [])
+        for t in [b for b in (hi, lo) if b is not None] + beyond:
+            batch = _outcome(lambda: lorentz_flow_batch(d, X, t))
+            assert batch is _outcome(lambda: lorentz_flow(d, X[0], t)), (name, t)
+            if t in beyond:
+                assert batch is TimeOutOfRangeError, (name, t)
+
+    def test_collapse_bound_message(self):
+        d = CATALOG["circle_h2"]
+        T2 = existence_window(d).t_dprime
+        X = immerse_rows(d, np.array([[0.1], [2.0]]))
+        with pytest.raises(TimeOutOfRangeError, match="Lorentzian collapse bound"):
+            lorentz_flow_batch(d, X, T2)
+        assert np.isfinite(lorentz_flow_batch(d, X, T2 * (1 - 1e-9))).all()
+
+    @pytest.mark.parametrize("bad", ["off quadric", "lower sheet"])
+    def test_off_hyperboloid_row_in_a_batch(self, catalog_entry, bad):
+        name, d = catalog_entry
+        X = immerse_rows(d, np.array(chart_samples(d, 3, 6)[:4]))
+        X[2] = 1.01 * X[2] if bad == "off quadric" else -X[2]
+        with pytest.raises(InvalidArgumentError, match="not on the ambient hyperboloid"):
+            lorentz_flow_batch(d, X, 0.01)
+
+    @pytest.mark.parametrize("flow_batch", [lorentz_flow_batch, hyperbolic_flow_batch])
+    def test_rows_of_the_wrong_width_refused(self, flow_batch):
+        # (0, 0, 0, 1) is on the quadric of R^(3,1), one dimension too many for H^2
+        for d in (Ambient(2, 1.0), CATALOG["circle_h2"]):
+            with pytest.raises(InvalidArgumentError, match="rows of length 3"):
+                flow_batch(d, np.array([[0.0, 0.0, 0.0, 1.0]]), 0.1)

@@ -14,7 +14,7 @@ from hyperflow.errors import (
     InvalidArgumentError,
     TimeOutOfRangeError,
 )
-from hyperflow.flow import hyperbolic_flow, hyperbolic_flow_batch
+from hyperflow.flow import existence_window, hyperbolic_flow, hyperbolic_flow_batch, lorentz_flow
 from hyperflow.lorentz import minkowski_inner
 from hyperflow.scenario import chart_samples
 
@@ -238,6 +238,26 @@ class TestRowEvaluation:
         X = imm.at_rows(U)
         for u, x in zip(U, X):
             assert np.max(np.abs(x - imm(u))) <= 1e-15 * max(1.0, float(np.max(np.abs(x))))
+
+    @pytest.mark.parametrize("t", [-0.1, 0.2])
+    def test_lorentz_rows_match_single_calls(self, catalog_entry, t):
+        # the Lorentzian gauge maps rows in one pass; a call is its batch of one
+        name, d = catalog_entry
+        imm = oracle.descriptor_immersion(d, t, "lorentz")
+        assert imm.rows is not None and imm.ambient is oracle.LORENTZIAN
+        U = np.array(chart_samples(d, 3, 9)[:5])
+        X = imm.at_rows(U)
+        assert X.shape == (len(U), dimensions(d).m + 1)
+        for u, x in zip(U, X):
+            assert x.tobytes() == imm(u).tobytes()
+            assert x.tobytes() == lorentz_flow(d, immerse(d, u), t).tobytes()
+
+    def test_lorentz_rows_keep_the_collapse_bound(self):
+        # the rows map refuses the Lorentzian collapse time like the scalar flow
+        d = CATALOG["circle_h2"]
+        with pytest.raises(TimeOutOfRangeError):
+            oracle.descriptor_immersion(d, existence_window(d).t_dprime, "lorentz").at_rows(np.array([[0.3]]))
+        assert np.isfinite(oracle.descriptor_immersion(d, 0.1, "lorentz").at_rows(np.array([[0.3], [1.2]]))).all()
 
     @pytest.mark.parametrize("t", [None, -0.4, 0.2])
     @pytest.mark.parametrize("name", [n for n in sorted(CATALOG) if dimensions(CATALOG[n]).codim > 0])

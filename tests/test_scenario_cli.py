@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +12,26 @@ import pytest
 from conftest import random_admissible_frame
 from hyperflow.ball import ball_projection
 from hyperflow.catalog import CATALOG, catalog_names
-from hyperflow.descriptors import Ambient, descriptor_to_json, dimensions, immerse
+from hyperflow.descriptors import Ambient, classify_shape, descriptor_to_json, dimensions, immerse
 from hyperflow.errors import InvalidArgumentError, TimeOutOfRangeError
-from hyperflow.flow import hyperbolic_flow, lorentz_flow
-from hyperflow.lorentz import OrthonormalFrame
+from hyperflow.flow import (
+    existence_window,
+    gauge_lorentz_to_hyperbolic,
+    hyperbolic_flow,
+    hyperbolic_flow_batch,
+    lorentz_flow,
+    lorentz_flow_batch,
+)
+from hyperflow.limits import (
+    FORWARD_FOCAL,
+    FORWARD_GEODESIC,
+    FORWARD_IDEAL_POINT,
+    FORWARD_STATIONARY,
+    backward_limit,
+    forward_limit,
+    hausdorff_distance,
+)
+from hyperflow.lorentz import OrthonormalFrame, minkowski_inner
 from hyperflow.scenario import (
     OracleSettings,
     Sampling,
@@ -22,8 +39,10 @@ from hyperflow.scenario import (
     TimeGrid,
     chart_samples,
     load_scenario,
+    lorentz_time_range,
     run_invariant_battery,
     run_scenario,
+    sample_times,
     scenario_from_json,
     verify_scenario,
 )
@@ -101,6 +120,19 @@ class TestScenarioParsing:
     def test_integer_fields_refuse_non_integers(self, section, key, value):
         spec = {"descriptor": descriptor_to_json(CATALOG["circle_h2"]), section: {key: value}}
         with pytest.raises(InvalidArgumentError, match=f"{section}.{key}"):
+            scenario_from_json(spec)
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../x", "a\\b", 5, None])
+    def test_bad_names_rejected(self, name):
+        spec = {"name": name, "descriptor": descriptor_to_json(CATALOG["circle_h2"])}
+        with pytest.raises(InvalidArgumentError, match="scenario name"):
+            scenario_from_json(spec)
+
+    @pytest.mark.parametrize("section", ["time_grid", "sampling", "oracle"])
+    @pytest.mark.parametrize("value", [[], 3, None, "x"])
+    def test_sections_must_be_objects(self, section, value):
+        spec = {"descriptor": descriptor_to_json(CATALOG["circle_h2"]), section: value}
+        with pytest.raises(InvalidArgumentError, match=f"{section} must be a JSON object"):
             scenario_from_json(spec)
 
     def test_negative_seed_rejected(self):
@@ -198,7 +230,90 @@ class TestRunScenario:
         assert (a / "tube_h3_trajectory.csv").read_bytes() != (b / "tube_h3_trajectory.csv").read_bytes()
 
 
+def reference_closed_form_checks(d, sampling, F, f):
+    """The battery's closed-form checks with one scalar flow F, f per (sample, time)."""
+    n = dimensions(d).n
+    window = existence_window(d)
+    rng = np.random.default_rng(sampling.seed)
+    us = chart_samples(d, sampling.per_dim, sampling.seed)
+    points = [immerse(d, u) for u in us]
+    frame = OrthonormalFrame.standard(dimensions(d).m)
+    out = {}
+    times = sample_times(*lorentz_time_range(d), 40, rng).tolist()
+    out["norm_law"] = max(
+        abs(minkowski_inner(F(x, t), F(x, t)) - (minkowski_inner(x, x) - 2.0 * n * t)) for x in points for t in times
+    )
+    times = sample_times(None, window.t_max, 25, rng, span=2.0 / max(n, 1)).tolist()
+    out["gauge_roundtrip"] = max(
+        float(np.max(np.abs(f(x, t) - (gauge_lorentz_to_hyperbolic(F, n, 1.0, x, t) if n > 0 else x))))
+        for x in points
+        for t in times
+    )
+    if not classify_shape(d).totally_geodesic and n > 0:
+        flowed = np.array([ball_projection(frame, 1.0, f(x, -15.0)).coords for x in points])
+        back = backward_limit(d, us, estimate_dim=False)
+        out["backward_limit_consistency"] = hausdorff_distance(flowed, back.samples)
+    fwd = forward_limit(d, us)
+    if fwd.variant == FORWARD_STATIONARY:
+        out["forward_limit_consistency"] = max(float(np.max(np.abs(f(x, 5.0) - x))) for x in points)
+    elif fwd.variant == FORWARD_FOCAL:
+        T = window.t_max
+        coarse = max(float(np.linalg.norm(f(x, T - 1e-6) - s)) for x, s in zip(points, fwd.samples))
+        fine = max(float(np.linalg.norm(f(x, T - 1e-9) - s)) for x, s in zip(points, fwd.samples))
+        out["forward_limit_consistency"] = coarse
+        out["focal_refinement_monotone"] = fine / max(coarse, 1e-300)
+    elif fwd.variant == FORWARD_GEODESIC:
+        out["forward_limit_consistency"] = max(
+            float(np.max(np.abs(f(x, 15.0) - s))) for x, s in zip(points, fwd.samples)
+        )
+    elif fwd.variant == FORWARD_IDEAL_POINT:
+        out["forward_limit_consistency"] = max(
+            float(np.linalg.norm(ball_projection(frame, 1.0, f(x, 15.0)).coords - fwd.ideal_point)) for x in points
+        )
+    return out
+
+
 class TestVerify:
+    @pytest.mark.parametrize("seed", [7, 3])
+    def test_batched_battery_matches_per_point_loop(self, catalog_entry, seed):
+        name, d = catalog_entry
+        sampling = Sampling(3, seed)
+        report = run_invariant_battery(d, sampling, OracleSettings(enabled=False))
+        reference = reference_closed_form_checks(
+            d, sampling, lambda x, t: lorentz_flow(d, x, t), lambda x, t: hyperbolic_flow(d, x, t)
+        )
+        assert [c.name for c in report.checks] == list(reference)
+        for check in report.checks:
+            ref = reference[check.name]
+            assert abs(check.max_residual - ref) <= 1e-12, (name, check.name)
+            assert check.passed is (ref < check.tolerance), (name, check.name)
+
+    def test_batched_battery_matches_per_point_loop_on_skewed_flows(self, catalog_entry):
+        # exact flows leave rounding-level residuals that any subset of the
+        # samples and times reproduces; a bump that grows with t and x_1 makes
+        # every check's maximum depend on which points and times are visited
+        name, d = catalog_entry
+        bump = lambda x, t: 1.0 + 1e-7 * t * x[..., :1]
+        sampling = Sampling(3, 7)
+        report = run_invariant_battery(
+            d,
+            sampling,
+            OracleSettings(enabled=False),
+            lorentz_eval=lambda X, t: lorentz_flow_batch(d, X, t) * bump(X, t),
+            hyperbolic_eval=lambda X, t: hyperbolic_flow_batch(d, X, t) * bump(X, t),
+        )
+        reference = reference_closed_form_checks(
+            d,
+            sampling,
+            lambda x, t: lorentz_flow(d, x, t) * bump(x, t),
+            lambda x, t: hyperbolic_flow(d, x, t) * bump(x, t),
+        )
+        assert [c.name for c in report.checks] == list(reference)
+        for check in report.checks:
+            ref = reference[check.name]
+            assert check.max_residual == pytest.approx(ref, rel=1e-9, abs=1e-12), (name, check.name)
+            assert check.passed is (ref < check.tolerance), (name, check.name)
+
     def test_catalog_passes(self):
         report = verify_scenario("horocycle_h2")
         assert report.overall_pass
@@ -206,7 +321,7 @@ class TestVerify:
     def test_corrupted_flow_fails_the_norm_law(self):
         # negative control: a 1% scale bug must trip the battery
         d = CATALOG["circle_h2"]
-        bad = lambda x, t: 1.01 * lorentz_flow(d, x, t)
+        bad = lambda X, t: 1.01 * lorentz_flow_batch(d, X, t)
         report = run_invariant_battery(
             d, Sampling(), OracleSettings(enabled=False), lorentz_eval=bad
         )
@@ -216,7 +331,7 @@ class TestVerify:
 
     def test_tolerance_scale_loosens(self):
         d = CATALOG["circle_h2"]
-        bad = lambda x, t: (1.0 + 1e-13) * lorentz_flow(d, x, t)
+        bad = lambda X, t: (1.0 + 1e-13) * lorentz_flow_batch(d, X, t)
         tight = run_invariant_battery(d, Sampling(), OracleSettings(enabled=False), lorentz_eval=bad)
         loose = run_invariant_battery(
             d, Sampling(), OracleSettings(enabled=False), tolerance_scale=1e6, lorentz_eval=bad
@@ -274,6 +389,9 @@ class TestCli:
             ("sampling.per_dim", {"sampling": {"per_dim": "3"}}),
             ("sampling.seed", {"sampling": {"seed": 7.5}}),
             ("sampling.seed", {"sampling": {"seed": -1}}),
+            ("time_grid", {"time_grid": []}),
+            ("sampling", {"sampling": 3}),
+            ("oracle", {"oracle": None}),
         ],
     )
     def test_bad_field_exit_two(self, tmp_path, field, settings):
@@ -282,6 +400,25 @@ class TestCli:
         assert out.returncode == 2
         assert field in out.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+    def test_bad_tolerance_scale_exit_two(self, value):
+        out = run_cli("verify", "circle_h2", "--tolerance-scale", value)
+        assert out.returncode == 2
+        assert "--tolerance-scale" in out.stderr
+
+    def test_bad_tolerance_scale_writes_nothing(self, tmp_path):
+        out = run_cli("run", "circle_h2", "--out", str(tmp_path / "out"), "--tolerance-scale", "inf")
+        assert out.returncode == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_name_cannot_leave_the_output_directory(self, tmp_path):
+        out_dir = tmp_path / "a" / "b" / "out"
+        path = write_scenario(tmp_path / "scn.json", "../../escape", CATALOG["circle_h2"], outputs=["window"])
+        out = run_cli("run", str(path), "--out", str(out_dir))
+        assert out.returncode == 2
+        assert "scenario name" in out.stderr
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [Path("scn.json")]
 
     def test_scaled_ambient_ball(self, tmp_path):
         # H^2(-2) projects into the unit ball with its own r
