@@ -203,15 +203,33 @@ def umbilic_boundary_map(umb: "UmbilicData", y) -> IdealPoint:
     """Conformal map from a totally umbilical hypersurface to S^(m-1).
 
     y -> (y_bar + c xi_bar) / (y_{m+1} + c xi_{m+1}) with c = beta/(alpha+1);
-    the image is exactly unit norm for points of the hypersurface.
+    the image is exactly unit norm for points of the hypersurface.  A batch
+    of one of ``umbilic_boundary_rows``.
     """
-    xi = np.asarray(umb.xi, dtype=float)
-    yv = as_vector(y, xi.size - 1)
-    if abs(minkowski_inner(yv, yv) + 1.0) > 1e-8 or abs(minkowski_inner(yv, xi) - umb.a) > 1e-8:
+    yv = as_vector(y, umb.m)
+    return IdealPoint(umbilic_boundary_rows(umb, yv[None, :])[0])
+
+
+def umbilic_boundary_rows(umb: "UmbilicData", Y) -> np.ndarray:
+    """``umbilic_boundary_map`` on every row of Y, a point of the hypersurface.
+
+    A row off H^m(-1) or off {<y,xi> = a} by more than 1e-8, or not finite,
+    raises DomainError, and so does an image off the unit sphere (the check
+    of ``IdealPoint``).  Returns the (K, m) array of boundary coordinates.
+    """
+    xi = umb.xi_array
+    Yv = np.asarray(Y, dtype=float)
+    if Yv.ndim != 2 or Yv.shape[1] != xi.size:
+        raise InvalidArgumentError(f"expected rows of length {xi.size}, got shape {Yv.shape}")
+    q = np.sum(Yv[:, :-1] ** 2, axis=1) - Yv[:, -1] ** 2
+    level = Yv[:, :-1] @ xi[:-1] - Yv[:, -1] * xi[-1]
+    # written so that nan rows fail the test too
+    if not np.all((np.abs(q + 1.0) <= 1e-8) & (np.abs(level - umb.a) <= 1e-8)):
         raise DomainError("point is not on the umbilical hypersurface {<y,xi> = a} in H^m(-1)")
-    num = yv[:-1] + umb.c * xi[:-1]
-    den = yv[-1] + umb.c * xi[-1]
-    return IdealPoint(num / den)
+    P = (Yv[:, :-1] + umb.c * xi[:-1]) / (Yv[:, -1:] + umb.c * xi[-1])
+    if not np.all(np.abs(np.linalg.norm(P, axis=1) - 1.0) <= MEMBERSHIP_TOL):
+        raise DomainError("boundary image is not on the unit sphere")
+    return P
 
 
 def product_boundary_map(l: int, r: float, x, z) -> IdealPoint:

@@ -439,30 +439,17 @@ def _product_assemble(d: FullProduct, xv: np.ndarray, y: np.ndarray) -> np.ndarr
     return np.concatenate([xv[..., :-1], y, xv[..., -1:]], axis=-1)
 
 
-def _product_split(d: FullProduct, x: np.ndarray, validate: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    xv, y = np.concatenate([x[: d.l], [x[-1]]]), x[d.l : -1]
-    if validate:
-        if abs(minkowski_inner(xv, xv) + d.r) > _POINT_TOL * max(1.0, d.r) or xv[-1] <= 0:
-            raise DomainError("Lorentz block is not on the upper sheet of H^l(-r)")
-        if d.leaf.is_point:
-            want = math.sqrt(max(d.r - 1.0, 0.0)) * np.asarray(d.leaf.point_position)
-            if np.max(np.abs(y - want)) > _POINT_TOL:
-                raise DomainError("point leaf block is away from its fixed position")
-        else:
-            k = 0
-            for p, s in d.leaf.factors:
-                block = y[k : k + p + 1]
-                if abs(float(np.dot(block, block)) - s) > _POINT_TOL * max(1.0, s):
-                    raise DomainError(f"leaf factor block has squared radius != {s}")
-                k += p + 1
-    return xv, y
+def _product_split(d: FullProduct, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lorentz block (time last) and leaf block of one point, without checks."""
+    return np.concatenate([x[: d.l], [x[-1]]]), x[d.l : -1]
 
 
 def _check_product_rows(d: FullProduct, X: np.ndarray) -> None:
-    """The checks of ``_product_split(validate=True)`` on every row of X.
+    """Product membership of every row of X, the one product check of the flows.
 
-    Kept apart from the one-point checks, which the scalar flows run on
-    every call and which are several times cheaper on a single point.
+    The Lorentz block must lie on the upper sheet of H^l(-r) and each leaf
+    factor block on its sphere (a point leaf at its fixed position), within
+    ``_POINT_TOL``; otherwise DomainError.
     """
     V = np.concatenate([X[:, : d.l], X[:, -1:]], axis=1)
     Y = X[:, d.l : -1]
@@ -581,33 +568,30 @@ def _umbilic_embed(d: Umbilic, inner_point: np.ndarray) -> np.ndarray:
 
 
 def _umbilic_split_rows(d: Umbilic, X: np.ndarray) -> np.ndarray:
-    """Inner-model coordinates of rows of ambient points, without membership checks."""
-    pl = _umbilic_placement(d.umb)
-    sig = np.ones(X.shape[1])
-    sig[-1] = -1.0
-    if isinstance(pl, _HyperbolicPlacement):
-        rel = (X - pl.eta[None, :]) / pl.scale
-        signs = np.append(np.ones(pl.J.shape[1] - 1), -1.0)
-        return (rel @ (sig[:, None] * pl.J)) * signs[None, :]
-    if isinstance(pl, _SphericalPlacement):
-        return (X - pl.eta[None, :]) @ (sig[:, None] * pl.J)
-    return (X - pl.x0[None, :]) @ (sig[:, None] * pl.W)
+    """Inner-model coordinates of ambient points, without membership checks.
 
-
-def _umbilic_split(d: Umbilic, x: np.ndarray, tol: float = _POINT_TOL) -> np.ndarray:
-    """Inner-model coordinates of an ambient point, with membership checks."""
+    Takes one point or rows along the last axis.  The signature products
+    with the placement columns are one stacked matmul, as in
+    ``_umbilic_embed``, so a row gives the same bits alone as in any batch.
+    """
     pl = _umbilic_placement(d.umb)
     if isinstance(pl, _HyperbolicPlacement):
-        rel = (x - pl.eta) / pl.scale
-        signs = np.append(np.ones(pl.J.shape[1] - 1), -1.0)
-        inner = signs * np.array([minkowski_inner(rel, pl.J[:, i]) for i in range(pl.J.shape[1])])
+        rel, B = (X - pl.eta) / pl.scale, pl.J
     elif isinstance(pl, _SphericalPlacement):
-        rel = x - pl.eta
-        inner = np.array([minkowski_inner(rel, pl.J[:, i]) for i in range(pl.J.shape[1])])
+        rel, B = X - pl.eta, pl.J
     else:
-        rel = x - pl.x0
-        inner = np.array([minkowski_inner(rel, pl.W[:, i]) for i in range(pl.W.shape[1])])
-    if np.max(np.abs(_umbilic_embed(d, inner) - x)) > tol:
+        rel, B = X - pl.x0, pl.W
+    G = B.T.copy()
+    G[:, -1] = -G[:, -1]  # <rel, b> = rel . b with the time entry of b negated
+    if isinstance(pl, _HyperbolicPlacement):
+        G[-1] = -G[-1]  # the timelike column has <b, b> = -1
+    return np.matmul(G, rel[..., None])[..., 0]
+
+
+def _umbilic_split(d: Umbilic, x: np.ndarray) -> np.ndarray:
+    """Inner-model coordinates of an ambient point, with membership checks."""
+    inner = _umbilic_split_rows(d, x[None, :])[0]
+    if np.max(np.abs(_umbilic_embed(d, inner) - x)) > _POINT_TOL:
         raise DomainError("point is not on the umbilical hypersurface of this level")
     return inner
 

@@ -14,10 +14,13 @@ descriptor grammar is assembled recursively:
   f_1 is the flow inside the hypersurface.
 
 The hyperbolic gauge is evaluated through stable direct formulas and agrees
-with the gauge composition to rounding.  Existence windows collect the inner
-maximal time T', the Lorentzian bound T'', the hyperbolic maximal time T and
-the backward gauge limit; unbounded times are represented by None, never by
-a floating sentinel.
+with the gauge composition to rounding.  Both flows have one evaluation path,
+a recursion over rows of points (``_hyperbolic_flow_rows``,
+``_lorentz_flow_rows``); a row gives the same bits alone as in any batch, and
+the one-point entry points are validated batches of one.  Existence windows
+collect the inner maximal time T', the Lorentzian bound T'', the hyperbolic
+maximal time T and the backward gauge limit; unbounded times are represented
+by None, never by a floating sentinel.
 """
 
 from __future__ import annotations
@@ -37,16 +40,13 @@ from .descriptors import (
     Umbilic,
     _POINT_TOL,
     _check_product_rows,
-    _product_assemble,
-    _product_split,
     _umbilic_embed,
     _umbilic_placement,
-    _umbilic_split,
     _umbilic_split_rows,
     dimensions,
 )
 from .errors import DomainError, GaugeDomainError, InvalidArgumentError, TimeOutOfRangeError
-from .lorentz import as_vector, minkowski_inner
+from .lorentz import as_vector
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +238,17 @@ class SphereLeafFlow(NamedTuple):
     euclidean_time: float
 
 
-def _leaf_euclidean_flow(leaf: ProductOfSpheres, y: np.ndarray, t: float) -> np.ndarray:
-    """Euclidean flow of a product of spheres: each block scales by sqrt(1 - 2 p t / s)."""
+def _leaf_column_scales(leaf: ProductOfSpheres, t: float) -> np.ndarray:
+    """Euclidean flow of a leaf as column scales: each block scales by sqrt(1 - 2 p t / s)."""
     if leaf.is_point:
-        return y.copy()
-    out = np.empty_like(y)
+        return np.ones(len(leaf.point_position))
+    out = np.empty(leaf.coords_dim)
     k = 0
     for p, s in leaf.factors:
         rad = 1.0 - 2.0 * p * t / s
         if rad <= 0:
-            raise TimeOutOfRangeError(f"sphere factor S^{p}({s}) collapsed at t = {s / (2 * p)}, asked t={t}")
-        out[k : k + p + 1] = math.sqrt(rad) * y[k : k + p + 1]
+            raise TimeOutOfRangeError(f"sphere factor S^{p}({s}) collapsed before t={t}")
+        out[k : k + p + 1] = math.sqrt(rad)
         k += p + 1
     return out
 
@@ -259,8 +259,9 @@ def sphere_leaf_flow(leaf: ProductOfSpheres, y, s: float, radius2: float | None 
     The spherical flow inside S^N(R^2) is recovered from the Euclidean one by
     f_2(y, s) = e^(n' s / R^2) F_2(y, t(s)) with
     t(s) = (R^2 / 2n')(1 - e^(-2 n' s / R^2)).  Points and minimal products
-    are stationary.  Returns the spherical point, its Euclidean gauge point
-    F_2(y, t(s)), and the Euclidean time t(s).
+    are stationary.  ``y`` is one point or rows along the last axis.  Returns
+    the spherical point, its Euclidean gauge point F_2(y, t(s)), and the
+    Euclidean time t(s).
     """
     yv = np.asarray(y, dtype=float)
     R2 = leaf.ambient_radius2 if radius2 is None else radius2
@@ -268,8 +269,66 @@ def sphere_leaf_flow(leaf: ProductOfSpheres, y, s: float, radius2: float | None 
         return SphereLeafFlow(yv.copy(), yv.copy(), 0.0)
     n1 = leaf.dim
     te = (R2 / (2.0 * n1)) * -math.expm1(-2.0 * n1 * s / R2)
-    eu = _leaf_euclidean_flow(leaf, yv, te)
+    eu = yv * _leaf_column_scales(leaf, te)
     return SphereLeafFlow(math.exp(n1 * s / R2) * eu, eu, te)
+
+
+# ---------------------------------------------------------------------------
+# membership checks
+
+
+def _quadric_rows(d, X) -> np.ndarray:
+    """X as float rows, refused unless every row is a finite point of the upper sheet of <x,x> = -r.
+
+    The one quadric membership predicate of the flows: |<x,x> + r| at most
+    max(1e-8 max(1, r), 1e-12 |x|^2), the second term being the rounding
+    scale of the signature form at x.
+    """
+    Xv = np.atleast_2d(np.asarray(X, dtype=float))
+    m = dimensions(d).m
+    if Xv.ndim != 2 or Xv.shape[1] != m + 1:
+        raise InvalidArgumentError(f"expected rows of length {m + 1}, got shape {Xv.shape}")
+    r_top = d.r if isinstance(d, Ambient) else 1.0
+    # rows too large to square give nan here, and nan fails the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.sum(Xv[:, :-1] ** 2, axis=1) - Xv[:, -1] ** 2
+        tol = np.maximum(1e-8 * max(1.0, r_top), 1e-12 * np.sum(Xv * Xv, axis=1))
+        on = (np.abs(q + r_top) <= tol) & (Xv[:, -1] > 0)
+    if not (on.all() and np.isfinite(Xv).all()):
+        raise InvalidArgumentError("flow input rows are not on the ambient hyperboloid")
+    return Xv
+
+
+def _validate_rows(d, X: np.ndarray) -> None:
+    """Every membership check of the one-point flows, on a whole batch.
+
+    Rows off the ambient quadric (``_quadric_rows``), on the lower sheet or
+    not finite raise InvalidArgumentError; rows off a product block or an
+    umbilic level, at any depth of the recursion, raise DomainError.  The
+    batch flows check only the quadric, so callers that flow unvalidated
+    rows call this once per batch.
+    """
+    _validate_levels(d, _quadric_rows(d, X))
+
+
+def _validate_levels(d, X: np.ndarray) -> None:
+    """Product blocks and umbilic levels, following the recursion of ``_hyperbolic_flow_rows``."""
+    if dimensions(d).n == 0 or isinstance(d, Ambient):
+        return
+    if isinstance(d, FullProduct):
+        _check_product_rows(d, X)
+        return
+    Z = _umbilic_split_rows(d, X)
+    if np.any(np.abs(_umbilic_embed(d, Z) - X) > _POINT_TOL):
+        raise DomainError("point is not on the umbilical hypersurface of this level")
+    if isinstance(d.inner, (Ambient, FullProduct, Umbilic)):
+        _validate_levels(d.inner, Z)
+
+
+def _check_t_max(d, t: float) -> None:
+    window = existence_window(d)
+    if window.t_max is not None and t >= window.t_max:
+        raise TimeOutOfRangeError(f"t={t} >= hyperbolic maximal time T={window.t_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +341,7 @@ def lorentz_flow(d, x, t: float) -> np.ndarray:
     The maximal domain can extend below the conversion bound -r/(2n); such
     times are legal here but are refused by the gauge conversions.  A batch
     of one of ``lorentz_flow_batch``, after every membership check that
-    ``_validate_rows`` makes (the checks ``hyperbolic_flow`` makes).
+    ``_validate_rows`` makes.
     """
     X = as_vector(x, dimensions(d).m)[None, :]
     _validate_rows(d, X)
@@ -334,118 +393,20 @@ def _positive_radicand(rad: float, t: float) -> float:
     return rad
 
 
-def _validate_point(d, x: np.ndarray) -> None:
-    r_top = d.r if isinstance(d, Ambient) else 1.0
-    floor = 1e-12 * float(np.dot(x, x))  # rounding scale of the signature form
-    if abs(minkowski_inner(x, x) + r_top) > max(1e-8 * max(1.0, r_top), floor) or x[-1] <= 0:
-        raise InvalidArgumentError("flow input point is not on the ambient hyperboloid")
-    if isinstance(d, FullProduct):
-        _product_split(d, x, validate=True)
-
-
-def _validate_rows(d, X: np.ndarray) -> None:
-    """Every membership check ``hyperbolic_flow`` makes on its input, row-wise.
-
-    Rows off the ambient quadric (with ``_validate_point``'s rounding floor),
-    on the lower sheet or not finite raise InvalidArgumentError; rows off a
-    product block or an umbilic level, at any depth of the recursion, raise
-    DomainError.  ``hyperbolic_flow_batch`` checks only the quadric, so
-    callers that flow unvalidated rows call this once per batch.
-    """
-    m = dimensions(d).m
-    if X.ndim != 2 or X.shape[1] != m + 1:
-        raise InvalidArgumentError(f"expected rows of length {m + 1}, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise InvalidArgumentError("vector has non-finite entries")
-    r_top = d.r if isinstance(d, Ambient) else 1.0
-    q = np.sum(X[:, :-1] ** 2, axis=1) - X[:, -1] ** 2
-    floor = 1e-12 * np.sum(X * X, axis=1)
-    if np.any((np.abs(q + r_top) > np.maximum(1e-8 * max(1.0, r_top), floor)) | (X[:, -1] <= 0)):
-        raise InvalidArgumentError("flow input point is not on the ambient hyperboloid")
-    _validate_levels(d, X)
-
-
-def _validate_levels(d, X: np.ndarray) -> None:
-    """Product blocks and umbilic levels, following ``_hyperbolic_flow``'s recursion."""
-    if dimensions(d).n == 0 or isinstance(d, Ambient):
-        return
-    if isinstance(d, FullProduct):
-        _check_product_rows(d, X)
-        return
-    Z = _umbilic_split_rows(d, X)
-    if np.any(np.abs(_umbilic_embed(d, Z) - X) > _POINT_TOL):
-        raise DomainError("point is not on the umbilical hypersurface of this level")
-    if isinstance(d.inner, (Ambient, FullProduct, Umbilic)):
-        _validate_levels(d.inner, Z)
-
-
-def _umbilic_inner_flow(d: Umbilic, x: np.ndarray, s: float) -> np.ndarray:
-    """The flow f_1 inside the umbilical hypersurface, in ambient coordinates."""
-    inner = d.inner
-    coords = _umbilic_split(d, x)
-    if isinstance(inner, ProductOfSpheres):
-        moved = sphere_leaf_flow(inner, coords, s, radius2=d.umb.a**2 - 1.0).spherical
-    elif isinstance(inner, EuclideanIso):
-        moved = _euclidean_config_flow(inner, coords, s)
-    else:
-        # the hypersurface is H^(m-1)(-R); flowing its unit-curvature model for
-        # time s/R and rescaling by sqrt(R) is the flow inside the hypersurface
-        R = _umbilic_placement(d.umb).scale ** 2
-        moved = _hyperbolic_flow(inner, coords, s / R)
-    return _umbilic_embed(d, moved)
-
-
-def _euclidean_config_flow(e: EuclideanIso, w: np.ndarray, t: float) -> np.ndarray:
-    out = w.copy()
-    if e.spheres is not None:
-        k0 = e.flat_dim
-        k1 = k0 + e.spheres.coords_dim
-        rel = w[k0:k1] - e.offset_array[k0:k1]
-        out[k0:k1] = e.offset_array[k0:k1] + _leaf_euclidean_flow(e.spheres, rel, t)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # hyperbolic flow
 
 
 def hyperbolic_flow(d, x, t: float) -> np.ndarray:
-    """Closed-form hyperbolic flow; ancient, defined for every t < T."""
-    dims = dimensions(d)
-    xv = as_vector(x, dims.m)
-    _validate_point(d, xv)
-    window = existence_window(d)
-    if window.t_max is not None and t >= window.t_max:
-        raise TimeOutOfRangeError(f"t={t} >= hyperbolic maximal time T={window.t_max}")
-    return _hyperbolic_flow(d, xv, float(t))
+    """Closed-form hyperbolic flow; ancient, defined for every t < T.
 
-
-def _hyperbolic_flow(d, x: np.ndarray, t: float) -> np.ndarray:
-    dims = dimensions(d)
-    n = dims.n
-    if n == 0 or isinstance(d, Ambient):
-        return x.copy()
-    if isinstance(d, FullProduct):
-        wt = GaugeParams(n=n).w(t)  # the gauge of the ambient H^m(-1)
-        g = GaugeParams(n=n, r=d.r, l=d.l)
-        xv, y = _product_split(d, x, validate=True)
-        return math.exp(-n * t) * _product_assemble(d, g.a1(wt) * xv, _leaf_euclidean_flow(d.leaf, y, wt))
-    if isinstance(d, Umbilic):
-        umb = d.umb
-        g = GaugeParams(n=n, alpha=umb.alpha, one_minus_alpha2=umb.one_minus_alpha2)
-        if abs(umb.one_minus_alpha2) < 1e-8:
-            f1 = _umbilic_inner_flow(d, x, g.w(t))
-            return math.exp(-n * t) * f1 - math.sinh(n * t) * umb.beta * umb.xi_array
-        v = g.v_alpha(t)
-        f1 = _umbilic_inner_flow(d, x, g.s_alpha_of_w(t))
-        return v * f1 - (v - math.exp(-n * t)) * umb.eta_array
-    raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# batched hyperbolic flow (row-wise over many points: the run writers, the
-# invariant battery and the oracle's stencils evaluate the closed form on
-# whole arrays of points at once)
+    A batch of one of ``hyperbolic_flow_batch``, after every membership
+    check that ``_validate_rows`` makes.
+    """
+    X = as_vector(x, dimensions(d).m)[None, :]
+    _validate_rows(d, X)
+    _check_t_max(d, t)
+    return _hyperbolic_flow_rows(d, X, float(t))[0]
 
 
 def hyperbolic_flow_batch(d, X, t: float) -> np.ndarray:
@@ -455,38 +416,8 @@ def hyperbolic_flow_batch(d, X, t: float) -> np.ndarray:
     quadric is checked here.  ``_validate_rows`` makes the other membership
     checks of ``hyperbolic_flow`` on a whole batch.
     """
-    window = existence_window(d)
-    if window.t_max is not None and t >= window.t_max:
-        raise TimeOutOfRangeError(f"t={t} >= hyperbolic maximal time T={window.t_max}")
+    _check_t_max(d, t)
     return _hyperbolic_flow_rows(d, _quadric_rows(d, X), float(t))
-
-
-def _quadric_rows(d, X) -> np.ndarray:
-    """X as float rows, refused unless every row is on the upper sheet of <x,x> = -r."""
-    Xv = np.atleast_2d(np.asarray(X, dtype=float))
-    m = dimensions(d).m
-    if Xv.ndim != 2 or Xv.shape[1] != m + 1:
-        raise InvalidArgumentError(f"expected rows of length {m + 1}, got shape {Xv.shape}")
-    r_top = d.r if isinstance(d, Ambient) else 1.0
-    q = np.sum(Xv[:, :-1] ** 2, axis=1) - Xv[:, -1] ** 2
-    scale = np.maximum(r_top, np.sum(Xv * Xv, axis=1))
-    if np.any(np.abs(q + r_top) > 1e-8 * scale) or np.any(Xv[:, -1] <= 0):
-        raise InvalidArgumentError("batch rows are not on the ambient hyperboloid")
-    return Xv
-
-
-def _leaf_column_scales(leaf: ProductOfSpheres, t: float) -> np.ndarray:
-    if leaf.is_point:
-        return np.ones(len(leaf.point_position))
-    out = np.empty(leaf.coords_dim)
-    k = 0
-    for p, s in leaf.factors:
-        rad = 1.0 - 2.0 * p * t / s
-        if rad <= 0:
-            raise TimeOutOfRangeError(f"sphere factor S^{p}({s}) collapsed before t={t}")
-        out[k : k + p + 1] = math.sqrt(rad)
-        k += p + 1
-    return out
 
 
 def _hyperbolic_flow_rows(d, X: np.ndarray, t: float) -> np.ndarray:
@@ -495,7 +426,7 @@ def _hyperbolic_flow_rows(d, X: np.ndarray, t: float) -> np.ndarray:
     if n == 0 or isinstance(d, Ambient):
         return X.copy()
     if isinstance(d, FullProduct):
-        wt = GaugeParams(n=n).w(t)
+        wt = GaugeParams(n=n).w(t)  # the gauge of the ambient H^m(-1)
         a1 = GaugeParams(n=n, r=d.r, l=d.l).a1(wt)
         cols = np.empty(dims.m + 1)
         cols[: d.l] = a1
@@ -515,30 +446,22 @@ def _hyperbolic_flow_rows(d, X: np.ndarray, t: float) -> np.ndarray:
 
 
 def _umbilic_inner_flow_rows(d: Umbilic, X: np.ndarray, s: float) -> np.ndarray:
-    pl = _umbilic_placement(d.umb)
+    """The flow f_1 inside the umbilical hypersurface, on rows of ambient points."""
     inner = d.inner
     Z = _umbilic_split_rows(d, X)
     if isinstance(inner, ProductOfSpheres):
-        n1 = inner.dim
-        R2 = pl.radius2
-        if inner.is_point or n1 == 0:
-            moved = Z
-        else:
-            te = (R2 / (2.0 * n1)) * -math.expm1(-2.0 * n1 * s / R2)
-            moved = math.exp(n1 * s / R2) * (Z * _leaf_column_scales(inner, te)[None, :])
-        return pl.eta[None, :] + moved @ pl.J.T
-    if isinstance(inner, EuclideanIso):
-        out = Z.copy()
+        Z = sphere_leaf_flow(inner, Z, s, radius2=d.umb.a**2 - 1.0).spherical
+    elif isinstance(inner, EuclideanIso):
         if inner.spheres is not None:
             k0 = inner.flat_dim
             k1 = k0 + inner.spheres.coords_dim
             off = inner.offset_array[k0:k1]
-            out[:, k0:k1] = off[None, :] + (Z[:, k0:k1] - off[None, :]) * _leaf_column_scales(inner.spheres, s)[None, :]
-        norm2 = np.sum(out * out, axis=1)
-        return pl.x0[None, :] + out @ pl.W.T - (norm2 / (2.0 * pl.a))[:, None] * pl.xi[None, :]
-    # hyperbolic hypersurface: the coordinates are in the unit-curvature model
-    moved = _hyperbolic_flow_rows(inner, Z, s / pl.scale**2)
-    return pl.eta[None, :] + pl.scale * (moved @ pl.J.T)
+            Z[:, k0:k1] = off + (Z[:, k0:k1] - off) * _leaf_column_scales(inner.spheres, s)
+    else:
+        # the hypersurface is H^(m-1)(-R); flowing its unit-curvature model for
+        # time s/R and rescaling by sqrt(R) is the flow inside the hypersurface
+        Z = _hyperbolic_flow_rows(inner, Z, s / _umbilic_placement(d.umb).scale ** 2)
+    return _umbilic_embed(d, Z)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ball import umbilic_boundary_map
+from .ball import umbilic_boundary_rows
 from .descriptors import (
     Ambient,
     EuclideanIso,
@@ -32,14 +32,17 @@ from .descriptors import (
     ProductOfSpheres,
     Umbilic,
     _product_split,
+    _umbilic_embed,
     _umbilic_placement,
+    _umbilic_split,
     chart_box,
     classify_shape,
     dimensions,
     immerse,
+    immerse_rows,
 )
 from .errors import GeometryError, InvalidArgumentError, StationaryNoLimitError
-from .flow import GaugeParams, _umbilic_inner_flow, existence_window, sphere_leaf_flow
+from .flow import GaugeParams, _hyperbolic_flow_rows, _umbilic_inner_flow_rows, existence_window, sphere_leaf_flow
 from . import oracle
 
 FORWARD_STATIONARY = "stationary"
@@ -169,8 +172,6 @@ def _collapsed_leaf(leaf: ProductOfSpheres, y: np.ndarray, t: float) -> np.ndarr
 
 def _umbilic_inner_flow_limit(d: Umbilic, x: np.ndarray, s: float) -> np.ndarray:
     """f_1 at its collapse time, taking the continuous extension at s = T'."""
-    from .descriptors import _umbilic_embed, _umbilic_split
-
     inner = d.inner
     coords = _umbilic_split(d, x)
     if isinstance(inner, ProductOfSpheres):
@@ -196,9 +197,7 @@ def _focal_immersion_point(inner, coords: np.ndarray, s: float) -> np.ndarray:
     # needs the limit position of the given inner-model point
     window = existence_window(inner)
     if window.t_max is None or abs(s - window.t_max) > 1e-9:
-        from .flow import _hyperbolic_flow
-
-        return _hyperbolic_flow(inner, coords, s)
+        return _hyperbolic_flow_rows(inner, coords[None, :], s)[0]
     if isinstance(inner, FullProduct):
         n = dimensions(inner).n
         g = GaugeParams(n=n, r=inner.r, l=inner.l)
@@ -260,10 +259,15 @@ def _ideal_point_of(d) -> np.ndarray:
 
 
 def _embed_ideal(d: Umbilic, p: np.ndarray) -> np.ndarray:
-    """Ideal boundary of the inner model embedded through the level's frame."""
+    """Ideal boundary of the inner model embedded through the level's frame.
+
+    Takes one point or rows along the last axis; a row gives the same bits
+    either way, as in ``_umbilic_embed``.
+    """
     pl = _umbilic_placement(d.umb)
-    lift = pl.J @ np.append(p, 1.0)
-    return lift[:-1] / lift[-1]
+    ones = np.ones(p.shape[:-1] + (1,))
+    lift = np.matmul(pl.J, np.concatenate([p, ones], axis=-1)[..., None])[..., 0]
+    return lift[..., :-1] / lift[..., -1:]
 
 
 def forward_limit(d, chart_samples: Sequence[np.ndarray]) -> ForwardLimit:
@@ -291,40 +295,42 @@ def forward_limit(d, chart_samples: Sequence[np.ndarray]) -> ForwardLimit:
 
 
 def backward_chart_map(d) -> Callable[[np.ndarray], np.ndarray]:
-    """Chart map of the ideal limit set reached as t -> -infinity."""
+    """Chart map of the ideal limit set reached as t -> -infinity.
+
+    A batch of one of ``backward_chart_rows``.
+    """
+    rows = backward_chart_rows(d)
+    return lambda u: rows(np.asarray(u, dtype=float).reshape(1, -1))[0]
+
+
+def backward_chart_rows(d) -> Callable[[np.ndarray], np.ndarray]:
+    """The backward limit chart on rows: (K, n) chart points to (K, m) ideal points.
+
+    Row k has the same bits as the chart at ``U[k]`` alone, whatever the batch.
+    """
     if classify_shape(d).totally_geodesic or dimensions(d).n == 0:
         raise StationaryNoLimitError("totally geodesic flows do not move")
     if isinstance(d, FullProduct):
         n = dimensions(d).n
         n_leaf = n - d.l
-        ratio = math.sqrt(d.r / (d.r - 1.0))
+        R2 = d.r - 1.0
+        ratio = math.sqrt(d.r / R2)
 
-        def chart(u: np.ndarray) -> np.ndarray:
-            x = immerse(d, u)
-            xv, y = _product_split(d, x)
-            if d.leaf.is_point:
-                z = ratio * y
-            else:
-                R2 = d.r - 1.0
+        def chart(U: np.ndarray) -> np.ndarray:
+            X = immerse_rows(d, U)
+            Y = X[:, d.l : -1]
+            if not d.leaf.is_point:
                 q_star = -(R2 / (2.0 * n_leaf)) * math.log1p(n_leaf / (n * R2))
-                z = ratio * sphere_leaf_flow(d.leaf, y, q_star, radius2=R2).spherical
-            return np.concatenate([xv[:-1], z]) / xv[-1]
+                Y = sphere_leaf_flow(d.leaf, Y, q_star, radius2=R2).spherical
+            return np.concatenate([X[:, : d.l], ratio * Y], axis=1) / X[:, -1:]
 
         return chart
     if isinstance(d, Umbilic):
-        umb = d.umb
-        window = existence_window(d)
-        if umb.alpha == 0.0:
-            inner_chart = backward_chart_map(d.inner)
-            return lambda u: _embed_ideal(d, inner_chart(u))
-        t_alpha = window.t_alpha
-
-        def chart(u: np.ndarray) -> np.ndarray:
-            x = immerse(d, u)
-            f1 = _umbilic_inner_flow(d, x, t_alpha)
-            return umbilic_boundary_map(umb, f1).coords
-
-        return chart
+        if d.umb.alpha == 0.0:
+            inner_chart = backward_chart_rows(d.inner)
+            return lambda U: _embed_ideal(d, inner_chart(U))
+        t_alpha = existence_window(d).t_alpha
+        return lambda U: umbilic_boundary_rows(d.umb, _umbilic_inner_flow_rows(d, immerse_rows(d, U), t_alpha))
     raise StationaryNoLimitError("the ambient hyperboloid does not move")
 
 
@@ -338,17 +344,17 @@ def backward_limit(d, chart_samples: Sequence[np.ndarray], estimate_dim: bool = 
     flags = classify_shape(d)
     if flags.totally_geodesic or dimensions(d).n == 0:
         return BackwardLimit(BACKWARD_STATIONARY)
-    chart = backward_chart_map(d)
+    rows = backward_chart_rows(d)
     samples_u = [np.asarray(u, dtype=float) for u in chart_samples]
-    pts = np.array([chart(u) for u in samples_u])
+    pts = rows(np.array(samples_u)) if samples_u else np.array([])
     dim_est = None
     if estimate_dim and samples_u:
-        dim_est = _pca_dimension(chart, samples_u, dimensions(d).n)
-    return BackwardLimit(BACKWARD_IDEAL, samples=pts, dim=dim_est, chart_map=chart)
+        dim_est = _pca_dimension(rows, samples_u, dimensions(d).n)
+    return BackwardLimit(BACKWARD_IDEAL, samples=pts, dim=dim_est, chart_map=backward_chart_map(d))
 
 
 def _pca_dimension(
-    chart: Callable[[np.ndarray], np.ndarray],
+    rows: Callable[[np.ndarray], np.ndarray],
     bases: Sequence[np.ndarray],
     n: int,
     radius: float = 3e-7,
@@ -358,10 +364,8 @@ def _pca_dimension(
     k = 4 * n
     ranks = []
     for u in bases:
-        cloud = [chart(u)]
-        for _ in range(k):
-            cloud.append(chart(u + radius * rng.standard_normal(u.size)))
-        pts = np.asarray(cloud)
+        cloud = np.array([u] + [u + radius * rng.standard_normal(u.size) for _ in range(k)])
+        pts = rows(cloud)
         centered = pts - pts.mean(axis=0)
         sv = np.linalg.svd(centered, compute_uv=False)
         ranks.append(int(np.sum(sv > threshold * sv[0])))
@@ -388,7 +392,7 @@ def verify_flat_normal_bundle(d, limit: BackwardLimit, h: float = 1e-3) -> float
     codim = sphere_dim - dims.n
     if codim <= 1:
         return 0.0
-    imm = oracle.ImmersionEvaluator(dims.n, oracle.SPHERE, limit.chart_map)
+    imm = oracle.ImmersionEvaluator(dims.n, oracle.SPHERE, limit.chart_map, backward_chart_rows(d))
     box = chart_box(d)
     mids = np.array([(lo + hi) / 2.0 for lo, hi in box])
     if dims.n == 1:

@@ -32,9 +32,7 @@ from .flow import (
     _hyperbolic_flow_rows,
     _validate_rows,
     existence_window,
-    hyperbolic_flow,
     hyperbolic_flow_batch,
-    lorentz_flow,
     lorentz_flow_batch,
 )
 from .lorentz import minkowski_inner
@@ -262,29 +260,28 @@ def _general_tangential(imm: ImmersionEvaluator, frame: list[np.ndarray], w: np.
 def descriptor_immersion(d, t: float | None = None, gauge: str = "hyperbolic") -> ImmersionEvaluator:
     """Chart evaluator of a descriptor, optionally pushed by one of its flows.
 
-    The evaluator also maps rows of chart points in one pass: ``immerse_rows``
-    and, at a time, the row-wise form of the membership checks the scalar
-    flows make (``_validate_rows``) followed by ``hyperbolic_flow_batch`` or
-    ``lorentz_flow_batch``.  Either way it receives chart points and
-    returns points only.
+    The evaluator maps rows of chart points: ``immerse_rows`` and, at a
+    time, ``_validate_rows`` followed by ``hyperbolic_flow_batch`` or
+    ``lorentz_flow_batch``; one chart point is a batch of one.  Either way
+    it receives chart points and returns points only.
     """
     if t is None:
-        func = lambda u: immerse(d, u)
+        ambient = HYPERBOLOID
         rows = lambda U: immerse_rows(d, U)
-        return ImmersionEvaluator(chart_dim(d), HYPERBOLOID, func, rows)
-    if gauge == "hyperbolic":
-        flow, flow_batch, ambient = hyperbolic_flow, hyperbolic_flow_batch, HYPERBOLOID
-    elif gauge == "lorentz":
-        flow, flow_batch, ambient = lorentz_flow, lorentz_flow_batch, LORENTZIAN
     else:
-        raise InvalidArgumentError(f"unknown gauge {gauge!r}")
+        if gauge == "hyperbolic":
+            flow_batch, ambient = hyperbolic_flow_batch, HYPERBOLOID
+        elif gauge == "lorentz":
+            flow_batch, ambient = lorentz_flow_batch, LORENTZIAN
+        else:
+            raise InvalidArgumentError(f"unknown gauge {gauge!r}")
 
-    def rows(U: np.ndarray) -> np.ndarray:
-        X = immerse_rows(d, U)
-        _validate_rows(d, X)
-        return flow_batch(d, X, t)
+        def rows(U: np.ndarray) -> np.ndarray:
+            X = immerse_rows(d, U)
+            _validate_rows(d, X)
+            return flow_batch(d, X, t)
 
-    return ImmersionEvaluator(chart_dim(d), ambient, lambda u: flow(d, immerse(d, u), t), rows)
+    return ImmersionEvaluator(chart_dim(d), ambient, lambda u: rows(u.reshape(1, -1))[0], rows)
 
 
 def pde_residual(
@@ -298,12 +295,14 @@ def pde_residual(
     """
     uv = np.asarray(u, dtype=float)
     window = existence_window(d)
+    x = immerse(d, uv)[None, :]
+    _validate_rows(d, x)
     if gauge == "hyperbolic":
         bound = window.t_max
-        flow = lambda s: hyperbolic_flow(d, immerse(d, uv), s)
+        flow = lambda s: hyperbolic_flow_batch(d, x, s)[0]
     else:
         bound = window.t_dprime
-        flow = lambda s: lorentz_flow(d, immerse(d, uv), s)
+        flow = lambda s: lorentz_flow_batch(d, x, s)[0]
     if bound is not None and t + dt >= bound:
         raise TimeOutOfRangeError(f"t={t} leaves no margin dt={dt} before the bound {bound}")
     velocity = (flow(t + dt) - flow(t - dt)) / (2.0 * dt)
@@ -359,7 +358,9 @@ def evolve_and_compare(
     S, K = samples.shape[0], offs.shape[0]
     stencil_points = immerse_rows(d, (samples[:, None, :] + offs).reshape(S * K, n))
     _validate_rows(d, stencil_points)  # once: the rows do not change from step to step
-    X = np.array([hyperbolic_flow(d, immerse(d, u), t0) for u in samples])
+    X0 = immerse_rows(d, samples)
+    _validate_rows(d, X0)
+    X = hyperbolic_flow_batch(d, X0, t0)
     for k0 in range(0, steps, _EULER_BLOCK):
         ks = range(k0, min(k0 + _EULER_BLOCK, steps))
         flowed = np.stack([_hyperbolic_flow_rows(d, stencil_points, float(t0 + k * dt)) for k in ks])
@@ -368,9 +369,8 @@ def evolve_and_compare(
             X = X + dt * Hk
             X = X / np.sqrt(-HYPERBOLOID.inner_rows(X, X))[:, None]
     worst = 0.0
-    for s, u in enumerate(samples):
-        target = hyperbolic_flow(d, immerse(d, u), t0 + steps * dt)
-        worst = max(worst, float(np.linalg.norm(X[s] - target)))
+    for x, target in zip(X, hyperbolic_flow_batch(d, X0, t0 + steps * dt)):
+        worst = max(worst, float(np.linalg.norm(x - target)))
     return worst
 
 

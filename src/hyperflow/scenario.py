@@ -36,13 +36,11 @@ from .descriptors import (
     descriptor_from_json,
     descriptor_to_json,
     dimensions,
-    immerse,
     immerse_rows,
 )
 from .errors import InvalidArgumentError, TimeOutOfRangeError
 from .flow import (
     ExistenceWindow,
-    _validate_point,
     _validate_rows,
     existence_window,
     gauge_lorentz_to_hyperbolic,
@@ -60,7 +58,7 @@ from .limits import (
     forward_limit,
     hausdorff_distance,
 )
-from .lorentz import OrthonormalFrame, as_vector
+from .lorentz import OrthonormalFrame
 
 
 @dataclass(frozen=True)
@@ -516,14 +514,13 @@ def run_scenario(source: str | Path, out_dir: str | Path, seed: int | None = Non
     out.mkdir(parents=True, exist_ok=True)
     times, clipped = _clipped_grid(scn)
     us = chart_samples(d, scn.sampling.per_dim, scn.sampling.seed)
-    points = [immerse(d, u) for u in us]
     frame = scn.frame or OrthonormalFrame.standard(dims.m)
     written: dict[str, str] = {}
 
     if "trajectory" in scn.outputs or "ball" in scn.outputs:
-        for x in points:
-            _validate_point(d, as_vector(x, dims.m))
-        flowed = _flow_samples(d, np.array(points), times)
+        X0 = immerse_rows(d, np.array(us))
+        _validate_rows(d, X0)
+        flowed = _flow_samples(d, X0, times)
         if "ball" in scn.outputs:
             r_top = d.r if isinstance(d, Ambient) else 1.0
             ball = ball_projection_rows(frame, r_top, flowed.reshape(-1, dims.m + 1)).reshape(*flowed.shape[:2], dims.m)

@@ -18,6 +18,7 @@ from hyperflow.ball import (
     product_boundary_factor,
     product_boundary_map,
     umbilic_boundary_map,
+    umbilic_boundary_rows,
 )
 from hyperflow.descriptors import derive_umbilic
 from hyperflow.errors import DomainError
@@ -188,6 +189,18 @@ class TestUmbilicBoundaryMap:
         umb = derive_umbilic([0.0, 0.0, -1.0], 2.0)
         with pytest.raises(DomainError):
             umbilic_boundary_map(umb, [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", ["off level", "off quadric", "nan"])
+    def test_off_hypersurface_row_in_a_batch(self, bad):
+        umb = derive_umbilic([0.0, 0.0, -1.0], 2.0)
+        Y = np.array([[math.sqrt(3) * math.cos(a), math.sqrt(3) * math.sin(a), 2.0] for a in (0.1, 0.7, 1.3)])
+        P = umbilic_boundary_rows(umb, Y)
+        for y, p in zip(Y, P):
+            assert p.tobytes() == umbilic_boundary_map(umb, y).coords.tobytes()
+        # x_3 = 2.5 with |x_bar|^2 = 5.25 stays on H^2(-1) but leaves the level
+        Y[1] = {"off level": [math.sqrt(5.25), 0.0, 2.5], "off quadric": 1.01 * Y[1], "nan": np.nan}[bad]
+        with pytest.raises(DomainError):
+            umbilic_boundary_rows(umb, Y)
 
     def test_unit_norm_on_random_samples(self, rng):
         umb = derive_umbilic([0.0, 0.0, 0.0, -1.0], 2.0)

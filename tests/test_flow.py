@@ -115,16 +115,9 @@ class TestHyperbolicFlow:
         with pytest.raises(TimeOutOfRangeError):
             hyperbolic_flow(d, x, LN2)
 
-    def test_batch_matches_scalar(self, catalog_entry, rng):
-        name, d = catalog_entry
-        us = chart_samples(d, 3, 5)[:6]
-        X = np.array([immerse(d, u) for u in us])
-        w = existence_window(d)
-        hi = 1.0 if w.t_max is None else w.t_max - 0.05
-        for t in (-2.0, 0.5 * hi):
-            A = hyperbolic_flow_batch(d, X, t)
-            B = np.array([hyperbolic_flow(d, x, t) for x in X])
-            assert np.max(np.abs(A - B)) < 1e-12
+    @pytest.mark.parametrize("name", sorted(BIT_CASES))
+    def test_batch_matches_scalar(self, name):
+        _assert_rows_match_scalar_flow(name, hyperbolic_flow_batch, hyperbolic_flow)
 
 
 class TestGauges:
@@ -400,26 +393,28 @@ class TestValidateRows:
         assert _outcome(lambda: _validate_rows(d, bad[None, :])) is not None
 
 
+def _assert_rows_match_scalar_flow(name: str, flow_batch, flow) -> None:
+    """Rows of a batch flow equal the scalar entry point, its batch of one, bit for bit.
+
+    Every case, the tilted placements included: the placement products run
+    one stacked matmul per row, whatever the batch.
+    """
+    d = BIT_CASES[name]
+    X = immerse_rows(d, np.array(chart_samples(d, 3, 17)[:6]))
+    lo, hi = lorentz_time_range(d) if flow is lorentz_flow else (None, existence_window(d).t_max)
+    for t in sample_times(lo, hi, 5, np.random.default_rng(5)).tolist() + [0.0]:
+        rows = flow_batch(d, X, t)
+        assert rows.shape == X.shape
+        for x, row in zip(X, rows):
+            assert row.tobytes() == flow(d, x, t).tobytes(), (name, flow.__name__, t)
+
+
 class TestLorentzFlowBatch:
     """Rows of ``lorentz_flow_batch`` against the scalar entry point, its batch of one."""
 
     @pytest.mark.parametrize("name", sorted(BIT_CASES))
     def test_rows_match_scalar_flow(self, name):
-        # bit for bit on the catalog and the geodesic chains; the tilted
-        # placements have general entries, where BLAS may sum the products of
-        # a batch of one in another order than those of a larger batch
-        d = BIT_CASES[name]
-        X = immerse_rows(d, np.array(chart_samples(d, 3, 17)[:6]))
-        lo, hi = lorentz_time_range(d)
-        for t in sample_times(lo, hi, 5, np.random.default_rng(5)).tolist() + [0.0]:
-            rows = lorentz_flow_batch(d, X, t)
-            assert rows.shape == X.shape
-            for x, row in zip(X, rows):
-                single = lorentz_flow(d, x, t)
-                if name.startswith("tilted"):
-                    assert np.max(np.abs(row - single)) <= 1e-15 * max(1.0, float(np.max(np.abs(row)))), (name, t)
-                else:
-                    assert row.tobytes() == single.tobytes(), (name, t)
+        _assert_rows_match_scalar_flow(name, lorentz_flow_batch, lorentz_flow)
 
     def test_time_bounds_refused_like_the_scalar_flow(self, catalog_entry):
         name, d = catalog_entry
@@ -440,13 +435,30 @@ class TestLorentzFlowBatch:
             lorentz_flow_batch(d, X, T2)
         assert np.isfinite(lorentz_flow_batch(d, X, T2 * (1 - 1e-9))).all()
 
-    @pytest.mark.parametrize("bad", ["off quadric", "lower sheet"])
+    @pytest.mark.parametrize("bad", ["off quadric", "lower sheet", "nan", "inf"])
     def test_off_hyperboloid_row_in_a_batch(self, catalog_entry, bad):
         name, d = catalog_entry
         X = immerse_rows(d, np.array(chart_samples(d, 3, 6)[:4]))
-        X[2] = 1.01 * X[2] if bad == "off quadric" else -X[2]
-        with pytest.raises(InvalidArgumentError, match="not on the ambient hyperboloid"):
-            lorentz_flow_batch(d, X, 0.01)
+        X[2] = {"off quadric": 1.01 * X[2], "lower sheet": -X[2], "nan": np.nan, "inf": np.inf}[bad]
+        for flow_batch in (lorentz_flow_batch, hyperbolic_flow_batch):
+            with pytest.raises(InvalidArgumentError, match="not on the ambient hyperboloid"):
+                flow_batch(d, X, 0.01)
+
+    def test_one_quadric_verdict_for_both_entry_points(self):
+        # deep in the past |x|^2 is large; a relative error of 3e-9 in the
+        # time coordinate is past the rounding floor 1e-12 |x|^2 of the quadric
+        d = CATALOG["equidistant_h2"]
+        x = hyperbolic_flow(d, immerse(d, [0.3]), -4.0)
+        assert float(np.dot(x, x)) > 6000.0
+        bad = x.copy()
+        bad[-1] *= 1.0 + 3e-9
+        for call in (
+            lambda: hyperbolic_flow(d, bad, 0.0),
+            lambda: hyperbolic_flow_batch(d, bad[None, :], 0.0),
+            lambda: lorentz_flow_batch(d, bad[None, :], 0.0),
+        ):
+            with pytest.raises(InvalidArgumentError, match="not on the ambient hyperboloid"):
+                call()
 
     @pytest.mark.parametrize("flow_batch", [lorentz_flow_batch, hyperbolic_flow_batch])
     def test_rows_of_the_wrong_width_refused(self, flow_batch):

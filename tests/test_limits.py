@@ -13,6 +13,7 @@ from hyperflow.descriptors import (
     FullProduct,
     ProductOfSpheres,
     Umbilic,
+    classify_shape,
     derive_umbilic,
     dimensions,
     immerse,
@@ -27,6 +28,7 @@ from hyperflow.limits import (
     FORWARD_IDEAL_POINT,
     FORWARD_STATIONARY,
     backward_chart_map,
+    backward_chart_rows,
     backward_limit,
     classify_limits,
     forward_limit,
@@ -35,6 +37,7 @@ from hyperflow.limits import (
 )
 from hyperflow.lorentz import OrthonormalFrame, minkowski_inner
 from hyperflow.scenario import chart_samples
+from test_descriptors import BIT_CASES
 
 LN2 = math.log(2.0)
 
@@ -186,6 +189,16 @@ class TestBackwardLimit:
     def test_stationary_input_raises(self):
         with pytest.raises(StationaryNoLimitError):
             backward_chart_map(CATALOG["ambient_h3"])
+
+    @pytest.mark.parametrize("name", sorted(k for k, d in BIT_CASES.items() if not classify_shape(d).totally_geodesic))
+    def test_chart_rows_match_single_points_bitwise(self, name):
+        d = BIT_CASES[name]
+        U = np.array(chart_samples(d, 3, 11)[:7])
+        P = backward_chart_rows(d)(U)
+        assert P.shape == (len(U), dimensions(d).m)
+        chart = backward_chart_map(d)
+        for u, p in zip(U, P):
+            assert p.tobytes() == chart(u).tobytes(), name
 
     def test_horocycle_limit_parametrizes_the_punctured_circle(self):
         d = CATALOG["horocycle_h2"]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hyperflow
 from conftest import random_admissible_frame
 from hyperflow.ball import ball_projection
 from hyperflow.catalog import CATALOG, catalog_names
@@ -63,8 +65,11 @@ def read_rows(path):
 
 
 def run_cli(*args):
+    # the child imports the package the tests import, installed or not
+    src = str(Path(hyperflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-m", "hyperflow.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "hyperflow.cli", *args], capture_output=True, text=True, env=env
     )
 
 
