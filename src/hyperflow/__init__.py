@@ -66,6 +66,7 @@ from .limits import (
     LimitReport,
     backward_limit,
     classify_limits,
+    evaluate_limits,
     forward_limit,
     hausdorff_distance,
     verify_flat_normal_bundle,

@@ -18,17 +18,15 @@ import sys
 
 from .catalog import catalog_names
 from .errors import GeometryError
+from .limits import evaluate_limits
 from .scenario import (
-    backward_limit,
-    classify_limits,
-    forward_limit,
+    chart_samples,
     invariant_report_to_json,
     limit_report_to_json,
     load_scenario,
     run_scenario,
     verify_scenario,
 )
-from .scenario import chart_samples
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,10 +61,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "limits":
             scn = load_scenario(args.scenario)
             us = chart_samples(scn.descriptor, scn.sampling.per_dim, args.seed if args.seed is not None else scn.sampling.seed)
-            rep = classify_limits(scn.descriptor)
-            rep.forward = forward_limit(scn.descriptor, us)
-            rep.backward = backward_limit(scn.descriptor, us)
-            print(json.dumps(limit_report_to_json(rep), indent=2, sort_keys=True))
+            print(json.dumps(limit_report_to_json(evaluate_limits(scn.descriptor, us)), indent=2, sort_keys=True))
             return 0
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)

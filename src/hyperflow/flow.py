@@ -325,10 +325,21 @@ def _validate_levels(d, X: np.ndarray) -> None:
         _validate_levels(d.inner, Z)
 
 
-def _check_t_max(d, t: float) -> None:
+def _finite_time(t) -> float:
+    """The flow time as a float; nan and infinite times are refused."""
+    tv = float(t)
+    if not math.isfinite(tv):
+        raise InvalidArgumentError(f"flow time must be finite, got {t!r}")
+    return tv
+
+
+def _hyperbolic_time(d, t) -> float:
+    """A finite flow time before the hyperbolic maximal time T, as a float."""
+    tv = _finite_time(t)
     window = existence_window(d)
-    if window.t_max is not None and t >= window.t_max:
+    if window.t_max is not None and tv >= window.t_max:
         raise TimeOutOfRangeError(f"t={t} >= hyperbolic maximal time T={window.t_max}")
+    return tv
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +356,7 @@ def lorentz_flow(d, x, t: float) -> np.ndarray:
     """
     X = as_vector(x, dimensions(d).m)[None, :]
     _validate_rows(d, X)
-    return _lorentz_flow_rows(d, X, float(t))[0]
+    return _lorentz_flow_rows(d, X, _finite_time(t))[0]
 
 
 def lorentz_flow_batch(d, X, t: float) -> np.ndarray:
@@ -353,9 +364,11 @@ def lorentz_flow_batch(d, X, t: float) -> np.ndarray:
 
     Rows must already lie on the immersed submanifold: only the ambient
     quadric is checked here, as in ``hyperbolic_flow_batch``.  Times at or
-    past the Lorentzian collapse bound raise TimeOutOfRangeError.
+    past the Lorentzian collapse bound raise TimeOutOfRangeError, and
+    non-finite times InvalidArgumentError.
     """
-    return _lorentz_flow_rows(d, _quadric_rows(d, X), float(t))
+    tv = _finite_time(t)
+    return _lorentz_flow_rows(d, _quadric_rows(d, X), tv)
 
 
 def _lorentz_flow_rows(d, X: np.ndarray, t: float) -> np.ndarray:
@@ -405,8 +418,7 @@ def hyperbolic_flow(d, x, t: float) -> np.ndarray:
     """
     X = as_vector(x, dimensions(d).m)[None, :]
     _validate_rows(d, X)
-    _check_t_max(d, t)
-    return _hyperbolic_flow_rows(d, X, float(t))[0]
+    return _hyperbolic_flow_rows(d, X, _hyperbolic_time(d, t))[0]
 
 
 def hyperbolic_flow_batch(d, X, t: float) -> np.ndarray:
@@ -414,10 +426,11 @@ def hyperbolic_flow_batch(d, X, t: float) -> np.ndarray:
 
     Rows must already lie on the immersed submanifold: only the ambient
     quadric is checked here.  ``_validate_rows`` makes the other membership
-    checks of ``hyperbolic_flow`` on a whole batch.
+    checks of ``hyperbolic_flow`` on a whole batch.  Non-finite times raise
+    InvalidArgumentError.
     """
-    _check_t_max(d, t)
-    return _hyperbolic_flow_rows(d, _quadric_rows(d, X), float(t))
+    tv = _hyperbolic_time(d, t)
+    return _hyperbolic_flow_rows(d, _quadric_rows(d, X), tv)
 
 
 def _hyperbolic_flow_rows(d, X: np.ndarray, t: float) -> np.ndarray:

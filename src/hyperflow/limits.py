@@ -111,6 +111,11 @@ def classify_limits(d) -> LimitReport:
     return LimitReport(fwd, bwd)
 
 
+def evaluate_limits(d, chart_samples: Sequence[np.ndarray]) -> LimitReport:
+    """Both limits, each evaluated at the given chart samples."""
+    return LimitReport(forward_limit(d, chart_samples), backward_limit(d, chart_samples))
+
+
 # ---------------------------------------------------------------------------
 # forward limits
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .descriptors import chart_dim, dimensions, immerse, immerse_rows
+from .descriptors import chart_dim, dimensions, immerse_rows
 from .errors import (
     ChartDegenerateError,
     InsufficientSamplesError,
@@ -29,13 +29,13 @@ from .errors import (
     TimeOutOfRangeError,
 )
 from .flow import (
+    _finite_time,
     _hyperbolic_flow_rows,
     _validate_rows,
     existence_window,
     hyperbolic_flow_batch,
     lorentz_flow_batch,
 )
-from .lorentz import minkowski_inner
 
 _COND_LIMIT = 1e12
 # steps of the Euler walk whose stencils are differenced together; larger
@@ -201,23 +201,36 @@ def _check_fd_step(h: float) -> None:
         raise InvalidArgumentError("step h must lie in [1e-4, 1e-2]")
 
 
+def _stencil_points(U: np.ndarray, offs: np.ndarray) -> np.ndarray:
+    """The stencil offsets around each of P chart points, as (P * K, n) rows."""
+    return (U[:, None, :] + offs[None, :, :]).reshape(U.shape[0] * offs.shape[0], U.shape[1])
+
+
+def _mean_curvature_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float, richardson: bool = False) -> np.ndarray:
+    """Mean curvature vectors (P, dim) at P chart points, from one ``at_rows`` call.
+
+    With ``richardson`` the stencils of h and h/2 are evaluated together and
+    the two estimates extrapolated to O(h^4).
+    """
+    steps = (h, h / 2.0) if richardson else (h,)
+    for s in steps:
+        _check_fd_step(s)
+    n = imm.chart_dim
+    offs = [_stencil_offsets(n, s) for s in steps]
+    vals = imm.at_rows(np.concatenate([_stencil_points(U, o) for o in offs]))
+    vals = vals.reshape(len(steps), U.shape[0], offs[0].shape[0], -1)
+    H = [_mc_from_stencil(v, n, s, imm.ambient) for v, s in zip(vals, steps)]
+    return (4.0 * H[1] - H[0]) / 3.0 if richardson else H[0]
+
+
 def numeric_mean_curvature(imm: ImmersionEvaluator, u, h: float = 1e-3, richardson: bool = False) -> np.ndarray:
     """O(h^2) mean curvature vector of the immersed chart at u.
 
     With ``richardson`` the h and h/2 estimates are extrapolated to O(h^4);
     used by the acceptance runs where an extra digit matters.
     """
-    _check_fd_step(h)
-    if richardson:
-        coarse = numeric_mean_curvature(imm, u, h)
-        fine = numeric_mean_curvature(imm, u, h / 2.0)
-        return (4.0 * fine - coarse) / 3.0
-    uv = np.asarray(u, dtype=float)
-    n = imm.chart_dim
-    if n == 0:
-        return np.zeros_like(imm(uv))
-    vals = imm.at_rows(uv + _stencil_offsets(n, h))
-    return _mc_from_stencil(vals[None], n, h, imm.ambient)[0]
+    uv = np.asarray(u, dtype=float).reshape(1, imm.chart_dim)
+    return _mean_curvature_rows(imm, uv, h, richardson)[0]
 
 
 def second_fundamental_form(imm: ImmersionEvaluator, u, h: float = 1e-3):
@@ -231,17 +244,17 @@ def second_fundamental_form(imm: ImmersionEvaluator, u, h: float = 1e-3):
     n = imm.chart_dim
     vals = imm.at_rows(uv + _stencil_offsets(n, h))
     center, first, second = (a[0] for a in _stencil_derivatives(vals[None], n, h))
-    g, ginv = _metric_inverse(imm, first)
-    frame = list(first)
-    if imm.ambient.intrinsic_to_quadric:
-        frame = frame + [center]
-    II = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            w = second[i][j]
-            w = w - _general_tangential(imm, frame, w)
-            II[i][j] = w
+    g, II = _second_fundamental_form_at(imm, center, first, second)
     return center, first, g, II
+
+
+def _second_fundamental_form_at(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray, second: np.ndarray):
+    """Metric and II_ij at one chart point, from its stencil derivatives."""
+    n = imm.chart_dim
+    g, _ = _metric_inverse(imm, first)
+    frame = list(first) + ([center] if imm.ambient.intrinsic_to_quadric else [])
+    II = [[second[i][j] - _general_tangential(imm, frame, second[i][j]) for j in range(n)] for i in range(n)]
+    return g, II
 
 
 def _general_tangential(imm: ImmersionEvaluator, frame: list[np.ndarray], w: np.ndarray) -> np.ndarray:
@@ -257,6 +270,23 @@ def _general_tangential(imm: ImmersionEvaluator, frame: list[np.ndarray], w: np.
 # flow-equation residuals
 
 
+def _gauge_flow(gauge: str):
+    """The batch flow of a gauge and the ambient space its points lie in."""
+    if gauge == "hyperbolic":
+        return hyperbolic_flow_batch, HYPERBOLOID
+    if gauge == "lorentz":
+        return lorentz_flow_batch, LORENTZIAN
+    raise InvalidArgumentError(f"unknown gauge {gauge!r}")
+
+
+def _flow_rows(flow_batch, d, X: np.ndarray, t: float) -> np.ndarray:
+    """``flow_batch(d, X, t)``, refusing a time whose flow overflows doubles as out of range."""
+    try:
+        return flow_batch(d, X, t)
+    except OverflowError:
+        raise TimeOutOfRangeError(f"the flow at t={t!r} leaves the range of doubles") from None
+
+
 def descriptor_immersion(d, t: float | None = None, gauge: str = "hyperbolic") -> ImmersionEvaluator:
     """Chart evaluator of a descriptor, optionally pushed by one of its flows.
 
@@ -269,19 +299,66 @@ def descriptor_immersion(d, t: float | None = None, gauge: str = "hyperbolic") -
         ambient = HYPERBOLOID
         rows = lambda U: immerse_rows(d, U)
     else:
-        if gauge == "hyperbolic":
-            flow_batch, ambient = hyperbolic_flow_batch, HYPERBOLOID
-        elif gauge == "lorentz":
-            flow_batch, ambient = lorentz_flow_batch, LORENTZIAN
-        else:
-            raise InvalidArgumentError(f"unknown gauge {gauge!r}")
+        flow_batch, ambient = _gauge_flow(gauge)
 
         def rows(U: np.ndarray) -> np.ndarray:
             X = immerse_rows(d, U)
             _validate_rows(d, X)
-            return flow_batch(d, X, t)
+            return _flow_rows(flow_batch, d, X, t)
 
     return ImmersionEvaluator(chart_dim(d), ambient, lambda u: rows(u.reshape(1, -1))[0], rows)
+
+
+def _minkowski_rows(V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """<v,w> of every row pair, with the arithmetic of ``minkowski_inner``."""
+    return np.matmul(V[:, None, :-1], W[:, :-1, None])[:, 0, 0] - V[:, -1] * W[:, -1]
+
+
+def pde_residual_grid(
+    d,
+    chart_samples: Sequence[np.ndarray],
+    times: Sequence[float],
+    h: float = 1e-3,
+    dt: float = 1e-4,
+    gauge: str = "hyperbolic",
+    richardson: bool = False,
+) -> np.ndarray:
+    """``pde_residual`` at every chart sample and time of one gauge, as a (samples, times) array.
+
+    The samples are immersed and validated once.  At each time the velocity
+    is the central difference of two batched flows of all samples, and the
+    differencing stencils of all samples are evaluated in one ``at_rows``
+    call of the flowed chart; entry (s, j) has the bits of ``pde_residual``
+    at sample s and time j alone.  Times must be finite, ``dt`` positive
+    and finite, and every t + dt must stay before the gauge's bound.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise InvalidArgumentError(f"dt must be positive and finite, got {dt!r}")
+    ts = [_finite_time(t) for t in times]
+    flow_batch, _ = _gauge_flow(gauge)
+    n = chart_dim(d)
+    U = np.asarray(chart_samples, dtype=float)
+    if U.ndim != 2 or U.shape[1] != n:
+        raise InvalidArgumentError(f"chart needs {n} parameters, got samples of shape {U.shape[1:]}")
+    window = existence_window(d)
+    X = immerse_rows(d, U)
+    _validate_rows(d, X)
+    bound = window.t_max if gauge == "hyperbolic" else window.t_dprime
+    for t in ts:
+        if bound is not None and t + dt >= bound:
+            raise TimeOutOfRangeError(f"t={t} leaves no margin dt={dt} before the bound {bound}")
+    out = np.empty((U.shape[0], len(ts)))
+    for j, t in enumerate(ts):
+        velocity = (_flow_rows(flow_batch, d, X, t + dt) - _flow_rows(flow_batch, d, X, t - dt)) / (2.0 * dt)
+        H = _mean_curvature_rows(descriptor_immersion(d, t, gauge), U, h, richardson)
+        V = velocity - H
+        if gauge == "hyperbolic":
+            Xt = _flow_rows(flow_batch, d, X, t)
+            V = V + _minkowski_rows(V, Xt)[:, None] * Xt  # tangential projection, <x,x> = -1
+            out[:, j] = np.sqrt(np.maximum(_minkowski_rows(V, V), 0.0))
+        else:
+            out[:, j] = np.sqrt(np.abs(_minkowski_rows(V, V)))
+    return out
 
 
 def pde_residual(
@@ -291,29 +368,9 @@ def pde_residual(
 
     The hyperbolic residual is projected to the tangent space of H^m(-1)
     before taking its (positive definite) norm; the Lorentzian residual uses
-    sqrt(|<v,v>|).
+    sqrt(|<v,v>|).  A batch of one of ``pde_residual_grid``.
     """
-    uv = np.asarray(u, dtype=float)
-    window = existence_window(d)
-    x = immerse(d, uv)[None, :]
-    _validate_rows(d, x)
-    if gauge == "hyperbolic":
-        bound = window.t_max
-        flow = lambda s: hyperbolic_flow_batch(d, x, s)[0]
-    else:
-        bound = window.t_dprime
-        flow = lambda s: lorentz_flow_batch(d, x, s)[0]
-    if bound is not None and t + dt >= bound:
-        raise TimeOutOfRangeError(f"t={t} leaves no margin dt={dt} before the bound {bound}")
-    velocity = (flow(t + dt) - flow(t - dt)) / (2.0 * dt)
-    imm = descriptor_immersion(d, t, gauge)
-    H = numeric_mean_curvature(imm, uv, h, richardson=richardson)
-    v = velocity - H
-    if gauge == "hyperbolic":
-        x = flow(t)
-        v = v + minkowski_inner(v, x) * x  # tangential projection, <x,x> = -1
-        return math.sqrt(max(minkowski_inner(v, v), 0.0))
-    return math.sqrt(abs(minkowski_inner(v, v)))
+    return float(pde_residual_grid(d, [u], [t], h, dt, gauge, richardson)[0, 0])
 
 
 def evolve_and_compare(
@@ -356,7 +413,7 @@ def evolve_and_compare(
         raise TimeOutOfRangeError(f"t1={t1} reaches past the collapse time {window.t_max}")
     offs = _stencil_offsets(n, h)
     S, K = samples.shape[0], offs.shape[0]
-    stencil_points = immerse_rows(d, (samples[:, None, :] + offs).reshape(S * K, n))
+    stencil_points = immerse_rows(d, _stencil_points(samples, offs))
     _validate_rows(d, stencil_points)  # once: the rows do not change from step to step
     X0 = immerse_rows(d, samples)
     _validate_rows(d, X0)
@@ -380,13 +437,119 @@ def evolve_and_compare(
 
 def principal_curvatures(imm: ImmersionEvaluator, u, normals: list[np.ndarray], h: float = 1e-3) -> list[np.ndarray]:
     """Sorted shape-operator eigenvalues along each given unit normal."""
-    _, first, g, II = second_fundamental_form(imm, u, h)
+    _, _, g, II = second_fundamental_form(imm, u, h)
+    return _shape_eigenvalues(imm, g, II, normals)
+
+
+def _shape_eigenvalues(imm: ImmersionEvaluator, g: np.ndarray, II, normals: list[np.ndarray]) -> list[np.ndarray]:
     n = imm.chart_dim
     out = []
     for zeta in normals:
         S = np.array([[imm.ambient.inner(II[i][j], zeta) for j in range(n)] for i in range(n)])
         out.append(np.sort(np.linalg.eigvals(np.linalg.solve(g, S)).real))
     return out
+
+
+# Each transport segment is split into sub-segments, each with a freshly
+# seeded basis; the connection form is differenced in time with this step.
+_TRANSPORT_SUBSEGMENTS = 4
+_CONNECTION_DELTA = 1e-5
+
+
+def _sub_steps(steps: int) -> int:
+    """RK4 steps per sub-segment for a transport of ``steps`` steps per segment."""
+    if steps < 1:
+        raise InvalidArgumentError(f"the transport needs steps >= 1, got {steps!r}")
+    return max(4, steps // _TRANSPORT_SUBSEGMENTS)
+
+
+def _transport_seeds(stops: list[np.ndarray]) -> np.ndarray:
+    """The chart points seeding the basis of every sub-segment along stops[0] -> stops[1] -> ..."""
+    q = _TRANSPORT_SUBSEGMENTS
+    return np.array([a + 0.5 * (seg / q + (seg + 1) / q) * (b - a) for a, b in zip(stops, stops[1:]) for seg in range(q)])
+
+
+def _transport_chain(
+    imm: ImmersionEvaluator,
+    stops: list[np.ndarray],
+    frame: list[np.ndarray],
+    seed_center: np.ndarray,
+    seed_first: np.ndarray,
+    sub_steps: int,
+    h: float,
+) -> list[list[np.ndarray]]:
+    """The frame transported along the straight chart segments between consecutive stops.
+
+    Returns the frame at every stop after the first.  ``seed_center`` and
+    ``seed_first`` are the points and first derivatives at
+    ``_transport_seeds(stops)``, which fix each sub-segment's pivot order.
+    A does not depend on the coefficients, so the basis at every point of
+    every sub-segment is evaluated in one ``at_rows`` call before any
+    integration; only the small RK4 loops run in order.
+    """
+    k = len(frame)
+    if k == 0:
+        return [[] for _ in stops[1:]]
+    q, delta = _TRANSPORT_SUBSEGMENTS, _CONNECTION_DELTA
+    orders = [_frame_order(imm, W) for W in _normal_candidates(imm, seed_center, seed_first)]
+    subs = []
+    for a, b in zip(stops, stops[1:]):
+        for seg in range(q):
+            ta, tb = seg / q, (seg + 1) / q
+            dt = (tb - ta) / sub_steps
+            # the times the RK4 loop below asks A for, in its own arithmetic:
+            # t + dt need not equal the next step's t, and then both are kept
+            keys: list[float] = []
+            if k > 1:
+                for i in range(sub_steps):
+                    t = ta + i * dt
+                    keys += [t, t + dt / 2.0, t + dt]
+                keys = list(dict.fromkeys(keys))
+            ts = np.array([ta, tb] + [s for t in keys for s in (t, t + delta, t - delta)])
+            subs.append((ta, dt, keys, a + ts[:, None] * (b - a)))
+    points = [p for *_, p in subs]
+    W = _normal_candidates(imm, *_first_derivative_rows(imm, np.concatenate(points), h))
+    blocks = np.split(W, np.cumsum([len(p) for p in points])[:-1])
+
+    current = [np.asarray(z, dtype=float).copy() for z in frame]
+    out = []
+    for idx, ((ta, dt, keys, _), order, Wj) in enumerate(zip(subs, orders, blocks)):
+        frames = _frames_along(imm, order, Wj)
+        N0, N1 = frames[0], frames[1]
+        coeff = np.array([[imm.ambient.inner(nu, z) for z in current] for nu in N0])
+        if k == 1:
+            current = [coeff[0, 0] * N1[0]]
+        else:
+            Nt, Np, Nm = frames[2::3], frames[3::3], frames[4::3]
+            sig = imm.ambient.signature(frames.shape[-1])
+            M = np.einsum("tid,tjd->tij", Nt * sig, (Np - Nm) / (2.0 * delta))
+            A = dict(zip(keys, 0.5 * (M - M.transpose(0, 2, 1))))
+            for i in range(sub_steps):
+                t = ta + i * dt
+                k1 = -A[t] @ coeff
+                k2 = -A[t + dt / 2.0] @ (coeff + dt / 2.0 * k1)
+                k3 = -A[t + dt / 2.0] @ (coeff + dt / 2.0 * k2)
+                k4 = -A[t + dt] @ (coeff + dt * k3)
+                coeff = coeff + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            current = [sum(coeff[i, j] * N1[i] for i in range(k)) for j in range(k)]
+        if idx % q == q - 1:
+            current = _strip_drift(imm, current)
+            out.append(current)
+    return out
+
+
+def _strip_drift(imm: ImmersionEvaluator, frame: list[np.ndarray]) -> list[np.ndarray]:
+    """Re-orthonormalize a transported frame in order, which keeps its orientation."""
+    moved: list[np.ndarray] = []
+    for w in frame:
+        v = w.copy()
+        for m in moved:
+            v = v - imm.ambient.inner(v, m) * m
+        q = imm.ambient.inner(v, v)
+        if q <= 1e-18:
+            raise ChartDegenerateError("normal frame degenerated during transport")
+        moved.append(v / math.sqrt(q))
+    return moved
 
 
 def transport_normal_frame(
@@ -405,66 +568,17 @@ def transport_normal_frame(
     the moving basis, so its entries stay at the geometric rotation rate
     even where boosted coordinates make raw projector matrices large.  The
     segment is split into sub-segments, each with a freshly seeded basis.
-    A does not depend on the coefficients, so every chart point a
-    sub-segment needs is known before its integration starts: the basis is
-    evaluated there in one batch and all A matrices are formed at once.
     Codimension one needs no integration: the single coefficient rides the
-    smooth unit normal field unchanged.
+    smooth unit normal field unchanged.  A chain of one segment of
+    ``_transport_chain``: one ``at_rows`` call for the seeds, one for the
+    basis along all sub-segments.
     """
-    a = np.asarray(u_from, dtype=float)
-    b = np.asarray(u_to, dtype=float)
-    k = len(frame)
-    if k == 0:
+    sub_steps = _sub_steps(steps)
+    stops = [np.asarray(u_from, dtype=float), np.asarray(u_to, dtype=float)]
+    if len(frame) == 0:
         return []
-    current = [np.asarray(z, dtype=float).copy() for z in frame]
-    n_sub = 4
-    delta = 1e-5
-    sub_steps = max(4, steps // n_sub)
-    for seg in range(n_sub):
-        ta, tb = seg / n_sub, (seg + 1) / n_sub
-        seed = a + 0.5 * (ta + tb) * (b - a)
-        field = _normal_frame_field(imm, seed, h)
-        dt = (tb - ta) / sub_steps
-        # the times the RK4 loop below asks A for, in its own arithmetic:
-        # t + dt need not equal the next step's t, and then both are kept
-        keys: list[float] = []
-        if k > 1:
-            for i in range(sub_steps):
-                t = ta + i * dt
-                keys += [t, t + dt / 2.0, t + dt]
-            keys = list(dict.fromkeys(keys))
-        ts = np.array([ta, tb] + [s for t in keys for s in (t, t + delta, t - delta)])
-        frames = field(a + ts[:, None] * (b - a))
-        N0, N1 = frames[0], frames[1]
-        coeff = np.array([[imm.ambient.inner(nu, z) for z in current] for nu in N0])
-        if k == 1:
-            current = [coeff[0, 0] * N1[0]]
-            continue
-
-        Nt, Np, Nm = frames[2::3], frames[3::3], frames[4::3]
-        sig = imm.ambient.signature(frames.shape[-1])
-        M = np.einsum("tid,tjd->tij", Nt * sig, (Np - Nm) / (2.0 * delta))
-        A = dict(zip(keys, 0.5 * (M - M.transpose(0, 2, 1))))
-        for i in range(sub_steps):
-            t = ta + i * dt
-            k1 = -A[t] @ coeff
-            k2 = -A[t + dt / 2.0] @ (coeff + dt / 2.0 * k1)
-            k3 = -A[t + dt / 2.0] @ (coeff + dt / 2.0 * k2)
-            k4 = -A[t + dt] @ (coeff + dt * k3)
-            coeff = coeff + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        current = [sum(coeff[i, j] * N1[i] for i in range(k)) for j in range(k)]
-
-    # strip accumulated drift without touching the orientation
-    moved: list[np.ndarray] = []
-    for w in current:
-        v = w.copy()
-        for m in moved:
-            v = v - imm.ambient.inner(v, m) * m
-        q = imm.ambient.inner(v, v)
-        if q <= 1e-18:
-            raise ChartDegenerateError("normal frame degenerated during transport")
-        moved.append(v / math.sqrt(q))
-    return moved
+    seed_center, seed_first = _first_derivative_rows(imm, _transport_seeds(stops), h)
+    return _transport_chain(imm, stops, frame, seed_center, seed_first, sub_steps, h)[0]
 
 
 def _chain_samples(samples: list[np.ndarray]) -> list[np.ndarray]:
@@ -491,10 +605,14 @@ def isoparametric_residual(
     transported sample to sample (chained nearest-neighbor); at every stop
     the sorted shape-operator eigenvalues along each frame vector are
     compared with the starting ones.  Codimension-0 descriptors have no
-    normal directions and return 0.
+    normal directions and return 0.  The time must be finite, and
+    ``transport_steps`` at least 1; a time whose flow overflows doubles is
+    out of range.  The flowed chart is evaluated in two ``at_rows`` calls,
+    see ``isoparametric_residual_of``.
     """
-    dims = dimensions(d)
-    if dims.codim == 0:
+    t = _finite_time(t)
+    _sub_steps(transport_steps)
+    if dimensions(d).codim == 0:
         return 0.0
     imm = descriptor_immersion(d, t, "hyperbolic")
     return isoparametric_residual_of(imm, chart_samples, transport_steps, h)
@@ -506,17 +624,32 @@ def isoparametric_residual_of(
     transport_steps: int = 24,
     h: float = 1e-3,
 ) -> float:
-    """The transported principal-curvature spread for a raw evaluator."""
+    """The transported principal-curvature spread for a raw evaluator.
+
+    No chart point the check needs depends on the transported frame, so
+    they are evaluated before the integration, in two ``at_rows`` calls:
+    first the differencing stencils of every sample (which also give the
+    start frame) with the first-derivative stencils of every sub-segment
+    seed, then the basis along every sub-segment (``_transport_chain``).
+    """
+    sub_steps = _sub_steps(transport_steps)
     samples = _chain_samples([np.asarray(u, dtype=float) for u in chart_samples])
     if len(samples) < 2:
         raise InsufficientSamplesError("need at least two chart samples")
-    frame = list(_normal_frame_field(imm, samples[0], h)(samples[0][None, :])[0])
-    baseline = principal_curvatures(imm, samples[0], frame, h)
+    n = imm.chart_dim
+    offs = _stencil_offsets(n, h)
+    S, K = len(samples), offs.shape[0]
+    seeds = _transport_seeds(samples)
+    vals = imm.at_rows(np.concatenate([_stencil_points(np.array(samples), offs), _stencil_points(seeds, offs[: 1 + 2 * n])]))
+    center, first, second = _stencil_derivatives(vals[: S * K].reshape(S, K, -1), n, h)
+    seed_center, seed_first = _first_derivatives_of(vals[S * K :].reshape(len(seeds), 1 + 2 * n, -1), h)
+    W0 = _normal_candidates(imm, center[:1], first[:1])
+    frame = list(_frames_along(imm, _frame_order(imm, W0[0]), W0)[0])
+    forms = [_second_fundamental_form_at(imm, c, f, s) for c, f, s in zip(center, first, second)]
+    baseline = _shape_eigenvalues(imm, *forms[0], frame)
     spread = 0.0
-    for prev, here in zip(samples, samples[1:]):
-        frame = transport_normal_frame(imm, prev, here, frame, transport_steps, h)
-        eigs = principal_curvatures(imm, here, frame, h)
-        for e0, e1 in zip(baseline, eigs):
+    for form, moved in zip(forms[1:], _transport_chain(imm, samples, frame, seed_center, seed_first, sub_steps, h)):
+        for e0, e1 in zip(baseline, _shape_eigenvalues(imm, *form, moved)):
             spread = max(spread, float(np.max(np.abs(e1 - e0))))
     return spread
 
@@ -547,9 +680,12 @@ def _first_derivative_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float):
     One ``at_rows`` call evaluates the 1 + 2n point stencils of all of them.
     """
     P, n = U.shape
-    offs = _stencil_offsets(n, h)[: 1 + 2 * n]
-    vals = imm.at_rows((U[:, None, :] + offs[None, :, :]).reshape(P * (1 + 2 * n), n))
-    vals = vals.reshape(P, 1 + 2 * n, -1)
+    vals = imm.at_rows(_stencil_points(U, _stencil_offsets(n, h)[: 1 + 2 * n]))
+    return _first_derivatives_of(vals.reshape(P, 1 + 2 * n, -1), h)
+
+
+def _first_derivatives_of(vals: np.ndarray, h: float):
+    """Centers and central first derivatives of P first-derivative stencils (P, 1 + 2n, dim)."""
     return vals[:, 0], (vals[:, 1::2] - vals[:, 2::2]) / (2.0 * h)
 
 
@@ -578,21 +714,16 @@ def _normal_candidates(imm: ImmersionEvaluator, center: np.ndarray, first: np.nd
     return eye - np.einsum("pai,pad->pid", coeff, T)
 
 
-def _normal_frame_field(imm: ImmersionEvaluator, u0: np.ndarray, h: float):
-    """A smooth orthonormal normal frame near u0, as a row-wise field.
+def _frame_order(imm: ImmersionEvaluator, W: np.ndarray) -> list[int]:
+    """Gram-Schmidt pivot order of a normal frame, from the candidates (dim, dim) at its seed.
 
-    The field maps a (P, n) array of chart points to the (P, k, dim) frames
-    at them, with one ``at_rows`` call.  The Gram-Schmidt pivot order is
-    chosen at u0, each step taking the remaining candidate axis whose part
-    orthogonal to the chosen ones is largest, and then frozen so the frame
-    varies smoothly on the differencing stencil.
+    Each step takes the remaining candidate axis whose part orthogonal to
+    the chosen ones is largest.
     """
-    center, first = _first_derivative_rows(imm, np.asarray(u0, dtype=float)[None, :], h)
-    W = _normal_candidates(imm, center, first)[0]
     available = list(range(W.shape[0]))
     order: list[int] = []
     basis: list[np.ndarray] = []
-    for _ in range(W.shape[0] - first.shape[1] - (1 if imm.ambient.intrinsic_to_quadric else 0)):
+    for _ in range(W.shape[0] - imm.chart_dim - (1 if imm.ambient.intrinsic_to_quadric else 0)):
         R = W[available]
         for b in basis:
             R = R - imm.ambient.inner_rows(R, b)[:, None] * b
@@ -602,19 +733,36 @@ def _normal_frame_field(imm: ImmersionEvaluator, u0: np.ndarray, h: float):
             raise ChartDegenerateError("could not seed a smooth normal frame")
         order.append(available.pop(j))
         basis.append(R[j] / math.sqrt(q[j]))
+    return order
+
+
+def _frames_along(imm: ImmersionEvaluator, order: list[int], W: np.ndarray) -> np.ndarray:
+    """Orthonormal frames (P, k, dim) from candidates (P, dim, dim), by Gram-Schmidt in a frozen pivot order."""
+    out: list[np.ndarray] = []
+    for i in order:
+        w = W[:, i]
+        for b in out:
+            w = w - imm.ambient.inner_rows(w, b)[:, None] * b
+        q = np.abs(imm.ambient.inner_rows(w, w))
+        if np.any(q < 1e-18):
+            raise ChartDegenerateError("normal frame degenerated off-center")
+        out.append(w / np.sqrt(q)[:, None])
+    return np.stack(out, axis=1) if out else np.zeros((W.shape[0], 0, W.shape[2]))
+
+
+def _normal_frame_field(imm: ImmersionEvaluator, u0: np.ndarray, h: float):
+    """A smooth orthonormal normal frame near u0, as a row-wise field.
+
+    The field maps a (P, n) array of chart points to the (P, k, dim) frames
+    at them, with one ``at_rows`` call.  The Gram-Schmidt pivot order is
+    chosen at u0 (``_frame_order``) and then frozen so the frame varies
+    smoothly on the differencing stencil.
+    """
+    center, first = _first_derivative_rows(imm, np.asarray(u0, dtype=float)[None, :], h)
+    order = _frame_order(imm, _normal_candidates(imm, center, first)[0])
 
     def field(U: np.ndarray) -> np.ndarray:
-        W = _normal_candidates(imm, *_first_derivative_rows(imm, np.asarray(U, dtype=float), h))
-        out: list[np.ndarray] = []
-        for i in order:
-            w = W[:, i]
-            for b in out:
-                w = w - imm.ambient.inner_rows(w, b)[:, None] * b
-            q = np.abs(imm.ambient.inner_rows(w, w))
-            if np.any(q < 1e-18):
-                raise ChartDegenerateError("normal frame degenerated off-center")
-            out.append(w / np.sqrt(q)[:, None])
-        return np.stack(out, axis=1) if out else np.zeros((W.shape[0], 0, W.shape[2]))
+        return _frames_along(imm, order, _normal_candidates(imm, *_first_derivative_rows(imm, np.asarray(U, dtype=float), h)))
 
     return field
 

@@ -54,7 +54,7 @@ from .limits import (
     FORWARD_STATIONARY,
     LimitReport,
     backward_limit,
-    classify_limits,
+    evaluate_limits,
     forward_limit,
     hausdorff_distance,
 )
@@ -303,7 +303,11 @@ def run_invariant_battery(
     """All closed-form and oracle checks for one descriptor.
 
     The samples are immersed and validated once; every closed-form check
-    then flows all of them in one batch per time.  ``lorentz_eval`` and
+    then flows all of them in one batch per time.  The oracle checks make a
+    fixed number of chart evaluations: each gauge's flow-equation residuals
+    come from one ``pde_residual_grid`` over all samples and times, with one
+    stencil evaluation per time, and each isoparametric sample time makes
+    two (``isoparametric_residual``).  ``lorentz_eval`` and
     ``hyperbolic_eval`` map rows of points and a time to rows of flowed
     points; they default to ``lorentz_flow_batch``/``hyperbolic_flow_batch``
     and tests may substitute corrupted evaluators as negative controls.
@@ -346,17 +350,12 @@ def run_invariant_battery(
 
     if settings.enabled:
         sub = us[: max(2, min(4, len(us)))]
-        # flow equation residuals in both gauges
-        worst_h, worst_l = 0.0, 0.0
+        # flow equation residuals in both gauges, all samples x times at once
         t_h = sample_times(None, hyp_hi, 4, rng, span=1.5)
         t_l = sample_times(lo, hi, 4, rng, span=1.5)
-        for u in sub:
-            for t in t_h:
-                worst_h = max(worst_h, oracle.pde_residual(d, u, float(t), settings.fd_step, settings.dt, "hyperbolic"))
-            for t in t_l:
-                worst_l = max(worst_l, oracle.pde_residual(d, u, float(t), settings.fd_step, settings.dt, "lorentz"))
-        report.add("pde_residual_hyperbolic", worst_h, settings.tolerance * ts)
-        report.add("pde_residual_lorentz", worst_l, settings.tolerance * ts)
+        for gauge, times in (("hyperbolic", t_h), ("lorentz", t_l)):
+            grid = oracle.pde_residual_grid(d, sub, times.tolist(), settings.fd_step, settings.dt, gauge)
+            report.add(f"pde_residual_{gauge}", float(np.max(grid)), settings.tolerance * ts)
 
         # constancy of principal curvatures along the flow
         spread = 0.0
@@ -548,9 +547,7 @@ def run_scenario(source: str | Path, out_dir: str | Path, seed: int | None = Non
         written["window"] = str(path)
 
     if "limits" in scn.outputs:
-        rep = classify_limits(d)
-        rep.forward = forward_limit(d, us)
-        rep.backward = backward_limit(d, us)
+        rep = evaluate_limits(d, us)
         path = out / f"{scn.name}_limits.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(limit_report_to_json(rep), fh, indent=2, sort_keys=True)

@@ -460,6 +460,20 @@ class TestLorentzFlowBatch:
             with pytest.raises(InvalidArgumentError, match="not on the ambient hyperboloid"):
                 call()
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_refused(self, catalog_entry, t):
+        # every entry point refuses the time itself, before any row is flowed to nan
+        name, d = catalog_entry
+        X = immerse_rows(d, np.array(chart_samples(d, 3, 6)[:3]))
+        for call in (
+            lambda: hyperbolic_flow(d, X[0], t),
+            lambda: lorentz_flow(d, X[0], t),
+            lambda: hyperbolic_flow_batch(d, X, t),
+            lambda: lorentz_flow_batch(d, X, t),
+        ):
+            with pytest.raises(InvalidArgumentError, match="flow time must be finite"):
+                call()
+
     @pytest.mark.parametrize("flow_batch", [lorentz_flow_batch, hyperbolic_flow_batch])
     def test_rows_of_the_wrong_width_refused(self, flow_batch):
         # (0, 0, 0, 1) is on the quadric of R^(3,1), one dimension too many for H^2

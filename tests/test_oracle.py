@@ -16,7 +16,7 @@ from hyperflow.errors import (
 )
 from hyperflow.flow import existence_window, hyperbolic_flow, hyperbolic_flow_batch, lorentz_flow
 from hyperflow.lorentz import minkowski_inner
-from hyperflow.scenario import chart_samples
+from hyperflow.scenario import chart_samples, lorentz_time_range, sample_times
 
 
 def circle_evaluator(radius: float) -> oracle.ImmersionEvaluator:
@@ -151,6 +151,35 @@ class TestPdeResidual:
         with pytest.raises(TimeOutOfRangeError):
             oracle.pde_residual(d, [0.3], math.log(2.0) - 1e-6, 1e-3, 1e-4, "hyperbolic")
 
+    @pytest.mark.parametrize("dt", [0.0, -1e-4, math.nan, math.inf])
+    def test_unusable_dt_refused(self, dt):
+        with pytest.raises(InvalidArgumentError, match="dt must be positive and finite"):
+            oracle.pde_residual(CATALOG["circle_h2"], [0.3], 0.1, dt=dt)
+
+    @pytest.mark.parametrize("gauge", ["hyperbolic", "lorentz"])
+    def test_non_finite_time_refused(self, gauge):
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            oracle.pde_residual(CATALOG["circle_h2"], [0.3], math.nan, gauge=gauge)
+
+    def test_far_back_overflow_is_out_of_range(self):
+        with pytest.raises(TimeOutOfRangeError, match="range of doubles"):
+            oracle.pde_residual(CATALOG["circle_h2"], [0.3], -1e6)
+
+    @pytest.mark.parametrize("seed", [7, 3])
+    @pytest.mark.parametrize("gauge", ["hyperbolic", "lorentz"])
+    def test_grid_is_pde_residual_at_every_point(self, catalog_entry, seed, gauge):
+        # one stencil evaluation per time for all samples gives each (u, t)
+        # the bits of its own call
+        name, d = catalog_entry
+        us = chart_samples(d, 3, seed)[:4]
+        lo, hi = lorentz_time_range(d) if gauge == "lorentz" else (None, existence_window(d).t_max)
+        times = sample_times(lo, hi, 4, np.random.default_rng(seed), span=1.5).tolist()
+        grid = oracle.pde_residual_grid(d, us, times, gauge=gauge)
+        assert grid.shape == (len(us), len(times))
+        for s, u in enumerate(us):
+            for j, t in enumerate(times):
+                assert grid[s, j] == oracle.pde_residual(d, u, t, gauge=gauge), (name, s, j)
+
 
 class TestEvolveAndCompare:
     def test_circle_short_walk(self):
@@ -219,6 +248,27 @@ class TestIsoparametricResidual:
         imm = oracle.ImmersionEvaluator(1, oracle.HYPERBOLOID, perturbed)
         samples = [np.array([0.1]), np.array([0.9]), np.array([1.7])]
         assert oracle.isoparametric_residual_of(imm, samples) > 1e-2
+
+    def test_non_finite_time_refused(self):
+        d = CATALOG["tube_h3"]
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            oracle.isoparametric_residual(d, math.nan, chart_samples(d, 3, 7)[:4])
+
+    def test_far_back_overflow_is_out_of_range(self):
+        d = CATALOG["tube_h3"]
+        with pytest.raises(TimeOutOfRangeError, match="range of doubles"):
+            oracle.isoparametric_residual(d, -1e6, chart_samples(d, 3, 7)[:4])
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_transport_without_steps_refused(self, steps):
+        d = CATALOG["clifford_tube_h5"]
+        us = chart_samples(d, 3, 7)[:3]
+        with pytest.raises(InvalidArgumentError, match="steps >= 1"):
+            oracle.isoparametric_residual(d, 0.1, us, transport_steps=steps)
+        imm = oracle.descriptor_immersion(d, 0.1)
+        frame = list(oracle._normal_frame_field(imm, us[0], 1e-3)(us[0][None, :])[0])
+        with pytest.raises(InvalidArgumentError, match="steps >= 1"):
+            oracle.transport_normal_frame(imm, us[0], us[1], frame, steps=steps)
 
 
 class TestRowEvaluation:
@@ -446,6 +496,58 @@ def _holonomy_reference(imm, u0, per, steps, h=1e-3):
     return float(np.max(np.abs(Z - start)))
 
 
+def _transport_reference(imm, u_from, u_to, frame, steps, h):
+    # one frame field, and two chart evaluations, per sub-segment
+    a, b = np.asarray(u_from, dtype=float), np.asarray(u_to, dtype=float)
+    k = len(frame)
+    current = [np.asarray(z, dtype=float).copy() for z in frame]
+    n_sub, delta = 4, 1e-5
+    sub_steps = max(4, steps // n_sub)
+    for seg in range(n_sub):
+        ta, tb = seg / n_sub, (seg + 1) / n_sub
+        field = oracle._normal_frame_field(imm, a + 0.5 * (ta + tb) * (b - a), h)
+        dt = (tb - ta) / sub_steps
+        N0, N1 = field(np.array([a + ta * (b - a), a + tb * (b - a)]))
+        coeff = np.array([[imm.ambient.inner(nu, z) for z in current] for nu in N0])
+        if k == 1:
+            current = [coeff[0, 0] * N1[0]]
+            continue
+
+        def A(t):
+            Nt, Np, Nm = field(np.array([a + s * (b - a) for s in (t, t + delta, t - delta)]))
+            M = np.array([[imm.ambient.inner(x, (y - z) / (2.0 * delta)) for y, z in zip(Np, Nm)] for x in Nt])
+            return 0.5 * (M - M.T)
+
+        for i in range(sub_steps):
+            t = ta + i * dt
+            k1 = -A(t) @ coeff
+            k2 = -A(t + dt / 2.0) @ (coeff + dt / 2.0 * k1)
+            k3 = -A(t + dt / 2.0) @ (coeff + dt / 2.0 * k2)
+            k4 = -A(t + dt) @ (coeff + dt * k3)
+            coeff = coeff + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        current = [sum(coeff[i, j] * N1[i] for i in range(k)) for j in range(k)]
+    moved = []
+    for w in current:
+        v = w.copy()
+        for m in moved:
+            v = v - imm.ambient.inner(v, m) * m
+        moved.append(v / math.sqrt(imm.ambient.inner(v, v)))
+    return moved
+
+
+def _isoparametric_reference(imm, chart_samples, transport_steps=24, h=1e-3):
+    # transport segment by segment, principal curvatures stop by stop
+    samples = oracle._chain_samples([np.asarray(u, dtype=float) for u in chart_samples])
+    frame = list(oracle._normal_frame_field(imm, samples[0], h)(samples[0][None, :])[0])
+    baseline = oracle.principal_curvatures(imm, samples[0], frame, h)
+    spread = 0.0
+    for prev, here in zip(samples, samples[1:]):
+        frame = _transport_reference(imm, prev, here, frame, transport_steps, h)
+        for e0, e1 in zip(baseline, oracle.principal_curvatures(imm, here, frame, h)):
+            spread = max(spread, float(np.max(np.abs(e1 - e0))))
+    return spread
+
+
 def _euler_reference(d, samples, t0, t1, dt, h=1e-3):
     n = dimensions(d).n
     offs = oracle._stencil_offsets(n, h)
@@ -543,3 +645,19 @@ class TestBatchedOracle:
 
     def test_torus_knot_has_holonomy(self):
         assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) > 1e-2
+
+    @pytest.mark.parametrize(
+        "imm, samples",
+        [
+            *[
+                (oracle.descriptor_immersion(CATALOG[name], t), chart_samples(CATALOG[name], 3, 7)[:4])
+                for name in ("circle_h2", "tube_h3", "clifford_tube_h5", "circle_in_h4_nested")
+                for t in (-0.3, 0.1)
+            ],
+            # hand-written charts without a row map, of normal rank 2
+            (_torus_knot(), [np.array([0.3]), np.array([1.1]), np.array([2.0]), np.array([-0.4])]),
+            (_twisted_surface(), [np.array([0.1, 0.2]), np.array([0.5, -0.3]), np.array([0.9, 0.4])]),
+        ],
+    )
+    def test_batched_spread_matches_per_segment_loop(self, imm, samples):
+        assert abs(oracle.isoparametric_residual_of(imm, samples) - _isoparametric_reference(imm, samples)) <= 1e-13

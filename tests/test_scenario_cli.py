@@ -12,6 +12,7 @@ import pytest
 
 import hyperflow
 from conftest import random_admissible_frame
+from hyperflow import cli, oracle
 from hyperflow.ball import ball_projection
 from hyperflow.catalog import CATALOG, catalog_names
 from hyperflow.descriptors import Ambient, classify_shape, descriptor_to_json, dimensions, immerse
@@ -278,7 +279,54 @@ def reference_closed_form_checks(d, sampling, F, f):
     return out
 
 
+def reference_oracle_checks(d, sampling, settings):
+    """The battery's oracle checks with one ``pde_residual`` per (sample, time) and one ``isoparametric_residual`` per time."""
+    n = dimensions(d).n
+    window = existence_window(d)
+    rng = np.random.default_rng(sampling.seed)
+    us = chart_samples(d, sampling.per_dim, sampling.seed)
+    lo, hi = lorentz_time_range(d)
+    sample_times(lo, hi, 40, rng)  # the norm law's and the gauge round trip's draws
+    sample_times(None, window.t_max, 25, rng, span=2.0 / max(n, 1))
+    sub = us[: max(2, min(4, len(us)))]
+    t_h = sample_times(None, window.t_max, 4, rng, span=1.5).tolist()
+    t_l = sample_times(lo, hi, 4, rng, span=1.5).tolist()
+    out = {}
+    for gauge, times in (("hyperbolic", t_h), ("lorentz", t_l)):
+        out[f"pde_residual_{gauge}"] = max(
+            oracle.pde_residual(d, u, t, settings.fd_step, settings.dt, gauge) for u in sub for t in times
+        )
+    out["isoparametric_spread"] = 0.0
+    if dimensions(d).codim > 0 and n > 0:
+        out["isoparametric_spread"] = max(
+            oracle.isoparametric_residual(d, t, sub, h=settings.fd_step)
+            for t in sample_times(None, window.t_max, 3, rng, span=1.0).tolist()
+        )
+    return out
+
+
 class TestVerify:
+    @pytest.mark.parametrize("seed", [7, 3])
+    def test_oracle_checks_match_per_point_calls(self, catalog_entry, seed):
+        # the flow-equation grids and the per-time spreads visit every sample
+        # and time the per-point calls visit, with the same bits
+        name, d = catalog_entry
+        sampling, settings = Sampling(3, seed), OracleSettings()
+        checks = {c.name: c.max_residual for c in run_invariant_battery(d, sampling, settings).checks}
+        for check, ref in reference_oracle_checks(d, sampling, settings).items():
+            assert checks[check] == ref, (name, check)
+
+    @pytest.mark.parametrize("name", ["clifford_tube_h5", "circle_h2"])
+    def test_oracle_chart_call_budget(self, name, monkeypatch):
+        # 8 flow-equation stencil evaluations (4 times x 2 gauges) and at most
+        # 3 per isoparametric sample time, whatever the number of samples
+        calls = []
+        at_rows = oracle.ImmersionEvaluator.at_rows
+        monkeypatch.setattr(oracle.ImmersionEvaluator, "at_rows", lambda imm, U: calls.append(len(U)) or at_rows(imm, U))
+        report = run_invariant_battery(CATALOG[name], Sampling(3, 7))
+        assert report.overall_pass
+        assert 0 < len(calls) <= 17, calls
+
     @pytest.mark.parametrize("seed", [7, 3])
     def test_batched_battery_matches_per_point_loop(self, catalog_entry, seed):
         name, d = catalog_entry
@@ -367,6 +415,15 @@ class TestCli:
         payload = json.loads(out.stdout)
         assert payload["forward"]["variant"] == "ideal_point"
         assert np.allclose(payload["forward"]["ideal_point"], [-1.0, 0.0])
+
+    @pytest.mark.parametrize("name", ["tube_h3", "horocycle_h2", "ambient_h3"])
+    def test_limits_verb_matches_the_run_artifact(self, name, tmp_path, capsys):
+        # the verb and ``run`` share one limits evaluation
+        assert cli.main(["limits", name, "--seed", "3"]) == 0
+        printed = capsys.readouterr().out
+        summary = run_scenario(name, tmp_path, seed=3)
+        assert printed == (tmp_path / f"{name}_limits.json").read_text()
+        assert json.loads(printed) == summary["limits"]
 
     def test_invalid_input_exit_two(self):
         assert run_cli("run", "garbage_name").returncode == 2
