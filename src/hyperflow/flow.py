@@ -17,10 +17,12 @@ The hyperbolic gauge is evaluated through stable direct formulas and agrees
 with the gauge composition to rounding.  Both flows have one evaluation path,
 a recursion over rows of points (``_hyperbolic_flow_rows``,
 ``_lorentz_flow_rows``); a row gives the same bits alone as in any batch, and
-the one-point entry points are validated batches of one.  Existence windows
-collect the inner maximal time T', the Lorentzian bound T'', the hyperbolic
-maximal time T and the backward gauge limit; unbounded times are represented
-by None, never by a floating sentinel.
+the one-point entry points are validated batches of one.  The public flows
+refuse t >= T; the endpoint mode of ``_hyperbolic_flow_rows`` evaluates the
+continuous extension at t = T, which is the forward focal limit.  Existence
+windows collect the inner maximal time T', the Lorentzian bound T'', the
+hyperbolic maximal time T and the backward gauge limit; unbounded times are
+represented by None, never by a floating sentinel.
 """
 
 from __future__ import annotations
@@ -238,15 +240,20 @@ class SphereLeafFlow(NamedTuple):
     euclidean_time: float
 
 
-def _leaf_column_scales(leaf: ProductOfSpheres, t: float) -> np.ndarray:
-    """Euclidean flow of a leaf as column scales: each block scales by sqrt(1 - 2 p t / s)."""
+def _leaf_column_scales(leaf: ProductOfSpheres, t: float, end: bool = False) -> np.ndarray:
+    """Euclidean flow of a leaf as column scales: each block scales by sqrt(1 - 2 p t / s).
+
+    At the endpoint (``end``) a radicand that vanishes is taken as zero.
+    """
     if leaf.is_point:
         return np.ones(len(leaf.point_position))
     out = np.empty(leaf.coords_dim)
     k = 0
     for p, s in leaf.factors:
         rad = 1.0 - 2.0 * p * t / s
-        if rad <= 0:
+        if end:
+            rad = max(rad, 0.0)
+        elif rad <= 0:
             raise TimeOutOfRangeError(f"sphere factor S^{p}({s}) collapsed before t={t}")
         out[k : k + p + 1] = math.sqrt(rad)
         k += p + 1
@@ -263,13 +270,16 @@ def sphere_leaf_flow(leaf: ProductOfSpheres, y, s: float, radius2: float | None 
     the spherical point, its Euclidean gauge point F_2(y, t(s)), and the
     Euclidean time t(s).
     """
-    yv = np.asarray(y, dtype=float)
     R2 = leaf.ambient_radius2 if radius2 is None else radius2
+    return _sphere_leaf_flow(leaf, np.asarray(y, dtype=float), s, R2)
+
+
+def _sphere_leaf_flow(leaf: ProductOfSpheres, Y: np.ndarray, s: float, R2: float, end: bool = False) -> SphereLeafFlow:
     if leaf.is_point:
-        return SphereLeafFlow(yv.copy(), yv.copy(), 0.0)
+        return SphereLeafFlow(Y.copy(), Y.copy(), 0.0)
     n1 = leaf.dim
     te = (R2 / (2.0 * n1)) * -math.expm1(-2.0 * n1 * s / R2)
-    eu = yv * _leaf_column_scales(leaf, te)
+    eu = Y * _leaf_column_scales(leaf, te, end)
     return SphereLeafFlow(math.exp(n1 * s / R2) * eu, eu, te)
 
 
@@ -433,47 +443,57 @@ def hyperbolic_flow_batch(d, X, t: float) -> np.ndarray:
     return _hyperbolic_flow_rows(d, _quadric_rows(d, X), tv)
 
 
-def _hyperbolic_flow_rows(d, X: np.ndarray, t: float) -> np.ndarray:
+def _hyperbolic_flow_rows(d, X: np.ndarray, t: float, end: bool = False) -> np.ndarray:
+    """The hyperbolic flow of rows at time t; with ``end``, its continuous extension to t = T.
+
+    At the endpoint every level takes its window's exact times, T'' for the
+    ambient gauge of a product and T' for the inner flow, instead of their
+    images of t, and radicands that vanish there are taken as zero.
+    """
     dims = dimensions(d)
     n = dims.n
     if n == 0 or isinstance(d, Ambient):
         return X.copy()
+    window = existence_window(d) if end else None
     if isinstance(d, FullProduct):
-        wt = GaugeParams(n=n).w(t)  # the gauge of the ambient H^m(-1)
+        wt = window.t_dprime if end else GaugeParams(n=n).w(t)  # the gauge of the ambient H^m(-1)
         a1 = GaugeParams(n=n, r=d.r, l=d.l).a1(wt)
         cols = np.empty(dims.m + 1)
         cols[: d.l] = a1
         cols[-1] = a1
-        cols[d.l : dims.m] = _leaf_column_scales(d.leaf, wt)
+        cols[d.l : dims.m] = _leaf_column_scales(d.leaf, wt, end)
         return math.exp(-n * t) * (X * cols[None, :])
     if isinstance(d, Umbilic):
         umb = d.umb
+        if end and window.t_prime is None:
+            # the level's own scaling vanishes at T: the hypersurface shrinks to one point
+            return np.tile(math.exp(-n * t) * umb.eta_array, (len(X), 1))
         g = GaugeParams(n=n, alpha=umb.alpha, one_minus_alpha2=umb.one_minus_alpha2)
         if abs(umb.one_minus_alpha2) < 1e-8:
-            f1 = _umbilic_inner_flow_rows(d, X, g.w(t))
+            f1 = _umbilic_inner_flow_rows(d, X, window.t_prime if end else g.w(t), end)
             return math.exp(-n * t) * f1 - math.sinh(n * t) * umb.beta * umb.xi_array[None, :]
         v = g.v_alpha(t)
-        f1 = _umbilic_inner_flow_rows(d, X, g.s_alpha_of_w(t))
+        f1 = _umbilic_inner_flow_rows(d, X, window.t_prime if end else g.s_alpha_of_w(t), end)
         return v * f1 - (v - math.exp(-n * t)) * umb.eta_array[None, :]
     raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
 
 
-def _umbilic_inner_flow_rows(d: Umbilic, X: np.ndarray, s: float) -> np.ndarray:
+def _umbilic_inner_flow_rows(d: Umbilic, X: np.ndarray, s: float, end: bool = False) -> np.ndarray:
     """The flow f_1 inside the umbilical hypersurface, on rows of ambient points."""
     inner = d.inner
     Z = _umbilic_split_rows(d, X)
     if isinstance(inner, ProductOfSpheres):
-        Z = sphere_leaf_flow(inner, Z, s, radius2=d.umb.a**2 - 1.0).spherical
+        Z = _sphere_leaf_flow(inner, Z, s, d.umb.a**2 - 1.0, end).spherical
     elif isinstance(inner, EuclideanIso):
         if inner.spheres is not None:
             k0 = inner.flat_dim
             k1 = k0 + inner.spheres.coords_dim
             off = inner.offset_array[k0:k1]
-            Z[:, k0:k1] = off + (Z[:, k0:k1] - off) * _leaf_column_scales(inner.spheres, s)
+            Z[:, k0:k1] = off + (Z[:, k0:k1] - off) * _leaf_column_scales(inner.spheres, s, end)
     else:
         # the hypersurface is H^(m-1)(-R); flowing its unit-curvature model for
         # time s/R and rescaling by sqrt(R) is the flow inside the hypersurface
-        Z = _hyperbolic_flow_rows(inner, Z, s / _umbilic_placement(d.umb).scale ** 2)
+        Z = _hyperbolic_flow_rows(inner, Z, s / _umbilic_placement(d.umb).scale ** 2, end)
     return _umbilic_embed(d, Z)
 
 

@@ -1,15 +1,18 @@
 """Forward and backward limiting behavior of the closed-form flows.
 
 Forward (t -> T): finite-time flows collapse onto a focal set (possibly one
-point); eternal flows converge either to a totally geodesic submanifold or to
-a single ideal point, decided recursively through the construction.
+point), which is the hyperbolic flow's continuous extension to T: the row
+flow evaluated at its endpoint.  Eternal flows converge either to a totally
+geodesic submanifold or to a single ideal point, decided recursively through
+the construction.
 Backward (t -> -infinity): every non-geodesic flow escapes to the ideal
 boundary and its rescaled projections converge to a submanifold of S^(m-1)
 of the same dimension, described in closed form by the umbilical and product
 boundary maps.
 
-Reports carry evaluated sample sets together with the chart maps that
-produced them, so downstream checks (dimension estimates, flat-normal-bundle
+Both limits are maps over rows of chart points, and reports carry evaluated
+sample sets together with the chart maps that produced them (batches of one
+of the row maps), so downstream checks (dimension estimates, flat-normal-bundle
 residuals, consistency against raw trajectories) can re-sample at will.
 Boundary limits are only ever labeled by the checks actually performed
 (smoothness proxies and normal-bundle flatness); minimality or
@@ -26,23 +29,17 @@ import numpy as np
 
 from .ball import umbilic_boundary_rows
 from .descriptors import (
-    Ambient,
-    EuclideanIso,
     FullProduct,
-    ProductOfSpheres,
     Umbilic,
-    _product_split,
     _umbilic_embed,
     _umbilic_placement,
-    _umbilic_split,
     chart_box,
     classify_shape,
     dimensions,
-    immerse,
     immerse_rows,
 )
 from .errors import GeometryError, InvalidArgumentError, StationaryNoLimitError
-from .flow import GaugeParams, _hyperbolic_flow_rows, _umbilic_inner_flow_rows, existence_window, sphere_leaf_flow
+from .flow import _hyperbolic_flow_rows, _umbilic_inner_flow_rows, _validate_rows, existence_window, sphere_leaf_flow
 from . import oracle
 
 FORWARD_STATIONARY = "stationary"
@@ -120,136 +117,34 @@ def evaluate_limits(d, chart_samples: Sequence[np.ndarray]) -> LimitReport:
 # forward limits
 
 
-def _focal_immersion(d) -> Callable[[np.ndarray], np.ndarray]:
-    """Closed-form limit of the hyperbolic flow at its finite maximal time."""
-    window = existence_window(d)
-    T = window.t_max
-    n = dimensions(d).n
+def _forward_rows(d) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The forward limit on rows, (K, n) chart points to (K, m+1) points; None for an ideal point."""
+    variant = _forward_variant(d)
+    if variant == FORWARD_STATIONARY:
+        return lambda U: immerse_rows(d, U)
+    if variant == FORWARD_FOCAL:
+        T = existence_window(d).t_max
 
-    if isinstance(d, FullProduct):
-        g = GaugeParams(n=n, r=d.r, l=d.l)
-        wT = window.t_dprime  # the ambient gauge maps T exactly onto T''
-
-        def focal(u: np.ndarray) -> np.ndarray:
-            x = immerse(d, u)
-            xv, y = _product_split(d, x)
-            scaled = _collapsed_leaf(d.leaf, y, wT)
-            out = np.concatenate([g.a1(wT) * xv[:-1], scaled, [g.a1(wT) * xv[-1]]])
-            return math.exp(-n * T) * out
+        def focal(U: np.ndarray) -> np.ndarray:
+            X = immerse_rows(d, U)
+            _validate_rows(d, X)
+            return _hyperbolic_flow_rows(d, X, T, end=True)
 
         return focal
-
-    if isinstance(d, Umbilic):
-        umb = d.umb
-        eta = umb.eta_array
-        if umb.kind != "euclidean" and window.t_prime is None:
-            # the inner flow never moves; the whole hypersurface shrinks to
-            # the single point under the scaling factor hitting zero
-            point = math.exp(-n * T) * eta
-            return lambda u: point.copy()
-        scale = 0.0
-        if umb.alpha != 1.0:
-            rad = 2.0 * n * window.t_dprime * umb.one_minus_alpha2 + 1.0
-            scale = math.sqrt(max(rad, 0.0))
-
-        def focal(u: np.ndarray) -> np.ndarray:
-            x = immerse(d, u)
-            f1 = _umbilic_inner_flow_limit(d, x, window.t_prime)
-            if umb.alpha == 1.0:
-                return math.exp(-n * T) * f1 - math.sinh(n * T) * umb.beta * umb.xi_array
-            return math.exp(-n * T) * (scale * (f1 - eta) + eta)
-
-        return focal
-
-    raise GeometryError("only finite-time flows have focal limits")
-
-
-def _collapsed_leaf(leaf: ProductOfSpheres, y: np.ndarray, t: float) -> np.ndarray:
-    if leaf.is_point:
-        return y.copy()
-    out = np.empty_like(y)
-    k = 0
-    for p, s in leaf.factors:
-        out[k : k + p + 1] = math.sqrt(max(1.0 - 2.0 * p * t / s, 0.0)) * y[k : k + p + 1]
-        k += p + 1
-    return out
-
-
-def _umbilic_inner_flow_limit(d: Umbilic, x: np.ndarray, s: float) -> np.ndarray:
-    """f_1 at its collapse time, taking the continuous extension at s = T'."""
-    inner = d.inner
-    coords = _umbilic_split(d, x)
-    if isinstance(inner, ProductOfSpheres):
-        R2 = d.umb.a**2 - 1.0
-        n1 = inner.dim
-        te = (R2 / (2.0 * n1)) * -math.expm1(-2.0 * n1 * s / R2)
-        moved = math.exp(n1 * s / R2) * _collapsed_leaf(inner, coords, te)
-        return _umbilic_embed(d, moved)
-    if isinstance(inner, EuclideanIso):
-        out = coords.copy()
-        if inner.spheres is not None:
-            k0 = inner.flat_dim
-            k1 = k0 + inner.spheres.coords_dim
-            rel = coords[k0:k1] - inner.offset_array[k0:k1]
-            out[k0:k1] = inner.offset_array[k0:k1] + _collapsed_leaf(inner.spheres, rel, s)
-        return _umbilic_embed(d, out)
-    R = _umbilic_placement(d.umb).scale ** 2
-    return _umbilic_embed(d, _focal_immersion_point(inner, coords, s / R))
-
-
-def _focal_immersion_point(inner, coords: np.ndarray, s: float) -> np.ndarray:
-    # the inner chart point is recovered implicitly: the focal recursion only
-    # needs the limit position of the given inner-model point
-    window = existence_window(inner)
-    if window.t_max is None or abs(s - window.t_max) > 1e-9:
-        return _hyperbolic_flow_rows(inner, coords[None, :], s)[0]
-    if isinstance(inner, FullProduct):
-        n = dimensions(inner).n
-        g = GaugeParams(n=n, r=inner.r, l=inner.l)
-        wT = window.t_dprime
-        xv, y = _product_split(inner, coords)
-        scaled = _collapsed_leaf(inner.leaf, y, wT)
-        return math.exp(-n * s) * np.concatenate([g.a1(wT) * xv[:-1], scaled, [g.a1(wT) * xv[-1]]])
-    if isinstance(inner, Umbilic):
-        umb = inner.umb
-        n = dimensions(inner).n
-        if umb.kind != "euclidean" and window.t_prime is None:
-            return math.exp(-n * s) * umb.eta_array
-        f1 = _umbilic_inner_flow_limit(inner, coords, window.t_prime)
-        if umb.alpha == 1.0:
-            return math.exp(-n * s) * f1 - math.sinh(n * s) * umb.beta * umb.xi_array
-        rad = 2.0 * n * window.t_dprime * umb.one_minus_alpha2 + 1.0
-        return math.exp(-n * s) * (math.sqrt(max(rad, 0.0)) * (f1 - umb.eta_array) + umb.eta_array)
-    raise GeometryError("unexpected focal recursion")
-
-
-def _geodesic_limit_immersion(d) -> Callable[[np.ndarray], np.ndarray]:
-    """Pointwise limit immersion of an eternal, non-flat flow."""
+    if variant == FORWARD_IDEAL_POINT:
+        return None
     if isinstance(d, FullProduct):
+        # the leaf dies and the Lorentz factor rescales onto H^l(-1)
+        def geodesic(U: np.ndarray) -> np.ndarray:
+            X = immerse_rows(d, U) / math.sqrt(d.r)
+            X[:, d.l : -1] = 0.0
+            return X
 
-        def limit(u: np.ndarray) -> np.ndarray:
-            x = immerse(d, u)
-            xv, y = _product_split(d, x)
-            return np.concatenate([xv[:-1] / math.sqrt(d.r), np.zeros_like(y), [xv[-1] / math.sqrt(d.r)]])
-
-        return limit
-    if isinstance(d, Umbilic):
-        umb = d.umb
-        inner = d.inner
-        inner_variant = _forward_variant(inner)
-        if inner_variant == FORWARD_STATIONARY:
-            inner_limit = lambda u: immerse(inner, u)
-        else:
-            inner_limit = _geodesic_limit_immersion(inner)
-        pl = _umbilic_placement(umb)
-        factor = math.sqrt(umb.one_minus_alpha2)
-
-        def limit(u: np.ndarray) -> np.ndarray:
-            h = pl.eta + pl.scale * (pl.J @ inner_limit(u))
-            return factor * (h - pl.eta)
-
-        return limit
-    raise GeometryError("only eternal wrappers have totally geodesic limits")
+        return geodesic
+    inner_rows = _forward_rows(d.inner)
+    eta = _umbilic_placement(d.umb).eta
+    factor = math.sqrt(d.umb.one_minus_alpha2)
+    return lambda U: factor * (_umbilic_embed(d, inner_rows(U)) - eta)
 
 
 def _ideal_point_of(d) -> np.ndarray:
@@ -276,23 +171,19 @@ def _embed_ideal(d: Umbilic, p: np.ndarray) -> np.ndarray:
 
 
 def forward_limit(d, chart_samples: Sequence[np.ndarray]) -> ForwardLimit:
-    """Evaluate the forward limit at the given chart samples."""
+    """Evaluate the forward limit at the given chart samples, in one row evaluation.
+
+    The focal limit is the flow's continuous extension to T: the samples are
+    immersed and validated once and flowed by ``_hyperbolic_flow_rows`` in
+    its endpoint mode.  ``immersion`` is a batch of one of the same row map.
+    """
     variant = _forward_variant(d)
-    window = existence_window(d)
+    rows = _forward_rows(d)
+    if rows is None:
+        return ForwardLimit(variant, ideal_point=_ideal_point_of(d))
     samples_u = [np.asarray(u, dtype=float) for u in chart_samples]
-    if variant == FORWARD_STATIONARY:
-        pts = np.array([immerse(d, u) for u in samples_u]) if samples_u else None
-        return ForwardLimit(variant, samples=pts, immersion=lambda u: immerse(d, u))
-    if variant == FORWARD_FOCAL:
-        focal = _focal_immersion(d)
-        pts = np.array([focal(u) for u in samples_u])
-        return ForwardLimit(variant, collapse_time=window.t_max, samples=pts, immersion=focal)
-    if variant == FORWARD_GEODESIC:
-        limit = _geodesic_limit_immersion(d)
-        pts = np.array([limit(u) for u in samples_u])
-        return ForwardLimit(variant, samples=pts, immersion=limit)
-    point = _ideal_point_of(d)
-    return ForwardLimit(variant, ideal_point=point)
+    pts = rows(np.array(samples_u)) if samples_u else np.array([])
+    return ForwardLimit(variant, existence_window(d).t_max, pts, immersion=_batch_of_one(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +195,10 @@ def backward_chart_map(d) -> Callable[[np.ndarray], np.ndarray]:
 
     A batch of one of ``backward_chart_rows``.
     """
-    rows = backward_chart_rows(d)
+    return _batch_of_one(backward_chart_rows(d))
+
+
+def _batch_of_one(rows: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
     return lambda u: rows(np.asarray(u, dtype=float).reshape(1, -1))[0]
 
 

@@ -123,13 +123,25 @@ def _e(n: int, i: int) -> np.ndarray:
     return v
 
 
+def _check_gram(G: np.ndarray, message: str) -> None:
+    """Refuse Gram matrices, one or stacked, that are not finite or are numerically singular."""
+    if not np.isfinite(G).all() or np.any(np.linalg.cond(G) > _COND_LIMIT):
+        raise ChartDegenerateError(message)
+
+
+def _finite(A: np.ndarray) -> np.ndarray:
+    """A differencing result, refused when rounding made it non-finite."""
+    if not np.isfinite(A).all():
+        raise ChartDegenerateError("differencing overflowed at this chart point")
+    return A
+
+
 def _metric_inverse(imm: ImmersionEvaluator, first: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     n = len(first)
     g = np.array([[imm.ambient.inner(first[i], first[j]) for j in range(n)] for i in range(n)])
     if n == 0:
         return g, g
-    if np.linalg.cond(g) > _COND_LIMIT:
-        raise ChartDegenerateError("induced metric is numerically singular at this chart point")
+    _check_gram(g, "induced metric is numerically singular at this chart point")
     return g, np.linalg.inv(g)
 
 
@@ -185,15 +197,18 @@ def _mc_from_stencil(vals: np.ndarray, n: int, h: float, ambient: AmbientSpace) 
     center, first, second = _stencil_derivatives(vals, n, h)
     sig = ambient.signature(vals.shape[2])
     g = np.einsum("pid,pjd->pij", first * sig, first)
-    if np.any(np.linalg.cond(g) > _COND_LIMIT):
-        raise ChartDegenerateError("induced metric is numerically singular at this chart point")
+    _check_gram(g, "induced metric is numerically singular at this chart point")
     ginv = np.linalg.inv(g)
     trace = np.einsum("pij,pijd->pd", ginv, second)
     coeff = np.einsum("pij,pjd,d,pd->pi", ginv, first, sig, trace)
     H = trace - np.einsum("pk,pkd->pd", coeff, first)
     if ambient.intrinsic_to_quadric:
-        H = H + (n / ambient.inner_rows(center, center))[:, None] * center
-    return H
+        # far out on a quadric <x,x> cancels to rounding, possibly to zero
+        q = ambient.inner_rows(center, center)
+        if not np.all(np.isfinite(q) & (q != 0.0)):
+            raise ChartDegenerateError("position vector is lost to rounding at this chart point")
+        H = H + (n / q)[:, None] * center
+    return _finite(H)
 
 
 def _check_fd_step(h: float) -> None:
@@ -260,8 +275,7 @@ def _second_fundamental_form_at(imm: ImmersionEvaluator, center: np.ndarray, fir
 def _general_tangential(imm: ImmersionEvaluator, frame: list[np.ndarray], w: np.ndarray) -> np.ndarray:
     k = len(frame)
     G = np.array([[imm.ambient.inner(frame[i], frame[j]) for j in range(k)] for i in range(k)])
-    if np.linalg.cond(G) > _COND_LIMIT:
-        raise ChartDegenerateError("degenerate frame while projecting")
+    _check_gram(G, "degenerate frame while projecting")
     coeff = np.linalg.solve(G, np.array([imm.ambient.inner(w, f) for f in frame]))
     return sum(coeff[i] * frame[i] for i in range(k))
 
@@ -707,11 +721,10 @@ def _normal_candidates(imm: ImmersionEvaluator, center: np.ndarray, first: np.nd
         return eye.copy()
     sig = imm.ambient.signature(dim)
     G = np.einsum("pad,pbd->pab", T * sig, T)
-    if np.any(np.linalg.cond(G) > _COND_LIMIT):
-        raise ChartDegenerateError("degenerate frame while projecting")
+    _check_gram(G, "degenerate frame while projecting")
     # <e_i, f_a> is the i-th coordinate of f_a times the metric sign of axis i
     coeff = np.linalg.solve(G, T * sig)
-    return eye - np.einsum("pai,pad->pid", coeff, T)
+    return _finite(eye - np.einsum("pai,pad->pid", coeff, T))
 
 
 def _frame_order(imm: ImmersionEvaluator, W: np.ndarray) -> list[int]:

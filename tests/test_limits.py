@@ -1,11 +1,12 @@
 """Limit classification and evaluated forward/backward limit sets."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from hyperflow import oracle
+from hyperflow import cli, limits, oracle
 from hyperflow.ball import ball_projection
 from hyperflow.catalog import CATALOG
 from hyperflow.descriptors import (
@@ -18,8 +19,8 @@ from hyperflow.descriptors import (
     dimensions,
     immerse,
 )
-from hyperflow.errors import StationaryNoLimitError
-from hyperflow.flow import hyperbolic_flow
+from hyperflow.errors import StationaryNoLimitError, TimeOutOfRangeError
+from hyperflow.flow import existence_window, hyperbolic_flow, hyperbolic_flow_batch, lorentz_flow, lorentz_flow_batch
 from hyperflow.limits import (
     BACKWARD_IDEAL,
     BACKWARD_STATIONARY,
@@ -50,6 +51,27 @@ EXPECTED_VARIANTS = {
     "tube_h3": (FORWARD_FOCAL, BACKWARD_IDEAL),
     "clifford_tube_h5": (FORWARD_FOCAL, BACKWARD_IDEAL),
     "circle_in_h4_nested": (FORWARD_FOCAL, BACKWARD_IDEAL),
+}
+
+
+# sha256 of the `hyperflow limits <entry> --seed <seed>` stdout
+LIMITS_STDOUT_SHA256 = {
+    ("ambient_h3", 3): "6043edcabe4a8043a90af08a655d4c9ded3b3a5218938d5ea4bed6f0720ee0a9",
+    ("ambient_h3", 7): "dc4887fa9ad6b5ee7bb35d0a2716fb8cd1d35c171df43c63c3b51abfcddae977",
+    ("circle_h2", 3): "b2ead6eab32a39cbc59aa158559cee32558c9662af41719863558f5e01f3fade",
+    ("circle_h2", 7): "6680fc7a22ea73c5c1a1deb5d525701f7d83dbb7979e9f08e0bcc33cb4b1748d",
+    ("circle_in_h4_nested", 3): "db8af3890610ba9ffd72fbd840809d6e8f43867345132b7d716800d6d8ed6644",
+    ("circle_in_h4_nested", 7): "6c7a8ee95a0f394cf35faa8ae1759bf0f9c7aa95993be1cec750070a9da9c525",
+    ("clifford_tube_h5", 3): "31c1ee96090b7840211ba079e4111c4efcff3e0e34a3494ac312bd18184da028",
+    ("clifford_tube_h5", 7): "c806f002a98012d5a3edd102dac963f62fe8447f5bd23bb73c07a2892e2a85a1",
+    ("equidistant_h2", 3): "74252bc9e8f9d3304fa62e327d0e5489d12f1ebc332c74e71bac71a8cbb910c2",
+    ("equidistant_h2", 7): "eb985ace88bc9448053b4f7ce44ca4719b468c0f6a13f7bd750efd20beb7c7e2",
+    ("geodesic_sphere_h3", 3): "cfe44ed39ac97635956a9664105d68fa4ee169e497652f104e9fdc2658737832",
+    ("geodesic_sphere_h3", 7): "c22c75a8e643fd09d5158b7badaaf5b36401c47141635d1f3fc117a1a6f9b160",
+    ("horocycle_h2", 3): "2f6025edf884feafa824482277bf22eaa64cd297fe7bb7350c779a1d18a7bee4",
+    ("horocycle_h2", 7): "0c3a937b67099dea87f72e6e36deeb3816e8349781d3e9288de09a482b563f26",
+    ("tube_h3", 3): "8600b8b3d36c34ce0dbd168b84d09808a5a3d5ec2d5a85a26e3a2d35612a0dbb",
+    ("tube_h3", 7): "a9d3c06fc5bec8f1e6c8146b507a124dfdfab4d74466e4bb5144afcb0da4947a",
 }
 
 
@@ -139,6 +161,51 @@ class TestForwardLimit:
         x = immerse(d, [0.5])
         far = hyperbolic_flow(d, x, 12.0)
         assert np.linalg.norm(far - fwd.immersion(np.array([0.5]))) < 1e-5
+
+
+FORWARD_ROW_CASES = sorted(k for k, d in BIT_CASES.items() if classify_limits(d).forward.variant != FORWARD_IDEAL_POINT)
+FOCAL_CASES = sorted(k for k, d in BIT_CASES.items() if classify_limits(d).forward.variant == FORWARD_FOCAL)
+
+
+class TestForwardLimitRows:
+    @pytest.mark.parametrize("seed", [7, 3])
+    def test_limits_verb_output_is_pinned(self, catalog_entry, seed, capsys):
+        name, _ = catalog_entry
+        assert cli.main(["limits", name, "--seed", str(seed)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == LIMITS_STDOUT_SHA256[name, seed]
+
+    @pytest.mark.parametrize("name", FORWARD_ROW_CASES)
+    def test_rows_match_single_points_bitwise(self, name):
+        d = BIT_CASES[name]
+        us = chart_samples(d, 3, 11)[:7]
+        fwd = forward_limit(d, us)
+        assert fwd.samples.shape == (len(us), dimensions(d).m + 1)
+        for u, x in zip(us, fwd.samples):
+            assert x.tobytes() == fwd.immersion(u).tobytes(), name
+
+    @pytest.mark.parametrize("name", FORWARD_ROW_CASES)
+    def test_one_row_evaluation_per_call(self, name, monkeypatch):
+        d = BIT_CASES[name]
+        us = chart_samples(d, 3, 11)[:7]
+        calls = []
+        immerse_rows = limits.immerse_rows
+        monkeypatch.setattr(limits, "immerse_rows", lambda d, U: calls.append(len(U)) or immerse_rows(d, U))
+        forward_limit(d, us)
+        assert calls == [len(us)]
+
+    @pytest.mark.parametrize("name", FOCAL_CASES)
+    def test_public_flows_refuse_the_endpoint(self, name):
+        # only the forward limit continues the flow to t = T
+        d = BIT_CASES[name]
+        window = existence_window(d)
+        x = immerse(d, chart_samples(d, 3, 7)[0])
+        for flow in (hyperbolic_flow, lambda d, x, t: hyperbolic_flow_batch(d, x[None, :], t)):
+            with pytest.raises(TimeOutOfRangeError, match="hyperbolic maximal time"):
+                flow(d, x, window.t_max)
+        for flow in (lorentz_flow, lambda d, x, t: lorentz_flow_batch(d, x[None, :], t)):
+            with pytest.raises(TimeOutOfRangeError, match="Lorentzian collapse bound|collapsed before"):
+                flow(d, x, window.t_dprime)
 
 
 class TestBackwardLimit:

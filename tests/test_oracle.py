@@ -165,6 +165,12 @@ class TestPdeResidual:
         with pytest.raises(TimeOutOfRangeError, match="range of doubles"):
             oracle.pde_residual(CATALOG["circle_h2"], [0.3], -1e6)
 
+    @pytest.mark.parametrize("t", [-20.0, -100.0])
+    def test_position_lost_to_rounding_is_degenerate(self, t):
+        # finite stencil values whose <x,x> cancels to zero would make H infinite
+        with pytest.raises(ChartDegenerateError, match="lost to rounding"):
+            oracle.pde_residual(CATALOG["circle_h2"], [0.3], t)
+
     @pytest.mark.parametrize("seed", [7, 3])
     @pytest.mark.parametrize("gauge", ["hyperbolic", "lorentz"])
     def test_grid_is_pde_residual_at_every_point(self, catalog_entry, seed, gauge):
@@ -258,6 +264,12 @@ class TestIsoparametricResidual:
         d = CATALOG["tube_h3"]
         with pytest.raises(TimeOutOfRangeError, match="range of doubles"):
             oracle.isoparametric_residual(d, -1e6, chart_samples(d, 3, 7)[:4])
+
+    def test_infinite_gram_is_degenerate(self):
+        # the rows are finite at -400, but the squares in their Gram matrix overflow
+        d = CATALOG["circle_h2"]
+        with pytest.raises(ChartDegenerateError, match="degenerate frame"):
+            oracle.isoparametric_residual(d, -400.0, chart_samples(d, 3, 7)[:4])
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_transport_without_steps_refused(self, steps):

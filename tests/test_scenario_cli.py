@@ -1,5 +1,7 @@
 """Scenario orchestration, artifact formats and the command line."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -66,6 +68,18 @@ def read_rows(path):
 
 
 def run_cli(*args):
+    """``hyperflow`` run in this process through ``cli.main``: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    return subprocess.CompletedProcess(["hyperflow", *args], code, out.getvalue(), err.getvalue())
+
+
+def run_cli_process(*args):
+    """``python -m hyperflow.cli`` in a child process, for the ``__main__`` wiring and exit codes."""
     # the child imports the package the tests import, installed or not
     src = str(Path(hyperflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -394,7 +408,7 @@ class TestVerify:
 
 class TestCli:
     def test_catalog_verb(self):
-        out = run_cli("catalog")
+        out = run_cli_process("catalog")
         assert out.returncode == 0
         assert out.stdout.split() == catalog_names()
 
@@ -426,7 +440,7 @@ class TestCli:
         assert json.loads(printed) == summary["limits"]
 
     def test_invalid_input_exit_two(self):
-        assert run_cli("run", "garbage_name").returncode == 2
+        assert run_cli_process("run", "garbage_name").returncode == 2
 
     def test_invalid_json_exit_two(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -436,7 +450,7 @@ class TestCli:
     def test_io_failure_exit_four(self, tmp_path):
         blocker = tmp_path / "file_in_the_way"
         blocker.write_text("")
-        out = run_cli("run", "ambient_h3", "--out", str(blocker))
+        out = run_cli_process("run", "ambient_h3", "--out", str(blocker))
         assert out.returncode == 4
 
     @pytest.mark.parametrize(
