@@ -15,11 +15,14 @@ descriptor grammar is assembled recursively:
 
 The hyperbolic gauge is evaluated through stable direct formulas and agrees
 with the gauge composition to rounding.  Both flows have one evaluation path,
-a recursion over rows of points (``_hyperbolic_flow_rows``,
-``_lorentz_flow_rows``); a row gives the same bits alone as in any batch, and
-the one-point entry points are validated batches of one.  The public flows
-refuse t >= T; the endpoint mode of ``_hyperbolic_flow_rows`` evaluates the
-continuous extension at t = T, which is the forward focal limit.  Existence
+a recursion over rows of points and a list of times (``_hyperbolic_flow_rows``,
+``_lorentz_flow_rows``, returning (T, K, m+1)): each level computes its time
+scalars with ``math`` and splits and embeds its rows once for all times.  An
+entry (t, row) has the same bits as that row alone at that time alone; the
+batch flows are calls with one time and the one-point entry points validated
+batches of one.  The public flows refuse t >= T; the endpoint mode of
+``_hyperbolic_flow_rows`` evaluates the continuous extension at t = T, which
+is the forward focal limit.  Existence
 windows collect the inner maximal time T', the Lorentzian bound T'', the
 hyperbolic maximal time T and the backward gauge limit; unbounded times are
 represented by None, never by a floating sentinel.
@@ -240,24 +243,31 @@ class SphereLeafFlow(NamedTuple):
     euclidean_time: float
 
 
-def _leaf_column_scales(leaf: ProductOfSpheres, t: float, end: bool = False) -> np.ndarray:
-    """Euclidean flow of a leaf as column scales: each block scales by sqrt(1 - 2 p t / s).
+def _per_time(values: list[float]) -> np.ndarray:
+    """Per-time scalars as a (T, 1, 1) array, to scale (T, K, c) rows time by time."""
+    return np.array(values)[:, None, None]
 
-    At the endpoint (``end``) a radicand that vanishes is taken as zero.
+
+def _leaf_column_scales(leaf: ProductOfSpheres, ts: list[float], end: bool = False) -> np.ndarray:
+    """Euclidean flow of a leaf as column scales, (T, coords) for the times ts.
+
+    Each factor block scales by sqrt(1 - 2 p t / s); at the endpoint
+    (``end``) a radicand that vanishes is taken as zero.
     """
     if leaf.is_point:
-        return np.ones(len(leaf.point_position))
-    out = np.empty(leaf.coords_dim)
-    k = 0
-    for p, s in leaf.factors:
-        rad = 1.0 - 2.0 * p * t / s
-        if end:
-            rad = max(rad, 0.0)
-        elif rad <= 0:
-            raise TimeOutOfRangeError(f"sphere factor S^{p}({s}) collapsed before t={t}")
-        out[k : k + p + 1] = math.sqrt(rad)
-        k += p + 1
-    return out
+        return np.ones((len(ts), len(leaf.point_position)))
+    rows = []
+    for t in ts:
+        row: list[float] = []
+        for p, s in leaf.factors:
+            rad = 1.0 - 2.0 * p * t / s
+            if end:
+                rad = max(rad, 0.0)
+            elif rad <= 0:
+                raise TimeOutOfRangeError(f"sphere factor S^{p}({s}) collapsed before t={t}")
+            row += [math.sqrt(rad)] * (p + 1)
+        rows.append(row)
+    return np.array(rows).reshape(len(ts), leaf.coords_dim)
 
 
 def sphere_leaf_flow(leaf: ProductOfSpheres, y, s: float, radius2: float | None = None) -> SphereLeafFlow:
@@ -271,16 +281,21 @@ def sphere_leaf_flow(leaf: ProductOfSpheres, y, s: float, radius2: float | None 
     Euclidean time t(s).
     """
     R2 = leaf.ambient_radius2 if radius2 is None else radius2
-    return _sphere_leaf_flow(leaf, np.asarray(y, dtype=float), s, R2)
+    flow = _sphere_leaf_flow(leaf, np.asarray(y, dtype=float), [s], R2)
+    return SphereLeafFlow(flow.spherical[0], flow.euclidean[0], flow.euclidean_time[0])
 
 
-def _sphere_leaf_flow(leaf: ProductOfSpheres, Y: np.ndarray, s: float, R2: float, end: bool = False) -> SphereLeafFlow:
+def _sphere_leaf_flow(leaf: ProductOfSpheres, Y: np.ndarray, ss: list[float], R2: float, end: bool = False) -> SphereLeafFlow:
+    """The leaf flow of Y at every spherical time of ss: arrays gain a leading time axis, times are a list."""
     if leaf.is_point:
-        return SphereLeafFlow(Y.copy(), Y.copy(), 0.0)
+        still = np.broadcast_to(Y, (len(ss),) + Y.shape)
+        return SphereLeafFlow(still.copy(), still.copy(), [0.0] * len(ss))
     n1 = leaf.dim
-    te = (R2 / (2.0 * n1)) * -math.expm1(-2.0 * n1 * s / R2)
-    eu = Y * _leaf_column_scales(leaf, te, end)
-    return SphereLeafFlow(math.exp(n1 * s / R2) * eu, eu, te)
+    te = [(R2 / (2.0 * n1)) * -math.expm1(-2.0 * n1 * s / R2) for s in ss]
+    lead = (len(ss),) + (1,) * (Y.ndim - 1)
+    eu = Y * _leaf_column_scales(leaf, te, end).reshape(lead + (Y.shape[-1],))
+    growth = np.array([math.exp(n1 * s / R2) for s in ss]).reshape(lead + (1,))
+    return SphereLeafFlow(growth * eu, eu, te)
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +358,21 @@ def _finite_time(t) -> float:
     return tv
 
 
-def _hyperbolic_time(d, t) -> float:
-    """A finite flow time before the hyperbolic maximal time T, as a float."""
-    tv = _finite_time(t)
-    window = existence_window(d)
-    if window.t_max is not None and tv >= window.t_max:
-        raise TimeOutOfRangeError(f"t={t} >= hyperbolic maximal time T={window.t_max}")
-    return tv
+def _hyperbolic_times(d, times) -> list[float]:
+    """Finite flow times before the hyperbolic maximal time T, as floats; the first bad time is refused."""
+    t_max = existence_window(d).t_max
+    out = []
+    for t in times:
+        tv = _finite_time(t)
+        if t_max is not None and tv >= t_max:
+            raise TimeOutOfRangeError(f"t={t} >= hyperbolic maximal time T={t_max}")
+        out.append(tv)
+    return out
+
+
+def _lorentz_times(d, times) -> list[float]:
+    """Finite flow times as floats; the Lorentzian flow checks its collapse bound itself."""
+    return [_finite_time(t) for t in times]
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +389,7 @@ def lorentz_flow(d, x, t: float) -> np.ndarray:
     """
     X = as_vector(x, dimensions(d).m)[None, :]
     _validate_rows(d, X)
-    return _lorentz_flow_rows(d, X, _finite_time(t))[0]
+    return _lorentz_flow_rows(d, X, _lorentz_times(d, [t]))[0, 0]
 
 
 def lorentz_flow_batch(d, X, t: float) -> np.ndarray:
@@ -375,38 +398,49 @@ def lorentz_flow_batch(d, X, t: float) -> np.ndarray:
     Rows must already lie on the immersed submanifold: only the ambient
     quadric is checked here, as in ``hyperbolic_flow_batch``.  Times at or
     past the Lorentzian collapse bound raise TimeOutOfRangeError, and
-    non-finite times InvalidArgumentError.
+    non-finite times InvalidArgumentError.  One time of ``_lorentz_flow_rows``.
     """
-    tv = _finite_time(t)
-    return _lorentz_flow_rows(d, _quadric_rows(d, X), tv)
+    ts = _lorentz_times(d, [t])
+    return _lorentz_flow_rows(d, _quadric_rows(d, X), ts)[0]
 
 
-def _lorentz_flow_rows(d, X: np.ndarray, t: float) -> np.ndarray:
+def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float]) -> np.ndarray:
+    """The Lorentzian flow of rows X (K, m+1) at every time of ts, as (T, K, m+1).
+
+    Entry (j, k) has the bits of the flow of row k alone at ts[j] alone.
+    Each level computes its time scalars with ``math``, time by time in the
+    order of one time's recursion, and works the rows once for all times.
+    """
     dims = dimensions(d)
     n = dims.n
     if n == 0:
-        return X.copy()
+        return np.broadcast_to(X, (len(ts),) + X.shape).copy()
     if isinstance(d, Ambient):
-        return GaugeParams(n=d.m, r=d.r, l=d.m).a1(t) * X
+        g = GaugeParams(n=d.m, r=d.r, l=d.m)
+        return _per_time([g.a1(t) for t in ts]) * X
     if isinstance(d, FullProduct):
-        a1 = GaugeParams(n=n, r=d.r, l=d.l).a1(t)
-        cols = np.empty(dims.m + 1)
-        cols[: d.l] = a1
-        cols[-1] = a1
-        cols[d.l : dims.m] = _leaf_column_scales(d.leaf, t)
-        return X * cols[None, :]
+        g = GaugeParams(n=n, r=d.r, l=d.l)
+        a1 = [g.a1(t) for t in ts]
+        cols = np.empty((len(ts), dims.m + 1))
+        cols[:, : d.l] = np.array(a1)[:, None]
+        cols[:, -1] = a1
+        cols[:, d.l : dims.m] = _leaf_column_scales(d.leaf, ts)
+        return X * cols[:, None, :]
     if isinstance(d, Umbilic):
         umb = d.umb
         if abs(umb.one_minus_alpha2) < 1e-8:
             # horospherical branch; also the stable limit of the generic one
-            return _umbilic_inner_flow_rows(d, X, t) - n * t * umb.beta * umb.xi_array[None, :]
+            drift = _per_time([n * t * umb.beta for t in ts])
+            return _umbilic_inner_flow_rows(d, X, ts) - drift * umb.xi_array
         window = existence_window(d)
-        if window.t_dprime is not None and t >= window.t_dprime:
-            raise TimeOutOfRangeError(f"t={t} >= Lorentzian collapse bound {window.t_dprime}")
         g = GaugeParams(n=n, alpha=umb.alpha, one_minus_alpha2=umb.one_minus_alpha2)
-        scale = math.sqrt(_positive_radicand(2.0 * n * t * umb.one_minus_alpha2 + 1.0, t))
-        f1 = _umbilic_inner_flow_rows(d, X, g.s_alpha(t))
-        return scale * (f1 - umb.eta_array[None, :]) + umb.eta_array[None, :]
+        scale = []
+        for t in ts:
+            if window.t_dprime is not None and t >= window.t_dprime:
+                raise TimeOutOfRangeError(f"t={t} >= Lorentzian collapse bound {window.t_dprime}")
+            scale.append(math.sqrt(_positive_radicand(2.0 * n * t * umb.one_minus_alpha2 + 1.0, t)))
+        f1 = _umbilic_inner_flow_rows(d, X, [g.s_alpha(t) for t in ts])
+        return _per_time(scale) * (f1 - umb.eta_array) + umb.eta_array
     raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
 
 
@@ -428,7 +462,7 @@ def hyperbolic_flow(d, x, t: float) -> np.ndarray:
     """
     X = as_vector(x, dimensions(d).m)[None, :]
     _validate_rows(d, X)
-    return _hyperbolic_flow_rows(d, X, _hyperbolic_time(d, t))[0]
+    return _hyperbolic_flow_rows(d, X, _hyperbolic_times(d, [t]))[0, 0]
 
 
 def hyperbolic_flow_batch(d, X, t: float) -> np.ndarray:
@@ -437,64 +471,76 @@ def hyperbolic_flow_batch(d, X, t: float) -> np.ndarray:
     Rows must already lie on the immersed submanifold: only the ambient
     quadric is checked here.  ``_validate_rows`` makes the other membership
     checks of ``hyperbolic_flow`` on a whole batch.  Non-finite times raise
-    InvalidArgumentError.
+    InvalidArgumentError.  One time of ``_hyperbolic_flow_rows``.
     """
-    tv = _hyperbolic_time(d, t)
-    return _hyperbolic_flow_rows(d, _quadric_rows(d, X), tv)
+    ts = _hyperbolic_times(d, [t])
+    return _hyperbolic_flow_rows(d, _quadric_rows(d, X), ts)[0]
 
 
-def _hyperbolic_flow_rows(d, X: np.ndarray, t: float, end: bool = False) -> np.ndarray:
-    """The hyperbolic flow of rows at time t; with ``end``, its continuous extension to t = T.
+def _hyperbolic_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> np.ndarray:
+    """The hyperbolic flow of rows X (K, m+1) at every time of ts, as (T, K, m+1).
 
-    At the endpoint every level takes its window's exact times, T'' for the
-    ambient gauge of a product and T' for the inner flow, instead of their
-    images of t, and radicands that vanish there are taken as zero.
+    Entry (j, k) has the bits of the flow of row k alone at ts[j] alone:
+    each level computes its time scalars with ``math``, time by time in the
+    order of one time's recursion, splits and embeds its rows once, and
+    scales them for all times at once.  With ``end`` it is the continuous
+    extension to t = T: every level takes its window's exact times, T'' for
+    the ambient gauge of a product and T' for the inner flow, instead of
+    their images of t, and radicands that vanish there are taken as zero.
     """
     dims = dimensions(d)
     n = dims.n
     if n == 0 or isinstance(d, Ambient):
-        return X.copy()
+        return np.broadcast_to(X, (len(ts),) + X.shape).copy()
     window = existence_window(d) if end else None
     if isinstance(d, FullProduct):
-        wt = window.t_dprime if end else GaugeParams(n=n).w(t)  # the gauge of the ambient H^m(-1)
-        a1 = GaugeParams(n=n, r=d.r, l=d.l).a1(wt)
-        cols = np.empty(dims.m + 1)
-        cols[: d.l] = a1
-        cols[-1] = a1
-        cols[d.l : dims.m] = _leaf_column_scales(d.leaf, wt, end)
-        return math.exp(-n * t) * (X * cols[None, :])
+        # the gauge of the ambient H^m(-1)
+        wts = [window.t_dprime] * len(ts) if end else [GaugeParams(n=n).w(t) for t in ts]
+        g = GaugeParams(n=n, r=d.r, l=d.l)
+        a1 = [g.a1(wt) for wt in wts]
+        cols = np.empty((len(ts), dims.m + 1))
+        cols[:, : d.l] = np.array(a1)[:, None]
+        cols[:, -1] = a1
+        cols[:, d.l : dims.m] = _leaf_column_scales(d.leaf, wts, end)
+        return _per_time([math.exp(-n * t) for t in ts]) * (X * cols[:, None, :])
     if isinstance(d, Umbilic):
         umb = d.umb
         if end and window.t_prime is None:
             # the level's own scaling vanishes at T: the hypersurface shrinks to one point
-            return np.tile(math.exp(-n * t) * umb.eta_array, (len(X), 1))
+            point = _per_time([math.exp(-n * t) for t in ts]) * umb.eta_array
+            return np.broadcast_to(point, (len(ts),) + X.shape).copy()
         g = GaugeParams(n=n, alpha=umb.alpha, one_minus_alpha2=umb.one_minus_alpha2)
         if abs(umb.one_minus_alpha2) < 1e-8:
-            f1 = _umbilic_inner_flow_rows(d, X, window.t_prime if end else g.w(t), end)
-            return math.exp(-n * t) * f1 - math.sinh(n * t) * umb.beta * umb.xi_array[None, :]
-        v = g.v_alpha(t)
-        f1 = _umbilic_inner_flow_rows(d, X, window.t_prime if end else g.s_alpha_of_w(t), end)
-        return v * f1 - (v - math.exp(-n * t)) * umb.eta_array[None, :]
+            f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else [g.w(t) for t in ts], end)
+            decay = _per_time([math.exp(-n * t) for t in ts])
+            drift = _per_time([math.sinh(n * t) * umb.beta for t in ts])
+            return decay * f1 - drift * umb.xi_array
+        v = [g.v_alpha(t) for t in ts]
+        f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else [g.s_alpha_of_w(t) for t in ts], end)
+        shift = _per_time([vk - math.exp(-n * t) for vk, t in zip(v, ts)])
+        return _per_time(v) * f1 - shift * umb.eta_array
     raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
 
 
-def _umbilic_inner_flow_rows(d: Umbilic, X: np.ndarray, s: float, end: bool = False) -> np.ndarray:
-    """The flow f_1 inside the umbilical hypersurface, on rows of ambient points."""
+def _umbilic_inner_flow_rows(d: Umbilic, X: np.ndarray, ss: list[float], end: bool = False) -> np.ndarray:
+    """The flow f_1 inside the umbilical hypersurface, (T, K, m+1) for rows X and inner times ss."""
     inner = d.inner
     Z = _umbilic_split_rows(d, X)
     if isinstance(inner, ProductOfSpheres):
-        Z = _sphere_leaf_flow(inner, Z, s, d.umb.a**2 - 1.0, end).spherical
+        Zt = _sphere_leaf_flow(inner, Z, ss, d.umb.a**2 - 1.0, end).spherical
     elif isinstance(inner, EuclideanIso):
+        Zt = np.broadcast_to(Z, (len(ss),) + Z.shape).copy()
         if inner.spheres is not None:
             k0 = inner.flat_dim
             k1 = k0 + inner.spheres.coords_dim
             off = inner.offset_array[k0:k1]
-            Z[:, k0:k1] = off + (Z[:, k0:k1] - off) * _leaf_column_scales(inner.spheres, s, end)
+            Zt[..., k0:k1] = off + (Z[:, k0:k1] - off) * _leaf_column_scales(inner.spheres, ss, end)[:, None, :]
     else:
         # the hypersurface is H^(m-1)(-R); flowing its unit-curvature model for
         # time s/R and rescaling by sqrt(R) is the flow inside the hypersurface
-        Z = _hyperbolic_flow_rows(inner, Z, s / _umbilic_placement(d.umb).scale ** 2, end)
-    return _umbilic_embed(d, Z)
+        R = _umbilic_placement(d.umb).scale ** 2
+        Zt = _hyperbolic_flow_rows(inner, Z, [s / R for s in ss], end)
+    return _umbilic_embed(d, Zt)
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def _forward_rows(d) -> Callable[[np.ndarray], np.ndarray] | None:
         def focal(U: np.ndarray) -> np.ndarray:
             X = immerse_rows(d, U)
             _validate_rows(d, X)
-            return _hyperbolic_flow_rows(d, X, T, end=True)
+            return _hyperbolic_flow_rows(d, X, [T], end=True)[0]
 
         return focal
     if variant == FORWARD_IDEAL_POINT:
@@ -229,7 +229,7 @@ def backward_chart_rows(d) -> Callable[[np.ndarray], np.ndarray]:
             inner_chart = backward_chart_rows(d.inner)
             return lambda U: _embed_ideal(d, inner_chart(U))
         t_alpha = existence_window(d).t_alpha
-        return lambda U: umbilic_boundary_rows(d.umb, _umbilic_inner_flow_rows(d, immerse_rows(d, U), t_alpha))
+        return lambda U: umbilic_boundary_rows(d.umb, _umbilic_inner_flow_rows(d, immerse_rows(d, U), [t_alpha])[0])
     raise StationaryNoLimitError("the ambient hyperboloid does not move")
 
 

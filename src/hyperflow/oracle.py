@@ -31,10 +31,12 @@ from .errors import (
 from .flow import (
     _finite_time,
     _hyperbolic_flow_rows,
+    _hyperbolic_times,
+    _lorentz_flow_rows,
+    _lorentz_times,
     _validate_rows,
     existence_window,
     hyperbolic_flow_batch,
-    lorentz_flow_batch,
 )
 
 _COND_LIMIT = 1e12
@@ -227,15 +229,23 @@ def _mean_curvature_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float, richa
     With ``richardson`` the stencils of h and h/2 are evaluated together and
     the two estimates extrapolated to O(h^4).
     """
+    steps, points = _mc_stencil_points(U, h, richardson)
+    return _mc_of_stencils(imm.at_rows(points), U.shape[0], imm.chart_dim, steps, imm.ambient)
+
+
+def _mc_stencil_points(U: np.ndarray, h: float, richardson: bool) -> tuple[tuple[float, ...], np.ndarray]:
+    """The differencing steps of ``_mean_curvature_rows`` and the chart points of their stencils around every row of U."""
     steps = (h, h / 2.0) if richardson else (h,)
     for s in steps:
         _check_fd_step(s)
-    n = imm.chart_dim
-    offs = [_stencil_offsets(n, s) for s in steps]
-    vals = imm.at_rows(np.concatenate([_stencil_points(U, o) for o in offs]))
-    vals = vals.reshape(len(steps), U.shape[0], offs[0].shape[0], -1)
-    H = [_mc_from_stencil(v, n, s, imm.ambient) for v, s in zip(vals, steps)]
-    return (4.0 * H[1] - H[0]) / 3.0 if richardson else H[0]
+    return steps, np.concatenate([_stencil_points(U, _stencil_offsets(U.shape[1], s)) for s in steps])
+
+
+def _mc_of_stencils(vals: np.ndarray, P: int, n: int, steps: tuple[float, ...], ambient: AmbientSpace) -> np.ndarray:
+    """Mean curvature vectors (P, dim) from the points of ``_mc_stencil_points``, Richardson-extrapolated for two steps."""
+    vals = vals.reshape(len(steps), P, -1, vals.shape[-1])
+    H = [_mc_from_stencil(v, n, s, ambient) for v, s in zip(vals, steps)]
+    return (4.0 * H[1] - H[0]) / 3.0 if len(steps) == 2 else H[0]
 
 
 def numeric_mean_curvature(imm: ImmersionEvaluator, u, h: float = 1e-3, richardson: bool = False) -> np.ndarray:
@@ -264,20 +274,39 @@ def second_fundamental_form(imm: ImmersionEvaluator, u, h: float = 1e-3):
 
 
 def _second_fundamental_form_at(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray, second: np.ndarray):
-    """Metric and II_ij at one chart point, from its stencil derivatives."""
+    """Metric and II_ij at one chart point, from its stencil derivatives.
+
+    Every d^2 X / du_i du_j is projected off the tangent frame in one
+    ``_tangential_parts`` call: one Gram matrix for all of them.
+    """
     n = imm.chart_dim
     g, _ = _metric_inverse(imm, first)
+    if n == 0:
+        return g, []
     frame = list(first) + ([center] if imm.ambient.intrinsic_to_quadric else [])
-    II = [[second[i][j] - _general_tangential(imm, frame, second[i][j]) for j in range(n)] for i in range(n)]
-    return g, II
+    W = [second[i][j] for i in range(n) for j in range(n)]
+    normal = [w - p for w, p in zip(W, _tangential_parts(imm, frame, W))]
+    return g, [normal[i * n : (i + 1) * n] for i in range(n)]
 
 
 def _general_tangential(imm: ImmersionEvaluator, frame: list[np.ndarray], w: np.ndarray) -> np.ndarray:
+    """The part of w tangent to the span of ``frame``; one vector of ``_tangential_parts``."""
+    return _tangential_parts(imm, frame, [w])[0]
+
+
+def _tangential_parts(imm: ImmersionEvaluator, frame: list[np.ndarray], W: list[np.ndarray]) -> np.ndarray:
+    """The parts of the vectors W tangent to the span of ``frame``, as (len(W), dim).
+
+    The frame's Gram matrix is built and checked once.  The coefficients
+    come from one stacked solve with one right-hand side per vector, so
+    each vector gets the bits of its own solve.
+    """
     k = len(frame)
     G = np.array([[imm.ambient.inner(frame[i], frame[j]) for j in range(k)] for i in range(k)])
     _check_gram(G, "degenerate frame while projecting")
-    coeff = np.linalg.solve(G, np.array([imm.ambient.inner(w, f) for f in frame]))
-    return sum(coeff[i] * frame[i] for i in range(k))
+    rhs = np.array([[imm.ambient.inner(w, f) for f in frame] for w in W])
+    coeff = np.linalg.solve(np.broadcast_to(G, (len(W), k, k)), rhs[..., None])[..., 0]
+    return sum(coeff[:, a, None] * frame[a] for a in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -285,40 +314,53 @@ def _general_tangential(imm: ImmersionEvaluator, frame: list[np.ndarray], w: np.
 
 
 def _gauge_flow(gauge: str):
-    """The batch flow of a gauge and the ambient space its points lie in."""
+    """The time check of a gauge, its flow of rows over times, and the ambient space its points lie in."""
     if gauge == "hyperbolic":
-        return hyperbolic_flow_batch, HYPERBOLOID
+        return _hyperbolic_times, _hyperbolic_flow_rows, HYPERBOLOID
     if gauge == "lorentz":
-        return lorentz_flow_batch, LORENTZIAN
+        return _lorentz_times, _lorentz_flow_rows, LORENTZIAN
     raise InvalidArgumentError(f"unknown gauge {gauge!r}")
 
 
-def _flow_rows(flow_batch, d, X: np.ndarray, t: float) -> np.ndarray:
-    """``flow_batch(d, X, t)``, refusing a time whose flow overflows doubles as out of range."""
+def _flow_times(gauge: str, d, X: np.ndarray, times: Sequence[float]) -> np.ndarray:
+    """The gauge's flow of validated rows X at every time, (T, K, dim), in one flow call.
+
+    Times are checked as by the gauge's batch flow.  A time list whose flow
+    fails is flowed again one time at a time, so the error raised is that of
+    the first failing time, and a time whose flow overflows doubles is
+    refused as out of range.
+    """
+    check, flow_rows, _ = _gauge_flow(gauge)
+    ts = check(d, times)
     try:
-        return flow_batch(d, X, t)
-    except OverflowError:
-        raise TimeOutOfRangeError(f"the flow at t={t!r} leaves the range of doubles") from None
+        return flow_rows(d, X, ts)
+    except (OverflowError, TimeOutOfRangeError):
+        for t in ts:
+            try:
+                flow_rows(d, X[:1], [t])
+            except OverflowError:
+                raise TimeOutOfRangeError(f"the flow at t={t!r} leaves the range of doubles") from None
+        raise
 
 
 def descriptor_immersion(d, t: float | None = None, gauge: str = "hyperbolic") -> ImmersionEvaluator:
     """Chart evaluator of a descriptor, optionally pushed by one of its flows.
 
     The evaluator maps rows of chart points: ``immerse_rows`` and, at a
-    time, ``_validate_rows`` followed by ``hyperbolic_flow_batch`` or
-    ``lorentz_flow_batch``; one chart point is a batch of one.  Either way
-    it receives chart points and returns points only.
+    time, ``_validate_rows`` followed by the gauge's flow at that time
+    (``_flow_times``); one chart point is a batch of one.  Either way it
+    receives chart points and returns points only.
     """
     if t is None:
         ambient = HYPERBOLOID
         rows = lambda U: immerse_rows(d, U)
     else:
-        flow_batch, ambient = _gauge_flow(gauge)
+        *_, ambient = _gauge_flow(gauge)
 
         def rows(U: np.ndarray) -> np.ndarray:
             X = immerse_rows(d, U)
             _validate_rows(d, X)
-            return _flow_rows(flow_batch, d, X, t)
+            return _flow_times(gauge, d, X, [t])[0]
 
     return ImmersionEvaluator(chart_dim(d), ambient, lambda u: rows(u.reshape(1, -1))[0], rows)
 
@@ -339,35 +381,42 @@ def pde_residual_grid(
 ) -> np.ndarray:
     """``pde_residual`` at every chart sample and time of one gauge, as a (samples, times) array.
 
-    The samples are immersed and validated once.  At each time the velocity
-    is the central difference of two batched flows of all samples, and the
-    differencing stencils of all samples are evaluated in one ``at_rows``
-    call of the flowed chart; entry (s, j) has the bits of ``pde_residual``
-    at sample s and time j alone.  Times must be finite, ``dt`` positive
-    and finite, and every t + dt must stay before the gauge's bound.
+    The samples and the differencing stencils around them are immersed and
+    validated once, whatever the number of times.  One flow of the samples
+    gives their positions at t - dt, t and t + dt of every time, the
+    velocity being the central difference; one flow of the stencil points
+    gives the flowed chart's stencils at every time.  The chart is seen
+    only through its values at chart points.  Entry (s, j) has the bits of
+    ``pde_residual`` at sample s and time j alone.  Times must be finite,
+    ``dt`` positive and finite, and every t + dt must stay before the
+    gauge's bound.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidArgumentError(f"dt must be positive and finite, got {dt!r}")
     ts = [_finite_time(t) for t in times]
-    flow_batch, _ = _gauge_flow(gauge)
+    *_, ambient = _gauge_flow(gauge)
     n = chart_dim(d)
     U = np.asarray(chart_samples, dtype=float)
     if U.ndim != 2 or U.shape[1] != n:
         raise InvalidArgumentError(f"chart needs {n} parameters, got samples of shape {U.shape[1:]}")
     window = existence_window(d)
-    X = immerse_rows(d, U)
-    _validate_rows(d, X)
     bound = window.t_max if gauge == "hyperbolic" else window.t_dprime
     for t in ts:
         if bound is not None and t + dt >= bound:
             raise TimeOutOfRangeError(f"t={t} leaves no margin dt={dt} before the bound {bound}")
-    out = np.empty((U.shape[0], len(ts)))
-    for j, t in enumerate(ts):
-        velocity = (_flow_rows(flow_batch, d, X, t + dt) - _flow_rows(flow_batch, d, X, t - dt)) / (2.0 * dt)
-        H = _mean_curvature_rows(descriptor_immersion(d, t, gauge), U, h, richardson)
-        V = velocity - H
+    steps, stencils = _mc_stencil_points(U, h, richardson)
+    S = U.shape[0]
+    X = immerse_rows(d, np.concatenate([U, stencils]))
+    _validate_rows(d, X)
+    # in the order a time-by-time evaluation flows them, so a failing grid names the same time
+    moved = _flow_times(gauge, d, X[:S], [s for t in ts for s in (t + dt, t - dt, t)])
+    charts = _flow_times(gauge, d, X[S:], ts)
+    out = np.empty((S, len(ts)))
+    for j in range(len(ts)):
+        velocity = (moved[3 * j] - moved[3 * j + 1]) / (2.0 * dt)
+        V = velocity - _mc_of_stencils(charts[j], S, n, steps, ambient)
         if gauge == "hyperbolic":
-            Xt = _flow_rows(flow_batch, d, X, t)
+            Xt = moved[3 * j + 2]
             V = V + _minkowski_rows(V, Xt)[:, None] * Xt  # tangential projection, <x,x> = -1
             out[:, j] = np.sqrt(np.maximum(_minkowski_rows(V, V), 0.0))
         else:
@@ -403,10 +452,10 @@ def evolve_and_compare(
     from the stepping plus O(h^2) from the differencing.  H_numeric at step
     k depends on the flow surface at t0 + k dt only, not on the walked
     points, so it is evaluated up front for a block of steps at a time: one
-    row-wise flow of every sample's stencil per step (the stencil rows are
-    validated once, before the first step), then one differencing
-    of all the block's stencils, then the sequential updates of all samples
-    at once.
+    flow of every sample's stencil over the block's times (the stencil rows
+    are validated once, before the first step), then one differencing of
+    all the block's stencils, then the sequential updates of all samples at
+    once.
     """
     if not (0.0 < dt <= 1e-4):
         raise InvalidArgumentError(f"dt must be positive and at most 1e-4, got {dt!r}")
@@ -434,7 +483,7 @@ def evolve_and_compare(
     X = hyperbolic_flow_batch(d, X0, t0)
     for k0 in range(0, steps, _EULER_BLOCK):
         ks = range(k0, min(k0 + _EULER_BLOCK, steps))
-        flowed = np.stack([_hyperbolic_flow_rows(d, stencil_points, float(t0 + k * dt)) for k in ks])
+        flowed = _hyperbolic_flow_rows(d, stencil_points, [float(t0 + k * dt) for k in ks])
         H = _mc_from_stencil(flowed.reshape(len(ks) * S, K, -1), n, h, HYPERBOLOID).reshape(len(ks), S, -1)
         for Hk in H:
             X = X + dt * Hk

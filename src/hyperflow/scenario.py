@@ -5,9 +5,10 @@ settings and an output list.  ``run_scenario`` writes trajectory CSVs in
 hyperboloid and ball coordinates plus JSON reports (existence window, limit
 report, invariant report); ``run_invariant_battery`` drives the checks that
 ``verify`` gates on.  Outputs are deterministic for a fixed seed.  The
-trajectory and ball writers flow all samples in one batch per grid time, and
-the battery's closed-form checks one batch per sampled time; the environment
-variable HYPERFLOW_THREADS no longer affects them.
+trajectory and ball writers flow all samples over the whole time grid in
+one call of the flow core and format each grid time once per file; the
+battery's closed-form checks flow one batch per sampled time.  The
+environment variable HYPERFLOW_THREADS no longer affects them.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from .descriptors import (
 from .errors import InvalidArgumentError, TimeOutOfRangeError
 from .flow import (
     ExistenceWindow,
+    _hyperbolic_flow_rows,
+    _hyperbolic_times,
     _validate_rows,
     existence_window,
     gauge_lorentz_to_hyperbolic,
@@ -452,38 +455,49 @@ def invariant_report_to_json(rep: InvariantReport) -> dict:
 
 
 def _flow_samples(d, X0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Flowed sample points as an (S, T, m+1) array, one batched flow per grid time.
+    """Flowed sample points as an (S, T, m+1) array, from one flow of the validated rows X0 over the grid.
 
     Times far enough back overflow doubles, in the rows or in their squared
     norms; they are refused here, before anything is written, instead of
-    writing rows whose <x,x> cannot be evaluated.
+    writing rows whose <x,x> cannot be evaluated.  The refusal names the
+    first grid time that fails, so a grid that fails as a whole is flowed
+    again one time at a time, up to the first time whose flow overflows
+    ``math``.
     """
-    out = np.empty((X0.shape[0], times.size, X0.shape[1]))
+    ts = times.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, t in enumerate(times.tolist()):
-            try:
-                out[:, k] = hyperbolic_flow_batch(d, X0, t)
-            except OverflowError:
-                out[:, k:] = np.nan  # math.exp overflowed; refused with the rest below
-                break
-        finite = np.isfinite(np.sum(out * out, axis=2)).all(axis=0)
+        try:
+            out = _hyperbolic_flow_rows(d, X0, _hyperbolic_times(d, ts))
+        except (OverflowError, TimeOutOfRangeError):
+            out = np.full((len(ts),) + X0.shape, np.nan)
+            for k, t in enumerate(ts):
+                try:
+                    out[k] = hyperbolic_flow_batch(d, X0, t)
+                except OverflowError:
+                    break  # math.exp overflowed; refused with the rest below
+        finite = np.isfinite(np.sum(out * out, axis=2)).all(axis=1)
     if not finite.all():
-        t = times.tolist()[int(np.argmin(finite))]
+        t = ts[int(np.argmin(finite))]
         raise TimeOutOfRangeError(
             f"flowed points or their squared norms are not finite at t={t!r}; the time grid leaves the range of doubles"
         )
-    return out
+    return out.transpose(1, 0, 2)
 
 
 def _write_sample_rows(path: Path, symbol: str, times: np.ndarray, values: np.ndarray) -> None:
-    """Write ``sample_id,t,<symbol>_1,...`` rows of an (S, T, k) array, sample by sample."""
+    """Write ``sample_id,t,<symbol>_1,...`` rows of an (S, T, k) array, sample by sample.
+
+    Each grid time is formatted once per file; a row is its sample id, its
+    time's text and its values.
+    """
     k = values.shape[2]
-    line = "%d,%.17g" + ",%.17g" * k + "\n"
-    ts = times.tolist()
+    row = ",%.17g" * k + "\n"
+    stamps = [",%.17g" % t for t in times.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("sample_id,t," + ",".join(f"{symbol}_{i + 1}" for i in range(k)) + "\n")
         for sid, block in enumerate(values):
-            fh.writelines(line % (sid, t, *row) for t, row in zip(ts, block.tolist()))
+            head = str(sid)
+            fh.writelines(head + stamp + row % tuple(x) for stamp, x in zip(stamps, block.tolist()))
 
 
 def _clipped_grid(scn: Scenario) -> tuple[np.ndarray, float | None]:

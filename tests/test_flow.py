@@ -21,6 +21,9 @@ from hyperflow.descriptors import (
 from hyperflow.errors import GaugeDomainError, GeometryError, InvalidArgumentError, TimeOutOfRangeError
 from hyperflow.flow import (
     GaugeParams,
+    _hyperbolic_flow_rows,
+    _hyperbolic_times,
+    _lorentz_flow_rows,
     _validate_rows,
     existence_window,
     gauge_hyperbolic_to_lorentz,
@@ -480,3 +483,51 @@ class TestLorentzFlowBatch:
         for d in (Ambient(2, 1.0), CATALOG["circle_h2"]):
             with pytest.raises(InvalidArgumentError, match="rows of length 3"):
                 flow_batch(d, np.array([[0.0, 0.0, 0.0, 1.0]]), 0.1)
+
+
+class TestFlowCore:
+    """The row flows over a time list: entry (t, row) against the one-time call, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(BIT_CASES))
+    def test_entries_match_single_time_calls(self, name):
+        d = BIT_CASES[name]
+        X = immerse_rows(d, np.array(chart_samples(d, 3, 17)[:6]))
+        rng = np.random.default_rng(8)
+        ts = sample_times(None, existence_window(d).t_max, 7, rng).tolist() + [0.0, -3.0]
+        grid = _hyperbolic_flow_rows(d, X, ts)
+        assert grid.shape == (len(ts),) + X.shape
+        for t, rows in zip(ts, grid):
+            assert rows.tobytes() == hyperbolic_flow_batch(d, X, t).tobytes(), (name, t)
+        ts = sample_times(*lorentz_time_range(d), 7, rng).tolist() + [0.0]
+        grid = _lorentz_flow_rows(d, X, ts)
+        assert grid.shape == (len(ts),) + X.shape
+        for t, rows in zip(ts, grid):
+            assert rows.tobytes() == lorentz_flow_batch(d, X, t).tobytes(), (name, t)
+
+    @pytest.mark.parametrize("name", sorted(n for n, d in BIT_CASES.items() if existence_window(d).t_max is not None))
+    def test_endpoint_entries_match_single_time_calls(self, name):
+        d = BIT_CASES[name]
+        X = immerse_rows(d, np.array(chart_samples(d, 3, 17)[:6]))
+        T = existence_window(d).t_max
+        ts = [T, 0.5 * T, T, -1.0]
+        grid = _hyperbolic_flow_rows(d, X, ts, end=True)
+        for t, rows in zip(ts, grid):
+            assert rows.tobytes() == _hyperbolic_flow_rows(d, X, [t], end=True)[0].tobytes(), (name, t)
+
+    def test_empty_time_list(self):
+        d = CATALOG["circle_in_h4_nested"]
+        X = immerse_rows(d, np.array(chart_samples(d, 3, 17)[:4]))
+        assert _hyperbolic_flow_rows(d, X, []).shape == (0,) + X.shape
+        assert _lorentz_flow_rows(d, X, []).shape == (0,) + X.shape
+
+    @pytest.mark.parametrize("name", ["circle_h2", "tube_h3", "clifford_tube_h5", "circle_in_h4_nested"])
+    def test_time_list_reaching_T_is_refused_like_one_time(self, name):
+        d = CATALOG[name]
+        X = immerse_rows(d, np.array(chart_samples(d, 3, 2)[:3]))
+        T = existence_window(d).t_max
+        for bad in (T, T + 0.5):
+            with pytest.raises(TimeOutOfRangeError) as one:
+                hyperbolic_flow_batch(d, X, bad)
+            with pytest.raises(TimeOutOfRangeError) as listed:
+                _hyperbolic_times(d, [-1.0, 0.5 * T, bad, T + 1.0])
+            assert str(listed.value) == str(one.value) == f"t={bad} >= hyperbolic maximal time T={T}"

@@ -459,6 +459,14 @@ def _derivatives_reference(vals, n, h):
     return center, first, second
 
 
+def _tangential_reference(imm, frame, w):
+    """The part of w tangent to the frame, with its own Gram matrix and solve."""
+    k = len(frame)
+    G = np.array([[imm.ambient.inner(frame[i], frame[j]) for j in range(k)] for i in range(k)])
+    coeff = np.linalg.solve(G, np.array([imm.ambient.inner(w, f) for f in frame]))
+    return sum(coeff[i] * frame[i] for i in range(k))
+
+
 def _mc_reference(vals, n, h, ambient):
     center, first, second = _derivatives_reference(vals, n, h)
     g = np.array([[ambient.inner(first[i], first[j]) for j in range(n)] for i in range(n)])
@@ -616,8 +624,48 @@ class TestBatchedOracle:
             assert g.tobytes() == g0.tobytes()
             for i in range(n):
                 for j in range(n):
-                    w = s0[i][j] - oracle._general_tangential(imm, frame, s0[i][j])
+                    w = s0[i][j] - _tangential_reference(imm, frame, s0[i][j])
                     assert II[i][j].tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("name", ["circle_h2", "tube_h3", "clifford_tube_h5", "circle_in_h4_nested"])
+    def test_one_frame_gram_per_chart_point(self, name, monkeypatch):
+        # the metric and the tangent frame: two Gram checks, not 1 + n^2
+        d = CATALOG[name]
+        imm = oracle.descriptor_immersion(d, 0.1)
+        checks = []
+        real = oracle._check_gram
+        monkeypatch.setattr(oracle, "_check_gram", lambda G, message: checks.append(G.shape) or real(G, message))
+        oracle.second_fundamental_form(imm, chart_samples(d, 3, 19)[0])
+        n = imm.chart_dim
+        assert checks == [(n, n), (n + 1, n + 1)]
+
+    @pytest.mark.parametrize("gauge", ["hyperbolic", "lorentz"])
+    @pytest.mark.parametrize("richardson", [False, True])
+    def test_grid_immerses_once(self, gauge, richardson, monkeypatch):
+        # chart rows are immersed and validated once per grid, whatever the
+        # number of times, and the flows are one call for the samples and
+        # one for the stencils
+        d = CATALOG["clifford_tube_h5"]
+        calls = {"immerse_rows": 0, "_validate_rows": 0, "flow": 0}
+        for fn in ("immerse_rows", "_validate_rows"):
+            real = getattr(oracle, fn)
+            monkeypatch.setattr(oracle, fn, lambda *a, real=real, fn=fn: calls.__setitem__(fn, calls[fn] + 1) or real(*a))
+        _, core, _ = oracle._gauge_flow(gauge)
+        counted = lambda *a, **k: calls.__setitem__("flow", calls["flow"] + 1) or core(*a, **k)
+        name = "_hyperbolic_flow_rows" if gauge == "hyperbolic" else "_lorentz_flow_rows"
+        monkeypatch.setattr(oracle, name, counted)
+        us = chart_samples(d, 3, 7)[:3]
+        for times in ([0.05], [-0.3, -0.1, 0.0, 0.05, 0.1]):
+            calls.update(immerse_rows=0, _validate_rows=0, flow=0)
+            grid = oracle.pde_residual_grid(d, us, times, gauge=gauge, richardson=richardson)
+            assert grid.shape == (3, len(times))
+            assert calls == {"immerse_rows": 1, "_validate_rows": 1, "flow": 2}
+
+    def test_grid_refuses_the_first_overflowing_time(self):
+        # time by time, t + dt is flowed first: the first time of the grid
+        # that overflows is -1000, and its t + dt is named, not -2000's
+        with pytest.raises(TimeOutOfRangeError, match="the flow at t=-999.9999 leaves the range of doubles"):
+            oracle.pde_residual_grid(CATALOG["circle_h2"], [[0.3]], [0.1, -1000.0, -2000.0])
 
     def test_degenerate_stencil_in_a_batch(self):
         imm = oracle.descriptor_immersion(CATALOG["tube_h3"])
@@ -633,6 +681,14 @@ class TestBatchedOracle:
         us = chart_samples(d, 2, 11)[:3]
         walked = oracle.evolve_and_compare(d, us, 0.0, 1.5e-3, 1e-5)
         assert abs(walked - _euler_reference(d, us, 0.0, 1.5e-3, 1e-5)) < 1e-12
+
+    def test_euler_walk_flows_each_block_once(self, monkeypatch):
+        d = CATALOG["tube_h3"]
+        blocks = []
+        real = oracle._hyperbolic_flow_rows
+        monkeypatch.setattr(oracle, "_hyperbolic_flow_rows", lambda d, X, ts, **k: blocks.append(len(ts)) or real(d, X, ts, **k))
+        oracle.evolve_and_compare(d, chart_samples(d, 2, 11)[:3], 0.0, 1.5e-3, 1e-5)
+        assert blocks == [64, 64, 22]
 
     @pytest.mark.parametrize(
         "imm, U",

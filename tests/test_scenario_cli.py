@@ -1,6 +1,7 @@
 """Scenario orchestration, artifact formats and the command line."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 
 import hyperflow
 from conftest import random_admissible_frame
-from hyperflow import cli, oracle
+from hyperflow import cli, flow, oracle, scenario
 from hyperflow.ball import ball_projection
 from hyperflow.catalog import CATALOG, catalog_names
 from hyperflow.descriptors import Ambient, classify_shape, descriptor_to_json, dimensions, immerse
@@ -248,6 +249,100 @@ class TestRunScenario:
         run_scenario("tube_h3", a, seed=1)
         run_scenario("tube_h3", b, seed=2)
         assert (a / "tube_h3_trajectory.csv").read_bytes() != (b / "tube_h3_trajectory.csv").read_bytes()
+
+
+# sha256 of the trajectory CSV followed by the ball CSV, for a dense grid
+# (-3 to 2 in 200 steps, clipped to the existence window, 7 samples per
+# chart axis); recorded before the writers flowed a whole grid per call
+RUN_CSV_SHA256 = {
+    ("ambient_h3", 7): "c6583e584ab29a95da04b118e61156b8ae190ea01e2bc6cccb5b38fd95a98296",
+    ("circle_h2", 7): "b5ead966f4a1e3cefbf1e950d6697f0d4f7d6fdd7c86dd81ff76dac32e0afae2",
+    ("circle_in_h4_nested", 7): "01842e1136f12c4d5564a17968292f974b9acb3d24cbf3900f501d8a3a698bc7",
+    ("clifford_tube_h5", 7): "a3a22169845314edf99b80a32bf32cf594985deecb7ff64f24fde6a1bd36cbe4",
+    ("equidistant_h2", 7): "97213f8b6a8d2c58d851260eaedc878578c34d8fd0bb30aa11827ec09bbd8b39",
+    ("geodesic_sphere_h3", 7): "b53aa3157f9068addb53a7d522a99dec82d8f4789426dc1d9efa2da18d6ba75e",
+    ("horocycle_h2", 7): "7c728db5cb505b2d592cc9821af31ba548bc84fa9bf74e4de8603d78710081a0",
+    ("tube_h3", 7): "b25c073add75824f02e384675c04409bd9af49ba3f84fa46472374d319b6f634",
+    ("ambient_h3", 3): "a23ad3e71be797fcd2b3d84837aa6dd550169affbe8d4bac81ae9966d4bb2393",
+    ("circle_h2", 3): "22c3c1a4297987c4e75b706d49f07651deb0f29329a40dd117ec15257a3d0799",
+    ("circle_in_h4_nested", 3): "e965650816eced04bc62d5fa488584d161feb611f0719d977ede575241464c1e",
+    ("clifford_tube_h5", 3): "2b5293c3b46eb4601166fcb1ca0a5e8293fc2c68d13dc19613900fef38d93cc4",
+    ("equidistant_h2", 3): "78c6f4c7860401b231b0db0663f02d814579096de9433a7f7a2f57790a4d5c45",
+    ("geodesic_sphere_h3", 3): "d10cb81360a9b2630287c703512ab0667f1f27e52ee98a58bbd84188777fb764",
+    ("horocycle_h2", 3): "b18977d85f256511109dd93dba91eeb58cbc7bd4caea1e23db0ba979d811070e",
+    ("tube_h3", 3): "a6c4f4337975a9b38dc71b5201addd708799a51f4960e6bd40484db83b665113",
+}
+
+
+class TestTrajectoryWriters:
+    @pytest.mark.parametrize("name, seed", sorted(RUN_CSV_SHA256))
+    def test_csv_bytes_are_pinned(self, tmp_path, name, seed):
+        path = write_scenario(
+            tmp_path / "scn.json", name, CATALOG[name],
+            time_grid={"start": -3.0, "end": 2.0, "steps": 200, "clip_to_existence": True},
+            sampling={"per_dim": 7, "seed": seed},
+            outputs=["trajectory", "ball"],
+        )
+        written = run_scenario(path, tmp_path)["written"]
+        sha = hashlib.sha256()
+        for kind in ("trajectory", "ball"):
+            sha.update(Path(written[kind]).read_bytes())
+        assert sha.hexdigest() == RUN_CSV_SHA256[(name, seed)]
+
+    def test_one_flow_per_scenario(self, tmp_path, catalog_entry, monkeypatch):
+        # the whole grid is one flow call, and the rows pass the quadric check once
+        name, d = catalog_entry
+        calls = {"flow": 0, "quadric": 0}
+        core, quadric = scenario._hyperbolic_flow_rows, flow._quadric_rows
+        monkeypatch.setattr(scenario, "_hyperbolic_flow_rows", lambda *a: calls.__setitem__("flow", calls["flow"] + 1) or core(*a))
+        monkeypatch.setattr(flow, "_quadric_rows", lambda *a: calls.__setitem__("quadric", calls["quadric"] + 1) or quadric(*a))
+        path = write_scenario(
+            tmp_path / "scn.json", name, d,
+            time_grid={"start": -3.0, "end": 2.0, "steps": 50}, outputs=["trajectory", "ball"],
+        )
+        run_scenario(path, tmp_path)
+        assert calls == {"flow": 1, "quadric": 1}
+
+    @pytest.mark.parametrize(
+        "name, grid, named",
+        [
+            # the first grid time overflows
+            ("circle_h2", (-400.0, 0.0, 3), -400.0),
+            # the squares overflow from the middle of the grid on, and math.sinh
+            # itself from its end: the refusal names the first bad time, not t[0]
+            ("horocycle_h2", (0.0, 800.0, 9), 400.0),
+            # overflow at the first time wins over a later time past T
+            ("circle_h2", (-1000.0, 1.0, 5), -1000.0),
+        ],
+    )
+    def test_far_grid_refusal_names_the_first_bad_time(self, tmp_path, name, grid, named):
+        start, end, steps = grid
+        path = write_scenario(
+            tmp_path / "scn.json", "far", CATALOG[name],
+            time_grid={"start": start, "end": end, "steps": steps, "clip_to_existence": False},
+            outputs=["trajectory"],
+        )
+        with pytest.raises(TimeOutOfRangeError) as err:
+            run_scenario(path, tmp_path / "out")
+        assert str(err.value) == (
+            f"flowed points or their squared norms are not finite at t={named!r}; the time grid leaves the range of doubles"
+        )
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    @pytest.mark.parametrize("name, grid, named", [("circle_h2", (-1.0, 1.0, 5), 1.0), ("tube_h3", (-1.0, 3.0, 9), 0.5)])
+    def test_grid_reaching_T_is_refused(self, tmp_path, name, grid, named):
+        # unclipped, the first grid time at or past T is named, as by hyperbolic_flow_batch
+        start, end, steps = grid
+        path = write_scenario(
+            tmp_path / "scn.json", "past", CATALOG[name],
+            time_grid={"start": start, "end": end, "steps": steps, "clip_to_existence": False},
+            outputs=["trajectory", "ball"],
+        )
+        T = existence_window(CATALOG[name]).t_max
+        with pytest.raises(TimeOutOfRangeError) as err:
+            run_scenario(path, tmp_path / "out")
+        assert str(err.value) == f"t={named} >= hyperbolic maximal time T={T}"
+        assert not list((tmp_path / "out").glob("*.csv"))
 
 
 def reference_closed_form_checks(d, sampling, F, f):
