@@ -20,6 +20,7 @@ from .catalog import catalog_names
 from .errors import GeometryError
 from .limits import evaluate_limits
 from .scenario import (
+    Sampling,
     chart_samples,
     invariant_report_to_json,
     limit_report_to_json,
@@ -60,7 +61,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if report.overall_pass else 3
         if args.verb == "limits":
             scn = load_scenario(args.scenario)
-            us = chart_samples(scn.descriptor, scn.sampling.per_dim, args.seed if args.seed is not None else scn.sampling.seed)
+            sampling = scn.sampling if args.seed is None else Sampling(scn.sampling.per_dim, args.seed)
+            us = chart_samples(scn.descriptor, sampling.per_dim, sampling.seed)
             print(json.dumps(limit_report_to_json(evaluate_limits(scn.descriptor, us)), indent=2, sort_keys=True))
             return 0
     except GeometryError as exc:

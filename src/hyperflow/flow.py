@@ -560,5 +560,12 @@ def gauge_hyperbolic_to_lorentz(f: Callable[[np.ndarray, float], np.ndarray], n:
 
 def gauge_lorentz_to_hyperbolic(F: Callable[[np.ndarray, float], np.ndarray], n: int, r: float, x, t: float) -> np.ndarray:
     """f(x,t) = e^(-nt/r) F(x, (r/2n)(e^(2nt/r) - 1)); inverse of the other gauge."""
-    s = (r / (2.0 * n)) * math.expm1(2.0 * n * t / r)
-    return math.exp(-n * t / r) * np.asarray(F(x, s), dtype=float)
+    (s,), (decay,) = _lorentz_to_hyperbolic_scalars(n, r, [t])
+    return decay * np.asarray(F(x, s), dtype=float)
+
+
+def _lorentz_to_hyperbolic_scalars(n: int, r: float, ts: list[float]) -> tuple[list[float], list[float]]:
+    """For every t of ts, the Lorentzian time (r/2n)(e^(2nt/r) - 1) and the factor e^(-nt/r) of f(x,t)."""
+    s = [(r / (2.0 * n)) * math.expm1(2.0 * n * t / r) for t in ts]
+    decay = [math.exp(-n * t / r) for t in ts]
+    return s, decay

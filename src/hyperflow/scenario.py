@@ -6,9 +6,10 @@ hyperboloid and ball coordinates plus JSON reports (existence window, limit
 report, invariant report); ``run_invariant_battery`` drives the checks that
 ``verify`` gates on.  Outputs are deterministic for a fixed seed.  The
 trajectory and ball writers flow all samples over the whole time grid in
-one call of the flow core and format each grid time once per file; the
-battery's closed-form checks flow one batch per sampled time.  The
-environment variable HYPERFLOW_THREADS no longer affects them.
+one call of the flow core and format each grid time once per file; each
+of the battery's closed-form checks is one call of the flow core over all
+of its sampled times.  The environment variable HYPERFLOW_THREADS no
+longer affects them.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ from .flow import (
     ExistenceWindow,
     _hyperbolic_flow_rows,
     _hyperbolic_times,
+    _lorentz_flow_rows,
+    _lorentz_times,
+    _lorentz_to_hyperbolic_scalars,
+    _per_time,
     _validate_rows,
     existence_window,
-    gauge_lorentz_to_hyperbolic,
     hyperbolic_flow_batch,
-    lorentz_flow_batch,
 )
 from .limits import (
     FORWARD_FOCAL,
@@ -306,20 +309,22 @@ def run_invariant_battery(
     """All closed-form and oracle checks for one descriptor.
 
     The samples are immersed and validated once; every closed-form check
-    then flows all of them in one batch per time.  The oracle checks make a
-    fixed number of chart evaluations: each gauge's flow-equation residuals
-    come from one ``pde_residual_grid`` over all samples and times, with one
-    stencil evaluation per time, and each isoparametric sample time makes
-    two (``isoparametric_residual``).  ``lorentz_eval`` and
-    ``hyperbolic_eval`` map rows of points and a time to rows of flowed
-    points; they default to ``lorentz_flow_batch``/``hyperbolic_flow_batch``
-    and tests may substitute corrupted evaluators as negative controls.
-    Tolerances scale with ``tolerance_scale``, which must be positive and
-    finite.
+    then flows all of them over all of its times in one call of the flow
+    core, so a battery without the oracle makes five flow calls of its own.
+    The oracle checks make a fixed number of chart evaluations: each gauge's
+    flow-equation residuals come from one ``pde_residual_grid`` over all
+    samples and times, with one stencil evaluation per time, and each
+    isoparametric sample time makes two (``isoparametric_residual``).
+    ``lorentz_eval`` and ``hyperbolic_eval`` map validated rows X (K, m+1)
+    and an array of T times to the flowed rows (T, K, m+1); they default to
+    ``_lorentz_flow_rows``/``_hyperbolic_flow_rows`` after the time checks
+    of the public flows, and tests may substitute corrupted evaluators as
+    negative controls.  Tolerances scale with ``tolerance_scale``, which
+    must be positive and finite.
     """
     _check_tolerance_scale(tolerance_scale)
-    F = lorentz_eval or (lambda X, t: lorentz_flow_batch(d, X, t))
-    f = hyperbolic_eval or (lambda X, t: hyperbolic_flow_batch(d, X, t))
+    F = lorentz_eval or (lambda X, ts: _lorentz_flow_rows(d, X, _lorentz_times(d, ts)))
+    f = hyperbolic_eval or (lambda X, ts: _hyperbolic_flow_rows(d, X, _hyperbolic_times(d, ts)))
     dims = dimensions(d)
     n = dims.n
     window = existence_window(d)
@@ -328,28 +333,25 @@ def run_invariant_battery(
     X = immerse_rows(d, np.array(us))
     _validate_rows(d, X)
     report = InvariantReport()
-    ts = tolerance_scale
+    scale = tolerance_scale
 
     # norm law <F,F> = <x,x> - 2nt on the Lorentzian domain
     lo, hi = lorentz_time_range(d)
     times = sample_times(lo, hi, 40, rng)
-    norms = _norm2_rows(X)
-    worst = 0.0
-    for t in times.tolist():
-        FX = F(X, t)
-        worst = max(worst, float(np.max(np.abs(_norm2_rows(FX) - (norms - 2.0 * n * t)))))
-    report.add("norm_law", worst, 1e-9 * ts)
+    residual = _norm2_rows(F(X, times)) - (_norm2_rows(X) - 2.0 * n * times[:, None])
+    report.add("norm_law", float(np.max(np.abs(residual))), 1e-9 * scale)
 
     # gauge round trip between the two flows; sampling stays away from the
     # conversion bound, where 1 + 2n w(t) is a catastrophic cancellation and
     # the composition cannot be evaluated to 1e-12 in doubles
     hyp_hi = window.t_max
     times_h = sample_times(None, hyp_hi, 25, rng, span=2.0 / max(n, 1))
-    worst = 0.0
-    for t in times_h.tolist():
-        via_gauge = gauge_lorentz_to_hyperbolic(F, n, 1.0, X, t) if n > 0 else X
-        worst = max(worst, float(np.max(np.abs(f(X, t) - via_gauge))))
-    report.add("gauge_roundtrip", worst, 1e-12 * ts)
+    if n > 0:
+        s, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, times_h.tolist())
+        via_gauge = _per_time(decay) * F(X, np.array(s))
+    else:
+        via_gauge = X
+    report.add("gauge_roundtrip", float(np.max(np.abs(f(X, times_h) - via_gauge))), 1e-12 * scale)
 
     if settings.enabled:
         sub = us[: max(2, min(4, len(us)))]
@@ -358,41 +360,41 @@ def run_invariant_battery(
         t_l = sample_times(lo, hi, 4, rng, span=1.5)
         for gauge, times in (("hyperbolic", t_h), ("lorentz", t_l)):
             grid = oracle.pde_residual_grid(d, sub, times.tolist(), settings.fd_step, settings.dt, gauge)
-            report.add(f"pde_residual_{gauge}", float(np.max(grid)), settings.tolerance * ts)
+            report.add(f"pde_residual_{gauge}", float(np.max(grid)), settings.tolerance * scale)
 
         # constancy of principal curvatures along the flow
         spread = 0.0
         if dims.codim > 0 and n > 0:
             for t in sample_times(None, hyp_hi, 3, rng, span=1.0):
                 spread = max(spread, oracle.isoparametric_residual(d, float(t), sub, h=settings.fd_step))
-        report.add("isoparametric_spread", spread, 1e-5 * ts)
+        report.add("isoparametric_spread", spread, 1e-5 * scale)
 
     # limit consistency
     flags = classify_shape(d)
     frame = OrthonormalFrame.standard(dims.m)
+    f_at = lambda *times: f(X, np.array(times))
     if not flags.totally_geodesic and n > 0:
         back = backward_limit(d, us, estimate_dim=False)
-        flowed = ball_projection_rows(frame, 1.0, f(X, -15.0))
-        report.add("backward_limit_consistency", hausdorff_distance(flowed, back.samples), 1e-5 * ts)
+        flowed = ball_projection_rows(frame, 1.0, f_at(-15.0)[0])
+        report.add("backward_limit_consistency", hausdorff_distance(flowed, back.samples), 1e-5 * scale)
 
     fwd = forward_limit(d, us)
     if fwd.variant == FORWARD_STATIONARY:
-        worst = float(np.max(np.abs(f(X, 5.0) - X)))
-        report.add("forward_limit_consistency", worst, 1e-12 * ts)
+        worst = float(np.max(np.abs(f_at(5.0)[0] - X)))
+        report.add("forward_limit_consistency", worst, 1e-12 * scale)
     elif fwd.variant == FORWARD_FOCAL:
         T = window.t_max
         S = np.asarray(fwd.samples, dtype=float)
-        d_coarse = float(np.max(np.sqrt(_row_dots(f(X, T - 1e-6) - S))))
-        d_fine = float(np.max(np.sqrt(_row_dots(f(X, T - 1e-9) - S))))
-        report.add("forward_limit_consistency", d_coarse, 1e-2 * ts)
+        d_coarse, d_fine = np.max(np.sqrt(_row_dots(f_at(T - 1e-6, T - 1e-9) - S)), axis=1).tolist()
+        report.add("forward_limit_consistency", d_coarse, 1e-2 * scale)
         report.add("focal_refinement_monotone", d_fine / max(d_coarse, 1e-300), 1.0)
     elif fwd.variant == FORWARD_GEODESIC:
-        worst = float(np.max(np.abs(f(X, 15.0) - np.asarray(fwd.samples, dtype=float))))
-        report.add("forward_limit_consistency", worst, 1e-5 * ts)
+        worst = float(np.max(np.abs(f_at(15.0)[0] - np.asarray(fwd.samples, dtype=float))))
+        report.add("forward_limit_consistency", worst, 1e-5 * scale)
     elif fwd.variant == FORWARD_IDEAL_POINT:
-        Y = ball_projection_rows(frame, 1.0, f(X, 15.0))
+        Y = ball_projection_rows(frame, 1.0, f_at(15.0)[0])
         worst = float(np.max(np.sqrt(_row_dots(Y - fwd.ideal_point))))
-        report.add("forward_limit_consistency", worst, 1e-5 * ts)
+        report.add("forward_limit_consistency", worst, 1e-5 * scale)
     return report
 
 
@@ -404,8 +406,8 @@ def _check_tolerance_scale(tolerance_scale: float) -> None:
 
 
 def _norm2_rows(X: np.ndarray) -> np.ndarray:
-    """<x,x> of every row, with the arithmetic of ``minkowski_inner(x, x)``."""
-    return _row_dots(X[:, :-1]) - X[:, -1] * X[:, -1]
+    """<x,x> of every row of X (..., m+1), with the arithmetic of ``minkowski_inner(x, x)``."""
+    return _row_dots(X[..., :-1]) - X[..., -1] * X[..., -1]
 
 
 # ---------------------------------------------------------------------------

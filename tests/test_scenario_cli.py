@@ -15,7 +15,7 @@ import pytest
 
 import hyperflow
 from conftest import random_admissible_frame
-from hyperflow import cli, flow, oracle, scenario
+from hyperflow import cli, flow, limits, oracle, scenario
 from hyperflow.ball import ball_projection
 from hyperflow.catalog import CATALOG, catalog_names
 from hyperflow.descriptors import Ambient, classify_shape, descriptor_to_json, dimensions, immerse
@@ -52,6 +52,28 @@ from hyperflow.scenario import (
     scenario_from_json,
     verify_scenario,
 )
+
+
+# sha256 of ``hyperflow verify <name> --seed <seed>`` stdout, recorded before
+# the battery's closed-form checks moved to one flow call per check
+VERIFY_STDOUT_SHA256 = {
+    ("ambient_h3", 3): "b8cbd2be9176c0bbbee2c33455b4f9066a4f053ccdd99967bb1ff7377ae161ef",
+    ("ambient_h3", 7): "7492281873bee024b85e9ab39ab7fab4f6769abe1f0dee7add09db4d30cead60",
+    ("circle_h2", 3): "8909781a46a49d92e78920242129255270dfa5a3e8d0b0aefc1feafe65a4f5eb",
+    ("circle_h2", 7): "fc358cf848d9ae093c2f3b18f39aeb1a171302eae20fcddf2d28e633fb56767b",
+    ("circle_in_h4_nested", 3): "71229857e806f6e1521183b5a5ec94d734c483c806139d022413eb92c420e79f",
+    ("circle_in_h4_nested", 7): "726a59207f4cc08e95b30d4f1aa90806c3d833835b6b6fdf2bb0b2f3df0eb3c8",
+    ("clifford_tube_h5", 3): "681c9c2f2e63a41f5dbe0e2abb891f075163b318ccda1bcf97ca7642e38994fd",
+    ("clifford_tube_h5", 7): "2e4e12dfc82a8eaf89e50dc767fc1aeb7210d073f79eefb3ad3993d0cf045464",
+    ("equidistant_h2", 3): "040df41804c382f304ff4f363840b123bae3edcc09a9a7c6733268964b63056c",
+    ("equidistant_h2", 7): "8ef6743133807bb8bdeb64f907d8ff5e8858ba0017c7a8f00ec1c44b41e6ca63",
+    ("geodesic_sphere_h3", 3): "9d743baffef84ad56b4104a92e0736ec9ff7375959be09f000877e601ecd3b9f",
+    ("geodesic_sphere_h3", 7): "69c1c8ab3d67aef7d4ab9acc9fc8ade4b743381c58187723f0a06f5baacabf1f",
+    ("horocycle_h2", 3): "7a8423a342cb8675179b9d151a48e82bd21443cbc627e2dd18cdce5dcc6cfe5b",
+    ("horocycle_h2", 7): "5ab8a6fcf8210d314a5b7a6c6bb9f21b64b1bb24cda66c64a7e8960ac33c26a8",
+    ("tube_h3", 3): "d5fc9f31395d7a56a406eae35b889207c393c63a90cb91c1dd9e0a671f73b241",
+    ("tube_h3", 7): "3f4350d9bed136dab3084eb8a57080bb1f2b96899552455af6087ff09d276a72",
+}
 
 
 def write_scenario(path, name, d, **settings):
@@ -345,6 +367,11 @@ class TestTrajectoryWriters:
         assert not list((tmp_path / "out").glob("*.csv"))
 
 
+def flows_at(batch_flow, d, X, ts):
+    """A battery hook from a one-time batch flow: the rows X flowed to every time of ts, (T, K, m+1)."""
+    return np.array([batch_flow(d, X, t) for t in ts.tolist()])
+
+
 def reference_closed_form_checks(d, sampling, F, f):
     """The battery's closed-form checks with one scalar flow F, f per (sample, time)."""
     n = dimensions(d).n
@@ -456,13 +483,14 @@ class TestVerify:
         # every check's maximum depend on which points and times are visited
         name, d = catalog_entry
         bump = lambda x, t: 1.0 + 1e-7 * t * x[..., :1]
+        bumps = lambda X, ts: 1.0 + 1e-7 * ts[:, None, None] * X[..., :1]
         sampling = Sampling(3, 7)
         report = run_invariant_battery(
             d,
             sampling,
             OracleSettings(enabled=False),
-            lorentz_eval=lambda X, t: lorentz_flow_batch(d, X, t) * bump(X, t),
-            hyperbolic_eval=lambda X, t: hyperbolic_flow_batch(d, X, t) * bump(X, t),
+            lorentz_eval=lambda X, ts: flows_at(lorentz_flow_batch, d, X, ts) * bumps(X, ts),
+            hyperbolic_eval=lambda X, ts: flows_at(hyperbolic_flow_batch, d, X, ts) * bumps(X, ts),
         )
         reference = reference_closed_form_checks(
             d,
@@ -483,7 +511,7 @@ class TestVerify:
     def test_corrupted_flow_fails_the_norm_law(self):
         # negative control: a 1% scale bug must trip the battery
         d = CATALOG["circle_h2"]
-        bad = lambda X, t: 1.01 * lorentz_flow_batch(d, X, t)
+        bad = lambda X, ts: 1.01 * flows_at(lorentz_flow_batch, d, X, ts)
         report = run_invariant_battery(
             d, Sampling(), OracleSettings(enabled=False), lorentz_eval=bad
         )
@@ -491,9 +519,62 @@ class TestVerify:
         names = {c.name for c in report.checks if not c.passed}
         assert "norm_law" in names
 
+    @pytest.mark.parametrize("seed", [7, 3])
+    def test_verify_output_is_pinned(self, catalog_entry, seed, capsys):
+        name, _ = catalog_entry
+        assert cli.main(["verify", name, "--seed", str(seed)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == VERIFY_STDOUT_SHA256[name, seed]
+
+    def test_closed_form_checks_make_one_core_call_each(self, catalog_entry, monkeypatch):
+        # five flow calls of the battery's own, over all of a check's times,
+        # and the endpoint call of ``forward_limit``; calls the core makes
+        # inside itself (an umbilic level flowing its inner level) do not count
+        name, d = catalog_entry
+        calls, depth = [], [0]
+
+        def counted(core):
+            def wrapper(*args, **kwargs):
+                if depth[0] == 0:
+                    calls.append((core.__name__, len(args[2])))
+                depth[0] += 1
+                try:
+                    return core(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            return wrapper
+
+        for core in (flow._hyperbolic_flow_rows, flow._lorentz_flow_rows):
+            wrapper = counted(core)
+            for module in (flow, scenario, limits):
+                if getattr(module, core.__name__, None) is core:
+                    monkeypatch.setattr(module, core.__name__, wrapper)
+        quadric = []
+        quadric_rows = flow._quadric_rows
+        monkeypatch.setattr(flow, "_quadric_rows", lambda d, X: quadric.append(len(X)) or quadric_rows(d, X))
+        report = run_invariant_battery(d, Sampling(3, 7), OracleSettings(enabled=False))
+        assert report.overall_pass, name
+        assert 0 < len(calls) <= 6, (name, calls)
+        assert sum(len_ts for _, len_ts in calls) >= 40 + 25, (name, calls)
+        assert len(quadric) <= 2, (name, quadric)  # the battery's validation, and forward_limit's at a focal limit
+
+    def test_non_finite_flow_fails_the_norm_law(self):
+        # a nan at one sampled time must not be lost in the maximum over times
+        d = CATALOG["circle_h2"]
+
+        def bad(X, ts):
+            out = flows_at(lorentz_flow_batch, d, X, ts)
+            out[len(ts) // 2, 0, 0] = np.nan
+            return out
+
+        report = run_invariant_battery(d, Sampling(), OracleSettings(enabled=False), lorentz_eval=bad)
+        norm_law = next(c for c in report.checks if c.name == "norm_law")
+        assert math.isnan(norm_law.max_residual) and not norm_law.passed
+
     def test_tolerance_scale_loosens(self):
         d = CATALOG["circle_h2"]
-        bad = lambda X, t: (1.0 + 1e-13) * lorentz_flow_batch(d, X, t)
+        bad = lambda X, ts: (1.0 + 1e-13) * flows_at(lorentz_flow_batch, d, X, ts)
         tight = run_invariant_battery(d, Sampling(), OracleSettings(enabled=False), lorentz_eval=bad)
         loose = run_invariant_battery(
             d, Sampling(), OracleSettings(enabled=False), tolerance_scale=1e6, lorentz_eval=bad
@@ -571,6 +652,14 @@ class TestCli:
         assert out.returncode == 2
         assert field in out.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "verify", "limits"])
+    def test_negative_seed_exit_two(self, verb, tmp_path):
+        # every verb builds its seed through Sampling and refuses it with one message
+        out = run_cli(verb, "circle_h2", "--seed", "-1", "--out", str(tmp_path / "out"))
+        assert out.returncode == 2
+        assert out.stderr == "error: sampling.seed must be >= 0, got -1\n"
+        assert out.stdout == ""
 
     @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
     def test_bad_tolerance_scale_exit_two(self, value):
