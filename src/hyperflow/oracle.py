@@ -69,9 +69,17 @@ class AmbientSpace:
         return self.kind in ("sphere", "hyperboloid")
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
+        return float(self.inners(u, v))
+
+    def inners(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """``inner`` of every vector pair along the last axis of two broadcastable arrays.
+
+        Each pair is one dot product, so a stacked product has the bits of
+        its own ``inner`` call.
+        """
         if self.lorentzian_signature:
-            return float(np.dot(u[:-1], v[:-1]) - u[-1] * v[-1])
-        return float(np.dot(u, v))
+            return np.matmul(U[..., None, :-1], V[..., :-1, None])[..., 0, 0] - U[..., -1] * V[..., -1]
+        return np.matmul(U[..., None, :], V[..., :, None])[..., 0, 0]
 
     def signature(self, dim: int) -> np.ndarray:
         """Diagonal of the metric on R^dim: ones, and -1 last when Lorentzian."""
@@ -119,12 +127,6 @@ class ImmersionEvaluator:
         return np.array([self(u) for u in Uv])
 
 
-def _e(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n)
-    v[i] = 1.0
-    return v
-
-
 def _check_gram(G: np.ndarray, message: str) -> None:
     """Refuse Gram matrices, one or stacked, that are not finite or are numerically singular."""
     if not np.isfinite(G).all() or np.any(np.linalg.cond(G) > _COND_LIMIT):
@@ -138,10 +140,11 @@ def _finite(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _metric_inverse(imm: ImmersionEvaluator, first: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    n = len(first)
-    g = np.array([[imm.ambient.inner(first[i], first[j]) for j in range(n)] for i in range(n)])
-    if n == 0:
+def _metric_inverse(imm: ImmersionEvaluator, first) -> tuple[np.ndarray, np.ndarray]:
+    """The induced metrics (..., n, n) of chart derivatives (..., n, dim), checked, and their inverses."""
+    first = np.asarray(first, dtype=float)
+    g = imm.ambient.inners(first[..., :, None, :], first[..., None, :, :])
+    if first.shape[-2] == 0:
         return g, g
     _check_gram(g, "induced metric is numerically singular at this chart point")
     return g, np.linalg.inv(g)
@@ -154,14 +157,14 @@ def _stencil_offsets(n: int, h: float) -> np.ndarray:
     Layout: center; then +h e_i, -h e_i per axis; then the four corner
     offsets of each axis pair i < j in the order ++, +-, -+, --.
     """
+    e = np.eye(n)
     offs = [np.zeros(n)]
     for i in range(n):
-        offs.append(h * _e(n, i))
-        offs.append(-h * _e(n, i))
+        offs += [h * e[i], -h * e[i]]
     for i in range(n):
         for j in range(i + 1, n):
             for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                offs.append(h * (si * _e(n, i) + sj * _e(n, j)))
+                offs.append(h * (si * e[i] + sj * e[j]))
     out = np.asarray(offs)
     out.flags.writeable = False
     return out
@@ -223,18 +226,8 @@ def _stencil_points(U: np.ndarray, offs: np.ndarray) -> np.ndarray:
     return (U[:, None, :] + offs[None, :, :]).reshape(U.shape[0] * offs.shape[0], U.shape[1])
 
 
-def _mean_curvature_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float, richardson: bool = False) -> np.ndarray:
-    """Mean curvature vectors (P, dim) at P chart points, from one ``at_rows`` call.
-
-    With ``richardson`` the stencils of h and h/2 are evaluated together and
-    the two estimates extrapolated to O(h^4).
-    """
-    steps, points = _mc_stencil_points(U, h, richardson)
-    return _mc_of_stencils(imm.at_rows(points), U.shape[0], imm.chart_dim, steps, imm.ambient)
-
-
 def _mc_stencil_points(U: np.ndarray, h: float, richardson: bool) -> tuple[tuple[float, ...], np.ndarray]:
-    """The differencing steps of ``_mean_curvature_rows`` and the chart points of their stencils around every row of U."""
+    """The differencing steps of a mean curvature estimate (two for Richardson) and the chart points of their stencils around every row of U."""
     steps = (h, h / 2.0) if richardson else (h,)
     for s in steps:
         _check_fd_step(s)
@@ -251,11 +244,12 @@ def _mc_of_stencils(vals: np.ndarray, P: int, n: int, steps: tuple[float, ...], 
 def numeric_mean_curvature(imm: ImmersionEvaluator, u, h: float = 1e-3, richardson: bool = False) -> np.ndarray:
     """O(h^2) mean curvature vector of the immersed chart at u.
 
-    With ``richardson`` the h and h/2 estimates are extrapolated to O(h^4);
-    used by the acceptance runs where an extra digit matters.
+    With ``richardson`` the h and h/2 estimates, whose stencils are
+    evaluated in one ``at_rows`` call, are extrapolated to O(h^4); used by
+    the acceptance runs where an extra digit matters.
     """
-    uv = np.asarray(u, dtype=float).reshape(1, imm.chart_dim)
-    return _mean_curvature_rows(imm, uv, h, richardson)[0]
+    steps, points = _mc_stencil_points(np.asarray(u, dtype=float).reshape(1, imm.chart_dim), h, richardson)
+    return _mc_of_stencils(imm.at_rows(points), 1, imm.chart_dim, steps, imm.ambient)[0]
 
 
 def second_fundamental_form(imm: ImmersionEvaluator, u, h: float = 1e-3):
@@ -274,39 +268,33 @@ def second_fundamental_form(imm: ImmersionEvaluator, u, h: float = 1e-3):
 
 
 def _second_fundamental_form_at(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray, second: np.ndarray):
-    """Metric and II_ij at one chart point, from its stencil derivatives.
+    """Metrics (..., n, n) and II (..., n, n, dim) at chart points, from their stencil derivatives.
 
-    Every d^2 X / du_i du_j is projected off the tangent frame in one
-    ``_tangential_parts`` call: one Gram matrix for all of them.
+    Every d^2 X / du_i du_j of a point is projected off its tangent frame in
+    one ``_tangential_parts`` call: one Gram matrix per point for all of them.
     """
     n = imm.chart_dim
     g, _ = _metric_inverse(imm, first)
     if n == 0:
-        return g, []
-    frame = list(first) + ([center] if imm.ambient.intrinsic_to_quadric else [])
-    W = [second[i][j] for i in range(n) for j in range(n)]
-    normal = [w - p for w, p in zip(W, _tangential_parts(imm, frame, W))]
-    return g, [normal[i * n : (i + 1) * n] for i in range(n)]
+        return g, second
+    frame = np.concatenate([first, center[..., None, :]], axis=-2) if imm.ambient.intrinsic_to_quadric else first
+    W = second.reshape(second.shape[:-3] + (n * n, second.shape[-1]))
+    return g, (W - _tangential_parts(imm, frame, W)).reshape(second.shape)
 
 
-def _general_tangential(imm: ImmersionEvaluator, frame: list[np.ndarray], w: np.ndarray) -> np.ndarray:
-    """The part of w tangent to the span of ``frame``; one vector of ``_tangential_parts``."""
-    return _tangential_parts(imm, frame, [w])[0]
+def _tangential_parts(imm: ImmersionEvaluator, frame, W) -> np.ndarray:
+    """The parts of the vectors W (..., w, dim) tangent to the span of ``frame`` (..., k, dim), as (..., w, dim).
 
-
-def _tangential_parts(imm: ImmersionEvaluator, frame: list[np.ndarray], W: list[np.ndarray]) -> np.ndarray:
-    """The parts of the vectors W tangent to the span of ``frame``, as (len(W), dim).
-
-    The frame's Gram matrix is built and checked once.  The coefficients
+    Each frame's Gram matrix is built and checked once.  The coefficients
     come from one stacked solve with one right-hand side per vector, so
     each vector gets the bits of its own solve.
     """
-    k = len(frame)
-    G = np.array([[imm.ambient.inner(frame[i], frame[j]) for j in range(k)] for i in range(k)])
+    frame, W = np.asarray(frame, dtype=float), np.asarray(W, dtype=float)
+    G = imm.ambient.inners(frame[..., :, None, :], frame[..., None, :, :])
     _check_gram(G, "degenerate frame while projecting")
-    rhs = np.array([[imm.ambient.inner(w, f) for f in frame] for w in W])
-    coeff = np.linalg.solve(np.broadcast_to(G, (len(W), k, k)), rhs[..., None])[..., 0]
-    return sum(coeff[:, a, None] * frame[a] for a in range(k))
+    rhs = imm.ambient.inners(W[..., :, None, :], frame[..., None, :, :])
+    coeff = np.linalg.solve(np.broadcast_to(G[..., None, :, :], rhs.shape + G.shape[-1:]), rhs[..., None])[..., 0]
+    return sum(coeff[..., a, None] * frame[..., None, a, :] for a in range(frame.shape[-2]))
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +353,6 @@ def descriptor_immersion(d, t: float | None = None, gauge: str = "hyperbolic") -
     return ImmersionEvaluator(chart_dim(d), ambient, lambda u: rows(u.reshape(1, -1))[0], rows)
 
 
-def _minkowski_rows(V: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """<v,w> of every row pair, with the arithmetic of ``minkowski_inner``."""
-    return np.matmul(V[:, None, :-1], W[:, :-1, None])[:, 0, 0] - V[:, -1] * W[:, -1]
-
-
 def pde_residual_grid(
     d,
     chart_samples: Sequence[np.ndarray],
@@ -417,10 +400,10 @@ def pde_residual_grid(
         V = velocity - _mc_of_stencils(charts[j], S, n, steps, ambient)
         if gauge == "hyperbolic":
             Xt = moved[3 * j + 2]
-            V = V + _minkowski_rows(V, Xt)[:, None] * Xt  # tangential projection, <x,x> = -1
-            out[:, j] = np.sqrt(np.maximum(_minkowski_rows(V, V), 0.0))
+            V = V + LORENTZIAN.inners(V, Xt)[:, None] * Xt  # tangential projection, <x,x> = -1
+            out[:, j] = np.sqrt(np.maximum(LORENTZIAN.inners(V, V), 0.0))
         else:
-            out[:, j] = np.sqrt(np.abs(_minkowski_rows(V, V)))
+            out[:, j] = np.sqrt(np.abs(LORENTZIAN.inners(V, V)))
     return out
 
 
@@ -436,14 +419,7 @@ def pde_residual(
     return float(pde_residual_grid(d, [u], [t], h, dt, gauge, richardson)[0, 0])
 
 
-def evolve_and_compare(
-    d,
-    chart_samples: Sequence[np.ndarray],
-    t0: float,
-    t1: float,
-    dt: float,
-    h: float = 1e-3,
-) -> float:
+def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: float, dt: float, h: float = 1e-3) -> float:
     """Forward Euler along the numeric mean curvature versus the closed form.
 
     Each sample is stepped by x <- x + dt * H_numeric(flow surface at t_k)
@@ -488,10 +464,8 @@ def evolve_and_compare(
         for Hk in H:
             X = X + dt * Hk
             X = X / np.sqrt(-HYPERBOLOID.inner_rows(X, X))[:, None]
-    worst = 0.0
-    for x, target in zip(X, hyperbolic_flow_batch(d, X0, t0 + steps * dt)):
-        worst = max(worst, float(np.linalg.norm(x - target)))
-    return worst
+    targets = hyperbolic_flow_batch(d, X0, t0 + steps * dt)
+    return float(np.max([np.linalg.norm(x - target) for x, target in zip(X, targets)]))
 
 
 # ---------------------------------------------------------------------------
@@ -501,22 +475,37 @@ def evolve_and_compare(
 def principal_curvatures(imm: ImmersionEvaluator, u, normals: list[np.ndarray], h: float = 1e-3) -> list[np.ndarray]:
     """Sorted shape-operator eigenvalues along each given unit normal."""
     _, _, g, II = second_fundamental_form(imm, u, h)
-    return _shape_eigenvalues(imm, g, II, normals)
+    return list(_shape_eigenvalues(imm, g, II, np.asarray(normals, dtype=float).reshape(len(normals), II.shape[-1])))
 
 
-def _shape_eigenvalues(imm: ImmersionEvaluator, g: np.ndarray, II, normals: list[np.ndarray]) -> list[np.ndarray]:
-    n = imm.chart_dim
-    out = []
-    for zeta in normals:
-        S = np.array([[imm.ambient.inner(II[i][j], zeta) for j in range(n)] for i in range(n)])
-        out.append(np.sort(np.linalg.eigvals(np.linalg.solve(g, S)).real))
-    return out
+def _shape_eigenvalues(imm: ImmersionEvaluator, g: np.ndarray, II: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Sorted shape-operator eigenvalues (..., k, n) along normals Z (..., k, dim), from metrics (..., n, n) and II (..., n, n, dim)."""
+    S = imm.ambient.inners(II[..., None, :, :, :], Z[..., :, None, None, :])
+    return np.sort(np.linalg.eigvals(np.linalg.solve(g[..., None, :, :], S)).real, axis=-1)
 
 
 # Each transport segment is split into sub-segments, each with a freshly
 # seeded basis; the connection form is differenced in time with this step.
 _TRANSPORT_SUBSEGMENTS = 4
 _CONNECTION_DELTA = 1e-5
+
+
+def _rk4_times(ta: float, dt: float, steps: int) -> list[float]:
+    """The times ``_rk4`` asks for, in its own arithmetic: t + dt need not equal the next step's t, and then both are kept."""
+    starts = [ta + i * dt for i in range(steps)]
+    return list(dict.fromkeys(s for t in starts for s in (t, t + dt / 2.0, t + dt)))
+
+
+def _rk4(at: dict, y: np.ndarray, ta: float, dt: float, steps: int) -> np.ndarray:
+    """Classical RK4 for y' = at[t] @ y from ta, in ``steps`` steps of dt; ``at`` holds the matrices at ``_rk4_times``."""
+    for i in range(steps):
+        t = ta + i * dt
+        k1 = at[t] @ y
+        k2 = at[t + dt / 2.0] @ (y + dt / 2.0 * k1)
+        k3 = at[t + dt / 2.0] @ (y + dt / 2.0 * k2)
+        k4 = at[t + dt] @ (y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
 
 
 def _sub_steps(steps: int) -> int:
@@ -526,102 +515,101 @@ def _sub_steps(steps: int) -> int:
     return max(4, steps // _TRANSPORT_SUBSEGMENTS)
 
 
-def _transport_seeds(stops: list[np.ndarray]) -> np.ndarray:
-    """The chart points seeding the basis of every sub-segment along stops[0] -> stops[1] -> ..."""
-    q = _TRANSPORT_SUBSEGMENTS
-    return np.array([a + 0.5 * (seg / q + (seg + 1) / q) * (b - a) for a, b in zip(stops, stops[1:]) for seg in range(q)])
+def _transport_path(stops: np.ndarray, sub_steps: int, k: int):
+    """The seeds, the sub-segments and the points of a transport along the chart segments stops[0] -> stops[1] -> ...
 
-
-def _transport_chain(
-    imm: ImmersionEvaluator,
-    stops: list[np.ndarray],
-    frame: list[np.ndarray],
-    seed_center: np.ndarray,
-    seed_first: np.ndarray,
-    sub_steps: int,
-    h: float,
-) -> list[list[np.ndarray]]:
-    """The frame transported along the straight chart segments between consecutive stops.
-
-    Returns the frame at every stop after the first.  ``seed_center`` and
-    ``seed_first`` are the points and first derivatives at
-    ``_transport_seeds(stops)``, which fix each sub-segment's pivot order.
-    A does not depend on the coefficients, so the basis at every point of
-    every sub-segment is evaluated in one ``at_rows`` call before any
-    integration; only the small RK4 loops run in order.
+    Every segment is split alike.  A sub-segment is (ta, dt, keys): its
+    start, its RK4 step and, for a frame of k > 1 vectors, the times its
+    RK4 loop asks the connection form for.  Its seed, which fixes its pivot
+    order, is its midpoint; its points are its two ends, then each key with
+    the two partners of its central difference in time.
     """
-    k = len(frame)
-    if k == 0:
-        return [[] for _ in stops[1:]]
     q, delta = _TRANSPORT_SUBSEGMENTS, _CONNECTION_DELTA
-    orders = [_frame_order(imm, W) for W in _normal_candidates(imm, seed_center, seed_first)]
-    subs = []
-    for a, b in zip(stops, stops[1:]):
-        for seg in range(q):
-            ta, tb = seg / q, (seg + 1) / q
-            dt = (tb - ta) / sub_steps
-            # the times the RK4 loop below asks A for, in its own arithmetic:
-            # t + dt need not equal the next step's t, and then both are kept
-            keys: list[float] = []
-            if k > 1:
-                for i in range(sub_steps):
-                    t = ta + i * dt
-                    keys += [t, t + dt / 2.0, t + dt]
-                keys = list(dict.fromkeys(keys))
-            ts = np.array([ta, tb] + [s for t in keys for s in (t, t + delta, t - delta)])
-            subs.append((ta, dt, keys, a + ts[:, None] * (b - a)))
-    points = [p for *_, p in subs]
-    W = _normal_candidates(imm, *_first_derivative_rows(imm, np.concatenate(points), h))
-    blocks = np.split(W, np.cumsum([len(p) for p in points])[:-1])
+    subs, mids, ts = [], [], []
+    for seg in range(q):
+        ta, tb = seg / q, (seg + 1) / q
+        dt = (tb - ta) / sub_steps
+        keys = _rk4_times(ta, dt, sub_steps) if k > 1 else []
+        subs.append((ta, dt, keys))
+        mids.append(0.5 * (ta + tb))
+        ts += [ta, tb] + [s for t in keys for s in (t, t + delta, t - delta)]
+    a, b = stops[:-1, None, :], stops[1:, None, :]
+    seeds, path = (a + np.array(u)[:, None] * (b - a) for u in (mids, ts))
+    return seeds.reshape(-1, stops.shape[1]), subs, path.reshape(-1, stops.shape[1])
 
-    current = [np.asarray(z, dtype=float).copy() for z in frame]
+
+def _path_frames(imm: ImmersionEvaluator, W: np.ndarray, lead: int, subs, segments: int) -> np.ndarray:
+    """Normal frames (T, R, k, dim) at candidates (T, R, dim, dim): ``lead`` rows, then the points of a transport path.
+
+    Each of the first ``lead`` rows picks its own pivot order; the last
+    ``segments * len(subs)`` of them are the sub-segment seeds, and every
+    path point takes the order of its seed.
+    """
+    T, R, dim, _ = W.shape
+    first_seed = lead - segments * len(subs)
+    owner = np.repeat(np.arange(first_seed, lead), [2 + 3 * len(keys) for *_, keys in subs] * segments)
+    orders = _frame_orders(imm, W[:, :lead])[:, np.concatenate([np.arange(lead), owner])].reshape(T * R, -1)
+    W = W.reshape(T * R, dim, dim)
+    # one Gram-Schmidt per distinct order, over every row that has it
+    distinct, which = np.unique(orders, axis=0, return_inverse=True)
+    N = np.empty(orders.shape + (dim,))
+    for j, order in enumerate(distinct):
+        rows = np.flatnonzero(which.reshape(-1) == j)
+        N[rows] = _frames_along(imm, order.tolist(), W, rows)
+    return N.reshape(T, R, -1, dim)
+
+
+def _transport_chain(imm: ImmersionEvaluator, frame: np.ndarray, N: np.ndarray, subs, sub_steps: int) -> np.ndarray:
+    """T frames (T, k, dim) transported along consecutive chart segments, at every stop after the first: (T, segments, k, dim).
+
+    ``N`` (T, points, k, dim) is the moving normal basis at the points of
+    ``_transport_path``, whose sub-segments are ``subs``.  A does not depend
+    on the coefficients, so the connection form at every key is formed
+    before any integration; only the RK4 loops run in order, each step one
+    stacked (T, k, k) update of all T chains.
+    """
+    T, _, k, dim = N.shape
+    counts = [2 + 3 * len(keys) for *_, keys in subs]
+    starts = np.cumsum([0] + counts[:-1])
+    N = N.reshape(T, -1, sum(counts), k, dim)
+    if k > 1:
+        at = np.concatenate([start + 2 + 3 * np.arange(len(keys)) for start, (*_, keys) in zip(starts, subs)])
+        Nt = N[:, :, at] * imm.ambient.signature(dim)
+        dN = (N[:, :, at + 1] - N[:, :, at + 2]) / (2.0 * _CONNECTION_DELTA)
+        M = np.einsum("tid,tjd->tij", Nt.reshape(-1, k, dim), dN.reshape(-1, k, dim))
+        A = (0.5 * (M - M.transpose(0, 2, 1))).reshape(T, N.shape[1], len(at), k, k)
     out = []
-    for idx, ((ta, dt, keys, _), order, Wj) in enumerate(zip(subs, orders, blocks)):
-        frames = _frames_along(imm, order, Wj)
-        N0, N1 = frames[0], frames[1]
-        coeff = np.array([[imm.ambient.inner(nu, z) for z in current] for nu in N0])
-        if k == 1:
-            current = [coeff[0, 0] * N1[0]]
-        else:
-            Nt, Np, Nm = frames[2::3], frames[3::3], frames[4::3]
-            sig = imm.ambient.signature(frames.shape[-1])
-            M = np.einsum("tid,tjd->tij", Nt * sig, (Np - Nm) / (2.0 * delta))
-            A = dict(zip(keys, 0.5 * (M - M.transpose(0, 2, 1))))
-            for i in range(sub_steps):
-                t = ta + i * dt
-                k1 = -A[t] @ coeff
-                k2 = -A[t + dt / 2.0] @ (coeff + dt / 2.0 * k1)
-                k3 = -A[t + dt / 2.0] @ (coeff + dt / 2.0 * k2)
-                k4 = -A[t + dt] @ (coeff + dt * k3)
-                coeff = coeff + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            current = [sum(coeff[i, j] * N1[i] for i in range(k)) for j in range(k)]
-        if idx % q == q - 1:
-            current = _strip_drift(imm, current)
-            out.append(current)
-    return out
+    for seg in range(N.shape[1]):
+        first_key = 0
+        for start, (ta, dt, keys) in zip(starts, subs):
+            N0, N1 = N[:, seg, start], N[:, seg, start + 1]
+            coeff = imm.ambient.inners(N0[:, :, None, :], frame[:, None, :, :])
+            if k > 1:
+                minus_A = -A[:, seg, first_key : first_key + len(keys)].swapaxes(0, 1)
+                coeff = _rk4(dict(zip(keys, minus_A)), coeff, ta, dt, sub_steps)  # c' = -A(t) c
+                first_key += len(keys)
+            frame = sum(coeff[:, i, :, None] * N1[:, i, None, :] for i in range(k))
+        frame = _strip_drift(imm, frame)
+        out.append(frame)
+    return np.stack(out, axis=1)
 
 
-def _strip_drift(imm: ImmersionEvaluator, frame: list[np.ndarray]) -> list[np.ndarray]:
-    """Re-orthonormalize a transported frame in order, which keeps its orientation."""
+def _strip_drift(imm: ImmersionEvaluator, frames: np.ndarray) -> np.ndarray:
+    """Re-orthonormalize transported frames (T, k, dim) in order, which keeps their orientation."""
     moved: list[np.ndarray] = []
-    for w in frame:
-        v = w.copy()
+    for j in range(frames.shape[1]):
+        v = frames[:, j]
         for m in moved:
-            v = v - imm.ambient.inner(v, m) * m
-        q = imm.ambient.inner(v, v)
-        if q <= 1e-18:
+            v = v - imm.ambient.inners(v, m)[:, None] * m
+        q = imm.ambient.inners(v, v)
+        if np.any(q <= 1e-18):
             raise ChartDegenerateError("normal frame degenerated during transport")
-        moved.append(v / math.sqrt(q))
-    return moved
+        moved.append(v / np.sqrt(q)[:, None])
+    return np.stack(moved, axis=1)
 
 
 def transport_normal_frame(
-    imm: ImmersionEvaluator,
-    u_from,
-    u_to,
-    frame: list[np.ndarray],
-    steps: int = 48,
-    h: float = 1e-3,
+    imm: ImmersionEvaluator, u_from, u_to, frame: list[np.ndarray], steps: int = 48, h: float = 1e-3
 ) -> list[np.ndarray]:
     """Parallel transport of a normal frame along a straight chart segment.
 
@@ -633,88 +621,111 @@ def transport_normal_frame(
     segment is split into sub-segments, each with a freshly seeded basis.
     Codimension one needs no integration: the single coefficient rides the
     smooth unit normal field unchanged.  A chain of one segment of
-    ``_transport_chain``: one ``at_rows`` call for the seeds, one for the
-    basis along all sub-segments.
+    ``_transport_chain``, with one ``at_rows`` call.
     """
     sub_steps = _sub_steps(steps)
-    stops = [np.asarray(u_from, dtype=float), np.asarray(u_to, dtype=float)]
     if len(frame) == 0:
         return []
-    seed_center, seed_first = _first_derivative_rows(imm, _transport_seeds(stops), h)
-    return _transport_chain(imm, stops, frame, seed_center, seed_first, sub_steps, h)[0]
+    stops = np.array([u_from, u_to], dtype=float)
+    seeds, subs, path = _transport_path(stops, sub_steps, len(frame))
+    W = _normal_candidates(imm, *_first_derivative_rows(imm, np.concatenate([seeds, path]), h))
+    N = _path_frames(imm, W[None], len(seeds), subs, 1)[:, len(seeds) :]
+    return list(_transport_chain(imm, np.array(frame, dtype=float)[None], N, subs, sub_steps)[0, 0])
 
 
 def _chain_samples(samples: list[np.ndarray]) -> list[np.ndarray]:
     """Greedy nearest-neighbor ordering, keeping transport segments short."""
-    rest = list(samples[1:])
-    chain = [samples[0]]
+    chain, rest = samples[:1], samples[1:]
     while rest:
-        last = chain[-1]
-        k = int(np.argmin([np.linalg.norm(u - last) for u in rest]))
-        chain.append(rest.pop(k))
+        chain.append(rest.pop(int(np.argmin([np.linalg.norm(u - chain[-1]) for u in rest]))))
     return chain
 
 
-def isoparametric_residual(
-    d,
-    t: float,
-    chart_samples: Sequence[np.ndarray],
-    transport_steps: int = 24,
-    h: float = 1e-3,
-) -> float:
-    """Spread of principal curvatures along a transported normal frame.
+def isoparametric_residuals(
+    d, times: Sequence[float], chart_samples: Sequence[np.ndarray], transport_steps: int = 24, h: float = 1e-3
+) -> np.ndarray:
+    """Spread of principal curvatures along a transported normal frame, at every time: (T,).
 
     Starting from the first sample's orthonormal normal frame, the frame is
     transported sample to sample (chained nearest-neighbor); at every stop
     the sorted shape-operator eigenvalues along each frame vector are
     compared with the starting ones.  Codimension-0 descriptors have no
-    normal directions and return 0.  The time must be finite, and
+    normal directions and give 0.  Times must be finite, and
     ``transport_steps`` at least 1; a time whose flow overflows doubles is
-    out of range.  The flowed chart is evaluated in two ``at_rows`` calls,
-    see ``isoparametric_residual_of``.
+    out of range.  The chart points are immersed and validated once and
+    flowed over all times in one call; entry j has the bits of
+    ``isoparametric_residual`` at times[j] alone.
     """
-    t = _finite_time(t)
+    ts = [_finite_time(t) for t in times]
     _sub_steps(transport_steps)
-    if dimensions(d).codim == 0:
-        return 0.0
-    imm = descriptor_immersion(d, t, "hyperbolic")
-    return isoparametric_residual_of(imm, chart_samples, transport_steps, h)
+    k = dimensions(d).codim
+    if k == 0 or not ts:
+        return np.zeros(len(ts))
+    chart = descriptor_immersion(d)
+
+    def flowed(U: np.ndarray) -> np.ndarray:
+        X = chart.at_rows(U)
+        _validate_rows(d, X)
+        return _flow_times("hyperbolic", d, X, ts)
+
+    return _isoparametric_spreads(chart, flowed, k, chart_samples, transport_steps, h)
+
+
+def isoparametric_residual(
+    d, t: float, chart_samples: Sequence[np.ndarray], transport_steps: int = 24, h: float = 1e-3
+) -> float:
+    """``isoparametric_residuals`` at one time."""
+    return float(isoparametric_residuals(d, [t], chart_samples, transport_steps, h)[0])
 
 
 def isoparametric_residual_of(
-    imm: ImmersionEvaluator,
-    chart_samples: Sequence[np.ndarray],
-    transport_steps: int = 24,
-    h: float = 1e-3,
+    imm: ImmersionEvaluator, chart_samples: Sequence[np.ndarray], transport_steps: int = 24, h: float = 1e-3
 ) -> float:
     """The transported principal-curvature spread for a raw evaluator.
 
-    No chart point the check needs depends on the transported frame, so
-    they are evaluated before the integration, in two ``at_rows`` calls:
-    first the differencing stencils of every sample (which also give the
-    start frame) with the first-derivative stencils of every sub-segment
-    seed, then the basis along every sub-segment (``_transport_chain``).
+    The one-time case of the core of ``isoparametric_residuals``: the normal
+    rank is read off one chart point, then every chart point of the check
+    is evaluated in one ``at_rows`` call, so two evaluations in all.
+    """
+    return float(_isoparametric_spreads(imm, lambda U: imm.at_rows(U)[None], None, chart_samples, transport_steps, h)[0])
+
+
+def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart_samples, transport_steps: int, h: float) -> np.ndarray:
+    """The transported principal-curvature spread of a chart at T times, (T,).
+
+    ``values`` maps chart points (P, n) to their points at every time,
+    (T, P, dim); ``k`` is the normal rank, or None to read it off one chart
+    point.  No chart point depends on the transported frame, so ``values``
+    is called once, on the stencils of the samples and of the transport
+    path.  A time's spread is one maximum over all of its stops, frame
+    vectors and eigenvalues, so a nan anywhere gives nan.
     """
     sub_steps = _sub_steps(transport_steps)
-    samples = _chain_samples([np.asarray(u, dtype=float) for u in chart_samples])
-    if len(samples) < 2:
+    us = [np.asarray(u, dtype=float) for u in chart_samples]
+    if len(us) < 2:
         raise InsufficientSamplesError("need at least two chart samples")
+    samples = np.array(_chain_samples(us))
     n = imm.chart_dim
+    if k is None:
+        k = imm(samples[0]).shape[0] - n - (1 if imm.ambient.intrinsic_to_quadric else 0)
     offs = _stencil_offsets(n, h)
-    S, K = len(samples), offs.shape[0]
-    seeds = _transport_seeds(samples)
-    vals = imm.at_rows(np.concatenate([_stencil_points(np.array(samples), offs), _stencil_points(seeds, offs[: 1 + 2 * n])]))
-    center, first, second = _stencil_derivatives(vals[: S * K].reshape(S, K, -1), n, h)
-    seed_center, seed_first = _first_derivatives_of(vals[S * K :].reshape(len(seeds), 1 + 2 * n, -1), h)
-    W0 = _normal_candidates(imm, center[:1], first[:1])
-    frame = list(_frames_along(imm, _frame_order(imm, W0[0]), W0)[0])
-    forms = [_second_fundamental_form_at(imm, c, f, s) for c, f, s in zip(center, first, second)]
-    baseline = _shape_eigenvalues(imm, *forms[0], frame)
-    spread = 0.0
-    for form, moved in zip(forms[1:], _transport_chain(imm, samples, frame, seed_center, seed_first, sub_steps, h)):
-        for e0, e1 in zip(baseline, _shape_eigenvalues(imm, *form, moved)):
-            spread = max(spread, float(np.max(np.abs(e1 - e0))))
-    return spread
+    S, K, F = len(samples), offs.shape[0], 1 + 2 * n
+    seeds, subs, path = _transport_path(samples, sub_steps, k)
+    lead = np.concatenate([samples[:1], seeds, path])
+    vals = values(np.concatenate([_stencil_points(samples, offs), _stencil_points(lead, offs[:F])]))
+    T, dim = vals.shape[0], vals.shape[-1]
+    if k == 0:
+        return np.zeros(T)
+    center, first, second = _stencil_derivatives(vals[:, : S * K].reshape(T * S, K, dim), n, h)
+    W = _normal_candidates(imm, *_first_derivatives_of(vals[:, S * K :].reshape(T, len(lead), F, dim), h))
+    del vals  # the candidates and frames are the largest arrays: free what they no longer need
+    N = _path_frames(imm, W, 1 + len(seeds), subs, S - 1)
+    del W
+    moved = _transport_chain(imm, N[:, 0], N[:, 1 + len(seeds) :], subs, sub_steps)
+    g, II = _second_fundamental_form_at(imm, center, first, second)
+    Z = np.concatenate([N[:, :1], moved], axis=1).reshape(T * S, k, dim)
+    E = _shape_eigenvalues(imm, g, II, Z).reshape(T, S, k, n)
+    return np.max(np.abs(E[:, 1:] - E[:, :1]), axis=(1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +759,8 @@ def _first_derivative_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float):
 
 
 def _first_derivatives_of(vals: np.ndarray, h: float):
-    """Centers and central first derivatives of P first-derivative stencils (P, 1 + 2n, dim)."""
-    return vals[:, 0], (vals[:, 1::2] - vals[:, 2::2]) / (2.0 * h)
+    """Centers (..., dim) and central first derivatives (..., n, dim) of first-derivative stencils (..., 1 + 2n, dim)."""
+    return vals[..., 0, :], (vals[..., 1::2, :] - vals[..., 2::2, :]) / (2.0 * h)
 
 
 def _first_derivatives(imm: ImmersionEvaluator, u: np.ndarray, h: float):
@@ -758,58 +769,60 @@ def _first_derivatives(imm: ImmersionEvaluator, u: np.ndarray, h: float):
 
 
 def _normal_candidates(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """Each axis e_i minus its tangential part, at P points: (P, i, dim).
+    """Each axis e_i minus its tangential part, at points (...): (..., i, dim).
 
     The tangent frame is the chart derivatives, plus the position vector
     inside a quadric; its Gram matrix must be well conditioned.
     """
-    T = np.concatenate([first, center[:, None, :]], axis=1) if imm.ambient.intrinsic_to_quadric else first
-    P, kt, dim = T.shape
-    eye = np.broadcast_to(np.eye(dim), (P, dim, dim))
+    T = np.concatenate([first, center[..., None, :]], axis=-2) if imm.ambient.intrinsic_to_quadric else first
+    *points, kt, dim = T.shape
     if kt == 0:
-        return eye.copy()
+        return np.broadcast_to(np.eye(dim), (*points, dim, dim)).copy()
+    T = T.reshape(-1, kt, dim)
     sig = imm.ambient.signature(dim)
     G = np.einsum("pad,pbd->pab", T * sig, T)
     _check_gram(G, "degenerate frame while projecting")
     # <e_i, f_a> is the i-th coordinate of f_a times the metric sign of axis i
     coeff = np.linalg.solve(G, T * sig)
-    return _finite(eye - np.einsum("pai,pad->pid", coeff, T))
+    tangential = np.einsum("pai,pad->pid", coeff, T)
+    return _finite(np.subtract(np.eye(dim), tangential, out=tangential)).reshape(*points, dim, dim)
 
 
-def _frame_order(imm: ImmersionEvaluator, W: np.ndarray) -> list[int]:
-    """Gram-Schmidt pivot order of a normal frame, from the candidates (dim, dim) at its seed.
+def _frame_orders(imm: ImmersionEvaluator, W: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt pivot orders (..., k) of normal frames, from the candidates (..., dim, dim) at their seeds.
 
-    Each step takes the remaining candidate axis whose part orthogonal to
-    the chosen ones is largest.
+    Each step takes, at every seed at once, the remaining candidate axis
+    whose part orthogonal to the chosen ones is largest.
     """
-    available = list(range(W.shape[0]))
-    order: list[int] = []
-    basis: list[np.ndarray] = []
-    for _ in range(W.shape[0] - imm.chart_dim - (1 if imm.ambient.intrinsic_to_quadric else 0)):
-        R = W[available]
-        for b in basis:
-            R = R - imm.ambient.inner_rows(R, b)[:, None] * b
-        q = np.abs(imm.ambient.inner_rows(R, R))
-        j = int(np.argmax(q))
-        if q[j] < 1e-18:
+    dim = W.shape[-1]
+    k = dim - imm.chart_dim - (1 if imm.ambient.intrinsic_to_quadric else 0)
+    R = W.reshape(-1, dim, dim)
+    rows = np.arange(R.shape[0])
+    order = np.empty((R.shape[0], k), dtype=int)
+    taken = np.zeros(R.shape[:2], dtype=bool)
+    for step in range(k):
+        q = np.where(taken, -1.0, np.abs(imm.ambient.inner_rows(R, R)))
+        j = order[:, step] = np.argmax(q, axis=1)
+        if np.any(q[rows, j] < 1e-18):
             raise ChartDegenerateError("could not seed a smooth normal frame")
-        order.append(available.pop(j))
-        basis.append(R[j] / math.sqrt(q[j]))
-    return order
+        taken[rows, j] = True
+        b = (R[rows, j] / np.sqrt(q[rows, j])[:, None])[:, None, :]
+        R = R - imm.ambient.inner_rows(R, b)[..., None] * b
+    return order.reshape(W.shape[:-2] + (k,))
 
 
-def _frames_along(imm: ImmersionEvaluator, order: list[int], W: np.ndarray) -> np.ndarray:
-    """Orthonormal frames (P, k, dim) from candidates (P, dim, dim), by Gram-Schmidt in a frozen pivot order."""
-    out: list[np.ndarray] = []
-    for i in order:
-        w = W[:, i]
-        for b in out:
-            w = w - imm.ambient.inner_rows(w, b)[:, None] * b
+def _frames_along(imm: ImmersionEvaluator, order: list[int], W: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """Orthonormal frames (P, k, dim) from the candidates (P, dim, dim) at ``rows`` of W, by Gram-Schmidt in a frozen pivot order."""
+    out = np.empty(W[rows, 0].shape[:1] + (len(order), W.shape[2]))
+    for a, i in enumerate(order):
+        w = W[rows, i]
+        for b in range(a):
+            w = w - imm.ambient.inner_rows(w, out[:, b])[:, None] * out[:, b]
         q = np.abs(imm.ambient.inner_rows(w, w))
         if np.any(q < 1e-18):
             raise ChartDegenerateError("normal frame degenerated off-center")
-        out.append(w / np.sqrt(q)[:, None])
-    return np.stack(out, axis=1) if out else np.zeros((W.shape[0], 0, W.shape[2]))
+        out[:, a] = w / np.sqrt(q)[:, None]
+    return out
 
 
 def _normal_frame_field(imm: ImmersionEvaluator, u0: np.ndarray, h: float):
@@ -817,11 +830,11 @@ def _normal_frame_field(imm: ImmersionEvaluator, u0: np.ndarray, h: float):
 
     The field maps a (P, n) array of chart points to the (P, k, dim) frames
     at them, with one ``at_rows`` call.  The Gram-Schmidt pivot order is
-    chosen at u0 (``_frame_order``) and then frozen so the frame varies
+    chosen at u0 (``_frame_orders``) and then frozen so the frame varies
     smoothly on the differencing stencil.
     """
     center, first = _first_derivative_rows(imm, np.asarray(u0, dtype=float)[None, :], h)
-    order = _frame_order(imm, _normal_candidates(imm, center, first)[0])
+    order = _frame_orders(imm, _normal_candidates(imm, center, first)[0]).tolist()
 
     def field(U: np.ndarray) -> np.ndarray:
         return _frames_along(imm, order, _normal_candidates(imm, *_first_derivative_rows(imm, np.asarray(U, dtype=float), h)))
@@ -845,14 +858,15 @@ def _covariant_normal_derivative(
     """
     n = imm.chart_dim
     center, first = _first_derivatives(imm, u, h)
-    dZ = (Z(u + h * _e(n, j)) - Z(u - h * _e(n, j))) / (2.0 * h)
+    step = h * np.eye(n)[j]
+    dZ = (Z(u + step) - Z(u - step)) / (2.0 * h)
     if conformal is not None:
         Zu = Z(u)
         Xj = first[j]
         grad = conformal.grad(center)
         dZ = dZ + float(np.dot(grad, Xj)) * Zu + float(np.dot(grad, Zu)) * Xj - float(np.dot(Xj, Zu)) * grad
     frame = list(first) + ([center] if imm.ambient.intrinsic_to_quadric else [])
-    return dZ - _general_tangential(imm, frame, dZ)
+    return dZ - _tangential_parts(imm, frame, [dZ])[0]
 
 
 def normal_curvature_vectors(
@@ -908,7 +922,7 @@ def flat_normal_residual(
     codim = center.size - imm.chart_dim - (1 if imm.ambient.intrinsic_to_quadric else 0)
     if codim <= 1 or imm.chart_dim < 2:
         return 0.0
-    worst = 0.0
+    worst = []
     for u in samples:
         _, fu = _first_derivatives(imm, u, h)
         R = normal_curvature_vectors(imm, u, h, conformal)
@@ -916,9 +930,9 @@ def flat_normal_residual(
         for i in range(imm.chart_dim):
             for j in range(i + 1, imm.chart_dim):
                 scale = math.sqrt(abs(imm.ambient.inner(fu[i], fu[i])) * abs(imm.ambient.inner(fu[j], fu[j])))
-                worst = max(worst, float(np.max(np.linalg.norm(R[idx], axis=-1))) / scale)
+                worst.append(float(np.max(np.linalg.norm(R[idx], axis=-1))) / scale)
                 idx += 1
-    return worst
+    return float(np.max(worst))  # one maximum, so a nan anywhere gives nan
 
 
 def _normal_projector_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float) -> np.ndarray:
@@ -930,13 +944,7 @@ def _normal_projector_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float) -> 
     return _normal_candidates(imm, *_first_derivative_rows(imm, U, h)).transpose(0, 2, 1)
 
 
-def normal_holonomy_defect(
-    imm: ImmersionEvaluator,
-    u_start,
-    period,
-    steps: int = 256,
-    h: float = 1e-3,
-) -> float:
+def normal_holonomy_defect(imm: ImmersionEvaluator, u_start, period, steps: int = 256, h: float = 1e-3) -> float:
     """Holonomy defect of the normal connection around a closed chart loop.
 
     Over a curve the normal curvature 2-form vanishes identically, so global
@@ -960,9 +968,7 @@ def normal_holonomy_defect(
 
     delta = 1e-4
     dt = 1.0 / steps
-    # the times the RK4 loop below asks for, in its own arithmetic: t + dt
-    # need not equal the next step's t, and then both are kept
-    keys = list(dict.fromkeys(s for k in range(steps) for s in (k * dt, k * dt + dt / 2.0, k * dt + dt)))
+    keys = _rk4_times(0.0, dt, steps)
     ts = np.array([s for t in keys for s in (t, t + delta, t - delta)])
     proj = _normal_projector_rows(imm, u0 + ts[:, None] * per, h)
     Pt = proj[0::3]
@@ -970,15 +976,7 @@ def normal_holonomy_defect(
     C = dict(zip(keys, dP @ Pt - Pt @ dP))
 
     start = _normal_frame_field(imm, u0, h)(u0[None, :])[0].T
-    Z = start.copy()
-    for k in range(steps):
-        t = k * dt
-        k1 = C[t] @ Z
-        k2 = C[t + dt / 2.0] @ (Z + dt / 2.0 * k1)
-        k3 = C[t + dt / 2.0] @ (Z + dt / 2.0 * k2)
-        k4 = C[t + dt] @ (Z + dt * k3)
-        Z = Z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return float(np.max(np.abs(Z - start)))
+    return float(np.max(np.abs(_rk4(C, start, 0.0, dt, steps) - start)))
 
 
 # ---------------------------------------------------------------------------

@@ -260,13 +260,13 @@ def test_criterion_11_minimal_implies_totally_geodesic():
 
 def test_criterion_12_isoparametric_along_the_flow():
     rng = np.random.default_rng(12)
-    worst = 0.0
+    spreads = []
     for name, d in CATALOG.items():
         if dimensions(d).codim == 0:
             continue
         w = existence_window(d)
         us = chart_samples(d, 3, 5)[:3]
-        for t in sample_times(None, w.t_max, 10, rng, span=1.5):
-            worst = max(worst, oracle.isoparametric_residual(d, float(t), us))
+        spreads.append(oracle.isoparametric_residuals(d, sample_times(None, w.t_max, 10, rng, span=1.5).tolist(), us))
+    worst = float(np.max(spreads))
     ok = worst < 1e-5
     report(12, ok, f"principal-curvature spread at 10 times/entry, max {worst:.2e}")

@@ -7,7 +7,7 @@ import pytest
 
 from hyperflow import oracle
 from hyperflow.catalog import CATALOG
-from hyperflow.descriptors import dimensions, immerse
+from hyperflow.descriptors import Umbilic, derive_umbilic, dimensions, immerse
 from hyperflow.errors import (
     ChartDegenerateError,
     InsufficientSamplesError,
@@ -188,6 +188,20 @@ class TestPdeResidual:
 
 
 class TestEvolveAndCompare:
+    def test_nan_distance_is_not_lost(self, monkeypatch):
+        # a nan target at t1 for one sample must give nan, not the other samples' distance
+        d = CATALOG["circle_h2"]
+        real = oracle.hyperbolic_flow_batch
+
+        def flow(d, X, t):
+            out = real(d, X, t)
+            if t > 0.0:
+                out[1] = math.nan
+            return out
+
+        monkeypatch.setattr(oracle, "hyperbolic_flow_batch", flow)
+        assert math.isnan(oracle.evolve_and_compare(d, chart_samples(d, 2, 5)[:3], 0.0, 1e-3, 1e-4))
+
     def test_circle_short_walk(self):
         d = CATALOG["circle_h2"]
         err = oracle.evolve_and_compare(d, chart_samples(d, 2, 5)[:3], 0.0, 0.1, 1e-4)
@@ -234,6 +248,19 @@ class TestEvolveAndCompare:
         assert abs(T - math.log(2.0)) < 1e-6
 
 
+def _geodesic_chain(depth: int):
+    """``circle_h2`` wrapped ``depth`` times in a geodesic umbilic inclusion."""
+    d = CATALOG["circle_h2"]
+    for _ in range(depth):
+        d = Umbilic(derive_umbilic([1.0] + [0.0] * (dimensions(d).m + 1), 0.0), d)
+    return d
+
+
+# every catalog entry with normal directions, and a chain of normal rank 5
+TIME_AXIS_CASES = {name: CATALOG[name] for name in sorted(CATALOG) if dimensions(CATALOG[name]).codim > 0}
+TIME_AXIS_CASES["geodesic_chain4"] = _geodesic_chain(4)
+
+
 class TestIsoparametricResidual:
     def test_circle_along_the_flow(self):
         d = CATALOG["circle_h2"]
@@ -270,6 +297,53 @@ class TestIsoparametricResidual:
         d = CATALOG["circle_h2"]
         with pytest.raises(ChartDegenerateError, match="degenerate frame"):
             oracle.isoparametric_residual(d, -400.0, chart_samples(d, 3, 7)[:4])
+
+    @pytest.mark.parametrize("name", sorted(TIME_AXIS_CASES))
+    def test_time_axis_matches_one_time_calls(self, name):
+        # the time-stacked transports give every time the bits of its own call
+        d = TIME_AXIS_CASES[name]
+        ts = sample_times(None, existence_window(d).t_max, 4, np.random.default_rng(11), span=1.5).tolist()
+        us = chart_samples(d, 3, 7)[:4]
+        spreads = oracle.isoparametric_residuals(d, ts, us)
+        assert spreads.shape == (len(ts),)
+        for j, t in enumerate(ts):
+            assert spreads[j] == oracle.isoparametric_residual(d, t, us), (name, t)
+
+    @pytest.mark.parametrize("times", [[0.1], [-0.3, -0.1, 0.0, 0.05, 0.1]])
+    def test_one_evaluation_for_all_times(self, times, monkeypatch):
+        # one chart evaluation and one flow call, whatever the number of times
+        d = CATALOG["clifford_tube_h5"]
+        calls = {"at_rows": 0, "flow": 0}
+        at_rows, core = oracle.ImmersionEvaluator.at_rows, oracle._hyperbolic_flow_rows
+        count = lambda key: calls.__setitem__(key, calls[key] + 1)
+        monkeypatch.setattr(oracle.ImmersionEvaluator, "at_rows", lambda imm, U: count("at_rows") or at_rows(imm, U))
+        monkeypatch.setattr(oracle, "_hyperbolic_flow_rows", lambda *a, **k: count("flow") or core(*a, **k))
+        assert oracle.isoparametric_residuals(d, times, chart_samples(d, 3, 7)[:4]).shape == (len(times),)
+        assert calls == {"at_rows": 1, "flow": 1}
+
+    def test_one_gram_schmidt_per_pivot_order(self, monkeypatch):
+        # the pivot orders of all seeds at all times come from one pass, and
+        # the frames of all rows that share an order from one Gram-Schmidt
+        d = _geodesic_chain(4)
+        orders, along = [], []
+        frame_orders, frames_along = oracle._frame_orders, oracle._frames_along
+        monkeypatch.setattr(oracle, "_frame_orders", lambda imm, W: orders.append(frame_orders(imm, W)) or orders[-1])
+        monkeypatch.setattr(oracle, "_frames_along", lambda imm, order, *a: along.append(tuple(order)) or frames_along(imm, order, *a))
+        oracle.isoparametric_residuals(d, [-0.2, 0.0, 0.1], chart_samples(d, 3, 7)[:4])
+        assert len(orders) == 1
+        assert sorted(along) == sorted({tuple(o) for o in orders[0].reshape(-1, 5).tolist()})
+
+    def test_time_lists(self):
+        d = CATALOG["tube_h3"]
+        us = chart_samples(d, 3, 7)[:4]
+        assert oracle.isoparametric_residuals(d, [], us).shape == (0,)
+        flat = CATALOG["ambient_h3"]
+        assert oracle.isoparametric_residuals(flat, [0.0, 0.1], chart_samples(flat, 3, 7)[:4]).tolist() == [0.0, 0.0]
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            oracle.isoparametric_residuals(d, [0.1, math.nan], us)
+        # the first time whose flow overflows is named
+        with pytest.raises(TimeOutOfRangeError, match=r"t=-1000000\.0 leaves the range of doubles"):
+            oracle.isoparametric_residuals(d, [0.1, -1e6, -2e6], us)
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_transport_without_steps_refused(self, steps):
@@ -356,6 +430,14 @@ class TestRowEvaluation:
 
 
 class TestFlatNormalBundle:
+    def test_nan_curvature_is_not_flat(self, monkeypatch):
+        # a nan curvature vector must not be lost in the maximum over pairs
+        d = CATALOG["clifford_tube_h5"]
+        imm = oracle.descriptor_immersion(d, 0.1)
+        real = oracle.normal_curvature_vectors
+        monkeypatch.setattr(oracle, "normal_curvature_vectors", lambda *a, **k: real(*a, **k) * math.nan)
+        assert math.isnan(oracle.flat_normal_residual(imm, chart_samples(d, 2, 7)[:2]))
+
     def test_great_circle_holonomy(self):
         defect = oracle.normal_holonomy_defect(_great_circle(), [0.2], [2.0 * math.pi])
         assert defect < 1e-6

@@ -454,14 +454,15 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", ["clifford_tube_h5", "circle_h2"])
     def test_oracle_chart_call_budget(self, name, monkeypatch):
-        # 8 flow-equation stencil evaluations (4 times x 2 gauges) and at most
-        # 3 per isoparametric sample time, whatever the number of samples
+        # the flow-equation grids flow their rows directly, and the
+        # isoparametric check evaluates its chart points once for all of its
+        # sample times, whatever the number of samples
         calls = []
         at_rows = oracle.ImmersionEvaluator.at_rows
         monkeypatch.setattr(oracle.ImmersionEvaluator, "at_rows", lambda imm, U: calls.append(len(U)) or at_rows(imm, U))
         report = run_invariant_battery(CATALOG[name], Sampling(3, 7))
         assert report.overall_pass
-        assert 0 < len(calls) <= 17, calls
+        assert 0 < len(calls) <= 2, calls
 
     @pytest.mark.parametrize("seed", [7, 3])
     def test_batched_battery_matches_per_point_loop(self, catalog_entry, seed):
@@ -571,6 +572,14 @@ class TestVerify:
         report = run_invariant_battery(d, Sampling(), OracleSettings(enabled=False), lorentz_eval=bad)
         norm_law = next(c for c in report.checks if c.name == "norm_law")
         assert math.isnan(norm_law.max_residual) and not norm_law.passed
+
+    def test_nan_spread_at_one_time_fails(self, monkeypatch):
+        # a nan spread at one isoparametric sample time must not read as 0
+        monkeypatch.setattr(oracle, "isoparametric_residuals", lambda d, times, *a, **k: np.array([0.0, math.nan, 0.0]))
+        report = run_invariant_battery(CATALOG["tube_h3"], Sampling(3, 7))
+        spread = next(c for c in report.checks if c.name == "isoparametric_spread")
+        assert math.isnan(spread.max_residual) and not spread.passed
+        assert not report.overall_pass
 
     def test_tolerance_scale_loosens(self):
         d = CATALOG["circle_h2"]
