@@ -82,15 +82,21 @@ class AmbientSpace:
         return np.matmul(U[..., None, :], V[..., :, None])[..., 0, 0]
 
     def signature(self, dim: int) -> np.ndarray:
-        """Diagonal of the metric on R^dim: ones, and -1 last when Lorentzian."""
-        sig = np.ones(dim)
-        if self.lorentzian_signature:
-            sig[-1] = -1.0
-        return sig
+        """Diagonal of the metric on R^dim, read-only: ones, and -1 last when Lorentzian."""
+        return _signature(dim, self.lorentzian_signature)
 
     def inner_rows(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         """``inner`` along the last axis of two broadcastable arrays."""
         return np.sum(U * V * self.signature(U.shape[-1]), axis=-1)
+
+
+@lru_cache(maxsize=64)
+def _signature(dim: int, lorentzian: bool) -> np.ndarray:
+    sig = np.ones(dim)
+    if lorentzian:
+        sig[-1] = -1.0
+    sig.flags.writeable = False
+    return sig
 
 
 EUCLIDEAN = AmbientSpace("euclidean")
@@ -128,8 +134,20 @@ class ImmersionEvaluator:
 
 
 def _check_gram(G: np.ndarray, message: str) -> None:
-    """Refuse Gram matrices, one or stacked, that are not finite or are numerically singular."""
-    if not np.isfinite(G).all() or np.any(np.linalg.cond(G) > _COND_LIMIT):
+    """Refuse Gram matrices, one or stacked, that are not finite or are numerically singular.
+
+    Every Gram matrix checked here is symmetric (induced metrics, frame
+    Grams, and the indefinite tangent-plus-position Grams of quadrics), so
+    its singular values are the moduli of its eigenvalues and its 2-norm
+    condition number is max|lambda| / min|lambda|.  That ratio is compared
+    without dividing: an exactly singular Gram, whose condition number is
+    infinite, has min|lambda| == 0 and is refused by that test alone.
+    """
+    if not np.isfinite(G).all():
+        raise ChartDegenerateError(message)
+    lam = np.abs(np.linalg.eigvalsh(G))
+    lo, hi = lam.min(axis=-1), lam.max(axis=-1)
+    if np.any((hi > _COND_LIMIT * lo) | (lo == 0.0)):
         raise ChartDegenerateError(message)
 
 
@@ -170,6 +188,15 @@ def _stencil_offsets(n: int, h: float) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, the axis pairs i < j in stencil order, as read-only arrays."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def _stencil_derivatives(vals: np.ndarray, n: int, h: float):
     """Center, central first and second derivatives from ``_stencil_offsets`` values.
 
@@ -184,7 +211,7 @@ def _stencil_derivatives(vals: np.ndarray, n: int, h: float):
     idx = np.arange(n)
     second[:, idx, idx] = (plus - 2.0 * center[:, None] + minus) / h**2
     if n > 1:
-        i, j = np.triu_indices(n, 1)
+        i, j = _upper_pairs(n)
         corners = vals[:, 1 + 2 * n :].reshape(vals.shape[0], len(i), 4, -1)
         pp, pm, mp, mm = corners.transpose(2, 0, 1, 3)
         second[:, i, j] = second[:, j, i] = (pp - pm - mp + mm) / (4.0 * h**2)
@@ -430,8 +457,14 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
     points, so it is evaluated up front for a block of steps at a time: one
     flow of every sample's stencil over the block's times (the stencil rows
     are validated once, before the first step), then one differencing of
-    all the block's stencils, then the sequential updates of all samples at
-    once.
+    all the block's stencils, scaled by dt in one product, then the
+    sequential updates of all samples at once.
+
+    A step is x + dt H followed by x / sqrt(sum(x * x * -sig)), with the
+    negated signature -sig formed once per walk.  Its bits are those of
+    x / sqrt(-<x, x>): the products by +-1 and the negations are exact, the
+    sum runs in the same order, and dt H of the block is the same
+    elementwise product as dt H of the step.
     """
     if not (0.0 < dt <= 1e-4):
         raise InvalidArgumentError(f"dt must be positive and at most 1e-4, got {dt!r}")
@@ -457,13 +490,14 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
     X0 = immerse_rows(d, samples)
     _validate_rows(d, X0)
     X = hyperbolic_flow_batch(d, X0, t0)
+    nsig = -HYPERBOLOID.signature(X.shape[1])
     for k0 in range(0, steps, _EULER_BLOCK):
         ks = range(k0, min(k0 + _EULER_BLOCK, steps))
         flowed = _hyperbolic_flow_rows(d, stencil_points, [float(t0 + k * dt) for k in ks])
-        H = _mc_from_stencil(flowed.reshape(len(ks) * S, K, -1), n, h, HYPERBOLOID).reshape(len(ks), S, -1)
-        for Hk in H:
-            X = X + dt * Hk
-            X = X / np.sqrt(-HYPERBOLOID.inner_rows(X, X))[:, None]
+        dX = dt * _mc_from_stencil(flowed.reshape(len(ks) * S, K, -1), n, h, HYPERBOLOID).reshape(len(ks), S, -1)
+        for dXk in dX:
+            X = X + dXk
+            X = X / np.sqrt(np.add.reduce(X * X * nsig, axis=-1, keepdims=True))
     targets = hyperbolic_flow_batch(d, X0, t0 + steps * dt)
     return float(np.max([np.linalg.norm(x - target) for x, target in zip(X, targets)]))
 

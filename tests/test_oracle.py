@@ -187,7 +187,90 @@ class TestPdeResidual:
                 assert grid[s, j] == oracle.pde_residual(d, u, t, gauge=gauge), (name, s, j)
 
 
+def _conditioned_gram(cond: float) -> np.ndarray:
+    """A symmetric positive definite 2x2 Gram of 2-norm condition number ``cond``, off the axes."""
+    c, s = math.cos(0.4), math.sin(0.4)
+    Q = np.array([[c, -s], [s, c]])
+    return Q @ np.diag([1.0, 1.0 / cond]) @ Q.T
+
+
+def _tangent_position_gram() -> np.ndarray:
+    """The indefinite Gram of tube_h3's chart derivatives and position vector at one chart point."""
+    imm = oracle.descriptor_immersion(CATALOG["tube_h3"])
+    center, first = oracle._first_derivatives(imm, np.array(chart_samples(CATALOG["tube_h3"], 2, 3)[0]), 1e-3)
+    frame = np.vstack([first, center])
+    return imm.ambient.inners(frame[:, None, :], frame[None, :, :])
+
+
+_GRAMS = {
+    "zero": np.zeros((2, 2)),
+    "rank_one": np.outer([1.0, 2.0], [1.0, 2.0]),
+    "cond_1e11": _conditioned_gram(1e11),
+    "cond_1e13": _conditioned_gram(1e13),
+    "tangent_plus_position": _tangent_position_gram(),
+    "one_by_one": np.array([[-1.0]]),
+    "one_by_one_zero": np.array([[0.0]]),
+    "identity": np.eye(3),
+    "nan": np.array([[1.0, math.nan], [math.nan, 1.0]]),
+    "inf": np.array([[math.inf, 0.0], [0.0, 1.0]]),
+}
+
+
+def _cond_refuses(G: np.ndarray) -> bool:
+    """The Gram check as a 2-norm condition number computed from an SVD."""
+    return not np.isfinite(G).all() or bool(np.any(np.linalg.cond(G) > oracle._COND_LIMIT))
+
+
+class TestGramCheck:
+    @pytest.mark.parametrize("name", list(_GRAMS))
+    def test_decision_matches_condition_number(self, name):
+        G = _GRAMS[name]
+        refused = _cond_refuses(G)
+        if refused:
+            with pytest.raises(ChartDegenerateError):
+                oracle._check_gram(G, "refused")
+        else:
+            oracle._check_gram(G, "refused")
+
+    def test_reference_decisions(self):
+        # the cases are on both sides of the limit, so the pin above says something
+        refused = {name for name, G in _GRAMS.items() if _cond_refuses(G)}
+        assert refused == {"zero", "rank_one", "cond_1e13", "one_by_one_zero", "nan", "inf"}
+        assert np.linalg.eigvalsh(_GRAMS["tangent_plus_position"]).min() < 0.0
+
+    @pytest.mark.parametrize("bad", ["zero", "rank_one", "cond_1e13", "nan", "inf"])
+    def test_one_bad_gram_refuses_the_stack(self, bad):
+        good = [_GRAMS["cond_1e11"], np.eye(2), _conditioned_gram(10.0)]
+        oracle._check_gram(np.stack(good), "refused")
+        with pytest.raises(ChartDegenerateError, match="refused"):
+            oracle._check_gram(np.stack(good[:2] + [_GRAMS[bad]] + good[2:]), "refused")
+
+    def test_signature_is_cached_and_read_only(self):
+        sig = oracle.HYPERBOLOID.signature(4)
+        assert sig is oracle.LORENTZIAN.signature(4)
+        assert sig.tolist() == [1.0, 1.0, 1.0, -1.0]
+        assert oracle.EUCLIDEAN.signature(4).tolist() == [1.0] * 4
+        with pytest.raises(ValueError):
+            sig[0] = 2.0
+
+
 class TestEvolveAndCompare:
+    @pytest.mark.parametrize(
+        "name, seed, expected",
+        [
+            ("tube_h3", 7, 2.926192018532111e-07),
+            ("clifford_tube_h5", 7, 6.633162878841942e-07),
+            ("geodesic_sphere_h3", 7, 3.842689125137447e-07),
+            ("tube_h3", 101, 2.6923336604777585e-07),
+            ("clifford_tube_h5", 101, 6.043190778428179e-07),
+            ("geodesic_sphere_h3", 101, 3.8426025065265597e-07),
+        ],
+    )
+    def test_walk_values_pinned(self, name, seed, expected):
+        # the benchmark's Euler walks, to the last bit
+        d = CATALOG[name]
+        assert oracle.evolve_and_compare(d, chart_samples(d, 2, seed)[:4], 0.0, 0.02, 1e-5) == expected
+
     def test_nan_distance_is_not_lost(self, monkeypatch):
         # a nan target at t1 for one sample must give nan, not the other samples' distance
         d = CATALOG["circle_h2"]
