@@ -52,7 +52,6 @@ from .errors import (
 )
 from .flow import (
     ExistenceWindow,
-    GaugeParams,
     existence_window,
     gauge_hyperbolic_to_lorentz,
     gauge_lorentz_to_hyperbolic,

@@ -710,6 +710,11 @@ def _hyperbolic_H(d, x: np.ndarray) -> np.ndarray:
     raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
 
 
+def _ambient_r(d) -> float:
+    """The r of the ambient hyperboloid H^m(-r): ``d.r`` for ``Ambient``, 1 for every other descriptor."""
+    return d.r if isinstance(d, Ambient) else 1.0
+
+
 def mean_curvature(d, x) -> MeanCurvature:
     """Closed-form mean curvature at a point of the immersion.
 
@@ -719,7 +724,7 @@ def mean_curvature(d, x) -> MeanCurvature:
     """
     dims = dimensions(d)
     xv = as_vector(x, dims.m)
-    r_top = d.r if isinstance(d, Ambient) else 1.0
+    r_top = _ambient_r(d)
     floor = 1e-12 * float(np.dot(xv, xv))
     if abs(minkowski_inner(xv, xv) + r_top) > max(_POINT_TOL, floor) or xv[-1] <= 0:
         raise DomainError("point is not on the ambient hyperboloid")
@@ -814,17 +819,38 @@ def _inner_to_json(inner) -> dict:
     return descriptor_to_json(inner)
 
 
+# Deepest nesting of descriptors (Ambient, FullProduct, Umbilic) that the JSON
+# loader accepts; a geodesic chain of depth 24 is 25 deep.  The loader and the
+# flows recurse once or more per level, so far deeper input would exhaust the
+# interpreter's recursion limit instead of being refused.
+MAX_DESCRIPTOR_DEPTH = 64
+
+
 def descriptor_from_json(obj: dict):
+    """A descriptor from its JSON form; malformed, non-integer or too deeply nested fields raise InvalidArgumentError."""
+    return _descriptor_from_json(obj, 1)
+
+
+def _json_int(value, field: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused, not truncated or parsed."""
+    if type(value) is not int:
+        raise InvalidArgumentError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _descriptor_from_json(obj: dict, depth: int):
+    if depth > MAX_DESCRIPTOR_DEPTH:
+        raise InvalidArgumentError(f"descriptor JSON is nested deeper than {MAX_DESCRIPTOR_DEPTH} descriptors")
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidArgumentError("descriptor JSON must be a tagged object")
     tag = obj["type"]
     try:
         if tag == "ambient":
-            return Ambient(int(obj["m"]), float(obj.get("r", 1.0)))
+            return Ambient(_json_int(obj["m"], "ambient.m"), float(obj.get("r", 1.0)))
         if tag == "full_product":
-            return FullProduct(int(obj["l"]), float(obj["r"]), _leaf_from_json(obj["leaf"]))
+            return FullProduct(_json_int(obj["l"], "full_product.l"), float(obj["r"]), _leaf_from_json(obj["leaf"]))
         if tag == "umbilic":
-            return Umbilic(derive_umbilic(obj["xi"], float(obj["a"])), _inner_from_json(obj["inner"]))
+            return Umbilic(derive_umbilic(obj["xi"], float(obj["a"])), _inner_from_json(obj["inner"], depth + 1))
     except KeyError as exc:
         raise InvalidArgumentError(f"descriptor JSON is missing field {exc}") from exc
     raise InvalidArgumentError(f"unknown descriptor type {tag!r}")
@@ -834,19 +860,21 @@ def _leaf_from_json(obj: dict) -> ProductOfSpheres:
     if obj.get("type") == "point":
         return ProductOfSpheres(point_position=tuple(obj["position"]))
     if obj.get("type") == "product_of_spheres":
-        return ProductOfSpheres(tuple((int(p), float(s)) for p, s in obj["factors"]))
+        factors = [(_json_int(p, f"product_of_spheres.factors[{i}] dimension"), float(s)) for i, (p, s) in enumerate(obj["factors"])]
+        return ProductOfSpheres(tuple(factors))
     raise InvalidArgumentError(f"unknown leaf type {obj.get('type')!r}")
 
 
-def _inner_from_json(obj: dict):
+def _inner_from_json(obj: dict, depth: int):
     tag = obj.get("type")
     if tag in ("point", "product_of_spheres"):
         return _leaf_from_json(obj)
     if tag == "euclidean":
+        ambient_dim = obj.get("ambient_dim")
         return EuclideanIso(
-            flat_dim=int(obj["flat_dim"]),
+            flat_dim=_json_int(obj["flat_dim"], "euclidean.flat_dim"),
             spheres=_leaf_from_json(obj["spheres"]) if obj.get("spheres") else None,
             offset=tuple(obj["offset"]) if obj.get("offset") else None,
-            ambient_dim=obj.get("ambient_dim"),
+            ambient_dim=None if ambient_dim is None else _json_int(ambient_dim, "euclidean.ambient_dim"),
         )
-    return descriptor_from_json(obj)
+    return _descriptor_from_json(obj, depth)

@@ -13,16 +13,20 @@ descriptor grammar is assembled recursively:
   and F = f_1(x,t) - n t beta xi in the degenerate horospherical case, where
   f_1 is the flow inside the hypersurface.
 
-The hyperbolic gauge is evaluated through stable direct formulas and agrees
-with the gauge composition to rounding.  Both flows have one evaluation path,
-a recursion over rows of points and a list of times (``_hyperbolic_flow_rows``,
-``_lorentz_flow_rows``, returning (T, K, m+1)): each level computes its time
-scalars with ``math`` and splits and embeds its rows once for all times.  An
-entry (t, row) has the same bits as that row alone at that time alone; the
-batch flows are calls with one time and the one-point entry points validated
-batches of one.  The public flows refuse t >= T; the endpoint mode of
-``_hyperbolic_flow_rows`` evaluates the continuous extension at t = T, which
-is the forward focal limit.  Existence
+The hyperbolic flow of a full product is the gauge composition: the
+Lorentzian product flow at w(t) = (e^(2nt) - 1)/(2n), scaled by e^(-nt),
+both scalars coming from ``_lorentz_to_hyperbolic_scalars``.  Only the
+umbilic levels use direct stable forms, which agree with the composition to
+rounding and stay finite where w(t) overflows; the horospherical level takes
+its inner time and e^(-nt) from the same time change.  Both flows have one
+evaluation path, a recursion over rows of points and a list of times
+(``_hyperbolic_flow_rows``, ``_lorentz_flow_rows``, returning (T, K, m+1)):
+each level computes its time scalars with ``math`` and splits and embeds its
+rows once for all times.  An entry (t, row) has the same bits as that row
+alone at that time alone; the batch flows are calls with one time and the
+one-point entry points validated batches of one.  The public flows refuse
+t >= T; the endpoint mode of ``_hyperbolic_flow_rows`` evaluates the
+continuous extension at t = T, which is the forward focal limit.  Existence
 windows collect the inner maximal time T', the Lorentzian bound T'', the
 hyperbolic maximal time T and the backward gauge limit; unbounded times are
 represented by None, never by a floating sentinel.
@@ -44,6 +48,7 @@ from .descriptors import (
     ProductOfSpheres,
     Umbilic,
     _POINT_TOL,
+    _ambient_r,
     _check_product_rows,
     _umbilic_embed,
     _umbilic_placement,
@@ -58,93 +63,54 @@ from .lorentz import as_vector
 # scalar time-gauge helpers
 
 
-@dataclass(frozen=True)
-class GaugeParams:
-    """Scalar evaluators shared by the closed forms of one flow level.
+def _a1(l: int, r: float, t: float) -> float:
+    """Scaling of the minimal H^l(-r) factor, sqrt(1 + 2lt/r)."""
+    rad = 1.0 + 2.0 * l * t / r
+    if rad <= 0:
+        raise TimeOutOfRangeError(f"a1 radicand 1 + 2lt/r = {rad:.3e} <= 0 at t={t}")
+    return math.sqrt(rad)
 
-    ``n`` is the submanifold dimension and ``r`` the squared radius of the
-    relevant hyperboloid; ``l`` (Lorentz factor dimension) and ``alpha`` are
-    set where the corresponding formulas apply.  Every evaluator raises when
-    its radicand or logarithm leaves the real domain.
+
+def _s_alpha(n: int, one: float, t: float) -> float:
+    """Inner-flow time of the umbilical level, ln(2nt(1-a^2)+1)/(2n(1-a^2)); ``one`` is 1 - a^2."""
+    arg = 2.0 * n * t * one + 1.0
+    if arg <= 0:
+        raise TimeOutOfRangeError(f"s_alpha logarithm argument {arg:.3e} <= 0 at t={t}")
+    return math.log(arg) / (2.0 * n * one)
+
+
+def _s_alpha_of_w(n: int, alpha: float, one: float, t: float) -> float:
+    """s_alpha(w(t)) in the overflow-safe form ln((1-a^2)e^(2nt) + a^2)/(2n(1-a^2))."""
+    if alpha == 0.0:
+        return t
+    z = 2.0 * n * t
+    if one > 0 and z > 500.0:
+        # far forward: factor e^z out of the logarithm
+        return (z + math.log(one) + math.log1p(alpha**2 * math.exp(-z) / one)) / (2.0 * n * one)
+    arg = one * math.exp(z) + alpha**2
+    if arg <= 0:
+        raise TimeOutOfRangeError(f"s_alpha(w(t)) argument {arg:.3e} <= 0 at t={t}")
+    return math.log(arg) / (2.0 * n * one)
+
+
+def _v_alpha(n: int, alpha: float, one: float, t: float) -> float:
+    """Direct hyperbolic-gauge scaling sqrt((1-a^2) + a^2 e^(-2nt)).
+
+    Evaluated in a form whose intermediate exponential never exceeds the
+    final (representable) value: backward in time the factor e^(-nt) is
+    pulled out of the root.
     """
-
-    n: int
-    r: float = 1.0
-    l: int | None = None
-    alpha: float | None = None
-    one_minus_alpha2: float | None = None
-
-    def w(self, t: float) -> float:
-        """Hyperbolic-to-Lorentz time substitution (e^(2nt/r) - 1) r/(2n)."""
-        return (self.r / (2.0 * self.n)) * math.expm1(2.0 * self.n * t / self.r)
-
-    def a1(self, t: float) -> float:
-        """Scaling of the minimal H^l(-r) factor, sqrt(1 + 2lt/r)."""
-        rad = 1.0 + 2.0 * self.l * t / self.r
-        if rad <= 0:
-            raise TimeOutOfRangeError(f"a1 radicand 1 + 2lt/r = {rad:.3e} <= 0 at t={t}")
-        return math.sqrt(rad)
-
-    def a2(self, t: float, n_leaf: int, radius2: float) -> float:
-        """Whole-sphere scaling sqrt(1 - 2 n' t / R^2) of the leaf gauge."""
-        rad = 1.0 - 2.0 * n_leaf * t / radius2
-        if rad <= 0:
-            raise TimeOutOfRangeError(f"a2 radicand {rad:.3e} <= 0 at t={t}")
-        return math.sqrt(rad)
-
-    def q(self, t: float, n_leaf: int, radius2: float) -> float:
-        """Euclidean-to-spherical leaf time, -(R^2/2n') ln(1 - 2n't/R^2)."""
-        arg = 1.0 - 2.0 * n_leaf * t / radius2
-        if arg <= 0:
-            raise TimeOutOfRangeError(f"q logarithm argument {arg:.3e} <= 0 at t={t}")
-        return -(radius2 / (2.0 * n_leaf)) * math.log(arg)
-
-    def _one(self) -> float:
-        if self.one_minus_alpha2 is not None:
-            return self.one_minus_alpha2
-        return 1.0 - self.alpha**2
-
-    def s_alpha(self, t: float) -> float:
-        """Inner-flow time of the umbilical level, ln(2nt(1-a^2)+1)/(2n(1-a^2))."""
-        one = self._one()
-        arg = 2.0 * self.n * t * one + 1.0
-        if arg <= 0:
-            raise TimeOutOfRangeError(f"s_alpha logarithm argument {arg:.3e} <= 0 at t={t}")
-        return math.log(arg) / (2.0 * self.n * one)
-
-    def s_alpha_of_w(self, t: float) -> float:
-        """s_alpha(w(t)) in the overflow-safe form ln((1-a^2)e^(2nt) + a^2)/(2n(1-a^2))."""
-        one = self._one()
-        if self.alpha == 0.0:
-            return t
-        z = 2.0 * self.n * t
-        if one > 0 and z > 500.0:
-            # far forward: factor e^z out of the logarithm
-            return (z + math.log(one) + math.log1p(self.alpha**2 * math.exp(-z) / one)) / (2.0 * self.n * one)
-        arg = one * math.exp(z) + self.alpha**2
-        if arg <= 0:
-            raise TimeOutOfRangeError(f"s_alpha(w(t)) argument {arg:.3e} <= 0 at t={t}")
-        return math.log(arg) / (2.0 * self.n * one)
-
-    def v_alpha(self, t: float) -> float:
-        """Direct hyperbolic-gauge scaling sqrt((1-a^2) + a^2 e^(-2nt)).
-
-        Evaluated in a form whose intermediate exponential never exceeds the
-        final (representable) value: backward in time the factor e^(-nt) is
-        pulled out of the root.
-        """
-        one = self._one()
-        if self.alpha == 0.0:
-            return 1.0
-        if t >= 0.0:
-            rad = one + self.alpha**2 * math.exp(-2.0 * self.n * t)
-            if rad <= 0:
-                raise TimeOutOfRangeError(f"v_alpha radicand {rad:.3e} <= 0 at t={t}")
-            return math.sqrt(rad)
-        rad = one * math.exp(2.0 * self.n * t) + self.alpha**2
+    if alpha == 0.0:
+        return 1.0
+    if t >= 0.0:
+        rad = one + alpha**2 * math.exp(-2.0 * n * t)
         if rad <= 0:
             raise TimeOutOfRangeError(f"v_alpha radicand {rad:.3e} <= 0 at t={t}")
-        return math.exp(-self.n * t) * math.sqrt(rad)
+        return math.sqrt(rad)
+    rad = one * math.exp(2.0 * n * t) + alpha**2
+    if rad <= 0:
+        raise TimeOutOfRangeError(f"v_alpha radicand {rad:.3e} <= 0 at t={t}")
+    return math.exp(-n * t) * math.sqrt(rad)
 
 
 @dataclass(frozen=True)
@@ -185,9 +151,12 @@ def _leaf_spherical_collapse(leaf: ProductOfSpheres, radius2: float) -> float | 
     """Maximal time of the spherical gauge of the leaf flow; None if stationary."""
     if leaf.is_point or _leaf_is_minimal(leaf):
         return None
+    # the Euclidean-to-spherical leaf time -(R^2/2n') ln(1 - 2n't/R^2) at the Euclidean collapse
     te = _leaf_euclidean_collapse(leaf)
-    g = GaugeParams(n=leaf.dim)
-    return g.q(te, leaf.dim, radius2)
+    arg = 1.0 - 2.0 * leaf.dim * te / radius2
+    if arg <= 0:
+        raise TimeOutOfRangeError(f"q logarithm argument {arg:.3e} <= 0 at t={te}")
+    return -(radius2 / (2.0 * leaf.dim)) * math.log(arg)
 
 
 @lru_cache(maxsize=None)
@@ -313,7 +282,7 @@ def _quadric_rows(d, X) -> np.ndarray:
     m = dimensions(d).m
     if Xv.ndim != 2 or Xv.shape[1] != m + 1:
         raise InvalidArgumentError(f"expected rows of length {m + 1}, got shape {Xv.shape}")
-    r_top = d.r if isinstance(d, Ambient) else 1.0
+    r_top = _ambient_r(d)
     # rows too large to square give nan here, and nan fails the test
     with np.errstate(over="ignore", invalid="ignore"):
         q = np.sum(Xv[:, :-1] ** 2, axis=1) - Xv[:, -1] ** 2
@@ -411,37 +380,44 @@ def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float]) -> np.ndarray:
     Each level computes its time scalars with ``math``, time by time in the
     order of one time's recursion, and works the rows once for all times.
     """
-    dims = dimensions(d)
-    n = dims.n
+    n = dimensions(d).n
     if n == 0:
         return np.broadcast_to(X, (len(ts),) + X.shape).copy()
     if isinstance(d, Ambient):
-        g = GaugeParams(n=d.m, r=d.r, l=d.m)
-        return _per_time([g.a1(t) for t in ts]) * X
+        return _per_time([_a1(d.m, d.r, t) for t in ts]) * X
     if isinstance(d, FullProduct):
-        g = GaugeParams(n=n, r=d.r, l=d.l)
-        a1 = [g.a1(t) for t in ts]
-        cols = np.empty((len(ts), dims.m + 1))
-        cols[:, : d.l] = np.array(a1)[:, None]
-        cols[:, -1] = a1
-        cols[:, d.l : dims.m] = _leaf_column_scales(d.leaf, ts)
-        return X * cols[:, None, :]
+        return _product_rows(d, X, ts)
     if isinstance(d, Umbilic):
         umb = d.umb
-        if abs(umb.one_minus_alpha2) < 1e-8:
+        one = umb.one_minus_alpha2
+        if abs(one) < 1e-8:
             # horospherical branch; also the stable limit of the generic one
             drift = _per_time([n * t * umb.beta for t in ts])
             return _umbilic_inner_flow_rows(d, X, ts) - drift * umb.xi_array
         window = existence_window(d)
-        g = GaugeParams(n=n, alpha=umb.alpha, one_minus_alpha2=umb.one_minus_alpha2)
         scale = []
         for t in ts:
             if window.t_dprime is not None and t >= window.t_dprime:
                 raise TimeOutOfRangeError(f"t={t} >= Lorentzian collapse bound {window.t_dprime}")
-            scale.append(math.sqrt(_positive_radicand(2.0 * n * t * umb.one_minus_alpha2 + 1.0, t)))
-        f1 = _umbilic_inner_flow_rows(d, X, [g.s_alpha(t) for t in ts])
+            scale.append(math.sqrt(_positive_radicand(2.0 * n * t * one + 1.0, t)))
+        f1 = _umbilic_inner_flow_rows(d, X, [_s_alpha(n, one, t) for t in ts])
         return _per_time(scale) * (f1 - umb.eta_array) + umb.eta_array
     raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
+
+
+def _product_rows(d: FullProduct, X: np.ndarray, lorentz_ts: list[float], end: bool = False) -> np.ndarray:
+    """The Lorentzian flow of a full product at every time of lorentz_ts, (T, K, m+1).
+
+    The H^l(-r) factor scales by sqrt(1 + 2lt/r) and the leaf by its
+    Euclidean flow; ``end`` takes a leaf radicand that vanishes as zero.
+    """
+    a1 = [_a1(d.l, d.r, t) for t in lorentz_ts]
+    m = X.shape[1] - 1
+    cols = np.empty((len(lorentz_ts), m + 1))
+    cols[:, : d.l] = np.array(a1)[:, None]
+    cols[:, -1] = a1
+    cols[:, d.l : m] = _leaf_column_scales(d.leaf, lorentz_ts, end)
+    return X * cols[:, None, :]
 
 
 def _positive_radicand(rad: float, t: float) -> float:
@@ -488,35 +464,28 @@ def _hyperbolic_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) 
     the ambient gauge of a product and T' for the inner flow, instead of
     their images of t, and radicands that vanish there are taken as zero.
     """
-    dims = dimensions(d)
-    n = dims.n
+    n = dimensions(d).n
     if n == 0 or isinstance(d, Ambient):
         return np.broadcast_to(X, (len(ts),) + X.shape).copy()
     window = existence_window(d) if end else None
     if isinstance(d, FullProduct):
-        # the gauge of the ambient H^m(-1)
-        wts = [window.t_dprime] * len(ts) if end else [GaugeParams(n=n).w(t) for t in ts]
-        g = GaugeParams(n=n, r=d.r, l=d.l)
-        a1 = [g.a1(wt) for wt in wts]
-        cols = np.empty((len(ts), dims.m + 1))
-        cols[:, : d.l] = np.array(a1)[:, None]
-        cols[:, -1] = a1
-        cols[:, d.l : dims.m] = _leaf_column_scales(d.leaf, wts, end)
-        return _per_time([math.exp(-n * t) for t in ts]) * (X * cols[:, None, :])
+        # the gauge composition e^(-nt) F(x, w(t)) of the ambient H^m(-1)
+        s, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
+        return _per_time(decay) * _product_rows(d, X, [window.t_dprime] * len(ts) if end else s, end)
     if isinstance(d, Umbilic):
         umb = d.umb
+        one = umb.one_minus_alpha2
         if end and window.t_prime is None:
             # the level's own scaling vanishes at T: the hypersurface shrinks to one point
             point = _per_time([math.exp(-n * t) for t in ts]) * umb.eta_array
             return np.broadcast_to(point, (len(ts),) + X.shape).copy()
-        g = GaugeParams(n=n, alpha=umb.alpha, one_minus_alpha2=umb.one_minus_alpha2)
-        if abs(umb.one_minus_alpha2) < 1e-8:
-            f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else [g.w(t) for t in ts], end)
-            decay = _per_time([math.exp(-n * t) for t in ts])
+        if abs(one) < 1e-8:
+            s, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
+            f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else s, end)
             drift = _per_time([math.sinh(n * t) * umb.beta for t in ts])
-            return decay * f1 - drift * umb.xi_array
-        v = [g.v_alpha(t) for t in ts]
-        f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else [g.s_alpha_of_w(t) for t in ts], end)
+            return _per_time(decay) * f1 - drift * umb.xi_array
+        v = [_v_alpha(n, umb.alpha, one, t) for t in ts]
+        f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else [_s_alpha_of_w(n, umb.alpha, one, t) for t in ts], end)
         shift = _per_time([vk - math.exp(-n * t) for vk, t in zip(v, ts)])
         return _per_time(v) * f1 - shift * umb.eta_array
     raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")

@@ -78,8 +78,13 @@ class LimitReport:
 # classification
 
 
+def _is_stationary(d) -> bool:
+    """Whether the flow of d is stationary: totally geodesic, or a point (n = 0)."""
+    return classify_shape(d).totally_geodesic or dimensions(d).n == 0
+
+
 def _forward_variant(d) -> str:
-    if classify_shape(d).totally_geodesic or dimensions(d).n == 0:
+    if _is_stationary(d):
         return FORWARD_STATIONARY
     window = existence_window(d)
     if window.t_max is not None:
@@ -103,8 +108,7 @@ def _forward_variant(d) -> str:
 def classify_limits(d) -> LimitReport:
     """Variant skeleton of both limits, without evaluating any samples."""
     fwd = ForwardLimit(variant=_forward_variant(d), collapse_time=existence_window(d).t_max)
-    tg = classify_shape(d).totally_geodesic or dimensions(d).n == 0
-    bwd = BackwardLimit(variant=BACKWARD_STATIONARY if tg else BACKWARD_IDEAL)
+    bwd = BackwardLimit(variant=BACKWARD_STATIONARY if _is_stationary(d) else BACKWARD_IDEAL)
     return LimitReport(fwd, bwd)
 
 
@@ -207,7 +211,7 @@ def backward_chart_rows(d) -> Callable[[np.ndarray], np.ndarray]:
 
     Row k has the same bits as the chart at ``U[k]`` alone, whatever the batch.
     """
-    if classify_shape(d).totally_geodesic or dimensions(d).n == 0:
+    if _is_stationary(d):
         raise StationaryNoLimitError("totally geodesic flows do not move")
     if isinstance(d, FullProduct):
         n = dimensions(d).n
@@ -240,8 +244,7 @@ def backward_limit(d, chart_samples: Sequence[np.ndarray], estimate_dim: bool = 
     the limit chart (4 n + 1 points per base sample, cluster radius 3e-7,
     singular values thresholded at 1e-6 of the largest).
     """
-    flags = classify_shape(d)
-    if flags.totally_geodesic or dimensions(d).n == 0:
+    if _is_stationary(d):
         return BackwardLimit(BACKWARD_STATIONARY)
     rows = backward_chart_rows(d)
     samples_u = [np.asarray(u, dtype=float) for u in chart_samples]

@@ -8,8 +8,7 @@ report, invariant report); ``run_invariant_battery`` drives the checks that
 trajectory and ball writers flow all samples over the whole time grid in
 one call of the flow core and format each grid time once per file; each
 of the battery's closed-form checks is one call of the flow core over all
-of its sampled times.  The environment variable HYPERFLOW_THREADS no
-longer affects them.
+of its sampled times.
 """
 
 from __future__ import annotations
@@ -31,6 +30,8 @@ from .descriptors import (
     Ambient,
     FullProduct,
     Umbilic,
+    _ambient_r,
+    _json_int,
     _row_dots,
     chart_box,
     chart_dim,
@@ -148,10 +149,10 @@ def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:
         time_grid=TimeGrid(
             float(grid.get("start", -2.0)),
             float(grid.get("end", 2.0)),
-            _int_from_json(grid, "steps", 9, "time_grid"),
+            _json_int(grid.get("steps", 9), "time_grid.steps"),
             _bool_from_json(grid, "clip_to_existence", True, "time_grid"),
         ),
-        sampling=Sampling(_int_from_json(samp, "per_dim", 3, "sampling"), _int_from_json(samp, "seed", 7, "sampling")),
+        sampling=Sampling(_json_int(samp.get("per_dim", 3), "sampling.per_dim"), _json_int(samp.get("seed", 7), "sampling.seed")),
         oracle=OracleSettings(
             _bool_from_json(orc, "enabled", True, "oracle"),
             float(orc.get("fd_step", 1e-3)),
@@ -176,14 +177,6 @@ def _bool_from_json(section: dict, key: str, default: bool, path: str) -> bool:
     value = section.get(key, default)
     if not isinstance(value, bool):
         raise InvalidArgumentError(f"{path}.{key} must be true or false, got {value!r}")
-    return value
-
-
-def _int_from_json(section: dict, key: str, default: int, path: str) -> int:
-    """A JSON integer field; floats, strings and booleans are refused, not truncated or parsed."""
-    value = section.get(key, default)
-    if type(value) is not int:
-        raise InvalidArgumentError(f"{path}.{key} must be an integer, got {value!r}")
     return value
 
 
@@ -540,8 +533,7 @@ def run_scenario(source: str | Path, out_dir: str | Path, seed: int | None = Non
         _validate_rows(d, X0)
         flowed = _flow_samples(d, X0, times)
         if "ball" in scn.outputs:
-            r_top = d.r if isinstance(d, Ambient) else 1.0
-            ball = ball_projection_rows(frame, r_top, flowed.reshape(-1, dims.m + 1)).reshape(*flowed.shape[:2], dims.m)
+            ball = ball_projection_rows(frame, _ambient_r(d), flowed.reshape(-1, dims.m + 1)).reshape(*flowed.shape[:2], dims.m)
         if "trajectory" in scn.outputs:
             path = out / f"{scn.name}_trajectory.csv"
             _write_sample_rows(path, "x", times, flowed)

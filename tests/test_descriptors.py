@@ -11,6 +11,7 @@ from hyperflow.descriptors import (
     Ambient,
     EuclideanIso,
     FullProduct,
+    MAX_DESCRIPTOR_DEPTH,
     ProductOfSpheres,
     Umbilic,
     chart_dim,
@@ -325,6 +326,23 @@ class TestJsonRoundTrip:
     def test_malformed_json_rejected(self):
         with pytest.raises(InvalidArgumentError):
             descriptor_from_json({"type": "mystery"})
+
+    def test_depth_24_chain_loads(self):
+        d = geodesic_chain(24)
+        assert descriptor_from_json(descriptor_to_json(d)) == d
+
+    def test_nesting_one_past_the_bound_refused(self):
+        # JSON only: circle_h2 (one descriptor deep) wrapped in geodesic umbilic levels
+        def chain_json(depth):
+            obj, m = descriptor_to_json(CATALOG["circle_h2"]), 2
+            for _ in range(depth - 1):
+                m += 1
+                obj = {"type": "umbilic", "xi": [1.0] + [0.0] * m, "a": 0.0, "inner": obj}
+            return obj
+
+        assert dimensions(descriptor_from_json(chain_json(MAX_DESCRIPTOR_DEPTH))).m == MAX_DESCRIPTOR_DEPTH + 1
+        with pytest.raises(InvalidArgumentError, match=f"nested deeper than {MAX_DESCRIPTOR_DEPTH} descriptors"):
+            descriptor_from_json(chain_json(MAX_DESCRIPTOR_DEPTH + 1))
 
 
 class TestValidation:

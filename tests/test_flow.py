@@ -20,10 +20,16 @@ from hyperflow.descriptors import (
 )
 from hyperflow.errors import GaugeDomainError, GeometryError, InvalidArgumentError, TimeOutOfRangeError
 from hyperflow.flow import (
-    GaugeParams,
+    _a1,
     _hyperbolic_flow_rows,
     _hyperbolic_times,
+    _leaf_spherical_collapse,
     _lorentz_flow_rows,
+    _lorentz_to_hyperbolic_scalars,
+    _product_rows,
+    _s_alpha,
+    _s_alpha_of_w,
+    _v_alpha,
     _validate_rows,
     existence_window,
     gauge_hyperbolic_to_lorentz,
@@ -196,15 +202,19 @@ class TestSphereLeafFlow:
         assert np.allclose(out.spherical, y)
 
     def test_euclidean_gauge_relation(self):
-        # F_2(y, t(s)) = a2(t(s)) f_2(y, s) ties the two leaf gauges together
+        # F_2(y, t(s)) = a2(t(s)) f_2(y, s) ties the two leaf gauges together,
+        # with the whole-sphere scaling a2(t) = sqrt(1 - 2n't/R^2) and the
+        # Euclidean-to-spherical time q(t) = -(R^2/2n') ln(1 - 2n't/R^2), R^2 = 4
         leaf = ProductOfSpheres(((1, 3.0), (1, 1.0)))
         y = np.array([0.0, math.sqrt(3.0), -1.0, 0.0])
-        g = GaugeParams(n=leaf.dim)
+        n_leaf, radius2 = leaf.dim, 4.0
         for s in (-1.0, 0.2, 0.5):
             out = sphere_leaf_flow(leaf, y, s)
-            a2 = g.a2(out.euclidean_time, leaf.dim, 4.0)
+            arg = 1.0 - 2.0 * n_leaf * out.euclidean_time / radius2
+            assert arg > 0
+            a2 = math.sqrt(arg)
             assert np.allclose(out.euclidean, a2 * out.spherical, atol=1e-14)
-            assert g.q(out.euclidean_time, leaf.dim, 4.0) == pytest.approx(s, abs=1e-12)
+            assert -(radius2 / (2.0 * n_leaf)) * math.log(arg) == pytest.approx(s, abs=1e-12)
 
 
 class TestExistenceWindows:
@@ -322,21 +332,24 @@ class TestNearDegenerateHypersurface:
             assert ambient_membership(f, 1.0) is Membership.ON_HYPERBOLOID
 
 
-class TestGaugeParams:
+class TestGaugeScalars:
     def test_rejects_outside_real_domain(self):
-        g = GaugeParams(n=2, r=2.0, l=1, alpha=2.0 / math.sqrt(3.0))
+        # n = 2, r = 2, l = 1, alpha = 2/sqrt(3)
+        alpha = 2.0 / math.sqrt(3.0)
         with pytest.raises(TimeOutOfRangeError):
-            g.a1(-1.5)
+            _a1(1, 2.0, -1.5)
         with pytest.raises(TimeOutOfRangeError):
-            g.s_alpha(2.0)
-        with pytest.raises(TimeOutOfRangeError):
-            g.q(3.0, 2, 4.0)
+            _s_alpha(2, 1.0 - alpha**2, 2.0)
+        # the leaf time q at the Euclidean collapse t = 3 of a 2-dimensional
+        # leaf, with R^2 = 4: its logarithm argument 1 - 2*2*3/4 is negative
+        leaf = ProductOfSpheres(((1, 6.0), (1, 8.0)))
+        with pytest.raises(TimeOutOfRangeError, match="q logarithm argument"):
+            _leaf_spherical_collapse(leaf, 4.0)
 
     def test_alpha_zero_is_the_identity_gauge(self):
-        g = GaugeParams(n=3, alpha=0.0)
         for t in (-700.0, -2.0, 0.0, 2.0):
-            assert g.s_alpha_of_w(t) == t
-            assert g.v_alpha(t) == 1.0
+            assert _s_alpha_of_w(3, 0.0, 1.0, t) == t
+            assert _v_alpha(3, 0.0, 1.0, t) == 1.0
 
 
 def _on_quadric(y: np.ndarray) -> np.ndarray:
@@ -513,6 +526,28 @@ class TestFlowCore:
         grid = _hyperbolic_flow_rows(d, X, ts, end=True)
         for t, rows in zip(ts, grid):
             assert rows.tobytes() == _hyperbolic_flow_rows(d, X, [t], end=True)[0].tobytes(), (name, t)
+
+    @pytest.mark.parametrize("name", sorted(n for n, d in BIT_CASES.items() if isinstance(d, FullProduct)))
+    def test_product_is_the_gauge_composition(self, name):
+        # f(x, t) = e^(-nt) F(x, w(t)), bit for bit; at the endpoint the
+        # Lorentzian time is T'' and the collapsed leaf radicand is zero
+        d = BIT_CASES[name]
+        n = dimensions(d).n
+        X = immerse_rows(d, np.array(chart_samples(d, 3, 17)[:6]))
+        ts = sample_times(None, existence_window(d).t_max, 7, np.random.default_rng(8)).tolist() + [0.0, -3.0]
+        s, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
+        lorentz = _lorentz_flow_rows(d, X, s)
+        for j, rows in enumerate(_hyperbolic_flow_rows(d, X, ts)):
+            assert rows.tobytes() == (decay[j] * lorentz[j]).tobytes(), (name, ts[j])
+            x, t = X[j % len(X)], ts[j]
+            composed = gauge_lorentz_to_hyperbolic(lambda y, w: lorentz_flow(d, y, w), n, 1.0, x, t)
+            assert hyperbolic_flow(d, x, t).tobytes() == composed.tobytes(), (name, t)
+        T = existence_window(d).t_max
+        ts = [T, 0.5 * T, -1.0]
+        _, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
+        at_end = _product_rows(d, X, [existence_window(d).t_dprime], end=True)[0]
+        for j, rows in enumerate(_hyperbolic_flow_rows(d, X, ts, end=True)):
+            assert rows.tobytes() == (decay[j] * at_end).tobytes(), (name, ts[j])
 
     def test_empty_time_list(self):
         d = CATALOG["circle_in_h4_nested"]

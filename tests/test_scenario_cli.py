@@ -662,6 +662,45 @@ class TestCli:
         assert field in out.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "field, descriptor",
+        [
+            ("ambient.m", {"type": "ambient", "m": 3.9}),
+            ("ambient.m", {"type": "ambient", "m": True}),
+            ("ambient.m", {"type": "ambient", "m": "3"}),
+            ("full_product.l", {**descriptor_to_json(CATALOG["tube_h3"]), "l": 1.7}),
+            (
+                "product_of_spheres.factors[0] dimension",
+                {**descriptor_to_json(CATALOG["tube_h3"]), "leaf": {"type": "product_of_spheres", "factors": [[1.9, 1.0]]}},
+            ),
+            ("euclidean.flat_dim", {**descriptor_to_json(CATALOG["horocycle_h2"]), "inner": {"type": "euclidean", "flat_dim": 1.5}}),
+            (
+                "euclidean.ambient_dim",
+                {**descriptor_to_json(CATALOG["horocycle_h2"]), "inner": {"type": "euclidean", "flat_dim": 1, "ambient_dim": 1.0}},
+            ),
+        ],
+    )
+    def test_descriptor_integer_field_exit_two(self, tmp_path, field, descriptor):
+        # integer fields are refused, not truncated: 3.9, true and "3" are not 3, 1 and 3
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"name": "bad", "descriptor": descriptor, "outputs": ["window"]}))
+        out = run_cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert out.returncode == 2
+        assert f"{field} must be an integer" in out.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_deeply_nested_descriptor_exit_two(self, tmp_path):
+        # 600 geodesic umbilic levels: refused at the boundary, not a RecursionError
+        obj, m = descriptor_to_json(CATALOG["circle_h2"]), 2
+        for _ in range(599):
+            m += 1
+            obj = {"type": "umbilic", "xi": [1.0] + [0.0] * m, "a": 0.0, "inner": obj}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"name": "deep", "descriptor": obj, "outputs": ["window"]}))
+        out = run_cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert out.returncode == 2
+        assert "nested deeper than" in out.stderr
+
     @pytest.mark.parametrize("verb", ["run", "verify", "limits"])
     def test_negative_seed_exit_two(self, verb, tmp_path):
         # every verb builds its seed through Sampling and refuses it with one message
