@@ -21,6 +21,7 @@ probe.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Union
@@ -838,6 +839,20 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _json_object(value, field: str) -> dict:
+    """A JSON object; arrays, numbers, strings and null are refused."""
+    if not isinstance(value, dict):
+        raise InvalidArgumentError(f"{field} must be a JSON object, got {value!r}")
+    return value
+
+
+def _json_float(value, field: str) -> float:
+    """A JSON number as a double; strings and booleans are refused, not parsed or read as 1.0 and 0.0."""
+    if type(value) not in (int, float) or (type(value) is int and abs(value) > sys.float_info.max):
+        raise InvalidArgumentError(f"{field} must be a number in the range of doubles, got {value!r}")
+    return float(value)
+
+
 def _descriptor_from_json(obj: dict, depth: int):
     if depth > MAX_DESCRIPTOR_DEPTH:
         raise InvalidArgumentError(f"descriptor JSON is nested deeper than {MAX_DESCRIPTOR_DEPTH} descriptors")
@@ -846,34 +861,39 @@ def _descriptor_from_json(obj: dict, depth: int):
     tag = obj["type"]
     try:
         if tag == "ambient":
-            return Ambient(_json_int(obj["m"], "ambient.m"), float(obj.get("r", 1.0)))
+            return Ambient(_json_int(obj["m"], "ambient.m"), _json_float(obj.get("r", 1.0), "ambient.r"))
         if tag == "full_product":
-            return FullProduct(_json_int(obj["l"], "full_product.l"), float(obj["r"]), _leaf_from_json(obj["leaf"]))
+            l, r = _json_int(obj["l"], "full_product.l"), _json_float(obj["r"], "full_product.r")
+            return FullProduct(l, r, _leaf_from_json(obj["leaf"], "full_product.leaf"))
         if tag == "umbilic":
-            return Umbilic(derive_umbilic(obj["xi"], float(obj["a"])), _inner_from_json(obj["inner"], depth + 1))
+            return Umbilic(derive_umbilic(obj["xi"], _json_float(obj["a"], "umbilic.a")), _inner_from_json(obj["inner"], depth + 1))
     except KeyError as exc:
         raise InvalidArgumentError(f"descriptor JSON is missing field {exc}") from exc
     raise InvalidArgumentError(f"unknown descriptor type {tag!r}")
 
 
-def _leaf_from_json(obj: dict) -> ProductOfSpheres:
+def _leaf_from_json(obj: dict, field: str) -> ProductOfSpheres:
+    obj = _json_object(obj, field)
     if obj.get("type") == "point":
         return ProductOfSpheres(point_position=tuple(obj["position"]))
     if obj.get("type") == "product_of_spheres":
-        factors = [(_json_int(p, f"product_of_spheres.factors[{i}] dimension"), float(s)) for i, (p, s) in enumerate(obj["factors"])]
+        factors = [
+            (_json_int(p, f"product_of_spheres.factors[{i}] dimension"), _json_float(s, f"product_of_spheres.factors[{i}] radius"))
+            for i, (p, s) in enumerate(obj["factors"])
+        ]
         return ProductOfSpheres(tuple(factors))
     raise InvalidArgumentError(f"unknown leaf type {obj.get('type')!r}")
 
 
 def _inner_from_json(obj: dict, depth: int):
-    tag = obj.get("type")
+    tag = _json_object(obj, "umbilic.inner").get("type")
     if tag in ("point", "product_of_spheres"):
-        return _leaf_from_json(obj)
+        return _leaf_from_json(obj, "umbilic.inner")
     if tag == "euclidean":
         ambient_dim = obj.get("ambient_dim")
         return EuclideanIso(
             flat_dim=_json_int(obj["flat_dim"], "euclidean.flat_dim"),
-            spheres=_leaf_from_json(obj["spheres"]) if obj.get("spheres") else None,
+            spheres=_leaf_from_json(obj["spheres"], "euclidean.spheres") if obj.get("spheres") else None,
             offset=tuple(obj["offset"]) if obj.get("offset") else None,
             ambient_dim=None if ambient_dim is None else _json_int(ambient_dim, "euclidean.ambient_dim"),
         )

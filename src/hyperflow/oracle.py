@@ -583,14 +583,7 @@ def _path_frames(imm: ImmersionEvaluator, W: np.ndarray, lead: int, subs, segmen
     first_seed = lead - segments * len(subs)
     owner = np.repeat(np.arange(first_seed, lead), [2 + 3 * len(keys) for *_, keys in subs] * segments)
     orders = _frame_orders(imm, W[:, :lead])[:, np.concatenate([np.arange(lead), owner])].reshape(T * R, -1)
-    W = W.reshape(T * R, dim, dim)
-    # one Gram-Schmidt per distinct order, over every row that has it
-    distinct, which = np.unique(orders, axis=0, return_inverse=True)
-    N = np.empty(orders.shape + (dim,))
-    for j, order in enumerate(distinct):
-        rows = np.flatnonzero(which.reshape(-1) == j)
-        N[rows] = _frames_along(imm, order.tolist(), W, rows)
-    return N.reshape(T, R, -1, dim)
+    return _frames_by_order(imm, W.reshape(T * R, dim, dim), orders).reshape(T, R, -1, dim)
 
 
 def _transport_chain(imm: ImmersionEvaluator, frame: np.ndarray, N: np.ndarray, subs, sub_steps: int) -> np.ndarray:
@@ -766,20 +759,13 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
 # normal-bundle curvature
 
 
-@dataclass(frozen=True)
-class ConformalFactor:
-    """e^(2 rho) scaling of a flat metric, with an analytic gradient."""
-
-    rho: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
+def _poincare_ball_grad(Y: np.ndarray) -> np.ndarray:
+    return 2.0 * Y / (1.0 - EUCLIDEAN.inners(Y, Y))[..., None]
 
 
-def poincare_ball_factor() -> ConformalFactor:
-    """The hyperbolic metric 4 (1 - |y|^2)^(-2) on the unit ball."""
-    return ConformalFactor(
-        rho=lambda y: math.log(2.0 / (1.0 - float(np.dot(y, y)))),
-        grad=lambda y: 2.0 * y / (1.0 - float(np.dot(y, y))),
-    )
+def poincare_ball_factor() -> Callable[[np.ndarray], np.ndarray]:
+    """The hyperbolic metric 4 (1 - |y|^2)^(-2) = e^(2 rho) on the unit ball, as the row gradient of rho, (..., dim) -> (..., dim)."""
+    return _poincare_ball_grad
 
 
 def _first_derivative_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float):
@@ -795,11 +781,6 @@ def _first_derivative_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float):
 def _first_derivatives_of(vals: np.ndarray, h: float):
     """Centers (..., dim) and central first derivatives (..., n, dim) of first-derivative stencils (..., 1 + 2n, dim)."""
     return vals[..., 0, :], (vals[..., 1::2, :] - vals[..., 2::2, :]) / (2.0 * h)
-
-
-def _first_derivatives(imm: ImmersionEvaluator, u: np.ndarray, h: float):
-    center, first = _first_derivative_rows(imm, np.asarray(u, dtype=float)[None, :], h)
-    return center[0], first[0]
 
 
 def _normal_candidates(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -859,6 +840,16 @@ def _frames_along(imm: ImmersionEvaluator, order: list[int], W: np.ndarray, rows
     return out
 
 
+def _frames_by_order(imm: ImmersionEvaluator, W: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Frames (R, k, dim) from candidates (R, dim, dim), row r in pivot order orders[r]: one Gram-Schmidt per distinct order."""
+    distinct, which = np.unique(orders, axis=0, return_inverse=True)
+    N = np.empty(orders.shape + (W.shape[-1],))
+    for j, order in enumerate(distinct):
+        rows = np.flatnonzero(which.reshape(-1) == j)
+        N[rows] = _frames_along(imm, order.tolist(), W, rows)
+    return N
+
+
 def _normal_frame_field(imm: ImmersionEvaluator, u0: np.ndarray, h: float):
     """A smooth orthonormal normal frame near u0, as a row-wise field.
 
@@ -876,97 +867,90 @@ def _normal_frame_field(imm: ImmersionEvaluator, u0: np.ndarray, h: float):
     return field
 
 
-def _covariant_normal_derivative(
-    imm: ImmersionEvaluator,
-    Z: Callable[[np.ndarray], np.ndarray],
-    j: int,
-    u: np.ndarray,
-    h: float,
-    conformal: ConformalFactor | None,
-) -> np.ndarray:
-    """D_j Z at u: ambient covariant derivative projected to the normal space.
+def _covariant_rows(imm: ImmersionEvaluator, dZ, Z, center, first, X, conformal) -> np.ndarray:
+    """D_X Z of normal fields Z (..., k, dim) at points (..., dim) with chart derivatives (..., n, dim), projected to the normal space.
 
-    The flat and spherical ambients differentiate componentwise; a conformal
-    metric adds the standard conformally flat connection correction
-    X(rho) Z + Z(rho) X - <X,Z> grad(rho).
+    ``dZ`` is the central difference of Z along the chart derivative X.  A
+    conformal metric, given by the row gradient of its rho, adds the
+    conformally flat connection term X(rho) Z + Z(rho) X - <X,Z> grad(rho).
     """
-    n = imm.chart_dim
-    center, first = _first_derivatives(imm, u, h)
-    step = h * np.eye(n)[j]
-    dZ = (Z(u + step) - Z(u - step)) / (2.0 * h)
     if conformal is not None:
-        Zu = Z(u)
-        Xj = first[j]
-        grad = conformal.grad(center)
-        dZ = dZ + float(np.dot(grad, Xj)) * Zu + float(np.dot(grad, Zu)) * Xj - float(np.dot(Xj, Zu)) * grad
-    frame = list(first) + ([center] if imm.ambient.intrinsic_to_quadric else [])
-    return dZ - _tangential_parts(imm, frame, [dZ])[0]
+        g, x = conformal(center)[..., None, :], X[..., None, :]
+        dZ = dZ + EUCLIDEAN.inners(g, x)[..., None] * Z + EUCLIDEAN.inners(g, Z)[..., None] * x - EUCLIDEAN.inners(x, Z)[..., None] * g
+    frame = np.concatenate([first, center[..., None, :]], axis=-2) if imm.ambient.intrinsic_to_quadric else first
+    return dZ - _tangential_parts(imm, frame, dZ)
+
+
+def _normal_curvature_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float, conformal) -> tuple[np.ndarray, np.ndarray]:
+    """Normal curvature vectors (P, pairs, k, dim) at P chart points, and the chart derivatives (P, n, dim) there.
+
+    D_j zeta at u +- h e_i differences the normal frame zeta on the corners
+    of the ``_stencil_offsets`` stencil and the conformal term takes it at
+    u +- h e_j and u, so one ``at_rows`` call on the first-derivative
+    stencils of every stencil point gives all frames, each in the pivot
+    order of its sample's center.  Empty when k or n is below 2.
+    """
+    P, n = U.shape
+    offs = _stencil_offsets(n, h)
+    K, F = offs.shape[0], 1 + 2 * n
+    center, first = _first_derivatives_of(imm.at_rows(_stencil_points(_stencil_points(U, offs), offs[:F])).reshape(P, K, F, -1), h)
+    dim = center.shape[-1]
+    k = dim - n - (1 if imm.ambient.intrinsic_to_quadric else 0)
+    if k < 2 or n < 2:
+        return np.zeros((P, 0, 0, dim)), first[:, 0]
+    W = _normal_candidates(imm, center, first)
+    Z = _frames_by_order(imm, W.reshape(P * K, dim, dim), np.repeat(_frame_orders(imm, W[:, 0]), K, axis=0)).reshape(P, K, k, dim)
+    i, j = _upper_pairs(n)
+    c, ip, im, jp, jm = 1 + 2 * n + 4 * np.arange(len(i)), 1 + 2 * i, 2 + 2 * i, 1 + 2 * j, 2 + 2 * j  # c: corner ++ of (i, j)
+    # D_j zeta at u + h e_i, u - h e_i and u, then D_i zeta at u + h e_j, u - h e_j and u
+    at, axis = np.stack([ip, im, 0 * i, jp, jm, 0 * i], -1), np.stack([j, j, j, i, i, i], -1)
+    plus, minus = np.stack([c, c + 2, jp, c, c + 1, ip], -1), np.stack([c + 1, c + 3, jm, c + 2, c + 3, im], -1)
+    G = _covariant_rows(imm, (Z[:, plus] - Z[:, minus]) / (2.0 * h), Z[:, at], center[:, at], first[:, at], first[:, at, axis], conformal)
+    # D_i D_j zeta and D_j D_i zeta at u
+    dG, X = (G[:, :, [0, 3]] - G[:, :, [1, 4]]) / (2.0 * h), first[:, 0][:, np.stack([i, j], -1)]
+    DD = _covariant_rows(imm, dG, G[:, :, [2, 5]], center[:, None, None, 0], first[:, None, None, 0], X, conformal)
+    return DD[:, :, 0] - DD[:, :, 1], first[:, 0]
 
 
 def normal_curvature_vectors(
     imm: ImmersionEvaluator,
     u,
     h: float = 1e-3,
-    conformal: ConformalFactor | None = None,
+    conformal: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Normal-bundle curvature vectors R(d_i, d_j) zeta_a at one chart point.
 
     Computed from first principles as the commutator of covariant normal
     derivatives of a smooth normal frame, D_i D_j zeta - D_j D_i zeta, with
-    nested central differences.  Inputs are the raw coordinate fields and
-    the frame seeded at u, so results for conformally related metrics are
-    directly comparable.  Shape: (pairs_ij, frame vectors, ambient dim).
+    nested central differences on the stencil, in one ``at_rows`` call.
+    Inputs are the raw coordinate fields and the frame seeded at u, so
+    results for conformally related metrics (``conformal``, the row gradient
+    of rho in e^(2 rho) |dy|^2) are directly comparable.  Shape: (pairs_ij,
+    frame vectors, ambient dim), empty when either count is below 2.
     """
-    uv = np.asarray(u, dtype=float)
-    n = imm.chart_dim
-    field = _normal_frame_field(imm, uv, h)
-    k = field(uv[None, :]).shape[1]
-    if k < 2 or n < 2:
-        return np.zeros((0, 0, imm(uv).size))
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = []
-            for a in range(k):
-                Za = lambda v, a=a: field(v[None, :])[0, a]
-                Gj = lambda v, a=a, j=j: _covariant_normal_derivative(imm, Za, j, v, h, conformal)
-                Gi = lambda v, a=a, i=i: _covariant_normal_derivative(imm, Za, i, v, h, conformal)
-                DiDj = _covariant_normal_derivative(imm, Gj, i, uv, h, conformal)
-                DjDi = _covariant_normal_derivative(imm, Gi, j, uv, h, conformal)
-                row.append(DiDj - DjDi)
-            out.append(row)
-    return np.asarray(out)
+    return _normal_curvature_rows(imm, np.asarray(u, dtype=float).reshape(1, imm.chart_dim), h, conformal)[0][0]
 
 
 def flat_normal_residual(
     imm: ImmersionEvaluator,
     chart_samples: Sequence[np.ndarray],
     h: float = 1e-3,
-    conformal: ConformalFactor | None = None,
+    conformal: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Largest normal-curvature magnitude over samples, per unit tangent pair.
 
-    Returns 0 by convention when the codimension (inside the quadric, when
-    any) is at most 1, or when the chart has a single direction.
+    One ``_normal_curvature_rows`` batch of all samples, one ``at_rows``
+    call.  Returns 0 by convention when the codimension (inside the quadric,
+    when any) is at most 1, or when the chart has a single direction.
     """
-    samples = [np.asarray(u, dtype=float) for u in chart_samples]
-    if not samples:
+    if len(chart_samples) == 0:
         raise InsufficientSamplesError("no samples given")
-    center, first = _first_derivatives(imm, samples[0], h)
-    codim = center.size - imm.chart_dim - (1 if imm.ambient.intrinsic_to_quadric else 0)
-    if codim <= 1 or imm.chart_dim < 2:
+    R, first = _normal_curvature_rows(imm, np.asarray(chart_samples, dtype=float).reshape(len(chart_samples), imm.chart_dim), h, conformal)
+    if R.size == 0:
         return 0.0
-    worst = []
-    for u in samples:
-        _, fu = _first_derivatives(imm, u, h)
-        R = normal_curvature_vectors(imm, u, h, conformal)
-        idx = 0
-        for i in range(imm.chart_dim):
-            for j in range(i + 1, imm.chart_dim):
-                scale = math.sqrt(abs(imm.ambient.inner(fu[i], fu[i])) * abs(imm.ambient.inner(fu[j], fu[j])))
-                worst.append(float(np.max(np.linalg.norm(R[idx], axis=-1))) / scale)
-                idx += 1
-    return float(np.max(worst))  # one maximum, so a nan anywhere gives nan
+    i, j = _upper_pairs(imm.chart_dim)
+    q = np.abs(imm.ambient.inners(first, first))
+    return float(np.max(np.linalg.norm(R, axis=-1) / np.sqrt(q[:, i] * q[:, j])[..., None]))  # one maximum: a nan anywhere gives nan
 
 
 def _normal_projector_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float) -> np.ndarray:

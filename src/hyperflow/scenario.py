@@ -31,7 +31,9 @@ from .descriptors import (
     FullProduct,
     Umbilic,
     _ambient_r,
+    _json_float,
     _json_int,
+    _json_object,
     _row_dots,
     chart_box,
     chart_dim,
@@ -138,38 +140,30 @@ def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:
         raise InvalidArgumentError(f"a scenario must be a JSON object, got {type(obj).__name__}")
     if "descriptor" not in obj:
         raise InvalidArgumentError("scenario is missing the descriptor")
-    grid = _section_from_json(obj, "time_grid")
-    samp = _section_from_json(obj, "sampling")
-    orc = _section_from_json(obj, "oracle")
+    grid = _json_object(obj.get("time_grid", {}), "time_grid")
+    samp = _json_object(obj.get("sampling", {}), "sampling")
+    orc = _json_object(obj.get("oracle", {}), "oracle")
     frame_spec = obj.get("frame", "standard")
     frame = None if frame_spec == "standard" else OrthonormalFrame(np.asarray(frame_spec, dtype=float))
     return Scenario(
         name=obj.get("name", name),
         descriptor=descriptor_from_json(obj["descriptor"]),
         time_grid=TimeGrid(
-            float(grid.get("start", -2.0)),
-            float(grid.get("end", 2.0)),
+            _json_float(grid.get("start", -2.0), "time_grid.start"),
+            _json_float(grid.get("end", 2.0), "time_grid.end"),
             _json_int(grid.get("steps", 9), "time_grid.steps"),
             _bool_from_json(grid, "clip_to_existence", True, "time_grid"),
         ),
         sampling=Sampling(_json_int(samp.get("per_dim", 3), "sampling.per_dim"), _json_int(samp.get("seed", 7), "sampling.seed")),
         oracle=OracleSettings(
             _bool_from_json(orc, "enabled", True, "oracle"),
-            float(orc.get("fd_step", 1e-3)),
-            float(orc.get("dt", 1e-4)),
-            float(orc.get("tolerance", 1e-3)),
+            _json_float(orc.get("fd_step", 1e-3), "oracle.fd_step"),
+            _json_float(orc.get("dt", 1e-4), "oracle.dt"),
+            _json_float(orc.get("tolerance", 1e-3), "oracle.tolerance"),
         ),
         outputs=_outputs_from_json(obj.get("outputs", list(_ALL_OUTPUTS))),
         frame=frame,
     )
-
-
-def _section_from_json(obj: dict, key: str) -> dict:
-    """An optional JSON object section; arrays, numbers and null are refused."""
-    value = obj.get(key, {})
-    if not isinstance(value, dict):
-        raise InvalidArgumentError(f"{key} must be a JSON object, got {value!r}")
-    return value
 
 
 def _bool_from_json(section: dict, key: str, default: bool, path: str) -> bool:

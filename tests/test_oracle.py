@@ -197,7 +197,8 @@ def _conditioned_gram(cond: float) -> np.ndarray:
 def _tangent_position_gram() -> np.ndarray:
     """The indefinite Gram of tube_h3's chart derivatives and position vector at one chart point."""
     imm = oracle.descriptor_immersion(CATALOG["tube_h3"])
-    center, first = oracle._first_derivatives(imm, np.array(chart_samples(CATALOG["tube_h3"], 2, 3)[0]), 1e-3)
+    u = np.array(chart_samples(CATALOG["tube_h3"], 2, 3)[0])
+    center, first = (a[0] for a in oracle._first_derivative_rows(imm, u[None, :], 1e-3))
     frame = np.vstack([first, center])
     return imm.ambient.inners(frame[:, None, :], frame[None, :, :])
 
@@ -517,9 +518,52 @@ class TestFlatNormalBundle:
         # a nan curvature vector must not be lost in the maximum over pairs
         d = CATALOG["clifford_tube_h5"]
         imm = oracle.descriptor_immersion(d, 0.1)
-        real = oracle.normal_curvature_vectors
-        monkeypatch.setattr(oracle, "normal_curvature_vectors", lambda *a, **k: real(*a, **k) * math.nan)
+        real = oracle._normal_curvature_rows
+
+        def nan_rows(*args):
+            R, first = real(*args)
+            return R * math.nan, first
+
+        monkeypatch.setattr(oracle, "_normal_curvature_rows", nan_rows)
         assert math.isnan(oracle.flat_normal_residual(imm, chart_samples(d, 2, 7)[:2]))
+
+    def test_one_evaluation_per_check(self, monkeypatch):
+        # every frame of every sample's nested differences lies on its stencil
+        d = CATALOG["clifford_tube_h5"]
+        imm = oracle.descriptor_immersion(d, 0.1)
+        calls = []
+        at_rows = oracle.ImmersionEvaluator.at_rows
+        monkeypatch.setattr(oracle.ImmersionEvaluator, "at_rows", lambda imm, U: calls.append(len(U)) or at_rows(imm, U))
+        oracle.flat_normal_residual(imm, chart_samples(d, 2, 7)[:2])
+        assert len(calls) == 1
+
+    def test_chart_calls_of_one_point(self):
+        # 9 stencil points, each with its 5-point first-derivative stencil
+        calls = []
+        chart = _twisted_surface().func
+        imm = oracle.ImmersionEvaluator(2, oracle.EUCLIDEAN, lambda u: calls.append(u) or chart(u))
+        oracle.normal_curvature_vectors(imm, [0.3, 0.7])
+        assert len(calls) == 45
+
+    @pytest.mark.parametrize("ball", [False, True])
+    @pytest.mark.parametrize("u", [[0.3, 0.7], [1.1, 0.4]])
+    def test_twisted_surface_matches_nested_reference(self, u, ball):
+        imm = _twisted_surface()
+        R = oracle.normal_curvature_vectors(imm, u, conformal=oracle.poincare_ball_factor() if ball else None)
+        assert np.array_equal(R, _normal_curvature_reference(imm, u, ball=ball))
+
+    @pytest.mark.parametrize("name", ["clifford_tube_h5", "flat_torus_in_s3", "plane_in_r4"])
+    def test_rows_match_nested_reference(self, name):
+        # a batch of samples gives each the bits of the nested one-point scheme
+        if name == "clifford_tube_h5":
+            d = CATALOG[name]
+            imm, us = oracle.descriptor_immersion(d, 0.1), chart_samples(d, 2, 7)[:2]
+        else:
+            imm = {"flat_torus_in_s3": _flat_torus_in_s3, "plane_in_r4": _plane_in_r4}[name]()
+            us = [np.array([0.3, 0.9]), np.array([1.0, 0.2])]
+        R, _ = oracle._normal_curvature_rows(imm, np.array(us), 1e-3, None)
+        for p, u in enumerate(us):
+            assert np.array_equal(R[p], _normal_curvature_reference(imm, u)), (name, p)
 
     def test_great_circle_holonomy(self):
         defect = oracle.normal_holonomy_defect(_great_circle(), [0.2], [2.0 * math.pi])
@@ -549,12 +593,7 @@ class TestFlatNormalBundle:
 
     def test_flat_torus_in_s3(self):
         # the diagonal torus has flat normal bundle inside the 3-sphere
-        def chart(u):
-            a, b = u
-            return np.array([math.cos(a), math.sin(a), math.cos(b), math.sin(b)]) / math.sqrt(2.0)
-
-        imm = oracle.ImmersionEvaluator(2, oracle.SPHERE, chart)
-        res = oracle.flat_normal_residual(imm, [np.array([0.3, 0.9]), np.array([1.0, 0.2])])
+        res = oracle.flat_normal_residual(_flat_torus_in_s3(), [np.array([0.3, 0.9]), np.array([1.0, 0.2])])
         assert res == 0.0  # codimension 1 inside the sphere: flat by rank
 
     def test_twisted_surface_is_curved_flat_metric(self):
@@ -573,10 +612,7 @@ class TestFlatNormalBundle:
             assert np.max(np.abs(R_flat - R_conf)) < 1e-4
 
     def test_plane_in_r4_is_flat(self):
-        imm = oracle.ImmersionEvaluator(
-            2, oracle.EUCLIDEAN, lambda u: np.array([u[0], u[1], 0.2 * u[0], 0.0])
-        )
-        assert oracle.flat_normal_residual(imm, [np.array([0.1, 0.2])]) < 1e-9
+        assert oracle.flat_normal_residual(_plane_in_r4(), [np.array([0.1, 0.2])]) < 1e-9
 
 
 def _twisted_surface() -> oracle.ImmersionEvaluator:
@@ -585,6 +621,18 @@ def _twisted_surface() -> oracle.ImmersionEvaluator:
         return 0.3 * np.array([math.cos(a), math.sin(a), 0.8 * math.cos(a + b), math.sin(b)])
 
     return oracle.ImmersionEvaluator(2, oracle.EUCLIDEAN, chart)
+
+
+def _flat_torus_in_s3() -> oracle.ImmersionEvaluator:
+    def chart(u):
+        a, b = u
+        return np.array([math.cos(a), math.sin(a), math.cos(b), math.sin(b)]) / math.sqrt(2.0)
+
+    return oracle.ImmersionEvaluator(2, oracle.SPHERE, chart)
+
+
+def _plane_in_r4() -> oracle.ImmersionEvaluator:
+    return oracle.ImmersionEvaluator(2, oracle.EUCLIDEAN, lambda u: np.array([u[0], u[1], 0.2 * u[0], 0.0]))
 
 
 def _great_circle() -> oracle.ImmersionEvaluator:
@@ -650,12 +698,50 @@ def _stencils(imm, U, h):
 
 
 def _projector_reference(imm, u, h):
-    center, first = oracle._first_derivatives(imm, u, h)
+    center, first = (a[0] for a in oracle._first_derivative_rows(imm, u[None, :], h))
     frame = list(first) + ([center] if imm.ambient.intrinsic_to_quadric else [])
     G = np.array([[imm.ambient.inner(a, b) for b in frame] for a in frame])
     F = np.column_stack(frame)
     sig = imm.ambient.signature(center.size)
     return np.eye(center.size) - F @ np.linalg.solve(G, (F * sig[:, None]).T)
+
+
+def _normal_curvature_reference(imm, u, h=1e-3, ball=False):
+    """The nested one-point scheme: every covariant derivative a closure that evaluates the chart again.
+
+    ``ball`` adds the connection term of the Poincare ball metric, with its
+    gradient 2 y / (1 - |y|^2) formed point by point.
+    """
+    uv = np.asarray(u, dtype=float)
+    n = imm.chart_dim
+    field = oracle._normal_frame_field(imm, uv, h)
+    k = field(uv[None, :]).shape[1]
+    if k < 2 or n < 2:
+        return np.zeros((0, 0, imm(uv).size))
+
+    def covariant(Z, j, v):
+        # D_j Z at v: ambient derivative projected to the normal space
+        center, first = (a[0] for a in oracle._first_derivative_rows(imm, v[None, :], h))
+        step = h * np.eye(n)[j]
+        dZ = (Z(v + step) - Z(v - step)) / (2.0 * h)
+        if ball:
+            Zu, Xj = Z(v), first[j]
+            grad = 2.0 * center / (1.0 - float(np.dot(center, center)))
+            dZ = dZ + float(np.dot(grad, Xj)) * Zu + float(np.dot(grad, Zu)) * Xj - float(np.dot(Xj, Zu)) * grad
+        frame = list(first) + ([center] if imm.ambient.intrinsic_to_quadric else [])
+        return dZ - oracle._tangential_parts(imm, frame, [dZ])[0]
+
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = []
+            for a in range(k):
+                Za = lambda v, a=a: field(v[None, :])[0, a]
+                Gj = lambda v, Za=Za, j=j: covariant(Za, j, v)
+                Gi = lambda v, Za=Za, i=i: covariant(Za, i, v)
+                row.append(covariant(Gj, i, uv) - covariant(Gi, j, uv))
+            out.append(row)
+    return np.asarray(out)
 
 
 def _holonomy_reference(imm, u0, per, steps, h=1e-3):

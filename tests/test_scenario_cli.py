@@ -653,6 +653,26 @@ class TestCli:
             ("time_grid", {"time_grid": []}),
             ("sampling", {"sampling": 3}),
             ("oracle", {"oracle": None}),
+            # number fields refuse strings and booleans instead of parsing them
+            ("time_grid.start", {"time_grid": {"start": "-1"}}),
+            ("oracle.fd_step", {"oracle": {"fd_step": "1e-3"}}),
+            ("oracle.dt", {"oracle": {"dt": True}}),
+            ("ambient.r", {"descriptor": {"type": "ambient", "m": 2, "r": "2.5"}}),
+            ("ambient.r", {"descriptor": {"type": "ambient", "m": 2, "r": True}}),
+            ("ambient.r", {"descriptor": {"type": "ambient", "m": 2, "r": 10**400}}),
+            ("full_product.r", {"descriptor": {**descriptor_to_json(CATALOG["tube_h3"]), "r": "2"}}),
+            ("umbilic.a", {"descriptor": {**descriptor_to_json(CATALOG["horocycle_h2"]), "a": False}}),
+            (
+                "product_of_spheres.factors[0] radius",
+                {"descriptor": {**descriptor_to_json(CATALOG["tube_h3"]), "leaf": {"type": "product_of_spheres", "factors": [[1, "1"]]}}},
+            ),
+            # nested descriptor parts that are not objects
+            ("umbilic.inner", {"descriptor": {"type": "umbilic", "xi": [0, 0, -1], "a": 2.0, "inner": 3}}),
+            ("full_product.leaf", {"descriptor": {**descriptor_to_json(CATALOG["tube_h3"]), "leaf": 5}}),
+            (
+                "euclidean.spheres",
+                {"descriptor": {**descriptor_to_json(CATALOG["horocycle_h2"]), "inner": {"type": "euclidean", "flat_dim": 1, "spheres": 5}}},
+            ),
         ],
     )
     def test_bad_field_exit_two(self, tmp_path, field, settings):
