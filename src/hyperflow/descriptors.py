@@ -348,10 +348,6 @@ def _sphere_box(leaf: ProductOfSpheres) -> list[tuple[float, float]]:
     return box
 
 
-def chart_dim(d) -> int:
-    return dimensions(d).n
-
-
 def chart_box(d) -> list[tuple[float, float]]:
     """Per-coordinate sampling box of the canonical chart."""
     if isinstance(d, Ambient):
@@ -611,7 +607,7 @@ def immerse_rows(d, U) -> np.ndarray:
     Row k has the same bits as ``immerse(d, U[k])``, whatever the batch.
     """
     Uv = np.asarray(U, dtype=float)
-    n = chart_dim(d)
+    n = dimensions(d).n
     if Uv.ndim != 2:
         raise InvalidArgumentError(f"chart rows must form a 2-d array, got shape {Uv.shape}")
     if Uv.shape[1] != n:
@@ -793,7 +789,7 @@ def descriptor_to_json(d) -> dict:
     if isinstance(d, Umbilic):
         return {
             "type": "umbilic",
-            "xi": list(d.umb.xi),
+            "xi": [float(v) for v in d.umb.xi],
             "a": d.umb.a,
             "inner": _inner_to_json(d.inner),
         }
@@ -853,6 +849,18 @@ def _json_float(value, field: str) -> float:
     return float(value)
 
 
+def _json_array(value, field: str) -> list:
+    """A JSON array; objects, numbers, strings and null are refused."""
+    if not isinstance(value, (list, tuple)):
+        raise InvalidArgumentError(f"{field} must be a JSON array, got {value!r}")
+    return value
+
+
+def _json_vector(value, field: str) -> tuple[float, ...]:
+    """A JSON array of numbers as doubles, each element refused as by ``_json_float``."""
+    return tuple(_json_float(v, f"{field}[{i}]") for i, v in enumerate(_json_array(value, field)))
+
+
 def _descriptor_from_json(obj: dict, depth: int):
     if depth > MAX_DESCRIPTOR_DEPTH:
         raise InvalidArgumentError(f"descriptor JSON is nested deeper than {MAX_DESCRIPTOR_DEPTH} descriptors")
@@ -866,7 +874,7 @@ def _descriptor_from_json(obj: dict, depth: int):
             l, r = _json_int(obj["l"], "full_product.l"), _json_float(obj["r"], "full_product.r")
             return FullProduct(l, r, _leaf_from_json(obj["leaf"], "full_product.leaf"))
         if tag == "umbilic":
-            return Umbilic(derive_umbilic(obj["xi"], _json_float(obj["a"], "umbilic.a")), _inner_from_json(obj["inner"], depth + 1))
+            return Umbilic(derive_umbilic(_json_vector(obj["xi"], "umbilic.xi"), _json_float(obj["a"], "umbilic.a")), _inner_from_json(obj["inner"], depth + 1))
     except KeyError as exc:
         raise InvalidArgumentError(f"descriptor JSON is missing field {exc}") from exc
     raise InvalidArgumentError(f"unknown descriptor type {tag!r}")
@@ -875,12 +883,14 @@ def _descriptor_from_json(obj: dict, depth: int):
 def _leaf_from_json(obj: dict, field: str) -> ProductOfSpheres:
     obj = _json_object(obj, field)
     if obj.get("type") == "point":
-        return ProductOfSpheres(point_position=tuple(obj["position"]))
+        return ProductOfSpheres(point_position=_json_vector(obj["position"], "point.position"))
     if obj.get("type") == "product_of_spheres":
-        factors = [
-            (_json_int(p, f"product_of_spheres.factors[{i}] dimension"), _json_float(s, f"product_of_spheres.factors[{i}] radius"))
-            for i, (p, s) in enumerate(obj["factors"])
-        ]
+        factors = []
+        for i, pair in enumerate(_json_array(obj["factors"], "product_of_spheres.factors")):
+            at = f"product_of_spheres.factors[{i}]"
+            if len(_json_array(pair, at)) != 2:
+                raise InvalidArgumentError(f"{at} must be a [dimension, radius] pair, got {pair!r}")
+            factors.append((_json_int(pair[0], f"{at} dimension"), _json_float(pair[1], f"{at} radius")))
         return ProductOfSpheres(tuple(factors))
     raise InvalidArgumentError(f"unknown leaf type {obj.get('type')!r}")
 
@@ -894,7 +904,7 @@ def _inner_from_json(obj: dict, depth: int):
         return EuclideanIso(
             flat_dim=_json_int(obj["flat_dim"], "euclidean.flat_dim"),
             spheres=_leaf_from_json(obj["spheres"], "euclidean.spheres") if obj.get("spheres") else None,
-            offset=tuple(obj["offset"]) if obj.get("offset") else None,
+            offset=_json_vector(obj["offset"], "euclidean.offset") if obj.get("offset") is not None else None,
             ambient_dim=None if ambient_dim is None else _json_int(ambient_dim, "euclidean.ambient_dim"),
         )
     return _descriptor_from_json(obj, depth)

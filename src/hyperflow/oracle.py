@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .descriptors import chart_dim, dimensions, immerse_rows
+from .descriptors import dimensions, immerse_rows
 from .errors import (
     ChartDegenerateError,
     InsufficientSamplesError,
@@ -377,7 +377,7 @@ def descriptor_immersion(d, t: float | None = None, gauge: str = "hyperbolic") -
             _validate_rows(d, X)
             return _flow_times(gauge, d, X, [t])[0]
 
-    return ImmersionEvaluator(chart_dim(d), ambient, lambda u: rows(u.reshape(1, -1))[0], rows)
+    return ImmersionEvaluator(dimensions(d).n, ambient, lambda u: rows(u.reshape(1, -1))[0], rows)
 
 
 def pde_residual_grid(
@@ -405,7 +405,7 @@ def pde_residual_grid(
         raise InvalidArgumentError(f"dt must be positive and finite, got {dt!r}")
     ts = [_finite_time(t) for t in times]
     *_, ambient = _gauge_flow(gauge)
-    n = chart_dim(d)
+    n = dimensions(d).n
     U = np.asarray(chart_samples, dtype=float)
     if U.ndim != 2 or U.shape[1] != n:
         raise InvalidArgumentError(f"chart needs {n} parameters, got samples of shape {U.shape[1:]}")
@@ -477,7 +477,7 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
     samples = np.array(chart_samples, dtype=float)
     if samples.shape[0] == 0:
         raise InsufficientSamplesError("no chart samples given")
-    n = chart_dim(d)
+    n = dimensions(d).n
     if samples.shape[1:] != (n,):
         raise InvalidArgumentError(f"chart needs {n} parameters, got samples of shape {samples.shape[1:]}")
     window = existence_window(d)
@@ -550,13 +550,16 @@ def _sub_steps(steps: int) -> int:
 
 
 def _transport_path(stops: np.ndarray, sub_steps: int, k: int):
-    """The seeds, the sub-segments and the points of a transport along the chart segments stops[0] -> stops[1] -> ...
+    """The seeds, the sub-segments, the points and their owners of a transport along the chart segments stops[0] -> stops[1] -> ...
 
     Every segment is split alike.  A sub-segment is (ta, dt, keys): its
     start, its RK4 step and, for a frame of k > 1 vectors, the times its
     RK4 loop asks the connection form for.  Its seed, which fixes its pivot
     order, is its midpoint; its points are its two ends, then each key with
-    the two partners of its central difference in time.
+    the two partners of its central difference in time.  The owners name,
+    for every row of the seeds followed by the points, the row whose pivot
+    order its normal frame takes (``_normal_frames``): a seed owns itself,
+    a point follows its seed.
     """
     q, delta = _TRANSPORT_SUBSEGMENTS, _CONNECTION_DELTA
     subs, mids, ts = [], [], []
@@ -569,21 +572,9 @@ def _transport_path(stops: np.ndarray, sub_steps: int, k: int):
         ts += [ta, tb] + [s for t in keys for s in (t, t + delta, t - delta)]
     a, b = stops[:-1, None, :], stops[1:, None, :]
     seeds, path = (a + np.array(u)[:, None] * (b - a) for u in (mids, ts))
-    return seeds.reshape(-1, stops.shape[1]), subs, path.reshape(-1, stops.shape[1])
-
-
-def _path_frames(imm: ImmersionEvaluator, W: np.ndarray, lead: int, subs, segments: int) -> np.ndarray:
-    """Normal frames (T, R, k, dim) at candidates (T, R, dim, dim): ``lead`` rows, then the points of a transport path.
-
-    Each of the first ``lead`` rows picks its own pivot order; the last
-    ``segments * len(subs)`` of them are the sub-segment seeds, and every
-    path point takes the order of its seed.
-    """
-    T, R, dim, _ = W.shape
-    first_seed = lead - segments * len(subs)
-    owner = np.repeat(np.arange(first_seed, lead), [2 + 3 * len(keys) for *_, keys in subs] * segments)
-    orders = _frame_orders(imm, W[:, :lead])[:, np.concatenate([np.arange(lead), owner])].reshape(T * R, -1)
-    return _frames_by_order(imm, W.reshape(T * R, dim, dim), orders).reshape(T, R, -1, dim)
+    seed = np.arange(q * len(a))
+    owner = np.concatenate([seed, np.repeat(seed, [2 + 3 * len(keys) for *_, keys in subs] * len(a))])
+    return seeds.reshape(-1, stops.shape[1]), subs, path.reshape(-1, stops.shape[1]), owner
 
 
 def _transport_chain(imm: ImmersionEvaluator, frame: np.ndarray, N: np.ndarray, subs, sub_steps: int) -> np.ndarray:
@@ -645,18 +636,19 @@ def transport_normal_frame(
     with a classical 4th order scheme; A is the (skew) connection form in
     the moving basis, so its entries stay at the geometric rotation rate
     even where boosted coordinates make raw projector matrices large.  The
-    segment is split into sub-segments, each with a freshly seeded basis.
-    Codimension one needs no integration: the single coefficient rides the
-    smooth unit normal field unchanged.  A chain of one segment of
-    ``_transport_chain``, with one ``at_rows`` call.
+    segment is split into sub-segments, each with a freshly seeded basis:
+    the moving basis at a path point is ``_normal_frames`` in the pivot
+    order of its sub-segment's seed.  Codimension one needs no integration:
+    the single coefficient rides the smooth unit normal field unchanged.  A
+    chain of one segment of ``_transport_chain``, with one ``at_rows`` call.
     """
     sub_steps = _sub_steps(steps)
     if len(frame) == 0:
         return []
     stops = np.array([u_from, u_to], dtype=float)
-    seeds, subs, path = _transport_path(stops, sub_steps, len(frame))
+    seeds, subs, path, owner = _transport_path(stops, sub_steps, len(frame))
     W = _normal_candidates(imm, *_first_derivative_rows(imm, np.concatenate([seeds, path]), h))
-    N = _path_frames(imm, W[None], len(seeds), subs, 1)[:, len(seeds) :]
+    N = _normal_frames(imm, W, owner)[None, len(seeds) :]
     return list(_transport_chain(imm, np.array(frame, dtype=float)[None], N, subs, sub_steps)[0, 0])
 
 
@@ -724,8 +716,11 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
     (T, P, dim); ``k`` is the normal rank, or None to read it off one chart
     point.  No chart point depends on the transported frame, so ``values``
     is called once, on the stencils of the samples and of the transport
-    path.  A time's spread is one maximum over all of its stops, frame
-    vectors and eigenvalues, so a nan anywhere gives nan.
+    path.  The normal frames at all times come from one ``_normal_frames``
+    call: the first sample and every sub-segment seed pick their own pivot
+    order, each path point takes its seed's, and no row follows a row of
+    another time.  A time's spread is one maximum over all of its stops,
+    frame vectors and eigenvalues, so a nan anywhere gives nan.
     """
     sub_steps = _sub_steps(transport_steps)
     us = [np.asarray(u, dtype=float) for u in chart_samples]
@@ -737,17 +732,22 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
         k = imm(samples[0]).shape[0] - n - (1 if imm.ambient.intrinsic_to_quadric else 0)
     offs = _stencil_offsets(n, h)
     S, K, F = len(samples), offs.shape[0], 1 + 2 * n
-    seeds, subs, path = _transport_path(samples, sub_steps, k)
+    seeds, subs, path, owner = _transport_path(samples, sub_steps, k)
     lead = np.concatenate([samples[:1], seeds, path])
     vals = values(np.concatenate([_stencil_points(samples, offs), _stencil_points(lead, offs[:F])]))
     T, dim = vals.shape[0], vals.shape[-1]
     if k == 0:
         return np.zeros(T)
     center, first, second = _stencil_derivatives(vals[:, : S * K].reshape(T * S, K, dim), n, h)
-    W = _normal_candidates(imm, *_first_derivatives_of(vals[:, S * K :].reshape(T, len(lead), F, dim), h))
-    del vals  # the candidates and frames are the largest arrays: free what they no longer need
-    N = _path_frames(imm, W, 1 + len(seeds), subs, S - 1)
-    del W
+    owners = (np.arange(T)[:, None] * len(lead) + np.concatenate([[0], 1 + owner])).reshape(-1)
+    # the candidates are the largest array of the check: the chart values
+    # go before they are formed, and they are handed over unnamed, so
+    # _normal_frames lets them go once it has gathered the frame vectors
+    lead_center, lead_first = _first_derivatives_of(vals[:, S * K :].reshape(T, len(lead), F, dim), h)
+    lead_center = lead_center.copy()  # a view would keep every chart value alive
+    del vals
+    N = _normal_frames(imm, _normal_candidates(imm, lead_center, lead_first).reshape(-1, dim, dim), owners).reshape(T, len(lead), k, dim)
+    del lead_center, lead_first
     moved = _transport_chain(imm, N[:, 0], N[:, 1 + len(seeds) :], subs, sub_steps)
     g, II = _second_fundamental_form_at(imm, center, first, second)
     Z = np.concatenate([N[:, :1], moved], axis=1).reshape(T * S, k, dim)
@@ -803,68 +803,50 @@ def _normal_candidates(imm: ImmersionEvaluator, center: np.ndarray, first: np.nd
     return _finite(np.subtract(np.eye(dim), tangential, out=tangential)).reshape(*points, dim, dim)
 
 
-def _frame_orders(imm: ImmersionEvaluator, W: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt pivot orders (..., k) of normal frames, from the candidates (..., dim, dim) at their seeds.
+def _normal_frames(imm: ImmersionEvaluator, W: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Orthonormal normal frames (R, k, dim) from the candidates (R, dim, dim) of ``_normal_candidates``.
 
-    Each step takes, at every seed at once, the remaining candidate axis
-    whose part orthogonal to the chosen ones is largest.
+    Row r is orthonormalized in the Gram-Schmidt pivot order chosen at row
+    owner[r], so the frames of rows that follow one owner vary smoothly.
+    The pivot pass runs on the distinct owners: each step takes, at all of
+    them at once, the remaining candidate axis whose part orthogonal to the
+    chosen ones is largest (the first such axis on a tie).  The frozen pass
+    is a right-looking modified Gram-Schmidt over all rows: step a
+    normalizes candidate a of every row and subtracts its projection from
+    the row's later candidates.  Each vector thus meets the projections in
+    the order of a left-looking loop, with the same arithmetic: the inner
+    products are u v, then times the signature, then summed, in one scratch
+    buffer.  The pass works on contiguous (k, R, dim) blocks, and the
+    buffer then takes the frames laid out (R, k, dim).
     """
-    dim = W.shape[-1]
+    R, dim, _ = W.shape
     k = dim - imm.chart_dim - (1 if imm.ambient.intrinsic_to_quadric else 0)
-    R = W.reshape(-1, dim, dim)
-    rows = np.arange(R.shape[0])
-    order = np.empty((R.shape[0], k), dtype=int)
-    taken = np.zeros(R.shape[:2], dtype=bool)
+    owners, which = np.unique(owner, return_inverse=True)
+    V, rows = W[owners], np.arange(len(owners))
+    order = np.empty((len(owners), k), dtype=int)
+    taken = np.zeros((len(owners), dim), dtype=bool)
     for step in range(k):
-        q = np.where(taken, -1.0, np.abs(imm.ambient.inner_rows(R, R)))
+        q = np.where(taken, -1.0, np.abs(imm.ambient.inner_rows(V, V)))
         j = order[:, step] = np.argmax(q, axis=1)
         if np.any(q[rows, j] < 1e-18):
             raise ChartDegenerateError("could not seed a smooth normal frame")
         taken[rows, j] = True
-        b = (R[rows, j] / np.sqrt(q[rows, j])[:, None])[:, None, :]
-        R = R - imm.ambient.inner_rows(R, b)[..., None] * b
-    return order.reshape(W.shape[:-2] + (k,))
-
-
-def _frames_along(imm: ImmersionEvaluator, order: list[int], W: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """Orthonormal frames (P, k, dim) from the candidates (P, dim, dim) at ``rows`` of W, by Gram-Schmidt in a frozen pivot order."""
-    out = np.empty(W[rows, 0].shape[:1] + (len(order), W.shape[2]))
-    for a, i in enumerate(order):
-        w = W[rows, i]
-        for b in range(a):
-            w = w - imm.ambient.inner_rows(w, out[:, b])[:, None] * out[:, b]
-        q = np.abs(imm.ambient.inner_rows(w, w))
+        b = (V[rows, j] / np.sqrt(q[rows, j])[:, None])[:, None, :]
+        V = V - imm.ambient.inner_rows(V, b)[..., None] * b
+    Z = W[np.arange(R), order[which].T]
+    del W, V  # a caller that hands over its candidates unnamed lets them go here
+    buf, sig = np.empty_like(Z), imm.ambient.signature(dim)
+    for a in range(k):
+        z, later, scratch = Z[a], Z[a + 1 :], buf[a + 1 :]
+        q = np.abs(np.sum(np.multiply(np.multiply(z, z, out=buf[a]), sig, out=buf[a]), axis=-1))
         if np.any(q < 1e-18):
             raise ChartDegenerateError("normal frame degenerated off-center")
-        out[:, a] = w / np.sqrt(q)[:, None]
+        np.divide(z, np.sqrt(q)[:, None], out=z)
+        c = np.sum(np.multiply(np.multiply(later, z, out=scratch), sig, out=scratch), axis=-1)
+        np.subtract(later, np.multiply(c[..., None], z, out=scratch), out=later)
+    out = buf.reshape(R, k, dim)  # the buffer's memory, now free, holds the frames row by row
+    out[...] = Z.transpose(1, 0, 2)
     return out
-
-
-def _frames_by_order(imm: ImmersionEvaluator, W: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Frames (R, k, dim) from candidates (R, dim, dim), row r in pivot order orders[r]: one Gram-Schmidt per distinct order."""
-    distinct, which = np.unique(orders, axis=0, return_inverse=True)
-    N = np.empty(orders.shape + (W.shape[-1],))
-    for j, order in enumerate(distinct):
-        rows = np.flatnonzero(which.reshape(-1) == j)
-        N[rows] = _frames_along(imm, order.tolist(), W, rows)
-    return N
-
-
-def _normal_frame_field(imm: ImmersionEvaluator, u0: np.ndarray, h: float):
-    """A smooth orthonormal normal frame near u0, as a row-wise field.
-
-    The field maps a (P, n) array of chart points to the (P, k, dim) frames
-    at them, with one ``at_rows`` call.  The Gram-Schmidt pivot order is
-    chosen at u0 (``_frame_orders``) and then frozen so the frame varies
-    smoothly on the differencing stencil.
-    """
-    center, first = _first_derivative_rows(imm, np.asarray(u0, dtype=float)[None, :], h)
-    order = _frame_orders(imm, _normal_candidates(imm, center, first)[0]).tolist()
-
-    def field(U: np.ndarray) -> np.ndarray:
-        return _frames_along(imm, order, _normal_candidates(imm, *_first_derivative_rows(imm, np.asarray(U, dtype=float), h)))
-
-    return field
 
 
 def _covariant_rows(imm: ImmersionEvaluator, dZ, Z, center, first, X, conformal) -> np.ndarray:
@@ -888,7 +870,8 @@ def _normal_curvature_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float, con
     of the ``_stencil_offsets`` stencil and the conformal term takes it at
     u +- h e_j and u, so one ``at_rows`` call on the first-derivative
     stencils of every stencil point gives all frames, each in the pivot
-    order of its sample's center.  Empty when k or n is below 2.
+    order of its sample's center (one ``_normal_frames`` call).  Empty when
+    k or n is below 2.
     """
     P, n = U.shape
     offs = _stencil_offsets(n, h)
@@ -899,7 +882,7 @@ def _normal_curvature_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float, con
     if k < 2 or n < 2:
         return np.zeros((P, 0, 0, dim)), first[:, 0]
     W = _normal_candidates(imm, center, first)
-    Z = _frames_by_order(imm, W.reshape(P * K, dim, dim), np.repeat(_frame_orders(imm, W[:, 0]), K, axis=0)).reshape(P, K, k, dim)
+    Z = _normal_frames(imm, W.reshape(P * K, dim, dim), np.repeat(np.arange(P) * K, K)).reshape(P, K, k, dim)
     i, j = _upper_pairs(n)
     c, ip, im, jp, jm = 1 + 2 * n + 4 * np.arange(len(i)), 1 + 2 * i, 2 + 2 * i, 1 + 2 * j, 2 + 2 * j  # c: corner ++ of (i, j)
     # D_j zeta at u + h e_i, u - h e_i and u, then D_i zeta at u + h e_j, u - h e_j and u
@@ -953,15 +936,6 @@ def flat_normal_residual(
     return float(np.max(np.linalg.norm(R, axis=-1) / np.sqrt(q[:, i] * q[:, j])[..., None]))  # one maximum: a nan anywhere gives nan
 
 
-def _normal_projector_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float) -> np.ndarray:
-    """Matrices (P, dim, dim) of the orthogonal projections onto the normal spaces at P chart points.
-
-    Column i of a projector is the image of the axis e_i, which is the i-th
-    row ``_normal_candidates`` returns.
-    """
-    return _normal_candidates(imm, *_first_derivative_rows(imm, U, h)).transpose(0, 2, 1)
-
-
 def normal_holonomy_defect(imm: ImmersionEvaluator, u_start, period, steps: int = 256, h: float = 1e-3) -> float:
     """Holonomy defect of the normal connection around a closed chart loop.
 
@@ -973,7 +947,10 @@ def normal_holonomy_defect(imm: ImmersionEvaluator, u_start, period, steps: int 
     trivial-holonomy bundle the defect is at the differencing floor.  P does
     not depend on zeta, so the projectors at every time the scheme asks for,
     and at the partners of its central difference in time, are evaluated up
-    front in one batch and all commutators are formed at once.
+    front in one ``at_rows`` call and all commutators are formed at once.
+    Column i of a projector is the image of the axis e_i, the i-th row of
+    ``_normal_candidates``.  The first time is 0, so the first projector's
+    candidates also give the start frame (``_normal_frames``).
     """
     u0 = np.asarray(u_start, dtype=float)
     per = np.asarray(period, dtype=float)
@@ -988,12 +965,13 @@ def normal_holonomy_defect(imm: ImmersionEvaluator, u_start, period, steps: int 
     dt = 1.0 / steps
     keys = _rk4_times(0.0, dt, steps)
     ts = np.array([s for t in keys for s in (t, t + delta, t - delta)])
-    proj = _normal_projector_rows(imm, u0 + ts[:, None] * per, h)
+    W = _normal_candidates(imm, *_first_derivative_rows(imm, u0 + ts[:, None] * per, h))
+    proj = W.transpose(0, 2, 1)
     Pt = proj[0::3]
     dP = (proj[1::3] - proj[2::3]) / (2.0 * delta)
     C = dict(zip(keys, dP @ Pt - Pt @ dP))
 
-    start = _normal_frame_field(imm, u0, h)(u0[None, :])[0].T
+    start = _normal_frames(imm, W[:1], np.zeros(1, dtype=int))[0].T
     return float(np.max(np.abs(_rk4(C, start, 0.0, dt, steps) - start)))
 
 

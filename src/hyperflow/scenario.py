@@ -36,7 +36,6 @@ from .descriptors import (
     _json_object,
     _row_dots,
     chart_box,
-    chart_dim,
     classify_shape,
     descriptor_from_json,
     descriptor_to_json,
@@ -199,7 +198,7 @@ def load_scenario(source: str | Path) -> Scenario:
 
 def chart_samples(d, per_dim: int, seed: int, cap: int = 48) -> list[np.ndarray]:
     """Deterministic chart samples, uniform over the canonical chart box."""
-    n = chart_dim(d)
+    n = dimensions(d).n
     if n == 0:
         return [np.zeros(0)]
     rng = np.random.default_rng(seed)

@@ -14,7 +14,6 @@ from hyperflow.descriptors import (
     MAX_DESCRIPTOR_DEPTH,
     ProductOfSpheres,
     Umbilic,
-    chart_dim,
     classify_shape,
     derive_umbilic,
     descriptor_from_json,
@@ -175,7 +174,7 @@ class TestImmerseRows:
     def test_rows_match_single_points_bitwise(self, name):
         # a row gives the same bits alone as in a batch, signed zeros included
         d = BIT_CASES[name]
-        n = chart_dim(d)
+        n = dimensions(d).n
         rng = np.random.default_rng(5)
         U = np.array(chart_samples(d, 5, 13) + [rng.normal(size=n) * s for s in (1e-8, 1e-3, 1.0)])
         X = immerse_rows(d, U)
@@ -248,7 +247,7 @@ class TestMeanCurvature:
     def test_agrees_with_numeric_oracle(self, catalog_entry):
         name, d = catalog_entry
         imm = oracle.descriptor_immersion(d)
-        imm_l = oracle.ImmersionEvaluator(chart_dim(d), oracle.LORENTZIAN, imm.func)
+        imm_l = oracle.ImmersionEvaluator(dimensions(d).n, oracle.LORENTZIAN, imm.func)
         worst_h = worst_l = 0.0
         for u in chart_samples(d, 100, 23, cap=100):
             x = immerse(d, u)

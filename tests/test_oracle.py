@@ -405,17 +405,23 @@ class TestIsoparametricResidual:
         assert oracle.isoparametric_residuals(d, times, chart_samples(d, 3, 7)[:4]).shape == (len(times),)
         assert calls == {"at_rows": 1, "flow": 1}
 
-    def test_one_gram_schmidt_per_pivot_order(self, monkeypatch):
-        # the pivot orders of all seeds at all times come from one pass, and
-        # the frames of all rows that share an order from one Gram-Schmidt
+    def test_one_gram_schmidt_for_all_pivot_orders(self, monkeypatch):
+        # the frames of all rows at all times come from one _normal_frames
+        # call, and its pivot pass sees only the owner rows: the first
+        # sample and the sub-segment seeds of every time
         d = _geodesic_chain(4)
-        orders, along = [], []
-        frame_orders, frames_along = oracle._frame_orders, oracle._frames_along
-        monkeypatch.setattr(oracle, "_frame_orders", lambda imm, W: orders.append(frame_orders(imm, W)) or orders[-1])
-        monkeypatch.setattr(oracle, "_frames_along", lambda imm, order, *a: along.append(tuple(order)) or frames_along(imm, order, *a))
-        oracle.isoparametric_residuals(d, [-0.2, 0.0, 0.1], chart_samples(d, 3, 7)[:4])
-        assert len(orders) == 1
-        assert sorted(along) == sorted({tuple(o) for o in orders[0].reshape(-1, 5).tolist()})
+        times, us = [-0.2, 0.0, 0.1], chart_samples(d, 3, 7)[:4]
+        calls, pivots = [], []
+        frames, inner_rows = oracle._normal_frames, oracle.AmbientSpace.inner_rows
+        monkeypatch.setattr(oracle, "_normal_frames", lambda imm, W, owner: calls.append(owner) or frames(imm, W, owner))
+        monkeypatch.setattr(oracle.AmbientSpace, "inner_rows", lambda amb, U, V: pivots.append(U.shape) or inner_rows(amb, U, V))
+        oracle.isoparametric_residuals(d, times, us)
+        assert len(calls) == 1
+        owners = np.unique(calls[0])
+        assert np.array_equal(calls[0][owners], owners)  # an owner takes its own order
+        assert len(owners) == len(times) * (1 + oracle._TRANSPORT_SUBSEGMENTS * (len(us) - 1))
+        dims = dimensions(d)
+        assert pivots == [(len(owners), dims.m + 1, dims.m + 1)] * (2 * dims.codim)
 
     def test_time_lists(self):
         d = CATALOG["tube_h3"]
@@ -436,9 +442,50 @@ class TestIsoparametricResidual:
         with pytest.raises(InvalidArgumentError, match="steps >= 1"):
             oracle.isoparametric_residual(d, 0.1, us, transport_steps=steps)
         imm = oracle.descriptor_immersion(d, 0.1)
-        frame = list(oracle._normal_frame_field(imm, us[0], 1e-3)(us[0][None, :])[0])
+        frame = list(_frame_field(imm, us[0], 1e-3)(us[0][None, :])[0])
         with pytest.raises(InvalidArgumentError, match="steps >= 1"):
             oracle.transport_normal_frame(imm, us[0], us[1], frame, steps=steps)
+
+
+NORMAL_FRAME_CASES = [(name, t) for name in sorted(TIME_AXIS_CASES) for t in (None, -0.4, 0.2)] + [("geodesic_chain8", None)]
+
+
+def _check_normal_frames(imm, U, h=1e-3):
+    """``_normal_frames`` on the candidates at U and at U shifted, each shifted row following its sample, against the per-order reference; the owners' orders."""
+    P = len(U)
+    W = oracle._normal_candidates(imm, *oracle._first_derivative_rows(imm, np.concatenate([U, U + 0.01]), h))
+    owner = np.concatenate([np.arange(P), np.arange(P)])
+    Z = oracle._normal_frames(imm, W, owner)
+    orders = _frame_orders_reference(imm, W[:P])
+    for p, order in enumerate(orders.tolist()):
+        ref = _frames_along_reference(imm, order, W[[p, P + p]])
+        assert Z[[p, P + p]].tobytes() == ref.tobytes(), p
+    return {tuple(o) for o in orders.tolist()}
+
+
+class TestNormalFrames:
+    @pytest.mark.parametrize("name, t", NORMAL_FRAME_CASES)
+    def test_bitwise_left_looking_reference(self, name, t):
+        # the right-looking pass gives every vector the bits of the
+        # left-looking Gram-Schmidt in its owner's pivot order
+        d = _geodesic_chain(8) if name == "geodesic_chain8" else TIME_AXIS_CASES[name]
+        _check_normal_frames(oracle.descriptor_immersion(d, t), np.array(chart_samples(d, 3, 23)[:6]))
+
+    @pytest.mark.parametrize("name", ["clifford_tube_h5", "geodesic_chain4"])
+    def test_owners_of_different_orders_in_one_batch(self, name):
+        d = TIME_AXIS_CASES[name]
+        orders = _check_normal_frames(oracle.descriptor_immersion(d, 0.2), np.array(chart_samples(d, 3, 23)[:6]))
+        assert len(orders) >= 2
+
+    def test_degenerate_candidates_refused(self):
+        imm = oracle.descriptor_immersion(CATALOG["clifford_tube_h5"], 0.1)
+        W = oracle._normal_candidates(imm, *oracle._first_derivative_rows(imm, np.array(chart_samples(CATALOG["clifford_tube_h5"], 2, 5)[:2]), 1e-3))
+        with pytest.raises(ChartDegenerateError, match="seed a smooth normal frame"):
+            oracle._normal_frames(imm, np.zeros_like(W), np.arange(len(W)))
+        order = _frame_orders_reference(imm, W[:1])[0]
+        W[1, order[1]] = W[1, order[0]]  # the second pivot of row 1 falls in the span of its first
+        with pytest.raises(ChartDegenerateError, match="degenerated off-center"):
+            oracle._normal_frames(imm, W, np.zeros(len(W), dtype=int))
 
 
 class TestRowEvaluation:
@@ -489,7 +536,7 @@ class TestRowEvaluation:
         imm = oracle.descriptor_immersion(d, t)
         h = 1e-3
         U = np.array(chart_samples(d, 3, 23)[:6])
-        field = oracle._normal_frame_field(imm, U[0], h)
+        field = _frame_field(imm, U[0], h)
         F = field(U)
         assert F.shape == (len(U), dims.codim, dims.m + 1)
         for p, u in enumerate(U):
@@ -507,7 +554,7 @@ class TestRowEvaluation:
         d = CATALOG["clifford_tube_h5"]
         imm = oracle.descriptor_immersion(d, 0.1)
         a, b = np.array([0.2, 0.4, -0.3]), np.array([0.5, 0.9, 0.1])
-        frame = list(oracle._normal_frame_field(imm, a, 1e-3)(a[None, :])[0])
+        frame = list(_frame_field(imm, a, 1e-3)(a[None, :])[0])
         there = oracle.transport_normal_frame(imm, a, b, frame)
         back = oracle.transport_normal_frame(imm, b, a, there)
         assert np.max(np.abs(np.array(back) - np.array(frame))) < 1e-6
@@ -672,6 +719,40 @@ def _derivatives_reference(vals, n, h):
     return center, first, second
 
 
+def _frame_orders_reference(imm, W):
+    """Gram-Schmidt pivot orders (P, k) at the candidates (P, dim, dim): each step the remaining axis whose orthogonal part is largest."""
+    P, dim, _ = W.shape
+    k = dim - imm.chart_dim - (1 if imm.ambient.intrinsic_to_quadric else 0)
+    rows = np.arange(P)
+    order = np.empty((P, k), dtype=int)
+    taken = np.zeros((P, dim), dtype=bool)
+    for step in range(k):
+        q = np.where(taken, -1.0, np.abs(imm.ambient.inner_rows(W, W)))
+        j = order[:, step] = np.argmax(q, axis=1)
+        taken[rows, j] = True
+        b = (W[rows, j] / np.sqrt(q[rows, j])[:, None])[:, None, :]
+        W = W - imm.ambient.inner_rows(W, b)[..., None] * b
+    return order
+
+
+def _frames_along_reference(imm, order, W):
+    """Frames (P, k, dim) at the candidates (P, dim, dim): left-looking Gram-Schmidt in one pivot order, one inner product per vector pair."""
+    out = np.empty((W.shape[0], len(order), W.shape[2]))
+    for a, i in enumerate(order):
+        w = W[:, i]
+        for b in range(a):
+            w = w - imm.ambient.inner_rows(w, out[:, b])[:, None] * out[:, b]
+        out[:, a] = w / np.sqrt(np.abs(imm.ambient.inner_rows(w, w)))[:, None]
+    return out
+
+
+def _frame_field(imm, u0, h):
+    """A normal frame field near u0, (P, n) -> (P, k, dim), its pivot order chosen at u0 and frozen; one chart evaluation per call."""
+    center, first = oracle._first_derivative_rows(imm, np.asarray(u0, dtype=float)[None, :], h)
+    order = _frame_orders_reference(imm, oracle._normal_candidates(imm, center, first))[0].tolist()
+    return lambda U: _frames_along_reference(imm, order, oracle._normal_candidates(imm, *oracle._first_derivative_rows(imm, np.asarray(U, dtype=float), h)))
+
+
 def _tangential_reference(imm, frame, w):
     """The part of w tangent to the frame, with its own Gram matrix and solve."""
     k = len(frame)
@@ -714,7 +795,7 @@ def _normal_curvature_reference(imm, u, h=1e-3, ball=False):
     """
     uv = np.asarray(u, dtype=float)
     n = imm.chart_dim
-    field = oracle._normal_frame_field(imm, uv, h)
+    field = _frame_field(imm, uv, h)
     k = field(uv[None, :]).shape[1]
     if k < 2 or n < 2:
         return np.zeros((0, 0, imm(uv).size))
@@ -754,7 +835,7 @@ def _holonomy_reference(imm, u0, per, steps, h=1e-3):
         dP = (P(t + delta) - P(t - delta)) / (2.0 * delta)
         return (dP @ Pt - Pt @ dP) @ Z
 
-    start = oracle._normal_frame_field(imm, u0, h)(u0[None, :])[0].T
+    start = _frame_field(imm, u0, h)(u0[None, :])[0].T
     Z = start.copy()
     dt = 1.0 / steps
     for k in range(steps):
@@ -776,7 +857,7 @@ def _transport_reference(imm, u_from, u_to, frame, steps, h):
     sub_steps = max(4, steps // n_sub)
     for seg in range(n_sub):
         ta, tb = seg / n_sub, (seg + 1) / n_sub
-        field = oracle._normal_frame_field(imm, a + 0.5 * (ta + tb) * (b - a), h)
+        field = _frame_field(imm, a + 0.5 * (ta + tb) * (b - a), h)
         dt = (tb - ta) / sub_steps
         N0, N1 = field(np.array([a + ta * (b - a), a + tb * (b - a)]))
         coeff = np.array([[imm.ambient.inner(nu, z) for z in current] for nu in N0])
@@ -809,7 +890,7 @@ def _transport_reference(imm, u_from, u_to, frame, steps, h):
 def _isoparametric_reference(imm, chart_samples, transport_steps=24, h=1e-3):
     # transport segment by segment, principal curvatures stop by stop
     samples = oracle._chain_samples([np.asarray(u, dtype=float) for u in chart_samples])
-    frame = list(oracle._normal_frame_field(imm, samples[0], h)(samples[0][None, :])[0])
+    frame = list(_frame_field(imm, samples[0], h)(samples[0][None, :])[0])
     baseline = oracle.principal_curvatures(imm, samples[0], frame, h)
     spread = 0.0
     for prev, here in zip(samples, samples[1:]):
@@ -953,7 +1034,7 @@ class TestBatchedOracle:
     )
     def test_projector_rows(self, imm, U):
         h = 1e-3
-        proj = oracle._normal_projector_rows(imm, U, h)
+        proj = oracle._normal_candidates(imm, *oracle._first_derivative_rows(imm, U, h)).transpose(0, 2, 1)
         for p, u in enumerate(U):
             assert np.max(np.abs(proj[p] - _projector_reference(imm, u, h))) < 1e-12
 
@@ -961,6 +1042,15 @@ class TestBatchedOracle:
     def test_holonomy_matches_per_call_loop(self, imm):
         defect = oracle.normal_holonomy_defect(imm, [0.3], [2.0 * math.pi], steps=64)
         assert abs(defect - _holonomy_reference(imm, [0.3], [2.0 * math.pi], 64)) < 1e-12
+
+    def test_holonomy_evaluates_the_loop_once(self, monkeypatch):
+        # the start frame comes from the first projector's candidates, so the
+        # projectors and the frame take one at_rows call
+        calls = []
+        at_rows = oracle.ImmersionEvaluator.at_rows
+        monkeypatch.setattr(oracle.ImmersionEvaluator, "at_rows", lambda imm, U: calls.append(len(U)) or at_rows(imm, U))
+        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619538662278823
+        assert len(calls) == 1
 
     def test_torus_knot_has_holonomy(self):
         assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) > 1e-2

@@ -673,6 +673,30 @@ class TestCli:
                 "euclidean.spheres",
                 {"descriptor": {**descriptor_to_json(CATALOG["horocycle_h2"]), "inner": {"type": "euclidean", "flat_dim": 1, "spheres": 5}}},
             ),
+            # vector and factor fields that are not arrays, or hold strings and booleans
+            (
+                "product_of_spheres.factors",
+                {"descriptor": {**descriptor_to_json(CATALOG["tube_h3"]), "leaf": {"type": "product_of_spheres", "factors": 5}}},
+            ),
+            (
+                "product_of_spheres.factors[0]",
+                {"descriptor": {**descriptor_to_json(CATALOG["tube_h3"]), "leaf": {"type": "product_of_spheres", "factors": [5]}}},
+            ),
+            (
+                "product_of_spheres.factors[0]",
+                {"descriptor": {**descriptor_to_json(CATALOG["tube_h3"]), "leaf": {"type": "product_of_spheres", "factors": [[1, 1.0, 2]]}}},
+            ),
+            ("point.position", {"descriptor": {**descriptor_to_json(CATALOG["tube_h3"]), "leaf": {"type": "point", "position": 5}}}),
+            ("point.position[0]", {"descriptor": {**descriptor_to_json(CATALOG["tube_h3"]), "leaf": {"type": "point", "position": ["1", 0]}}}),
+            (
+                "euclidean.offset",
+                {"descriptor": {**descriptor_to_json(CATALOG["horocycle_h2"]), "inner": {"type": "euclidean", "flat_dim": 1, "offset": 5}}},
+            ),
+            (
+                "euclidean.offset[0]",
+                {"descriptor": {**descriptor_to_json(CATALOG["horocycle_h2"]), "inner": {"type": "euclidean", "flat_dim": 1, "offset": ["0.5"]}}},
+            ),
+            ("umbilic.xi[0]", {"descriptor": {**descriptor_to_json(CATALOG["horocycle_h2"]), "xi": [True, 0, -1]}}),
         ],
     )
     def test_bad_field_exit_two(self, tmp_path, field, settings):
