@@ -892,7 +892,7 @@ def _leaf_from_json(obj: dict, field: str) -> ProductOfSpheres:
                 raise InvalidArgumentError(f"{at} must be a [dimension, radius] pair, got {pair!r}")
             factors.append((_json_int(pair[0], f"{at} dimension"), _json_float(pair[1], f"{at} radius")))
         return ProductOfSpheres(tuple(factors))
-    raise InvalidArgumentError(f"unknown leaf type {obj.get('type')!r}")
+    raise InvalidArgumentError(f"{field}: unknown leaf type {obj.get('type')!r}")
 
 
 def _inner_from_json(obj: dict, depth: int):
@@ -903,7 +903,7 @@ def _inner_from_json(obj: dict, depth: int):
         ambient_dim = obj.get("ambient_dim")
         return EuclideanIso(
             flat_dim=_json_int(obj["flat_dim"], "euclidean.flat_dim"),
-            spheres=_leaf_from_json(obj["spheres"], "euclidean.spheres") if obj.get("spheres") else None,
+            spheres=_leaf_from_json(obj["spheres"], "euclidean.spheres") if obj.get("spheres") is not None else None,
             offset=_json_vector(obj["offset"], "euclidean.offset") if obj.get("offset") is not None else None,
             ambient_dim=None if ambient_dim is None else _json_int(ambient_dim, "euclidean.ambient_dim"),
         )

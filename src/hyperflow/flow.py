@@ -26,7 +26,9 @@ rows once for all times.  An entry (t, row) has the same bits as that row
 alone at that time alone; the batch flows are calls with one time and the
 one-point entry points validated batches of one.  The public flows refuse
 t >= T; the endpoint mode of ``_hyperbolic_flow_rows`` evaluates the
-continuous extension at t = T, which is the forward focal limit.  Existence
+continuous extension at t = T, which is the forward focal limit, and that of
+``_lorentz_flow_rows`` the extension of geodesic (alpha = 0) levels to the
+light-cone time -1/(2n), whose ball image is the backward limit.  Existence
 windows collect the inner maximal time T', the Lorentzian bound T'', the
 hyperbolic maximal time T and the backward gauge limit; unbounded times are
 represented by None, never by a floating sentinel.
@@ -373,12 +375,15 @@ def lorentz_flow_batch(d, X, t: float) -> np.ndarray:
     return _lorentz_flow_rows(d, _quadric_rows(d, X), ts)[0]
 
 
-def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float]) -> np.ndarray:
+def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> np.ndarray:
     """The Lorentzian flow of rows X (K, m+1) at every time of ts, as (T, K, m+1).
 
     Entry (j, k) has the bits of the flow of row k alone at ts[j] alone.
     Each level computes its time scalars with ``math``, time by time in the
     order of one time's recursion, and works the rows once for all times.
+    With ``end`` an alpha = 0 level, whose scaling vanishes at the light-cone
+    time -1/(2n), is its continuous extension there: the Lorentzian flow of
+    its inner level, embedded (R = 1 and eta = 0 on a geodesic hypersurface).
     """
     n = dimensions(d).n
     if n == 0:
@@ -389,6 +394,8 @@ def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float]) -> np.ndarray:
         return _product_rows(d, X, ts)
     if isinstance(d, Umbilic):
         umb = d.umb
+        if end and umb.alpha == 0.0:
+            return _umbilic_embed(d, _lorentz_flow_rows(d.inner, _umbilic_split_rows(d, X), ts, end))
         one = umb.one_minus_alpha2
         if abs(one) < 1e-8:
             # horospherical branch; also the stable limit of the generic one

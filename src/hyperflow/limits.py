@@ -7,8 +7,10 @@ geodesic submanifold or to a single ideal point, decided recursively through
 the construction.
 Backward (t -> -infinity): every non-geodesic flow escapes to the ideal
 boundary and its rescaled projections converge to a submanifold of S^(m-1)
-of the same dimension, described in closed form by the umbilical and product
-boundary maps.
+of the same dimension.  Hyperbolic t -> -infinity is the Lorentzian light-cone
+time s* = -1/(2n), where <F, F> = 0 by the norm law: the limit is the ball
+image F[:-1] / F[-1] of the Lorentzian row flow at s* in its endpoint mode,
+one map for every descriptor kind.
 
 Both limits are maps over rows of chart points, and reports carry evaluated
 sample sets together with the chart maps that produced them (batches of one
@@ -27,7 +29,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ball import umbilic_boundary_rows
 from .descriptors import (
     FullProduct,
     Umbilic,
@@ -39,7 +40,7 @@ from .descriptors import (
     immerse_rows,
 )
 from .errors import GeometryError, InvalidArgumentError, StationaryNoLimitError
-from .flow import _hyperbolic_flow_rows, _umbilic_inner_flow_rows, _validate_rows, existence_window, sphere_leaf_flow
+from .flow import _hyperbolic_flow_rows, _lorentz_flow_rows, _validate_rows, existence_window
 from . import oracle
 
 FORWARD_STATIONARY = "stationary"
@@ -209,32 +210,20 @@ def _batch_of_one(rows: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndar
 def backward_chart_rows(d) -> Callable[[np.ndarray], np.ndarray]:
     """The backward limit chart on rows: (K, n) chart points to (K, m) ideal points.
 
-    Row k has the same bits as the chart at ``U[k]`` alone, whatever the batch.
+    The ball image F[:-1] / F[-1] of the Lorentzian flow at its light-cone
+    time s* = -1/(2n), where <F, F> = 0 by the norm law; the hyperbolic
+    time t -> -infinity is s* in the Lorentzian gauge.  Row k has the same
+    bits as the chart at ``U[k]`` alone, whatever the batch.
     """
     if _is_stationary(d):
         raise StationaryNoLimitError("totally geodesic flows do not move")
-    if isinstance(d, FullProduct):
-        n = dimensions(d).n
-        n_leaf = n - d.l
-        R2 = d.r - 1.0
-        ratio = math.sqrt(d.r / R2)
+    s_star = [-1.0 / (2.0 * dimensions(d).n)]
 
-        def chart(U: np.ndarray) -> np.ndarray:
-            X = immerse_rows(d, U)
-            Y = X[:, d.l : -1]
-            if not d.leaf.is_point:
-                q_star = -(R2 / (2.0 * n_leaf)) * math.log1p(n_leaf / (n * R2))
-                Y = sphere_leaf_flow(d.leaf, Y, q_star, radius2=R2).spherical
-            return np.concatenate([X[:, : d.l], ratio * Y], axis=1) / X[:, -1:]
+    def chart(U: np.ndarray) -> np.ndarray:
+        F = _lorentz_flow_rows(d, immerse_rows(d, U), s_star, end=True)[0]
+        return F[:, :-1] / F[:, -1:]
 
-        return chart
-    if isinstance(d, Umbilic):
-        if d.umb.alpha == 0.0:
-            inner_chart = backward_chart_rows(d.inner)
-            return lambda U: _embed_ideal(d, inner_chart(U))
-        t_alpha = existence_window(d).t_alpha
-        return lambda U: umbilic_boundary_rows(d.umb, _umbilic_inner_flow_rows(d, immerse_rows(d, U), [t_alpha])[0])
-    raise StationaryNoLimitError("the ambient hyperboloid does not move")
+    return chart
 
 
 def backward_limit(d, chart_samples: Sequence[np.ndarray], estimate_dim: bool = True) -> BackwardLimit:
@@ -264,14 +253,11 @@ def _pca_dimension(
 ) -> int:
     rng = np.random.default_rng(20240901)
     k = 4 * n
-    ranks = []
-    for u in bases:
-        cloud = np.array([u] + [u + radius * rng.standard_normal(u.size) for _ in range(k)])
-        pts = rows(cloud)
-        centered = pts - pts.mean(axis=0)
-        sv = np.linalg.svd(centered, compute_uv=False)
-        ranks.append(int(np.sum(sv > threshold * sv[0])))
-    values, counts = np.unique(ranks, return_counts=True)
+    clouds = [[u] + [u + radius * rng.standard_normal(u.size) for _ in range(k)] for u in bases]
+    # one chart evaluation for every cloud; each row has its own bits whatever the batch
+    pts = rows(np.array(clouds).reshape(-1, n)).reshape(len(bases), k + 1, -1)
+    sv = np.linalg.svd(pts - pts.mean(axis=1, keepdims=True), compute_uv=False)
+    values, counts = np.unique(np.sum(sv > threshold * sv[:, :1], axis=1), return_counts=True)
     return int(values[np.argmax(counts)])
 
 
@@ -299,7 +285,8 @@ def verify_flat_normal_bundle(d, limit: BackwardLimit, h: float = 1e-3) -> float
     mids = np.array([(lo + hi) / 2.0 for lo, hi in box])
     if dims.n == 1:
         period = np.array([2.0 * math.pi])
-        if np.max(np.abs(imm(mids + period) - imm(mids))) > 1e-9:
+        ends = imm.at_rows(np.array([mids + period, mids]))
+        if np.max(np.abs(ends[0] - ends[1])) > 1e-9:
             # non-periodic chart: the base is contractible, no holonomy exists
             return 0.0
         return oracle.normal_holonomy_defect(imm, mids, period, h=h)

@@ -1,13 +1,14 @@
 """Limit classification and evaluated forward/backward limit sets."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from hyperflow import cli, limits, oracle
-from hyperflow.ball import ball_projection
+from hyperflow.ball import ball_projection, umbilic_boundary_rows
 from hyperflow.catalog import CATALOG
 from hyperflow.descriptors import (
     Ambient,
@@ -16,11 +17,21 @@ from hyperflow.descriptors import (
     Umbilic,
     classify_shape,
     derive_umbilic,
+    descriptor_to_json,
     dimensions,
     immerse,
+    immerse_rows,
 )
 from hyperflow.errors import StationaryNoLimitError, TimeOutOfRangeError
-from hyperflow.flow import existence_window, hyperbolic_flow, hyperbolic_flow_batch, lorentz_flow, lorentz_flow_batch
+from hyperflow.flow import (
+    _umbilic_inner_flow_rows,
+    existence_window,
+    hyperbolic_flow,
+    hyperbolic_flow_batch,
+    lorentz_flow,
+    lorentz_flow_batch,
+    sphere_leaf_flow,
+)
 from hyperflow.limits import (
     BACKWARD_IDEAL,
     BACKWARD_STATIONARY,
@@ -38,7 +49,7 @@ from hyperflow.limits import (
 )
 from hyperflow.lorentz import OrthonormalFrame, minkowski_inner
 from hyperflow.scenario import chart_samples
-from test_descriptors import BIT_CASES
+from test_descriptors import BIT_CASES, geodesic_chain
 
 LN2 = math.log(2.0)
 
@@ -58,20 +69,20 @@ EXPECTED_VARIANTS = {
 LIMITS_STDOUT_SHA256 = {
     ("ambient_h3", 3): "6043edcabe4a8043a90af08a655d4c9ded3b3a5218938d5ea4bed6f0720ee0a9",
     ("ambient_h3", 7): "dc4887fa9ad6b5ee7bb35d0a2716fb8cd1d35c171df43c63c3b51abfcddae977",
-    ("circle_h2", 3): "b2ead6eab32a39cbc59aa158559cee32558c9662af41719863558f5e01f3fade",
-    ("circle_h2", 7): "6680fc7a22ea73c5c1a1deb5d525701f7d83dbb7979e9f08e0bcc33cb4b1748d",
-    ("circle_in_h4_nested", 3): "db8af3890610ba9ffd72fbd840809d6e8f43867345132b7d716800d6d8ed6644",
-    ("circle_in_h4_nested", 7): "6c7a8ee95a0f394cf35faa8ae1759bf0f9c7aa95993be1cec750070a9da9c525",
-    ("clifford_tube_h5", 3): "31c1ee96090b7840211ba079e4111c4efcff3e0e34a3494ac312bd18184da028",
-    ("clifford_tube_h5", 7): "c806f002a98012d5a3edd102dac963f62fe8447f5bd23bb73c07a2892e2a85a1",
-    ("equidistant_h2", 3): "74252bc9e8f9d3304fa62e327d0e5489d12f1ebc332c74e71bac71a8cbb910c2",
-    ("equidistant_h2", 7): "eb985ace88bc9448053b4f7ce44ca4719b468c0f6a13f7bd750efd20beb7c7e2",
-    ("geodesic_sphere_h3", 3): "cfe44ed39ac97635956a9664105d68fa4ee169e497652f104e9fdc2658737832",
-    ("geodesic_sphere_h3", 7): "c22c75a8e643fd09d5158b7badaaf5b36401c47141635d1f3fc117a1a6f9b160",
+    ("circle_h2", 3): "61f6f6dd358ee73c7a88f01280ba27fa647c63c2e3bfe1995c71d569983c0781",
+    ("circle_h2", 7): "b7af3d2506d5f09ac625d8ed6a37e52d08b7a9351747529d9c76efffccee698c",
+    ("circle_in_h4_nested", 3): "c395c9ae764458524228b5c8635dc97e7f653388543332742bf1f6c070d0dbd9",
+    ("circle_in_h4_nested", 7): "3975a0dd10c875344d053fcda9e3904c096905fe22b3923f391b46e0321c93a6",
+    ("clifford_tube_h5", 3): "9ab8ae5b7bfe485a3463244413fea6e4f20498066db01aae52a5883d0b64417f",
+    ("clifford_tube_h5", 7): "6268e355d6aa59fbe4b5a96c78fa43201179fb7e88b8edc0233664fdf27ba909",
+    ("equidistant_h2", 3): "b604eac544cecfa81229a536179990e8732cf40ab2311a2819f4b4e7a8919a28",
+    ("equidistant_h2", 7): "7a4acd3f5dcfb87c6b9683b03045d794771c3a37b049c32e9894cc922058822b",
+    ("geodesic_sphere_h3", 3): "5853c2fb8c67f3f0efdf20e3817a88f75b7b4b345bc537af46ffdd24ba5fb159",
+    ("geodesic_sphere_h3", 7): "6dbb6602229643a7afe546e266179db6ddfc87c1b606f2f035cab1092e79fabf",
     ("horocycle_h2", 3): "2f6025edf884feafa824482277bf22eaa64cd297fe7bb7350c779a1d18a7bee4",
     ("horocycle_h2", 7): "0c3a937b67099dea87f72e6e36deeb3816e8349781d3e9288de09a482b563f26",
-    ("tube_h3", 3): "8600b8b3d36c34ce0dbd168b84d09808a5a3d5ec2d5a85a26e3a2d35612a0dbb",
-    ("tube_h3", 7): "a9d3c06fc5bec8f1e6c8146b507a124dfdfab4d74466e4bb5144afcb0da4947a",
+    ("tube_h3", 3): "361e9808de4c89714fdab9f5adb9e8d7ce0ffd2b4a4bb0d9964bf326496969ff",
+    ("tube_h3", 7): "e0e9aaa2b86d3f85f31dbc415b5d7c0626ac2e5af0e0beba31f66f66c5eeba5d",
 }
 
 
@@ -163,6 +174,7 @@ class TestForwardLimit:
         assert np.linalg.norm(far - fwd.immersion(np.array([0.5]))) < 1e-5
 
 
+MOVING_CATALOG = sorted(name for name, d in CATALOG.items() if not classify_shape(d).totally_geodesic)
 FORWARD_ROW_CASES = sorted(k for k, d in BIT_CASES.items() if classify_limits(d).forward.variant != FORWARD_IDEAL_POINT)
 FOCAL_CASES = sorted(k for k, d in BIT_CASES.items() if classify_limits(d).forward.variant == FORWARD_FOCAL)
 
@@ -258,6 +270,30 @@ class TestBackwardLimit:
             backward_chart_map(CATALOG["ambient_h3"])
 
     @pytest.mark.parametrize("name", sorted(k for k, d in BIT_CASES.items() if not classify_shape(d).totally_geodesic))
+    def test_dimension_estimate_matches_the_per_cloud_loop(self, name):
+        d = BIT_CASES[name]
+        rows, n = backward_chart_rows(d), dimensions(d).n
+        bases = chart_samples(d, 3, 11)[:5]
+        rng = np.random.default_rng(20240901)
+        ranks = []
+        for u in bases:
+            pts = rows(np.array([u] + [u + 3e-7 * rng.standard_normal(u.size) for _ in range(4 * n)]))
+            sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+            ranks.append(int(np.sum(sv > 1e-6 * sv[0])))
+        values, counts = np.unique(ranks, return_counts=True)
+        assert limits._pca_dimension(rows, bases, n) == values[np.argmax(counts)] == n
+
+    @pytest.mark.parametrize("name", MOVING_CATALOG)
+    def test_samples_and_dimension_estimate_take_one_chart_evaluation_each(self, name, monkeypatch):
+        d = CATALOG[name]
+        us = chart_samples(d, 3, 9)[:6]
+        calls = []
+        immerse_rows = limits.immerse_rows
+        monkeypatch.setattr(limits, "immerse_rows", lambda d, U: calls.append(len(U)) or immerse_rows(d, U))
+        backward_limit(d, us)
+        assert calls == [len(us), len(us) * (4 * dimensions(d).n + 1)]
+
+    @pytest.mark.parametrize("name", sorted(k for k, d in BIT_CASES.items() if not classify_shape(d).totally_geodesic))
     def test_chart_rows_match_single_points_bitwise(self, name):
         d = BIT_CASES[name]
         U = np.array(chart_samples(d, 3, 11)[:7])
@@ -274,6 +310,101 @@ class TestBackwardLimit:
             p = chart(np.array([s]))
             expected = np.array([(1 - s**2), 2 * s]) / (1 + s**2)
             assert np.allclose(p, expected, atol=1e-12)
+
+
+def _backward_chart_rows_reference(d):
+    """The backward chart as one boundary map per descriptor kind.
+
+    A full product flows its leaf to the spherical time q* and scales it by
+    sqrt(r / (r - 1)); a geodesic level embeds its inner limit through its
+    frame; any other umbilic level flows its inner model to t_alpha and
+    applies the umbilical boundary map.
+    """
+    if isinstance(d, FullProduct):
+        n = dimensions(d).n
+        n_leaf = n - d.l
+        R2 = d.r - 1.0
+        ratio = math.sqrt(d.r / R2)
+
+        def chart(U):
+            X = immerse_rows(d, U)
+            Y = X[:, d.l : -1]
+            if not d.leaf.is_point:
+                q_star = -(R2 / (2.0 * n_leaf)) * math.log1p(n_leaf / (n * R2))
+                Y = sphere_leaf_flow(d.leaf, Y, q_star, radius2=R2).spherical
+            return np.concatenate([X[:, : d.l], ratio * Y], axis=1) / X[:, -1:]
+
+        return chart
+    if d.umb.alpha == 0.0:
+        inner_chart = _backward_chart_rows_reference(d.inner)
+        return lambda U: limits._embed_ideal(d, inner_chart(U))
+    t_alpha = existence_window(d).t_alpha
+    return lambda U: umbilic_boundary_rows(d.umb, _umbilic_inner_flow_rows(d, immerse_rows(d, U), [t_alpha])[0])
+
+
+def near_horospherical_circle(a):
+    """The circle of the spherical level a in H^2: horospherical as a -> infinity."""
+    return Umbilic(derive_umbilic((0.0, 0.0, -1.0), a), ProductOfSpheres(((1, a * a - 1.0),)))
+
+
+class TestBackwardChartAtTheLightCone:
+    """The light-cone chart against the per-kind boundary maps it replaced."""
+
+    @staticmethod
+    def _worst(d, seed):
+        U = np.array(chart_samples(d, 3, seed))
+        new = backward_chart_rows(d)(U)
+        return float(np.max(np.abs(new - _backward_chart_rows_reference(d)(U))))
+
+    @pytest.mark.parametrize("seed", [7, 3])
+    @pytest.mark.parametrize("name", MOVING_CATALOG)
+    def test_catalog_matches_the_boundary_maps(self, name, seed):
+        assert self._worst(CATALOG[name], seed) <= 1e-15
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_geodesic_chains_match_the_boundary_maps(self, depth):
+        assert self._worst(geodesic_chain(depth), 7) <= 1e-15
+
+    @pytest.mark.parametrize("name", ["tilted_sphere", "tilted_equidistant", "tilted_horosphere"])
+    def test_tilted_levels_match_the_boundary_maps(self, name):
+        assert self._worst(BIT_CASES[name], 7) <= 1e-15
+
+    @pytest.mark.parametrize("a", [10.0, 1e3])
+    def test_near_horospherical_circles_match_the_boundary_maps(self, a):
+        assert self._worst(near_horospherical_circle(a), 7) <= 1e-15
+
+    @pytest.mark.parametrize("seed", [7, 3])
+    @pytest.mark.parametrize("a", [10.0, 1e3, 2e4])
+    def test_near_horospherical_limits_are_unit_norm(self, a, seed):
+        d = near_horospherical_circle(a)
+        bwd = backward_limit(d, chart_samples(d, 3, seed))
+        assert bwd.dim == 1
+        assert np.max(np.abs(np.linalg.norm(bwd.samples, axis=1) - 1.0)) <= 1e-12
+
+    def test_far_horospherical_circle_limits_exit_zero(self, tmp_path, capsys):
+        # regression: the per-kind boundary map refused these rows (exit 2)
+        d = near_horospherical_circle(2e4)
+        path = tmp_path / "circle.json"
+        path.write_text(json.dumps({"name": "far_circle", "descriptor": descriptor_to_json(d)}))
+        assert cli.main(["limits", str(path), "--seed", "3"]) == 0
+        samples = np.array(json.loads(capsys.readouterr().out)["backward"]["samples"])
+        assert np.max(np.abs(np.linalg.norm(samples, axis=1) - 1.0)) <= 1e-12
+
+    def test_one_flow_call_at_the_light_cone_time(self, monkeypatch):
+        d = CATALOG["circle_in_h4_nested"]
+        calls = []
+        core = limits._lorentz_flow_rows
+        monkeypatch.setattr(limits, "_lorentz_flow_rows", lambda d, X, ts, end: calls.append((ts, end)) or core(d, X, ts, end))
+        backward_chart_rows(d)(np.array(chart_samples(d, 3, 7)))
+        assert calls == [([-1.0 / (2.0 * dimensions(d).n)], True)]
+
+    def test_public_lorentz_flows_refuse_the_light_cone_time(self):
+        # only the backward chart continues a geodesic level to s* = -1/(2n)
+        d = CATALOG["circle_in_h4_nested"]
+        x = immerse(d, chart_samples(d, 3, 7)[0])
+        for flow in (lorentz_flow, lambda d, x, t: lorentz_flow_batch(d, x[None, :], t)):
+            with pytest.raises(TimeOutOfRangeError):
+                flow(d, x, -1.0 / (2.0 * dimensions(d).n))
 
 
 class TestFlatNormalBundle:

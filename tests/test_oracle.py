@@ -1,10 +1,15 @@
 """Finite-difference oracle: mean curvature, residuals, transports, ODE."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hyperflow
 from hyperflow import oracle
 from hyperflow.catalog import CATALOG
 from hyperflow.descriptors import Umbilic, derive_umbilic, dimensions, immerse
@@ -330,6 +335,25 @@ class TestEvolveAndCompare:
         # the independent scalar oracle reproduces the circle collapse time
         T = oracle.geodesic_sphere_collapse_time(1, 2.0)
         assert abs(T - math.log(2.0)) < 1e-6
+
+    @pytest.mark.parametrize("n, cosh_rho0", [(1, 2.0), (2, 3.0), (3, 1.5), (1, 1.0 + 1e-7), (1, 50.0)])
+    def test_geodesic_sphere_collapse_times(self, n, cosh_rho0):
+        # the sphere of radius rho0 in H^(n+1) collapses at ln(cosh rho0)/n
+        T = oracle.geodesic_sphere_collapse_time(n, cosh_rho0)
+        assert abs(T - math.log(cosh_rho0) / n) < 1e-12
+
+    @pytest.mark.parametrize("n, cosh_rho0", [(0, 2.0), (1, 1.0), (1, 0.5)])
+    def test_collapse_time_of_no_sphere_refused(self, n, cosh_rho0):
+        with pytest.raises(InvalidArgumentError, match="need n >= 1"):
+            oracle.geodesic_sphere_collapse_time(n, cosh_rho0)
+
+    def test_collapse_time_runs_without_scipy(self):
+        # the package depends on numpy only: neither the CLI nor the scalar oracle imports scipy
+        src = str(Path(hyperflow.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, hyperflow.cli, hyperflow.oracle as o; o.geodesic_sphere_collapse_time(1, 2.0); print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"
 
 
 def _geodesic_chain(depth: int):

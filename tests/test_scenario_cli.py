@@ -59,19 +59,19 @@ from hyperflow.scenario import (
 VERIFY_STDOUT_SHA256 = {
     ("ambient_h3", 3): "b8cbd2be9176c0bbbee2c33455b4f9066a4f053ccdd99967bb1ff7377ae161ef",
     ("ambient_h3", 7): "7492281873bee024b85e9ab39ab7fab4f6769abe1f0dee7add09db4d30cead60",
-    ("circle_h2", 3): "8909781a46a49d92e78920242129255270dfa5a3e8d0b0aefc1feafe65a4f5eb",
-    ("circle_h2", 7): "fc358cf848d9ae093c2f3b18f39aeb1a171302eae20fcddf2d28e633fb56767b",
-    ("circle_in_h4_nested", 3): "71229857e806f6e1521183b5a5ec94d734c483c806139d022413eb92c420e79f",
-    ("circle_in_h4_nested", 7): "726a59207f4cc08e95b30d4f1aa90806c3d833835b6b6fdf2bb0b2f3df0eb3c8",
-    ("clifford_tube_h5", 3): "681c9c2f2e63a41f5dbe0e2abb891f075163b318ccda1bcf97ca7642e38994fd",
-    ("clifford_tube_h5", 7): "2e4e12dfc82a8eaf89e50dc767fc1aeb7210d073f79eefb3ad3993d0cf045464",
-    ("equidistant_h2", 3): "040df41804c382f304ff4f363840b123bae3edcc09a9a7c6733268964b63056c",
-    ("equidistant_h2", 7): "8ef6743133807bb8bdeb64f907d8ff5e8858ba0017c7a8f00ec1c44b41e6ca63",
-    ("geodesic_sphere_h3", 3): "9d743baffef84ad56b4104a92e0736ec9ff7375959be09f000877e601ecd3b9f",
-    ("geodesic_sphere_h3", 7): "69c1c8ab3d67aef7d4ab9acc9fc8ade4b743381c58187723f0a06f5baacabf1f",
+    ("circle_h2", 3): "120b4af4bac37cc1b1f5c41cae80ed7ac2ffe187627ef1b53e5d9cabb44f931b",
+    ("circle_h2", 7): "fe83babf67adc4b52deb622f5f7850b542cb23af8df2355cd5ef5072918f5ec7",
+    ("circle_in_h4_nested", 3): "e7bcb2b590902b4d192787136ab7fa6c62a50f3d269747bf9d606d688b07dc9b",
+    ("circle_in_h4_nested", 7): "fa2dd292f19b82898317aef386204b5b105cf5fcdd6209c7717c339a5a1d0066",
+    ("clifford_tube_h5", 3): "edc58015933426a45ed39c5a8e9911641e7608acecdb0624e267f9f2233aede2",
+    ("clifford_tube_h5", 7): "017f5752f9e890536c7d1a0a06fa003d7c1a293a71c4aee1323d5ec130504f0a",
+    ("equidistant_h2", 3): "ad15b7ef47e3579b3f3b3c96a445cc7e0797a7d06795c4de4750328977f9af36",
+    ("equidistant_h2", 7): "710d93156b3981d8062595d36abf9594669d781e451c536947bdda22a0d1cee1",
+    ("geodesic_sphere_h3", 3): "e0c8c7dcf1430458559da3c6cf17294d02f83d7569808bf270e8ba3e947f5609",
+    ("geodesic_sphere_h3", 7): "7edfe79d28b98a0a1cf73a2b3682791cd34009d940dfb5d9c3c6862951971661",
     ("horocycle_h2", 3): "7a8423a342cb8675179b9d151a48e82bd21443cbc627e2dd18cdce5dcc6cfe5b",
     ("horocycle_h2", 7): "5ab8a6fcf8210d314a5b7a6c6bb9f21b64b1bb24cda66c64a7e8960ac33c26a8",
-    ("tube_h3", 3): "d5fc9f31395d7a56a406eae35b889207c393c63a90cb91c1dd9e0a671f73b241",
+    ("tube_h3", 3): "d15af82aa23a489cbedcd8f1aa7128a50bea009fb502f0e6ca6dae925cd349d9",
     ("tube_h3", 7): "3f4350d9bed136dab3084eb8a57080bb1f2b96899552455af6087ff09d276a72",
 }
 
@@ -529,8 +529,9 @@ class TestVerify:
 
     def test_closed_form_checks_make_one_core_call_each(self, catalog_entry, monkeypatch):
         # five flow calls of the battery's own, over all of a check's times,
-        # and the endpoint call of ``forward_limit``; calls the core makes
-        # inside itself (an umbilic level flowing its inner level) do not count
+        # the endpoint call of ``forward_limit`` and the light-cone call of
+        # ``backward_limit``; calls the core makes inside itself (an umbilic
+        # level flowing its inner level) do not count
         name, d = catalog_entry
         calls, depth = [], [0]
 
@@ -556,7 +557,7 @@ class TestVerify:
         monkeypatch.setattr(flow, "_quadric_rows", lambda d, X: quadric.append(len(X)) or quadric_rows(d, X))
         report = run_invariant_battery(d, Sampling(3, 7), OracleSettings(enabled=False))
         assert report.overall_pass, name
-        assert 0 < len(calls) <= 6, (name, calls)
+        assert 0 < len(calls) <= 7, (name, calls)
         assert sum(len_ts for _, len_ts in calls) >= 40 + 25, (name, calls)
         assert len(quadric) <= 2, (name, quadric)  # the battery's validation, and forward_limit's at a focal limit
 
@@ -705,6 +706,16 @@ class TestCli:
         assert out.returncode == 2
         assert field in out.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spheres", [0, False, "", [], {}])
+    def test_falsy_spheres_exit_two(self, tmp_path, spheres):
+        # a present spheres field is a leaf object; falsy values are not read as absent
+        inner = {"type": "euclidean", "flat_dim": 1, "spheres": spheres}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"name": "bad", "descriptor": {"type": "umbilic", "xi": [1.0, 0.0, -1.0], "a": 1.0, "inner": inner}}))
+        out = run_cli("limits", str(path))
+        assert out.returncode == 2
+        assert "euclidean.spheres" in out.stderr
 
     @pytest.mark.parametrize(
         "field, descriptor",
