@@ -950,7 +950,8 @@ def normal_holonomy_defect(imm: ImmersionEvaluator, u_start, period, steps: int 
     front in one ``at_rows`` call and all commutators are formed at once.
     Column i of a projector is the image of the axis e_i, the i-th row of
     ``_normal_candidates``.  The first time is 0, so the first projector's
-    candidates also give the start frame (``_normal_frames``).
+    candidates also give the start frame (``_normal_frames``).  Whether the
+    period closes is one more ``at_rows`` call, of the loop's two ends.
     """
     u0 = np.asarray(u_start, dtype=float)
     per = np.asarray(period, dtype=float)
@@ -958,9 +959,19 @@ def normal_holonomy_defect(imm: ImmersionEvaluator, u_start, period, steps: int 
         raise InvalidArgumentError(f"the loop needs steps >= 1, got {steps!r}")
     if not np.all(np.isfinite(per)):
         raise InvalidArgumentError(f"the chart period must be finite, got {period!r}")
-    if np.max(np.abs(imm(u0 + per) - imm(u0))) > 1e-9:
+    if not _period_closes(imm, u0, per):
         raise InvalidArgumentError("the chart period does not close the loop")
+    return _holonomy_defect(imm, u0, per, steps, h)
 
+
+def _period_closes(imm: ImmersionEvaluator, u0: np.ndarray, per: np.ndarray) -> bool:
+    """Whether the chart maps u0 + per back onto u0's point, to 1e-9; one ``at_rows`` call."""
+    ends = imm.at_rows(np.array([u0 + per, u0]))
+    return not np.max(np.abs(ends[0] - ends[1])) > 1e-9
+
+
+def _holonomy_defect(imm: ImmersionEvaluator, u0: np.ndarray, per: np.ndarray, steps: int = 256, h: float = 1e-3) -> float:
+    """``normal_holonomy_defect`` of a period already known to close: the loop's one ``at_rows`` call."""
     delta = 1e-4
     dt = 1.0 / steps
     keys = _rk4_times(0.0, dt, steps)

@@ -6,9 +6,12 @@ hyperboloid and ball coordinates plus JSON reports (existence window, limit
 report, invariant report); ``run_invariant_battery`` drives the checks that
 ``verify`` gates on.  Outputs are deterministic for a fixed seed.  The
 trajectory and ball writers flow all samples over the whole time grid in
-one call of the flow core and format each grid time once per file; each
-of the battery's closed-form checks is one call of the flow core over all
-of its sampled times.
+one call of the flow core; ``csvrows`` formats the rows with numpy, every
+number as ``"%.17g" % v`` would write it, and each grid time once per file.
+Every artifact is written to a temporary file beside it and renamed into
+place, so a failed run leaves no partial file.  Each of the battery's
+closed-form checks is one call of the flow core over all of its sampled
+times.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -475,24 +479,53 @@ def _flow_samples(d, X0: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out.transpose(1, 0, 2)
 
 
-def _write_sample_rows(path: Path, symbol: str, times: np.ndarray, values: np.ndarray) -> None:
-    """Write ``sample_id,t,<symbol>_1,...`` rows of an (S, T, k) array, sample by sample.
+@contextmanager
+def _replacing(path: Path) -> Iterator[BinaryIO]:
+    """A binary file that becomes ``path`` only once the block completes.
 
-    Each grid time is formatted once per file; a row is its sample id, its
-    time's text and its values.
+    It is written as a temporary file in the same directory and renamed
+    over ``path``; if anything fails, the temporary file is removed and
+    ``path`` is left as it was.
     """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    with _replacing(path) as fh:
+        fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii"))
+
+
+def _write_sample_rows(path: Path, symbol: str, times: np.ndarray, values: np.ndarray) -> None:
+    """Write ``sample_id,t,<symbol>_1,...`` rows of an (S, T, k) array, sample by sample, block by block."""
+    from . import csvrows  # imported by the first write: verify and limits format no CSV
+
     k = values.shape[2]
-    row = ",%.17g" * k + "\n"
-    stamps = [",%.17g" % t for t in times.tolist()]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sample_id,t," + ",".join(f"{symbol}_{i + 1}" for i in range(k)) + "\n")
-        for sid, block in enumerate(values):
-            head = str(sid)
-            fh.writelines(head + stamp + row % tuple(x) for stamp, x in zip(stamps, block.tolist()))
+    with _replacing(path) as fh:
+        fh.write(("sample_id,t," + ",".join(f"{symbol}_{i + 1}" for i in range(k)) + "\n").encode("ascii"))
+        for block in csvrows.sample_blocks(times, values):
+            fh.write(block)
 
 
-def _clipped_grid(scn: Scenario) -> tuple[np.ndarray, float | None]:
+# the most values a run may flow: time_grid.steps x samples x (m + 1)
+MAX_GRID_VALUES = 10_000_000
+
+
+def _clipped_grid(scn: Scenario, samples: int) -> tuple[np.ndarray, float | None]:
+    """The time grid clipped to the existence window, refused before it is allocated if too large."""
     grid = scn.time_grid
+    width = dimensions(scn.descriptor).m + 1
+    if grid.steps * samples * width > MAX_GRID_VALUES:
+        raise InvalidArgumentError(
+            f"time_grid.steps = {grid.steps} with {samples} samples of {width} coordinates flows"
+            f" {grid.steps * samples * width} values, more than {MAX_GRID_VALUES}; lower time_grid.steps"
+        )
     window = existence_window(scn.descriptor)
     end = grid.end
     clipped = None
@@ -516,8 +549,8 @@ def run_scenario(source: str | Path, out_dir: str | Path, seed: int | None = Non
     dims = dimensions(d)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    times, clipped = _clipped_grid(scn)
     us = chart_samples(d, scn.sampling.per_dim, scn.sampling.seed)
+    times, clipped = _clipped_grid(scn, len(us))
     frame = scn.frame or OrthonormalFrame.standard(dims.m)
     written: dict[str, str] = {}
 
@@ -545,26 +578,20 @@ def run_scenario(source: str | Path, out_dir: str | Path, seed: int | None = Non
     }
     if "window" in scn.outputs:
         path = out / f"{scn.name}_window.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, summary)
         written["window"] = str(path)
 
     if "limits" in scn.outputs:
         rep = evaluate_limits(d, us)
         path = out / f"{scn.name}_limits.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(limit_report_to_json(rep), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, limit_report_to_json(rep))
         written["limits"] = str(path)
         summary["limits"] = limit_report_to_json(rep)
 
     if "invariants" in scn.outputs:
         rep = run_invariant_battery(d, scn.sampling, scn.oracle, tolerance_scale)
         path = out / f"{scn.name}_invariants.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(invariant_report_to_json(rep), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, invariant_report_to_json(rep))
         written["invariants"] = str(path)
         summary["invariants"] = invariant_report_to_json(rep)
 

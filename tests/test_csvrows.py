@@ -1,0 +1,130 @@
+"""The vectorized ``%.17g`` formatter of the run CSVs, value by value and file by file."""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperflow import csvrows, scenario
+
+DBL_MAX = sys.float_info.max
+DBL_MIN = sys.float_info.min  # the smallest normal double
+
+
+def assert_like_percent(values):
+    """Every value's text is the one ``"%.17g" % v`` gives."""
+    x = np.asarray(values, dtype=float)
+    expected = ["%.17g" % v for v in x.tolist()]
+    got = csvrows.texts(x)
+    wrong = [(v, e, g) for v, e, g in zip(x.tolist(), expected, got) if e != g]
+    assert len(got) == len(expected) and not wrong, wrong[:10]
+
+
+def neighbours(values):
+    """Each value with the doubles just below and above it, and their negatives."""
+    x = np.asarray(values, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        around = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+    return np.concatenate([around, -around])
+
+
+class TestValueByValue:
+    def test_zeros_subnormals_and_extremes(self):
+        subnormals = [5e-324, 1e-323, 2.5e-320, 1e-310, DBL_MIN - 5e-324, 4.9406564584124654e-324 * 12345]
+        assert_like_percent(neighbours([0.0, DBL_MIN, DBL_MAX, *subnormals]))
+        assert csvrows.texts(np.array([0.0, -0.0])) == ["0", "-0"]
+
+    def test_non_finite(self):
+        assert csvrows.texts(np.array([math.inf, -math.inf, math.nan])) == ["inf", "-inf", "nan"]
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        assert_like_percent(neighbours([float(f"1e{k}") for k in range(-300, 301)]))
+
+    def test_powers_of_two_and_their_neighbours(self):
+        assert_like_percent(neighbours([2.0**e for e in range(-1074, 1024)]))
+
+    def test_notation_boundaries(self):
+        # X = -5 and 16 are the last exponents of each notation, -4 and 17 the first
+        # of the next; 9.99...e-5 and 9.99...e16 round across the boundary
+        edges = [1.5e-5, 9.999999999999999e-5, 1e-4, 1.2345e-4, 0.00099999999999999999,
+                 1e16, 1.2345678901234567e16, 99999999999999999.0, 1e17, 1.5e17, 123456789012345678.0]
+        assert_like_percent(neighbours(edges))
+
+    def test_fixed_notation_points_and_trailing_zeros(self):
+        x = [d * 10.0**e for d in (1.0, 1.5, 2.25, 3.125, 9.0, 1.0000000000000002) for e in range(-4, 17)]
+        assert_like_percent(neighbours(x + [0.5, 2.0, 10.0, 100.0, -3.0, 123.0, 0.1, 0.2, 0.3]))
+
+    def test_exact_ties(self):
+        # 18 significant digits ending in 5: ties, rounded to even by "%.17g"
+        ties = [1 + 2**-17, 1 + 3 * 2**-17, 2**-17, 0.5 + 2**-18, 3 * 2**-20, 2.0**60 + 2**8]
+        assert_like_percent(neighbours(ties))
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(17).integers(0, 2**63, 20000, dtype=np.int64)
+        assert_like_percent(neighbours(bits.view(np.float64)))
+
+    def test_random_magnitudes(self):
+        rng = np.random.default_rng(18)
+        assert_like_percent(neighbours(10.0 ** rng.uniform(-320, 308, 20000)))
+        assert_like_percent(neighbours(rng.standard_normal(20000) * 10.0 ** rng.integers(-8, 9, 20000)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats(self, values):
+        assert_like_percent(values)
+
+    def test_blocks_longer_than_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(csvrows, "CHUNK", 7)
+        assert_like_percent(neighbours(np.linspace(-3.0, 2.0, 41)))
+
+
+def write_reference(path, symbol, times, values):
+    """The row-template writer the formatter replaced: one ``%`` per row."""
+    k = values.shape[2]
+    row = ",%.17g" * k + "\n"
+    stamps = [",%.17g" % t for t in times.tolist()]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("sample_id,t," + ",".join(f"{symbol}_{i + 1}" for i in range(k)) + "\n")
+        for sid, block in enumerate(values):
+            fh.writelines(str(sid) + stamp + row % tuple(x) for stamp, x in zip(stamps, block.tolist()))
+
+
+def awkward_values(rng, shape):
+    """Values in both notations, with zeros, ties, exact and non-finite ones among them."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 20, shape)
+    flat = x.reshape(-1)
+    special = [0.0, -0.0, 0.5, -2.0, 1e17, 1e-5, 1 + 2**-17, math.inf, math.nan, 1e300, 5e-324]
+    picks = rng.integers(0, flat.size, 3 * len(special))
+    flat[picks] = np.resize(special, picks.size)
+    return x
+
+
+class TestWholeFiles:
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("chunk", [1, 5, 64, csvrows.CHUNK])
+    def test_bytes_match_the_row_template(self, tmp_path, monkeypatch, k, chunk):
+        # chunks of 1 and 5 values end inside rows and inside samples
+        monkeypatch.setattr(csvrows, "CHUNK", chunk)
+        rng = np.random.default_rng(100 * k + chunk)
+        times = np.concatenate([[-3.0], np.sort(rng.uniform(-3.0, 2.0, 11)), [2.0]])
+        values = awkward_values(rng, (12, times.size, k))
+        scenario._write_sample_rows(tmp_path / "new.csv", "x", times, values)
+        write_reference(tmp_path / "old.csv", "x", times, values)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_blocks_cover_every_row_once(self, monkeypatch):
+        monkeypatch.setattr(csvrows, "CHUNK", 10)
+        values = np.arange(3 * 7 * 3, dtype=float).reshape(3, 7, 3)
+        blocks = list(csvrows.sample_blocks(np.arange(7.0), values))
+        assert len(blocks) == math.ceil(21 / 3)
+        lines = b"".join(blocks).decode().splitlines()
+        assert lines == [f"{s},{t},{3 * (7 * s + t)},{3 * (7 * s + t) + 1},{3 * (7 * s + t) + 2}" for s in range(3) for t in range(7)]
+
+    def test_single_time_and_sample(self, tmp_path):
+        times, values = np.array([0.25]), np.array([[[1e-7, -0.0]]])
+        scenario._write_sample_rows(tmp_path / "new.csv", "y", times, values)
+        write_reference(tmp_path / "old.csv", "y", times, values)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes() == b"sample_id,t,y_1,y_2\n0,0.25,9.9999999999999995e-08,-0\n"

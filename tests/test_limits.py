@@ -15,6 +15,7 @@ from hyperflow.descriptors import (
     FullProduct,
     ProductOfSpheres,
     Umbilic,
+    chart_box,
     classify_shape,
     derive_umbilic,
     descriptor_to_json,
@@ -412,6 +413,29 @@ class TestFlatNormalBundle:
         d = CATALOG["circle_in_h4_nested"]
         bwd = backward_limit(d, chart_samples(d, 3, 5))
         assert verify_flat_normal_bundle(d, bwd) < 1e-4
+
+    def test_one_chart_evaluation_besides_the_loop(self, monkeypatch):
+        # the period's two ends are one at_rows call, checked once, then the
+        # loop is one more; the value is the public holonomy defect's
+        d = CATALOG["circle_in_h4_nested"]
+        bwd = backward_limit(d, chart_samples(d, 3, 7))
+        calls = []
+        at_rows, point = oracle.ImmersionEvaluator.at_rows, oracle.ImmersionEvaluator.__call__
+        monkeypatch.setattr(oracle.ImmersionEvaluator, "at_rows", lambda imm, U: calls.append(len(U)) or at_rows(imm, U))
+        monkeypatch.setattr(oracle.ImmersionEvaluator, "__call__", lambda imm, u: calls.append("point") or point(imm, u))
+        value = verify_flat_normal_bundle(d, bwd)
+        assert calls[0] == 2 and len(calls) == 2 and calls[1] > 2
+        imm = oracle.ImmersionEvaluator(1, oracle.SPHERE, bwd.chart_map, limits.backward_chart_rows(d))
+        mids = np.array([(lo + hi) / 2.0 for lo, hi in chart_box(d)])
+        assert value == oracle.normal_holonomy_defect(imm, mids, [2.0 * math.pi])
+
+    def test_open_chart_has_no_holonomy(self, monkeypatch):
+        # a chart whose period does not close: 0 by convention, from the one check
+        d = CATALOG["circle_in_h4_nested"]
+        bwd = backward_limit(d, chart_samples(d, 3, 7))
+        monkeypatch.setattr(oracle, "_period_closes", lambda imm, u0, per: False)
+        monkeypatch.setattr(oracle, "_holonomy_defect", lambda *args, **kwargs: pytest.fail("the loop ran"))
+        assert verify_flat_normal_bundle(d, bwd) == 0.0
 
     def test_codimension_one_is_trivially_flat(self):
         d = CATALOG["tube_h3"]

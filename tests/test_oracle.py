@@ -657,6 +657,11 @@ class TestFlatNormalBundle:
         with pytest.raises(InvalidArgumentError, match="steps"):
             oracle.normal_holonomy_defect(imm, [0.2], [2.0 * math.pi], steps=steps)
 
+    @pytest.mark.parametrize("period", [math.pi, 1.0])
+    def test_open_period_refused(self, period):
+        with pytest.raises(InvalidArgumentError, match="does not close"):
+            oracle.normal_holonomy_defect(_great_circle(), [0.2], [period])
+
     @pytest.mark.parametrize("period", [math.nan, math.inf])
     def test_non_finite_period_refused(self, period):
         with pytest.raises(InvalidArgumentError, match="period"):
@@ -1069,12 +1074,15 @@ class TestBatchedOracle:
 
     def test_holonomy_evaluates_the_loop_once(self, monkeypatch):
         # the start frame comes from the first projector's candidates, so the
-        # projectors and the frame take one at_rows call
-        calls = []
-        at_rows = oracle.ImmersionEvaluator.at_rows
+        # projectors and the frame take one at_rows call; the closing check
+        # is one more, of the loop's two ends, and every point evaluated is a
+        # row of one of the two (this chart has no row map)
+        calls, points = [], []
+        at_rows, point = oracle.ImmersionEvaluator.at_rows, oracle.ImmersionEvaluator.__call__
         monkeypatch.setattr(oracle.ImmersionEvaluator, "at_rows", lambda imm, U: calls.append(len(U)) or at_rows(imm, U))
+        monkeypatch.setattr(oracle.ImmersionEvaluator, "__call__", lambda imm, u: points.append(1) or point(imm, u))
         assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619538662278823
-        assert len(calls) == 1
+        assert len(calls) == 2 and calls[0] == 2 and len(points) == sum(calls)
 
     def test_torus_knot_has_holonomy(self):
         assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) > 1e-2

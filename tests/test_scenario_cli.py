@@ -592,6 +592,69 @@ class TestVerify:
         assert not tight.overall_pass and loose.overall_pass
 
 
+class TestArtifactWrites:
+    def test_failed_csv_leaves_no_file(self, tmp_path, monkeypatch):
+        # the formatter fails on the second block of the trajectory CSV
+        from hyperflow import csvrows
+
+        block, calls = csvrows._block, []
+
+        def failing(*args):
+            calls.append(len(args[0]))
+            if len(calls) == 2:
+                raise OSError("device full")
+            return block(*args)
+
+        monkeypatch.setattr(csvrows, "_block", failing)
+        path = write_scenario(
+            tmp_path / "scn.json", "dense", CATALOG["tube_h3"],
+            time_grid={"start": -3.0, "end": 2.0, "steps": 200}, sampling={"per_dim": 7, "seed": 7},
+            outputs=["trajectory", "ball", "window"],
+        )
+        out = tmp_path / "out"
+        result = run_cli("run", str(path), "--out", str(out))
+        assert result.returncode == 4 and "device full" in result.stderr
+        assert len(calls) == 2 and list(out.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("old")
+        with pytest.raises(OSError, match="interrupted"):
+            with scenario._replacing(path) as fh:
+                fh.write(b"new, but cut short")
+                raise OSError("interrupted")
+        assert path.read_text() == "old" and list(tmp_path.iterdir()) == [path]
+
+    def test_json_and_csv_artifacts_are_complete(self, tmp_path):
+        summary = run_scenario("circle_h2", tmp_path)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == sorted(Path(p).name for p in summary["written"].values())
+        for kind in ("window", "limits", "invariants"):
+            json.loads(Path(summary["written"][kind]).read_text())
+        assert Path(summary["written"]["trajectory"]).read_text().endswith("\n")
+
+    def test_huge_grid_refused_before_it_is_allocated(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail("the grid was allocated"))
+        path = write_scenario(
+            tmp_path / "scn.json", "huge", CATALOG["circle_h2"], time_grid={"start": -1.0, "end": 1.0, "steps": 10**12}
+        )
+        result = run_cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert result.returncode == 2 and "time_grid.steps" in result.stderr
+        assert not (tmp_path / "out" / "huge_trajectory.csv").exists()
+
+    @pytest.mark.parametrize("extra, refused", [(0, False), (1, True)])
+    def test_grid_cap_boundary(self, monkeypatch, extra, refused):
+        # circle_h2 flows 3 samples of 3 coordinates, 9 values per grid time
+        steps = scenario.MAX_GRID_VALUES // 9 + extra
+        scn = Scenario("c", CATALOG["circle_h2"], TimeGrid(-1.0, 0.5, steps))
+        monkeypatch.setattr(np, "linspace", lambda start, end, num: ("grid", num))
+        if refused:
+            with pytest.raises(InvalidArgumentError, match="time_grid.steps"):
+                scenario._clipped_grid(scn, 3)
+        else:
+            assert scenario._clipped_grid(scn, 3) == (("grid", steps), None)
+
+
 class TestCli:
     def test_catalog_verb(self):
         out = run_cli_process("catalog")
