@@ -20,11 +20,10 @@ from .catalog import catalog_names
 from .errors import GeometryError
 from .limits import evaluate_limits
 from .scenario import (
-    Sampling,
+    _load_seeded,
     chart_samples,
     invariant_report_to_json,
     limit_report_to_json,
-    load_scenario,
     run_scenario,
     verify_scenario,
 )
@@ -60,9 +59,8 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps(invariant_report_to_json(report), indent=2, sort_keys=True))
             return 0 if report.overall_pass else 3
         if args.verb == "limits":
-            scn = load_scenario(args.scenario)
-            sampling = scn.sampling if args.seed is None else Sampling(scn.sampling.per_dim, args.seed)
-            us = chart_samples(scn.descriptor, sampling.per_dim, sampling.seed)
+            scn = _load_seeded(args.scenario, args.seed)
+            us = chart_samples(scn.descriptor, scn.sampling.per_dim, scn.sampling.seed)
             print(json.dumps(limit_report_to_json(evaluate_limits(scn.descriptor, us)), indent=2, sort_keys=True))
             return 0
     except GeometryError as exc:

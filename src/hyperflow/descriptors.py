@@ -442,24 +442,33 @@ def _product_split(d: FullProduct, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _check_product_rows(d: FullProduct, X: np.ndarray) -> None:
-    """Product membership of every row of X, the one product check of the flows.
+    """Product membership of every row of X, the product level of ``_validate_levels``.
 
-    The Lorentz block must lie on the upper sheet of H^l(-r) and each leaf
-    factor block on its sphere (a point leaf at its fixed position), within
-    ``_POINT_TOL``; otherwise DomainError.
+    The Lorentz block must lie on the upper sheet of H^l(-r), within
+    ``_POINT_TOL``, and the leaf block on the leaf (``_check_leaf_rows``);
+    otherwise DomainError.
     """
     V = np.concatenate([X[:, : d.l], X[:, -1:]], axis=1)
-    Y = X[:, d.l : -1]
     q = np.sum(V[:, :-1] ** 2, axis=1) - V[:, -1] ** 2
     if np.any((np.abs(q + d.r) > _POINT_TOL * max(1.0, d.r)) | (V[:, -1] <= 0)):
         raise DomainError("Lorentz block is not on the upper sheet of H^l(-r)")
-    if d.leaf.is_point:
-        want = math.sqrt(max(d.r - 1.0, 0.0)) * np.asarray(d.leaf.point_position)
+    _check_leaf_rows(d.leaf, X[:, d.l : -1], d.r - 1.0)
+
+
+def _check_leaf_rows(leaf: ProductOfSpheres, Y: np.ndarray, radius2: float | None) -> None:
+    """Leaf membership of every row of Y, within ``_POINT_TOL``; otherwise DomainError.
+
+    Each factor block must lie on its sphere; a point leaf must sit at its
+    fixed position on the sphere of squared radius ``radius2`` that holds it,
+    as ``_leaf_immersion`` places it.
+    """
+    if leaf.is_point:
+        want = math.sqrt(max(radius2, 0.0)) * np.asarray(leaf.point_position)
         if np.any(np.abs(Y - want) > _POINT_TOL):
             raise DomainError("point leaf block is away from its fixed position")
         return
     k = 0
-    for p, s in d.leaf.factors:
+    for p, s in leaf.factors:
         block = Y[:, k : k + p + 1]
         if np.any(np.abs(np.sum(block * block, axis=1) - s) > _POINT_TOL * max(1.0, s)):
             raise DomainError(f"leaf factor block has squared radius != {s}")
@@ -585,12 +594,39 @@ def _umbilic_split_rows(d: Umbilic, X: np.ndarray) -> np.ndarray:
     return np.matmul(G, rel[..., None])[..., 0]
 
 
-def _umbilic_split(d: Umbilic, x: np.ndarray) -> np.ndarray:
-    """Inner-model coordinates of an ambient point, with membership checks."""
-    inner = _umbilic_split_rows(d, x[None, :])[0]
-    if np.max(np.abs(_umbilic_embed(d, inner) - x)) > _POINT_TOL:
+def _validate_levels(d, X: np.ndarray) -> None:
+    """Membership of every row of X in the submanifold of d: the one membership walk.
+
+    X holds rows already on the ambient quadric.  The walk follows the
+    recursion of the flows and checks every level: the blocks of a full
+    product (``_check_product_rows``), the round trip of each umbilic
+    hypersurface through its placement, and the leaf of an umbilic level:
+    the factor spheres of a product of spheres, the fixed position of a
+    point, and for a Euclidean configuration its sphere blocks about the
+    offset and its padding coordinates at the offset.  A row off any level,
+    by more than ``_POINT_TOL``, raises DomainError.
+    """
+    if isinstance(d, Ambient):
+        return
+    if isinstance(d, FullProduct):
+        _check_product_rows(d, X)
+        return
+    Z = _umbilic_split_rows(d, X)
+    if np.any(np.abs(_umbilic_embed(d, Z) - X) > _POINT_TOL):
         raise DomainError("point is not on the umbilical hypersurface of this level")
-    return inner
+    inner = d.inner
+    if isinstance(inner, ProductOfSpheres):
+        _check_leaf_rows(inner, Z, d.umb.a**2 - 1.0)
+    elif isinstance(inner, EuclideanIso):
+        rel = Z - inner.offset_array
+        k = inner.flat_dim
+        if inner.spheres is not None:
+            _check_leaf_rows(inner.spheres, rel[:, k : k + inner.spheres.coords_dim], None)
+            k += inner.spheres.coords_dim
+        if np.any(np.abs(rel[:, k:]) > _POINT_TOL):
+            raise DomainError("padding coordinates of the Euclidean configuration are away from its offset")
+    else:
+        _validate_levels(inner, Z)
 
 
 def immerse(d, u) -> np.ndarray:
@@ -645,17 +681,14 @@ class MeanCurvature(NamedTuple):
     lorentzian: np.ndarray
 
 
-def _leaf_euclidean_H(leaf: ProductOfSpheres, y: np.ndarray, tol: float = _POINT_TOL) -> np.ndarray:
+def _leaf_euclidean_H(leaf: ProductOfSpheres, y: np.ndarray) -> np.ndarray:
     """Euclidean mean curvature of a product of spheres: -(p_i/s_i) per block."""
     if leaf.is_point:
         return np.zeros_like(y)
     H = np.empty_like(y)
     k = 0
     for p, s in leaf.factors:
-        block = y[k : k + p + 1]
-        if abs(float(np.dot(block, block)) - s) > tol * max(1.0, s):
-            raise DomainError(f"factor block has squared radius {float(np.dot(block, block)):.6f}, expected {s}")
-        H[k : k + p + 1] = -(p / s) * block
+        H[k : k + p + 1] = -(p / s) * y[k : k + p + 1]
         k += p + 1
     return H
 
@@ -670,39 +703,28 @@ def _euclidean_H(e: EuclideanIso, w: np.ndarray) -> np.ndarray:
 
 
 def _hyperbolic_H(d, x: np.ndarray) -> np.ndarray:
-    """Mean curvature of the descriptor's immersion inside H^m(-1) (or H^m(-r))."""
+    """Mean curvature of the descriptor's immersion inside H^m(-1) (or H^m(-r)) at a point x of it.
+
+    A formula only: x must already have passed ``_validate_levels``.
+    """
     if isinstance(d, Ambient):
         return np.zeros_like(x)
+    n = dimensions(d).n
     if isinstance(d, FullProduct):
         xv, y = _product_split(d, x)
-        if abs(minkowski_inner(xv, xv) + d.r) > _POINT_TOL or xv[-1] <= 0:
-            raise DomainError("Lorentz block is not on H^l(-r)")
-        n = dimensions(d).n
-        HL_V = (d.l / d.r) * xv
-        HL_perp = _leaf_euclidean_H(d.leaf, y) if not d.leaf.is_point else np.zeros_like(y)
-        HL = _product_assemble(d, HL_V, HL_perp)
+        HL = _product_assemble(d, (d.l / d.r) * xv, _leaf_euclidean_H(d.leaf, y))
         return HL - n * x
     if isinstance(d, Umbilic):
-        umb = d.umb
-        n = dimensions(d).n
-        inner_coords = _umbilic_split(d, x)
-        inner = d.inner
+        umb, inner = d.umb, d.inner
+        pl = _umbilic_placement(umb)
+        z = _umbilic_split_rows(d, x)
         if isinstance(inner, ProductOfSpheres):
-            pl = _umbilic_placement(umb)
-            if inner.is_point:
-                H1 = np.zeros_like(x)
-            else:
-                He = _leaf_euclidean_H(inner, inner_coords)
-                Hs = He + (inner.dim / pl.radius2) * inner_coords
-                H1 = pl.J @ Hs
+            H1 = np.zeros_like(x) if inner.is_point else pl.J @ (_leaf_euclidean_H(inner, z) + (inner.dim / pl.radius2) * z)
         elif isinstance(inner, EuclideanIso):
-            pl = _umbilic_placement(umb)
-            Hw = _euclidean_H(inner, inner_coords)
-            H1 = pl.W @ Hw - (float(np.dot(inner_coords, Hw)) / pl.a) * pl.xi
+            Hw = _euclidean_H(inner, z)
+            H1 = pl.W @ Hw - (float(np.dot(z, Hw)) / pl.a) * pl.xi
         else:
-            pl = _umbilic_placement(umb)
-            Ht = _hyperbolic_H(inner, inner_coords)
-            H1 = (pl.J @ Ht) / pl.scale
+            H1 = (pl.J @ _hyperbolic_H(inner, z)) / pl.scale
         return H1 - n * umb.alpha * (umb.alpha * x + umb.beta * umb.xi_array)
     raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
 
@@ -717,7 +739,10 @@ def mean_curvature(d, x) -> MeanCurvature:
 
     Returns both the hyperbolic vector H (tangent to the hyperboloid) and the
     Lorentzian vector H^L = H + (n/r) x of the same submanifold viewed in
-    R^(m,1).
+    R^(m,1).  A point off the upper sheet of the ambient hyperboloid, or
+    off any level of d (a product block, an umbilic hypersurface, an
+    umbilic leaf, or the point of an n = 0 descriptor; the walk of
+    ``_validate_levels``), raises DomainError.
     """
     dims = dimensions(d)
     xv = as_vector(x, dims.m)
@@ -725,6 +750,7 @@ def mean_curvature(d, x) -> MeanCurvature:
     floor = 1e-12 * float(np.dot(xv, xv))
     if abs(minkowski_inner(xv, xv) + r_top) > max(_POINT_TOL, floor) or xv[-1] <= 0:
         raise DomainError("point is not on the ambient hyperboloid")
+    _validate_levels(d, xv[None, :])
     H = _hyperbolic_H(d, xv)
     return MeanCurvature(hyperbolic=H, lorentzian=H + (dims.n / r_top) * xv)
 

@@ -49,15 +49,14 @@ from .descriptors import (
     FullProduct,
     ProductOfSpheres,
     Umbilic,
-    _POINT_TOL,
     _ambient_r,
-    _check_product_rows,
     _umbilic_embed,
     _umbilic_placement,
     _umbilic_split_rows,
+    _validate_levels,
     dimensions,
 )
-from .errors import DomainError, GaugeDomainError, InvalidArgumentError, TimeOutOfRangeError
+from .errors import GaugeDomainError, InvalidArgumentError, TimeOutOfRangeError
 from .lorentz import as_vector
 
 
@@ -299,26 +298,14 @@ def _validate_rows(d, X: np.ndarray) -> None:
     """Every membership check of the one-point flows, on a whole batch.
 
     Rows off the ambient quadric (``_quadric_rows``), on the lower sheet or
-    not finite raise InvalidArgumentError; rows off a product block or an
-    umbilic level, at any depth of the recursion, raise DomainError.  The
-    batch flows check only the quadric, so callers that flow unvalidated
-    rows call this once per batch.
+    not finite raise InvalidArgumentError.  Rows off any level of d, at any
+    depth of the recursion, raise DomainError: a product block, an umbilic
+    hypersurface, an umbilic leaf, or the point of an n = 0 descriptor (the
+    walk of ``descriptors._validate_levels``, which ``mean_curvature`` runs
+    too).  The batch flows check only the quadric, so callers that flow
+    unvalidated rows call this once per batch.
     """
     _validate_levels(d, _quadric_rows(d, X))
-
-
-def _validate_levels(d, X: np.ndarray) -> None:
-    """Product blocks and umbilic levels, following the recursion of ``_hyperbolic_flow_rows``."""
-    if dimensions(d).n == 0 or isinstance(d, Ambient):
-        return
-    if isinstance(d, FullProduct):
-        _check_product_rows(d, X)
-        return
-    Z = _umbilic_split_rows(d, X)
-    if np.any(np.abs(_umbilic_embed(d, Z) - X) > _POINT_TOL):
-        raise DomainError("point is not on the umbilical hypersurface of this level")
-    if isinstance(d.inner, (Ambient, FullProduct, Umbilic)):
-        _validate_levels(d.inner, Z)
 
 
 def _finite_time(t) -> float:
@@ -356,7 +343,8 @@ def lorentz_flow(d, x, t: float) -> np.ndarray:
     The maximal domain can extend below the conversion bound -r/(2n); such
     times are legal here but are refused by the gauge conversions.  A batch
     of one of ``lorentz_flow_batch``, after every membership check that
-    ``_validate_rows`` makes.
+    ``_validate_rows`` makes: a point off the ambient hyperboloid raises
+    InvalidArgumentError, a point off any level of d DomainError.
     """
     X = as_vector(x, dimensions(d).m)[None, :]
     _validate_rows(d, X)
@@ -441,7 +429,8 @@ def hyperbolic_flow(d, x, t: float) -> np.ndarray:
     """Closed-form hyperbolic flow; ancient, defined for every t < T.
 
     A batch of one of ``hyperbolic_flow_batch``, after every membership
-    check that ``_validate_rows`` makes.
+    check that ``_validate_rows`` makes: a point off the ambient hyperboloid
+    raises InvalidArgumentError, a point off any level of d DomainError.
     """
     X = as_vector(x, dimensions(d).m)[None, :]
     _validate_rows(d, X)

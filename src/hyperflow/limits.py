@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,31 +84,53 @@ def _is_stationary(d) -> bool:
     return classify_shape(d).totally_geodesic or dimensions(d).n == 0
 
 
-def _forward_variant(d) -> str:
+class _Forward(NamedTuple):
+    """A forward variant with its limit on rows, (K, n) chart points to (K, m+1) points, or its ideal point."""
+
+    variant: str
+    rows: Callable[[np.ndarray], np.ndarray] | None = None
+    ideal_point: np.ndarray | None = None
+
+
+def _forward(d) -> _Forward:
+    """The forward limit of d, decided in one recursion through the construction."""
     if _is_stationary(d):
-        return FORWARD_STATIONARY
-    window = existence_window(d)
-    if window.t_max is not None:
-        return FORWARD_FOCAL
+        return _Forward(FORWARD_STATIONARY, lambda U: immerse_rows(d, U))
+    T = existence_window(d).t_max
+    if T is not None:
+
+        def focal(U: np.ndarray) -> np.ndarray:
+            X = immerse_rows(d, U)
+            _validate_rows(d, X)
+            return _hyperbolic_flow_rows(d, X, [T], end=True)[0]
+
+        return _Forward(FORWARD_FOCAL, focal)
     if isinstance(d, FullProduct):
-        # eternal full products have a point leaf; the hyperbolic factor
-        # relaxes onto the totally geodesic H^l(-1) through the origin
-        return FORWARD_GEODESIC
-    if isinstance(d, Umbilic):
-        if d.umb.kind == "euclidean":
-            return FORWARD_IDEAL_POINT
-        inner_variant = _forward_variant(d.inner)
-        if inner_variant in (FORWARD_STATIONARY, FORWARD_GEODESIC):
-            return FORWARD_GEODESIC
-        if inner_variant == FORWARD_IDEAL_POINT:
-            return FORWARD_IDEAL_POINT
+        # eternal full products have a point leaf: the leaf dies and the
+        # hyperbolic factor relaxes onto the totally geodesic H^l(-1)
+        def geodesic(U: np.ndarray) -> np.ndarray:
+            X = immerse_rows(d, U) / math.sqrt(d.r)
+            X[:, d.l : -1] = 0.0
+            return X
+
+        return _Forward(FORWARD_GEODESIC, geodesic)
+    # an eternal umbilic level (Ambient is stationary)
+    if d.umb.kind == "euclidean":
+        xi = d.umb.xi_array
+        return _Forward(FORWARD_IDEAL_POINT, ideal_point=xi[:-1] / xi[-1])
+    inner = _forward(d.inner)
+    if inner.variant == FORWARD_IDEAL_POINT:
+        return _Forward(FORWARD_IDEAL_POINT, ideal_point=_embed_ideal(d, inner.ideal_point))
+    if inner.variant == FORWARD_FOCAL:
         raise GeometryError("an eternal wrapper cannot contain a collapsing flow")
-    return FORWARD_STATIONARY  # Ambient
+    eta = _umbilic_placement(d.umb).eta
+    factor = math.sqrt(d.umb.one_minus_alpha2)
+    return _Forward(FORWARD_GEODESIC, lambda U: factor * (_umbilic_embed(d, inner.rows(U)) - eta))
 
 
 def classify_limits(d) -> LimitReport:
     """Variant skeleton of both limits, without evaluating any samples."""
-    fwd = ForwardLimit(variant=_forward_variant(d), collapse_time=existence_window(d).t_max)
+    fwd = ForwardLimit(variant=_forward(d).variant, collapse_time=existence_window(d).t_max)
     bwd = BackwardLimit(variant=BACKWARD_STATIONARY if _is_stationary(d) else BACKWARD_IDEAL)
     return LimitReport(fwd, bwd)
 
@@ -120,47 +142,6 @@ def evaluate_limits(d, chart_samples: Sequence[np.ndarray]) -> LimitReport:
 
 # ---------------------------------------------------------------------------
 # forward limits
-
-
-def _forward_rows(d) -> Callable[[np.ndarray], np.ndarray] | None:
-    """The forward limit on rows, (K, n) chart points to (K, m+1) points; None for an ideal point."""
-    variant = _forward_variant(d)
-    if variant == FORWARD_STATIONARY:
-        return lambda U: immerse_rows(d, U)
-    if variant == FORWARD_FOCAL:
-        T = existence_window(d).t_max
-
-        def focal(U: np.ndarray) -> np.ndarray:
-            X = immerse_rows(d, U)
-            _validate_rows(d, X)
-            return _hyperbolic_flow_rows(d, X, [T], end=True)[0]
-
-        return focal
-    if variant == FORWARD_IDEAL_POINT:
-        return None
-    if isinstance(d, FullProduct):
-        # the leaf dies and the Lorentz factor rescales onto H^l(-1)
-        def geodesic(U: np.ndarray) -> np.ndarray:
-            X = immerse_rows(d, U) / math.sqrt(d.r)
-            X[:, d.l : -1] = 0.0
-            return X
-
-        return geodesic
-    inner_rows = _forward_rows(d.inner)
-    eta = _umbilic_placement(d.umb).eta
-    factor = math.sqrt(d.umb.one_minus_alpha2)
-    return lambda U: factor * (_umbilic_embed(d, inner_rows(U)) - eta)
-
-
-def _ideal_point_of(d) -> np.ndarray:
-    """The single ideal point an eternal flat flow converges to."""
-    if isinstance(d, Umbilic) and d.umb.kind == "euclidean":
-        xi = d.umb.xi_array
-        return xi[:-1] / xi[-1]
-    if isinstance(d, Umbilic):
-        inner_point = _ideal_point_of(d.inner)
-        return _embed_ideal(d, inner_point)
-    raise GeometryError("only eternal flat flows converge to an ideal point")
 
 
 def _embed_ideal(d: Umbilic, p: np.ndarray) -> np.ndarray:
@@ -182,13 +163,12 @@ def forward_limit(d, chart_samples: Sequence[np.ndarray]) -> ForwardLimit:
     immersed and validated once and flowed by ``_hyperbolic_flow_rows`` in
     its endpoint mode.  ``immersion`` is a batch of one of the same row map.
     """
-    variant = _forward_variant(d)
-    rows = _forward_rows(d)
-    if rows is None:
-        return ForwardLimit(variant, ideal_point=_ideal_point_of(d))
+    fwd = _forward(d)
+    if fwd.rows is None:
+        return ForwardLimit(fwd.variant, ideal_point=fwd.ideal_point)
     samples_u = [np.asarray(u, dtype=float) for u in chart_samples]
-    pts = rows(np.array(samples_u)) if samples_u else np.array([])
-    return ForwardLimit(variant, existence_window(d).t_max, pts, immersion=_batch_of_one(rows))
+    pts = fwd.rows(np.array(samples_u)) if samples_u else np.array([])
+    return ForwardLimit(fwd.variant, existence_window(d).t_max, pts, immersion=_batch_of_one(fwd.rows))
 
 
 # ---------------------------------------------------------------------------

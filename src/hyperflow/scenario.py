@@ -21,7 +21,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
 
@@ -194,6 +194,12 @@ def load_scenario(source: str | Path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     return scenario_from_json(obj, name=path.stem)
+
+
+def _load_seeded(source: str | Path, seed: int | None) -> Scenario:
+    """``load_scenario``, with the sampling seed replaced by ``seed`` unless it is None."""
+    scn = load_scenario(source)
+    return scn if seed is None else replace(scn, sampling=replace(scn.sampling, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +548,7 @@ def _clipped_grid(scn: Scenario, samples: int) -> tuple[np.ndarray, float | None
 def run_scenario(source: str | Path, out_dir: str | Path, seed: int | None = None, tolerance_scale: float = 1.0) -> dict:
     """Run one scenario and write its artifacts; returns a summary dict."""
     _check_tolerance_scale(tolerance_scale)
-    scn = load_scenario(source)
-    if seed is not None:
-        scn = Scenario(scn.name, scn.descriptor, scn.time_grid, Sampling(scn.sampling.per_dim, seed), scn.oracle, scn.outputs, scn.frame)
+    scn = _load_seeded(source, seed)
     d = scn.descriptor
     dims = dimensions(d)
     out = Path(out_dir)
@@ -601,6 +605,5 @@ def run_scenario(source: str | Path, out_dir: str | Path, seed: int | None = Non
 
 def verify_scenario(source: str | Path, tolerance_scale: float = 1.0, seed: int | None = None) -> InvariantReport:
     """Run the full invariant battery for a scenario."""
-    scn = load_scenario(source)
-    sampling = scn.sampling if seed is None else Sampling(scn.sampling.per_dim, seed)
-    return run_invariant_battery(scn.descriptor, sampling, scn.oracle, tolerance_scale)
+    scn = _load_seeded(source, seed)
+    return run_invariant_battery(scn.descriptor, scn.sampling, scn.oracle, tolerance_scale)

@@ -9,16 +9,19 @@ import pytest
 from hyperflow.catalog import CATALOG
 from hyperflow.descriptors import (
     Ambient,
+    EuclideanIso,
     FullProduct,
     ProductOfSpheres,
     Umbilic,
     _umbilic_embed,
-    _umbilic_split,
+    _umbilic_split_rows,
+    derive_umbilic,
     dimensions,
     immerse,
     immerse_rows,
+    mean_curvature,
 )
-from hyperflow.errors import GaugeDomainError, GeometryError, InvalidArgumentError, TimeOutOfRangeError
+from hyperflow.errors import DomainError, GaugeDomainError, GeometryError, InvalidArgumentError, TimeOutOfRangeError
 from hyperflow.flow import (
     _a1,
     _hyperbolic_flow_rows,
@@ -358,18 +361,48 @@ def _on_quadric(y: np.ndarray) -> np.ndarray:
 
 
 def _off_level(d, x: np.ndarray, depth: int, rng) -> np.ndarray:
-    """x moved off the level at ``depth`` (0 = outermost), staying on every level above it."""
+    """x moved off the level at ``depth`` (0 = outermost), staying on every level above it.
+
+    The level below the innermost descriptor is its leaf: a point moved off
+    a spherical leaf keeps its distance from the sphere's center, and every
+    point of a Euclidean inner model lies on the horosphere.
+    """
     if depth == 0:
         return _on_quadric(x + 1e-4 * rng.normal(size=x.size))
-    inner = _umbilic_split(d, x)
-    return _umbilic_embed(d, _off_level(d.inner, inner, depth - 1, rng))
+    z = _umbilic_split_rows(d, x)
+    if isinstance(d.inner, ProductOfSpheres):
+        moved = z + 1e-4 * rng.normal(size=z.size)
+        z = (np.linalg.norm(z) / np.linalg.norm(moved)) * moved
+    elif isinstance(d.inner, EuclideanIso):
+        z = z + 1e-4 * rng.normal(size=z.size)
+    else:
+        z = _off_level(d.inner, z, depth - 1, rng)
+    return _umbilic_embed(d, z)
 
 
 def _levels(d) -> int:
     """Nesting depth at which _off_level can still move a point off a level."""
-    if isinstance(d, Umbilic) and isinstance(d.inner, (FullProduct, Umbilic)):
-        return 1 + _levels(d.inner)
-    return 0 if isinstance(d, Ambient) else 1
+    if isinstance(d, Ambient):
+        return 0
+    if isinstance(d, FullProduct):
+        return 1
+    inner = d.inner
+    if isinstance(inner, (Ambient, FullProduct, Umbilic)):
+        return 1 + _levels(inner)
+    # a single sphere factor fills the level's sphere, and a flat without
+    # spheres or padding fills the horosphere: no point is off such a leaf
+    if isinstance(inner, ProductOfSpheres):
+        return 2 if inner.is_point or len(inner.factors) > 1 else 1
+    return 2 if inner.spheres is not None or inner.ambient_dim > inner.flat_dim else 1
+
+
+# umbilic levels whose leaf a point can leave while it stays on the level
+LEAF_CASES = {
+    "torus_leaf": Umbilic(derive_umbilic((0.0, 0.0, 0.0, 0.0, -1.0), 2.0), ProductOfSpheres(((1, 1.0), (1, 2.0)))),
+    "point_leaf": Umbilic(derive_umbilic((0.0, 0.0, -1.0), 2.0), ProductOfSpheres(point_position=(1.0, 0.0))),
+    "horo_circle": Umbilic(derive_umbilic((1.0, 0.0, 0.0, -1.0), 1.0), EuclideanIso(0, ProductOfSpheres(((1, 1.0),)))),
+    "horo_padded_line": Umbilic(derive_umbilic((1.0, 0.0, 0.0, -1.0), 1.0), EuclideanIso(1, offset=(0.3, 0.5), ambient_dim=2)),
+}
 
 
 def _outcome(call):
@@ -383,12 +416,14 @@ def _outcome(call):
 class TestValidateRows:
     """The row validator refuses exactly what the scalar flow refuses."""
 
-    def test_same_verdicts_as_the_scalar_flow(self, catalog_entry):
-        name, d = catalog_entry
+    @pytest.mark.parametrize("name", sorted(CATALOG) + sorted(LEAF_CASES))
+    def test_same_verdicts_as_the_scalar_flow(self, name):
+        d = {**CATALOG, **LEAF_CASES}[name]
         rng = np.random.default_rng(8)
-        U = np.array(chart_samples(d, 3, 4)[:3])
+        U = np.array((chart_samples(d, 3, 4) * 3)[:3])  # a point descriptor has one chart sample
         X = immerse_rows(d, U)
         _validate_rows(d, X)  # on-level rows pass
+        mean_curvature(d, X[0])
         cases = [("lower sheet", -X[0]), ("off quadric", 1.01 * X[0])]
         cases += [(f"off level {k}", _off_level(d, X[1], k, rng)) for k in range(_levels(d))]
         for label, bad in cases:
@@ -396,8 +431,26 @@ class TestValidateRows:
             rows = _outcome(lambda: _validate_rows(d, np.vstack([X[2], bad])))
             assert rows is scalar, (name, label)
             assert _outcome(lambda: lorentz_flow(d, bad, 0.0)) is scalar, (name, label)
+            # mean_curvature refuses a point off the ambient quadric with DomainError too
+            assert _outcome(lambda: mean_curvature(d, bad)) is (None if scalar is None else DomainError), (name, label)
             if not isinstance(d, Ambient):
                 assert scalar is not None, (name, label)
+
+    @pytest.mark.parametrize(
+        "name, inner_point",
+        [("torus_leaf", [math.sqrt(2.0), 0.0, 1.0, 0.0]), ("horo_circle", [0.0, 2.0]), ("point_leaf", None)],
+    )
+    def test_points_off_the_leaf_are_refused(self, name, inner_point):
+        # on the level's hypersurface but off its leaf; (0, 0, 1) is not the point descriptor's point
+        d = LEAF_CASES[name]
+        x = np.array([0.0, 0.0, 1.0]) if inner_point is None else _umbilic_embed(d, np.array(inner_point))
+        for call in (
+            lambda: hyperbolic_flow(d, x, 0.1),
+            lambda: lorentz_flow(d, x, 0.1),
+            lambda: _validate_rows(d, x[None, :]),
+            lambda: mean_curvature(d, x),
+        ):
+            assert _outcome(call) is DomainError, name
 
     def test_nested_inner_level_is_checked(self):
         # a point on the outer geodesic level but off the inner one

@@ -97,7 +97,7 @@ class TestAmbientIdentities:
     @pytest.mark.parametrize("name", ["circle_h2", "equidistant_h2", "horocycle_h2"])
     def test_hypersurface_split(self, name):
         # numeric H in H^m minus the mapped inner-model H is -n alpha (alpha x + beta xi)
-        from hyperflow.descriptors import _umbilic_placement, _umbilic_split
+        from hyperflow.descriptors import _umbilic_placement, _umbilic_split_rows
 
         d = CATALOG[name]
         umb = d.umb
@@ -106,21 +106,21 @@ class TestAmbientIdentities:
         imm = oracle.descriptor_immersion(d)
         if umb.kind == "spherical":
             inner_imm = oracle.ImmersionEvaluator(
-                1, oracle.SPHERE, lambda u: _umbilic_split(d, immerse(d, u))
+                1, oracle.SPHERE, lambda u: _umbilic_split_rows(d, immerse(d, u))
             )
             mapper = lambda Ht: pl.J @ Ht
         elif umb.kind == "hyperbolic":
             inner_imm = oracle.ImmersionEvaluator(
-                1, oracle.HYPERBOLOID, lambda u: _umbilic_split(d, immerse(d, u)) / pl.scale
+                1, oracle.HYPERBOLOID, lambda u: _umbilic_split_rows(d, immerse(d, u)) / pl.scale
             )
             mapper = lambda Ht: (pl.J @ Ht) / pl.scale
         else:
             inner_imm = oracle.ImmersionEvaluator(
-                1, oracle.EUCLIDEAN, lambda u: _umbilic_split(d, immerse(d, u))
+                1, oracle.EUCLIDEAN, lambda u: _umbilic_split_rows(d, immerse(d, u))
             )
 
             def mapper(Ht, d=d, pl=pl):
-                w = _umbilic_split(d, immerse(d, np.zeros(1)))
+                w = _umbilic_split_rows(d, immerse(d, np.zeros(1)))
                 return pl.W @ Ht - (float(w @ Ht) / pl.a) * pl.xi
 
         worst = 0.0
