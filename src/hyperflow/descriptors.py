@@ -12,10 +12,14 @@ A descriptor names a submanifold by how it is built:
   the hypersurface's intrinsic type.
 
 All descriptor values are immutable and hashable; vector data is stored as
-tuples and materialized to ndarrays on use.  Charts are explicit: hyperbolic
-factors use polar coordinates on R^l, sphere factors use angles, so every
-immersion is a smooth map from a box in R^n that finite differencing can
-probe.
+tuples and materialized to ndarrays on use.  The static facts of a
+descriptor (``dimensions``, ``chart_box``, ``classify_shape``, the existence
+window of its flows and its Lorentzian time range) come from one plan per
+instance, built once from the plan of its inner level by ``_build_plan``,
+the one walk over descriptor kinds for them.  Charts are explicit:
+hyperbolic factors use polar coordinates on R^l, sphere factors use angles,
+so every immersion is a smooth map from a box in R^n that finite
+differencing can probe.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .errors import (
     DomainError,
     EmptyHypersurfaceError,
     InvalidArgumentError,
+    TimeOutOfRangeError,
 )
 from .lorentz import as_vector, minkowski_inner
 
@@ -305,63 +310,197 @@ class Umbilic:
 IsoDescriptor = Union[Ambient, FullProduct, Umbilic]
 
 
+# ---------------------------------------------------------------------------
+# static facts: one plan per descriptor level
+
+
 class Dimensions(NamedTuple):
     n: int
     m: int
     codim: int
 
 
-def dimensions(d) -> Dimensions:
-    """Submanifold dimension, ambient dimension and codimension."""
-    if isinstance(d, Ambient):
-        return Dimensions(d.m, d.m, 0)
-    if isinstance(d, FullProduct):
-        n = d.l + d.leaf.dim
-        m = d.l + d.leaf.coords_dim
-        return Dimensions(n, m, m - n)
-    if isinstance(d, Umbilic):
-        inner = d.inner
-        if isinstance(inner, ProductOfSpheres):
-            n = inner.dim
-        elif isinstance(inner, EuclideanIso):
-            n = inner.dim
-        else:
-            n = dimensions(inner).n
-        m = d.umb.m
-        return Dimensions(n, m, m - n)
-    raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
+class ShapeFlags(NamedTuple):
+    minimal: bool
+    totally_geodesic: bool
+    intrinsically_flat: bool
 
 
-# ---------------------------------------------------------------------------
-# charts
+@dataclass(frozen=True)
+class ExistenceWindow:
+    """Maximal times of one descriptor's flows; None marks an unbounded end.
+
+    ``t_prime`` is the maximal time of the flow inside the wrapping model
+    (inner hyperbolic, spherical leaf, or Euclidean), ``t_dprime`` the
+    Lorentzian collapse bound, ``t_max`` the hyperbolic maximal time
+    ln(1 + 2n t_dprime)/(2n), ``t_alpha`` the backward gauge limit of the
+    inner time (None when the level is a geodesic wrapper and the limit
+    chains into ``inner``), and ``lorentz_lower`` the conversion bound
+    -r/(2n) below which Lorentzian times have no hyperbolic counterpart.
+    """
+
+    t_prime: float | None
+    t_dprime: float | None
+    t_max: float | None
+    t_alpha: float | None
+    lorentz_lower: float | None
+    inner: "ExistenceWindow | None" = None
+
 
 _ANGLE_POLAR = (0.35, math.pi - 0.35)
 _ANGLE_AZIMUTH = (-math.pi + 0.3, math.pi - 0.3)
 _FLAT_BOX = (-1.2, 1.2)
 
 
-def _sphere_box(leaf: ProductOfSpheres) -> list[tuple[float, float]]:
-    box: list[tuple[float, float]] = []
-    for p, _ in leaf.factors:
-        box.extend([_ANGLE_POLAR] * (p - 1))
-        box.append(_ANGLE_AZIMUTH)
-    return box
+def _sphere_box(leaf: ProductOfSpheres) -> tuple[tuple[float, float], ...]:
+    return tuple(b for p, _ in leaf.factors for b in (_ANGLE_POLAR,) * (p - 1) + (_ANGLE_AZIMUTH,))
+
+
+def _leaf_flat(leaf: ProductOfSpheres) -> bool:
+    return all(p <= 1 for p, _ in leaf.factors)
+
+
+def _leaf_euclidean_collapse(leaf: ProductOfSpheres) -> float | None:
+    if leaf.is_point:
+        return None
+    return min(s / (2.0 * p) for p, s in leaf.factors)
+
+
+def _leaf_is_minimal(leaf: ProductOfSpheres) -> bool:
+    if leaf.is_point:
+        return True
+    ratio = leaf.ambient_radius2 / leaf.dim
+    return all(abs(s / p - ratio) <= 1e-12 * max(1.0, ratio) for p, s in leaf.factors)
+
+
+def _leaf_spherical_collapse(leaf: ProductOfSpheres, radius2: float) -> float | None:
+    """Maximal time of the spherical gauge of the leaf flow; None if stationary."""
+    if leaf.is_point or _leaf_is_minimal(leaf):
+        return None
+    # the Euclidean-to-spherical leaf time -(R^2/2n') ln(1 - 2n't/R^2) at the Euclidean collapse
+    te = _leaf_euclidean_collapse(leaf)
+    arg = 1.0 - 2.0 * leaf.dim * te / radius2
+    if arg <= 0:
+        raise TimeOutOfRangeError(f"q logarithm argument {arg:.3e} <= 0 at t={te}")
+    return -(radius2 / (2.0 * leaf.dim)) * math.log(arg)
+
+
+class _Plan(NamedTuple):
+    """The static facts of one descriptor level."""
+
+    dims: Dimensions
+    box: tuple[tuple[float, float], ...]
+    shape: ShapeFlags
+    window: ExistenceWindow
+    lorentz_range: tuple[float | None, float | None]
+
+
+def _plan(d) -> _Plan:
+    """The plan of d, built on first use and kept on the instance.
+
+    It is an attribute outside the dataclass fields, so equality, hashing,
+    ``repr`` and the JSON form never see it; ``dataclasses.replace`` makes a
+    new instance, which builds its own.  An umbilic level builds it in its
+    constructor, so a descriptor tree has its plans once it is built.  The
+    plan is a function of the frozen fields alone, so threads that build it
+    at once build equal plans and need no lock.
+    """
+    plan = getattr(d, "_plan", None)
+    if plan is None:
+        plan = _build_plan(d)
+        object.__setattr__(d, "_plan", plan)
+    return plan
+
+
+def _build_plan(d) -> _Plan:
+    """Every static fact of d from its own fields and the plan of its inner level.
+
+    The one walk over descriptor kinds for these facts.  An umbilic level
+    reads its inner descriptor's plan instead of recursing, so each fact is
+    evaluated once per level.
+    """
+    if isinstance(d, Ambient):
+        lower = -d.r / (2.0 * d.m)
+        window = ExistenceWindow(None, None, None, None, lower)
+        return _Plan(Dimensions(d.m, d.m, 0), (_FLAT_BOX,) * d.m, ShapeFlags(True, True, d.m <= 1), window, (lower, None))
+    if isinstance(d, FullProduct):
+        leaf = d.leaf
+        n, m = d.l + leaf.dim, d.l + leaf.coords_dim
+        tg = leaf.is_point and abs(d.r - 1.0) <= 1e-12
+        t_dprime = _leaf_euclidean_collapse(leaf)
+        t_prime = _leaf_spherical_collapse(leaf, d.r - 1.0)
+        t_max = None if t_dprime is None else math.log1p(2.0 * n * t_dprime) / (2.0 * n)
+        window = ExistenceWindow(t_prime, t_dprime, t_max, None, -1.0 / (2.0 * n))
+        shape = ShapeFlags(tg, tg, d.l <= 1 and _leaf_flat(leaf))
+        return _Plan(Dimensions(n, m, m - n), (_FLAT_BOX,) * d.l + _sphere_box(leaf), shape, window, (-d.r / (2.0 * d.l), t_dprime))
+    if not isinstance(d, Umbilic):
+        raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
+    umb, inner = d.umb, d.inner
+    inner_window = None
+    if isinstance(inner, ProductOfSpheres):
+        n, box = inner.dim, _sphere_box(inner)
+        inner_tg = inner.is_point or len(inner.factors) == 1  # a great subsphere fills the whole sphere
+        inner_flat = _leaf_flat(inner)
+        t_prime = _leaf_spherical_collapse(inner, umb.a**2 - 1.0)
+    elif isinstance(inner, EuclideanIso):
+        spheres = inner.spheres
+        n, box = inner.dim, (_FLAT_BOX,) * inner.flat_dim + (() if spheres is None else _sphere_box(spheres))
+        inner_tg = spheres is None
+        inner_flat = spheres is None or _leaf_flat(spheres)
+        t_prime = None if spheres is None else _leaf_euclidean_collapse(spheres)
+    else:
+        plan = _plan(inner)
+        n, box, inner_window = plan.dims.n, plan.box, plan.window
+        inner_tg, inner_flat = plan.shape.totally_geodesic, plan.shape.intrinsically_flat
+        # alpha < 1 on a hyperbolic level
+        t_prime = None if inner_window.t_max is None else (1.0 / umb.one_minus_alpha2) * inner_window.t_max
+    tg = umb.totally_geodesic and inner_tg
+    dims, shape = Dimensions(n, umb.m, umb.m - n), ShapeFlags(tg, tg, inner_flat)
+    if n == 0:
+        return _Plan(dims, box, shape, ExistenceWindow(None, None, None, None, None), (None, None))
+    alpha, one = umb.alpha, umb.one_minus_alpha2
+    if alpha == 1.0:
+        t_dprime = t_prime
+        t_alpha = -1.0 / (2.0 * n)
+    else:
+        if t_prime is None:
+            t_dprime = None if alpha < 1.0 else -1.0 / (2.0 * n * one)
+        else:
+            t_dprime = math.expm1(2.0 * n * one * t_prime) / (2.0 * n * one)
+        t_alpha = None if alpha == 0.0 else math.log(alpha**2) / (2.0 * n * one)
+    t_max = None if t_dprime is None else math.log1p(2.0 * n * t_dprime) / (2.0 * n)
+    window = ExistenceWindow(t_prime, t_dprime, t_max, t_alpha, -1.0 / (2.0 * n), inner_window)
+    lower = None if alpha >= 1.0 else -1.0 / (2.0 * n * one)
+    return _Plan(dims, box, shape, window, (lower, t_dprime))
+
+
+def dimensions(d) -> Dimensions:
+    """Submanifold dimension, ambient dimension and codimension."""
+    return _plan(d).dims
 
 
 def chart_box(d) -> list[tuple[float, float]]:
     """Per-coordinate sampling box of the canonical chart."""
-    if isinstance(d, Ambient):
-        return [_FLAT_BOX] * d.m
-    if isinstance(d, FullProduct):
-        return [_FLAT_BOX] * d.l + _sphere_box(d.leaf)
-    if isinstance(d, Umbilic):
-        inner = d.inner
-        if isinstance(inner, ProductOfSpheres):
-            return _sphere_box(inner)
-        if isinstance(inner, EuclideanIso):
-            return [_FLAT_BOX] * inner.flat_dim + (_sphere_box(inner.spheres) if inner.spheres else [])
-        return chart_box(inner)
-    raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
+    return list(_plan(d).box)
+
+
+def classify_shape(d) -> ShapeFlags:
+    """Minimality, total geodesy and intrinsic flatness from the closed form.
+
+    For this construction universe minimal and totally geodesic coincide:
+    every non-geodesic level contributes a nonzero normal mean curvature
+    component that nothing downstream can cancel.
+    """
+    return _plan(d).shape
+
+
+def existence_window(d) -> ExistenceWindow:
+    """Existence window of a descriptor's flows, chained through its inner levels."""
+    return _plan(d).window
+
+
+# ---------------------------------------------------------------------------
+# charts
 
 
 def _sinhc(q: float) -> float:
@@ -753,54 +892,6 @@ def mean_curvature(d, x) -> MeanCurvature:
     _validate_levels(d, xv[None, :])
     H = _hyperbolic_H(d, xv)
     return MeanCurvature(hyperbolic=H, lorentzian=H + (dims.n / r_top) * xv)
-
-
-# ---------------------------------------------------------------------------
-# shape classification
-
-
-class ShapeFlags(NamedTuple):
-    minimal: bool
-    totally_geodesic: bool
-    intrinsically_flat: bool
-
-
-def _leaf_flat(leaf: ProductOfSpheres) -> bool:
-    return all(p <= 1 for p, _ in leaf.factors)
-
-
-def _leaf_totally_geodesic(leaf: ProductOfSpheres) -> bool:
-    # a great subsphere is the single factor filling the whole sphere
-    return leaf.is_point or len(leaf.factors) == 1
-
-
-def classify_shape(d) -> ShapeFlags:
-    """Minimality, total geodesy and intrinsic flatness from the closed form.
-
-    For this construction universe minimal and totally geodesic coincide:
-    every non-geodesic level contributes a nonzero normal mean curvature
-    component that nothing downstream can cancel.
-    """
-    if isinstance(d, Ambient):
-        return ShapeFlags(True, True, d.m <= 1)
-    if isinstance(d, FullProduct):
-        tg = d.leaf.is_point and abs(d.r - 1.0) <= 1e-12
-        flat = d.l <= 1 and _leaf_flat(d.leaf)
-        return ShapeFlags(tg, tg, flat)
-    if isinstance(d, Umbilic):
-        inner = d.inner
-        if isinstance(inner, ProductOfSpheres):
-            inner_tg = _leaf_totally_geodesic(inner)
-            inner_flat = _leaf_flat(inner)
-        elif isinstance(inner, EuclideanIso):
-            inner_tg = inner.spheres is None
-            inner_flat = inner.spheres is None or _leaf_flat(inner.spheres)
-        else:
-            s = classify_shape(inner)
-            inner_tg, inner_flat = s.totally_geodesic, s.intrinsically_flat
-        tg = d.umb.totally_geodesic and inner_tg
-        return ShapeFlags(tg, tg, inner_flat)
-    raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,17 +28,17 @@ one-point entry points validated batches of one.  The public flows refuse
 t >= T; the endpoint mode of ``_hyperbolic_flow_rows`` evaluates the
 continuous extension at t = T, which is the forward focal limit, and that of
 ``_lorentz_flow_rows`` the extension of geodesic (alpha = 0) levels to the
-light-cone time -1/(2n), whose ball image is the backward limit.  Existence
-windows collect the inner maximal time T', the Lorentzian bound T'', the
-hyperbolic maximal time T and the backward gauge limit; unbounded times are
-represented by None, never by a floating sentinel.
+light-cone time -1/(2n), whose ball image is the backward limit.  The
+existence window of a descriptor (``existence_window``, re-exported here) is
+part of its plan in ``descriptors``: the inner maximal time T', the
+Lorentzian bound T'', the hyperbolic maximal time T and the backward gauge
+limit, computed once per level; unbounded times are represented by None,
+never by a floating sentinel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -46,6 +46,7 @@ import numpy as np
 from .descriptors import (
     Ambient,
     EuclideanIso,
+    ExistenceWindow,
     FullProduct,
     ProductOfSpheres,
     Umbilic,
@@ -55,6 +56,7 @@ from .descriptors import (
     _umbilic_split_rows,
     _validate_levels,
     dimensions,
+    existence_window,
 )
 from .errors import GaugeDomainError, InvalidArgumentError, TimeOutOfRangeError
 from .lorentz import as_vector
@@ -112,95 +114,6 @@ def _v_alpha(n: int, alpha: float, one: float, t: float) -> float:
     if rad <= 0:
         raise TimeOutOfRangeError(f"v_alpha radicand {rad:.3e} <= 0 at t={t}")
     return math.exp(-n * t) * math.sqrt(rad)
-
-
-@dataclass(frozen=True)
-class ExistenceWindow:
-    """Maximal times of one descriptor's flows; None marks an unbounded end.
-
-    ``t_prime`` is the maximal time of the flow inside the wrapping model
-    (inner hyperbolic, spherical leaf, or Euclidean), ``t_dprime`` the
-    Lorentzian collapse bound, ``t_max`` the hyperbolic maximal time
-    ln(1 + 2n t_dprime)/(2n), ``t_alpha`` the backward gauge limit of the
-    inner time (None when the level is a geodesic wrapper and the limit
-    chains into ``inner``), and ``lorentz_lower`` the conversion bound
-    -r/(2n) below which Lorentzian times have no hyperbolic counterpart.
-    """
-
-    t_prime: float | None
-    t_dprime: float | None
-    t_max: float | None
-    t_alpha: float | None
-    lorentz_lower: float | None
-    inner: "ExistenceWindow | None" = None
-
-
-def _leaf_euclidean_collapse(leaf: ProductOfSpheres) -> float | None:
-    if leaf.is_point:
-        return None
-    return min(s / (2.0 * p) for p, s in leaf.factors)
-
-
-def _leaf_is_minimal(leaf: ProductOfSpheres) -> bool:
-    if leaf.is_point:
-        return True
-    ratio = leaf.ambient_radius2 / leaf.dim
-    return all(abs(s / p - ratio) <= 1e-12 * max(1.0, ratio) for p, s in leaf.factors)
-
-
-def _leaf_spherical_collapse(leaf: ProductOfSpheres, radius2: float) -> float | None:
-    """Maximal time of the spherical gauge of the leaf flow; None if stationary."""
-    if leaf.is_point or _leaf_is_minimal(leaf):
-        return None
-    # the Euclidean-to-spherical leaf time -(R^2/2n') ln(1 - 2n't/R^2) at the Euclidean collapse
-    te = _leaf_euclidean_collapse(leaf)
-    arg = 1.0 - 2.0 * leaf.dim * te / radius2
-    if arg <= 0:
-        raise TimeOutOfRangeError(f"q logarithm argument {arg:.3e} <= 0 at t={te}")
-    return -(radius2 / (2.0 * leaf.dim)) * math.log(arg)
-
-
-@lru_cache(maxsize=None)
-def existence_window(d) -> ExistenceWindow:
-    """Recursively computed existence window of a descriptor's flows."""
-    dims = dimensions(d)
-    n = dims.n
-    if n == 0:
-        return ExistenceWindow(None, None, None, None, None)
-    if isinstance(d, Ambient):
-        return ExistenceWindow(None, None, None, None, -d.r / (2.0 * d.m))
-    lower = -1.0 / (2.0 * n)
-    if isinstance(d, FullProduct):
-        t_dprime = _leaf_euclidean_collapse(d.leaf)
-        t_prime = None if d.leaf.is_point else _leaf_spherical_collapse(d.leaf, d.r - 1.0)
-        t_max = None if t_dprime is None else math.log1p(2.0 * n * t_dprime) / (2.0 * n)
-        return ExistenceWindow(t_prime, t_dprime, t_max, None, lower)
-    if isinstance(d, Umbilic):
-        umb, inner = d.umb, d.inner
-        if isinstance(inner, ProductOfSpheres):
-            t_prime = _leaf_spherical_collapse(inner, umb.a**2 - 1.0)
-            inner_window = None
-        elif isinstance(inner, EuclideanIso):
-            t_prime = None if inner.spheres is None else _leaf_euclidean_collapse(inner.spheres)
-            inner_window = None
-        else:
-            inner_window = existence_window(inner)
-            scale = 1.0 / umb.one_minus_alpha2  # alpha < 1 here
-            t_prime = None if inner_window.t_max is None else scale * inner_window.t_max
-        alpha = umb.alpha
-        if alpha == 1.0:
-            t_dprime = t_prime
-            t_alpha = -1.0 / (2.0 * n)
-        else:
-            one = umb.one_minus_alpha2
-            if t_prime is None:
-                t_dprime = None if alpha < 1.0 else -1.0 / (2.0 * n * one)
-            else:
-                t_dprime = math.expm1(2.0 * n * one * t_prime) / (2.0 * n * one)
-            t_alpha = None if alpha == 0.0 else math.log(alpha**2) / (2.0 * n * one)
-        t_max = None if t_dprime is None else math.log1p(2.0 * n * t_dprime) / (2.0 * n)
-        return ExistenceWindow(t_prime, t_dprime, t_max, t_alpha, lower, inner_window)
-    raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ import numpy as np
 from .descriptors import (
     FullProduct,
     Umbilic,
+    _plan,
     _umbilic_embed,
     _umbilic_placement,
     chart_box,
-    classify_shape,
     dimensions,
     immerse_rows,
 )
@@ -81,7 +81,8 @@ class LimitReport:
 
 def _is_stationary(d) -> bool:
     """Whether the flow of d is stationary: totally geodesic, or a point (n = 0)."""
-    return classify_shape(d).totally_geodesic or dimensions(d).n == 0
+    plan = _plan(d)
+    return plan.shape.totally_geodesic or plan.dims.n == 0
 
 
 class _Forward(NamedTuple):

@@ -1,11 +1,17 @@
 """Descriptor grammar: umbilical data, immersions, mean curvature, shapes."""
 
+import dataclasses
+import hashlib
+import json
 import math
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from hyperflow import oracle
+from hyperflow import descriptors, oracle
 from hyperflow.catalog import CATALOG
 from hyperflow.descriptors import (
     Ambient,
@@ -14,6 +20,7 @@ from hyperflow.descriptors import (
     MAX_DESCRIPTOR_DEPTH,
     ProductOfSpheres,
     Umbilic,
+    chart_box,
     classify_shape,
     derive_umbilic,
     descriptor_from_json,
@@ -24,8 +31,10 @@ from hyperflow.descriptors import (
     mean_curvature,
 )
 from hyperflow.errors import DomainError, EmptyHypersurfaceError, InvalidArgumentError
+from hyperflow.flow import ExistenceWindow, existence_window
+from hyperflow.limits import backward_limit, forward_limit
 from hyperflow.lorentz import Membership, ambient_membership, minkowski_inner
-from hyperflow.scenario import chart_samples
+from hyperflow.scenario import OracleSettings, Sampling, chart_samples, lorentz_time_range, run_invariant_battery
 
 
 class TestDeriveUmbilic:
@@ -167,6 +176,31 @@ def _tilted_descriptors():
 
 
 BIT_CASES = {**CATALOG, **{f"chain{k}": geodesic_chain(k) for k in range(1, 9)}, **_tilted_descriptors()}
+
+
+def _plan_extra_cases():
+    """Descriptors whose static facts take the rarer branches: leaves, nesting, near-horospherical levels."""
+    return {
+        "horo_circle_2e4": Umbilic(derive_umbilic((0.0, 0.0, -1.0), 2e4), ProductOfSpheres(((1, 2e4**2 - 1.0),))),
+        "near_horo_circle_5e3": Umbilic(derive_umbilic((0.0, 0.0, -1.0), 5e3), ProductOfSpheres(((1, 5e3**2 - 1.0),))),
+        "point_product": FullProduct(2, 2.0, ProductOfSpheres(point_position=(0.6, 0.8))),
+        "geodesic_product": FullProduct(3, 1.0, ProductOfSpheres(point_position=(1.0,))),
+        "minimal_leaf_product": FullProduct(1, 3.0, ProductOfSpheres(((1, 1.0), (1, 1.0)))),
+        "point_in_sphere": Umbilic(derive_umbilic((0.0, 0.0, -1.0), 2.0), ProductOfSpheres(point_position=(1.0, 0.0))),
+        "minimal_leaf_in_sphere": Umbilic(derive_umbilic((0.0, 0.0, 0.0, 0.0, -1.0), 3.0), ProductOfSpheres(((1, 4.0), (1, 4.0)))),
+        "nested_equidistant": Umbilic(derive_umbilic((1.0, 0.0, 0.0, 0.0), 0.5), CATALOG["equidistant_h2"]),
+        "padded_horosphere": Umbilic(
+            derive_umbilic((1.0, 0.0, 0.0, 0.0, -1.0), 1.5),
+            EuclideanIso(0, ProductOfSpheres(((1, 0.5),)), ambient_dim=3),
+        ),
+        "geodesic_in_equidistant_tube": Umbilic(
+            derive_umbilic((0.0, 1.0, 0.0, 0.0, 0.0, 0.0), 0.0),
+            Umbilic(derive_umbilic((1.0, 0.0, 0.0, 0.0, 0.0), 0.3), CATALOG["tube_h3"]),
+        ),
+    }
+
+
+PLAN_CASES = {**BIT_CASES, **_plan_extra_cases()}
 
 
 class TestImmerseRows:
@@ -356,3 +390,90 @@ class TestValidation:
     def test_spherical_leaf_radius_must_match(self):
         with pytest.raises(InvalidArgumentError):
             Umbilic(derive_umbilic([0.0, 0.0, -1.0], 2.0), ProductOfSpheres(((1, 2.0),)))
+
+
+# sha256 of the static facts of every PLAN_CASES descriptor (``_facts_text``),
+# recorded before the facts moved into one plan per descriptor
+FACTS_SHA256 = "a9ee9b5f1eb190e3f9d9239e0985bb18ebfd4cb1f6cadf7f24768894ebe030b0"
+
+
+def _hex(value):
+    """A fact as JSON-ready text: every float as float.hex, so the digest holds its bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, ExistenceWindow):
+        return [_hex(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        return [_hex(v) for v in value]
+    return repr(value)
+
+
+def _facts_text(cases) -> str:
+    lines = []
+    for name in sorted(cases):
+        d = cases[name]
+        facts = (dimensions(d), chart_box(d), classify_shape(d), existence_window(d), lorentz_time_range(d))
+        lines.append(f"{name} {json.dumps(_hex(facts))}")
+    return "\n".join(lines)
+
+
+def _equidistant_under_geodesics(depth: int):
+    """The equidistant curve of H^2 wrapped ``depth`` times in a geodesic umbilic inclusion."""
+    d = Umbilic(derive_umbilic((1.0, 0.0, 0.0), 1.0), Ambient(1))
+    for _ in range(depth):
+        d = Umbilic(derive_umbilic([1.0] + [0.0] * (dimensions(d).m + 1), 0.0), d)
+    return d
+
+
+class TestPlan:
+    def test_facts_keep_their_bits(self):
+        assert hashlib.sha256(_facts_text(PLAN_CASES).encode()).hexdigest() == FACTS_SHA256
+
+    def test_one_plan_per_descriptor_level(self, monkeypatch):
+        built = []
+        build = descriptors._build_plan
+        monkeypatch.setattr(descriptors, "_build_plan", lambda d: built.append(d) or build(d))
+        d = _equidistant_under_geodesics(16)
+        # Ambient(1), the equidistant curve and 16 wrappers, each built once
+        assert len(built) == 18
+        assert len({id(level) for level in built}) == 18
+        built.clear()
+        us = chart_samples(d, 3, 7)
+        forward_limit(d, us)
+        backward_limit(d, us, estimate_dim=False)
+        run_invariant_battery(d, Sampling(), OracleSettings(enabled=False))
+        assert built == []
+
+    def test_plan_is_invisible(self):
+        planned, fresh = Ambient(3, 2.0), Ambient(3, 2.0)
+        dimensions(planned)
+        assert "_plan" in vars(planned) and "_plan" not in vars(fresh)
+        assert planned == fresh and hash(planned) == hash(fresh)
+        assert repr(planned) == repr(fresh) == "Ambient(m=3, r=2.0)"
+        assert descriptor_to_json(planned) == descriptor_to_json(fresh)
+        d = geodesic_chain(3)
+        back = pickle.loads(pickle.dumps(d))
+        assert back == d and hash(back) == hash(d)
+        assert _facts_text({"d": back}) == _facts_text({"d": d})
+
+    def test_replace_gets_its_own_plan(self):
+        d = Ambient(3, 2.0)
+        lorentz_time_range(d)
+        other = dataclasses.replace(d, r=3.0)
+        assert lorentz_time_range(other) == (-0.5, None)
+        assert vars(other)["_plan"] is not vars(d)["_plan"]
+        assert lorentz_time_range(d) == (-2.0 / 6.0, None)
+
+    def test_concurrent_first_reads_agree(self):
+        # threads that build one descriptor's plan at once build equal plans
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            d = FullProduct(1, 5.0, ProductOfSpheres(((1, 3.0), (1, 1.0))))
+            with ThreadPoolExecutor(8) as pool:  # more workers than cores
+                futures = [pool.submit(descriptors._plan, d) for _ in range(64)]
+                plans = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(plan == vars(d)["_plan"] for plan in plans)
+        assert existence_window(d) == existence_window(CATALOG["clifford_tube_h5"])

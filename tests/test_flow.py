@@ -13,6 +13,7 @@ from hyperflow.descriptors import (
     FullProduct,
     ProductOfSpheres,
     Umbilic,
+    _leaf_spherical_collapse,
     _umbilic_embed,
     _umbilic_split_rows,
     derive_umbilic,
@@ -26,7 +27,6 @@ from hyperflow.flow import (
     _a1,
     _hyperbolic_flow_rows,
     _hyperbolic_times,
-    _leaf_spherical_collapse,
     _lorentz_flow_rows,
     _lorentz_to_hyperbolic_scalars,
     _product_rows,

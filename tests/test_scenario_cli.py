@@ -18,7 +18,17 @@ from conftest import random_admissible_frame
 from hyperflow import cli, flow, limits, oracle, scenario
 from hyperflow.ball import ball_projection
 from hyperflow.catalog import CATALOG, catalog_names
-from hyperflow.descriptors import Ambient, classify_shape, descriptor_to_json, dimensions, immerse
+from hyperflow.descriptors import (
+    Ambient,
+    FullProduct,
+    ProductOfSpheres,
+    Umbilic,
+    classify_shape,
+    derive_umbilic,
+    descriptor_to_json,
+    dimensions,
+    immerse,
+)
 from hyperflow.errors import InvalidArgumentError, TimeOutOfRangeError
 from hyperflow.flow import (
     existence_window,
@@ -590,6 +600,76 @@ class TestVerify:
             d, Sampling(), OracleSettings(enabled=False), tolerance_scale=1e6, lorentz_eval=bad
         )
         assert not tight.overall_pass and loose.overall_pass
+
+
+def _point_product(l: int, r: float = 2.0):
+    return FullProduct(l, r, ProductOfSpheres(point_position=(1.0,)))
+
+
+def _tube(p: int):
+    return FullProduct(1, 2.0, ProductOfSpheres(((p, 1.0),)))
+
+
+def _geodesic_sphere(p: int):
+    return Umbilic(derive_umbilic([0.0] * (p + 1) + [-1.0], 2.0), ProductOfSpheres(((p, 3.0),)))
+
+
+def _equidistant(n: int):
+    return Umbilic(derive_umbilic([1.0] + [0.0] * (n + 1), 1.0), Ambient(n))
+
+
+# descriptors of large n whose flows at the battery's probe times leave the
+# range of doubles unless the probe times shrink with n: the first set passes
+# the closed-form battery, the second fails it only by rounding-scale
+# tolerances (norm_law, forward_limit_consistency)
+LARGE_N_PASSING = {
+    "point_product_l24": _point_product(24),
+    "point_product_l30": _point_product(30),
+    "tube_s24": _tube(24),
+    "tube_s48": _tube(48),
+    "geodesic_sphere_s24": _geodesic_sphere(24),
+    "geodesic_sphere_s48": _geodesic_sphere(48),
+    "equidistant_h24": _equidistant(24),
+}
+LARGE_N_ROUNDING = {
+    "point_product_l49": _point_product(49),
+    "geodesic_product_l71": _point_product(71, 1.0),
+    "tube_s60": _tube(60),
+    "geodesic_sphere_s60": _geodesic_sphere(60),
+    "equidistant_h48": _equidistant(48),
+}
+
+
+class TestLargeDimensionProbes:
+    @pytest.mark.parametrize("name", sorted(LARGE_N_PASSING))
+    def test_battery_passes(self, name):
+        report = run_invariant_battery(LARGE_N_PASSING[name], Sampling(), OracleSettings(enabled=False))
+        assert report.overall_pass, [(c.name, c.max_residual) for c in report.checks if not c.passed]
+
+    @pytest.mark.parametrize("name", sorted(LARGE_N_PASSING) + sorted(LARGE_N_ROUNDING))
+    def test_verify_exits_zero_or_three(self, name, tmp_path):
+        d = {**LARGE_N_PASSING, **LARGE_N_ROUNDING}[name]
+        path = write_scenario(tmp_path / f"{name}.json", name, d, oracle={"enabled": False})
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", str(path)])
+        assert code == (0 if name in LARGE_N_PASSING else 3), err.getvalue()
+
+    def test_probe_times_shrink_with_n(self, monkeypatch):
+        # probes at -min(15, 300/n), min(15, 300/n) and min(5, 300/n):
+        # n <= 20, the catalog and the chains included, keeps -15, 15 and 5
+        seen = []
+        core = scenario._hyperbolic_flow_rows
+
+        def recorded(d, X, ts, *args, **kwargs):
+            if len(ts) == 1:  # the probes; sampled checks flow many times at once
+                seen.append((dimensions(d).n, ts[0]))
+            return core(d, X, ts, *args, **kwargs)
+
+        monkeypatch.setattr(scenario, "_hyperbolic_flow_rows", recorded)
+        for d in (_equidistant(20), _point_product(20, 1.0), _equidistant(24), _point_product(75, 1.0)):
+            run_invariant_battery(d, Sampling(), OracleSettings(enabled=False))
+        assert seen == [(20, -15.0), (20, 15.0), (20, 5.0), (24, -12.5), (24, 12.5), (75, 4.0)]
 
 
 class TestArtifactWrites:
