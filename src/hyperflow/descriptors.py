@@ -499,14 +499,18 @@ def existence_window(d) -> ExistenceWindow:
     return _plan(d).window
 
 
+def _is_stationary(d) -> bool:
+    """Whether the hyperbolic flow of d is stationary: totally geodesic, or a point (n = 0).
+
+    The one predicate of the hyperbolic flow, which returns such rows
+    unchanged, and of the limits, which call both of them stationary.
+    """
+    plan = _plan(d)
+    return plan.shape.totally_geodesic or plan.dims.n == 0
+
+
 # ---------------------------------------------------------------------------
 # charts
-
-
-def _sinhc(q: float) -> float:
-    if abs(q) < 1e-6:
-        return 1.0 + q * q / 6.0
-    return math.sinh(q) / q
 
 
 # The chart helpers below work on rows, a (K, k) array of chart parameters.
@@ -524,10 +528,15 @@ def _row_dots(A: np.ndarray) -> np.ndarray:
 
 def _hyperbolic_chart(S: np.ndarray, r: float) -> np.ndarray:
     """Polar chart R^l -> H^l(-r) on rows, Lorentz coordinates with time last."""
-    q = np.sqrt(_row_dots(S)).tolist()
+    q = np.sqrt(_row_dots(S))
+    qs = q.tolist()
     out = np.empty((S.shape[0], S.shape[1] + 1))
-    out[:, :-1] = np.array(list(map(_sinhc, q)))[:, None] * S
-    out[:, -1] = list(map(math.cosh, q))
+    # sinh(q)/q, and 1 + q^2/6 where |q| < 1e-6: the IEEE operations of the scalar forms
+    small = q < 1e-6
+    sinhc = np.array(list(map(math.sinh, qs))) / np.where(small, 1.0, q)
+    sinhc[small] = 1.0 + q[small] * q[small] / 6.0
+    out[:, :-1] = sinhc[:, None] * S
+    out[:, -1] = list(map(math.cosh, qs))
     return math.sqrt(r) * out
 
 

@@ -13,11 +13,13 @@ descriptor grammar is assembled recursively:
   and F = f_1(x,t) - n t beta xi in the degenerate horospherical case, where
   f_1 is the flow inside the hypersurface.
 
-The hyperbolic flow of a full product is the gauge composition: the
-Lorentzian product flow at w(t) = (e^(2nt) - 1)/(2n), scaled by e^(-nt),
-both scalars coming from ``_lorentz_to_hyperbolic_scalars``.  Only the
-umbilic levels use direct stable forms, which agree with the composition to
-rounding and stay finite where w(t) overflows; the horospherical level takes
+The hyperbolic flow keeps the rows of a stationary descriptor (totally
+geodesic, or n = 0) unchanged.  That of any other full product is the gauge
+composition: the Lorentzian product flow at w(t) = (e^(2nt) - 1)/(2n),
+scaled by e^(-nt), both scalars coming from
+``_lorentz_to_hyperbolic_scalars``.  Only the umbilic levels use direct
+stable forms, which agree with the composition to rounding and stay finite
+where w(t) overflows; the horospherical level takes
 its inner time and e^(-nt) from the same time change.  Both flows have one
 evaluation path, a recursion over rows of points and a list of times
 (``_hyperbolic_flow_rows``, ``_lorentz_flow_rows``, returning (T, K, m+1)):
@@ -51,6 +53,7 @@ from .descriptors import (
     ProductOfSpheres,
     Umbilic,
     _ambient_r,
+    _is_stationary,
     _umbilic_embed,
     _umbilic_placement,
     _umbilic_split_rows,
@@ -368,14 +371,18 @@ def _hyperbolic_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) 
     Entry (j, k) has the bits of the flow of row k alone at ts[j] alone:
     each level computes its time scalars with ``math``, time by time in the
     order of one time's recursion, splits and embeds its rows once, and
-    scales them for all times at once.  With ``end`` it is the continuous
-    extension to t = T: every level takes its window's exact times, T'' for
-    the ambient gauge of a product and T' for the inner flow, instead of
-    their images of t, and radicands that vanish there are taken as zero.
+    scales them for all times at once.  A stationary descriptor (totally
+    geodesic, or n = 0: the predicate the limits use) keeps its rows at
+    every time, exactly; its gauge composition would round the factor
+    1 + expm1(2nt) to 0 a few time units back.  With ``end`` it is the
+    continuous extension to t = T: every level takes its window's exact
+    times, T'' for the ambient gauge of a product and T' for the inner
+    flow, instead of their images of t, and radicands that vanish there are
+    taken as zero.
     """
-    n = dimensions(d).n
-    if n == 0 or isinstance(d, Ambient):
+    if _is_stationary(d):
         return np.broadcast_to(X, (len(ts),) + X.shape).copy()
+    n = dimensions(d).n
     window = existence_window(d) if end else None
     if isinstance(d, FullProduct):
         # the gauge composition e^(-nt) F(x, w(t)) of the ambient H^m(-1)

@@ -32,7 +32,7 @@ import numpy as np
 from .descriptors import (
     FullProduct,
     Umbilic,
-    _plan,
+    _is_stationary,
     _umbilic_embed,
     _umbilic_placement,
     chart_box,
@@ -77,12 +77,6 @@ class LimitReport:
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-def _is_stationary(d) -> bool:
-    """Whether the flow of d is stationary: totally geodesic, or a point (n = 0)."""
-    plan = _plan(d)
-    return plan.shape.totally_geodesic or plan.dims.n == 0
 
 
 class _Forward(NamedTuple):

@@ -40,6 +40,9 @@ from .flow import (
 )
 
 _COND_LIMIT = 1e12
+# a Gershgorin bound on the condition number this far inside _COND_LIMIT
+# certifies a Gram without its eigenvalues (``_check_gram``)
+_GERSHGORIN_LIMIT = 1e11
 # steps of the Euler walk whose stencils are differenced together; larger
 # blocks save little time and hold proportionally more flowed stencils
 _EULER_BLOCK = 64
@@ -142,10 +145,25 @@ def _check_gram(G: np.ndarray, message: str) -> None:
     condition number is max|lambda| / min|lambda|.  That ratio is compared
     without dividing: an exactly singular Gram, whose condition number is
     infinite, has min|lambda| == 0 and is refused by that test alone.
+
+    ``eigvalsh`` runs only on the Grams that Gershgorin's discs do not
+    certify.  Every |lambda| lies between lo = min_i(|G_ii| - sum_{j != i}
+    |G_ij|) and hi = max_i(|G_ii| + sum_{j != i} |G_ij|), so a Gram with
+    lo > 0 and hi <= 1e11 lo (ten times inside ``_COND_LIMIT``) has a
+    condition number that the backward-stable ``eigvalsh`` could not read
+    as zero or past the limit: it is accepted without one, and every
+    decision is the one ``eigvalsh`` alone makes.
     """
     if not np.isfinite(G).all():
         raise ChartDegenerateError(message)
-    lam = np.abs(np.linalg.eigvalsh(G))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries leave a Gram to eigvalsh
+        A = np.abs(G)
+        rows = A.sum(axis=-1)  # |G_ii| + sum_{j != i} |G_ij|
+        lo = (2.0 * A.diagonal(0, -2, -1) - rows).min(axis=-1)
+        certified = (lo > 0.0) & (rows.max(axis=-1) <= _GERSHGORIN_LIMIT * lo)
+    if certified.all():
+        return
+    lam = np.abs(np.linalg.eigvalsh(G[~certified]))
     lo, hi = lam.min(axis=-1), lam.max(axis=-1)
     if np.any((hi > _COND_LIMIT * lo) | (lo == 0.0)):
         raise ChartDegenerateError(message)
@@ -221,7 +239,7 @@ def _stencil_derivatives(vals: np.ndarray, n: int, h: float):
 def _mc_from_stencil(vals: np.ndarray, n: int, h: float, ambient: AmbientSpace) -> np.ndarray:
     """Mean curvature (P, dim) from P stencils (P, K, dim) laid out by ``_stencil_offsets``.
 
-    Raises ``ChartDegenerateError`` when the induced metric of any stencil
+    Each stencil's result has the same bits in any batch.  Raises ``ChartDegenerateError`` when the induced metric of any stencil
     is numerically singular.
     """
     if n == 0:
@@ -395,9 +413,15 @@ def pde_residual_grid(
     validated once, whatever the number of times.  One flow of the samples
     gives their positions at t - dt, t and t + dt of every time, the
     velocity being the central difference; one flow of the stencil points
-    gives the flowed chart's stencils at every time.  The chart is seen
-    only through its values at chart points.  Entry (s, j) has the bits of
-    ``pde_residual`` at sample s and time j alone.  Times must be finite,
+    gives the flowed chart's stencils at every time.  One
+    ``_mc_from_stencil`` call per differencing step (two with Richardson)
+    takes the stencils of every sample at every time, and the velocities,
+    the tangential projection and the norms are one set of array operations
+    over all times.  A grid with a degenerate stencil is differenced again
+    time by time, so the error raised is that of the first failing time.
+    The chart is seen only through its values at chart points.  Entry
+    (s, j) has the bits of ``pde_residual`` at sample s and time j alone:
+    no stencil's or row's arithmetic depends on the batch.  Times must be finite,
     ``dt`` positive and finite, and every t + dt must stay before the
     gauge's bound.
     """
@@ -421,17 +445,25 @@ def pde_residual_grid(
     # in the order a time-by-time evaluation flows them, so a failing grid names the same time
     moved = _flow_times(gauge, d, X[:S], [s for t in ts for s in (t + dt, t - dt, t)])
     charts = _flow_times(gauge, d, X[S:], ts)
-    out = np.empty((S, len(ts)))
-    for j in range(len(ts)):
-        velocity = (moved[3 * j] - moved[3 * j + 1]) / (2.0 * dt)
-        V = velocity - _mc_of_stencils(charts[j], S, n, steps, ambient)
-        if gauge == "hyperbolic":
-            Xt = moved[3 * j + 2]
-            V = V + LORENTZIAN.inners(V, Xt)[:, None] * Xt  # tangential projection, <x,x> = -1
-            out[:, j] = np.sqrt(np.maximum(LORENTZIAN.inners(V, V), 0.0))
-        else:
-            out[:, j] = np.sqrt(np.abs(LORENTZIAN.inners(V, V)))
-    return out
+    T, K, dim = len(ts), _stencil_offsets(n, h).shape[0], X.shape[1]
+    if T == 0:
+        return np.empty((S, 0))
+    try:
+        # the stencils of every time, step-major as _mc_of_stencils takes them
+        by_step = charts.reshape(T, len(steps), S, K, dim).swapaxes(0, 1)
+        H = _mc_of_stencils(by_step, T * S, n, steps, ambient).reshape(T, S, dim)
+    except ChartDegenerateError:
+        for chart in charts:  # time by time, so the error raised is that of the first failing time
+            _mc_of_stencils(chart, S, n, steps, ambient)
+        raise
+    V = (moved[0::3] - moved[1::3]) / (2.0 * dt) - H
+    if gauge == "hyperbolic":
+        Xt = moved[2::3]
+        V = V + LORENTZIAN.inners(V, Xt)[..., None] * Xt  # tangential projection, <x,x> = -1
+        out = np.sqrt(np.maximum(LORENTZIAN.inners(V, V), 0.0))
+    else:
+        out = np.sqrt(np.abs(LORENTZIAN.inners(V, V)))
+    return np.ascontiguousarray(out.T)
 
 
 def pde_residual(
@@ -647,8 +679,9 @@ def transport_normal_frame(
         return []
     stops = np.array([u_from, u_to], dtype=float)
     seeds, subs, path, owner = _transport_path(stops, sub_steps, len(frame))
-    W = _normal_candidates(imm, *_first_derivative_rows(imm, np.concatenate([seeds, path]), h))
-    N = _normal_frames(imm, W, owner)[None, len(seeds) :]
+    center, first = _first_derivative_rows(imm, np.concatenate([seeds, path]), h)
+    s = len(seeds)
+    N = _kept_normal_frames(imm, (center[:s], first[:s]), (center[s:], first[s:]), owner)[None, s:]
     return list(_transport_chain(imm, np.array(frame, dtype=float)[None], N, subs, sub_steps)[0, 0])
 
 
@@ -673,7 +706,12 @@ def isoparametric_residuals(
     ``transport_steps`` at least 1; a time whose flow overflows doubles is
     out of range.  The chart points are immersed and validated once and
     flowed over all times in one call; entry j has the bits of
-    ``isoparametric_residual`` at times[j] alone.
+    ``isoparametric_residual`` at times[j] alone.  For S samples the T
+    times make one ``_normal_frames`` call: only the T (1 + 4 (S - 1))
+    pivot owners (the first sample and the seeds of the sub-segments) form
+    all dim normal candidates, every other transport point the k of its
+    owner's pivot order, and no Gram check of the catalog needs an
+    eigenvalue (``_check_gram``).
     """
     ts = [_finite_time(t) for t in times]
     _sub_steps(transport_steps)
@@ -717,10 +755,12 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
     point.  No chart point depends on the transported frame, so ``values``
     is called once, on the stencils of the samples and of the transport
     path.  The normal frames at all times come from one ``_normal_frames``
-    call: the first sample and every sub-segment seed pick their own pivot
-    order, each path point takes its seed's, and no row follows a row of
-    another time.  A time's spread is one maximum over all of its stops,
-    frame vectors and eigenvalues, so a nan anywhere gives nan.
+    call (``_kept_normal_frames``): the first sample and every sub-segment
+    seed pick their own pivot order from all dim of their candidates, each
+    path point forms only the k candidates of its seed's order, and no row
+    follows a row of another time.  A time's spread is one maximum over all
+    of its stops, frame vectors and eigenvalues, so a nan anywhere gives
+    nan.
     """
     sub_steps = _sub_steps(transport_steps)
     us = [np.asarray(u, dtype=float) for u in chart_samples]
@@ -739,18 +779,19 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
     if k == 0:
         return np.zeros(T)
     center, first, second = _stencil_derivatives(vals[:, : S * K].reshape(T * S, K, dim), n, h)
-    owners = (np.arange(T)[:, None] * len(lead) + np.concatenate([[0], 1 + owner])).reshape(-1)
-    # the candidates are the largest array of the check: the chart values
-    # go before they are formed, and they are handed over unnamed, so
-    # _normal_frames lets them go once it has gathered the frame vectors
+    # the chart values go before the frames are formed
     lead_center, lead_first = _first_derivatives_of(vals[:, S * K :].reshape(T, len(lead), F, dim), h)
     lead_center = lead_center.copy()  # a view would keep every chart value alive
     del vals
-    N = _normal_frames(imm, _normal_candidates(imm, lead_center, lead_first).reshape(-1, dim, dim), owners).reshape(T, len(lead), k, dim)
+    # rows: the owners (the first sample and the seeds) of every time, then the path points of every time
+    O = 1 + len(seeds)
+    owners = np.concatenate([np.arange(T * O), (np.arange(T)[:, None] * O + 1 + owner[len(seeds) :]).reshape(-1)])
+    N = _kept_normal_frames(imm, (lead_center[:, :O], lead_first[:, :O]), (lead_center[:, O:], lead_first[:, O:]), owners)
     del lead_center, lead_first
-    moved = _transport_chain(imm, N[:, 0], N[:, 1 + len(seeds) :], subs, sub_steps)
+    start = N[: T * O : O]  # the first sample's frame at every time
+    moved = _transport_chain(imm, start, N[T * O :].reshape(T, -1, k, dim), subs, sub_steps)
     g, II = _second_fundamental_form_at(imm, center, first, second)
-    Z = np.concatenate([N[:, :1], moved], axis=1).reshape(T * S, k, dim)
+    Z = np.concatenate([start[:, None], moved], axis=1).reshape(T * S, k, dim)
     E = _shape_eigenvalues(imm, g, II, Z).reshape(T, S, k, n)
     return np.max(np.abs(E[:, 1:] - E[:, :1]), axis=(1, 2, 3))
 
@@ -783,34 +824,47 @@ def _first_derivatives_of(vals: np.ndarray, h: float):
     return vals[..., 0, :], (vals[..., 1::2, :] - vals[..., 2::2, :]) / (2.0 * h)
 
 
-def _normal_candidates(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray) -> np.ndarray:
+def _normal_candidates(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray, axes: np.ndarray | None = None) -> np.ndarray:
     """Each axis e_i minus its tangential part, at points (...): (..., i, dim).
 
     The tangent frame is the chart derivatives, plus the position vector
-    inside a quadric; its Gram matrix must be well conditioned.
+    inside a quadric; its Gram matrix must be well conditioned.  With
+    ``axes``, k axes per point as (P, k) for the P points in order, only
+    their candidates are formed, (..., k, dim).  The coefficients still
+    come from one solve with all dim right-hand sides, whose k columns are
+    then taken (a solve with fewer right-hand sides can round differently),
+    so a kept candidate has the bits of its row of the full candidates.
     """
     T = np.concatenate([first, center[..., None, :]], axis=-2) if imm.ambient.intrinsic_to_quadric else first
     *points, kt, dim = T.shape
+    # the axes as bools, an eighth of the memory: subtracting casts them to 1.0 and 0.0
+    E = np.eye(dim, dtype=bool) if axes is None else np.eye(dim, dtype=bool)[axes]
     if kt == 0:
-        return np.broadcast_to(np.eye(dim), (*points, dim, dim)).copy()
+        return np.broadcast_to(E, (math.prod(points), *E.shape[-2:])).reshape(*points, -1, dim).astype(float)
     T = T.reshape(-1, kt, dim)
     sig = imm.ambient.signature(dim)
     G = np.einsum("pad,pbd->pab", T * sig, T)
     _check_gram(G, "degenerate frame while projecting")
     # <e_i, f_a> is the i-th coordinate of f_a times the metric sign of axis i
     coeff = np.linalg.solve(G, T * sig)
+    if axes is not None:
+        coeff = np.take_along_axis(coeff, axes[:, None, :], axis=2)
     tangential = np.einsum("pai,pad->pid", coeff, T)
-    return _finite(np.subtract(np.eye(dim), tangential, out=tangential)).reshape(*points, dim, dim)
+    return _finite(np.subtract(E, tangential, out=tangential)).reshape(*points, -1, dim)
 
 
-def _normal_frames(imm: ImmersionEvaluator, W: np.ndarray, owner: np.ndarray) -> np.ndarray:
+def _normal_frames(imm: ImmersionEvaluator, W: np.ndarray, owner: np.ndarray, kept=None) -> np.ndarray:
     """Orthonormal normal frames (R, k, dim) from the candidates (R, dim, dim) of ``_normal_candidates``.
 
     Row r is orthonormalized in the Gram-Schmidt pivot order chosen at row
     owner[r], so the frames of rows that follow one owner vary smoothly.
-    The pivot pass runs on the distinct owners: each step takes, at all of
-    them at once, the remaining candidate axis whose part orthogonal to the
-    chosen ones is largest (the first such axis on a tie).  The frozen pass
+    With ``kept``, W holds the full candidates of the first len(W) rows
+    only, every owner among them, and ``kept`` maps the pivot orders
+    (R', k) of the other R' rows to their k candidates in that order,
+    (R', k, dim).  The pivot pass runs on the distinct owners: each step
+    takes, at all of them at once, the remaining candidate axis whose part
+    orthogonal to the chosen ones is largest (the first such axis on a
+    tie).  The frozen pass
     is a right-looking modified Gram-Schmidt over all rows: step a
     normalizes candidate a of every row and subtracts its projection from
     the row's later candidates.  Each vector thus meets the projections in
@@ -819,7 +873,7 @@ def _normal_frames(imm: ImmersionEvaluator, W: np.ndarray, owner: np.ndarray) ->
     buffer.  The pass works on contiguous (k, R, dim) blocks, and the
     buffer then takes the frames laid out (R, k, dim).
     """
-    R, dim, _ = W.shape
+    R, (O, dim, _) = len(owner), W.shape
     k = dim - imm.chart_dim - (1 if imm.ambient.intrinsic_to_quadric else 0)
     owners, which = np.unique(owner, return_inverse=True)
     V, rows = W[owners], np.arange(len(owners))
@@ -833,8 +887,11 @@ def _normal_frames(imm: ImmersionEvaluator, W: np.ndarray, owner: np.ndarray) ->
         taken[rows, j] = True
         b = (V[rows, j] / np.sqrt(q[rows, j])[:, None])[:, None, :]
         V = V - imm.ambient.inner_rows(V, b)[..., None] * b
-    Z = W[np.arange(R), order[which].T]
+    order = order[which]
+    Z = W[np.arange(O), order[:O].T]
     del W, V  # a caller that hands over its candidates unnamed lets them go here
+    if kept is not None:
+        Z = np.concatenate([Z, kept(order[O:]).transpose(1, 0, 2)], axis=1)
     buf, sig = np.empty_like(Z), imm.ambient.signature(dim)
     for a in range(k):
         z, later, scratch = Z[a], Z[a + 1 :], buf[a + 1 :]
@@ -847,6 +904,22 @@ def _normal_frames(imm: ImmersionEvaluator, W: np.ndarray, owner: np.ndarray) ->
     out = buf.reshape(R, k, dim)  # the buffer's memory, now free, holds the frames row by row
     out[...] = Z.transpose(1, 0, 2)
     return out
+
+
+def _kept_normal_frames(imm: ImmersionEvaluator, heads, tails, owner: np.ndarray) -> np.ndarray:
+    """Normal frames (R, k, dim) at the pivot owners, then at the rows that follow them; one ``_normal_frames`` call.
+
+    ``heads`` and ``tails`` are (centers (..., dim), first derivatives (...,
+    n, dim)) of the owners and of the other rows; row r of the result, a
+    head and then a tail in order, takes the pivot order of head owner[r].
+    Only the heads form all dim candidates, for the pivot pass; each tail
+    forms the k candidates of its owner's order.  Every frame has the bits
+    of ``_normal_frames`` on the full candidates of all rows.
+    """
+    center, first = tails
+    rest = lambda order: _normal_candidates(imm, center, first, order).reshape(len(order), -1, center.shape[-1])
+    W = _normal_candidates(imm, *heads)
+    return _normal_frames(imm, W.reshape(-1, *W.shape[-2:]), owner, kept=rest)
 
 
 def _covariant_rows(imm: ImmersionEvaluator, dZ, Z, center, first, X, conformal) -> np.ndarray:
@@ -881,8 +954,9 @@ def _normal_curvature_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float, con
     k = dim - n - (1 if imm.ambient.intrinsic_to_quadric else 0)
     if k < 2 or n < 2:
         return np.zeros((P, 0, 0, dim)), first[:, 0]
-    W = _normal_candidates(imm, center, first)
-    Z = _normal_frames(imm, W.reshape(P * K, dim, dim), np.repeat(np.arange(P) * K, K)).reshape(P, K, k, dim)
+    owner = np.concatenate([np.arange(P), np.repeat(np.arange(P), K - 1)])
+    N = _kept_normal_frames(imm, (center[:, 0], first[:, 0]), (center[:, 1:], first[:, 1:]), owner)
+    Z = np.concatenate([N[:P, None], N[P:].reshape(P, K - 1, k, dim)], axis=1)
     i, j = _upper_pairs(n)
     c, ip, im, jp, jm = 1 + 2 * n + 4 * np.arange(len(i)), 1 + 2 * i, 2 + 2 * i, 1 + 2 * j, 2 + 2 * j  # c: corner ++ of (i, j)
     # D_j zeta at u + h e_i, u - h e_i and u, then D_i zeta at u + h e_j, u - h e_j and u

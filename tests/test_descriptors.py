@@ -232,6 +232,19 @@ class TestImmerseRows:
             z = math.sqrt(3.0) * np.array([math.cos(a0), math.sin(a0) * math.cos(a1), math.sin(a0) * math.sin(a1)])
             assert x.tobytes() == np.append(z, 2.0).tobytes()
 
+    def test_polar_chart_quotient_across_its_branch(self):
+        # sinh(q)/q, and 1 + q^2/6 below 1e-6, as the scalar forms round them
+        def sinhc(q: float) -> float:
+            return 1.0 + q * q / 6.0 if abs(q) < 1e-6 else math.sinh(q) / q
+
+        rng = np.random.default_rng(11)
+        S = rng.normal(size=(60, 3)) * 10.0 ** rng.integers(-12, 2, size=(60, 1))
+        edge = [1e-6, np.nextafter(1e-6, 0.0), np.nextafter(1e-6, 1.0), 5e-324, 0.0, 700.0]
+        S = np.concatenate([S, np.array([[q, 0.0, 0.0] for q in edge])])
+        for s, x in zip(S, descriptors._hyperbolic_chart(S, 2.0)):
+            q = float(np.sqrt(np.dot(s, s)))
+            assert x.tobytes() == (math.sqrt(2.0) * np.append(sinhc(q) * s, math.cosh(q))).tobytes()
+
     def test_bad_rows_rejected(self):
         d = CATALOG["tube_h3"]
         with pytest.raises(InvalidArgumentError):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hyperflow import flow as flow_module
 from hyperflow.catalog import CATALOG
 from hyperflow.descriptors import (
     Ambient,
@@ -619,3 +620,38 @@ class TestFlowCore:
             with pytest.raises(TimeOutOfRangeError) as listed:
                 _hyperbolic_times(d, [-1.0, 0.5 * T, bad, T + 1.0])
             assert str(listed.value) == str(one.value) == f"t={bad} >= hyperbolic maximal time T={T}"
+
+
+def _geodesic_product(l: int):
+    """The totally geodesic H^l(-1) in H^(l+1): a full product with r = 1 and a point leaf."""
+    return FullProduct(l, 1.0, ProductOfSpheres(point_position=(1.0,)))
+
+
+class TestStationaryFlow:
+    """Totally geodesic descriptors keep their rows under the hyperbolic flow, at every time."""
+
+    @pytest.mark.parametrize("l", [1, 9, 10, 70, 71])
+    def test_geodesic_product_is_stationary(self, l):
+        # the gauge composition e^(-nt) F(x, w(t)) drifted by 2% at l = 1,
+        # t = -18, by 0.21 at l = 9, t = -2, and was refused from l = 10 on
+        d = _geodesic_product(l)
+        X = immerse_rows(d, np.array(chart_samples(d, 2, 5)[:4]))
+        ts = [-19.0, -18.0, -2.0, 0.0, 0.5, 3.0]
+        for rows in _hyperbolic_flow_rows(d, X, ts):
+            assert rows.tobytes() == X.tobytes()
+        for t in ts:
+            assert hyperbolic_flow(d, X[0], t).tobytes() == X[0].tobytes()
+            assert hyperbolic_flow_batch(d, X, t).tobytes() == X.tobytes()
+
+    def test_geodesic_umbilic_level_is_stationary(self):
+        d = Umbilic(derive_umbilic([1.0, 0.0, 0.0, 0.0, 0.0], 0.0), _geodesic_product(2))
+        X = immerse_rows(d, np.array(chart_samples(d, 3, 5)[:4]))
+        for rows in _hyperbolic_flow_rows(d, X, [-30.0, -2.0, 4.0]):
+            assert rows.tobytes() == X.tobytes()
+
+    def test_the_limits_share_the_predicate(self):
+        from hyperflow import descriptors, limits
+
+        assert flow_module._is_stationary is limits._is_stationary is descriptors._is_stationary
+        assert descriptors._is_stationary(_geodesic_product(10))
+        assert not descriptors._is_stationary(FullProduct(10, 1.5, ProductOfSpheres(point_position=(1.0,))))

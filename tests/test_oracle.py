@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyperflow
 from hyperflow import oracle
@@ -437,7 +439,7 @@ class TestIsoparametricResidual:
         times, us = [-0.2, 0.0, 0.1], chart_samples(d, 3, 7)[:4]
         calls, pivots = [], []
         frames, inner_rows = oracle._normal_frames, oracle.AmbientSpace.inner_rows
-        monkeypatch.setattr(oracle, "_normal_frames", lambda imm, W, owner: calls.append(owner) or frames(imm, W, owner))
+        monkeypatch.setattr(oracle, "_normal_frames", lambda imm, W, owner, **kw: calls.append(owner) or frames(imm, W, owner, **kw))
         monkeypatch.setattr(oracle.AmbientSpace, "inner_rows", lambda amb, U, V: pivots.append(U.shape) or inner_rows(amb, U, V))
         oracle.isoparametric_residuals(d, times, us)
         assert len(calls) == 1
@@ -1102,3 +1104,196 @@ class TestBatchedOracle:
     )
     def test_batched_spread_matches_per_segment_loop(self, imm, samples):
         assert abs(oracle.isoparametric_residual_of(imm, samples) - _isoparametric_reference(imm, samples)) <= 1e-13
+
+
+def _eigvalsh_refuses(G: np.ndarray) -> bool:
+    """The Gram check as it was before Gershgorin certification: eigvalsh on every matrix."""
+    if not np.isfinite(G).all():
+        return True
+    lam = np.abs(np.linalg.eigvalsh(G))
+    lo, hi = lam.min(axis=-1), lam.max(axis=-1)
+    return bool(np.any((hi > oracle._COND_LIMIT * lo) | (lo == 0.0)))
+
+
+@st.composite
+def _gram_batches(draw):
+    """Stacks of symmetric k x k matrices of mixed kinds, one k per stack."""
+    k = draw(st.integers(1, 5))
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        kind = draw(st.sampled_from(["definite", "indefinite", "diagonal", "dominant", "random", "singular", "zero_row", "nan", "inf"]))
+        Q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        # condition numbers around the limit, 1e10 to 1e13, and anywhere up to 1e16
+        lam = 10.0 ** -np.linspace(0.0, draw(st.floats(10.0, 13.0) | st.floats(0.0, 16.0)), k)
+        if kind != "definite":
+            lam = lam * rng.choice([-1.0, 1.0], size=k)
+        G = (Q * lam) @ Q.T
+        if kind == "diagonal":  # Gershgorin's bound is the condition number itself
+            G = np.diag(lam)
+        elif kind == "dominant":
+            off = rng.normal(size=(k, k)) * draw(st.floats(0.0, 1.0))
+            G = off + off.T + np.diag(rng.choice([-1.0, 1.0], size=k) * (2.0 * np.abs(off).sum(axis=1) + draw(st.floats(1e-13, 10.0))))
+        elif kind == "random":
+            G = rng.normal(size=(k, k))
+            G = G + G.T
+        elif kind == "singular":
+            v = rng.normal(size=(k, max(k - 1, 1)))
+            G = v @ v.T if k > 1 else np.zeros((1, 1))
+        elif kind == "zero_row":
+            G[0, :] = G[:, 0] = 0.0
+        elif kind in ("nan", "inf"):
+            i, j = rng.integers(0, k, size=2)
+            G[i, j] = G[j, i] = math.nan if kind == "nan" else math.inf
+        out.append(G * 10.0 ** draw(st.integers(-150, 150)))
+    return np.stack(out)
+
+
+class TestGershgorinCertification:
+    """``_check_gram`` certifies Grams by Gershgorin discs, and still refuses exactly what eigvalsh refused."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(G=_gram_batches())
+    def test_refuses_exactly_what_eigvalsh_refused(self, G):
+        for batch in [G] + list(G):
+            if _eigvalsh_refuses(batch):
+                with pytest.raises(ChartDegenerateError, match="^refused$"):
+                    oracle._check_gram(batch, "refused")
+            else:
+                oracle._check_gram(batch, "refused")
+
+    @pytest.mark.parametrize("cond", [1e10, 1e11, 1e13])
+    def test_uncertified_grams_go_to_eigvalsh(self, cond, monkeypatch):
+        # a rotated Gram is not diagonally dominant, so eigvalsh decides it;
+        # a diagonal of condition 1e10 is certified without it
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(oracle.np.linalg, "eigvalsh", lambda G: calls.append(G.shape) or real(G))
+        G = np.stack([np.diag([1.0, 1e-10]), _conditioned_gram(cond)])
+        if cond > oracle._COND_LIMIT:
+            with pytest.raises(ChartDegenerateError, match="refused"):
+                oracle._check_gram(G, "refused")
+        else:
+            oracle._check_gram(G, "refused")
+        assert calls == [(1, 2, 2)]
+        calls.clear()
+        oracle._check_gram(G[0], "refused")
+        assert calls == []
+
+    def test_catalog_grams_are_certified(self, monkeypatch):
+        # on the catalog every Gram of the checks is certified, so eigvalsh never runs
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(oracle.np.linalg, "eigvalsh", lambda G: calls.append(G.shape) or real(G))
+        for entry in ("tube_h3", "clifford_tube_h5", "circle_in_h4_nested"):
+            d = CATALOG[entry]
+            us = chart_samples(d, 3, 7)[:4]
+            oracle.isoparametric_residuals(d, [-0.3, 0.1], us)
+            oracle.pde_residual_grid(d, us, [-0.3, 0.1], richardson=True)
+            oracle.evolve_and_compare(d, us[:2], 0.0, 0.002, 1e-4)
+        assert calls == []
+
+
+class TestOracleBatchFloor:
+    @pytest.mark.parametrize("gauge", ["hyperbolic", "lorentz"])
+    @pytest.mark.parametrize("richardson", [False, True])
+    def test_grid_differences_once_per_step(self, gauge, richardson, monkeypatch):
+        # one _mc_from_stencil call per differencing step holds the stencils
+        # of every sample at every time, and each entry keeps its bits
+        d = CATALOG["clifford_tube_h5"]
+        us = chart_samples(d, 3, 7)[:3]
+        times = [-0.3, -0.1, 0.0, 0.05, 0.1]
+        expected = [[oracle.pde_residual(d, u, t, gauge=gauge, richardson=richardson) for t in times] for u in us]
+        calls = []
+        real = oracle._mc_from_stencil
+        monkeypatch.setattr(oracle, "_mc_from_stencil", lambda vals, *a: calls.append(vals.shape[0]) or real(vals, *a))
+        grid = oracle.pde_residual_grid(d, us, times, gauge=gauge, richardson=richardson)
+        assert calls == [len(us) * len(times)] * (2 if richardson else 1)
+        assert grid.tolist() == expected
+        assert oracle.pde_residual_grid(d, us, [], gauge=gauge, richardson=richardson).shape == (len(us), 0)
+
+    def test_grid_raises_the_first_failing_time(self, monkeypatch):
+        # the batch fails; time by time, the first failing time's error is raised
+        real, calls = oracle._mc_from_stencil, []
+
+        def failing(vals, *args):  # the whole grid fails, and so does its second time alone
+            calls.append(len(vals))
+            if len(vals) > 1 or len(calls) == 3:
+                raise ChartDegenerateError(f"call {len(calls)}")
+            return real(vals, *args)
+
+        monkeypatch.setattr(oracle, "_mc_from_stencil", failing)
+        with pytest.raises(ChartDegenerateError, match="call 3"):
+            oracle.pde_residual_grid(CATALOG["circle_h2"], [[0.3]], [0.1, 0.2, 0.3])
+        assert calls == [3, 1, 1]
+
+
+def _spy_kept_frames(monkeypatch):
+    """Record every ``_kept_normal_frames`` call with its frames, and the rows of every full candidate set."""
+    seen, full_rows = [], []
+    frames, candidates = oracle._kept_normal_frames, oracle._normal_candidates
+
+    def kept(imm, heads, tails, owner):
+        out = frames(imm, heads, tails, owner)
+        seen.append((imm, heads, tails, owner, out))
+        return out
+
+    def counted(imm, center, first, axes=None):
+        if axes is None:
+            full_rows.append(center[..., 0].size)
+        return candidates(imm, center, first, axes)
+
+    monkeypatch.setattr(oracle, "_kept_normal_frames", kept)
+    monkeypatch.setattr(oracle, "_normal_candidates", counted)
+    return seen, full_rows
+
+
+def _assert_full_candidate_reference(seen, full_rows):
+    """Each kept-candidate call against ``_normal_frames`` on the full candidates of all its rows, bit for bit."""
+    assert seen and full_rows == [h[..., 0].size for _, (h, _), *_ in seen]  # only the heads, before the references below
+    for imm, (hc, hf), (tc, tf), owner, out in seen:
+        dim, n = hc.shape[-1], hf.shape[-2]
+        center = np.concatenate([hc.reshape(-1, dim), tc.reshape(-1, dim)])
+        first = np.concatenate([hf.reshape(-1, n, dim), tf.reshape(-1, n, dim)])
+        assert out.shape == (len(owner), dim - n - imm.ambient.intrinsic_to_quadric, dim)
+        ref = oracle._normal_frames(imm, oracle._normal_candidates(imm, center, first), owner)
+        assert out.tobytes() == ref.tobytes()
+
+
+KEPT_FRAME_CASES = {**TIME_AXIS_CASES, "geodesic_chain8": _geodesic_chain(8)}
+
+
+class TestKeptCandidates:
+    """Only the pivot owners form all dim candidates; every frame keeps the bits of the full candidates."""
+
+    @pytest.mark.parametrize("name", sorted(KEPT_FRAME_CASES))
+    def test_isoparametric_frames(self, name, monkeypatch):
+        d = KEPT_FRAME_CASES[name]
+        seen, full_rows = _spy_kept_frames(monkeypatch)
+        oracle.isoparametric_residuals(d, [-0.2, 0.0, 0.1], chart_samples(d, 3, 23)[:4])
+        assert len(seen) == 1
+        _assert_full_candidate_reference(seen, full_rows)
+
+    @pytest.mark.parametrize("name", sorted(KEPT_FRAME_CASES))
+    def test_transport_frames(self, name, monkeypatch):
+        d = KEPT_FRAME_CASES[name]
+        imm = oracle.descriptor_immersion(d, 0.1)
+        us = chart_samples(d, 3, 23)[:2]
+        frame = list(_frame_field(imm, us[0], 1e-3)(us[0][None, :])[0])
+        seen, full_rows = _spy_kept_frames(monkeypatch)
+        oracle.transport_normal_frame(imm, us[0], us[1], frame)
+        _assert_full_candidate_reference(seen, full_rows)
+
+    @pytest.mark.parametrize(
+        "imm, samples",
+        [
+            (oracle.descriptor_immersion(CATALOG["clifford_tube_h5"], 0.1), chart_samples(CATALOG["clifford_tube_h5"], 2, 23)[:3]),
+            (_twisted_surface(), [np.array([0.1, 0.2]), np.array([0.5, -0.3])]),
+            (_plane_in_r4(), [np.array([0.3, 0.9]), np.array([1.0, 0.2])]),
+        ],
+    )
+    def test_normal_curvature_frames(self, imm, samples, monkeypatch):
+        seen, full_rows = _spy_kept_frames(monkeypatch)
+        oracle.flat_normal_residual(imm, samples)
+        assert len(seen) == 1
+        _assert_full_candidate_reference(seen, full_rows)

@@ -969,3 +969,19 @@ class TestCli:
         assert out.returncode == 0
         assert (tmp_path / "file_tube_window.json").exists()
         assert not (tmp_path / "file_tube_trajectory.csv").exists()
+
+
+class TestStationaryRun:
+    @pytest.mark.parametrize("l", [70, 71])
+    def test_geodesic_product_runs(self, l, tmp_path):
+        # the default grid reaches back to negative times, where the flow of
+        # this stationary descriptor used to be refused (exit 2)
+        d = _point_product(l, 1.0)
+        path = write_scenario(tmp_path / "geodesic.json", f"geodesic_l{l}", d, outputs=["trajectory", "ball", "window", "limits"])
+        result = run_cli("run", str(path), "--out", str(tmp_path / "out"))
+        assert result.returncode == 0, result.stderr
+        rows = read_rows(tmp_path / "out" / f"geodesic_l{l}_trajectory.csv")
+        assert min(t for _, t, _ in rows) < 0.0
+        first = {}
+        for sid, _, x in rows:
+            assert x.tobytes() == first.setdefault(sid, x).tobytes()
