@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .catalog import catalog_names
 from .errors import GeometryError
@@ -29,7 +30,13 @@ from .scenario import (
 )
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built by the first ``main`` call and kept for the process.
+
+    Parsing leaves the parser as it is and fills a fresh namespace with the
+    defaults on every call, so one call's options never reach the next.
+    """
     parser = argparse.ArgumentParser(prog="hyperflow", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in ("run", "verify", "limits"):

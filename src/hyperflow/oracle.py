@@ -360,20 +360,29 @@ def _flow_times(gauge: str, d, X: np.ndarray, times: Sequence[float]) -> np.ndar
 
     Times are checked as by the gauge's batch flow.  A time list whose flow
     fails is flowed again one time at a time, so the error raised is that of
-    the first failing time, and a time whose flow overflows doubles is
-    refused as out of range.
+    the first failing time, and a time whose flow overflows doubles, in its
+    time scalars or in any row, is refused as out of range.
     """
     check, flow_rows, _ = _gauge_flow(gauge)
     ts = check(d, times)
     try:
-        return flow_rows(d, X, ts)
+        return _finite_flow(flow_rows, d, X, ts)
     except (OverflowError, TimeOutOfRangeError):
         for t in ts:
             try:
-                flow_rows(d, X[:1], [t])
+                _finite_flow(flow_rows, d, X, [t])
             except OverflowError:
                 raise TimeOutOfRangeError(f"the flow at t={t!r} leaves the range of doubles") from None
         raise
+
+
+def _finite_flow(flow_rows, d, X: np.ndarray, ts: list[float]) -> np.ndarray:
+    """``flow_rows(d, X, ts)``, with an OverflowError in place of numpy's warning when a row leaves doubles."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = flow_rows(d, X, ts)
+    if not np.isfinite(F).all():
+        raise OverflowError("flowed rows leave the range of doubles")
+    return F
 
 
 def descriptor_immersion(d, t: float | None = None, gauge: str = "hyperbolic") -> ImmersionEvaluator:
@@ -417,8 +426,10 @@ def pde_residual_grid(
     ``_mc_from_stencil`` call per differencing step (two with Richardson)
     takes the stencils of every sample at every time, and the velocities,
     the tangential projection and the norms are one set of array operations
-    over all times.  A grid with a degenerate stencil is differenced again
-    time by time, so the error raised is that of the first failing time.
+    over all times.  A grid that fails (a flow leaving doubles, a degenerate
+    stencil, a residual that overflows) is evaluated again time by time, so
+    the error raised is that of the first failing time; no residual
+    returned is ever nan or infinite, and no numpy overflow warning escapes.
     The chart is seen only through its values at chart points.  Entry
     (s, j) has the bits of ``pde_residual`` at sample s and time j alone:
     no stencil's or row's arithmetic depends on the batch.  Times must be finite,
@@ -442,28 +453,47 @@ def pde_residual_grid(
     S = U.shape[0]
     X = immerse_rows(d, np.concatenate([U, stencils]))
     _validate_rows(d, X)
-    # in the order a time-by-time evaluation flows them, so a failing grid names the same time
-    moved = _flow_times(gauge, d, X[:S], [s for t in ts for s in (t + dt, t - dt, t)])
-    charts = _flow_times(gauge, d, X[S:], ts)
-    T, K, dim = len(ts), _stencil_offsets(n, h).shape[0], X.shape[1]
-    if T == 0:
+    if not ts:
         return np.empty((S, 0))
+
+    def residuals(times: list[float]) -> np.ndarray:
+        # in the order a time-by-time evaluation flows them: t + dt, t - dt, t
+        moved = _flow_times(gauge, d, X[:S], [s for t in times for s in (t + dt, t - dt, t)])
+        charts = _flow_times(gauge, d, X[S:], times)
+        return _residuals_at(moved, charts, n, steps, dt, ambient)
+
     try:
-        # the stencils of every time, step-major as _mc_of_stencils takes them
-        by_step = charts.reshape(T, len(steps), S, K, dim).swapaxes(0, 1)
-        H = _mc_of_stencils(by_step, T * S, n, steps, ambient).reshape(T, S, dim)
-    except ChartDegenerateError:
-        for chart in charts:  # time by time, so the error raised is that of the first failing time
-            _mc_of_stencils(chart, S, n, steps, ambient)
+        return np.ascontiguousarray(residuals(ts).T)
+    except (ChartDegenerateError, TimeOutOfRangeError):
+        for t in ts:  # time by time, so the error raised is that of the first failing time
+            try:
+                residuals([t])
+            except ChartDegenerateError as exc:
+                raise ChartDegenerateError(f"{exc} (flow-equation residual at t={t!r})") from None
         raise
-    V = (moved[0::3] - moved[1::3]) / (2.0 * dt) - H
-    if gauge == "hyperbolic":
-        Xt = moved[2::3]
-        V = V + LORENTZIAN.inners(V, Xt)[..., None] * Xt  # tangential projection, <x,x> = -1
-        out = np.sqrt(np.maximum(LORENTZIAN.inners(V, V), 0.0))
-    else:
-        out = np.sqrt(np.abs(LORENTZIAN.inners(V, V)))
-    return np.ascontiguousarray(out.T)
+
+
+def _residuals_at(moved: np.ndarray, charts: np.ndarray, n: int, steps, dt: float, ambient: AmbientSpace) -> np.ndarray:
+    """The (times, samples) flow-equation residuals of ``pde_residual_grid`` from its flowed samples and stencils.
+
+    Far back the flowed points are finite but so large that the
+    differencing or the residual's own inner products overflow.  No
+    overflow warning escapes: a stencil or a residual whose result is not
+    finite raises ``ChartDegenerateError``.
+    """
+    T, S, dim = charts.shape[0], moved.shape[1], moved.shape[2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the stencils of every time, step-major as _mc_of_stencils takes them
+        by_step = charts.reshape(T, len(steps), S, -1, dim).swapaxes(0, 1)
+        H = _mc_of_stencils(by_step, T * S, n, steps, ambient).reshape(T, S, dim)
+        V = (moved[0::3] - moved[1::3]) / (2.0 * dt) - H
+        if ambient is HYPERBOLOID:
+            Xt = moved[2::3]
+            V = V + LORENTZIAN.inners(V, Xt)[..., None] * Xt  # tangential projection, <x,x> = -1
+            out = np.sqrt(np.maximum(LORENTZIAN.inners(V, V), 0.0))
+        else:
+            out = np.sqrt(np.abs(LORENTZIAN.inners(V, V)))
+    return _finite(out)
 
 
 def pde_residual(

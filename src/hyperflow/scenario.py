@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -247,11 +246,15 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
 
     Unused by the package: the GIL-bound pool only slowed ``run_scenario``
     down, which now flows its samples in batches.  It stays until the
-    benchmark, whose tracer wraps it by name, stops referring to it.
+    benchmark, whose tracer wraps it by name, stops referring to it.  The
+    pool is imported by the first call that needs one, so importing the
+    package loads no thread pool.
     """
     workers = _max_workers()
     if workers == 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -1228,6 +1228,48 @@ class TestOracleBatchFloor:
         assert calls == [3, 1, 1]
 
 
+class TestFarBackResiduals:
+    """Far back the hyperbolic-gauge residual is refused, never nan and never a numpy warning.
+
+    The suite turns RuntimeWarning into an error, so every call here would
+    fail on an overflow warning that escapes.
+    """
+
+    @pytest.mark.parametrize("name", ["clifford_tube_h5", "tube_h3"])
+    @pytest.mark.parametrize("richardson", [False, True])
+    def test_overflowing_residual_is_degenerate(self, name, richardson):
+        # the flowed points are finite near 1e130 / 1e86, but the tangential
+        # projection's inner products overflow; this returned nan
+        d = CATALOG[name]
+        with pytest.raises(ChartDegenerateError, match=r"at t=-100\.0\)$"):
+            oracle.pde_residual(d, chart_samples(d, 3, 7)[0], -100.0, richardson=richardson)
+
+    def test_rows_leaving_doubles_are_out_of_range(self):
+        # at -236.2 the first sample's flow is finite but later rows overflow
+        # in the flow's own row products; this escaped as a RuntimeWarning
+        d = CATALOG["clifford_tube_h5"]
+        with pytest.raises(TimeOutOfRangeError, match=r"t=-236\.1998\d* leaves the range of doubles"):
+            oracle.pde_residual_grid(d, chart_samples(d, 3, 7), [-236.2])
+
+    def test_grid_names_the_first_failing_time(self):
+        # -100 fails in the differencing and -400 in the flow; time by time,
+        # -100 comes first, although the grid flows every time before it differences
+        d = CATALOG["tube_h3"]
+        with pytest.raises(ChartDegenerateError, match=r"at t=-100\.0\)$"):
+            oracle.pde_residual_grid(d, chart_samples(d, 3, 7), [-1.0, -100.0, -400.0])
+
+    @pytest.mark.parametrize("gauge", ["hyperbolic", "lorentz"])
+    def test_residuals_are_finite_or_refused(self, catalog_entry, gauge):
+        _, d = catalog_entry
+        us = chart_samples(d, 3, 7)
+        for t in (-10.0, -40.0, -100.0, -236.2, -300.0, -1000.0):
+            try:
+                grid = oracle.pde_residual_grid(d, us, [t], gauge=gauge)
+            except (ChartDegenerateError, TimeOutOfRangeError):
+                continue
+            assert np.isfinite(grid).all()
+
+
 def _spy_kept_frames(monkeypatch):
     """Record every ``_kept_normal_frames`` call with its frames, and the rows of every full candidate set."""
     seen, full_rows = [], []

@@ -1,5 +1,6 @@
 """Scenario orchestration, artifact formats and the command line."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -8,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -969,6 +971,130 @@ class TestCli:
         assert out.returncode == 0
         assert (tmp_path / "file_tube_window.json").exists()
         assert not (tmp_path / "file_tube_trajectory.csv").exists()
+
+
+# ``hyperflow --help`` and ``hyperflow verify --help`` at 80 columns, as the
+# parser printed them when it was built on every call
+TOP_HELP = """\
+usage: hyperflow [-h] {run,verify,limits,catalog} ...
+
+Command line entry point. Verbs: run <scenario> write trajectories, window,
+limits and invariant reports verify <scenario> run the invariant battery; exit
+3 on any violation limits <scenario> classify and evaluate both limits catalog
+list the built-in scenario names <scenario> is a JSON file path or a built-in
+catalog name. Exit codes: 0 ok, 2 invalid input, 3 invariant violation, 4 I/O
+failure.
+
+positional arguments:
+  {run,verify,limits,catalog}
+
+options:
+  -h, --help            show this help message and exit
+"""
+VERIFY_HELP = """\
+usage: hyperflow verify [-h] [--out OUT] [--seed SEED]
+                        [--tolerance-scale TOLERANCE_SCALE]
+                        scenario
+
+positional arguments:
+  scenario              scenario JSON path or catalog name
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT             output directory (run only)
+  --seed SEED           override the sampling seed
+  --tolerance-scale TOLERANCE_SCALE
+                        scale all verification tolerances
+"""
+
+
+def fresh_parser_output(argv):
+    """Exit code, stdout and stderr of a parser built anew, as every call built it before the parser was kept."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli._build_parser.__wrapped__().parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    """``cli.main`` builds its parser once per process, and reused calls behave as fresh ones."""
+
+    def test_one_parser_per_process(self, tmp_path, monkeypatch):
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cli._build_parser.cache_clear()
+        for argv in (
+            ["catalog"],
+            ["verify", "circle_h2"],
+            ["limits", "horocycle_h2", "--seed", "3"],
+            ["run", "ambient_h3", "--out", str(tmp_path)],
+            ["verify", "tube_h3", "--seed", "3"],
+            ["catalog"],
+        ):
+            assert run_cli(*argv).returncode == 0
+        # the top-level parser and its four verbs, built by the first call only
+        assert built.count("hyperflow") == 1
+        assert len(built) == 5
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["verify"], ["verify", "circle_h2", "--seed", "abc"]])
+    def test_refusals_after_reuse(self, argv):
+        expected = fresh_parser_output(argv)
+        assert expected[0] == 2 and expected[2].startswith("usage: hyperflow")
+        for _ in range(2):
+            out = run_cli(*argv)
+            assert (out.returncode, out.stdout, out.stderr) == expected
+            assert run_cli("catalog").returncode == 0
+
+    def test_no_option_carries_over(self, tmp_path, capsys):
+        args = ["--seed", "3", "--out", str(tmp_path), "--tolerance-scale", "2"]
+        assert cli.main(["verify", "circle_h2", *args]) == 0
+        capsys.readouterr()
+        assert cli.main(["verify", "circle_h2"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == VERIFY_STDOUT_SHA256["circle_h2", 7]
+        assert not list(tmp_path.iterdir())  # verify writes nothing, whatever --out says
+
+    @pytest.mark.parametrize("argv, text", [(["--help"], TOP_HELP), (["verify", "--help"], VERIFY_HELP)])
+    def test_help_is_unchanged(self, argv, text, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli("catalog").returncode == 0  # the kept parser, already used
+        out = run_cli(*argv)
+        assert (out.returncode, out.stdout, out.stderr) == (0, text, "")
+        assert fresh_parser_output(argv) == (0, text, "")
+
+
+class TestStartupImports:
+    def test_no_thread_pool_at_import(self):
+        # the modules that importing the CLI adds to a bare interpreter
+        src = str(Path(hyperflow.__file__).resolve().parents[1])
+        code = (
+            "import sys; before = set(sys.modules); import hyperflow.cli, hyperflow.scenario; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        loaded = out.stdout.split()
+        assert "hyperflow.cli" in loaded
+        pool = [m for m in loaded if m.split(".")[0] in ("concurrent", "logging", "queue", "_queue")]
+        assert pool == []
+
+    def test_parallel_map_keeps_order_on_a_pool(self, monkeypatch):
+        monkeypatch.setenv("HYPERFLOW_THREADS", "2")
+        threads = set()
+
+        def square(x):
+            threads.add(threading.current_thread().name)
+            return x * x
+
+        assert scenario.parallel_map(square, range(20)) == [x * x for x in range(20)]
+        assert threading.main_thread().name not in threads
+        assert scenario.parallel_map(square, [3]) == [9]  # one item runs inline
 
 
 class TestStationaryRun:
