@@ -12,12 +12,7 @@ from .ball import (
     IdealPoint,
     ball_projection,
     ball_projection_inverse,
-    boundary_limit,
     boundary_transition,
-    conformal_mean_curvature,
-    product_boundary_factor,
-    product_boundary_map,
-    umbilic_boundary_map,
 )
 from .catalog import CATALOG, catalog_descriptor, catalog_names
 from .descriptors import (

@@ -5,15 +5,12 @@ through an admissible frame; with the standard frame and r = 1 it is the
 classical conformal diffeomorphism x -> (x_1..x_m)/(1 + x_{m+1}).  Boundary
 transitions between two frame identifications of the ideal boundary are
 conformal maps of S^(m-1); their squared metric scaling is returned alongside
-the image point.  The module also hosts the umbilical and product boundary
-maps used to describe limit sets at infinity, and the small conformal
-transformation law for mean curvature vectors.
+the image point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -23,11 +20,7 @@ from .lorentz import (
     HyperboloidPoint,
     OrthonormalFrame,
     as_vector,
-    minkowski_inner,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .descriptors import UmbilicData
 
 
 @dataclass(frozen=True)
@@ -155,118 +148,3 @@ def boundary_transition(frame: OrthonormalFrame, r: float, p) -> tuple[IdealPoin
     if h <= 0:
         raise GeometryError("admissible frames guarantee a positive denominator; frame is corrupt")
     return IdealPoint((v[-1] + pv @ v[:-1]) / h), 1.0 / h**2
-
-
-def boundary_limit(
-    coords_path: Callable[[float], np.ndarray],
-    r: float,
-    t_end: float | None,
-    *,
-    t0: float = 1.0,
-    tol: float = 1e-7,
-    max_iter: int = 60,
-) -> IdealPoint | None:
-    """Detect convergence of a hyperboloid path to a single ideal point.
-
-    ``coords_path`` evaluates frame coordinates a(t) of a path on H^m(-r);
-    ``t_end`` is the approach endpoint (None for +infinity).  The path
-    converges to the boundary iff a_{m+1}(t) diverges while the normalized
-    vector (a_1..a_m)/a_{m+1} settles.  Numerically the path is probed along
-    a geometric sequence of times; we require successive normalized outputs
-    within ``tol`` and monotone growth of a_{m+1} over the last 5 probes.
-    Returns None when no such limit is detected.
-    """
-    a0 = np.asarray(coords_path(t0), dtype=float)
-    if abs(float(np.dot(a0[:-1], a0[:-1])) - a0[-1] ** 2 + r) > 1e-6 * max(1.0, a0[-1] ** 2):
-        raise DomainError("path does not lie on H^m(-r) in frame coordinates")
-
-    heights: list[float] = []
-    prev_dir: np.ndarray | None = None
-    for k in range(max_iter):
-        t = t0 * 2.0**k if t_end is None else t_end - (t_end - t0) / 2.0**k
-        a = np.asarray(coords_path(t), dtype=float)
-        if not np.all(np.isfinite(a)):
-            break
-        height = a[-1]
-        direction = a[:-1] / height
-        heights.append(height)
-        if prev_dir is not None and len(heights) >= 5:
-            grew = all(heights[i] < heights[i + 1] for i in range(len(heights) - 5, len(heights) - 1))
-            settled = float(np.linalg.norm(direction - prev_dir)) < tol
-            if grew and settled and height > 1e3 * np.sqrt(r):
-                return IdealPoint(direction / np.linalg.norm(direction))
-        prev_dir = direction
-    return None
-
-
-def umbilic_boundary_map(umb: "UmbilicData", y) -> IdealPoint:
-    """Conformal map from a totally umbilical hypersurface to S^(m-1).
-
-    y -> (y_bar + c xi_bar) / (y_{m+1} + c xi_{m+1}) with c = beta/(alpha+1);
-    the image is exactly unit norm for points of the hypersurface.  A batch
-    of one of ``umbilic_boundary_rows``.
-    """
-    yv = as_vector(y, umb.m)
-    return IdealPoint(umbilic_boundary_rows(umb, yv[None, :])[0])
-
-
-def umbilic_boundary_rows(umb: "UmbilicData", Y) -> np.ndarray:
-    """``umbilic_boundary_map`` on every row of Y, a point of the hypersurface.
-
-    A row off H^m(-1) or off {<y,xi> = a} by more than 1e-8, or not finite,
-    raises DomainError, and so does an image off the unit sphere (the check
-    of ``IdealPoint``).  Returns the (K, m) array of boundary coordinates.
-    """
-    xi = umb.xi_array
-    Yv = np.asarray(Y, dtype=float)
-    if Yv.ndim != 2 or Yv.shape[1] != xi.size:
-        raise InvalidArgumentError(f"expected rows of length {xi.size}, got shape {Yv.shape}")
-    q = np.sum(Yv[:, :-1] ** 2, axis=1) - Yv[:, -1] ** 2
-    level = Yv[:, :-1] @ xi[:-1] - Yv[:, -1] * xi[-1]
-    # written so that nan rows fail the test too
-    if not np.all((np.abs(q + 1.0) <= 1e-8) & (np.abs(level - umb.a) <= 1e-8)):
-        raise DomainError("point is not on the umbilical hypersurface {<y,xi> = a} in H^m(-1)")
-    P = (Yv[:, :-1] + umb.c * xi[:-1]) / (Yv[:, -1:] + umb.c * xi[-1])
-    if not np.all(np.abs(np.linalg.norm(P, axis=1) - 1.0) <= MEMBERSHIP_TOL):
-        raise DomainError("boundary image is not on the unit sphere")
-    return P
-
-
-def product_boundary_map(l: int, r: float, x, z) -> IdealPoint:
-    """Boundary image of a product point: (x_bar, z_bar)/x_{l+1}.
-
-    x lies on H^l(-r) (Lorentz coordinates with the timelike slot last),
-    z on the sphere of squared radius r in the complementary block.  The
-    image is unit norm; the squared conformal scaling is 1/x_{l+1}^2,
-    see ``product_boundary_factor``.
-    """
-    xv = as_vector(x, l)
-    zv = np.asarray(z, dtype=float)
-    if zv.ndim != 1 or not np.all(np.isfinite(zv)):
-        raise InvalidArgumentError("z must be a finite vector")
-    if r <= 1:
-        raise InvalidArgumentError("the product boundary map needs r > 1")
-    if abs(minkowski_inner(xv, xv) + r) > 1e-8 or xv[-1] <= 0:
-        raise DomainError("x is not on the upper sheet of H^l(-r)")
-    if abs(float(np.dot(zv, zv)) - r) > 1e-8:
-        raise DomainError(f"|z|^2 = {float(np.dot(zv, zv)):.6f}, expected {r}")
-    return IdealPoint(np.concatenate([xv[:-1], zv]) / xv[-1])
-
-
-def product_boundary_factor(x) -> float:
-    """Squared conformal scaling of ``product_boundary_map`` at x."""
-    xv = as_vector(x)
-    return 1.0 / xv[-1] ** 2
-
-
-def conformal_mean_curvature(H, grad_rho_normal, rho: float, n: int) -> np.ndarray:
-    """Mean curvature vector after the conformal change g' = e^(2 rho) g.
-
-    H' = -n e^(-2 rho) (grad rho)^perp + e^(-2 rho) H, where the gradient
-    term must already be projected to the normal space.
-    """
-    Hv = np.asarray(H, dtype=float)
-    wv = np.asarray(grad_rho_normal, dtype=float)
-    if Hv.shape != wv.shape:
-        raise InvalidArgumentError(f"shape mismatch: {Hv.shape} vs {wv.shape}")
-    return np.exp(-2.0 * rho) * (Hv - n * wv)

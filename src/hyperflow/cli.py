@@ -37,7 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
     Parsing leaves the parser as it is and fills a fresh namespace with the
     defaults on every call, so one call's options never reach the next.
     """
-    parser = argparse.ArgumentParser(prog="hyperflow", description=__doc__)
+    # the raw formatter prints the module docstring as written, verb table and all
+    parser = argparse.ArgumentParser(
+        prog="hyperflow", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in ("run", "verify", "limits"):
         p = sub.add_parser(verb)

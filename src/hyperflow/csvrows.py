@@ -1,9 +1,11 @@
 """Exact ``%.17g`` text of the run CSVs, formatted by numpy in blocks.
 
-``sample_blocks(times, values)`` yields the bytes of the rows
+``sample_blocks(labels, values)`` yields the bytes of the rows
 ``sample_id,t,v_1,...,v_k`` of an (S, T, k) array, a block of about
 ``CHUNK`` values at a time; they are the bytes that ``"%.17g" % v`` gives
-for every number, sample ids included.
+for every number, sample ids included.  The labels, every sample id and
+grid time with its comma, come from ``row_labels(times, S)``, once for all
+the CSVs of a run.
 
 How a double x becomes its 17 significant digits: with X the decimal
 exponent of |x|, y = |x| 10^(16 - X) lies in [1e16, 1e17) and the digits are
@@ -223,20 +225,24 @@ def texts(x: np.ndarray) -> list[str]:
     return out
 
 
-def sample_blocks(times: np.ndarray, values: np.ndarray) -> Iterator[bytearray]:
+def row_labels(times: np.ndarray, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The texts that start the rows, each formatted once: the sample ids and the grid times, with their commas."""
+    ids = _left_aligned([f"{s}," for s in range(samples)])
+    return ids, _left_aligned([f"{t}," for t in texts(np.asarray(times, dtype=float))])
+
+
+def sample_blocks(labels: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> Iterator[bytearray]:
     """The rows ``sample_id,t,v_1,...,v_k`` of an (S, T, k) array, sample by sample, in blocks.
 
-    Each row starts with its sample id and its time's text, both formatted
-    once; a block holds the rows of about ``CHUNK`` values, and its
-    boundaries may fall inside a sample.
+    Each row starts with its labels from ``row_labels(times, S)``; a block
+    holds the rows of about ``CHUNK`` values, and its boundaries may fall
+    inside a sample.
     """
     S, T, k = values.shape
     flat = values.reshape(S * T, k)
-    ids = _left_aligned([f"{s}," for s in range(S)])
-    stamps = _left_aligned([f"{t}," for t in texts(np.asarray(times, dtype=float))])
     step = max(1, CHUNK // k)
     for lo in range(0, S * T, step):
-        yield _block(flat[lo : lo + step], lo, T, ids, stamps)
+        yield _block(flat[lo : lo + step], lo, T, *labels)
 
 
 def _block(values: np.ndarray, lo: int, T: int, ids: np.ndarray, stamps: np.ndarray) -> bytearray:

@@ -16,10 +16,11 @@ tuples and materialized to ndarrays on use.  The static facts of a
 descriptor (``dimensions``, ``chart_box``, ``classify_shape``, the existence
 window of its flows and its Lorentzian time range) come from one plan per
 instance, built once from the plan of its inner level by ``_build_plan``,
-the one walk over descriptor kinds for them.  Charts are explicit:
-hyperbolic factors use polar coordinates on R^l, sphere factors use angles,
-so every immersion is a smooth map from a box in R^n that finite
-differencing can probe.
+the one walk over descriptor kinds for them; the plan of an umbilic level
+also holds the placement that embeds and splits its points.  Charts are
+explicit: hyperbolic factors use polar coordinates on R^l, sphere factors
+use angles, so every immersion is a smooth map from a box in R^n that
+finite differencing can probe.
 """
 
 from __future__ import annotations
@@ -386,13 +387,14 @@ def _leaf_spherical_collapse(leaf: ProductOfSpheres, radius2: float) -> float | 
 
 
 class _Plan(NamedTuple):
-    """The static facts of one descriptor level."""
+    """The static facts of one descriptor level; an umbilic level also holds its placement."""
 
     dims: Dimensions
     box: tuple[tuple[float, float], ...]
     shape: ShapeFlags
     window: ExistenceWindow
     lorentz_range: tuple[float | None, float | None]
+    placement: _HyperbolicPlacement | _SphericalPlacement | _EuclideanPlacement | None = None
 
 
 def _plan(d) -> _Plan:
@@ -436,6 +438,8 @@ def _build_plan(d) -> _Plan:
     if not isinstance(d, Umbilic):
         raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
     umb, inner = d.umb, d.inner
+    # from the by-value cache, so equal levels (a tree loaded again from JSON) share one placement
+    placement = _umbilic_placement(umb)
     inner_window = None
     if isinstance(inner, ProductOfSpheres):
         n, box = inner.dim, _sphere_box(inner)
@@ -457,7 +461,7 @@ def _build_plan(d) -> _Plan:
     tg = umb.totally_geodesic and inner_tg
     dims, shape = Dimensions(n, umb.m, umb.m - n), ShapeFlags(tg, tg, inner_flat)
     if n == 0:
-        return _Plan(dims, box, shape, ExistenceWindow(None, None, None, None, None), (None, None))
+        return _Plan(dims, box, shape, ExistenceWindow(None, None, None, None, None), (None, None), placement)
     alpha, one = umb.alpha, umb.one_minus_alpha2
     if alpha == 1.0:
         t_dprime = t_prime
@@ -471,7 +475,7 @@ def _build_plan(d) -> _Plan:
     t_max = None if t_dprime is None else math.log1p(2.0 * n * t_dprime) / (2.0 * n)
     window = ExistenceWindow(t_prime, t_dprime, t_max, t_alpha, -1.0 / (2.0 * n), inner_window)
     lower = None if alpha >= 1.0 else -1.0 / (2.0 * n * one)
-    return _Plan(dims, box, shape, window, (lower, t_dprime))
+    return _Plan(dims, box, shape, window, (lower, t_dprime), placement)
 
 
 def dimensions(d) -> Dimensions:
@@ -653,16 +657,22 @@ def _complement_basis(span: list[np.ndarray]) -> list[np.ndarray]:
     return basis
 
 
+# Each placement holds G, the signed transpose of its columns: G @ rel are
+# the signature products <rel, b> with the columns b, which split a point.
+
+
 class _HyperbolicPlacement(NamedTuple):
     J: np.ndarray          # (m+1, m) columns: m-1 spacelike then 1 future timelike
     scale: float           # sqrt(R), R = 1/(1 - alpha^2)
     eta: np.ndarray
+    G: np.ndarray
 
 
 class _SphericalPlacement(NamedTuple):
     J: np.ndarray          # (m+1, m) spacelike columns spanning xi^perp
     radius2: float         # a^2 - 1
     eta: np.ndarray
+    G: np.ndarray
 
 
 class _EuclideanPlacement(NamedTuple):
@@ -670,10 +680,21 @@ class _EuclideanPlacement(NamedTuple):
     W: np.ndarray          # (m+1, m-1) spacelike columns, orthogonal to xi and x0
     xi: np.ndarray
     a: float
+    G: np.ndarray
+
+
+def _signed_transpose(B: np.ndarray, timelike_last: bool) -> np.ndarray:
+    """G with G @ rel = <rel, b> for the columns b of B; the last has <b, b> = -1 if ``timelike_last``."""
+    G = B.T.copy()
+    G[:, -1] = -G[:, -1]  # <rel, b> = rel . b with the time entry of b negated
+    if timelike_last:
+        G[-1] = -G[-1]
+    return G
 
 
 @lru_cache(maxsize=None)
 def _umbilic_placement(umb: UmbilicData):
+    """The frame of an umbilic hypersurface, cached by value; a level's plan holds it."""
     xi = umb.xi_array
     m = umb.m
     if umb.kind == "hyperbolic":
@@ -688,12 +709,14 @@ def _umbilic_placement(umb: UmbilicData):
         base = eta + math.sqrt(R) * t
         if base[-1] <= 0:
             t = -t
-        return _HyperbolicPlacement(np.column_stack(spacelike + [t]), math.sqrt(R), eta)
+        J = np.column_stack(spacelike + [t])
+        return _HyperbolicPlacement(J, math.sqrt(R), eta, _signed_transpose(J, True))
     if umb.kind == "spherical":
         cols = _complement_basis([xi])
         if any(minkowski_inner(v, v) < 0 for v in cols):
             raise InvalidArgumentError("complement of a timelike xi must be spacelike")
-        return _SphericalPlacement(np.column_stack(cols), umb.a**2 - 1.0, umb.eta_array)
+        J = np.column_stack(cols)
+        return _SphericalPlacement(J, umb.a**2 - 1.0, umb.eta_array, _signed_transpose(J, False))
     # euclidean: horospherical chart around a canonical base point; the span
     # of {xi, x0} is projected out through the orthogonal pair {x0, xi/a + x0}
     # because the null xi itself cannot normalize a projection
@@ -701,8 +724,8 @@ def _umbilic_placement(umb: UmbilicData):
     nu = np.concatenate([-xi[:-1], [xi[-1]]])
     x0 = -xi / (2.0 * a) - (a / (2.0 * xi[-1] ** 2)) * nu
     zeta = xi / a + x0
-    cols = _complement_basis([x0, zeta])
-    return _EuclideanPlacement(x0, np.column_stack(cols), xi, a)
+    W = np.column_stack(_complement_basis([x0, zeta]))
+    return _EuclideanPlacement(x0, W, xi, a, _signed_transpose(W, False))
 
 
 def _umbilic_embed(d: Umbilic, inner_point: np.ndarray) -> np.ndarray:
@@ -711,7 +734,7 @@ def _umbilic_embed(d: Umbilic, inner_point: np.ndarray) -> np.ndarray:
     Takes one point or rows along the last axis; a row gives the same bits
     either way (see ``_row_dots``).
     """
-    pl = _umbilic_placement(d.umb)
+    pl = _plan(d).placement
     if isinstance(pl, _HyperbolicPlacement):
         return pl.eta + pl.scale * np.matmul(pl.J, inner_point[..., None])[..., 0]
     if isinstance(pl, _SphericalPlacement):
@@ -725,21 +748,18 @@ def _umbilic_split_rows(d: Umbilic, X: np.ndarray) -> np.ndarray:
     """Inner-model coordinates of ambient points, without membership checks.
 
     Takes one point or rows along the last axis.  The signature products
-    with the placement columns are one stacked matmul, as in
-    ``_umbilic_embed``, so a row gives the same bits alone as in any batch.
+    with the placement columns are one stacked matmul with the placement's
+    G, as in ``_umbilic_embed``, so a row gives the same bits alone as in
+    any batch.
     """
-    pl = _umbilic_placement(d.umb)
+    pl = _plan(d).placement
     if isinstance(pl, _HyperbolicPlacement):
-        rel, B = (X - pl.eta) / pl.scale, pl.J
+        rel = (X - pl.eta) / pl.scale
     elif isinstance(pl, _SphericalPlacement):
-        rel, B = X - pl.eta, pl.J
+        rel = X - pl.eta
     else:
-        rel, B = X - pl.x0, pl.W
-    G = B.T.copy()
-    G[:, -1] = -G[:, -1]  # <rel, b> = rel . b with the time entry of b negated
-    if isinstance(pl, _HyperbolicPlacement):
-        G[-1] = -G[-1]  # the timelike column has <b, b> = -1
-    return np.matmul(G, rel[..., None])[..., 0]
+        rel = X - pl.x0
+    return np.matmul(pl.G, rel[..., None])[..., 0]
 
 
 def _validate_levels(d, X: np.ndarray) -> None:
@@ -864,7 +884,7 @@ def _hyperbolic_H(d, x: np.ndarray) -> np.ndarray:
         return HL - n * x
     if isinstance(d, Umbilic):
         umb, inner = d.umb, d.inner
-        pl = _umbilic_placement(umb)
+        pl = _plan(d).placement
         z = _umbilic_split_rows(d, x)
         if isinstance(inner, ProductOfSpheres):
             H1 = np.zeros_like(x) if inner.is_point else pl.J @ (_leaf_euclidean_H(inner, z) + (inner.dim / pl.radius2) * z)

@@ -30,7 +30,11 @@ one-point entry points validated batches of one.  The public flows refuse
 t >= T; the endpoint mode of ``_hyperbolic_flow_rows`` evaluates the
 continuous extension at t = T, which is the forward focal limit, and that of
 ``_lorentz_flow_rows`` the extension of geodesic (alpha = 0) levels to the
-light-cone time -1/(2n), whose ball image is the backward limit.  The
+light-cone time -1/(2n), whose ball image is the backward limit.  At
+s = +infinity the endpoint mode of ``_lorentz_flow_rows`` is asymptotic:
+each level keeps its leading coefficient in s, which is the forward limit
+of every eternal descriptor (a timelike coefficient over sqrt(2ns) is the
+totally geodesic limit, a null one names the ideal point).  The
 existence window of a descriptor (``existence_window``, re-exported here) is
 part of its plan in ``descriptors``: the inner maximal time T', the
 Lorentzian bound T'', the hyperbolic maximal time T and the backward gauge
@@ -54,8 +58,8 @@ from .descriptors import (
     Umbilic,
     _ambient_r,
     _is_stationary,
+    _plan,
     _umbilic_embed,
-    _umbilic_placement,
     _umbilic_split_rows,
     _validate_levels,
     dimensions,
@@ -288,16 +292,40 @@ def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> 
     With ``end`` an alpha = 0 level, whose scaling vanishes at the light-cone
     time -1/(2n), is its continuous extension there: the Lorentzian flow of
     its inner level, embedded (R = 1 and eta = 0 on a geodesic hypersurface).
+
+    With ``end`` and ts = [inf], the asymptotic endpoint of an eternal flow,
+    each level keeps its leading coefficient C in s, (1, K, m+1):
+    * a stationary level keeps its rows (F = sqrt(1 + 2ns) X, or X if n = 0);
+    * a full product (an eternal one has a point leaf, so n = l) grows like
+      sqrt(1 + 2ls/r) on its H^l(-r) block: C against sqrt(2ns) is that
+      block over sqrt(r), the leaf block zero;
+    * a horospherical level drifts by -n s beta xi: C = -(beta/2) xi
+      against 2ns, null and the same for every row;
+    * a hyperbolic level is F = eta + sqrt(R) J F_in(z, (1 - alpha^2) s), so
+      C = J C_in, exact against sqrt(2ns) as sqrt(R (1 - alpha^2)) = 1; a
+      null C_in keeps its direction, up to the factor sqrt(1 - alpha^2).
+    A timelike C is the totally geodesic limit, a null one names the ideal
+    point F[:-1] / F[-1] tends to.
     """
     n = dimensions(d).n
-    if n == 0:
+    far = end and ts == [math.inf]
+    if n == 0 or (far and _is_stationary(d)):
         return np.broadcast_to(X, (len(ts),) + X.shape).copy()
     if isinstance(d, Ambient):
         return _per_time([_a1(d.m, d.r, t) for t in ts]) * X
     if isinstance(d, FullProduct):
+        if far:
+            C = X / math.sqrt(d.r)
+            C[:, d.l : -1] = 0.0
+            return C[None]
         return _product_rows(d, X, ts)
     if isinstance(d, Umbilic):
         umb = d.umb
+        if far and umb.kind == "euclidean":
+            return np.broadcast_to(-0.5 * umb.beta * umb.xi_array, (1,) + X.shape).copy()
+        if far:
+            C = _lorentz_flow_rows(d.inner, _umbilic_split_rows(d, X), ts, end)
+            return np.matmul(_plan(d).placement.J, C[..., None])[..., 0]
         if end and umb.alpha == 0.0:
             return _umbilic_embed(d, _lorentz_flow_rows(d.inner, _umbilic_split_rows(d, X), ts, end))
         one = umb.one_minus_alpha2
@@ -423,7 +451,7 @@ def _umbilic_inner_flow_rows(d: Umbilic, X: np.ndarray, ss: list[float], end: bo
     else:
         # the hypersurface is H^(m-1)(-R); flowing its unit-curvature model for
         # time s/R and rescaling by sqrt(R) is the flow inside the hypersurface
-        R = _umbilic_placement(d.umb).scale ** 2
+        R = _plan(d).placement.scale ** 2
         Zt = _hyperbolic_flow_rows(inner, Z, [s / R for s in ss], end)
     return _umbilic_embed(d, Zt)
 

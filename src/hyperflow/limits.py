@@ -2,9 +2,13 @@
 
 Forward (t -> T): finite-time flows collapse onto a focal set (possibly one
 point), which is the hyperbolic flow's continuous extension to T: the row
-flow evaluated at its endpoint.  Eternal flows converge either to a totally
-geodesic submanifold or to a single ideal point, decided recursively through
-the construction.
+flow evaluated at its endpoint.  Every eternal flow (t_max None) has the
+asymptotic endpoint of the Lorentzian row flow at s = +infinity as its
+limit: each level keeps its leading coefficient in s.  A timelike leading
+term, normalised by sqrt(2ns), is the totally geodesic submanifold the flow
+relaxes onto (the submanifold itself when it is stationary); a null one,
+which only a horospherical level drifts along, names the ideal point by its
+ball image F[:-1] / F[-1].
 Backward (t -> -infinity): every non-geodesic flow escapes to the ideal
 boundary and its rescaled projections converge to a submanifold of S^(m-1)
 of the same dimension.  Hyperbolic t -> -infinity is the Lorentzian light-cone
@@ -25,21 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .descriptors import (
-    FullProduct,
-    Umbilic,
-    _is_stationary,
-    _umbilic_embed,
-    _umbilic_placement,
-    chart_box,
-    dimensions,
-    immerse_rows,
-)
-from .errors import GeometryError, InvalidArgumentError, StationaryNoLimitError
+from .descriptors import Umbilic, _is_stationary, chart_box, dimensions, immerse_rows
+from .errors import InvalidArgumentError, StationaryNoLimitError
 from .flow import _hyperbolic_flow_rows, _lorentz_flow_rows, _validate_rows, existence_window
 from . import oracle
 
@@ -79,53 +74,21 @@ class LimitReport:
 # classification
 
 
-class _Forward(NamedTuple):
-    """A forward variant with its limit on rows, (K, n) chart points to (K, m+1) points, or its ideal point."""
-
-    variant: str
-    rows: Callable[[np.ndarray], np.ndarray] | None = None
-    ideal_point: np.ndarray | None = None
-
-
-def _forward(d) -> _Forward:
-    """The forward limit of d, decided in one recursion through the construction."""
+def _forward_variant(d) -> str:
+    """The forward variant of d from its plan and the kinds of its levels, without evaluating any samples."""
     if _is_stationary(d):
-        return _Forward(FORWARD_STATIONARY, lambda U: immerse_rows(d, U))
-    T = existence_window(d).t_max
-    if T is not None:
-
-        def focal(U: np.ndarray) -> np.ndarray:
-            X = immerse_rows(d, U)
-            _validate_rows(d, X)
-            return _hyperbolic_flow_rows(d, X, [T], end=True)[0]
-
-        return _Forward(FORWARD_FOCAL, focal)
-    if isinstance(d, FullProduct):
-        # eternal full products have a point leaf: the leaf dies and the
-        # hyperbolic factor relaxes onto the totally geodesic H^l(-1)
-        def geodesic(U: np.ndarray) -> np.ndarray:
-            X = immerse_rows(d, U) / math.sqrt(d.r)
-            X[:, d.l : -1] = 0.0
-            return X
-
-        return _Forward(FORWARD_GEODESIC, geodesic)
-    # an eternal umbilic level (Ambient is stationary)
-    if d.umb.kind == "euclidean":
-        xi = d.umb.xi_array
-        return _Forward(FORWARD_IDEAL_POINT, ideal_point=xi[:-1] / xi[-1])
-    inner = _forward(d.inner)
-    if inner.variant == FORWARD_IDEAL_POINT:
-        return _Forward(FORWARD_IDEAL_POINT, ideal_point=_embed_ideal(d, inner.ideal_point))
-    if inner.variant == FORWARD_FOCAL:
-        raise GeometryError("an eternal wrapper cannot contain a collapsing flow")
-    eta = _umbilic_placement(d.umb).eta
-    factor = math.sqrt(d.umb.one_minus_alpha2)
-    return _Forward(FORWARD_GEODESIC, lambda U: factor * (_umbilic_embed(d, inner.rows(U)) - eta))
+        return FORWARD_STATIONARY
+    if existence_window(d).t_max is not None:
+        return FORWARD_FOCAL
+    # an eternal leading term is null only below hyperbolic levels, on a horosphere
+    while isinstance(d, Umbilic) and d.umb.kind == "hyperbolic":
+        d = d.inner
+    return FORWARD_IDEAL_POINT if isinstance(d, Umbilic) else FORWARD_GEODESIC
 
 
 def classify_limits(d) -> LimitReport:
     """Variant skeleton of both limits, without evaluating any samples."""
-    fwd = ForwardLimit(variant=_forward(d).variant, collapse_time=existence_window(d).t_max)
+    fwd = ForwardLimit(variant=_forward_variant(d), collapse_time=existence_window(d).t_max)
     bwd = BackwardLimit(variant=BACKWARD_STATIONARY if _is_stationary(d) else BACKWARD_IDEAL)
     return LimitReport(fwd, bwd)
 
@@ -139,31 +102,42 @@ def evaluate_limits(d, chart_samples: Sequence[np.ndarray]) -> LimitReport:
 # forward limits
 
 
-def _embed_ideal(d: Umbilic, p: np.ndarray) -> np.ndarray:
-    """Ideal boundary of the inner model embedded through the level's frame.
+def _forward_rows(d) -> Callable[[np.ndarray], np.ndarray]:
+    """The forward limit on rows: (K, n) chart points to (K, m+1) rows, in one row evaluation.
 
-    Takes one point or rows along the last axis; a row gives the same bits
-    either way, as in ``_umbilic_embed``.
+    A focal flow's limit is its continuous extension to T: the rows are
+    immersed and validated once and flowed by ``_hyperbolic_flow_rows`` in
+    its endpoint mode.  An eternal flow's is the asymptotic endpoint of
+    ``_lorentz_flow_rows`` at s = +infinity, the leading coefficient of each
+    row: on H^m(-1) when it is timelike, null when the limit is an ideal
+    point.  Row k has the same bits as the chart at ``U[k]`` alone.
     """
-    pl = _umbilic_placement(d.umb)
-    ones = np.ones(p.shape[:-1] + (1,))
-    lift = np.matmul(pl.J, np.concatenate([p, ones], axis=-1)[..., None])[..., 0]
-    return lift[..., :-1] / lift[..., -1:]
+    T = existence_window(d).t_max
+    if T is None:
+        return lambda U: _lorentz_flow_rows(d, immerse_rows(d, U), [math.inf], end=True)[0]
+
+    def focal(U: np.ndarray) -> np.ndarray:
+        X = immerse_rows(d, U)
+        _validate_rows(d, X)
+        return _hyperbolic_flow_rows(d, X, [T], end=True)[0]
+
+    return focal
 
 
 def forward_limit(d, chart_samples: Sequence[np.ndarray]) -> ForwardLimit:
-    """Evaluate the forward limit at the given chart samples, in one row evaluation.
+    """Evaluate the forward limit at the given chart samples, in one row evaluation of ``_forward_rows``.
 
-    The focal limit is the flow's continuous extension to T: the samples are
-    immersed and validated once and flowed by ``_hyperbolic_flow_rows`` in
-    its endpoint mode.  ``immersion`` is a batch of one of the same row map.
+    ``immersion`` is a batch of one of the same row map.  An ideal point is
+    the same for every row, so it is read at the centre of the chart box
+    and no samples are kept.
     """
-    fwd = _forward(d)
-    if fwd.rows is None:
-        return ForwardLimit(fwd.variant, ideal_point=fwd.ideal_point)
+    variant, rows = _forward_variant(d), _forward_rows(d)
+    if variant == FORWARD_IDEAL_POINT:
+        C = rows(np.array([[(lo + hi) / 2.0 for lo, hi in chart_box(d)]]))[0]
+        return ForwardLimit(variant, ideal_point=C[:-1] / C[-1])
     samples_u = [np.asarray(u, dtype=float) for u in chart_samples]
-    pts = fwd.rows(np.array(samples_u)) if samples_u else np.array([])
-    return ForwardLimit(fwd.variant, existence_window(d).t_max, pts, immersion=_batch_of_one(fwd.rows))
+    pts = rows(np.array(samples_u)) if samples_u else np.array([])
+    return ForwardLimit(variant, existence_window(d).t_max, pts, immersion=_batch_of_one(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ report, invariant report); ``run_invariant_battery`` drives the checks that
 ``verify`` gates on.  Outputs are deterministic for a fixed seed.  The
 trajectory and ball writers flow all samples over the whole time grid in
 one call of the flow core; ``csvrows`` formats the rows with numpy, every
-number as ``"%.17g" % v`` would write it, and each grid time once per file.
+number as ``"%.17g" % v`` would write it, and each grid time once per run.
 Every artifact is written to a temporary file beside it and renamed into
 place, so a failed run leaves no partial file.  Each of the battery's
 closed-form checks is one call of the flow core over all of its sampled
@@ -500,14 +500,17 @@ def _write_json(path: Path, obj: dict) -> None:
         fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii"))
 
 
-def _write_sample_rows(path: Path, symbol: str, times: np.ndarray, values: np.ndarray) -> None:
-    """Write ``sample_id,t,<symbol>_1,...`` rows of an (S, T, k) array, sample by sample, block by block."""
-    from . import csvrows  # imported by the first write: verify and limits format no CSV
+def _write_sample_rows(path: Path, symbol: str, labels: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> None:
+    """Write ``sample_id,t,<symbol>_1,...`` rows of an (S, T, k) array, sample by sample, block by block.
+
+    ``labels`` are the run's ``csvrows.row_labels``, shared by its CSVs.
+    """
+    from . import csvrows
 
     k = values.shape[2]
     with _replacing(path) as fh:
         fh.write(("sample_id,t," + ",".join(f"{symbol}_{i + 1}" for i in range(k)) + "\n").encode("ascii"))
-        for block in csvrows.sample_blocks(times, values):
+        for block in csvrows.sample_blocks(labels, values):
             fh.write(block)
 
 
@@ -551,18 +554,21 @@ def run_scenario(source: str | Path, out_dir: str | Path, seed: int | None = Non
     written: dict[str, str] = {}
 
     if "trajectory" in scn.outputs or "ball" in scn.outputs:
+        from . import csvrows  # imported by the first write: verify and limits format no CSV
+
         X0 = immerse_rows(d, np.array(us))
         _validate_rows(d, X0)
         flowed = _flow_samples(d, X0, times)
+        labels = csvrows.row_labels(times, len(us))
         if "ball" in scn.outputs:
             ball = ball_projection_rows(frame, _ambient_r(d), flowed.reshape(-1, dims.m + 1)).reshape(*flowed.shape[:2], dims.m)
         if "trajectory" in scn.outputs:
             path = out / f"{scn.name}_trajectory.csv"
-            _write_sample_rows(path, "x", times, flowed)
+            _write_sample_rows(path, "x", labels, flowed)
             written["trajectory"] = str(path)
         if "ball" in scn.outputs:
             path = out / f"{scn.name}_ball.csv"
-            _write_sample_rows(path, "y", times, ball)
+            _write_sample_rows(path, "y", labels, ball)
             written["ball"] = str(path)
 
     summary: dict = {

@@ -1,4 +1,4 @@
-"""Conformal ball projections, boundary transitions and boundary maps."""
+"""Conformal ball projections and boundary transitions."""
 
 import math
 
@@ -12,15 +12,8 @@ from hyperflow.ball import (
     ball_projection,
     ball_projection_inverse,
     ball_projection_rows,
-    boundary_limit,
     boundary_transition,
-    conformal_mean_curvature,
-    product_boundary_factor,
-    product_boundary_map,
-    umbilic_boundary_map,
-    umbilic_boundary_rows,
 )
-from hyperflow.descriptors import derive_umbilic
 from hyperflow.errors import DomainError
 from hyperflow.lorentz import HyperboloidPoint, OrthonormalFrame
 
@@ -138,120 +131,3 @@ class TestBoundaryTransition:
         q, _ = boundary_transition(frame, 1.0, p)
         back, _ = boundary_transition(frame.inverse(), 1.0, q)
         assert np.max(np.abs(back.coords - p)) < 1e-8
-
-
-class TestBoundaryLimit:
-    def test_geodesic_ray(self):
-        path = lambda t: np.array([math.sinh(t), 0.0, math.cosh(t)])
-        p = boundary_limit(path, 1.0, None)
-        assert p is not None and np.allclose(p.coords, [1, 0], atol=1e-9)
-
-    def test_horocycle_trajectory(self):
-        path = lambda t: np.array([-math.sinh(t), 0.0, math.cosh(t)])
-        p = boundary_limit(path, 1.0, None)
-        assert p is not None and np.allclose(p.coords, [-1, 0], atol=1e-9)
-
-    def test_constant_path_has_no_limit(self):
-        p = boundary_limit(lambda t: np.array([0.0, 0.0, 1.0]), 1.0, None)
-        assert p is None
-
-    def test_finite_endpoint(self):
-        # a path escaping to the boundary as t approaches T = 1 from below
-        path = lambda t: np.array([math.sinh(1.0 / (1.0 - t)), 0.0, math.cosh(1.0 / (1.0 - t))])
-        p = boundary_limit(path, 1.0, 1.0, t0=0.0)
-        assert p is not None and np.allclose(p.coords, [1, 0], atol=1e-9)
-
-    def test_oscillating_path_has_no_limit(self):
-        def path(t):
-            # the normalized direction keeps rotating by ~log 2 per doubling
-            s, c = np.sin(np.log1p(t)), np.cos(np.log1p(t))
-            return np.array([np.sinh(t) * c, np.sinh(t) * s, np.cosh(t)])
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert boundary_limit(path, 1.0, None) is None
-
-
-class TestUmbilicBoundaryMap:
-    def test_circle_samples(self):
-        umb = derive_umbilic([0.0, 0.0, -1.0], 2.0)
-        assert umb.c == pytest.approx(2.0 - math.sqrt(3.0))
-        p = umbilic_boundary_map(umb, [math.sqrt(3), 0.0, 2.0])
-        assert np.allclose(p.coords, [1, 0], atol=1e-14)
-        q = umbilic_boundary_map(umb, [0.0, math.sqrt(3), 2.0])
-        assert np.allclose(q.coords, [0, 1], atol=1e-14)
-
-    def test_equidistant_sample(self):
-        umb = derive_umbilic([1.0, 0.0, 0.0], 1.0)
-        p = umbilic_boundary_map(umb, [1.0, 0.0, math.sqrt(2)])
-        assert np.allclose(p.coords, [1, 0], atol=1e-14)
-
-    def test_off_hypersurface_rejected(self):
-        umb = derive_umbilic([0.0, 0.0, -1.0], 2.0)
-        with pytest.raises(DomainError):
-            umbilic_boundary_map(umb, [0.0, 0.0, 1.0])
-
-    @pytest.mark.parametrize("bad", ["off level", "off quadric", "nan"])
-    def test_off_hypersurface_row_in_a_batch(self, bad):
-        umb = derive_umbilic([0.0, 0.0, -1.0], 2.0)
-        Y = np.array([[math.sqrt(3) * math.cos(a), math.sqrt(3) * math.sin(a), 2.0] for a in (0.1, 0.7, 1.3)])
-        P = umbilic_boundary_rows(umb, Y)
-        for y, p in zip(Y, P):
-            assert p.tobytes() == umbilic_boundary_map(umb, y).coords.tobytes()
-        # x_3 = 2.5 with |x_bar|^2 = 5.25 stays on H^2(-1) but leaves the level
-        Y[1] = {"off level": [math.sqrt(5.25), 0.0, 2.5], "off quadric": 1.01 * Y[1], "nan": np.nan}[bad]
-        with pytest.raises(DomainError):
-            umbilic_boundary_rows(umb, Y)
-
-    def test_unit_norm_on_random_samples(self, rng):
-        umb = derive_umbilic([0.0, 0.0, 0.0, -1.0], 2.0)
-        worst = 0.0
-        for _ in range(1000):
-            z = rng.normal(size=3)
-            z *= math.sqrt(3.0) / np.linalg.norm(z)
-            y = np.append(z, 2.0)
-            worst = max(worst, abs(np.linalg.norm(umbilic_boundary_map(umb, y).coords) - 1.0))
-        assert worst < 1e-10
-
-
-class TestProductBoundaryMap:
-    def test_basepoint(self):
-        p = product_boundary_map(1, 2.0, [0.0, math.sqrt(2)], [math.sqrt(2), 0.0])
-        assert np.allclose(p.coords, [0, 1, 0], atol=1e-15)
-
-    def test_boosted_point(self):
-        p = product_boundary_map(1, 2.0, [math.sqrt(2), 2.0], [math.sqrt(2), 0.0])
-        assert np.allclose(p.coords, [math.sqrt(2) / 2, math.sqrt(2) / 2, 0.0], atol=1e-15)
-        assert product_boundary_factor([math.sqrt(2), 2.0]) == pytest.approx(0.25)
-
-    def test_unit_norm_on_random_samples(self, rng):
-        r = 2.0
-        worst = 0.0
-        for _ in range(1000):
-            s = rng.normal()
-            x = math.sqrt(r) * np.array([math.sinh(s), math.cosh(s)])
-            ang = rng.uniform(0, 2 * math.pi)
-            z = math.sqrt(r) * np.array([math.cos(ang), math.sin(ang)])
-            worst = max(worst, abs(np.linalg.norm(product_boundary_map(1, r, x, z).coords) - 1.0))
-        assert worst < 1e-10
-
-    def test_constraint_violations_rejected(self):
-        with pytest.raises(DomainError):
-            product_boundary_map(1, 2.0, [0.0, 1.0], [math.sqrt(2), 0.0])
-        with pytest.raises(DomainError):
-            product_boundary_map(1, 2.0, [0.0, math.sqrt(2)], [1.0, 0.0])
-
-
-class TestConformalMeanCurvature:
-    def test_identity_change(self):
-        H = np.array([1.0, 2.0])
-        assert np.allclose(conformal_mean_curvature(H, np.zeros(2), 0.0, 3), H)
-
-    def test_pure_gradient_term(self):
-        w = np.array([0.5, -1.0])
-        assert np.allclose(conformal_mean_curvature(np.zeros(2), w, 0.0, 2), -2.0 * w)
-
-    def test_combined(self):
-        H = np.array([1.0, 0.0])
-        w = np.array([0.0, 1.0])
-        out = conformal_mean_curvature(H, w, math.log(2.0), 1)
-        assert np.allclose(out, (H - w) / 4.0)

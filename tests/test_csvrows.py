@@ -111,20 +111,38 @@ class TestWholeFiles:
         rng = np.random.default_rng(100 * k + chunk)
         times = np.concatenate([[-3.0], np.sort(rng.uniform(-3.0, 2.0, 11)), [2.0]])
         values = awkward_values(rng, (12, times.size, k))
-        scenario._write_sample_rows(tmp_path / "new.csv", "x", times, values)
+        scenario._write_sample_rows(tmp_path / "new.csv", "x", csvrows.row_labels(times, len(values)), values)
         write_reference(tmp_path / "old.csv", "x", times, values)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_blocks_cover_every_row_once(self, monkeypatch):
         monkeypatch.setattr(csvrows, "CHUNK", 10)
         values = np.arange(3 * 7 * 3, dtype=float).reshape(3, 7, 3)
-        blocks = list(csvrows.sample_blocks(np.arange(7.0), values))
+        blocks = list(csvrows.sample_blocks(csvrows.row_labels(np.arange(7.0), 3), values))
         assert len(blocks) == math.ceil(21 / 3)
         lines = b"".join(blocks).decode().splitlines()
         assert lines == [f"{s},{t},{3 * (7 * s + t)},{3 * (7 * s + t) + 1},{3 * (7 * s + t) + 2}" for s in range(3) for t in range(7)]
 
     def test_single_time_and_sample(self, tmp_path):
         times, values = np.array([0.25]), np.array([[[1e-7, -0.0]]])
-        scenario._write_sample_rows(tmp_path / "new.csv", "y", times, values)
+        scenario._write_sample_rows(tmp_path / "new.csv", "y", csvrows.row_labels(times, 1), values)
         write_reference(tmp_path / "old.csv", "y", times, values)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes() == b"sample_id,t,y_1,y_2\n0,0.25,9.9999999999999995e-08,-0\n"
+
+    def test_a_run_formats_its_labels_once(self, tmp_path, monkeypatch):
+        # the trajectory and ball CSVs share one set of sample ids and time stamps
+        from hyperflow.catalog import CATALOG
+
+        made, texts = [], csvrows.texts
+        monkeypatch.setattr(csvrows, "texts", lambda x: made.append(len(x)) or texts(x))
+        path = tmp_path / "scn.json"
+        path.write_text(scenario.json.dumps({
+            "name": "tube", "descriptor": scenario.descriptor_to_json(CATALOG["tube_h3"]),
+            "time_grid": {"start": -1.0, "end": 0.25, "steps": 9}, "outputs": ["trajectory", "ball"],
+        }))
+        summary = scenario.run_scenario(path, tmp_path / "out", seed=7)
+        assert made == [9]
+        for name in ("trajectory", "ball"):
+            rows = (tmp_path / "out" / f"tube_{name}.csv").read_text().splitlines()[1:]
+            assert [row.split(",")[1] for row in rows[:9]] == ["%.17g" % t for t in np.linspace(-1.0, 0.25, 9)]
+        assert set(summary["written"]) == {"trajectory", "ball"}

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from hyperflow import descriptors, oracle
+from hyperflow import descriptors, flow, oracle
 from hyperflow.catalog import CATALOG
 from hyperflow.descriptors import (
     Ambient,
@@ -456,6 +456,22 @@ class TestPlan:
         backward_limit(d, us, estimate_dim=False)
         run_invariant_battery(d, Sampling(), OracleSettings(enabled=False))
         assert built == []
+
+    def test_levels_hold_their_placement(self, monkeypatch):
+        # equal levels share one placement from the by-value cache, a tree loaded again from JSON too
+        d = geodesic_chain(8)
+        back = descriptor_from_json(json.loads(json.dumps(descriptor_to_json(d))))
+        level, again = d, back
+        while isinstance(level, Umbilic):
+            placement = vars(level)["_plan"].placement
+            assert placement is descriptors._umbilic_placement(level.umb) is vars(again)["_plan"].placement
+            level, again = level.inner, again.inner
+        # embedding, splitting, validation, the flows and mean curvature read the plan, not the cache
+        monkeypatch.setattr(descriptors, "_umbilic_placement", lambda umb: pytest.fail("placement looked up by value"))
+        X = immerse_rows(back, np.array(chart_samples(back, 3, 7)))
+        flow._validate_rows(back, X)
+        assert flow._hyperbolic_flow_rows(back, X, [0.1]).tobytes() == flow._hyperbolic_flow_rows(d, X, [0.1]).tobytes()
+        mean_curvature(back, X[0])
 
     def test_plan_is_invisible(self):
         planned, fresh = Ambient(3, 2.0), Ambient(3, 2.0)

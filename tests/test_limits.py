@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 from hyperflow import cli, limits, oracle
-from hyperflow.ball import ball_projection, umbilic_boundary_rows
+from hyperflow.ball import ball_projection
 from hyperflow.catalog import CATALOG
 from hyperflow.descriptors import (
     Ambient,
+    EuclideanIso,
     FullProduct,
     ProductOfSpheres,
     Umbilic,
+    _is_stationary,
+    _umbilic_embed,
+    _umbilic_placement,
     chart_box,
     classify_shape,
     derive_umbilic,
@@ -25,6 +29,7 @@ from hyperflow.descriptors import (
 )
 from hyperflow.errors import StationaryNoLimitError, TimeOutOfRangeError
 from hyperflow.flow import (
+    _lorentz_flow_rows,
     _umbilic_inner_flow_rows,
     existence_window,
     hyperbolic_flow,
@@ -221,6 +226,162 @@ class TestForwardLimitRows:
                 flow(d, x, window.t_dprime)
 
 
+def _wrapped(d, depth, a):
+    """d under ``depth`` hyperbolic levels {<x, xi> = a} with xi = (0.6, 0.8, 0, ..., 0)."""
+    for _ in range(depth):
+        d = Umbilic(derive_umbilic([0.6, 0.8] + [0.0] * dimensions(d).m, a), d)
+    return d
+
+
+def _eternal_cases():
+    """Eternal, moving descriptors: every kind of level an eternal forward limit passes through."""
+    cases = {
+        "horocycle_h2": CATALOG["horocycle_h2"],
+        "equidistant_h2": CATALOG["equidistant_h2"],
+        "horosphere_h3": Umbilic(
+            derive_umbilic((0.6, 0.0, 0.8, -1.0), 1.5), EuclideanIso(1, offset=(0.3, -0.4), ambient_dim=2)
+        ),
+        "equidistant_h3": Umbilic(derive_umbilic((0.0, 0.6, 0.8, 0.0), 0.7), Ambient(2)),
+    }
+    cases.update({f"product_l{l}": FullProduct(l, 1.0 + 0.5 * l, ProductOfSpheres(point_position=(0.6, 0.8))) for l in range(1, 6)})
+    for base in ("horocycle_h2", "horosphere_h3", "equidistant_h2", "product_l2"):
+        for depth, a in ((1, 0.0), (2, 0.5), (3, 2.0)):
+            cases[f"{base}_in_{depth}"] = _wrapped(cases[base], depth, a)
+    return cases
+
+
+ETERNAL_CASES = _eternal_cases()
+
+
+def _eternal_forward_reference(d):
+    """The eternal forward limit as one closed-form map per descriptor kind, the asymptotic row core's reference.
+
+    Returns (rows, None) for a totally geodesic limit and (None, p) for an
+    ideal point p.  A point-leaf product relaxes onto H^l(-1), a
+    horospherical level tends to the ideal point of its null xi, and a
+    hyperbolic level embeds its inner limit: an ideal point through its
+    frame, geodesic rows rescaled by sqrt(1 - alpha^2) about eta.
+    """
+    if _is_stationary(d):
+        return (lambda U: immerse_rows(d, U)), None
+    if isinstance(d, FullProduct):
+
+        def geodesic(U):
+            X = immerse_rows(d, U) / math.sqrt(d.r)
+            X[:, d.l : -1] = 0.0
+            return X
+
+        return geodesic, None
+    if d.umb.kind == "euclidean":
+        xi = d.umb.xi_array
+        return None, xi[:-1] / xi[-1]
+    rows, ideal = _eternal_forward_reference(d.inner)
+    if ideal is not None:
+        return None, _embed_ideal_reference(d, ideal)
+    eta, factor = _umbilic_placement(d.umb).eta, math.sqrt(d.umb.one_minus_alpha2)
+    return (lambda U: factor * (_umbilic_embed(d, rows(U)) - eta)), None
+
+
+def _ulps_apart(a, b):
+    """The largest |a - b|, in units in the last place of the largest entry of b (of its row)."""
+    return float(np.max(np.abs(a - b) / np.spacing(np.max(np.abs(b), axis=-1, keepdims=True))))
+
+
+def _leading_rows(d, U):
+    """The asymptotic endpoint of the Lorentzian row core at the chart rows U."""
+    return _lorentz_flow_rows(d, immerse_rows(d, U), [math.inf], end=True)[0]
+
+
+class TestEternalForwardLimit:
+    """Every eternal forward limit is the leading term of the Lorentzian row core as s -> +infinity."""
+
+    def test_cases_are_eternal_and_moving(self):
+        variants = {name: classify_limits(d).forward.variant for name, d in ETERNAL_CASES.items()}
+        assert {name for name, v in variants.items() if v == FORWARD_IDEAL_POINT} == {
+            name for name in ETERNAL_CASES if name.startswith(("horocycle", "horosphere"))
+        }
+        assert set(variants.values()) == {FORWARD_IDEAL_POINT, FORWARD_GEODESIC}
+
+    @pytest.mark.parametrize("seed", [7, 3])
+    @pytest.mark.parametrize("name", sorted(ETERNAL_CASES))
+    def test_matches_the_per_kind_maps(self, name, seed):
+        d = ETERNAL_CASES[name]
+        us = chart_samples(d, 3, seed)
+        fwd = forward_limit(d, us)
+        rows, ideal = _eternal_forward_reference(d)
+        if ideal is None:
+            assert fwd.ideal_point is None
+            assert _ulps_apart(fwd.samples, rows(np.array(us))) <= 4
+        else:
+            assert fwd.samples is None
+            assert _ulps_apart(fwd.ideal_point, ideal) <= 4
+
+    @pytest.mark.parametrize("name", sorted(ETERNAL_CASES))
+    def test_normalised_flow_approaches_the_limit(self, name):
+        d = ETERNAL_CASES[name]
+        U = np.array(chart_samples(d, 3, 7))
+        X, n = immerse_rows(d, U), dimensions(d).n
+        fwd = forward_limit(d, U)
+        errors = []
+        for s in (1e4, 1e8, 1e12):
+            F = _lorentz_flow_rows(d, X, [s])[0]
+            if fwd.variant == FORWARD_IDEAL_POINT:
+                errors.append(np.max(np.linalg.norm(F[:, :-1] / F[:, -1:] - fwd.ideal_point, axis=1)))
+            else:
+                errors.append(np.max(np.abs(F / math.sqrt(2.0 * n * s) - fwd.samples)))
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] < 1e-5
+
+    @pytest.mark.parametrize("name", sorted(ETERNAL_CASES))
+    def test_leading_term_is_timelike_or_null(self, name):
+        # future-pointing, as F is for large s; timelike on H^m(-1) for a
+        # geodesic limit; null, and one row for all, for an ideal point
+        d = ETERNAL_CASES[name]
+        C = _leading_rows(d, np.array(chart_samples(d, 3, 7)))
+        q = np.sum(C[:, :-1] ** 2, axis=1) - C[:, -1] ** 2
+        assert np.all(C[:, -1] > 0)
+        if classify_limits(d).forward.variant == FORWARD_GEODESIC:
+            assert np.max(np.abs(q + 1.0)) <= 1e-13
+        else:
+            assert np.max(np.abs(q)) <= 1e-15 * np.max(np.sum(C * C, axis=1))
+            assert all(row.tobytes() == C[0].tobytes() for row in C)
+
+    @pytest.mark.parametrize("name", sorted(ETERNAL_CASES))
+    def test_rows_match_single_points_bitwise(self, name):
+        d = ETERNAL_CASES[name]
+        U = np.array(chart_samples(d, 3, 11)[:7])
+        C = _leading_rows(d, U)
+        for u, c in zip(U, C):
+            assert c.tobytes() == _leading_rows(d, u[None, :])[0].tobytes()
+
+    @pytest.mark.parametrize("name", sorted({**BIT_CASES, **ETERNAL_CASES}))
+    def test_classification_agrees_and_evaluates_no_chart_point(self, name, monkeypatch):
+        d = {**BIT_CASES, **ETERNAL_CASES}[name]
+        for fn in ("immerse_rows", "_lorentz_flow_rows", "_hyperbolic_flow_rows", "_validate_rows"):
+            monkeypatch.setattr(limits, fn, lambda *args, **kwargs: pytest.fail("classify_limits evaluated a chart point"))
+        rep = classify_limits(d)
+        monkeypatch.undo()
+        fwd = forward_limit(d, chart_samples(d, 3, 7))
+        assert (rep.forward.variant, rep.forward.collapse_time) == (fwd.variant, fwd.collapse_time)
+
+    def test_an_ideal_point_takes_one_row(self, monkeypatch):
+        d = ETERNAL_CASES["horocycle_h2_in_2"]
+        calls = []
+        immerse_rows = limits.immerse_rows
+        monkeypatch.setattr(limits, "immerse_rows", lambda d, U: calls.append(len(U)) or immerse_rows(d, U))
+        fwd = forward_limit(d, chart_samples(d, 3, 7))
+        assert calls == [1] and fwd.samples is None
+        assert np.linalg.norm(fwd.ideal_point) == pytest.approx(1.0, abs=1e-15)
+
+    def test_one_flow_call_at_infinity(self, monkeypatch):
+        d = ETERNAL_CASES["equidistant_h2_in_3"]
+        calls = []
+        core = limits._lorentz_flow_rows
+        monkeypatch.setattr(limits, "_lorentz_flow_rows", lambda d, X, ts, end: calls.append((ts, end)) or core(d, X, ts, end))
+        forward_limit(d, chart_samples(d, 3, 7))
+        assert calls == [([math.inf], True)]
+
+
 class TestBackwardLimit:
     def test_circle_fills_the_boundary_circle(self):
         d = CATALOG["circle_h2"]
@@ -338,9 +499,51 @@ def _backward_chart_rows_reference(d):
         return chart
     if d.umb.alpha == 0.0:
         inner_chart = _backward_chart_rows_reference(d.inner)
-        return lambda U: limits._embed_ideal(d, inner_chart(U))
+        return lambda U: _embed_ideal_reference(d, inner_chart(U))
     t_alpha = existence_window(d).t_alpha
-    return lambda U: umbilic_boundary_rows(d.umb, _umbilic_inner_flow_rows(d, immerse_rows(d, U), [t_alpha])[0])
+    return lambda U: _umbilic_boundary_rows_reference(d.umb, _umbilic_inner_flow_rows(d, immerse_rows(d, U), [t_alpha])[0])
+
+
+def _embed_ideal_reference(d, p):
+    """Ideal points of the inner model, one or rows along the last axis, embedded through the level's frame.
+
+    The ball image of J (p, 1), J the placement's columns.
+    """
+    pl = _umbilic_placement(d.umb)
+    ones = np.ones(p.shape[:-1] + (1,))
+    lift = np.matmul(pl.J, np.concatenate([p, ones], axis=-1)[..., None])[..., 0]
+    return lift[..., :-1] / lift[..., -1:]
+
+
+def _umbilic_boundary_rows_reference(umb, Y):
+    """Conformal map from the umbilical hypersurface {<y, xi> = a} to S^(m-1), on rows.
+
+    y -> (y_bar + c xi_bar) / (y_{m+1} + c xi_{m+1}) with c = beta/(alpha+1).
+    """
+    xi = umb.xi_array
+    return (Y[:, :-1] + umb.c * xi[:-1]) / (Y[:, -1:] + umb.c * xi[-1])
+
+
+class TestUmbilicBoundaryReference:
+    """The umbilical boundary map that the light-cone chart is checked against."""
+
+    def test_circle_samples(self):
+        umb = derive_umbilic([0.0, 0.0, -1.0], 2.0)
+        assert umb.c == pytest.approx(2.0 - math.sqrt(3.0))
+        P = _umbilic_boundary_rows_reference(umb, np.array([[math.sqrt(3), 0.0, 2.0], [0.0, math.sqrt(3), 2.0]]))
+        assert np.allclose(P, [[1, 0], [0, 1]], atol=1e-14)
+
+    def test_equidistant_sample(self):
+        umb = derive_umbilic([1.0, 0.0, 0.0], 1.0)
+        P = _umbilic_boundary_rows_reference(umb, np.array([[1.0, 0.0, math.sqrt(2)]]))
+        assert np.allclose(P, [[1, 0]], atol=1e-14)
+
+    def test_unit_norm_on_random_samples(self, rng):
+        umb = derive_umbilic([0.0, 0.0, 0.0, -1.0], 2.0)
+        Z = rng.normal(size=(1000, 3))
+        Z *= math.sqrt(3.0) / np.linalg.norm(Z, axis=1, keepdims=True)
+        P = _umbilic_boundary_rows_reference(umb, np.concatenate([Z, np.full((1000, 1), 2.0)], axis=1))
+        assert np.max(np.abs(np.linalg.norm(P, axis=1) - 1.0)) < 1e-10
 
 
 def near_horospherical_circle(a):

@@ -978,12 +978,16 @@ class TestCli:
 TOP_HELP = """\
 usage: hyperflow [-h] {run,verify,limits,catalog} ...
 
-Command line entry point. Verbs: run <scenario> write trajectories, window,
-limits and invariant reports verify <scenario> run the invariant battery; exit
-3 on any violation limits <scenario> classify and evaluate both limits catalog
-list the built-in scenario names <scenario> is a JSON file path or a built-in
-catalog name. Exit codes: 0 ok, 2 invalid input, 3 invariant violation, 4 I/O
-failure.
+Command line entry point.
+
+Verbs:
+  run <scenario>     write trajectories, window, limits and invariant reports
+  verify <scenario>  run the invariant battery; exit 3 on any violation
+  limits <scenario>  classify and evaluate both limits
+  catalog            list the built-in scenario names
+
+<scenario> is a JSON file path or a built-in catalog name.  Exit codes:
+0 ok, 2 invalid input, 3 invariant violation, 4 I/O failure.
 
 positional arguments:
   {run,verify,limits,catalog}
