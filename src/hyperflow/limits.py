@@ -250,8 +250,11 @@ def verify_flat_normal_bundle(d, limit: BackwardLimit, h: float = 1e-3) -> float
 
 
 def hausdorff_distance(A: np.ndarray, B: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two finite sample sets."""
-    A = np.atleast_2d(A)
-    B = np.atleast_2d(B)
+    """Symmetric Hausdorff distance between two finite, non-empty sample sets of points of one dimension."""
+    A, B = np.atleast_2d(A), np.atleast_2d(B)
+    if A.size == 0 or B.size == 0:
+        raise InvalidArgumentError("the Hausdorff distance needs two non-empty sets")
+    A = oracle._rows(A, A.shape[-1], "points need {} coordinates, got points")
+    B = oracle._rows(B, A.shape[1], "points need {} coordinates, got points")
     d2 = np.linalg.norm(A[:, None, :] - B[None, :, :], axis=-1)
     return float(max(d2.min(axis=1).max(), d2.min(axis=0).max()))

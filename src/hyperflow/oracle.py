@@ -261,6 +261,23 @@ def _mc_from_stencil(vals: np.ndarray, n: int, h: float, ambient: AmbientSpace) 
     return _finite(H)
 
 
+def _rows(A, width: int, need: str = "chart needs {} parameters, got samples") -> np.ndarray:
+    """A as a float array of rows (P, width); anything else is refused with ``InvalidArgumentError``.
+
+    The one shape check at the boundary of the oracle and of the limits:
+    chart samples by default, other vectors with their own ``need``.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[1] != width:
+        raise InvalidArgumentError(f"{need.format(width)} of shape {A.shape[1:]}")
+    return A
+
+
+def _point(u, n: int) -> np.ndarray:
+    """One chart point as a (1, n) row, refused by ``_rows`` when it has the wrong length."""
+    return _rows(np.reshape(np.asarray(u, dtype=float), (1, -1)), n)
+
+
 def _check_fd_step(h: float) -> None:
     if not (1e-4 <= h <= 1e-2):
         raise InvalidArgumentError("step h must lie in [1e-4, 1e-2]")
@@ -293,7 +310,7 @@ def numeric_mean_curvature(imm: ImmersionEvaluator, u, h: float = 1e-3, richards
     evaluated in one ``at_rows`` call, are extrapolated to O(h^4); used by
     the acceptance runs where an extra digit matters.
     """
-    steps, points = _mc_stencil_points(np.asarray(u, dtype=float).reshape(1, imm.chart_dim), h, richardson)
+    steps, points = _mc_stencil_points(_point(u, imm.chart_dim), h, richardson)
     return _mc_of_stencils(imm.at_rows(points), 1, imm.chart_dim, steps, imm.ambient)[0]
 
 
@@ -304,9 +321,8 @@ def second_fundamental_form(imm: ImmersionEvaluator, u, h: float = 1e-3):
     as well, leaving the second fundamental form inside the quadric.
     Returns (center, first derivatives, metric, II) for reuse by callers.
     """
-    uv = np.asarray(u, dtype=float)
     n = imm.chart_dim
-    vals = imm.at_rows(uv + _stencil_offsets(n, h))
+    vals = imm.at_rows(_point(u, n)[0] + _stencil_offsets(n, h))
     center, first, second = (a[0] for a in _stencil_derivatives(vals[None], n, h))
     g, II = _second_fundamental_form_at(imm, center, first, second)
     return center, first, g, II
@@ -441,9 +457,7 @@ def pde_residual_grid(
     ts = [_finite_time(t) for t in times]
     *_, ambient = _gauge_flow(gauge)
     n = dimensions(d).n
-    U = np.asarray(chart_samples, dtype=float)
-    if U.ndim != 2 or U.shape[1] != n:
-        raise InvalidArgumentError(f"chart needs {n} parameters, got samples of shape {U.shape[1:]}")
+    U = _rows(chart_samples, n)
     window = existence_window(d)
     bound = window.t_max if gauge == "hyperbolic" else window.t_dprime
     for t in ts:
@@ -540,8 +554,7 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
     if samples.shape[0] == 0:
         raise InsufficientSamplesError("no chart samples given")
     n = dimensions(d).n
-    if samples.shape[1:] != (n,):
-        raise InvalidArgumentError(f"chart needs {n} parameters, got samples of shape {samples.shape[1:]}")
+    samples = _rows(samples, n)
     window = existence_window(d)
     if window.t_max is not None and t1 >= window.t_max:
         raise TimeOutOfRangeError(f"t1={t1} reaches past the collapse time {window.t_max}")
@@ -571,7 +584,9 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
 def principal_curvatures(imm: ImmersionEvaluator, u, normals: list[np.ndarray], h: float = 1e-3) -> list[np.ndarray]:
     """Sorted shape-operator eigenvalues along each given unit normal."""
     _, _, g, II = second_fundamental_form(imm, u, h)
-    return list(_shape_eigenvalues(imm, g, II, np.asarray(normals, dtype=float).reshape(len(normals), II.shape[-1])))
+    dim = II.shape[-1]
+    Z = _rows(normals, dim, "normals need {} coordinates, got normals") if len(normals) else np.empty((0, dim))
+    return list(_shape_eigenvalues(imm, g, II, Z))
 
 
 def _shape_eigenvalues(imm: ImmersionEvaluator, g: np.ndarray, II: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -584,6 +599,11 @@ def _shape_eigenvalues(imm: ImmersionEvaluator, g: np.ndarray, II: np.ndarray, Z
 # seeded basis; the connection form is differenced in time with this step.
 _TRANSPORT_SUBSEGMENTS = 4
 _CONNECTION_DELTA = 1e-5
+# bytes of moving normal bases that one group of the transport holds
+# (``_transport_chain``); a geodesic chain of depth L has (L + 1) (L + 3)
+# frame doubles at every path point, so this bounds the isoparametric
+# check's memory on deep chains, while every catalog check is one group
+_FRAME_BUDGET = 1 << 19
 
 
 def _rk4_times(ta: float, dt: float, steps: int) -> list[float]:
@@ -620,7 +640,7 @@ def _transport_path(stops: np.ndarray, sub_steps: int, k: int):
     order, is its midpoint; its points are its two ends, then each key with
     the two partners of its central difference in time.  The owners name,
     for every row of the seeds followed by the points, the row whose pivot
-    order its normal frame takes (``_normal_frames``): a seed owns itself,
+    order its normal frame takes (``_pivot_orders``): a seed owns itself,
     a point follows its seed.
     """
     q, delta = _TRANSPORT_SUBSEGMENTS, _CONNECTION_DELTA
@@ -639,39 +659,62 @@ def _transport_path(stops: np.ndarray, sub_steps: int, k: int):
     return seeds.reshape(-1, stops.shape[1]), subs, path.reshape(-1, stops.shape[1]), owner
 
 
-def _transport_chain(imm: ImmersionEvaluator, frame: np.ndarray, N: np.ndarray, subs, sub_steps: int) -> np.ndarray:
+def _transport_chain(imm: ImmersionEvaluator, frame: np.ndarray, center: np.ndarray, first: np.ndarray, order: np.ndarray, subs, sub_steps: int) -> np.ndarray:
     """T frames (T, k, dim) transported along consecutive chart segments, at every stop after the first: (T, segments, k, dim).
 
-    ``N`` (T, points, k, dim) is the moving normal basis at the points of
-    ``_transport_path``, whose sub-segments are ``subs``.  A does not depend
-    on the coefficients, so the connection form at every key is formed
-    before any integration; only the RK4 loops run in order, each step one
-    stacked (T, k, k) update of all T chains.
+    ``center`` (T, P, dim) and ``first`` (T, P, n, dim) are the P points of
+    ``_transport_path``, whose sub-segments are ``subs``, at every time, and
+    ``order`` (T, P, k) the pivot order of each point's seed.  The walk
+    takes consecutive sub-segments in groups whose normal frames (T x
+    points x k x dim doubles) fit ``_FRAME_BUDGET`` bytes, one sub-segment
+    at least.  A group forms the moving bases at its points
+    (``_kept_normal_frames``) and the connection form at its keys, then runs
+    its RK4 loops in order, each step one stacked (T, k, k) update of all T
+    chains; its bases and connection forms go before the next group forms
+    its own, so memory scales with one group, not with the whole path.
+    Drift is stripped at segment ends only.  Every basis vector and
+    connection form is computed row by row, so the grouping changes no bit.
+    """
+    T, _, dim = center.shape
+    k = order.shape[-1]
+    counts = [2 + 3 * len(keys) for *_, keys in subs]
+    q, segments = len(subs), center.shape[1] // sum(counts)
+    bounds = np.cumsum([0] + counts * segments)  # the path rows of every sub-segment
+    per_group = max(1, _FRAME_BUDGET // (8 * T * max(counts) * k * dim))
+    out = np.empty((T, segments, k, dim))
+    for g0 in range(0, q * segments, per_group):
+        g1 = min(g0 + per_group, q * segments)
+        lo, hi = bounds[g0], bounds[g1]
+        N = _kept_normal_frames(imm, center[:, lo:hi], first[:, lo:hi], order[:, lo:hi]).reshape(T, hi - lo, k, dim)
+        if k > 1:
+            keys_at = [bounds[s] - lo + 2 + 3 * np.arange(len(subs[s % q][2])) for s in range(g0, g1)]
+            minus_A = _minus_connection_forms(imm, N, np.concatenate(keys_at))
+        first_key = 0
+        for s in range(g0, g1):
+            ta, dt, keys = subs[s % q]
+            a = bounds[s] - lo  # the sub-segment's start, then its end, in the group's rows
+            coeff = imm.ambient.inners(N[:, a, :, None, :], frame[:, None, :, :])
+            if k > 1:
+                coeff = _rk4(dict(zip(keys, minus_A[first_key:])), coeff, ta, dt, sub_steps)  # c' = -A(t) c
+                first_key += len(keys)
+            frame = sum(coeff[:, i, :, None] * N[:, a + 1, i, None, :] for i in range(k))
+            if s % q == q - 1:
+                frame = out[:, s // q] = _strip_drift(imm, frame)
+        N = minus_A = None  # the group's bases and forms go before the next group forms its own
+    return out
+
+
+def _minus_connection_forms(imm: ImmersionEvaluator, N: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """-A (keys, T, k, k) at the rows ``at`` of moving bases N (T, rows, k, dim), each differenced in time between rows at + 1 and at + 2.
+
+    A = (M - M^T) / 2 with M_ij = <N_i, dN_j / dt>, the skew connection
+    form in the moving basis; one stacked product for all keys and times.
     """
     T, _, k, dim = N.shape
-    counts = [2 + 3 * len(keys) for *_, keys in subs]
-    starts = np.cumsum([0] + counts[:-1])
-    N = N.reshape(T, -1, sum(counts), k, dim)
-    if k > 1:
-        at = np.concatenate([start + 2 + 3 * np.arange(len(keys)) for start, (*_, keys) in zip(starts, subs)])
-        Nt = N[:, :, at] * imm.ambient.signature(dim)
-        dN = (N[:, :, at + 1] - N[:, :, at + 2]) / (2.0 * _CONNECTION_DELTA)
-        M = np.einsum("tid,tjd->tij", Nt.reshape(-1, k, dim), dN.reshape(-1, k, dim))
-        A = (0.5 * (M - M.transpose(0, 2, 1))).reshape(T, N.shape[1], len(at), k, k)
-    out = []
-    for seg in range(N.shape[1]):
-        first_key = 0
-        for start, (ta, dt, keys) in zip(starts, subs):
-            N0, N1 = N[:, seg, start], N[:, seg, start + 1]
-            coeff = imm.ambient.inners(N0[:, :, None, :], frame[:, None, :, :])
-            if k > 1:
-                minus_A = -A[:, seg, first_key : first_key + len(keys)].swapaxes(0, 1)
-                coeff = _rk4(dict(zip(keys, minus_A)), coeff, ta, dt, sub_steps)  # c' = -A(t) c
-                first_key += len(keys)
-            frame = sum(coeff[:, i, :, None] * N1[:, i, None, :] for i in range(k))
-        frame = _strip_drift(imm, frame)
-        out.append(frame)
-    return np.stack(out, axis=1)
+    Nt = N[:, at] * imm.ambient.signature(dim)
+    dN = (N[:, at + 1] - N[:, at + 2]) / (2.0 * _CONNECTION_DELTA)
+    M = np.einsum("tid,tjd->tij", Nt.reshape(-1, k, dim), dN.reshape(-1, k, dim))
+    return -(0.5 * (M - M.transpose(0, 2, 1))).reshape(T, len(at), k, k).swapaxes(0, 1)
 
 
 def _strip_drift(imm: ImmersionEvaluator, frames: np.ndarray) -> np.ndarray:
@@ -699,20 +742,22 @@ def transport_normal_frame(
     the moving basis, so its entries stay at the geometric rotation rate
     even where boosted coordinates make raw projector matrices large.  The
     segment is split into sub-segments, each with a freshly seeded basis:
-    the moving basis at a path point is ``_normal_frames`` in the pivot
-    order of its sub-segment's seed.  Codimension one needs no integration:
-    the single coefficient rides the smooth unit normal field unchanged.  A
-    chain of one segment of ``_transport_chain``, with one ``at_rows`` call.
+    the moving basis at a path point is its normal frame in the pivot
+    order of its sub-segment's seed (``_pivot_orders``).  Codimension one
+    needs no integration: the single coefficient rides the smooth unit
+    normal field unchanged.  A chain of one segment of
+    ``_transport_chain``, with one ``at_rows`` call.
     """
     sub_steps = _sub_steps(steps)
     if len(frame) == 0:
         return []
-    stops = np.array([u_from, u_to], dtype=float)
+    stops = _rows([u_from, u_to], imm.chart_dim)
     seeds, subs, path, owner = _transport_path(stops, sub_steps, len(frame))
     center, first = _first_derivative_rows(imm, np.concatenate([seeds, path]), h)
+    frame = _rows(frame, center.shape[-1], "frame vectors need {} coordinates, got vectors")
     s = len(seeds)
-    N = _kept_normal_frames(imm, (center[:s], first[:s]), (center[s:], first[s:]), owner)[None, s:]
-    return list(_transport_chain(imm, np.array(frame, dtype=float)[None], N, subs, sub_steps)[0, 0])
+    order = _pivot_orders(imm, _normal_candidates(imm, center[:s], first[:s]), owner)[s:]
+    return list(_transport_chain(imm, frame[None], center[None, s:], first[None, s:], order[None], subs, sub_steps)[0, 0])
 
 
 def _chain_samples(samples: list[np.ndarray]) -> list[np.ndarray]:
@@ -737,11 +782,12 @@ def isoparametric_residuals(
     out of range.  The chart points are immersed and validated once and
     flowed over all times in one call; entry j has the bits of
     ``isoparametric_residual`` at times[j] alone.  For S samples the T
-    times make one ``_normal_frames`` call: only the T (1 + 4 (S - 1))
-    pivot owners (the first sample and the seeds of the sub-segments) form
-    all dim normal candidates, every other transport point the k of its
-    owner's pivot order, and no Gram check of the catalog needs an
-    eigenvalue (``_check_gram``).
+    times make one pivot pass (``_pivot_orders``): only the T (1 + 4 (S -
+    1)) pivot owners (the first sample and the seeds of the sub-segments)
+    form all dim normal candidates, every other transport point the k of
+    its owner's pivot order, and no Gram check of the catalog needs an
+    eigenvalue (``_check_gram``).  The transport holds the frames of one
+    group of sub-segments at a time (``_transport_chain``).
     """
     ts = [_finite_time(t) for t in times]
     _sub_steps(transport_steps)
@@ -784,20 +830,22 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
     (T, P, dim); ``k`` is the normal rank, or None to read it off one chart
     point.  No chart point depends on the transported frame, so ``values``
     is called once, on the stencils of the samples and of the transport
-    path.  The normal frames at all times come from one ``_normal_frames``
-    call (``_kept_normal_frames``): the first sample and every sub-segment
-    seed pick their own pivot order from all dim of their candidates, each
-    path point forms only the k candidates of its seed's order, and no row
-    follows a row of another time.  A time's spread is one maximum over all
-    of its stops, frame vectors and eigenvalues, so a nan anywhere gives
-    nan.
+    path.  One pivot pass (``_pivot_orders``) over the first sample and
+    every sub-segment seed at all times picks every pivot order from all dim
+    of their candidates; no row follows a row of another time.  The first
+    sample's frames come from those candidates, and the transport walks
+    the path in groups of sub-segments whose frames fit
+    ``_FRAME_BUDGET`` (``_transport_chain``), so the check's memory scales
+    with one group rather than with the whole path: on a chain of depth
+    24, k = 25 frame vectors of dim 27 at every point.  A time's spread is
+    one maximum over all of its stops, frame vectors and eigenvalues, so a
+    nan anywhere gives nan.
     """
     sub_steps = _sub_steps(transport_steps)
-    us = [np.asarray(u, dtype=float) for u in chart_samples]
-    if len(us) < 2:
-        raise InsufficientSamplesError("need at least two chart samples")
-    samples = np.array(_chain_samples(us))
     n = imm.chart_dim
+    if len(chart_samples) < 2:
+        raise InsufficientSamplesError("need at least two chart samples")
+    samples = np.array(_chain_samples(list(_rows(chart_samples, n))))
     if k is None:
         k = imm(samples[0]).shape[0] - n - (1 if imm.ambient.intrinsic_to_quadric else 0)
     offs = _stencil_offsets(n, h)
@@ -816,10 +864,11 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
     # rows: the owners (the first sample and the seeds) of every time, then the path points of every time
     O = 1 + len(seeds)
     owners = np.concatenate([np.arange(T * O), (np.arange(T)[:, None] * O + 1 + owner[len(seeds) :]).reshape(-1)])
-    N = _kept_normal_frames(imm, (lead_center[:, :O], lead_first[:, :O]), (lead_center[:, O:], lead_first[:, O:]), owners)
-    del lead_center, lead_first
-    start = N[: T * O : O]  # the first sample's frame at every time
-    moved = _transport_chain(imm, start, N[T * O :].reshape(T, -1, k, dim), subs, sub_steps)
+    W = _normal_candidates(imm, lead_center[:, :O], lead_first[:, :O]).reshape(T * O, dim, dim)
+    order = _pivot_orders(imm, W, owners)
+    start = _gram_schmidt(imm, W[::O][np.arange(T), order[: T * O : O].T])  # the first sample's frame at every time
+    del W
+    moved = _transport_chain(imm, start, lead_center[:, O:], lead_first[:, O:], order[T * O :].reshape(T, -1, k), subs, sub_steps)
     g, II = _second_fundamental_form_at(imm, center, first, second)
     Z = np.concatenate([start[:, None], moved], axis=1).reshape(T * S, k, dim)
     E = _shape_eigenvalues(imm, g, II, Z).reshape(T, S, k, n)
@@ -883,27 +932,15 @@ def _normal_candidates(imm: ImmersionEvaluator, center: np.ndarray, first: np.nd
     return _finite(np.subtract(E, tangential, out=tangential)).reshape(*points, -1, dim)
 
 
-def _normal_frames(imm: ImmersionEvaluator, W: np.ndarray, owner: np.ndarray, kept=None) -> np.ndarray:
-    """Orthonormal normal frames (R, k, dim) from the candidates (R, dim, dim) of ``_normal_candidates``.
+def _pivot_orders(imm: ImmersionEvaluator, W: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The Gram-Schmidt pivot order (R, k) of every row r, chosen at row owner[r] of the full candidates W (O, dim, dim).
 
-    Row r is orthonormalized in the Gram-Schmidt pivot order chosen at row
-    owner[r], so the frames of rows that follow one owner vary smoothly.
-    With ``kept``, W holds the full candidates of the first len(W) rows
-    only, every owner among them, and ``kept`` maps the pivot orders
-    (R', k) of the other R' rows to their k candidates in that order,
-    (R', k, dim).  The pivot pass runs on the distinct owners: each step
-    takes, at all of them at once, the remaining candidate axis whose part
-    orthogonal to the chosen ones is largest (the first such axis on a
-    tie).  The frozen pass
-    is a right-looking modified Gram-Schmidt over all rows: step a
-    normalizes candidate a of every row and subtracts its projection from
-    the row's later candidates.  Each vector thus meets the projections in
-    the order of a left-looking loop, with the same arithmetic: the inner
-    products are u v, then times the signature, then summed, in one scratch
-    buffer.  The pass works on contiguous (k, R, dim) blocks, and the
-    buffer then takes the frames laid out (R, k, dim).
+    The pivot pass runs on the distinct owners only: each step takes, at
+    all of them at once, the remaining candidate axis whose part orthogonal
+    to the chosen ones is largest (the first such axis on a tie).  Rows that
+    follow one owner thus share its order, and their frames vary smoothly.
     """
-    R, (O, dim, _) = len(owner), W.shape
+    dim = W.shape[-1]
     k = dim - imm.chart_dim - (1 if imm.ambient.intrinsic_to_quadric else 0)
     owners, which = np.unique(owner, return_inverse=True)
     V, rows = W[owners], np.arange(len(owners))
@@ -917,11 +954,21 @@ def _normal_frames(imm: ImmersionEvaluator, W: np.ndarray, owner: np.ndarray, ke
         taken[rows, j] = True
         b = (V[rows, j] / np.sqrt(q[rows, j])[:, None])[:, None, :]
         V = V - imm.ambient.inner_rows(V, b)[..., None] * b
-    order = order[which]
-    Z = W[np.arange(O), order[:O].T]
-    del W, V  # a caller that hands over its candidates unnamed lets them go here
-    if kept is not None:
-        Z = np.concatenate([Z, kept(order[O:]).transpose(1, 0, 2)], axis=1)
+    return order[which]
+
+
+def _gram_schmidt(imm: ImmersionEvaluator, Z: np.ndarray) -> np.ndarray:
+    """Orthonormal frames (R, k, dim) from candidates Z (k, R, dim), each row's taken in order; Z is overwritten.
+
+    The frozen pass is a right-looking modified Gram-Schmidt over all rows:
+    step a normalizes candidate a of every row and subtracts its projection
+    from the row's later candidates.  Each vector thus meets the
+    projections in the order of a left-looking loop, with the same
+    arithmetic: the inner products are u v, then times the signature, then
+    summed, in one scratch buffer.  The pass works on contiguous (R, dim)
+    blocks of Z, and the buffer then takes the frames laid out (R, k, dim).
+    """
+    k, R, dim = Z.shape
     buf, sig = np.empty_like(Z), imm.ambient.signature(dim)
     for a in range(k):
         z, later, scratch = Z[a], Z[a + 1 :], buf[a + 1 :]
@@ -936,20 +983,29 @@ def _normal_frames(imm: ImmersionEvaluator, W: np.ndarray, owner: np.ndarray, ke
     return out
 
 
-def _kept_normal_frames(imm: ImmersionEvaluator, heads, tails, owner: np.ndarray) -> np.ndarray:
-    """Normal frames (R, k, dim) at the pivot owners, then at the rows that follow them; one ``_normal_frames`` call.
+def _normal_frames(imm: ImmersionEvaluator, W: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Orthonormal normal frames (R, k, dim) from the full candidates (R, dim, dim) of ``_normal_candidates``.
 
-    ``heads`` and ``tails`` are (centers (..., dim), first derivatives (...,
-    n, dim)) of the owners and of the other rows; row r of the result, a
-    head and then a tail in order, takes the pivot order of head owner[r].
-    Only the heads form all dim candidates, for the pivot pass; each tail
-    forms the k candidates of its owner's order.  Every frame has the bits
-    of ``_normal_frames`` on the full candidates of all rows.
+    Row r is orthonormalized (``_gram_schmidt``) in the pivot order chosen
+    at row owner[r] (``_pivot_orders``).
     """
-    center, first = tails
-    rest = lambda order: _normal_candidates(imm, center, first, order).reshape(len(order), -1, center.shape[-1])
-    W = _normal_candidates(imm, *heads)
-    return _normal_frames(imm, W.reshape(-1, *W.shape[-2:]), owner, kept=rest)
+    order = _pivot_orders(imm, W, owner)
+    return _gram_schmidt(imm, W[np.arange(len(W)), order.T])
+
+
+def _kept_normal_frames(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Normal frames (R, k, dim) at R points, each in its pivot order from ``_pivot_orders``.
+
+    ``center`` (..., dim), ``first`` (..., n, dim) and ``order`` (..., k)
+    flatten to the R points in order.  Each point forms only the k
+    candidates of its order, which go to ``_gram_schmidt`` laid out (k, R,
+    dim); the candidates as formed are let go before its buffer is taken,
+    so the frames take twice their own memory at most.  Every frame has
+    the bits of ``_normal_frames`` on the full candidates, the pivot orders
+    being the same.
+    """
+    k, dim = order.shape[-1], center.shape[-1]
+    return _gram_schmidt(imm, np.ascontiguousarray(_normal_candidates(imm, center, first, order.reshape(-1, k)).reshape(-1, k, dim).swapaxes(0, 1)))
 
 
 def _covariant_rows(imm: ImmersionEvaluator, dZ, Z, center, first, X, conformal) -> np.ndarray:
@@ -973,7 +1029,7 @@ def _normal_curvature_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float, con
     of the ``_stencil_offsets`` stencil and the conformal term takes it at
     u +- h e_j and u, so one ``at_rows`` call on the first-derivative
     stencils of every stencil point gives all frames, each in the pivot
-    order of its sample's center (one ``_normal_frames`` call).  Empty when
+    order of its sample's center (one pivot pass).  Empty when
     k or n is below 2.
     """
     P, n = U.shape
@@ -984,9 +1040,8 @@ def _normal_curvature_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float, con
     k = dim - n - (1 if imm.ambient.intrinsic_to_quadric else 0)
     if k < 2 or n < 2:
         return np.zeros((P, 0, 0, dim)), first[:, 0]
-    owner = np.concatenate([np.arange(P), np.repeat(np.arange(P), K - 1)])
-    N = _kept_normal_frames(imm, (center[:, 0], first[:, 0]), (center[:, 1:], first[:, 1:]), owner)
-    Z = np.concatenate([N[:P, None], N[P:].reshape(P, K - 1, k, dim)], axis=1)
+    order = _pivot_orders(imm, _normal_candidates(imm, center[:, 0], first[:, 0]), np.repeat(np.arange(P), K))
+    Z = _kept_normal_frames(imm, center, first, order).reshape(P, K, k, dim)
     i, j = _upper_pairs(n)
     c, ip, im, jp, jm = 1 + 2 * n + 4 * np.arange(len(i)), 1 + 2 * i, 2 + 2 * i, 1 + 2 * j, 2 + 2 * j  # c: corner ++ of (i, j)
     # D_j zeta at u + h e_i, u - h e_i and u, then D_i zeta at u + h e_j, u - h e_j and u
@@ -1015,7 +1070,7 @@ def normal_curvature_vectors(
     of rho in e^(2 rho) |dy|^2) are directly comparable.  Shape: (pairs_ij,
     frame vectors, ambient dim), empty when either count is below 2.
     """
-    return _normal_curvature_rows(imm, np.asarray(u, dtype=float).reshape(1, imm.chart_dim), h, conformal)[0][0]
+    return _normal_curvature_rows(imm, _point(u, imm.chart_dim), h, conformal)[0][0]
 
 
 def flat_normal_residual(
@@ -1032,7 +1087,7 @@ def flat_normal_residual(
     """
     if len(chart_samples) == 0:
         raise InsufficientSamplesError("no samples given")
-    R, first = _normal_curvature_rows(imm, np.asarray(chart_samples, dtype=float).reshape(len(chart_samples), imm.chart_dim), h, conformal)
+    R, first = _normal_curvature_rows(imm, _rows(chart_samples, imm.chart_dim), h, conformal)
     if R.size == 0:
         return 0.0
     i, j = _upper_pairs(imm.chart_dim)

@@ -2,10 +2,19 @@ import numpy as np
 import pytest
 
 from hyperflow.catalog import CATALOG
+from hyperflow.descriptors import Umbilic, derive_umbilic, dimensions
 from hyperflow.lorentz import OrthonormalFrame, orthonormalize_frame
 
 CATALOG_NAMES = sorted(CATALOG)
 MOVING_NAMES = [n for n in CATALOG_NAMES if n != "ambient_h3"]
+
+
+def geodesic_chain(depth: int):
+    """``circle_h2`` wrapped ``depth`` times in a geodesic umbilic inclusion: normal rank depth + 1."""
+    d = CATALOG["circle_h2"]
+    for _ in range(depth):
+        d = Umbilic(derive_umbilic([1.0] + [0.0] * (dimensions(d).m + 1), 0.0), d)
+    return d
 
 
 def random_admissible_frame(rng: np.random.Generator, m: int) -> OrthonormalFrame:

@@ -36,6 +36,8 @@ from hyperflow.limits import backward_limit, forward_limit
 from hyperflow.lorentz import Membership, ambient_membership, minkowski_inner
 from hyperflow.scenario import OracleSettings, Sampling, chart_samples, lorentz_time_range, run_invariant_battery
 
+from conftest import geodesic_chain
+
 
 class TestDeriveUmbilic:
     def test_circle_data(self):
@@ -148,14 +150,6 @@ class TestImmerse:
     def test_wrong_chart_length_rejected(self):
         with pytest.raises(InvalidArgumentError):
             immerse(CATALOG["tube_h3"], [0.1])
-
-
-def geodesic_chain(depth: int):
-    """``circle_h2`` wrapped ``depth`` times in a geodesic umbilic inclusion."""
-    d = CATALOG["circle_h2"]
-    for _ in range(depth):
-        d = Umbilic(derive_umbilic([1.0] + [0.0] * (dimensions(d).m + 1), 0.0), d)
-    return d
 
 
 def _tilted_descriptors():

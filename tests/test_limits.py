@@ -55,7 +55,8 @@ from hyperflow.limits import (
 )
 from hyperflow.lorentz import OrthonormalFrame, minkowski_inner
 from hyperflow.scenario import chart_samples
-from test_descriptors import BIT_CASES, geodesic_chain
+from conftest import geodesic_chain
+from test_descriptors import BIT_CASES
 
 LN2 = math.log(2.0)
 

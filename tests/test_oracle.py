@@ -1,9 +1,11 @@
 """Finite-difference oracle: mean curvature, residuals, transports, ODE."""
 
+import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperflow
-from hyperflow import oracle
+from hyperflow import limits, oracle
 from hyperflow.catalog import CATALOG
-from hyperflow.descriptors import Umbilic, derive_umbilic, dimensions, immerse
+from hyperflow.descriptors import dimensions, immerse
 from hyperflow.errors import (
     ChartDegenerateError,
     InsufficientSamplesError,
@@ -24,6 +26,8 @@ from hyperflow.errors import (
 from hyperflow.flow import existence_window, hyperbolic_flow, hyperbolic_flow_batch, lorentz_flow
 from hyperflow.lorentz import minkowski_inner
 from hyperflow.scenario import chart_samples, lorentz_time_range, sample_times
+
+from conftest import geodesic_chain
 
 
 def circle_evaluator(radius: float) -> oracle.ImmersionEvaluator:
@@ -358,17 +362,11 @@ class TestEvolveAndCompare:
         assert out.stdout.strip() == "False"
 
 
-def _geodesic_chain(depth: int):
-    """``circle_h2`` wrapped ``depth`` times in a geodesic umbilic inclusion."""
-    d = CATALOG["circle_h2"]
-    for _ in range(depth):
-        d = Umbilic(derive_umbilic([1.0] + [0.0] * (dimensions(d).m + 1), 0.0), d)
-    return d
-
-
-# every catalog entry with normal directions, and a chain of normal rank 5
+# every catalog entry with normal directions, and chains of normal rank 5
+# and 9; the depth-8 chain's transport at four times takes two groups
 TIME_AXIS_CASES = {name: CATALOG[name] for name in sorted(CATALOG) if dimensions(CATALOG[name]).codim > 0}
-TIME_AXIS_CASES["geodesic_chain4"] = _geodesic_chain(4)
+TIME_AXIS_CASES["geodesic_chain4"] = geodesic_chain(4)
+TIME_AXIS_CASES["geodesic_chain8"] = geodesic_chain(8)
 
 
 class TestIsoparametricResidual:
@@ -432,14 +430,14 @@ class TestIsoparametricResidual:
         assert calls == {"at_rows": 1, "flow": 1}
 
     def test_one_gram_schmidt_for_all_pivot_orders(self, monkeypatch):
-        # the frames of all rows at all times come from one _normal_frames
-        # call, and its pivot pass sees only the owner rows: the first
-        # sample and the sub-segment seeds of every time
-        d = _geodesic_chain(4)
+        # the pivot orders of all rows at all times come from one pivot
+        # pass, which sees only the owner rows: the first sample and the
+        # sub-segment seeds of every time
+        d = geodesic_chain(4)
         times, us = [-0.2, 0.0, 0.1], chart_samples(d, 3, 7)[:4]
         calls, pivots = [], []
-        frames, inner_rows = oracle._normal_frames, oracle.AmbientSpace.inner_rows
-        monkeypatch.setattr(oracle, "_normal_frames", lambda imm, W, owner, **kw: calls.append(owner) or frames(imm, W, owner, **kw))
+        orders, inner_rows = oracle._pivot_orders, oracle.AmbientSpace.inner_rows
+        monkeypatch.setattr(oracle, "_pivot_orders", lambda imm, W, owner: calls.append(owner) or orders(imm, W, owner))
         monkeypatch.setattr(oracle.AmbientSpace, "inner_rows", lambda amb, U, V: pivots.append(U.shape) or inner_rows(amb, U, V))
         oracle.isoparametric_residuals(d, times, us)
         assert len(calls) == 1
@@ -448,6 +446,50 @@ class TestIsoparametricResidual:
         assert len(owners) == len(times) * (1 + oracle._TRANSPORT_SUBSEGMENTS * (len(us) - 1))
         dims = dimensions(d)
         assert pivots == [(len(owners), dims.m + 1, dims.m + 1)] * (2 * dims.codim)
+
+    @pytest.mark.parametrize("depth, groups", [(4, 1), (8, 2), (24, 8)])
+    def test_transport_groups_fit_the_budget(self, depth, groups, monkeypatch):
+        # consecutive sub-segments whose frames fit _FRAME_BUDGET, one call
+        # per group; at depth 24 one sub-segment is over the budget, so each
+        # of the 8 is a group
+        d = geodesic_chain(depth)
+        frames, kept = [], oracle._kept_normal_frames
+        monkeypatch.setattr(oracle, "_kept_normal_frames", lambda *a: frames.append(kept(*a)) or frames[-1])
+        oracle.isoparametric_residuals(d, [-0.2, 0.0, 0.1], chart_samples(d, 3, 7)[:3])
+        assert len(frames) == groups
+        assert depth == 24 or max(f.nbytes for f in frames) <= oracle._FRAME_BUDGET
+
+    # spreads and sha256 of the transported frames at -0.2, 0.0 and 0.1 of
+    # chart_samples(chain, 3, 7)[:3], recorded before the transport was grouped
+    CHAIN_PINS = {
+        4: "27397a768fb2367c29dc8988ffd147f11343d1089e2d1bde5f3e666e7519ba3c",
+        8: "5dc64d63628ceb09a9ac94dce53f220b28b046e10c96efceac73f55f4a414dfe",
+        16: "36dc16146eb46bd4f054ddc6b57225d983142ca848707639027b0c609a4e5e5c",
+        24: "fd87e9c841f0bbb685e9496f3d2b077e225a36de63fbd03e5a403da06d1c64fd",
+    }
+
+    @pytest.mark.parametrize("depth", sorted(CHAIN_PINS))
+    def test_chain_spreads_keep_their_bits(self, depth, monkeypatch):
+        d = geodesic_chain(depth)
+        moved, chain = [], oracle._transport_chain
+        monkeypatch.setattr(oracle, "_transport_chain", lambda *a: moved.append(chain(*a)) or moved[-1])
+        spreads = oracle.isoparametric_residuals(d, [-0.2, 0.0, 0.1], chart_samples(d, 3, 7)[:3])
+        assert [float(x).hex() for x in spreads] == ["0x1.2c0e980000000p-31", "0x1.8ee7f00000000p-32", "0x1.ce7d200000000p-33"]
+        assert hashlib.sha256(moved[0].tobytes()).hexdigest() == self.CHAIN_PINS[depth]
+
+    @pytest.mark.parametrize("depth, limit_mb", [(8, 1.4), (24, 7.0)])
+    def test_memory_scales_with_one_group(self, depth, limit_mb):
+        # the frames of one group are alive at a time, not those of the whole path
+        d = geodesic_chain(depth)
+        times, us = [-0.2, 0.0, 0.1], chart_samples(d, 3, 7)[:3]
+        oracle.isoparametric_residuals(d, times, us)  # the caches of the descriptor and the stencils
+        tracemalloc.start()
+        try:
+            oracle.isoparametric_residuals(d, times, us)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6
 
     def test_time_lists(self):
         d = CATALOG["tube_h3"]
@@ -473,7 +515,7 @@ class TestIsoparametricResidual:
             oracle.transport_normal_frame(imm, us[0], us[1], frame, steps=steps)
 
 
-NORMAL_FRAME_CASES = [(name, t) for name in sorted(TIME_AXIS_CASES) for t in (None, -0.4, 0.2)] + [("geodesic_chain8", None)]
+NORMAL_FRAME_CASES = [(name, t) for name in sorted(TIME_AXIS_CASES) for t in (None, -0.4, 0.2)]
 
 
 def _check_normal_frames(imm, U, h=1e-3):
@@ -494,7 +536,7 @@ class TestNormalFrames:
     def test_bitwise_left_looking_reference(self, name, t):
         # the right-looking pass gives every vector the bits of the
         # left-looking Gram-Schmidt in its owner's pivot order
-        d = _geodesic_chain(8) if name == "geodesic_chain8" else TIME_AXIS_CASES[name]
+        d = TIME_AXIS_CASES[name]
         _check_normal_frames(oracle.descriptor_immersion(d, t), np.array(chart_samples(d, 3, 23)[:6]))
 
     @pytest.mark.parametrize("name", ["clifford_tube_h5", "geodesic_chain4"])
@@ -1271,13 +1313,13 @@ class TestFarBackResiduals:
 
 
 def _spy_kept_frames(monkeypatch):
-    """Record every ``_kept_normal_frames`` call with its frames, and the rows of every full candidate set."""
-    seen, full_rows = [], []
-    frames, candidates = oracle._kept_normal_frames, oracle._normal_candidates
+    """Record every ``_kept_normal_frames`` call with its frames, the rows of every full candidate set, and every pivot pass with its orders."""
+    seen, full_rows, pivots = [], [], []
+    frames, candidates, orders = oracle._kept_normal_frames, oracle._normal_candidates, oracle._pivot_orders
 
-    def kept(imm, heads, tails, owner):
-        out = frames(imm, heads, tails, owner)
-        seen.append((imm, heads, tails, owner, out))
+    def kept(imm, center, first, order):
+        out = frames(imm, center, first, order)
+        seen.append((imm, center, first, order, out))
         return out
 
     def counted(imm, center, first, axes=None):
@@ -1285,46 +1327,54 @@ def _spy_kept_frames(monkeypatch):
             full_rows.append(center[..., 0].size)
         return candidates(imm, center, first, axes)
 
+    def pivoted(imm, W, owner):
+        out = orders(imm, W, owner)
+        pivots.append((len(W), out))
+        return out
+
     monkeypatch.setattr(oracle, "_kept_normal_frames", kept)
     monkeypatch.setattr(oracle, "_normal_candidates", counted)
-    return seen, full_rows
+    monkeypatch.setattr(oracle, "_pivot_orders", pivoted)
+    return seen, full_rows, pivots
 
 
-def _assert_full_candidate_reference(seen, full_rows):
-    """Each kept-candidate call against ``_normal_frames`` on the full candidates of all its rows, bit for bit."""
-    assert seen and full_rows == [h[..., 0].size for _, (h, _), *_ in seen]  # only the heads, before the references below
-    for imm, (hc, hf), (tc, tf), owner, out in seen:
-        dim, n = hc.shape[-1], hf.shape[-2]
-        center = np.concatenate([hc.reshape(-1, dim), tc.reshape(-1, dim)])
-        first = np.concatenate([hf.reshape(-1, n, dim), tf.reshape(-1, n, dim)])
-        assert out.shape == (len(owner), dim - n - imm.ambient.intrinsic_to_quadric, dim)
-        ref = oracle._normal_frames(imm, oracle._normal_candidates(imm, center, first), owner)
+def _assert_full_candidate_reference(seen, full_rows, pivots):
+    """One pivot pass on the only full candidates; each kept-candidate call against the full candidates of its rows in the same orders, bit for bit."""
+    assert seen and full_rows == [rows for rows, _ in pivots] and len(pivots) == 1  # before the references below
+    chosen = {tuple(o) for o in pivots[0][1].tolist()}
+    for imm, center, first, order, out in seen:
+        dim, n = center.shape[-1], first.shape[-2]
+        W = oracle._normal_candidates(imm, center, first).reshape(-1, dim, dim)
+        order = order.reshape(len(W), -1)
+        assert {tuple(o) for o in order.tolist()} <= chosen
+        assert out.shape == (len(W), dim - n - imm.ambient.intrinsic_to_quadric, dim)
+        ref = oracle._gram_schmidt(imm, W[np.arange(len(W)), order.T])
         assert out.tobytes() == ref.tobytes()
 
 
-KEPT_FRAME_CASES = {**TIME_AXIS_CASES, "geodesic_chain8": _geodesic_chain(8)}
-
-
 class TestKeptCandidates:
-    """Only the pivot owners form all dim candidates; every frame keeps the bits of the full candidates."""
+    """Only the pivot owners form all dim candidates, in one pivot pass; every frame keeps the bits of the full candidates."""
 
-    @pytest.mark.parametrize("name", sorted(KEPT_FRAME_CASES))
+    @pytest.mark.parametrize("name", sorted(TIME_AXIS_CASES))
     def test_isoparametric_frames(self, name, monkeypatch):
-        d = KEPT_FRAME_CASES[name]
-        seen, full_rows = _spy_kept_frames(monkeypatch)
-        oracle.isoparametric_residuals(d, [-0.2, 0.0, 0.1], chart_samples(d, 3, 23)[:4])
-        assert len(seen) == 1
-        _assert_full_candidate_reference(seen, full_rows)
+        d = TIME_AXIS_CASES[name]
+        times, us = [-0.2, 0.0, 0.1], chart_samples(d, 3, 23)[:4]
+        seen, full_rows, pivots = _spy_kept_frames(monkeypatch)
+        oracle.isoparametric_residuals(d, times, us)
+        # the path's frames in groups: every row's frame once
+        path = oracle._transport_path(np.array(us), oracle._sub_steps(24), dimensions(d).codim)[2]
+        assert sum(order[..., 0].size for *_, order, _ in seen) == len(times) * len(path)
+        _assert_full_candidate_reference(seen, full_rows, pivots)
 
-    @pytest.mark.parametrize("name", sorted(KEPT_FRAME_CASES))
+    @pytest.mark.parametrize("name", sorted(TIME_AXIS_CASES))
     def test_transport_frames(self, name, monkeypatch):
-        d = KEPT_FRAME_CASES[name]
+        d = TIME_AXIS_CASES[name]
         imm = oracle.descriptor_immersion(d, 0.1)
         us = chart_samples(d, 3, 23)[:2]
         frame = list(_frame_field(imm, us[0], 1e-3)(us[0][None, :])[0])
-        seen, full_rows = _spy_kept_frames(monkeypatch)
+        seen, full_rows, pivots = _spy_kept_frames(monkeypatch)
         oracle.transport_normal_frame(imm, us[0], us[1], frame)
-        _assert_full_candidate_reference(seen, full_rows)
+        _assert_full_candidate_reference(seen, full_rows, pivots)
 
     @pytest.mark.parametrize(
         "imm, samples",
@@ -1335,7 +1385,36 @@ class TestKeptCandidates:
         ],
     )
     def test_normal_curvature_frames(self, imm, samples, monkeypatch):
-        seen, full_rows = _spy_kept_frames(monkeypatch)
+        seen, full_rows, pivots = _spy_kept_frames(monkeypatch)
         oracle.flat_normal_residual(imm, samples)
         assert len(seen) == 1
-        _assert_full_candidate_reference(seen, full_rows)
+        _assert_full_candidate_reference(seen, full_rows, pivots)
+
+
+_TUBE = CATALOG["clifford_tube_h5"]  # n = 3, points of dim 6
+_TUBE_IMM = oracle.descriptor_immersion(_TUBE, 0.1)
+_U = chart_samples(_TUBE, 2, 7)[:3]
+_NORMALS = list(_frame_field(_TUBE_IMM, _U[0], 1e-3)(_U[0][None, :])[0])
+
+MALFORMED = {
+    "residuals_sample_length": lambda: oracle.isoparametric_residuals(_TUBE, [0.1], [np.zeros(2), np.zeros(2)]),
+    "residual_flat_samples": lambda: oracle.isoparametric_residual(_TUBE, 0.1, np.array([0.1, 0.2, 0.3])),
+    "residual_of_sample_length": lambda: oracle.isoparametric_residual_of(_TUBE_IMM, [np.zeros(4), np.zeros(4)]),
+    "mean_curvature_point": lambda: oracle.numeric_mean_curvature(_TUBE_IMM, [0.1, 0.2]),
+    "normal_curvature_point": lambda: oracle.normal_curvature_vectors(_TUBE_IMM, [0.1]),
+    "flat_normal_samples": lambda: oracle.flat_normal_residual(_TUBE_IMM, [np.zeros(4)]),
+    "second_fundamental_form_point": lambda: oracle.second_fundamental_form(_TUBE_IMM, [0.1]),
+    "principal_curvatures_point": lambda: oracle.principal_curvatures(_TUBE_IMM, [0.1, 0.2], _NORMALS),
+    "principal_curvatures_normal": lambda: oracle.principal_curvatures(_TUBE_IMM, _U[0], [v[:-1] for v in _NORMALS]),
+    "transport_frame_vector": lambda: oracle.transport_normal_frame(_TUBE_IMM, _U[0], _U[1], [v[:-1] for v in _NORMALS]),
+    "hausdorff_empty_set": lambda: limits.hausdorff_distance(np.zeros((0, 3)), np.zeros((2, 3))),
+    "hausdorff_dimensions": lambda: limits.hausdorff_distance(np.zeros((2, 3)), np.zeros((2, 4))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_refused_at_the_boundary(case):
+    # one shape check with one message, an InvalidArgumentError, so callers catching ValueError keep working
+    with pytest.raises(InvalidArgumentError, match=r"needs? (\d+ (parameters|coordinates)|two non-empty sets)") as info:
+        MALFORMED[case]()
+    assert isinstance(info.value, ValueError)
