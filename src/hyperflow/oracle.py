@@ -261,21 +261,32 @@ def _mc_from_stencil(vals: np.ndarray, n: int, h: float, ambient: AmbientSpace) 
     return _finite(H)
 
 
-def _rows(A, width: int, need: str = "chart needs {} parameters, got samples") -> np.ndarray:
+_CHART_NEED = "chart needs {} parameters, got samples"
+
+
+def _rows(A, width: int, need: str = _CHART_NEED) -> np.ndarray:
     """A as a float array of rows (P, width); anything else is refused with ``InvalidArgumentError``.
 
     The one shape check at the boundary of the oracle and of the limits:
     chart samples by default, other vectors with their own ``need``.
     """
-    A = np.asarray(A, dtype=float)
+    A = _floats(A, width, need)
     if A.ndim != 2 or A.shape[1] != width:
         raise InvalidArgumentError(f"{need.format(width)} of shape {A.shape[1:]}")
     return A
 
 
+def _floats(A, width: int, need: str) -> np.ndarray:
+    """A as a float array; rows of different lengths, or entries that are not numbers, are refused as in ``_rows``."""
+    try:
+        return np.asarray(A, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{need.format(width)} that are not one array of numbers") from None
+
+
 def _point(u, n: int) -> np.ndarray:
     """One chart point as a (1, n) row, refused by ``_rows`` when it has the wrong length."""
-    return _rows(np.reshape(np.asarray(u, dtype=float), (1, -1)), n)
+    return _rows(np.reshape(_floats(u, n, _CHART_NEED), (1, -1)), n)
 
 
 def _check_fd_step(h: float) -> None:
