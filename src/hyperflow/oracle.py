@@ -968,8 +968,8 @@ def _pivot_orders(imm: ImmersionEvaluator, W: np.ndarray, owner: np.ndarray) -> 
     return order[which]
 
 
-def _gram_schmidt(imm: ImmersionEvaluator, Z: np.ndarray) -> np.ndarray:
-    """Orthonormal frames (R, k, dim) from candidates Z (k, R, dim), each row's taken in order; Z is overwritten.
+def _gram_schmidt(imm: ImmersionEvaluator, Z: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal frames (R, k, dim) from candidates Z (k, R, dim), each row's taken in order; Z and ``buf`` are overwritten.
 
     The frozen pass is a right-looking modified Gram-Schmidt over all rows:
     step a normalizes candidate a of every row and subtracts its projection
@@ -977,10 +977,11 @@ def _gram_schmidt(imm: ImmersionEvaluator, Z: np.ndarray) -> np.ndarray:
     projections in the order of a left-looking loop, with the same
     arithmetic: the inner products are u v, then times the signature, then
     summed, in one scratch buffer.  The pass works on contiguous (R, dim)
-    blocks of Z, and the buffer then takes the frames laid out (R, k, dim).
+    blocks of Z, and the buffer (a new one, or ``buf`` of Z's size) then
+    takes the frames laid out (R, k, dim).
     """
     k, R, dim = Z.shape
-    buf, sig = np.empty_like(Z), imm.ambient.signature(dim)
+    buf, sig = np.empty_like(Z) if buf is None else buf, imm.ambient.signature(dim)
     for a in range(k):
         z, later, scratch = Z[a], Z[a + 1 :], buf[a + 1 :]
         q = np.abs(np.sum(np.multiply(np.multiply(z, z, out=buf[a]), sig, out=buf[a]), axis=-1))
@@ -1009,14 +1010,17 @@ def _kept_normal_frames(imm: ImmersionEvaluator, center: np.ndarray, first: np.n
 
     ``center`` (..., dim), ``first`` (..., n, dim) and ``order`` (..., k)
     flatten to the R points in order.  Each point forms only the k
-    candidates of its order, which go to ``_gram_schmidt`` laid out (k, R,
-    dim); the candidates as formed are let go before its buffer is taken,
-    so the frames take twice their own memory at most.  Every frame has
-    the bits of ``_normal_frames`` on the full candidates, the pivot orders
-    being the same.
+    candidates of its order; ``_gram_schmidt`` takes a copy laid out (k,
+    R, dim), always a copy since with k = 1 the two layouts are one, and
+    the candidates' own memory as its buffer, which then holds the frames.
+    So the frames take twice their own memory at most, and a group of the
+    transport allocates two frame-sized arrays, not three.  Every frame
+    has the bits of ``_normal_frames`` on the full candidates, the pivot
+    orders being the same.
     """
     k, dim = order.shape[-1], center.shape[-1]
-    return _gram_schmidt(imm, np.ascontiguousarray(_normal_candidates(imm, center, first, order.reshape(-1, k)).reshape(-1, k, dim).swapaxes(0, 1)))
+    W = _normal_candidates(imm, center, first, order.reshape(-1, k)).reshape(-1, k, dim)
+    return _gram_schmidt(imm, W.swapaxes(0, 1).copy(), W.reshape(k, -1, dim))
 
 
 def _covariant_rows(imm: ImmersionEvaluator, dZ, Z, center, first, X, conformal) -> np.ndarray:
