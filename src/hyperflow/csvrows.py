@@ -5,7 +5,10 @@
 ``CHUNK`` values at a time; they are the bytes that ``"%.17g" % v`` gives
 for every number, sample ids included.  The labels, every sample id and
 grid time with its comma, come from ``row_labels(times, S)``, once for all
-the CSVs of a run.
+the CSVs of a run.  Values that do not change with time may come as an
+(S, 1, k) array: each sample's values are then formatted once and their
+text repeated after each of the T time labels, in the same bounded blocks
+and with the same bytes as the (S, T, k) array of those rows.
 
 How a double x becomes its 17 significant digits: with X the decimal
 exponent of |x|, y = |x| 10^(16 - X) lies in [1e16, 1e17) and the digits are
@@ -231,36 +234,63 @@ def row_labels(times: np.ndarray, samples: int) -> tuple[np.ndarray, np.ndarray]
     return ids, _left_aligned([f"{t}," for t in texts(np.asarray(times, dtype=float))])
 
 
-def sample_blocks(labels: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> Iterator[bytearray]:
+def sample_blocks(labels: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> Iterator[bytes]:
     """The rows ``sample_id,t,v_1,...,v_k`` of an (S, T, k) array, sample by sample, in blocks.
 
     Each row starts with its labels from ``row_labels(times, S)``; a block
     holds the rows of about ``CHUNK`` values, and its boundaries may fall
-    inside a sample.
+    inside a sample.  An (S, 1, k) array stands for its rows repeated at
+    every one of the T times: its S x k values are formatted once, in one
+    ``fields`` call, and each block repeats their text.
     """
     S, T, k = values.shape
-    flat = values.reshape(S * T, k)
     step = max(1, CHUNK // k)
+    if T == 1:
+        yield from _constant_blocks(labels, values.reshape(S, k), step)
+        return
+    flat = values.reshape(S * T, k)
     for lo in range(0, S * T, step):
         yield _block(flat[lo : lo + step], lo, T, *labels)
+
+
+def _constant_blocks(labels: tuple[np.ndarray, np.ndarray], values: np.ndarray, step: int) -> Iterator[bytes]:
+    """The rows of ``sample_blocks`` for an (S, k) array that holds at every time of the labels,
+    ``step`` rows to a block.  Consecutive rows of sample s differ only in their time stamps,
+    so each sample's part of a block is one join of its stamps."""
+    ids, stamps = ([row.tobytes().rstrip(b"\0") for row in part] for part in labels)
+    text = _value_text(values).tobytes().translate(None, b"\0").splitlines(keepends=True)
+    T = len(stamps)
+    for lo in range(0, len(values) * T, step):
+        hi = min(lo + step, len(values) * T)
+        yield b"".join(
+            ids[s] + (text[s] + ids[s]).join(stamps[max(lo - s * T, 0) : hi - s * T]) + text[s]
+            for s in range(lo // T, (hi - 1) // T + 1)
+        )
 
 
 def _block(values: np.ndarray, lo: int, T: int, ids: np.ndarray, stamps: np.ndarray) -> bytearray:
     """The text of rows lo, lo + 1, ... with the given values: the row's sample id from ``ids``
     and time from ``stamps`` (left-aligned, each with its comma), then the values."""
     n, k = values.shape
-    words = fields(values.reshape(-1)).reshape(n, k, _WORDS)
-    words[:, :-1, 5] |= _SEPARATOR
-    words[:, -1, 5] |= _NEWLINE
     rows = np.arange(lo, lo + n)
     sample = rows // T
     buf = bytearray(n * (ids.shape[1] + stamps.shape[1] + k * _WIDTH))
     block = np.frombuffer(buf, np.uint8).reshape(n, -1)
     block[:, : ids.shape[1]] = ids[sample]
     block[:, ids.shape[1] : -k * _WIDTH] = stamps[rows - sample * T]
-    block[:, -k * _WIDTH :] = words.view(np.uint8).reshape(n, -1)
-    del words, block
+    block[:, -k * _WIDTH :] = _value_text(values)
+    del block
     return buf.translate(None, b"\0")
+
+
+def _value_text(values: np.ndarray) -> np.ndarray:
+    """The ``%.17g`` text of each row of an (n, k) array as NUL-padded bytes, (n, 48 k):
+    the values with their commas and the row's newline."""
+    n, k = values.shape
+    words = fields(values.reshape(-1)).reshape(n, k, _WORDS)
+    words[:, :-1, 5] |= _SEPARATOR
+    words[:, -1, 5] |= _NEWLINE
+    return words.view(np.uint8).reshape(n, -1)
 
 
 def _left_aligned(texts: list[str]) -> np.ndarray:

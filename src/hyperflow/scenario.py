@@ -8,6 +8,9 @@ report, invariant report); ``run_invariant_battery`` drives the checks that
 trajectory and ball writers flow all samples over the whole time grid in
 one call of the flow core; ``csvrows`` formats the rows with numpy, every
 number as ``"%.17g" % v`` would write it, and each grid time once per run.
+A stationary descriptor keeps its rows at every time, so its run flows,
+projects and formats each sample once and repeats the sample's text at
+every grid time.
 Every artifact is written to a temporary file beside it and renamed into
 place, so a failed run leaves no partial file.  Each of the battery's
 closed-form checks is one call of the flow core over all of its sampled
@@ -31,6 +34,7 @@ from .ball import ball_projection_rows
 from .catalog import CATALOG, catalog_descriptor
 from .descriptors import (
     _ambient_r,
+    _is_stationary,
     _json_float,
     _json_int,
     _json_object,
@@ -455,12 +459,15 @@ def _flow_samples(d, X0: np.ndarray, times: np.ndarray) -> np.ndarray:
     writing rows whose <x,x> cannot be evaluated.  The refusal names the
     first grid time that fails, so a grid that fails as a whole is flowed
     again one time at a time, up to the first time whose flow overflows
-    ``math``.
+    ``math``.  A stationary descriptor keeps its rows at every time, so its
+    grid is checked at every time but flowed at the first only, as
+    (S, 1, m+1).
     """
     ts = times.tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            out = _hyperbolic_flow_rows(d, X0, _hyperbolic_times(d, ts))
+            checked = _hyperbolic_times(d, ts)
+            out = _hyperbolic_flow_rows(d, X0, checked[:1] if _is_stationary(d) else checked)
         except (OverflowError, TimeOutOfRangeError):
             out = np.full((len(ts),) + X0.shape, np.nan)
             for k, t in enumerate(ts):
@@ -503,7 +510,8 @@ def _write_json(path: Path, obj: dict) -> None:
 def _write_sample_rows(path: Path, symbol: str, labels: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> None:
     """Write ``sample_id,t,<symbol>_1,...`` rows of an (S, T, k) array, sample by sample, block by block.
 
-    ``labels`` are the run's ``csvrows.row_labels``, shared by its CSVs.
+    ``labels`` are the run's ``csvrows.row_labels``, shared by its CSVs; an
+    (S, 1, k) array is written at every time of the labels.
     """
     from . import csvrows
 

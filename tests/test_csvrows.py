@@ -123,6 +123,27 @@ class TestWholeFiles:
         lines = b"".join(blocks).decode().splitlines()
         assert lines == [f"{s},{t},{3 * (7 * s + t)},{3 * (7 * s + t) + 1},{3 * (7 * s + t) + 2}" for s in range(3) for t in range(7)]
 
+    @pytest.mark.parametrize("case", range(12))
+    def test_time_constant_values_give_the_broadcast_bytes(self, tmp_path, monkeypatch, case):
+        # (S, 1, k) values are formatted once and repeated at every time; the
+        # first cases pin S, T and k to 1, and small chunks end inside samples
+        rng = np.random.default_rng(900 + case)
+        S, T, k = [(1, 5, 3), (4, 1, 2), (3, 6, 1), (1, 1, 1)][case] if case < 4 else rng.integers(1, 9, 3).tolist()
+        chunk = int(rng.integers(1, 3 * k * T + 2))
+        monkeypatch.setattr(csvrows, "CHUNK", chunk)
+        times = np.sort(rng.uniform(-3.0, 2.0, T))
+        values = awkward_values(rng, (S, 1, k))
+        labels = csvrows.row_labels(times, S)
+        formatted, fields = [], csvrows.fields
+        monkeypatch.setattr(csvrows, "fields", lambda x: formatted.append(len(x)) or fields(x))
+        blocks = list(csvrows.sample_blocks(labels, values))
+        assert formatted == [S * k]
+        assert all(block.count(b"\n") <= max(1, chunk // k) for block in blocks)
+        broadcast = list(csvrows.sample_blocks(labels, np.broadcast_to(values, (S, T, k)).copy()))
+        assert b"".join(blocks) == b"".join(broadcast)
+        write_reference(tmp_path / "old.csv", "x", times, np.broadcast_to(values, (S, T, k)))
+        assert b"".join(blocks) == (tmp_path / "old.csv").read_bytes().split(b"\n", 1)[1]
+
     def test_single_time_and_sample(self, tmp_path):
         times, values = np.array([0.25]), np.array([[[1e-7, -0.0]]])
         scenario._write_sample_rows(tmp_path / "new.csv", "y", csvrows.row_labels(times, 1), values)

@@ -1115,3 +1115,37 @@ class TestStationaryRun:
         first = {}
         for sid, _, x in rows:
             assert x.tobytes() == first.setdefault(sid, x).tobytes()
+
+    @pytest.mark.parametrize(
+        "d, grid",
+        [
+            (_point_product(1, 1.0), (-3.0, 2.0, 40)),
+            (_point_product(2, 1.0), (-20.0, 5.0, 17)),
+            (_point_product(3, 1.0), (-3.0, 2.0, 200)),
+            (Umbilic(derive_umbilic([1.0, 0.0, 0.0, 0.0], 0.0), Ambient(2)), (-3.0, 2.0, 33)),
+            (CATALOG["ambient_h3"], (-1e300, 1e300, 9)),
+        ],
+        ids=["product_l1", "product_l2", "product_l3", "geodesic_umbilic", "ambient_h3_far"],
+    )
+    def test_rows_formatted_once_match_the_generic_path(self, tmp_path, monkeypatch, d, grid):
+        # a stationary run flows, projects and formats each sample once; the
+        # generic path, forced by hiding the predicate, gives the same bytes
+        assert scenario._is_stationary(d)
+        start, end, steps = grid
+        path = write_scenario(
+            tmp_path / "scn.json", "still", d,
+            time_grid={"start": start, "end": end, "steps": steps}, sampling={"per_dim": 7, "seed": 3},
+            outputs=["trajectory", "ball"],
+        )
+        projected, project = [], scenario.ball_projection_rows
+        monkeypatch.setattr(scenario, "ball_projection_rows", lambda frame, r, X: projected.append(len(X)) or project(frame, r, X))
+        files = {}
+        for stationary in (True, False):
+            monkeypatch.setattr(scenario, "_is_stationary", lambda d, value=stationary: value)
+            written = run_scenario(path, tmp_path / str(stationary))["written"]
+            files[stationary] = [Path(written[kind]).read_bytes() for kind in ("trajectory", "ball")]
+        samples = len(chart_samples(d, 7, 3))
+        assert projected == [samples, samples * steps]
+        assert files[True] == files[False]
+        rows = read_rows(tmp_path / "True" / "still_trajectory.csv")
+        assert len(rows) == samples * steps and all(np.isfinite(x).all() for _, _, x in rows)
