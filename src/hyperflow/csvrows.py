@@ -23,11 +23,17 @@ p + rint(t) is the correctly rounded digit string N unless t lies within
 
 Layout follows C's ``%g`` with precision 17: fixed notation for
 -4 <= X < 17, else ``d.ddd...e+XX``, with trailing zeros and a bare point
-dropped.  A field is six little-endian 64-bit words of NUL-padded text:
-sign and ``0.000`` prefix then the leading digit, four words of four digits
-each followed by a slot for the decimal point, and a word for the exponent
-and the separator.  Every layout is the same words with other bytes left
-NUL, so a block is written by dropping its NUL bytes.
+dropped.  ``fields`` writes each value's text left-aligned in three
+little-endian 64-bit words, a 24-byte slot with NULs only after the text,
+which the longest texts (``-1.2345678901234567e-123``) fill.  It builds
+the slots with word operations: the sixteen digits after the leading one
+are two words of ASCII from a table of four-digit groups, a byte mask drops
+their trailing zeros, the digits after the point move up one byte to make
+room for it, a per-row shift puts the lead (sign, ``0.000``-style prefix
+and leading digit) in front, and the exponent is OR-ed in after the text.
+A row's text is its labels, then each value's slot followed by its comma
+or the row's newline, 25 bytes a value; a block is written by dropping its
+NUL bytes.
 """
 
 from __future__ import annotations
@@ -41,11 +47,9 @@ CHUNK = 4096  # values per block; bounds the memory a block takes
 
 _K = 300  # the power table holds 10^k for |k| <= _K, then a nan entry
 _NAN = 2 * _K + 1
-_E0 = 1074  # frexp exponents e run from -1073 to 1024 and index tables as e + _E0
+_E0 = 1074  # frexp exponents e run from -1073 to 1024
 _E_FAST = 920  # |x| in [2^-921, 2^920) take the vectorized path
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
-_WORDS = 6
-_WIDTH = 8 * _WORDS
 
 
 def _power_table() -> tuple[np.ndarray, ...]:
@@ -74,15 +78,16 @@ _P_HI, _P_LO, _P_HH, _P_HL = _power_table()
 
 
 def _exponent_table() -> tuple[np.ndarray, np.ndarray]:
-    """By frexp exponent e: the index of k = 16 - X for the smallest |x| with that exponent,
-    and the smallest double >= 10^(X + 1), from which on k is one less.
+    """By frexp exponent e, at e modulo the tables' length (so ``take(e, mode="wrap")`` reads them):
+    the index of k = 16 - X for the smallest |x| with that exponent, and the smallest
+    double >= 10^(X + 1), from which on k is one less.
 
     Exponents outside [-_E_FAST, _E_FAST] get the nan entry.  For the others
     X = floor((e - 1) log10 2), exactly: (e - 1) log10 2 is 0 or at least
     4e-4 from an integer for |e - 1| < 970.
     """
     index, step = [], []
-    for e in range(-_E0, 1025):
+    for e in [*range(1025), *range(-_E0, 0)]:
         if abs(e) > _E_FAST:
             index.append(_NAN)
             step.append(math.inf)
@@ -102,63 +107,84 @@ def _words(texts) -> np.ndarray:
     return np.frombuffer(b"".join(s.encode("ascii").ljust(8, b"\0") for s in texts), "<u8")
 
 
+def _mask(n: int) -> int:
+    """The first n bytes of a word, n clipped to 0 ... 8."""
+    return (1 << 8 * min(max(n, 0), 8)) - 1
+
+
 def _layout_table() -> tuple[np.ndarray, ...]:
-    """By index of k, for X = 16 - k (X = 16 for the nan entry): the digit the point follows
-    (0 in exponent notation, below 0 if it is in the prefix), the prefix's offset in ``_LEAD``,
-    the byte of the point's slot (the last byte, which the exponent word overwrites, if the
-    point is not in a slot), and the exponent word."""
-    xp = [16 - k if -4 <= 16 - k < 17 else 0 for k in range(-_K, _K + 1)] + [16]
-    suffix = ["" if -4 <= 16 - k < 17 else "e%+03d" % (16 - k) for k in range(-_K, _K + 1)] + [""]
+    """By index of k, for X = 16 - k (X = 16 for the nan entry): the prefix's offset in ``_LEAD``;
+    over the two words of the sixteen digits after the leading one, the masks of the digits the
+    integer part shows, of the digits before the point's byte P, and the point in byte P; and the
+    exponent word.
+
+    P is X in fixed notation with X >= 0, 0 in exponent notation, where the point follows the
+    leading digit, and 16, past the last digit, where the prefix holds the point."""
+    xs = [16 - k for k in range(-_K, _K + 1)] + [16]
+    fixed = [-4 <= x < 17 for x in xs]
+    integer = [x if f and x >= 0 else 0 for x, f in zip(xs, fixed)]
+    point = [(x if x >= 0 else 16) if f else 0 for x, f in zip(xs, fixed)]
     return (
-        np.array(xp),
-        np.array([20 * min(max(-p, 0), 4) for p in xp]),
-        np.array([7 + 2 * p if 0 <= p < 16 else _WIDTH - 1 for p in xp]),
-        _words(suffix),
+        np.array([20 * min(max(-x, 0), 4) if f else 0 for x, f in zip(xs, fixed)]),
+        np.array([[_mask(i - 8 * w) for i in integer] for w in range(2)], np.uint64),
+        np.array([[_mask(p - 8 * w) for p in point] for w in range(2)], np.uint64),
+        np.array([[ord(".") << 8 * (p - 8 * w) if 0 <= p - 8 * w < 8 else 0 for p in point] for w in range(2)], np.uint64),
+        _words(["" if f else "e%+03d" % x for x, f in zip(xs, fixed)]),
     )
 
 
-_XP, _PREFIX20, _POINT_AT, _SUFFIX = _layout_table()
+_PREFIX20, _INTEGER, _BEFORE_POINT, _POINT, _SUFFIX = _layout_table()
 
-# the first word by (prefix, sign, leading digit): sign, "0.000"-style prefix, the digit at byte 6
-_LEAD = _words([sign + p + "%d" % d for p in ("", "0.", "0.0", "0.00", "0.000") for sign in ("", "-") for d in range(10)])
-_quad = np.zeros((10000, 8), np.uint8)
-for _i in range(4):  # digit i of 0000 ... 9999 cycles through 0-9, each repeated 10^(3 - i) times
-    _quad[:, 2 * _i] = np.tile(np.repeat(np.arange(48, 58, dtype=np.uint8), 10 ** (3 - _i)), 10**_i)
-_QUAD = _quad.view("<u8").ravel()  # four digits, each followed by a point slot
-_ZERO_END = _quad[:, 6] == 48
-# by digits shown, the byte mask of words 1 to 4
-_SHOWN = np.frombuffer(b"".join((b"\xff" * max(0, 2 * n - 2)).ljust(32, b"\0") for n in range(18)), "<u8").reshape(18, 4)
-_SEPARATOR = ord(",") << 56
-_NEWLINE = ord("\n") << 56
-del _quad, _i
+# by (prefix, sign, leading digit): the sign, the "0.000"-style prefix and the digit, and that
+# lead's length in bits; a leading digit 0 is a zero, which has no prefix
+_leads = [sign + (p if d else "") + "%d" % d for p in ("", "0.", "0.0", "0.00", "0.000") for sign in ("", "-") for d in range(10)]
+_LEAD = _words(_leads)
+_LEAD_BITS = np.array([8 * len(s) for s in _leads], np.uint64)
+del _leads
+# by four-digit group g: its ASCII in the low half of a word
+_g = np.arange(10000, dtype=np.uint64)
+_DIGITS = sum((_g // 10 ** (3 - i) % 10 + 48) << 8 * i for i in range(4))
+del _g
+_ZEROS = np.uint64(0x3030303030303030)  # eight ASCII zeros
+# by the exponent field of a double: for a word of digit values (one a byte) converted to double,
+# the mask of its bytes up to the highest non-zero one, none for a zero word
+_SHOWN = np.array([_mask((e - 1023) // 8 + 1) if e >= 1023 else 0 for e in range(1023 + 64)], np.uint64)
+# by the length of the text before it: the shifts that put the exponent word into each word of the slot
+_EXPONENT_LEFT = np.array([[min(max(8 * n - 64 * w, 0), 64) for n in range(25)] for w in range(3)], np.uint64)
+_EXPONENT_RIGHT = np.array([[min(max(64 * w - 8 * n, 0), 64) for n in range(25)] for w in range(3)], np.uint64)
+_SLOT = 24  # bytes of a value's text
+# a value's slot in a row's text, as its three words, then the byte of its comma or newline
+_FIELD = np.dtype({"names": ["w0", "w1", "w2", "separator"], "formats": ["<u8", "<u8", "<u8", "u1"], "offsets": [0, 8, 16, 24]})
 
 
 def fields(x: np.ndarray) -> np.ndarray:
-    """The ``%.17g`` text of each value of the 1-D array x as (n, 6) words of NUL-padded bytes."""
+    """The ``%.17g`` text of each value of the 1-D array x, left-aligned in a slot of three
+    little-endian words with NULs after it: (n, 3) words, a transposed view of (3, n)."""
     x = np.ascontiguousarray(x, dtype=float)
     n = x.size
     a = np.abs(x)
-    k = np.add(np.frexp(a)[1], _E0, dtype=np.intp)
-    k = _E_K[k] - (a >= _E_STEP[k])
+    e = np.frexp(a)[1]
+    k = _E_K.take(e, mode="wrap") - (a >= _E_STEP.take(e, mode="wrap"))
+    del e
     with np.errstate(invalid="ignore", over="ignore"):
         # y = p + t: p = fl(|x| hi), t = the exact error of that product + |x| lo;
         # in place, with the rounding order of ((((ah hh - p) + ah hl) + al hh) + al hl) + |x| lo
-        p = a * _P_HI[k]
+        p = a * _P_HI.take(k)
         ah = _SPLIT * a
         al = ah - a
         ah -= al
         np.subtract(a, ah, out=al)
-        hh = _P_HH[k]
+        hh = _P_HH.take(k)
         t = ah * hh
         t -= p
-        hl = _P_HL[k]
+        hl = _P_HL.take(k)
         ah *= hl
         t += ah
         hh *= al
         t += hh
         al *= hl
         t += al
-        a *= _P_LO[k]
+        a *= _P_LO.take(k)
         t += a
         del a, ah, al, hh, hl
         r = np.rint(t)
@@ -175,56 +201,70 @@ def fields(x: np.ndarray) -> np.ndarray:
         N[carry] = 10**16
         k[carry] -= 1
 
-    # the digits: d and four groups of four, g1 g2 in hi and g3 g4 in N
-    hi = N // 10**8
-    N -= hi * 10**8
-    d = hi // 10**8
-    hi -= d * 10**8
-    g = N // 10**4
-    N -= g * 10**4
-    stripped = np.flatnonzero(_ZERO_END[N])  # trailing zeros to drop, zeros among them
-    if stripped.size:
-        k[stripped[d[stripped] == 0]] = 16 + _K  # zero is written as X = 0
+    # the digits: the leading one d, then sixteen as two words of ASCII, two four-digit groups
+    # each; their trailing zeros are masked off, except the integer part's
+    d = N // 10**16
+    N -= d * 10**16
+    groups = np.empty((2, n), np.int64)
+    np.floor_divide(N, 10**8, out=groups[0])
+    np.subtract(N, groups[0] * 10**8, out=groups[1])
+    del N
+    first = groups // 10**4
+    groups -= first * 10**4
+    digits = _DIGITS.take(groups)
+    digits <<= 32
+    digits |= _DIGITS.take(first)
+    del first, groups
+    # shown: each word's digits up to its last non-zero one, whose byte the exponent of the word's
+    # digit values as a double gives; a digit shown in the second word shows the whole first
+    shown = _SHOWN.take((digits ^ _ZEROS).astype(np.float64).view(np.int64) >> 52)
+    shown[0] |= -(shown[1] & 1)
+    shown |= _INTEGER.take(k, axis=1)
+    digits &= shown
 
-    out = np.empty((n, _WORDS), "<u8")
-    out[:, 0] = _LEAD[_PREFIX20[k] + d + 10 * np.signbit(x)]
-    out[:, 3] = _QUAD[g]
-    out[:, 4] = _QUAD[N]
-    del d, N
-    np.floor_divide(hi, 10**4, out=g)
-    out[:, 1] = _QUAD[g]
-    hi -= g * 10**4
-    out[:, 2] = _QUAD[hi]
-    del g, hi
-    text = out.view(np.uint8).reshape(-1)
-    text[np.arange(0, n * _WIDTH, _WIDTH) + _POINT_AT[k]] = 46
-    out[:, 5] = _SUFFIX[k]  # after the point: a field without one has it in byte 47, which this clears
+    # the point: the digits from byte P on move up one byte, and the point goes into byte P
+    # if a digit follows it; the third word takes the byte pushed out of the second
+    words = np.empty((3, n), np.uint64)
+    head = words[:2]
+    before = digits & _BEFORE_POINT.take(k, axis=1)
+    digits ^= before
+    np.left_shift(digits, 8, out=head)
+    head |= before
+    shown &= _POINT.take(k, axis=1)
+    head |= shown
+    words[1] |= digits[0] >> 56
+    np.right_shift(digits[1], 56, out=words[2])
+    del head, before, digits, shown
 
-    if stripped.size:
-        sub = out[stripped]
-        xp = _XP[k[stripped]]
-        shown = sub.view(np.uint8)[:, 6:40:2] != 48  # D0 ... D16
-        shown[:, 0] = True  # a zero shows its leading digit
-        keep = np.maximum(16 - np.argmax(shown[:, ::-1], axis=1), xp) + 1  # digits shown
-        sub[:, 1:5] &= _SHOWN[keep]
-        bare = np.flatnonzero(keep <= xp + 1)  # nothing after the point
-        sub.view(np.uint8)[bare, _POINT_AT[k[stripped[bare]]]] = 0
-        out[stripped] = sub
+    # the lead in front, by a shift of the whole slot: the sign, a "0.000"-style prefix and the
+    # leading digit
+    lead = _PREFIX20.take(k) + d + 10 * np.signbit(x)
+    bits = _LEAD_BITS.take(lead)
+    carry = words[:2] >> (64 - bits)
+    words <<= bits
+    words[1:] |= carry
+    words[0] |= _LEAD.take(lead)
+    del lead, bits, carry
+
+    # the exponent after the text, in the words its place falls in
+    sci = np.flatnonzero(_SUFFIX.take(k))
+    if sci.size:
+        sub = words.take(sci, axis=1)
+        used = np.count_nonzero(sub.view(np.uint8).reshape(3, -1, 8), axis=(0, 2))
+        sub |= (_SUFFIX[k[sci]] << _EXPONENT_LEFT.take(used, axis=1)) >> _EXPONENT_RIGHT.take(used, axis=1)
+        words[:, sci] = sub
 
     for i in slow.tolist():
-        s = ("%.17g" % x[i]).encode("ascii")
-        out[i] = 0
-        text[i * _WIDTH : i * _WIDTH + len(s)] = np.frombuffer(s, np.uint8)
-    return out
+        words[:, i] = np.frombuffer(("%.17g" % x[i]).encode("ascii").ljust(_SLOT, b"\0"), "<u8")
+    return words.T
 
 
 def texts(x: np.ndarray) -> list[str]:
     """``"%.17g" % v`` for every value of the 1-D array x."""
     out = []
     for lo in range(0, len(x), CHUNK):
-        words = fields(x[lo : lo + CHUNK])
-        words[:, 5] |= _NEWLINE
-        out += words.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+        text = _value_text(np.reshape(x[lo : lo + CHUNK], (-1, 1)))
+        out += text.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
     return out
 
 
@@ -274,23 +314,29 @@ def _block(values: np.ndarray, lo: int, T: int, ids: np.ndarray, stamps: np.ndar
     n, k = values.shape
     rows = np.arange(lo, lo + n)
     sample = rows // T
-    buf = bytearray(n * (ids.shape[1] + stamps.shape[1] + k * _WIDTH))
+    at = ids.shape[1] + stamps.shape[1]  # where the values start
+    buf = bytearray(n * (at + k * _FIELD.itemsize))
     block = np.frombuffer(buf, np.uint8).reshape(n, -1)
-    block[:, : ids.shape[1]] = ids[sample]
-    block[:, ids.shape[1] : -k * _WIDTH] = stamps[rows - sample * T]
-    block[:, -k * _WIDTH :] = _value_text(values)
+    block[:, : ids.shape[1]] = ids.take(sample, axis=0)
+    block[:, ids.shape[1] : at] = stamps.take(rows - sample * T, axis=0)
+    _value_text(values, block[:, at:])
     del block
     return buf.translate(None, b"\0")
 
 
-def _value_text(values: np.ndarray) -> np.ndarray:
-    """The ``%.17g`` text of each row of an (n, k) array as NUL-padded bytes, (n, 48 k):
-    the values with their commas and the row's newline."""
+def _value_text(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The ``%.17g`` text of each row of an (n, k) array as (n, 25 k) bytes, in ``out`` if given:
+    each value's 24-byte slot, then its comma or, after the last, the row's newline."""
     n, k = values.shape
-    words = fields(values.reshape(-1)).reshape(n, k, _WORDS)
-    words[:, :-1, 5] |= _SEPARATOR
-    words[:, -1, 5] |= _NEWLINE
-    return words.view(np.uint8).reshape(n, -1)
+    if out is None:
+        out = np.empty((n, k * _FIELD.itemsize), np.uint8)
+    field = out.view(_FIELD)  # (n, k)
+    words = fields(values.reshape(-1))
+    for w in range(3):
+        field[f"w{w}"] = words[:, w].reshape(n, k)
+    field["separator"] = ord(",")
+    field["separator"][:, -1] = ord("\n")
+    return out
 
 
 def _left_aligned(texts: list[str]) -> np.ndarray:

@@ -144,6 +144,23 @@ class TestWholeFiles:
         write_reference(tmp_path / "old.csv", "x", times, np.broadcast_to(values, (S, T, k)))
         assert b"".join(blocks) == (tmp_path / "old.csv").read_bytes().split(b"\n", 1)[1]
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("chunk", [1, 5, csvrows.CHUNK])
+    @pytest.mark.parametrize("constant", [False, True], ids=["generic", "time_constant"])
+    def test_full_slots_beside_one_character_texts(self, tmp_path, monkeypatch, k, chunk, constant):
+        # 24- and 23-character texts fill a value's slot; the last is a slow-path value,
+        # and "0", "-0" and "1" take one or two of its bytes
+        monkeypatch.setattr(csvrows, "CHUNK", chunk)
+        edges = [-1.2345678901234567e-123, -0.00012345678901234567, -2.2250738585072014e-308, 0.0, -0.0, 1.0]
+        assert max(len("%.17g" % v) for v in edges) == 24
+        S, T = len(edges), 5
+        cycle = np.arange(S)[:, None, None] + np.arange(1 if constant else T)[None, :, None] + np.arange(k)[None, None, :]
+        values = np.array(edges)[cycle % len(edges)]  # every value in every column
+        times = np.linspace(-1.0, 0.5, T)
+        scenario._write_sample_rows(tmp_path / "new.csv", "x", csvrows.row_labels(times, S), values)
+        write_reference(tmp_path / "old.csv", "x", times, np.broadcast_to(values, (S, T, k)))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_single_time_and_sample(self, tmp_path):
         times, values = np.array([0.25]), np.array([[[1e-7, -0.0]]])
         scenario._write_sample_rows(tmp_path / "new.csv", "y", csvrows.row_labels(times, 1), values)
@@ -167,3 +184,32 @@ class TestWholeFiles:
             rows = (tmp_path / "out" / f"tube_{name}.csv").read_text().splitlines()[1:]
             assert [row.split(",")[1] for row in rows[:9]] == ["%.17g" % t for t in np.linspace(-1.0, 0.25, 9)]
         assert set(summary["written"]) == {"trajectory", "ball"}
+
+
+class TestSlotLayout:
+    """Each value's text is left-aligned in a 24-byte slot, NULs only after it, and one byte
+    follows the slot; the NUL strip sees those 25 bytes per value and no more."""
+
+    def test_value_text_slots(self):
+        rng = np.random.default_rng(31)
+        slow = [5e-324, 1e-310, 2.2250738585072014e-308, 1 + 2**-17, 3 * 2**-20, math.inf, -math.inf, math.nan, 1e300]
+        fast = [0.0, -0.0, 1.0, -1.2345678901234567e-123, -0.00012345678901234567, 12345678901234567.0, 1e17, 0.5]
+        x = np.concatenate([slow, fast, awkward_values(rng, 200)])
+        values = np.resize(x, (len(x) // 3 + 1) * 3).reshape(-1, 3)
+        text = csvrows._value_text(values)
+        assert text.dtype == np.uint8 and text.shape == (len(values), 3 * 25)
+        slots = text.reshape(len(values), 3, 25)
+        assert (slots[:, :-1, 24] == ord(",")).all() and (slots[:, -1, 24] == ord("\n")).all()
+        for row, vals in zip(slots, values.tolist()):
+            for slot, v in zip(row, vals):
+                body = slot[:24].tobytes()
+                used = len("%.17g" % v)
+                assert body[:used].decode("ascii") == "%.17g" % v
+                assert body[used:] == b"\0" * (24 - used)  # NULs only after the text
+
+    def test_fields_are_three_words_per_value(self):
+        x = np.array([-1.2345678901234567e-123, 0.0, math.nan, 2.5])
+        words = csvrows.fields(x)
+        assert words.shape == (4, 3) and words.dtype == np.uint64
+        slots = [int(w0) | int(w1) << 64 | int(w2) << 128 for w0, w1, w2 in words.tolist()]
+        assert [s.to_bytes(24, "little").rstrip(b"\0").decode("ascii") for s in slots] == ["%.17g" % v for v in x.tolist()]
