@@ -17,10 +17,14 @@ descriptor (``dimensions``, ``chart_box``, ``classify_shape``, the existence
 window of its flows and its Lorentzian time range) come from one plan per
 instance, built once from the plan of its inner level by ``_build_plan``,
 the one walk over descriptor kinds for them; the plan of an umbilic level
-also holds the placement that embeds and splits its points.  Charts are
-explicit: hyperbolic factors use polar coordinates on R^l, sphere factors
-use angles, so every immersion is a smooth map from a box in R^n that
-finite differencing can probe.
+also holds the placement that embeds and splits its points, affine
+(x = eta + scale J z) or horospherical.  An umbilic level branches once on
+its kind: a hyperbolic level recurses into its inner descriptor, any other
+asks its leaf, a ``ProductOfSpheres`` or ``EuclideanIso``, which owns its
+layout: its facts, chart, membership, flow, mean curvature and JSON form.
+Charts are explicit: hyperbolic factors use polar coordinates on R^l,
+sphere factors use angles, so every immersion is a smooth map from a box in
+R^n that finite differencing can probe.
 """
 
 from __future__ import annotations
@@ -96,10 +100,12 @@ def derive_umbilic(xi, a: float) -> UmbilicData:
     """
     xiv = as_vector(xi)
     q = minkowski_inner(xiv, xiv)
-    q_exact = round(q)
+    q_exact = round(q) if math.isfinite(q) else None  # a non-finite xi gives a non-finite q
     if q_exact not in (-1, 0, 1) or abs(q - q_exact) > _XI_NORM_TOL:
         raise InvalidArgumentError(f"<xi,xi> = {q!r} must be -1, 0 or +1")
     a = float(a)
+    if not math.isfinite(a):
+        raise InvalidArgumentError(f"umbilic.a must be finite, got {a!r}")
     if a < 0:
         xiv, a = -xiv, -a
     if q_exact + a * a <= 0:
@@ -146,6 +152,8 @@ class ProductOfSpheres:
     coordinate blocks of size p_i + 1.  The point variant has no factors and
     a fixed unit ``point_position``; its actual location is
     sqrt(R^2) * point_position on the context sphere of squared radius R^2.
+    As the leaf of a spherical umbilic level it lies on the level's sphere,
+    of squared radius a^2 - 1.
     """
 
     factors: tuple[tuple[int, float], ...] = ()
@@ -158,13 +166,13 @@ class ProductOfSpheres:
             raise InvalidArgumentError("a point leaf needs an explicit unit position")
         fac = tuple((int(p), float(s)) for p, s in self.factors)
         for p, s in fac:
-            if p < 1 or s <= 0:
+            if p < 1 or not 0 < s < math.inf:
                 raise InvalidArgumentError(f"bad sphere factor (p={p}, s={s})")
         object.__setattr__(self, "factors", fac)
         if self.point_position is not None:
             pos = tuple(float(v) for v in self.point_position)
-            if abs(np.linalg.norm(pos) - 1.0) > _XI_NORM_TOL:
-                raise InvalidArgumentError("point position must be a unit vector")
+            if not abs(np.linalg.norm(pos) - 1.0) <= _XI_NORM_TOL:  # refuses nan and infinities too
+                raise InvalidArgumentError(f"point.position must be a finite unit vector, got {pos!r}")
             object.__setattr__(self, "point_position", pos)
 
     @property
@@ -187,6 +195,35 @@ class ProductOfSpheres:
         if self.is_point:
             return None
         return sum(s for _, s in self.factors)
+
+    # The leaf interface of an umbilic level, shared with ``EuclideanIso``: the level passes its
+    # umbilical data (and its placement for the mean curvature); Z holds its inner coordinates, as rows.
+
+    def _level_facts(self, umb: UmbilicData):
+        """n, chart box, total geodesy (a great subsphere fills the sphere), flatness, the inner maximal time."""
+        tg = self.is_point or len(self.factors) == 1
+        return self.dim, _sphere_box(self), tg, _leaf_flat(self), _leaf_spherical_collapse(self, umb.a**2 - 1.0)
+
+    def _chart_rows(self, U: np.ndarray, umb: UmbilicData) -> np.ndarray:
+        return _leaf_immersion(self, U, umb.a**2 - 1.0)
+
+    def _check_rows(self, Z: np.ndarray, umb: UmbilicData) -> None:
+        _check_leaf_rows(self, Z, umb.a**2 - 1.0)
+
+    def _flow_rows(self, Z: np.ndarray, ss: list[float], umb: UmbilicData, end: bool) -> np.ndarray:
+        """The spherical flow of the leaf at every inner time of ss, (T, K, m)."""
+        return _sphere_leaf_flow(self, Z, ss, umb.a**2 - 1.0, end).spherical
+
+    def _mean_curvature(self, z: np.ndarray, umb: UmbilicData, pl: _AffinePlacement) -> np.ndarray:
+        """The leaf's mean curvature in its sphere, pushed through the level's columns."""
+        if self.is_point:
+            return np.zeros(pl.J.shape[0])
+        return pl.J @ (_leaf_euclidean_H(self, z) + (self.dim / (umb.a**2 - 1.0)) * z)
+
+    def _to_json(self) -> dict:
+        if self.is_point:
+            return {"type": "point", "position": list(self.point_position)}
+        return {"type": "product_of_spheres", "factors": [[p, s] for p, s in self.factors]}
 
 
 @dataclass(frozen=True)
@@ -216,8 +253,8 @@ class EuclideanIso:
         object.__setattr__(self, "ambient_dim", amb)
         if self.offset is not None:
             off = tuple(float(v) for v in self.offset)
-            if len(off) != amb:
-                raise InvalidArgumentError(f"offset length {len(off)} != ambient_dim {amb}")
+            if len(off) != amb or not all(map(math.isfinite, off)):
+                raise InvalidArgumentError(f"euclidean.offset must be {amb} finite numbers, got {off!r}")
             object.__setattr__(self, "offset", off)
 
     @property
@@ -229,6 +266,55 @@ class EuclideanIso:
         if self.offset is None:
             return np.zeros(self.ambient_dim)
         return np.asarray(self.offset, dtype=float)
+
+    def _level_facts(self, umb: UmbilicData):
+        s = self.spheres
+        box = (_FLAT_BOX,) * self.flat_dim + (() if s is None else _sphere_box(s))
+        return self.dim, box, s is None, s is None or _leaf_flat(s), None if s is None else _leaf_euclidean_collapse(s)
+
+    def _chart_rows(self, U: np.ndarray, umb: UmbilicData) -> np.ndarray:
+        w = np.tile(self.offset_array, (U.shape[0], 1))
+        k = self.flat_dim
+        w[:, :k] += U[:, :k]
+        if self.spheres is not None:
+            w[:, k : k + self.spheres.coords_dim] += _leaf_immersion(self.spheres, U[:, k:], None)
+        return w
+
+    def _check_rows(self, Z: np.ndarray, umb: UmbilicData) -> None:
+        """Sphere blocks about the offset, padding coordinates at it."""
+        rel = Z - self.offset_array
+        k = self.flat_dim
+        if self.spheres is not None:
+            k += self.spheres.coords_dim
+            _check_leaf_rows(self.spheres, rel[:, self.flat_dim : k], None)
+        if np.any(np.abs(rel[:, k:]) > _POINT_TOL):
+            raise DomainError("padding coordinates of the Euclidean configuration are away from its offset")
+
+    def _flow_rows(self, Z: np.ndarray, ss: list[float], umb: UmbilicData, end: bool) -> np.ndarray:
+        """The Euclidean flow at every inner time of ss, (T, K, m): sphere blocks shrink about the offset."""
+        Zt = np.broadcast_to(Z, (len(ss),) + Z.shape).copy()
+        if self.spheres is not None:
+            block = slice(self.flat_dim, self.flat_dim + self.spheres.coords_dim)
+            off = self.offset_array[block]
+            Zt[..., block] = off + (Z[:, block] - off) * _leaf_column_scales(self.spheres, ss, end)[:, None, :]
+        return Zt
+
+    def _mean_curvature(self, z: np.ndarray, umb: UmbilicData, pl: _HorosphericalPlacement) -> np.ndarray:
+        """Euclidean mean curvature of the sphere blocks, pushed through the horospherical chart."""
+        Hw = np.zeros_like(z)
+        if self.spheres is not None:
+            block = slice(self.flat_dim, self.flat_dim + self.spheres.coords_dim)
+            Hw[block] = _leaf_euclidean_H(self.spheres, (z - self.offset_array)[block])
+        return pl.W @ Hw - (float(np.dot(z, Hw)) / pl.a) * pl.xi
+
+    def _to_json(self) -> dict:
+        return {
+            "type": "euclidean",
+            "flat_dim": self.flat_dim,
+            "spheres": self.spheres._to_json() if self.spheres else None,
+            "offset": list(self.offset) if self.offset else None,
+            "ambient_dim": self.ambient_dim,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +329,8 @@ class Ambient:
     r: float = 1.0
 
     def __post_init__(self):
-        if self.m < 1 or self.r <= 0:
-            raise InvalidArgumentError(f"bad ambient H^{self.m}(-{self.r})")
+        if self.m < 1 or not 0 < self.r < math.inf:
+            raise InvalidArgumentError(f"bad ambient H^{self.m}(-{self.r}): ambient.r must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -258,8 +344,8 @@ class FullProduct:
     def __post_init__(self):
         if self.l < 1:
             raise InvalidArgumentError("the Lorentz factor needs l >= 1")
-        if self.r < 1:
-            raise InvalidArgumentError("a full product requires r >= 1")
+        if not 1 <= self.r < math.inf:
+            raise InvalidArgumentError(f"a full product requires a finite full_product.r >= 1, got {self.r!r}")
         if not self.leaf.is_point:
             if self.r <= 1:
                 raise InvalidArgumentError("a non-point leaf requires r > 1")
@@ -367,16 +453,12 @@ def _leaf_euclidean_collapse(leaf: ProductOfSpheres) -> float | None:
     return min(s / (2.0 * p) for p, s in leaf.factors)
 
 
-def _leaf_is_minimal(leaf: ProductOfSpheres) -> bool:
-    if leaf.is_point:
-        return True
-    ratio = leaf.ambient_radius2 / leaf.dim
-    return all(abs(s / p - ratio) <= 1e-12 * max(1.0, ratio) for p, s in leaf.factors)
-
-
 def _leaf_spherical_collapse(leaf: ProductOfSpheres, radius2: float) -> float | None:
-    """Maximal time of the spherical gauge of the leaf flow; None if stationary."""
-    if leaf.is_point or _leaf_is_minimal(leaf):
+    """Maximal time of the spherical gauge of the leaf flow; None if stationary (a point, or minimal)."""
+    if leaf.is_point:
+        return None
+    ratio = leaf.ambient_radius2 / leaf.dim
+    if all(abs(s / p - ratio) <= 1e-12 * max(1.0, ratio) for p, s in leaf.factors):
         return None
     # the Euclidean-to-spherical leaf time -(R^2/2n') ln(1 - 2n't/R^2) at the Euclidean collapse
     te = _leaf_euclidean_collapse(leaf)
@@ -394,7 +476,7 @@ class _Plan(NamedTuple):
     shape: ShapeFlags
     window: ExistenceWindow
     lorentz_range: tuple[float | None, float | None]
-    placement: _HyperbolicPlacement | _SphericalPlacement | _EuclideanPlacement | None = None
+    placement: _AffinePlacement | _HorosphericalPlacement | None = None
 
 
 def _plan(d) -> _Plan:
@@ -441,23 +523,14 @@ def _build_plan(d) -> _Plan:
     # from the by-value cache, so equal levels (a tree loaded again from JSON) share one placement
     placement = _umbilic_placement(umb)
     inner_window = None
-    if isinstance(inner, ProductOfSpheres):
-        n, box = inner.dim, _sphere_box(inner)
-        inner_tg = inner.is_point or len(inner.factors) == 1  # a great subsphere fills the whole sphere
-        inner_flat = _leaf_flat(inner)
-        t_prime = _leaf_spherical_collapse(inner, umb.a**2 - 1.0)
-    elif isinstance(inner, EuclideanIso):
-        spheres = inner.spheres
-        n, box = inner.dim, (_FLAT_BOX,) * inner.flat_dim + (() if spheres is None else _sphere_box(spheres))
-        inner_tg = spheres is None
-        inner_flat = spheres is None or _leaf_flat(spheres)
-        t_prime = None if spheres is None else _leaf_euclidean_collapse(spheres)
-    else:
+    if umb.kind == "hyperbolic":
         plan = _plan(inner)
         n, box, inner_window = plan.dims.n, plan.box, plan.window
         inner_tg, inner_flat = plan.shape.totally_geodesic, plan.shape.intrinsically_flat
         # alpha < 1 on a hyperbolic level
         t_prime = None if inner_window.t_max is None else (1.0 / umb.one_minus_alpha2) * inner_window.t_max
+    else:
+        n, box, inner_tg, inner_flat, t_prime = inner._level_facts(umb)
     tg = umb.totally_geodesic and inner_tg
     dims, shape = Dimensions(n, umb.m, umb.m - n), ShapeFlags(tg, tg, inner_flat)
     if n == 0:
@@ -560,8 +633,6 @@ def _sphere_chart(angles: np.ndarray, radius2: float) -> np.ndarray:
 
 def _leaf_immersion(leaf: ProductOfSpheres, U: np.ndarray, ambient_radius2: float | None) -> np.ndarray:
     if leaf.is_point:
-        if ambient_radius2 is None:
-            raise InvalidArgumentError("a point leaf needs its context sphere radius")
         pos = math.sqrt(max(ambient_radius2, 0.0)) * np.asarray(leaf.point_position, dtype=float)
         return np.tile(pos, (U.shape[0], 1))
     blocks, k = [], 0
@@ -569,15 +640,6 @@ def _leaf_immersion(leaf: ProductOfSpheres, U: np.ndarray, ambient_radius2: floa
         blocks.append(_sphere_chart(U[:, k : k + p], s))
         k += p
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-
-
-def _euclidean_immersion(e: EuclideanIso, U: np.ndarray) -> np.ndarray:
-    w = np.tile(e.offset_array, (U.shape[0], 1))
-    w[:, : e.flat_dim] += U[:, : e.flat_dim]
-    if e.spheres is not None:
-        k0 = e.flat_dim
-        w[:, k0 : k0 + e.spheres.coords_dim] += _leaf_immersion(e.spheres, U[:, e.flat_dim :], None)
-    return w
 
 
 # placement of a full product: V occupies the first l and last coordinates
@@ -627,6 +689,56 @@ def _check_leaf_rows(leaf: ProductOfSpheres, Y: np.ndarray, radius2: float | Non
         k += p + 1
 
 
+# leaf flows: sphere factor blocks scale about the origin of their block
+
+
+class SphereLeafFlow(NamedTuple):
+    spherical: np.ndarray
+    euclidean: np.ndarray
+    euclidean_time: float
+
+
+def _leaf_column_scales(leaf: ProductOfSpheres, ts: list[float], end: bool = False) -> np.ndarray:
+    """Euclidean flow of a leaf as column scales, (T, coords) for the times ts.
+
+    Each factor block scales by sqrt(1 - 2 p t / s); at the endpoint
+    (``end``) a radicand that vanishes is taken as zero.
+    """
+    if leaf.is_point:
+        return np.ones((len(ts), len(leaf.point_position)))
+    rows = []
+    for t in ts:
+        row: list[float] = []
+        for p, s in leaf.factors:
+            rad = 1.0 - 2.0 * p * t / s
+            if end:
+                rad = max(rad, 0.0)
+            elif rad <= 0:
+                raise TimeOutOfRangeError(f"sphere factor S^{p}({s}) collapsed before t={t}")
+            row += [math.sqrt(rad)] * (p + 1)
+        rows.append(row)
+    return np.array(rows).reshape(len(ts), leaf.coords_dim)
+
+
+def _sphere_leaf_flow(leaf: ProductOfSpheres, Y: np.ndarray, ss: list[float], R2: float, end: bool = False) -> SphereLeafFlow:
+    """The leaf flow of Y at every spherical time of ss: arrays gain a leading time axis, times are a list.
+
+    The spherical flow inside S^N(R^2) is recovered from the Euclidean one by
+    f_2(y, s) = e^(n' s / R^2) F_2(y, t(s)) with
+    t(s) = (R^2 / 2n')(1 - e^(-2 n' s / R^2)).  Points and minimal products
+    are stationary.
+    """
+    if leaf.is_point:
+        still = np.broadcast_to(Y, (len(ss),) + Y.shape)
+        return SphereLeafFlow(still.copy(), still.copy(), [0.0] * len(ss))
+    n1 = leaf.dim
+    te = [(R2 / (2.0 * n1)) * -math.expm1(-2.0 * n1 * s / R2) for s in ss]
+    lead = (len(ss),) + (1,) * (Y.ndim - 1)
+    eu = Y * _leaf_column_scales(leaf, te, end).reshape(lead + (Y.shape[-1],))
+    growth = np.array([math.exp(n1 * s / R2) for s in ss]).reshape(lead + (1,))
+    return SphereLeafFlow(growth * eu, eu, te)
+
+
 # placement of an umbilic level: deterministic orthonormal complement of xi
 
 
@@ -641,15 +753,19 @@ def _complement_basis(span: list[np.ndarray]) -> list[np.ndarray]:
         for w in span:
             v -= (minkowski_inner(v, w) / minkowski_inner(w, w)) * w
         cand.append(v)
+    # candidate rows: the stacked matmuls give each row the bits of ``minkowski_inner`` (see ``_row_dots``)
+    C = np.array(cand)
     basis: list[np.ndarray] = []
     need = dim - len(span)
     for _ in range(need):
-        for v in cand:
-            for u in basis:
-                v -= (minkowski_inner(v, u) / minkowski_inner(u, u)) * u
-        norms2 = [abs(minkowski_inner(v, v)) for v in cand]
-        k = int(np.argmax(norms2))
-        v = cand.pop(k)
+        # against the newest basis vector only: earlier rounds took the others out of every candidate
+        if basis:
+            u = basis[-1]
+            ip = np.matmul(C[:, None, :-1], u[:-1, None])[:, 0, 0] - C[:, -1] * u[-1]
+            C -= (ip / minkowski_inner(u, u))[:, None] * u
+        k = int(np.argmax(np.abs(_row_dots(C[:, :-1]) - C[:, -1] * C[:, -1])))
+        v = C[k].copy()
+        C = np.delete(C, k, axis=0)
         q = minkowski_inner(v, v)
         if abs(q) < 1e-12:
             raise InvalidArgumentError("degenerate complement while placing an umbilic level")
@@ -661,21 +777,14 @@ def _complement_basis(span: list[np.ndarray]) -> list[np.ndarray]:
 # the signature products <rel, b> with the columns b, which split a point.
 
 
-class _HyperbolicPlacement(NamedTuple):
-    J: np.ndarray          # (m+1, m) columns: m-1 spacelike then 1 future timelike
-    scale: float           # sqrt(R), R = 1/(1 - alpha^2)
+class _AffinePlacement(NamedTuple):  # x = eta + scale J z
+    J: np.ndarray          # (m+1, m) columns: m-1 spacelike then 1 future timelike, or m spacelike
+    scale: float           # sqrt(R), R = 1/(1 - alpha^2); 1.0 on a spherical level, exact both ways
     eta: np.ndarray
     G: np.ndarray
 
 
-class _SphericalPlacement(NamedTuple):
-    J: np.ndarray          # (m+1, m) spacelike columns spanning xi^perp
-    radius2: float         # a^2 - 1
-    eta: np.ndarray
-    G: np.ndarray
-
-
-class _EuclideanPlacement(NamedTuple):
+class _HorosphericalPlacement(NamedTuple):
     x0: np.ndarray         # base point of the horospherical chart
     W: np.ndarray          # (m+1, m-1) spacelike columns, orthogonal to xi and x0
     xi: np.ndarray
@@ -710,13 +819,13 @@ def _umbilic_placement(umb: UmbilicData):
         if base[-1] <= 0:
             t = -t
         J = np.column_stack(spacelike + [t])
-        return _HyperbolicPlacement(J, math.sqrt(R), eta, _signed_transpose(J, True))
+        return _AffinePlacement(J, math.sqrt(R), eta, _signed_transpose(J, True))
     if umb.kind == "spherical":
         cols = _complement_basis([xi])
         if any(minkowski_inner(v, v) < 0 for v in cols):
             raise InvalidArgumentError("complement of a timelike xi must be spacelike")
         J = np.column_stack(cols)
-        return _SphericalPlacement(J, umb.a**2 - 1.0, umb.eta_array, _signed_transpose(J, False))
+        return _AffinePlacement(J, 1.0, umb.eta_array, _signed_transpose(J, False))
     # euclidean: horospherical chart around a canonical base point; the span
     # of {xi, x0} is projected out through the orthogonal pair {x0, xi/a + x0}
     # because the null xi itself cannot normalize a projection
@@ -725,7 +834,7 @@ def _umbilic_placement(umb: UmbilicData):
     x0 = -xi / (2.0 * a) - (a / (2.0 * xi[-1] ** 2)) * nu
     zeta = xi / a + x0
     W = np.column_stack(_complement_basis([x0, zeta]))
-    return _EuclideanPlacement(x0, W, xi, a, _signed_transpose(W, False))
+    return _HorosphericalPlacement(x0, W, xi, a, _signed_transpose(W, False))
 
 
 def _umbilic_embed(d: Umbilic, inner_point: np.ndarray) -> np.ndarray:
@@ -735,10 +844,8 @@ def _umbilic_embed(d: Umbilic, inner_point: np.ndarray) -> np.ndarray:
     either way (see ``_row_dots``).
     """
     pl = _plan(d).placement
-    if isinstance(pl, _HyperbolicPlacement):
+    if isinstance(pl, _AffinePlacement):
         return pl.eta + pl.scale * np.matmul(pl.J, inner_point[..., None])[..., 0]
-    if isinstance(pl, _SphericalPlacement):
-        return pl.eta + np.matmul(pl.J, inner_point[..., None])[..., 0]
     w = inner_point
     shift = (_row_dots(w) / (2.0 * pl.a))[..., None] * pl.xi
     return pl.x0 + np.matmul(pl.W, w[..., None])[..., 0] - shift
@@ -753,12 +860,7 @@ def _umbilic_split_rows(d: Umbilic, X: np.ndarray) -> np.ndarray:
     any batch.
     """
     pl = _plan(d).placement
-    if isinstance(pl, _HyperbolicPlacement):
-        rel = (X - pl.eta) / pl.scale
-    elif isinstance(pl, _SphericalPlacement):
-        rel = X - pl.eta
-    else:
-        rel = X - pl.x0
+    rel = (X - pl.eta) / pl.scale if isinstance(pl, _AffinePlacement) else X - pl.x0
     return np.matmul(pl.G, rel[..., None])[..., 0]
 
 
@@ -782,19 +884,10 @@ def _validate_levels(d, X: np.ndarray) -> None:
     Z = _umbilic_split_rows(d, X)
     if np.any(np.abs(_umbilic_embed(d, Z) - X) > _POINT_TOL):
         raise DomainError("point is not on the umbilical hypersurface of this level")
-    inner = d.inner
-    if isinstance(inner, ProductOfSpheres):
-        _check_leaf_rows(inner, Z, d.umb.a**2 - 1.0)
-    elif isinstance(inner, EuclideanIso):
-        rel = Z - inner.offset_array
-        k = inner.flat_dim
-        if inner.spheres is not None:
-            _check_leaf_rows(inner.spheres, rel[:, k : k + inner.spheres.coords_dim], None)
-            k += inner.spheres.coords_dim
-        if np.any(np.abs(rel[:, k:]) > _POINT_TOL):
-            raise DomainError("padding coordinates of the Euclidean configuration are away from its offset")
+    if d.umb.kind == "hyperbolic":
+        _validate_levels(d.inner, Z)
     else:
-        _validate_levels(inner, Z)
+        d.inner._check_rows(Z, d.umb)
 
 
 def immerse(d, u) -> np.ndarray:
@@ -828,16 +921,8 @@ def _immerse(d, U: np.ndarray) -> np.ndarray:
         xv = _hyperbolic_chart(U[:, : d.l], d.r)
         y = _leaf_immersion(d.leaf, U[:, d.l :], d.r - 1.0)
         return _product_assemble(d, xv, y)
-    if isinstance(d, Umbilic):
-        inner = d.inner
-        if isinstance(inner, ProductOfSpheres):
-            z = _leaf_immersion(inner, U, d.umb.a**2 - 1.0)
-        elif isinstance(inner, EuclideanIso):
-            z = _euclidean_immersion(inner, U)
-        else:
-            z = _immerse(inner, U)
-        return _umbilic_embed(d, z)
-    raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
+    z = _immerse(d.inner, U) if d.umb.kind == "hyperbolic" else d.inner._chart_rows(U, d.umb)
+    return _umbilic_embed(d, z)
 
 
 # ---------------------------------------------------------------------------
@@ -861,15 +946,6 @@ def _leaf_euclidean_H(leaf: ProductOfSpheres, y: np.ndarray) -> np.ndarray:
     return H
 
 
-def _euclidean_H(e: EuclideanIso, w: np.ndarray) -> np.ndarray:
-    H = np.zeros_like(w)
-    if e.spheres is not None:
-        k0 = e.flat_dim
-        rel = w - e.offset_array
-        H[k0 : k0 + e.spheres.coords_dim] = _leaf_euclidean_H(e.spheres, rel[k0 : k0 + e.spheres.coords_dim])
-    return H
-
-
 def _hyperbolic_H(d, x: np.ndarray) -> np.ndarray:
     """Mean curvature of the descriptor's immersion inside H^m(-1) (or H^m(-r)) at a point x of it.
 
@@ -882,19 +958,13 @@ def _hyperbolic_H(d, x: np.ndarray) -> np.ndarray:
         xv, y = _product_split(d, x)
         HL = _product_assemble(d, (d.l / d.r) * xv, _leaf_euclidean_H(d.leaf, y))
         return HL - n * x
-    if isinstance(d, Umbilic):
-        umb, inner = d.umb, d.inner
-        pl = _plan(d).placement
-        z = _umbilic_split_rows(d, x)
-        if isinstance(inner, ProductOfSpheres):
-            H1 = np.zeros_like(x) if inner.is_point else pl.J @ (_leaf_euclidean_H(inner, z) + (inner.dim / pl.radius2) * z)
-        elif isinstance(inner, EuclideanIso):
-            Hw = _euclidean_H(inner, z)
-            H1 = pl.W @ Hw - (float(np.dot(z, Hw)) / pl.a) * pl.xi
-        else:
-            H1 = (pl.J @ _hyperbolic_H(inner, z)) / pl.scale
-        return H1 - n * umb.alpha * (umb.alpha * x + umb.beta * umb.xi_array)
-    raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
+    umb, pl = d.umb, _plan(d).placement
+    z = _umbilic_split_rows(d, x)
+    if umb.kind == "hyperbolic":
+        H1 = (pl.J @ _hyperbolic_H(d.inner, z)) / pl.scale
+    else:
+        H1 = d.inner._mean_curvature(z, umb, pl)
+    return H1 - n * umb.alpha * (umb.alpha * x + umb.beta * umb.xi_array)
 
 
 def _ambient_r(d) -> float:
@@ -931,35 +1001,15 @@ def descriptor_to_json(d) -> dict:
     if isinstance(d, Ambient):
         return {"type": "ambient", "m": d.m, "r": d.r}
     if isinstance(d, FullProduct):
-        return {"type": "full_product", "l": d.l, "r": d.r, "leaf": _leaf_to_json(d.leaf)}
+        return {"type": "full_product", "l": d.l, "r": d.r, "leaf": d.leaf._to_json()}
     if isinstance(d, Umbilic):
         return {
             "type": "umbilic",
             "xi": [float(v) for v in d.umb.xi],
             "a": d.umb.a,
-            "inner": _inner_to_json(d.inner),
+            "inner": descriptor_to_json(d.inner) if d.umb.kind == "hyperbolic" else d.inner._to_json(),
         }
     raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
-
-
-def _leaf_to_json(leaf: ProductOfSpheres) -> dict:
-    if leaf.is_point:
-        return {"type": "point", "position": list(leaf.point_position)}
-    return {"type": "product_of_spheres", "factors": [[p, s] for p, s in leaf.factors]}
-
-
-def _inner_to_json(inner) -> dict:
-    if isinstance(inner, ProductOfSpheres):
-        return _leaf_to_json(inner)
-    if isinstance(inner, EuclideanIso):
-        return {
-            "type": "euclidean",
-            "flat_dim": inner.flat_dim,
-            "spheres": _leaf_to_json(inner.spheres) if inner.spheres else None,
-            "offset": list(inner.offset) if inner.offset else None,
-            "ambient_dim": inner.ambient_dim,
-        }
-    return descriptor_to_json(inner)
 
 
 # Deepest nesting of descriptors (Ambient, FullProduct, Umbilic) that the JSON
@@ -989,10 +1039,10 @@ def _json_object(value, field: str) -> dict:
 
 
 def _json_float(value, field: str) -> float:
-    """A JSON number as a double; strings and booleans are refused, not parsed or read as 1.0 and 0.0."""
-    if type(value) not in (int, float) or (type(value) is int and abs(value) > sys.float_info.max):
-        raise InvalidArgumentError(f"{field} must be a number in the range of doubles, got {value!r}")
-    return float(value)
+    """A finite JSON number as a double; NaN, infinities, strings and booleans are refused, not parsed or read as 1.0 and 0.0."""
+    if (type(value) is float and math.isfinite(value)) or (type(value) is int and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise InvalidArgumentError(f"{field} must be a finite number in the range of doubles, got {value!r}")
 
 
 def _json_array(value, field: str) -> list:

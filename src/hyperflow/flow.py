@@ -11,7 +11,9 @@ descriptor grammar is assembled recursively:
 * a submanifold of an umbilical hypersurface with invariant alpha evolves as
   F = sqrt(2nt(1-alpha^2)+1) (f_1(x, s_alpha(t)) - eta) + eta for alpha != 1
   and F = f_1(x,t) - n t beta xi in the degenerate horospherical case, where
-  f_1 is the flow inside the hypersurface.
+  f_1 is the flow inside the hypersurface: the recursion into a hyperbolic
+  level's inner descriptor, or the leaf's own flow (``descriptors``, where
+  the leaves keep their layouts; this module reads no leaf field).
 
 The hyperbolic flow keeps the rows of a stationary descriptor (totally
 geodesic, or n = 0) unchanged.  That of any other full product is the gauge
@@ -45,20 +47,22 @@ never by a floating sentinel.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .descriptors import (
     Ambient,
-    EuclideanIso,
     ExistenceWindow,
     FullProduct,
     ProductOfSpheres,
+    SphereLeafFlow,
     Umbilic,
     _ambient_r,
     _is_stationary,
+    _leaf_column_scales,
     _plan,
+    _sphere_leaf_flow,
     _umbilic_embed,
     _umbilic_split_rows,
     _validate_levels,
@@ -123,69 +127,25 @@ def _v_alpha(n: int, alpha: float, one: float, t: float) -> float:
     return math.exp(-n * t) * math.sqrt(rad)
 
 
-# ---------------------------------------------------------------------------
-# leaf flows
-
-
-class SphereLeafFlow(NamedTuple):
-    spherical: np.ndarray
-    euclidean: np.ndarray
-    euclidean_time: float
-
-
 def _per_time(values: list[float]) -> np.ndarray:
     """Per-time scalars as a (T, 1, 1) array, to scale (T, K, c) rows time by time."""
     return np.array(values)[:, None, None]
 
 
-def _leaf_column_scales(leaf: ProductOfSpheres, ts: list[float], end: bool = False) -> np.ndarray:
-    """Euclidean flow of a leaf as column scales, (T, coords) for the times ts.
-
-    Each factor block scales by sqrt(1 - 2 p t / s); at the endpoint
-    (``end``) a radicand that vanishes is taken as zero.
-    """
-    if leaf.is_point:
-        return np.ones((len(ts), len(leaf.point_position)))
-    rows = []
-    for t in ts:
-        row: list[float] = []
-        for p, s in leaf.factors:
-            rad = 1.0 - 2.0 * p * t / s
-            if end:
-                rad = max(rad, 0.0)
-            elif rad <= 0:
-                raise TimeOutOfRangeError(f"sphere factor S^{p}({s}) collapsed before t={t}")
-            row += [math.sqrt(rad)] * (p + 1)
-        rows.append(row)
-    return np.array(rows).reshape(len(ts), leaf.coords_dim)
+# ---------------------------------------------------------------------------
+# leaf flow
 
 
 def sphere_leaf_flow(leaf: ProductOfSpheres, y, s: float, radius2: float | None = None) -> SphereLeafFlow:
-    """Spherical flow of a leaf at spherical time s, with its Euclidean gauge.
+    """Spherical flow of a leaf at spherical time s inside S^N(R^2), with its Euclidean gauge.
 
-    The spherical flow inside S^N(R^2) is recovered from the Euclidean one by
-    f_2(y, s) = e^(n' s / R^2) F_2(y, t(s)) with
-    t(s) = (R^2 / 2n')(1 - e^(-2 n' s / R^2)).  Points and minimal products
-    are stationary.  ``y`` is one point or rows along the last axis.  Returns
-    the spherical point, its Euclidean gauge point F_2(y, t(s)), and the
-    Euclidean time t(s).
+    A batch of one of the leaf flow of ``descriptors``; R^2 defaults to the
+    sphere the leaf fills.  ``y`` is one point or rows along the last axis.
+    Returns the spherical point, its Euclidean gauge point F_2(y, t(s)), and
+    the Euclidean time t(s).
     """
-    R2 = leaf.ambient_radius2 if radius2 is None else radius2
-    flow = _sphere_leaf_flow(leaf, np.asarray(y, dtype=float), [s], R2)
+    flow = _sphere_leaf_flow(leaf, np.asarray(y, dtype=float), [s], leaf.ambient_radius2 if radius2 is None else radius2)
     return SphereLeafFlow(flow.spherical[0], flow.euclidean[0], flow.euclidean_time[0])
-
-
-def _sphere_leaf_flow(leaf: ProductOfSpheres, Y: np.ndarray, ss: list[float], R2: float, end: bool = False) -> SphereLeafFlow:
-    """The leaf flow of Y at every spherical time of ss: arrays gain a leading time axis, times are a list."""
-    if leaf.is_point:
-        still = np.broadcast_to(Y, (len(ss),) + Y.shape)
-        return SphereLeafFlow(still.copy(), still.copy(), [0.0] * len(ss))
-    n1 = leaf.dim
-    te = [(R2 / (2.0 * n1)) * -math.expm1(-2.0 * n1 * s / R2) for s in ss]
-    lead = (len(ss),) + (1,) * (Y.ndim - 1)
-    eu = Y * _leaf_column_scales(leaf, te, end).reshape(lead + (Y.shape[-1],))
-    growth = np.array([math.exp(n1 * s / R2) for s in ss]).reshape(lead + (1,))
-    return SphereLeafFlow(growth * eu, eu, te)
 
 
 # ---------------------------------------------------------------------------
@@ -319,29 +279,27 @@ def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> 
             C[:, d.l : -1] = 0.0
             return C[None]
         return _product_rows(d, X, ts)
-    if isinstance(d, Umbilic):
-        umb = d.umb
-        if far and umb.kind == "euclidean":
-            return np.broadcast_to(-0.5 * umb.beta * umb.xi_array, (1,) + X.shape).copy()
-        if far:
-            C = _lorentz_flow_rows(d.inner, _umbilic_split_rows(d, X), ts, end)
-            return np.matmul(_plan(d).placement.J, C[..., None])[..., 0]
-        if end and umb.alpha == 0.0:
-            return _umbilic_embed(d, _lorentz_flow_rows(d.inner, _umbilic_split_rows(d, X), ts, end))
-        one = umb.one_minus_alpha2
-        if abs(one) < 1e-8:
-            # horospherical branch; also the stable limit of the generic one
-            drift = _per_time([n * t * umb.beta for t in ts])
-            return _umbilic_inner_flow_rows(d, X, ts) - drift * umb.xi_array
-        window = existence_window(d)
-        scale = []
-        for t in ts:
-            if window.t_dprime is not None and t >= window.t_dprime:
-                raise TimeOutOfRangeError(f"t={t} >= Lorentzian collapse bound {window.t_dprime}")
-            scale.append(math.sqrt(_positive_radicand(2.0 * n * t * one + 1.0, t)))
-        f1 = _umbilic_inner_flow_rows(d, X, [_s_alpha(n, one, t) for t in ts])
-        return _per_time(scale) * (f1 - umb.eta_array) + umb.eta_array
-    raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
+    umb = d.umb
+    if far and umb.kind == "euclidean":
+        return np.broadcast_to(-0.5 * umb.beta * umb.xi_array, (1,) + X.shape).copy()
+    if far:
+        C = _lorentz_flow_rows(d.inner, _umbilic_split_rows(d, X), ts, end)
+        return np.matmul(_plan(d).placement.J, C[..., None])[..., 0]
+    if end and umb.alpha == 0.0:
+        return _umbilic_embed(d, _lorentz_flow_rows(d.inner, _umbilic_split_rows(d, X), ts, end))
+    one = umb.one_minus_alpha2
+    if abs(one) < 1e-8:
+        # horospherical branch; also the stable limit of the generic one
+        drift = _per_time([n * t * umb.beta for t in ts])
+        return _umbilic_inner_flow_rows(d, X, ts) - drift * umb.xi_array
+    window = existence_window(d)
+    scale = []
+    for t in ts:
+        if window.t_dprime is not None and t >= window.t_dprime:
+            raise TimeOutOfRangeError(f"t={t} >= Lorentzian collapse bound {window.t_dprime}")
+        scale.append(math.sqrt(_positive_radicand(2.0 * n * t * one + 1.0, t)))
+    f1 = _umbilic_inner_flow_rows(d, X, [_s_alpha(n, one, t) for t in ts])
+    return _per_time(scale) * (f1 - umb.eta_array) + umb.eta_array
 
 
 def _product_rows(d: FullProduct, X: np.ndarray, lorentz_ts: list[float], end: bool = False) -> np.ndarray:
@@ -416,43 +374,33 @@ def _hyperbolic_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) 
         # the gauge composition e^(-nt) F(x, w(t)) of the ambient H^m(-1)
         s, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
         return _per_time(decay) * _product_rows(d, X, [window.t_dprime] * len(ts) if end else s, end)
-    if isinstance(d, Umbilic):
-        umb = d.umb
-        one = umb.one_minus_alpha2
-        if end and window.t_prime is None:
-            # the level's own scaling vanishes at T: the hypersurface shrinks to one point
-            point = _per_time([math.exp(-n * t) for t in ts]) * umb.eta_array
-            return np.broadcast_to(point, (len(ts),) + X.shape).copy()
-        if abs(one) < 1e-8:
-            s, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
-            f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else s, end)
-            drift = _per_time([math.sinh(n * t) * umb.beta for t in ts])
-            return _per_time(decay) * f1 - drift * umb.xi_array
-        v = [_v_alpha(n, umb.alpha, one, t) for t in ts]
-        f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else [_s_alpha_of_w(n, umb.alpha, one, t) for t in ts], end)
-        shift = _per_time([vk - math.exp(-n * t) for vk, t in zip(v, ts)])
-        return _per_time(v) * f1 - shift * umb.eta_array
-    raise InvalidArgumentError(f"not a descriptor: {type(d).__name__}")
+    umb = d.umb
+    one = umb.one_minus_alpha2
+    if end and window.t_prime is None:
+        # the level's own scaling vanishes at T: the hypersurface shrinks to one point
+        point = _per_time([math.exp(-n * t) for t in ts]) * umb.eta_array
+        return np.broadcast_to(point, (len(ts),) + X.shape).copy()
+    if abs(one) < 1e-8:
+        s, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
+        f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else s, end)
+        drift = _per_time([math.sinh(n * t) * umb.beta for t in ts])
+        return _per_time(decay) * f1 - drift * umb.xi_array
+    v = [_v_alpha(n, umb.alpha, one, t) for t in ts]
+    f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else [_s_alpha_of_w(n, umb.alpha, one, t) for t in ts], end)
+    shift = _per_time([vk - math.exp(-n * t) for vk, t in zip(v, ts)])
+    return _per_time(v) * f1 - shift * umb.eta_array
 
 
 def _umbilic_inner_flow_rows(d: Umbilic, X: np.ndarray, ss: list[float], end: bool = False) -> np.ndarray:
     """The flow f_1 inside the umbilical hypersurface, (T, K, m+1) for rows X and inner times ss."""
-    inner = d.inner
     Z = _umbilic_split_rows(d, X)
-    if isinstance(inner, ProductOfSpheres):
-        Zt = _sphere_leaf_flow(inner, Z, ss, d.umb.a**2 - 1.0, end).spherical
-    elif isinstance(inner, EuclideanIso):
-        Zt = np.broadcast_to(Z, (len(ss),) + Z.shape).copy()
-        if inner.spheres is not None:
-            k0 = inner.flat_dim
-            k1 = k0 + inner.spheres.coords_dim
-            off = inner.offset_array[k0:k1]
-            Zt[..., k0:k1] = off + (Z[:, k0:k1] - off) * _leaf_column_scales(inner.spheres, ss, end)[:, None, :]
-    else:
+    if d.umb.kind == "hyperbolic":
         # the hypersurface is H^(m-1)(-R); flowing its unit-curvature model for
         # time s/R and rescaling by sqrt(R) is the flow inside the hypersurface
         R = _plan(d).placement.scale ** 2
-        Zt = _hyperbolic_flow_rows(inner, Z, [s / R for s in ss], end)
+        Zt = _hyperbolic_flow_rows(d.inner, Z, [s / R for s in ss], end)
+    else:
+        Zt = d.inner._flow_rows(Z, ss, d.umb, end)
     return _umbilic_embed(d, Zt)
 
 

@@ -398,6 +398,25 @@ class TestValidation:
         with pytest.raises(InvalidArgumentError):
             Umbilic(derive_umbilic([0.0, 0.0, -1.0], 2.0), ProductOfSpheres(((1, 2.0),)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: Ambient(2, v),
+            lambda v: FullProduct(1, v, ProductOfSpheres(point_position=(1.0,))),
+            lambda v: ProductOfSpheres(((1, v),)),
+            lambda v: ProductOfSpheres(point_position=(v, 0.0)),
+            lambda v: derive_umbilic([0.0, 0.0, -1.0], v),
+            lambda v: derive_umbilic([v, 0.0, -1.0], 1.0),
+            lambda v: EuclideanIso(1, offset=(v,)),
+        ],
+        ids=["ambient.r", "full_product.r", "factor radius", "point.position", "umbilic.a", "umbilic.xi", "euclidean.offset"],
+    )
+    def test_non_finite_fields_refused(self, build, value):
+        # nan passes every comparison the checks make, so each refuses non-finite values first
+        with pytest.raises(InvalidArgumentError):
+            build(value)
+
 
 # sha256 of the static facts of every PLAN_CASES descriptor (``_facts_text``),
 # recorded before the facts moved into one plan per descriptor

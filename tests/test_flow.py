@@ -1,5 +1,6 @@
 """Closed-form flows, time gauges, leaf flows and existence windows."""
 
+import hashlib
 import math
 import warnings
 
@@ -46,7 +47,7 @@ from hyperflow.flow import (
 )
 from hyperflow.lorentz import Membership, ambient_membership, minkowski_inner
 from hyperflow.scenario import chart_samples, lorentz_time_range, sample_times
-from test_descriptors import BIT_CASES
+from test_descriptors import BIT_CASES, PLAN_CASES
 
 LN2 = math.log(2.0)
 
@@ -655,3 +656,98 @@ class TestStationaryFlow:
         assert flow_module._is_stationary is limits._is_stationary is descriptors._is_stationary
         assert descriptors._is_stationary(_geodesic_product(10))
         assert not descriptors._is_stationary(FullProduct(10, 1.5, ProductOfSpheres(point_position=(1.0,))))
+
+
+# umbilic leaves with the layouts no catalog entry has: a flat with a sphere
+# factor and an offset, sphere blocks in padding, a point, a minimal product
+# of two circles, a torus off the level's great spheres, a padded line
+LEAF_PIN_CASES = {
+    name: {**PLAN_CASES, **LEAF_CASES}[name]
+    for name in ("tilted_horosphere", "padded_horosphere", "point_in_sphere", "minimal_leaf_in_sphere", "torus_leaf", "horo_padded_line")
+}
+
+
+def _leaf_layout_outputs(d) -> dict:
+    """Chart rows, both row flows with their endpoint modes, and the mean curvature, by label."""
+    n = dimensions(d).n
+    X = immerse_rows(d, np.array(chart_samples(d, 3, 17)[:6]))
+    rng = np.random.default_rng(8)
+    T = existence_window(d).t_max
+    out = {
+        "immerse_rows": X,
+        "hyperbolic": _hyperbolic_flow_rows(d, X, sample_times(None, T, 4, rng).tolist() + [0.0, -3.0]),
+        "lorentz": _lorentz_flow_rows(d, X, sample_times(*lorentz_time_range(d), 4, rng).tolist() + [0.0]),
+        "lorentz_light_cone": _lorentz_flow_rows(d, X, [-1.0 / (2.0 * max(n, 1))], end=True),
+        "mean_curvature": np.array([mean_curvature(d, x) for x in X]),
+    }
+    if T is None:
+        out["lorentz_far"] = _lorentz_flow_rows(d, X, [math.inf], end=True)
+    else:
+        out["hyperbolic_end"] = _hyperbolic_flow_rows(d, X, [T, 0.5 * T, -1.0], end=True)
+    return out
+
+
+def _leaf_layout_digests(d) -> dict:
+    return {label: hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest() for label, v in _leaf_layout_outputs(d).items()}
+
+
+# sha256 of every output of _leaf_layout_outputs, recorded before the leaves
+# took over their layouts from the umbilic level's code
+LEAF_LAYOUT_SHA256 = {
+    "horo_padded_line": {
+        "immerse_rows": "2b8c075074d02d71d29abae44f81eac88b38681683954214d57b0f467c729c1e",
+        "hyperbolic": "4f8fad145a1c822e2bb51dadf2376a324b22c9f5d1a3ddb6a1fd2de6c99d2f80",
+        "lorentz": "26b2b93e4542c55eb6a8e4457a4fd7fc363ab1ac75071afafe739587edf238d2",
+        "lorentz_light_cone": "7dc4d3793c80084ab016b2d9aedf3badb841a7f2533f27ac138c9da2b20eafe3",
+        "mean_curvature": "485ce76abd19410242619e541b59ac44a3bdb75d069e2cdc022dfece55f155e7",
+        "lorentz_far": "5f7ba2ff780ec96c0b237a2c9cef832a3fbc76fe2aa25bd1435077970736c033",
+    },
+    "minimal_leaf_in_sphere": {
+        "immerse_rows": "34e8e90f6681b1203242ff1e20a84be12fabb3f467bd72f6a36520e279ed3eb0",
+        "hyperbolic": "6cde9b945c99a71143a9dc602206125ddb037af0df66500707a2e110e084ba1d",
+        "lorentz": "2a9c5b34816a66d0f0f7b3d1a566729674f50802c557c18bdc72574575b125ea",
+        "lorentz_light_cone": "7f95bc299e088a2c4cd7a8e934859e61b292617a8e1dd28eee245d800c200b92",
+        "mean_curvature": "361df805ca00a0d4be8beb044f35be9103cd0268e5bb2832e4ffa78544932de8",
+        "hyperbolic_end": "9f4f04f7c0324b889369b9371ee0f975e197ae63d6bd05f718ffb969a46873f2",
+    },
+    "padded_horosphere": {
+        "immerse_rows": "87e0bb0c151af1fc6716925980ff2a0b185a0a03f01419a0349f7d468febfe0d",
+        "hyperbolic": "3a11b165ff3c8c01ab51c7dfd7f440ec4c621366d7e22fa239faab851e0ec603",
+        "lorentz": "86949f0b96511f48ba56343944ed42f24e1ad2cecf7692b751169a3b2cee971a",
+        "lorentz_light_cone": "d4cff9d474b7e4f861331d5b822a5931a6883810a74a93ca28e5b073df1fbc0b",
+        "mean_curvature": "250765739fc47c5c35057d442f3581e4c22510026484aeb70772edfe19327e87",
+        "hyperbolic_end": "85a28d3f88e31c2091e201fd0f9b84cbe664bf405a4a9e130979ecd09e9b0e94",
+    },
+    "point_in_sphere": {
+        "immerse_rows": "4879a7fe350cd1065bb8fe7afe4c605e37cbba5f21c93f8c0ab1cdb45a5dd940",
+        "hyperbolic": "f0f39ac351a37edfdd9a9b40ee19d6a39de31d1468859fe9a7eb519c6fa56911",
+        "lorentz": "c7dac9f3c98983c79355c2d59002ec322e6c809c73646c09444a12914ece1539",
+        "lorentz_light_cone": "4879a7fe350cd1065bb8fe7afe4c605e37cbba5f21c93f8c0ab1cdb45a5dd940",
+        "mean_curvature": "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+        "lorentz_far": "4879a7fe350cd1065bb8fe7afe4c605e37cbba5f21c93f8c0ab1cdb45a5dd940",
+    },
+    "tilted_horosphere": {
+        "immerse_rows": "d9a20ebc6d3fb732b850b38c4568f4293043b5a5fb31c4501d45616c3e8a5452",
+        "hyperbolic": "672cbe0ae458c65a006cb92675343728148e29808bd4860819761ca49a10ebd7",
+        "lorentz": "61e6083ae32b20968066600f169ff403e44cc7d5b825d18d7d9278fdc7c5bf3a",
+        "lorentz_light_cone": "bc8f99f37d03a237578bd8527c6fe8eba1e9f6deae7efe0fac90c78d3027ef04",
+        "mean_curvature": "c882c3dfc66965b2e21d47663653ea1e169a4f761d213ed61ddbad0ce9dbed23",
+        "hyperbolic_end": "adb8c2bc1eb1dfcbbd68b0c9fce8e0ea51e3f88f43b45e95b586f1da10e2a90e",
+    },
+    "torus_leaf": {
+        "immerse_rows": "1dbe82e3e619e9b045c05f11a8eb52ce7a16f40c4f42f5c3e2cf42aa5c4a8b6d",
+        "hyperbolic": "5ff4ad82e0ba3f4d2e4c548d26f5ee1a6ae7c52597d03415c596ee6f02afe97c",
+        "lorentz": "ae45a99dd45ac9296d0e831111efe21e7b1a1966c912844e9fce04dba7863faf",
+        "lorentz_light_cone": "c04e26cbaa80f2028af3284aab78bbc3cfdb55485ebf8fed56dac144284c1b13",
+        "mean_curvature": "43cedf93944f6d0076e72b22259484cbdd79173093fc6f3ff54136e3a45327f1",
+        "hyperbolic_end": "81fe04d19d8a419e5a3daf6b3eec5df8c2100c1b1ef1710552e9551b5c566ef0",
+    },
+}
+
+
+class TestLeafLayoutPins:
+    """The leaves' charts, flows and mean curvature keep their bits."""
+
+    @pytest.mark.parametrize("name", sorted(LEAF_PIN_CASES))
+    def test_outputs_keep_their_bits(self, name):
+        assert _leaf_layout_digests(LEAF_PIN_CASES[name]) == LEAF_LAYOUT_SHA256[name]

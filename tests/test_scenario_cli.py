@@ -22,6 +22,7 @@ from hyperflow.ball import ball_projection
 from hyperflow.catalog import CATALOG, catalog_names
 from hyperflow.descriptors import (
     Ambient,
+    EuclideanIso,
     FullProduct,
     ProductOfSpheres,
     Umbilic,
@@ -427,6 +428,12 @@ def reference_closed_form_checks(d, sampling, F, f):
     return out
 
 
+PADDED_SPHERE_LEAF = Umbilic(
+    derive_umbilic((1, 0, 0, 0, 0, -1), 1.5),
+    EuclideanIso(1, ProductOfSpheres(((1, 0.5),)), offset=(0.1, 0.2, -0.3, 0.4), ambient_dim=4),
+)
+
+
 def reference_oracle_checks(d, sampling, settings):
     """The battery's oracle checks with one ``pde_residual`` per (sample, time) and one ``isoparametric_residual`` per time."""
     n = dimensions(d).n
@@ -463,6 +470,18 @@ class TestVerify:
         checks = {c.name: c.max_residual for c in run_invariant_battery(d, sampling, settings).checks}
         for check, ref in reference_oracle_checks(d, sampling, settings).items():
             assert checks[check] == ref, (name, check)
+
+    @pytest.mark.parametrize("seed", [7, 3])
+    def test_padded_horospherical_sphere_leaf_passes_with_the_oracle(self, seed):
+        # a flat line and a circle about an offset, padded by one coordinate:
+        # the Euclidean leaf layout that no catalog entry has
+        d = PADDED_SPHERE_LEAF
+        sampling, settings = Sampling(3, seed), OracleSettings()
+        report = run_invariant_battery(d, sampling, settings)
+        assert report.overall_pass
+        checks = {c.name: c.max_residual for c in report.checks}
+        for check, ref in reference_oracle_checks(d, sampling, settings).items():
+            assert checks[check] == ref, check
 
     @pytest.mark.parametrize("name", ["clifford_tube_h5", "circle_h2"])
     def test_oracle_chart_call_budget(self, name, monkeypatch):
@@ -737,6 +756,24 @@ class TestArtifactWrites:
             assert scenario._clipped_grid(scn, 3) == (("grid", steps), None)
 
 
+# a descriptor that is valid for a finite value in each number field of the grammar, by field
+NON_FINITE_FIELDS = {
+    "ambient.r": lambda v: {"type": "ambient", "m": 2, "r": v},
+    "full_product.r": lambda v: {**descriptor_to_json(CATALOG["tube_h3"]), "r": v},
+    "product_of_spheres.factors[0] radius": lambda v: {
+        **descriptor_to_json(CATALOG["tube_h3"]),
+        "leaf": {"type": "product_of_spheres", "factors": [[1, v]]},
+    },
+    "point.position[0]": lambda v: {"type": "umbilic", "xi": [0.0, 0.0, -1.0], "a": 2.0, "inner": {"type": "point", "position": [v, 0.0]}},
+    "umbilic.a": lambda v: {"type": "umbilic", "xi": [0.0, 0.0, -1.0], "a": v, "inner": {"type": "point", "position": [1.0, 0.0]}},
+    "umbilic.xi[0]": lambda v: {**descriptor_to_json(CATALOG["horocycle_h2"]), "xi": [v, 0.0, -1.0]},
+    "euclidean.offset[1]": lambda v: {
+        **descriptor_to_json(CATALOG["horocycle_h2"]),
+        "inner": {"type": "euclidean", "flat_dim": 1, "offset": [0.0, v], "ambient_dim": 2},
+    },
+}
+
+
 class TestCli:
     def test_catalog_verb(self):
         out = run_cli_process("catalog")
@@ -843,6 +880,8 @@ class TestCli:
                 {"descriptor": {**descriptor_to_json(CATALOG["horocycle_h2"]), "inner": {"type": "euclidean", "flat_dim": 1, "offset": ["0.5"]}}},
             ),
             ("umbilic.xi[0]", {"descriptor": {**descriptor_to_json(CATALOG["horocycle_h2"]), "xi": [True, 0, -1]}}),
+            # NaN and infinities, which json reads as floats, in every number field of a descriptor
+            *[(field, {"descriptor": make(v)}) for field, make in NON_FINITE_FIELDS.items() for v in (math.nan, math.inf, -math.inf)],
         ],
     )
     def test_bad_field_exit_two(self, tmp_path, field, settings):
