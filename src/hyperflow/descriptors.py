@@ -59,10 +59,11 @@ class UmbilicData:
 
     ``beta = 1/sqrt(<xi,xi> + a^2)`` and ``alpha = beta a``; the hypersurface
     is intrinsically hyperbolic, Euclidean or spherical according to
-    <xi,xi> = +1, 0, -1 (equivalently alpha <, =, > 1).  When alpha != 1 the
-    center ``eta = alpha beta/(1-alpha^2) xi`` satisfies
-    <x - eta, x - eta> = 1/(alpha^2 - 1) on the hypersurface.  ``c`` is the
-    constant beta/(alpha+1) of the boundary map.
+    <xi,xi> = +1, 0, -1, its ``kind`` (equivalently alpha <, =, > 1, which
+    ``derive_umbilic`` keeps by refusing an alpha that rounds to 1 or past
+    it).  When alpha != 1 the center ``eta = alpha beta/(1-alpha^2) xi``
+    satisfies <x - eta, x - eta> = 1/(alpha^2 - 1) on the hypersurface.
+    ``c`` is the constant beta/(alpha+1) of the boundary map.
     """
 
     xi: tuple[float, ...]
@@ -96,11 +97,15 @@ def derive_umbilic(xi, a: float) -> UmbilicData:
     ``xi`` must have <xi,xi> in {-1, 0, +1}; the sign of ``a`` is normalized
     to a >= 0 by flipping xi.  Raises when the hypersurface would be empty
     on the upper sheet (<xi,xi> + a^2 <= 0, or a time orientation of xi
-    incompatible with a > 0).
+    incompatible with a > 0), and when doubles cannot hold the level's kind:
+    <xi,xi> or <xi,xi> + a^2 overflows, or alpha rounds to 1 or past it.
     """
     xiv = as_vector(xi)
-    q = minkowski_inner(xiv, xiv)
-    q_exact = round(q) if math.isfinite(q) else None  # a non-finite xi gives a non-finite q
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = minkowski_inner(xiv, xiv)
+    if not math.isfinite(q):
+        raise InvalidArgumentError(f"umbilic.xi is too large: <xi,xi> overflows (|xi| = {np.max(np.abs(xiv)):.3e})")
+    q_exact = round(q)
     if q_exact not in (-1, 0, 1) or abs(q - q_exact) > _XI_NORM_TOL:
         raise InvalidArgumentError(f"<xi,xi> = {q!r} must be -1, 0 or +1")
     a = float(a)
@@ -121,12 +126,15 @@ def derive_umbilic(xi, a: float) -> UmbilicData:
         eta = None
         kind = "euclidean"
     else:
+        kind = "hyperbolic" if q_exact == 1 else "spherical"
         beta = 1.0 / math.sqrt(q_exact + a * a)
         alpha = beta * a
+        # the kind picks every formula of the level, so alpha must keep to its side of 1
+        if beta == 0.0 or not (alpha < 1.0 if kind == "hyperbolic" else alpha > 1.0):
+            raise InvalidArgumentError(f"umbilic.a = {a!r} is too large for a {kind} level: alpha rounds to 1 or <xi,xi> + a^2 overflows")
         one = q_exact * beta * beta  # = 1 - alpha^2 without cancellation
         # alpha beta / (1 - alpha^2) collapses to a / (q beta) = q a
         eta = tuple((q_exact * a) * xiv)
-        kind = "hyperbolic" if q_exact == 1 else "spherical"
     return UmbilicData(
         xi=tuple(xiv),
         a=a,
@@ -536,18 +544,18 @@ def _build_plan(d) -> _Plan:
     if n == 0:
         return _Plan(dims, box, shape, ExistenceWindow(None, None, None, None, None), (None, None), placement)
     alpha, one = umb.alpha, umb.one_minus_alpha2
-    if alpha == 1.0:
+    if umb.kind == "euclidean":
         t_dprime = t_prime
         t_alpha = -1.0 / (2.0 * n)
     else:
         if t_prime is None:
-            t_dprime = None if alpha < 1.0 else -1.0 / (2.0 * n * one)
+            t_dprime = None if umb.kind == "hyperbolic" else -1.0 / (2.0 * n * one)
         else:
             t_dprime = math.expm1(2.0 * n * one * t_prime) / (2.0 * n * one)
-        t_alpha = None if alpha == 0.0 else math.log(alpha**2) / (2.0 * n * one)
+        t_alpha = None if umb.totally_geodesic else math.log(alpha**2) / (2.0 * n * one)
     t_max = None if t_dprime is None else math.log1p(2.0 * n * t_dprime) / (2.0 * n)
     window = ExistenceWindow(t_prime, t_dprime, t_max, t_alpha, -1.0 / (2.0 * n), inner_window)
-    lower = None if alpha >= 1.0 else -1.0 / (2.0 * n * one)
+    lower = -1.0 / (2.0 * n * one) if umb.kind == "hyperbolic" else None
     return _Plan(dims, box, shape, window, (lower, t_dprime), placement)
 
 

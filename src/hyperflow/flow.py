@@ -9,8 +9,8 @@ descriptor grammar is assembled recursively:
 * a full product evolves factorwise, with the spherical leaf following its
   Euclidean flow (squared factor radii shrink linearly, s_i - 2 p_i t);
 * a submanifold of an umbilical hypersurface with invariant alpha evolves as
-  F = sqrt(2nt(1-alpha^2)+1) (f_1(x, s_alpha(t)) - eta) + eta for alpha != 1
-  and F = f_1(x,t) - n t beta xi in the degenerate horospherical case, where
+  F = sqrt(2nt(1-alpha^2)+1) (f_1(x, s_alpha(t)) - eta) + eta on a hyperbolic
+  or spherical level and F = f_1(x,t) - n t beta xi on a horospherical one, where
   f_1 is the flow inside the hypersurface: the recursion into a hyperbolic
   level's inner descriptor, or the leaf's own flow (``descriptors``, where
   the leaves keep their layouts; this module reads no leaf field).
@@ -264,8 +264,9 @@ def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> 
     * a hyperbolic level is F = eta + sqrt(R) J F_in(z, (1 - alpha^2) s), so
       C = J C_in, exact against sqrt(2ns) as sqrt(R (1 - alpha^2)) = 1; a
       null C_in keeps its direction, up to the factor sqrt(1 - alpha^2).
-    A timelike C is the totally geodesic limit, a null one names the ideal
-    point F[:-1] / F[-1] tends to.
+    A spherical level collapses in finite time and is refused.  A timelike C
+    is the totally geodesic limit, a null one names the ideal point
+    F[:-1] / F[-1] tends to.
     """
     n = dimensions(d).n
     far = end and ts == [math.inf]
@@ -280,16 +281,17 @@ def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> 
             return C[None]
         return _product_rows(d, X, ts)
     umb = d.umb
-    if far and umb.kind == "euclidean":
-        return np.broadcast_to(-0.5 * umb.beta * umb.xi_array, (1,) + X.shape).copy()
     if far:
+        if umb.kind == "euclidean":
+            return np.broadcast_to(-0.5 * umb.beta * umb.xi_array, (1,) + X.shape).copy()
+        if umb.kind == "spherical":
+            raise TimeOutOfRangeError("s = inf: a spherical level collapses in finite time, its flow is not eternal")
         C = _lorentz_flow_rows(d.inner, _umbilic_split_rows(d, X), ts, end)
         return np.matmul(_plan(d).placement.J, C[..., None])[..., 0]
-    if end and umb.alpha == 0.0:
+    if end and umb.totally_geodesic:
         return _umbilic_embed(d, _lorentz_flow_rows(d.inner, _umbilic_split_rows(d, X), ts, end))
     one = umb.one_minus_alpha2
-    if abs(one) < 1e-8:
-        # horospherical branch; also the stable limit of the generic one
+    if umb.kind == "euclidean":
         drift = _per_time([n * t * umb.beta for t in ts])
         return _umbilic_inner_flow_rows(d, X, ts) - drift * umb.xi_array
     window = existence_window(d)
@@ -380,7 +382,7 @@ def _hyperbolic_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) 
         # the level's own scaling vanishes at T: the hypersurface shrinks to one point
         point = _per_time([math.exp(-n * t) for t in ts]) * umb.eta_array
         return np.broadcast_to(point, (len(ts),) + X.shape).copy()
-    if abs(one) < 1e-8:
+    if umb.kind == "euclidean":
         s, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
         f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else s, end)
         drift = _per_time([math.sinh(n * t) * umb.beta for t in ts])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyperflow.catalog import CATALOG
-from hyperflow.descriptors import Umbilic, derive_umbilic, dimensions
+from hyperflow.descriptors import ProductOfSpheres, Umbilic, derive_umbilic, dimensions
 from hyperflow.lorentz import OrthonormalFrame, orthonormalize_frame
 
 CATALOG_NAMES = sorted(CATALOG)
@@ -15,6 +15,11 @@ def geodesic_chain(depth: int):
     for _ in range(depth):
         d = Umbilic(derive_umbilic([1.0] + [0.0] * (dimensions(d).m + 1), 0.0), d)
     return d
+
+
+def near_horospherical_circle(a: float):
+    """The circle of the spherical level a in H^2: horospherical as a -> infinity."""
+    return Umbilic(derive_umbilic((0.0, 0.0, -1.0), a), ProductOfSpheres(((1, a * a - 1.0),)))
 
 
 def random_admissible_frame(rng: np.random.Generator, m: int) -> OrthonormalFrame:

@@ -40,6 +40,12 @@ from conftest import geodesic_chain
 
 
 class TestDeriveUmbilic:
+    @pytest.mark.parametrize("xi", [(1.0, 0.0, 0.0), (0.0, 0.0, -1.0)])
+    def test_a_large_level_keeps_its_side_of_one(self, xi):
+        # accepted: alpha keeps to its kind's side of 1 (the CLI tests refuse a = 1e8)
+        umb = derive_umbilic(xi, 1e7)
+        assert (umb.alpha < 1.0) is (umb.kind == "hyperbolic") and umb.alpha != 1.0
+
     def test_circle_data(self):
         umb = derive_umbilic([0.0, 0.0, -1.0], 2.0)
         assert umb.beta == pytest.approx(1.0 / math.sqrt(3.0))

@@ -45,8 +45,10 @@ from hyperflow.flow import (
     lorentz_flow_batch,
     sphere_leaf_flow,
 )
+from hyperflow.limits import forward_limit
 from hyperflow.lorentz import Membership, ambient_membership, minkowski_inner
-from hyperflow.scenario import chart_samples, lorentz_time_range, sample_times
+from hyperflow.scenario import OracleSettings, Sampling, chart_samples, lorentz_time_range, run_invariant_battery, sample_times
+from conftest import near_horospherical_circle
 from test_descriptors import BIT_CASES, PLAN_CASES
 
 LN2 = math.log(2.0)
@@ -319,8 +321,8 @@ class TestAncientness:
 class TestNearDegenerateHypersurface:
     def test_branch_switch_keeps_the_flow_sane(self):
         # an equidistant hypersurface at enormous distance has alpha within
-        # 1e-8 of 1; the horospherical branch takes over and the generic
-        # formula's catastrophic cancellation never happens
+        # 1e-8 of 1; it keeps the hyperbolic formula of its kind, whose
+        # 1 - alpha^2 = <xi,xi> beta^2 carries no catastrophic cancellation
         from hyperflow.descriptors import Umbilic, derive_umbilic
 
         d = Umbilic(derive_umbilic([1.0, 0.0, 0.0], 1e5), Ambient(1))
@@ -335,6 +337,33 @@ class TestNearDegenerateHypersurface:
             assert np.all(np.isfinite(F)) and np.all(np.isfinite(f))
             assert abs(minkowski_inner(F, F) + 1.0 + 2 * n * t) < rounding_floor
             assert ambient_membership(f, 1.0) is Membership.ON_HYPERBOLOID
+
+    @pytest.mark.parametrize("a", [10.0, 1e3, 2e4])
+    def test_near_horospherical_circle_reaches_its_forward_limit(self, a):
+        # a spherical level takes its own formula however close alpha is to 1,
+        # so the flow ends where the level's existence window says it does
+        d = near_horospherical_circle(a)
+        u = chart_samples(d, 3, 7)[0]
+        f = hyperbolic_flow(d, immerse(d, u), existence_window(d).t_max - 1e-9)
+        assert np.max(np.abs(f - forward_limit(d, [u]).samples[0])) <= 1e-4
+
+    def test_flow_is_smooth_in_the_level(self):
+        # the two successive differences in a across a = 1e4 agree: no branch
+        # switches between the three levels
+        circles = [near_horospherical_circle(a) for a in (9999.0, 1e4, 10001.0)]
+        u = chart_samples(circles[0], 3, 7)[0]
+        for flow, time in ((hyperbolic_flow, lambda d: existence_window(d).t_max / 2.0), (lorentz_flow, lambda d: 0.5)):
+            f = [flow(d, immerse(d, u), time(d)) for d in circles]
+            assert np.max(np.abs((f[2] - f[1]) - (f[1] - f[0]))) <= 1e-5
+
+    @pytest.mark.parametrize("seed", [7, 3])
+    @pytest.mark.parametrize("a", [1e3, 2e4])
+    def test_near_horospherical_circle_passes_the_forward_limit_check(self, a, seed):
+        report = run_invariant_battery(near_horospherical_circle(a), Sampling(3, seed), OracleSettings())
+        checks = {c.name: c for c in report.checks}
+        assert checks["forward_limit_consistency"].passed
+        if a == 2e4:
+            assert checks["norm_law"].max_residual <= 1e-6
 
 
 class TestGaugeScalars:

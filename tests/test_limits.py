@@ -55,7 +55,7 @@ from hyperflow.limits import (
 )
 from hyperflow.lorentz import OrthonormalFrame, minkowski_inner
 from hyperflow.scenario import chart_samples
-from conftest import geodesic_chain
+from conftest import geodesic_chain, near_horospherical_circle
 from test_descriptors import BIT_CASES
 
 LN2 = math.log(2.0)
@@ -382,6 +382,14 @@ class TestEternalForwardLimit:
         forward_limit(d, chart_samples(d, 3, 7))
         assert calls == [([math.inf], True)]
 
+    def test_a_spherical_level_is_refused_at_infinity(self):
+        # the far mode reads the level's kind: a spherical level's flow
+        # collapses in finite time, so it has no asymptotic endpoint
+        d = Umbilic(derive_umbilic((0.0, 0.0, 0.0, 0.0, -1.0), 2.0), ProductOfSpheres(((1, 1.5), (1, 1.5))))
+        X = immerse_rows(d, np.array(chart_samples(d, 3, 7)))
+        with pytest.raises(TimeOutOfRangeError, match="not eternal"):
+            _lorentz_flow_rows(d, X, [math.inf], end=True)
+
 
 class TestBackwardLimit:
     def test_circle_fills_the_boundary_circle(self):
@@ -545,11 +553,6 @@ class TestUmbilicBoundaryReference:
         Z *= math.sqrt(3.0) / np.linalg.norm(Z, axis=1, keepdims=True)
         P = _umbilic_boundary_rows_reference(umb, np.concatenate([Z, np.full((1000, 1), 2.0)], axis=1))
         assert np.max(np.abs(np.linalg.norm(P, axis=1) - 1.0)) < 1e-10
-
-
-def near_horospherical_circle(a):
-    """The circle of the spherical level a in H^2: horospherical as a -> infinity."""
-    return Umbilic(derive_umbilic((0.0, 0.0, -1.0), a), ProductOfSpheres(((1, a * a - 1.0),)))
 
 
 class TestBackwardChartAtTheLightCone:

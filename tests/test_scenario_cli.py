@@ -902,6 +902,33 @@ class TestCli:
         assert "euclidean.spheres" in out.stderr
 
     @pytest.mark.parametrize(
+        "xi, a, inner",
+        [
+            ([1.0, 0.0, 0.0], 1e8, {"type": "ambient", "m": 1}),
+            ([1.0, 0.0, 0.0], 1e155, {"type": "ambient", "m": 1}),
+            ([1.0, 0.0, 0.0], 1e200, {"type": "ambient", "m": 1}),
+            ([0.0, 0.0, -1.0], 1e8, {"type": "product_of_spheres", "factors": [[1, 1e16]]}),
+        ],
+        ids=["hyperbolic-1e8", "hyperbolic-1e155", "hyperbolic-1e200", "spherical-1e8"],
+    )
+    def test_level_too_far_for_its_kind_exit_two(self, tmp_path, xi, a, inner):
+        # alpha rounds to 1, or <xi,xi> + a^2 overflows: refused, not a traceback
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"name": "far", "descriptor": {"type": "umbilic", "xi": xi, "a": a, "inner": inner}}))
+        out = run_cli("limits", str(path))
+        assert out.returncode == 2
+        assert "umbilic.a" in out.stderr
+
+    def test_huge_xi_exit_two_without_warnings(self, tmp_path):
+        # a child process, so that no warning filter of the suite hides what the CLI prints
+        path = tmp_path / "scn.json"
+        inner = {"type": "point", "position": [1.0, 0.0]}
+        path.write_text(json.dumps({"name": "huge", "descriptor": {"type": "umbilic", "xi": [1e200, 0.0, -1e200], "a": 1.0, "inner": inner}}))
+        out = run_cli_process("limits", str(path))
+        assert out.returncode == 2
+        assert len(out.stderr.splitlines()) == 1 and "umbilic.xi" in out.stderr, out.stderr
+
+    @pytest.mark.parametrize(
         "field, descriptor",
         [
             ("ambient.m", {"type": "ambient", "m": 3.9}),
