@@ -337,7 +337,9 @@ class Ambient:
     r: float = 1.0
 
     def __post_init__(self):
-        if self.m < 1 or not 0 < self.r < math.inf:
+        if self.m < 1:
+            raise InvalidArgumentError(f"bad ambient H^{self.m}(-{self.r}): ambient.m must be at least 1")
+        if not 0 < self.r < math.inf:
             raise InvalidArgumentError(f"bad ambient H^{self.m}(-{self.r}): ambient.r must be positive and finite")
 
 
@@ -783,6 +785,42 @@ def _complement_basis(span: list[np.ndarray]) -> list[np.ndarray]:
 
 # Each placement holds G, the signed transpose of its columns: G @ rel are
 # the signature products <rel, b> with the columns b, which split a point.
+# Each matrix also comes as a row gather when every row has at most one
+# non-zero entry, as every level with an axis-aligned xi has; such a
+# matrix applies to rows by one ``np.take`` instead of a gemv per row.
+
+
+class _RowGather(NamedTuple):
+    """M z for a matrix M with at most one non-zero entry per row: z[cols] * coef, row by row."""
+
+    cols: np.ndarray       # column of each row's entry; 0 on a zero row
+    coef: np.ndarray       # the entry, 0.0 on a zero row
+
+
+def _row_gather(M: np.ndarray) -> _RowGather | None:
+    """M as a row gather, or None when some row has two non-zero entries."""
+    nz = M != 0.0
+    if np.any(np.count_nonzero(nz, axis=1) > 1):
+        return None
+    cols = np.argmax(nz, axis=1)
+    return _RowGather(cols, M[np.arange(M.shape[0]), cols])
+
+
+def _apply_rows(M: np.ndarray, gather: _RowGather | None, Z: np.ndarray) -> np.ndarray:
+    """M z for one point z or every row z along the last axis of Z, as a new array.
+
+    A dense M is one stacked matmul, which sums each row from zero with the
+    kernel of the 1-d product.  A gather takes each row's one entry and adds
+    +0.0, so an exact zero reads +0.0 as that zero-started sum gives it: the
+    two agree bit for bit on finite rows.  Past them the gather keeps an
+    infinite entry that the sum's 0 * inf turns into NaN.
+    """
+    if gather is None:
+        return np.matmul(M, Z[..., None])[..., 0]
+    out = np.take(Z, gather.cols, axis=-1, mode="clip")  # C-ordered, as the matmul; every column is in range
+    out *= gather.coef
+    out += 0.0
+    return out
 
 
 class _AffinePlacement(NamedTuple):  # x = eta + scale J z
@@ -790,6 +828,9 @@ class _AffinePlacement(NamedTuple):  # x = eta + scale J z
     scale: float           # sqrt(R), R = 1/(1 - alpha^2); 1.0 on a spherical level, exact both ways
     eta: np.ndarray
     G: np.ndarray
+    J_rows: _RowGather | None
+    G_rows: _RowGather | None
+    linear: bool           # a geodesic level: scale 1.0 and eta 0, so x = J z
 
 
 class _HorosphericalPlacement(NamedTuple):
@@ -798,6 +839,8 @@ class _HorosphericalPlacement(NamedTuple):
     xi: np.ndarray
     a: float
     G: np.ndarray
+    W_rows: _RowGather | None
+    G_rows: _RowGather | None
 
 
 def _signed_transpose(B: np.ndarray, timelike_last: bool) -> np.ndarray:
@@ -807,6 +850,11 @@ def _signed_transpose(B: np.ndarray, timelike_last: bool) -> np.ndarray:
     if timelike_last:
         G[-1] = -G[-1]
     return G
+
+
+def _affine_placement(umb: UmbilicData, J: np.ndarray, scale: float, timelike_last: bool) -> _AffinePlacement:
+    G = _signed_transpose(J, timelike_last)
+    return _AffinePlacement(J, scale, umb.eta_array, G, _row_gather(J), _row_gather(G), umb.totally_geodesic)
 
 
 @lru_cache(maxsize=None)
@@ -826,14 +874,12 @@ def _umbilic_placement(umb: UmbilicData):
         base = eta + math.sqrt(R) * t
         if base[-1] <= 0:
             t = -t
-        J = np.column_stack(spacelike + [t])
-        return _AffinePlacement(J, math.sqrt(R), eta, _signed_transpose(J, True))
+        return _affine_placement(umb, np.column_stack(spacelike + [t]), math.sqrt(R), True)
     if umb.kind == "spherical":
         cols = _complement_basis([xi])
         if any(minkowski_inner(v, v) < 0 for v in cols):
             raise InvalidArgumentError("complement of a timelike xi must be spacelike")
-        J = np.column_stack(cols)
-        return _AffinePlacement(J, 1.0, umb.eta_array, _signed_transpose(J, False))
+        return _affine_placement(umb, np.column_stack(cols), 1.0, False)
     # euclidean: horospherical chart around a canonical base point; the span
     # of {xi, x0} is projected out through the orthogonal pair {x0, xi/a + x0}
     # because the null xi itself cannot normalize a projection
@@ -841,35 +887,63 @@ def _umbilic_placement(umb: UmbilicData):
     nu = np.concatenate([-xi[:-1], [xi[-1]]])
     x0 = -xi / (2.0 * a) - (a / (2.0 * xi[-1] ** 2)) * nu
     zeta = xi / a + x0
+    # x0 grows like a, so for a large a the pair's <w, w> (-1 and +1 exactly)
+    # rounds to 0 or overflows, and the complement cannot divide by it
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [minkowski_inner(w, w) for w in (x0, zeta)]
+    if not all(0.0 < abs(q) < math.inf for q in norms):
+        raise InvalidArgumentError(
+            f"umbilic.a = {a!r} is too large for a euclidean level: the horospherical chart's "
+            f"span vectors have <w,w> = {norms[0]!r}, {norms[1]!r} (exactly -1 and +1)"
+        )
     W = np.column_stack(_complement_basis([x0, zeta]))
-    return _HorosphericalPlacement(x0, W, xi, a, _signed_transpose(W, False))
+    G = _signed_transpose(W, False)
+    return _HorosphericalPlacement(x0, W, xi, a, G, _row_gather(W), _row_gather(G))
 
 
 def _umbilic_embed(d: Umbilic, inner_point: np.ndarray) -> np.ndarray:
     """Map inner-model points into H^m(-1) through the level's placement.
 
     Takes one point or rows along the last axis; a row gives the same bits
-    either way (see ``_row_dots``).
+    either way (see ``_row_dots``), and the same whether the placement
+    applies as a gather or a matmul (``_apply_rows``).
     """
     pl = _plan(d).placement
     if isinstance(pl, _AffinePlacement):
-        return pl.eta + pl.scale * np.matmul(pl.J, inner_point[..., None])[..., 0]
+        x = _apply_rows(pl.J, pl.J_rows, inner_point)
+        if not pl.linear:  # x holds no -0.0, so a geodesic level's 1.0 and 0 would leave every bit
+            x *= pl.scale
+            x += pl.eta
+        return x
     w = inner_point
     shift = (_row_dots(w) / (2.0 * pl.a))[..., None] * pl.xi
-    return pl.x0 + np.matmul(pl.W, w[..., None])[..., 0] - shift
+    x = _apply_rows(pl.W, pl.W_rows, w)
+    x += pl.x0
+    x -= shift
+    return x
 
 
 def _umbilic_split_rows(d: Umbilic, X: np.ndarray) -> np.ndarray:
     """Inner-model coordinates of ambient points, without membership checks.
 
     Takes one point or rows along the last axis.  The signature products
-    with the placement columns are one stacked matmul with the placement's
-    G, as in ``_umbilic_embed``, so a row gives the same bits alone as in
-    any batch.
+    with the placement columns are the placement's G applied to each row
+    (``_apply_rows``), as in ``_umbilic_embed``, so a row gives the same
+    bits alone as in any batch.
     """
     pl = _plan(d).placement
-    rel = (X - pl.eta) / pl.scale if isinstance(pl, _AffinePlacement) else X - pl.x0
-    return np.matmul(pl.G, rel[..., None])[..., 0]
+    if isinstance(pl, _AffinePlacement):
+        # on a geodesic level X - 0 and / 1.0 change at most the sign of a zero, which the products drop
+        rel = X if pl.linear else (X - pl.eta) / pl.scale
+    else:
+        rel = X - pl.x0
+    return _apply_rows(pl.G, pl.G_rows, rel)
+
+
+def _umbilic_columns(d: Umbilic, C: np.ndarray) -> np.ndarray:
+    """J C on rows of an affine level: its placement's columns without scale or center."""
+    pl = _plan(d).placement
+    return _apply_rows(pl.J, pl.J_rows, C)
 
 
 def _validate_levels(d, X: np.ndarray) -> None:

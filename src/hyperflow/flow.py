@@ -63,6 +63,7 @@ from .descriptors import (
     _leaf_column_scales,
     _plan,
     _sphere_leaf_flow,
+    _umbilic_columns,
     _umbilic_embed,
     _umbilic_split_rows,
     _validate_levels,
@@ -287,7 +288,7 @@ def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> 
         if umb.kind == "spherical":
             raise TimeOutOfRangeError("s = inf: a spherical level collapses in finite time, its flow is not eternal")
         C = _lorentz_flow_rows(d.inner, _umbilic_split_rows(d, X), ts, end)
-        return np.matmul(_plan(d).placement.J, C[..., None])[..., 0]
+        return _umbilic_columns(d, C)
     if end and umb.totally_geodesic:
         return _umbilic_embed(d, _lorentz_flow_rows(d.inner, _umbilic_split_rows(d, X), ts, end))
     one = umb.one_minus_alpha2

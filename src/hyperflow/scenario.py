@@ -137,6 +137,9 @@ class Scenario:
         for out in self.outputs:
             if out not in _ALL_OUTPUTS:
                 raise InvalidArgumentError(f"unknown output kind {out!r}")
+        m = dimensions(self.descriptor).m
+        if self.frame is not None and self.frame.m != m:
+            raise InvalidArgumentError(f"frame must be {m + 1}x{m + 1} for a descriptor in H^{m}, got {self.frame.m + 1}x{self.frame.m + 1}")
 
 
 def scenario_from_json(obj: dict, name: str = "scenario") -> Scenario:

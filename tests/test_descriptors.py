@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,11 +31,11 @@ from hyperflow.descriptors import (
     immerse_rows,
     mean_curvature,
 )
-from hyperflow.errors import DomainError, EmptyHypersurfaceError, InvalidArgumentError
+from hyperflow.errors import DomainError, EmptyHypersurfaceError, InvalidArgumentError, TimeOutOfRangeError
 from hyperflow.flow import ExistenceWindow, existence_window
 from hyperflow.limits import backward_limit, forward_limit
 from hyperflow.lorentz import Membership, ambient_membership, minkowski_inner
-from hyperflow.scenario import OracleSettings, Sampling, chart_samples, lorentz_time_range, run_invariant_battery
+from hyperflow.scenario import OracleSettings, Sampling, chart_samples, lorentz_time_range, run_invariant_battery, run_scenario
 
 from conftest import geodesic_chain
 
@@ -525,3 +526,205 @@ class TestPlan:
             sys.setswitchinterval(switch)
         assert all(plan == vars(d)["_plan"] for plan in plans)
         assert existence_window(d) == existence_window(CATALOG["clifford_tube_h5"])
+
+
+# ---------------------------------------------------------------------------
+# placements applied as row gathers
+
+
+def _axis_aligned_level(kind: str, m: int, rng: np.random.Generator):
+    """A level of H^m with an axis-aligned xi: geodesic, hyperbolic (a > 0), spherical or Euclidean."""
+    xi = np.zeros(m + 1)
+    if kind == "spherical":
+        xi[-1] = -1.0
+        return Umbilic(derive_umbilic(xi, float(rng.uniform(1.1, 4.0))), ProductOfSpheres(point_position=(1.0,) + (0.0,) * (m - 1)))
+    xi[int(rng.integers(0, m))] = float(rng.choice([-1.0, 1.0]))
+    if kind == "euclidean":
+        xi[-1] = -1.0
+        return Umbilic(derive_umbilic(xi, float(rng.uniform(0.2, 5.0))), EuclideanIso(m - 1))
+    return Umbilic(derive_umbilic(xi, 0.0 if kind == "geodesic" else float(rng.uniform(0.1, 3.0))), Ambient(m - 1))
+
+
+def _signed_zero_rows(shape, rng: np.random.Generator) -> np.ndarray:
+    """Rows over many scales, with about a third of the entries +0.0 or -0.0."""
+    Z = rng.standard_normal(shape) * np.exp(rng.uniform(-5.0, 5.0, shape))
+    zero = rng.random(shape) < 0.3
+    Z[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    return Z
+
+
+def _matmul_embed(d, Z):
+    """The embedding as one stacked matmul per placement, the product every gather must reproduce."""
+    pl = descriptors._plan(d).placement
+    if d.umb.kind == "euclidean":
+        shift = (descriptors._row_dots(Z) / (2.0 * pl.a))[..., None] * pl.xi
+        return pl.x0 + np.matmul(pl.W, Z[..., None])[..., 0] - shift
+    return d.umb.eta_array + pl.scale * np.matmul(pl.J, Z[..., None])[..., 0]
+
+
+def _matmul_split(d, X):
+    pl = descriptors._plan(d).placement
+    rel = X - pl.x0 if d.umb.kind == "euclidean" else (X - d.umb.eta_array) / pl.scale
+    return np.matmul(pl.G, rel[..., None])[..., 0]
+
+
+def _row_gathers(pl) -> list:
+    """The row gathers of a placement's two matrices; None where a matrix stays dense."""
+    return [pl.G_rows, pl.W_rows if isinstance(pl, descriptors._HorosphericalPlacement) else pl.J_rows]
+
+
+def _umbilic_levels(d):
+    while isinstance(d, Umbilic):
+        yield d
+        d = d.inner
+
+
+@pytest.fixture
+def matmul_placements(monkeypatch):
+    """Call to make every placement built from then on dense, as if no matrix were axis-aligned."""
+
+    def dense():
+        monkeypatch.setattr(descriptors, "_row_gather", lambda M: None)
+        descriptors._umbilic_placement.cache_clear()
+
+    yield dense
+    # undo first, so that no dense placement stays in the by-value cache
+    monkeypatch.undo()
+    descriptors._umbilic_placement.cache_clear()
+
+
+class TestRowGather:
+    @pytest.mark.parametrize("kind", ["geodesic", "hyperbolic", "spherical", "euclidean"])
+    def test_gather_matches_the_stacked_matmul(self, kind):
+        rng = np.random.default_rng(28)
+        zeros = 0
+        for _ in range(40):
+            m = int(rng.integers(2, 9))
+            d = _axis_aligned_level(kind, m, rng)
+            pl = descriptors._plan(d).placement
+            assert None not in _row_gathers(pl)
+            cols = (pl.W if kind == "euclidean" else pl.J).shape[1]
+            for lead in [(), (5,), (3, 4)]:
+                Z = _signed_zero_rows(lead + (cols,), rng)
+                X = _signed_zero_rows(lead + (m + 1,), rng)
+                pairs = [(descriptors._umbilic_embed(d, Z), _matmul_embed(d, Z)), (descriptors._umbilic_split_rows(d, X), _matmul_split(d, X))]
+                if kind != "euclidean":
+                    pairs.append((descriptors._umbilic_columns(d, Z), np.matmul(pl.J, Z[..., None])[..., 0]))
+                for got, want in pairs:
+                    assert got.shape == want.shape and got.flags.c_contiguous
+                    assert got.tobytes() == want.tobytes()
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+                    zeros += int(np.count_nonzero(want == 0.0))
+        # the rows' signed zeros reach the products
+        assert zeros > 0
+
+    @pytest.mark.parametrize("name", ["tilted_sphere", "tilted_equidistant", "tilted_horosphere"])
+    def test_tilted_level_keeps_the_dense_product(self, name, monkeypatch):
+        d = BIT_CASES[name]
+        pl = descriptors._plan(d).placement
+        G_rows, columns_rows = _row_gathers(pl)
+        assert G_rows is None
+        # the tilted horosphere's W is axis-aligned, its G is not
+        assert (columns_rows is not None) == (name == "tilted_horosphere")
+        rng = np.random.default_rng(7)
+        Z = _signed_zero_rows((6, (pl.W if name == "tilted_horosphere" else pl.J).shape[1]), rng)
+        X = immerse_rows(d, np.array(chart_samples(d, 3, 7)))
+        products = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda A, B: products.append(A.shape) or matmul(A, B))
+        embedded, split = descriptors._umbilic_embed(d, Z), descriptors._umbilic_split_rows(d, X)
+        monkeypatch.undo()
+        assert embedded.tobytes() == _matmul_embed(d, Z).tobytes()
+        assert split.tobytes() == _matmul_split(d, X).tobytes()
+        assert pl.G.shape in products
+        if name == "tilted_horosphere":
+            assert pl.W.shape not in products
+        else:
+            assert pl.J.shape in products
+
+    @pytest.mark.parametrize("name", [n for n in sorted(CATALOG) if isinstance(CATALOG[n], Umbilic)])
+    def test_catalog_levels_report_a_gather(self, name):
+        for level in _umbilic_levels(CATALOG[name]):
+            assert None not in _row_gathers(descriptors._plan(level).placement)
+
+    def test_geodesic_chains_report_a_gather(self):
+        for depth in range(1, 25):
+            levels = list(_umbilic_levels(geodesic_chain(depth)))
+            assert len(levels) == depth + 1
+            for level in levels:
+                assert None not in _row_gathers(descriptors._plan(level).placement)
+                assert descriptors._plan(level).placement.linear == level.umb.totally_geodesic
+
+    def test_gathered_row_keeps_inf_where_the_matmul_gives_nan(self):
+        d = geodesic_chain(1)
+        J = descriptors._plan(d).placement.J
+        z = np.array([0.5, math.inf, -0.25])
+        gathered = descriptors._umbilic_embed(d, z)
+        with np.errstate(invalid="ignore"):
+            dense = np.matmul(J, z[:, None])[:, 0]
+        # every row that meets the infinite entry by a zero, the zero row too, sums 0 * inf = nan
+        assert np.isnan(dense).sum() == np.count_nonzero(J[:, 1] == 0.0) == 3 and not np.isnan(gathered).any()
+        assert np.isinf(gathered).sum() == 1 and gathered[J[:, 1] != 0.0] == math.inf
+        assert gathered[0] == 0.0 and not np.signbit(gathered[0])
+
+    @pytest.mark.parametrize(
+        "caller, inner, times, named",
+        [
+            ("run", "circle_h2", (-709.5, -709.0, 2), "not finite at t=-709.5;"),
+            # the squares overflow first, from the middle of the grid on
+            ("run", "horocycle_h2", (0.0, 800.0, 9), "not finite at t=400.0;"),
+            # t + dt is flowed first
+            ("pde_residual_grid", "circle_h2", [0.1, -709.0, -709.5], "the flow at t=-708.9999 leaves"),
+            ("isoparametric_residuals", "circle_h2", [0.1, -709.0, -709.5], "the flow at t=-709.0 leaves"),
+        ],
+    )
+    def test_callers_refuse_non_finite_rows_as_before(self, tmp_path, matmul_placements, caller, inner, times, named):
+        # far enough out the flowed rows hold inf, which the geodesic levels'
+        # gathers keep and their stacked matmuls turn into nan: either way the
+        # caller refuses with the same error, naming the same first bad time
+        def refusal(d):
+            us = chart_samples(d, 3, 7)[:3]
+            if caller == "run":
+                start, end, steps = times
+                grid = {"start": start, "end": end, "steps": steps, "clip_to_existence": False}
+                path = tmp_path / "scn.json"
+                path.write_text(json.dumps({"name": "far", "descriptor": descriptor_to_json(d), "time_grid": grid, "outputs": ["trajectory"]}))
+                call = lambda: run_scenario(path, tmp_path / "out")
+            elif caller == "pde_residual_grid":
+                call = lambda: oracle.pde_residual_grid(d, us, times)
+            else:
+                call = lambda: oracle.isoparametric_residuals(d, times, us)
+            with pytest.raises(TimeOutOfRangeError) as err:
+                call()
+            return str(err.value)
+
+        def chain():
+            d = CATALOG[inner]
+            for _ in range(2):
+                d = Umbilic(derive_umbilic([1.0] + [0.0] * (dimensions(d).m + 1), 0.0), d)
+            return d
+
+        gathered = refusal(chain())
+        assert named in gathered
+        matmul_placements()
+        d = chain()
+        assert _row_gathers(descriptors._plan(d).placement) == [None, None]
+        assert refusal(d) == gathered
+        assert not list(tmp_path.glob("out/*.csv"))
+
+
+class TestLargeHorosphericalLevel:
+    @pytest.mark.parametrize("a", [9e7, 1e8, 1e9, 1e154, 1e200])
+    def test_refused_naming_umbilic_a(self, a):
+        # the horospherical chart's span vectors have <w,w> = -1 and +1; past
+        # about 8e7 one of them rounds to 0 (or overflows) and the level is refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match=r"umbilic\.a = .* too large for a euclidean level"):
+                Umbilic(derive_umbilic((1.0, 0.0, -1.0), a), EuclideanIso(1))
+
+    @pytest.mark.parametrize("a", [3e7, 5e7])
+    def test_still_builds_below_the_bound(self, a):
+        d = Umbilic(derive_umbilic((1.0, 0.0, -1.0), a), EuclideanIso(1))
+        assert dimensions(d) == (1, 2, 1)
+

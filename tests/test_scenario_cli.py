@@ -928,6 +928,37 @@ class TestCli:
         assert out.returncode == 2
         assert len(out.stderr.splitlines()) == 1 and "umbilic.xi" in out.stderr, out.stderr
 
+    @pytest.mark.parametrize("a", [1e8, 1e200])
+    def test_large_a_horosphere_exit_two_on_one_line(self, tmp_path, a):
+        # the horospherical chart degenerates (a span vector's <w,w> rounds to 0, or
+        # overflows): one error line, no traceback and no numpy RuntimeWarning
+        path = tmp_path / "scn.json"
+        inner = {"type": "euclidean", "flat_dim": 1}
+        path.write_text(json.dumps({"name": "far", "descriptor": {"type": "umbilic", "xi": [1.0, 0.0, -1.0], "a": a, "inner": inner}}))
+        out = run_cli_process("limits", str(path))
+        assert out.returncode == 2
+        assert len(out.stderr.splitlines()) == 1 and "umbilic.a" in out.stderr, out.stderr
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_ambient_below_one_dimension_names_m(self, tmp_path, m):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({"name": "flat", "descriptor": {"type": "ambient", "m": m}}))
+        out = run_cli("limits", str(path))
+        assert out.returncode == 2
+        assert "ambient.m must be at least 1" in out.stderr and "ambient.r" not in out.stderr, out.stderr
+
+    @pytest.mark.parametrize("verb", ["run", "verify", "limits"])
+    def test_frame_of_another_size_exit_two(self, tmp_path, verb):
+        # the frame of H^2 given for a descriptor in H^4: every verb refuses it when
+        # the scenario is built, before anything is written
+        spec = {"name": "framed", "descriptor": descriptor_to_json(CATALOG["circle_in_h4_nested"]), "frame": np.eye(3).tolist()}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(spec))
+        out = run_cli(verb, str(path), *(["--out", str(tmp_path / "out")] if verb == "run" else []))
+        assert out.returncode == 2
+        assert out.stderr == "error: frame must be 5x5 for a descriptor in H^4, got 3x3\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "field, descriptor",
         [
