@@ -479,7 +479,7 @@ def _leaf_spherical_collapse(leaf: ProductOfSpheres, radius2: float) -> float | 
 
 
 class _Plan(NamedTuple):
-    """The static facts of one descriptor level; an umbilic level also holds its placement."""
+    """The static facts of one descriptor level; an umbilic level also holds its placement, and its run if it starts one."""
 
     dims: Dimensions
     box: tuple[tuple[float, float], ...]
@@ -487,6 +487,7 @@ class _Plan(NamedTuple):
     window: ExistenceWindow
     lorentz_range: tuple[float | None, float | None]
     placement: _AffinePlacement | _HorosphericalPlacement | None = None
+    run: _LevelRun | None = None
 
 
 def _plan(d) -> _Plan:
@@ -532,9 +533,10 @@ def _build_plan(d) -> _Plan:
     umb, inner = d.umb, d.inner
     # from the by-value cache, so equal levels (a tree loaded again from JSON) share one placement
     placement = _umbilic_placement(umb)
-    inner_window = None
+    inner_window = run = None
     if umb.kind == "hyperbolic":
         plan = _plan(inner)
+        run = _level_run(placement, inner, plan.run)
         n, box, inner_window = plan.dims.n, plan.box, plan.window
         inner_tg, inner_flat = plan.shape.totally_geodesic, plan.shape.intrinsically_flat
         # alpha < 1 on a hyperbolic level
@@ -544,7 +546,7 @@ def _build_plan(d) -> _Plan:
     tg = umb.totally_geodesic and inner_tg
     dims, shape = Dimensions(n, umb.m, umb.m - n), ShapeFlags(tg, tg, inner_flat)
     if n == 0:
-        return _Plan(dims, box, shape, ExistenceWindow(None, None, None, None, None), (None, None), placement)
+        return _Plan(dims, box, shape, ExistenceWindow(None, None, None, None, None), (None, None), placement, run)
     alpha, one = umb.alpha, umb.one_minus_alpha2
     if umb.kind == "euclidean":
         t_dprime = t_prime
@@ -558,7 +560,7 @@ def _build_plan(d) -> _Plan:
     t_max = None if t_dprime is None else math.log1p(2.0 * n * t_dprime) / (2.0 * n)
     window = ExistenceWindow(t_prime, t_dprime, t_max, t_alpha, -1.0 / (2.0 * n), inner_window)
     lower = -1.0 / (2.0 * n * one) if umb.kind == "hyperbolic" else None
-    return _Plan(dims, box, shape, window, (lower, t_dprime), placement)
+    return _Plan(dims, box, shape, window, (lower, t_dprime), placement, run)
 
 
 def dimensions(d) -> Dimensions:
@@ -788,6 +790,12 @@ def _complement_basis(span: list[np.ndarray]) -> list[np.ndarray]:
 # Each matrix also comes as a row gather when every row has at most one
 # non-zero entry, as every level with an axis-aligned xi has; such a
 # matrix applies to rows by one ``np.take`` instead of a gemv per row.
+# A run is a chain of consecutive geodesic levels (x = J z) whose gathers
+# hold only 0 and +-1.  Composed, such gathers are again one: each row
+# copies one entry, times a product of 0 and +-1, plus +0.0, which are the
+# bits the levels give one at a time.  The plan of each level of a run
+# holds the run's composed J and G from that level down, so the level
+# walks cross the whole run in one gather each way.
 
 
 class _RowGather(NamedTuple):
@@ -817,10 +825,40 @@ def _apply_rows(M: np.ndarray, gather: _RowGather | None, Z: np.ndarray) -> np.n
     """
     if gather is None:
         return np.matmul(M, Z[..., None])[..., 0]
+    return _gather_rows(gather, Z)
+
+
+def _gather_rows(gather: _RowGather, Z: np.ndarray) -> np.ndarray:
     out = np.take(Z, gather.cols, axis=-1, mode="clip")  # C-ordered, as the matmul; every column is in range
     out *= gather.coef
     out += 0.0
     return out
+
+
+def _compose(outer: _RowGather, inner: _RowGather) -> _RowGather:
+    """The gather of z -> outer(inner(z)); with unit coefficients it gives the bits of the two in turn."""
+    return _RowGather(inner.cols[outer.cols], inner.coef[outer.cols] * outer.coef)
+
+
+def _unit_gather(gather: _RowGather | None) -> bool:
+    return gather is not None and bool(np.all((gather.coef == 0.0) | (np.abs(gather.coef) == 1.0)))
+
+
+class _LevelRun(NamedTuple):
+    """A run from one level down: x = J z and z = G x across all its levels, for z in ``below``."""
+
+    below: object          # the first descriptor below the run
+    J_rows: _RowGather
+    G_rows: _RowGather
+
+
+def _level_run(pl: _AffinePlacement, inner, inner_run: _LevelRun | None) -> _LevelRun | None:
+    """The run that starts at a hyperbolic level, from its placement and the run of its inner level; None off a run."""
+    if not (pl.linear and _unit_gather(pl.J_rows) and _unit_gather(pl.G_rows)):
+        return None
+    if inner_run is None:
+        return _LevelRun(inner, pl.J_rows, pl.G_rows)
+    return _LevelRun(inner_run.below, _compose(pl.J_rows, inner_run.J_rows), _compose(inner_run.G_rows, pl.G_rows))
 
 
 class _AffinePlacement(NamedTuple):  # x = eta + scale J z
@@ -946,6 +984,36 @@ def _umbilic_columns(d: Umbilic, C: np.ndarray) -> np.ndarray:
     return _apply_rows(pl.J, pl.J_rows, C)
 
 
+# The level walks (the flow cores, ``_validate_levels``, ``_immerse``) step
+# from an umbilic level to ``_below`` it: past its whole run when it starts
+# one, else to its inner level.  Across a run the three maps below are one
+# gather each; elsewhere they are the level's own.
+
+
+def _below(d: Umbilic):
+    """The inner level of d, or the first descriptor below the run that d starts."""
+    run = _plan(d).run
+    return d.inner if run is None else run.below
+
+
+def _split_across(d: Umbilic, X: np.ndarray) -> np.ndarray:
+    """Coordinates in ``_below(d)`` of ambient points: ``_umbilic_split_rows`` of every level down to it."""
+    run = _plan(d).run
+    return _umbilic_split_rows(d, X) if run is None else _gather_rows(run.G_rows, X)
+
+
+def _embed_across(d: Umbilic, Z: np.ndarray) -> np.ndarray:
+    """Points of ``_below(d)`` in H^m(-1): ``_umbilic_embed`` of every level up from it."""
+    run = _plan(d).run
+    return _umbilic_embed(d, Z) if run is None else _gather_rows(run.J_rows, Z)
+
+
+def _columns_across(d: Umbilic, C: np.ndarray) -> np.ndarray:
+    """``_umbilic_columns`` of every level up from ``_below(d)``; a run's levels are linear, so its columns are its embedding."""
+    run = _plan(d).run
+    return _umbilic_columns(d, C) if run is None else _gather_rows(run.J_rows, C)
+
+
 def _validate_levels(d, X: np.ndarray) -> None:
     """Membership of every row of X in the submanifold of d: the one membership walk.
 
@@ -956,18 +1024,21 @@ def _validate_levels(d, X: np.ndarray) -> None:
     the factor spheres of a product of spheres, the fixed position of a
     point, and for a Euclidean configuration its sphere blocks about the
     offset and its padding coordinates at the offset.  A row off any level,
-    by more than ``_POINT_TOL``, raises DomainError.
+    by more than ``_POINT_TOL``, raises DomainError.  A run's round trip
+    restores every coordinate its levels keep and zeros the ones they take
+    out, each an exact copy of a coordinate of X, so it fails exactly when
+    the round trip of one of its levels fails.
     """
     if isinstance(d, Ambient):
         return
     if isinstance(d, FullProduct):
         _check_product_rows(d, X)
         return
-    Z = _umbilic_split_rows(d, X)
-    if np.any(np.abs(_umbilic_embed(d, Z) - X) > _POINT_TOL):
+    Z = _split_across(d, X)
+    if np.any(np.abs(_embed_across(d, Z) - X) > _POINT_TOL):
         raise DomainError("point is not on the umbilical hypersurface of this level")
     if d.umb.kind == "hyperbolic":
-        _validate_levels(d.inner, Z)
+        _validate_levels(_below(d), Z)
     else:
         d.inner._check_rows(Z, d.umb)
 
@@ -1003,8 +1074,8 @@ def _immerse(d, U: np.ndarray) -> np.ndarray:
         xv = _hyperbolic_chart(U[:, : d.l], d.r)
         y = _leaf_immersion(d.leaf, U[:, d.l :], d.r - 1.0)
         return _product_assemble(d, xv, y)
-    z = _immerse(d.inner, U) if d.umb.kind == "hyperbolic" else d.inner._chart_rows(U, d.umb)
-    return _umbilic_embed(d, z)
+    z = _immerse(_below(d), U) if d.umb.kind == "hyperbolic" else d.inner._chart_rows(U, d.umb)
+    return _embed_across(d, z)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 For a submanifold M of H^m(-1) the two flows are linked by an explicit time
 change: F(x,t) = sqrt(1 + 2nt/r) f(x, (r/2n) ln(1 + 2nt/r)) and conversely
 f(x,t) = e^(-nt/r) F(x, (r/2n)(e^(2nt/r) - 1)).  The Lorentzian flow of the
-descriptor grammar is assembled recursively:
+descriptor grammar is assembled level by level:
 
 * a minimal submanifold of H^m(-r) evolves by pure scaling sqrt(1 + 2nt/r);
 * a full product evolves factorwise, with the spherical leaf following its
@@ -13,7 +13,12 @@ descriptor grammar is assembled recursively:
   or spherical level and F = f_1(x,t) - n t beta xi on a horospherical one, where
   f_1 is the flow inside the hypersurface: the recursion into a hyperbolic
   level's inner descriptor, or the leaf's own flow (``descriptors``, where
-  the leaves keep their layouts; this module reads no leaf field).
+  the leaves keep their layouts; this module reads no leaf field);
+* a run of geodesic (alpha = 0) levels whose placements are exact row
+  gathers is one step: below the run's top level each has R = 1, eta = 0
+  and, in the hyperbolic gauge, s_alpha(w(t)) = t, so the flow of the
+  descriptor below the run crosses it by one split and one embed
+  (``descriptors._split_across`` and ``_embed_across``), bit for bit.
 
 The hyperbolic flow keeps the rows of a stationary descriptor (totally
 geodesic, or n = 0) unchanged.  That of any other full product is the gauge
@@ -25,8 +30,8 @@ where w(t) overflows; the horospherical level takes
 its inner time and e^(-nt) from the same time change.  Both flows have one
 evaluation path, a recursion over rows of points and a list of times
 (``_hyperbolic_flow_rows``, ``_lorentz_flow_rows``, returning (T, K, m+1)):
-each level computes its time scalars with ``math`` and splits and embeds its
-rows once for all times.  An entry (t, row) has the same bits as that row
+each level, or run of geodesic levels, computes its time scalars with
+``math`` and splits and embeds its rows once for all times.  An entry (t, row) has the same bits as that row
 alone at that time alone; the batch flows are calls with one time and the
 one-point entry points validated batches of one.  The public flows refuse
 t >= T; the endpoint mode of ``_hyperbolic_flow_rows`` evaluates the
@@ -59,13 +64,14 @@ from .descriptors import (
     SphereLeafFlow,
     Umbilic,
     _ambient_r,
+    _below,
+    _columns_across,
+    _embed_across,
     _is_stationary,
     _leaf_column_scales,
     _plan,
     _sphere_leaf_flow,
-    _umbilic_columns,
-    _umbilic_embed,
-    _umbilic_split_rows,
+    _split_across,
     _validate_levels,
     dimensions,
     existence_window,
@@ -281,20 +287,18 @@ def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> 
             C[:, d.l : -1] = 0.0
             return C[None]
         return _product_rows(d, X, ts)
-    umb = d.umb
-    if far:
-        if umb.kind == "euclidean":
-            return np.broadcast_to(-0.5 * umb.beta * umb.xi_array, (1,) + X.shape).copy()
-        if umb.kind == "spherical":
-            raise TimeOutOfRangeError("s = inf: a spherical level collapses in finite time, its flow is not eternal")
-        C = _lorentz_flow_rows(d.inner, _umbilic_split_rows(d, X), ts, end)
-        return _umbilic_columns(d, C)
-    if end and umb.totally_geodesic:
-        return _umbilic_embed(d, _lorentz_flow_rows(d.inner, _umbilic_split_rows(d, X), ts, end))
+    umb, pl = d.umb, _plan(d).placement
+    if far and umb.kind == "euclidean":
+        return np.broadcast_to(-0.5 * umb.beta * pl.xi, (1,) + X.shape).copy()
+    if far and umb.kind == "spherical":
+        raise TimeOutOfRangeError("s = inf: a spherical level collapses in finite time, its flow is not eternal")
+    if far or (end and umb.totally_geodesic):
+        # J C_in at s = inf; a geodesic level's embedding is J z too, so across a run both are one gather
+        return _columns_across(d, _lorentz_flow_rows(_below(d), _split_across(d, X), ts, end))
     one = umb.one_minus_alpha2
     if umb.kind == "euclidean":
         drift = _per_time([n * t * umb.beta for t in ts])
-        return _umbilic_inner_flow_rows(d, X, ts) - drift * umb.xi_array
+        return _umbilic_inner_flow_rows(d, X, ts) - drift * pl.xi
     window = existence_window(d)
     scale = []
     for t in ts:
@@ -302,7 +306,7 @@ def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> 
             raise TimeOutOfRangeError(f"t={t} >= Lorentzian collapse bound {window.t_dprime}")
         scale.append(math.sqrt(_positive_radicand(2.0 * n * t * one + 1.0, t)))
     f1 = _umbilic_inner_flow_rows(d, X, [_s_alpha(n, one, t) for t in ts])
-    return _per_time(scale) * (f1 - umb.eta_array) + umb.eta_array
+    return _per_time(scale) * (f1 - pl.eta) + pl.eta
 
 
 def _product_rows(d: FullProduct, X: np.ndarray, lorentz_ts: list[float], end: bool = False) -> np.ndarray:
@@ -377,34 +381,45 @@ def _hyperbolic_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) 
         # the gauge composition e^(-nt) F(x, w(t)) of the ambient H^m(-1)
         s, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
         return _per_time(decay) * _product_rows(d, X, [window.t_dprime] * len(ts) if end else s, end)
-    umb = d.umb
+    umb, pl = d.umb, _plan(d).placement
     one = umb.one_minus_alpha2
     if end and window.t_prime is None:
         # the level's own scaling vanishes at T: the hypersurface shrinks to one point
-        point = _per_time([math.exp(-n * t) for t in ts]) * umb.eta_array
+        point = _per_time([math.exp(-n * t) for t in ts]) * pl.eta
         return np.broadcast_to(point, (len(ts),) + X.shape).copy()
     if umb.kind == "euclidean":
         s, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
         f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else s, end)
         drift = _per_time([math.sinh(n * t) * umb.beta for t in ts])
-        return _per_time(decay) * f1 - drift * umb.xi_array
+        return _per_time(decay) * f1 - drift * pl.xi
     v = [_v_alpha(n, umb.alpha, one, t) for t in ts]
     f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else [_s_alpha_of_w(n, umb.alpha, one, t) for t in ts], end)
     shift = _per_time([vk - math.exp(-n * t) for vk, t in zip(v, ts)])
-    return _per_time(v) * f1 - shift * umb.eta_array
+    return _per_time(v) * f1 - shift * pl.eta
 
 
 def _umbilic_inner_flow_rows(d: Umbilic, X: np.ndarray, ss: list[float], end: bool = False) -> np.ndarray:
-    """The flow f_1 inside the umbilical hypersurface, (T, K, m+1) for rows X and inner times ss."""
-    Z = _umbilic_split_rows(d, X)
-    if d.umb.kind == "hyperbolic":
+    """The flow f_1 inside the umbilical hypersurface, (T, K, m+1) for rows X and inner times ss.
+
+    A level that starts a run of geodesic levels flows the descriptor below
+    the run and crosses the run in one split and one embed.  Each level of
+    the run keeps every bit of the flow below it: its R is 1.0, its
+    s_alpha(w(t)) is t, its scaling 1.0 and its center a signed zero, and
+    its embedding leaves no -0.0 for that zero to flip; its one exponential,
+    e^(-ns), is finite at every time the level above the run accepted.
+    """
+    plan, below, Z = _plan(d), _below(d), _split_across(d, X)
+    if d.umb.kind != "hyperbolic":
+        Zt = below._flow_rows(Z, ss, d.umb, end)
+    elif end and plan.run is not None:
+        # at the endpoint each level of the run takes its own T', so the level below the run takes its T
+        Zt = _hyperbolic_flow_rows(below, Z, [existence_window(below).t_max] * len(ss), end)
+    else:
         # the hypersurface is H^(m-1)(-R); flowing its unit-curvature model for
         # time s/R and rescaling by sqrt(R) is the flow inside the hypersurface
-        R = _plan(d).placement.scale ** 2
-        Zt = _hyperbolic_flow_rows(d.inner, Z, [s / R for s in ss], end)
-    else:
-        Zt = d.inner._flow_rows(Z, ss, d.umb, end)
-    return _umbilic_embed(d, Zt)
+        R = plan.placement.scale ** 2
+        Zt = _hyperbolic_flow_rows(below, Z, [s / R for s in ss], end)
+    return _embed_across(d, Zt)
 
 
 # ---------------------------------------------------------------------------

@@ -655,6 +655,34 @@ class TestRowGather:
                 assert None not in _row_gathers(descriptors._plan(level).placement)
                 assert descriptors._plan(level).placement.linear == level.umb.totally_geodesic
 
+    def test_run_gathers_are_the_levels_in_turn(self):
+        # random chains of axis-aligned geodesic levels: a run's one gather
+        # each way gives the bits of its levels' maps in turn, signed zeros,
+        # infinities and the NaN of 0 * inf included
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            d = Ambient(int(rng.integers(1, 5)))
+            for _ in range(int(rng.integers(1, 9))):
+                m = dimensions(d).m + 1
+                xi = np.zeros(m + 1)
+                xi[int(rng.integers(0, m))] = float(rng.choice([-1.0, 1.0]))
+                d = Umbilic(derive_umbilic(xi, 0.0), d)
+            levels = list(_umbilic_levels(d))
+            assert descriptors._below(d) is levels[-1].inner
+            Z = _signed_zero_rows((3, 5, dimensions(levels[-1].inner).m + 1), rng)
+            X = _signed_zero_rows((3, 5, dimensions(d).m + 1), rng)
+            Z[0, 0, 0], X[1, 2, -1] = math.inf, -math.inf
+            down, up = X, Z
+            with np.errstate(invalid="ignore"):
+                for level in levels:
+                    down = descriptors._umbilic_split_rows(level, down)
+                for level in reversed(levels):
+                    up = descriptors._umbilic_embed(level, up)
+                pairs = [(descriptors._split_across(d, X), down), (descriptors._embed_across(d, Z), up), (descriptors._columns_across(d, Z), up)]
+            for got, want in pairs:
+                assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got[~np.isnan(got)]), np.signbit(want[~np.isnan(want)]))
+
     def test_gathered_row_keeps_inf_where_the_matmul_gives_nan(self):
         d = geodesic_chain(1)
         J = descriptors._plan(d).placement.J

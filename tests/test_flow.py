@@ -15,6 +15,7 @@ from hyperflow.descriptors import (
     FullProduct,
     ProductOfSpheres,
     Umbilic,
+    _is_stationary,
     _leaf_spherical_collapse,
     _umbilic_embed,
     _umbilic_split_rows,
@@ -45,10 +46,10 @@ from hyperflow.flow import (
     lorentz_flow_batch,
     sphere_leaf_flow,
 )
-from hyperflow.limits import forward_limit
+from hyperflow.limits import backward_limit, forward_limit
 from hyperflow.lorentz import Membership, ambient_membership, minkowski_inner
 from hyperflow.scenario import OracleSettings, Sampling, chart_samples, lorentz_time_range, run_invariant_battery, sample_times
-from conftest import near_horospherical_circle
+from conftest import geodesic_chain, near_horospherical_circle
 from test_descriptors import BIT_CASES, PLAN_CASES
 
 LN2 = math.log(2.0)
@@ -706,9 +707,11 @@ def _leaf_layout_outputs(d) -> dict:
         "immerse_rows": X,
         "hyperbolic": _hyperbolic_flow_rows(d, X, sample_times(None, T, 4, rng).tolist() + [0.0, -3.0]),
         "lorentz": _lorentz_flow_rows(d, X, sample_times(*lorentz_time_range(d), 4, rng).tolist() + [0.0]),
-        "lorentz_light_cone": _lorentz_flow_rows(d, X, [-1.0 / (2.0 * max(n, 1))], end=True),
         "mean_curvature": np.array([mean_curvature(d, x) for x in X]),
     }
+    # a totally geodesic flow has no light-cone endpoint: its radicand vanishes there
+    if not (n > 0 and _is_stationary(d)):
+        out["lorentz_light_cone"] = _lorentz_flow_rows(d, X, [-1.0 / (2.0 * max(n, 1))], end=True)
     if T is None:
         out["lorentz_far"] = _lorentz_flow_rows(d, X, [math.inf], end=True)
     else:
@@ -780,3 +783,322 @@ class TestLeafLayoutPins:
     @pytest.mark.parametrize("name", sorted(LEAF_PIN_CASES))
     def test_outputs_keep_their_bits(self, name):
         assert _leaf_layout_digests(LEAF_PIN_CASES[name]) == LEAF_LAYOUT_SHA256[name]
+
+
+def _wrapped(d, *levels):
+    """d inside umbilic levels, innermost first: (the leading entries of xi, zero-padded to the level's ambient, a)."""
+    for head, a in levels:
+        m = dimensions(d).m + 1
+        d = Umbilic(derive_umbilic(list(head) + [0.0] * (m + 1 - len(head)), a), d)
+    return d
+
+
+GEODESIC = ((1.0,), 0.0)
+# a unit spacelike xi off every axis: its geodesic level's placement is dense
+TILTED_GEODESIC = ((0.48, 0.6, 0.64), 0.0)
+
+# chains of geodesic levels with an axis-aligned xi, over each kind of inner
+# level, and chains whose run a tilted geodesic level or an a = 0.5 level breaks
+LEVEL_RUN_CASES = {
+    **{f"circle_h2_run{k}": geodesic_chain(k) for k in (1, 2, 8, 24)},
+    "minus_e0_run": _wrapped(CATALOG["circle_h2"], *[((-1.0,), 0.0)] * 3),
+    "tube_h3_run": _wrapped(CATALOG["tube_h3"], ((0.0, 0.0, 1.0), 0.0), ((0.0, -1.0), 0.0), GEODESIC),
+    "horocycle_h2_run": _wrapped(CATALOG["horocycle_h2"], ((0.0, 1.0), 0.0), GEODESIC),
+    "clifford_tube_h5_run": _wrapped(CATALOG["clifford_tube_h5"], ((0.0, 0.0, 0.0, -1.0), 0.0), ((0.0, 1.0), 0.0)),
+    "equidistant_h2_run": _wrapped(CATALOG["equidistant_h2"], GEODESIC, ((0.0, 0.0, 1.0), 0.0), ((-1.0,), 0.0)),
+    "ambient_h3_run": _wrapped(CATALOG["ambient_h3"], ((0.0, 1.0), 0.0), GEODESIC),
+    "tilted_break": _wrapped(CATALOG["circle_h2"], GEODESIC, ((0.0, 1.0), 0.0), TILTED_GEODESIC, GEODESIC, ((0.0, 0.0, -1.0), 0.0)),
+    "a05_break": _wrapped(CATALOG["circle_h2"], GEODESIC, ((0.0, 1.0), 0.5), GEODESIC, ((0.0, -1.0), 0.0)),
+    # the top level's T' reads 1 ulp off the circle's T (each level takes ln(1 + expm1(.))), so the
+    # endpoint flow below the run must be given the circle's own T
+    "circle_a128_run2": _wrapped(Umbilic(derive_umbilic((0.0, 0.0, -1.0), 1.28), ProductOfSpheres(((1, 1.28**2 - 1.0),))), GEODESIC, GEODESIC),
+}
+
+
+def _hyperbolic_levels(d) -> list:
+    """d and the inner levels of its hyperbolic levels, top first."""
+    levels = [d]
+    while isinstance(levels[-1], Umbilic) and levels[-1].umb.kind == "hyperbolic":
+        levels.append(levels[-1].inner)
+    return levels
+
+
+def _off_level_refusals(d) -> list[str]:
+    """The refusal of a point that lies on every level above one of d's levels but off that one, for each level.
+
+    The point is a generic point of the hyperboloid that holds the level,
+    embedded through the levels above it.
+    """
+    levels = _hyperbolic_levels(d)
+    out = []
+    for j, level in enumerate(levels):
+        if isinstance(level, Ambient):
+            continue
+        probe = Ambient(dimensions(level).m)
+        for above in reversed(levels[:j]):
+            probe = Umbilic(above.umb, probe)
+        X = immerse_rows(probe, np.array(chart_samples(probe, 1, 5)))
+        with pytest.raises(GeometryError) as refused:
+            _validate_rows(d, X)
+        out.append(f"{j} {type(refused.value).__name__}: {refused.value}")
+    return out
+
+
+def _level_run_outputs(d) -> dict:
+    """The outputs of ``_leaf_layout_outputs``, both limits' samples and the off-level refusals, by label."""
+    out = _leaf_layout_outputs(d)
+    S = chart_samples(d, 3, 17)[:6]
+    fwd = forward_limit(d, S)
+    out["forward_limit"] = fwd.samples if fwd.ideal_point is None else fwd.ideal_point
+    if not _is_stationary(d):
+        out["backward_limit"] = backward_limit(d, S, estimate_dim=False).samples
+    out["off_level"] = np.frombuffer("\n".join(_off_level_refusals(d)).encode(), dtype=np.uint8)
+    return out
+
+
+def _level_run_digests(d) -> dict:
+    return {label: hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest() for label, v in _level_run_outputs(d).items()}
+
+
+# sha256 of every output of _level_run_outputs, recorded before a run of
+# geodesic levels crossed its levels in one gather
+LEVEL_RUN_SHA256 = {
+    "a05_break": {
+        "backward_limit": "9f7b38e951b3d760a91390283f4b3fe9a861b1564fbdf2aece8093491c8f1873",
+        "forward_limit": "6f3ea615199bca9fa55f1fd6d8cc080eead7c1c85b47e3b59c25a62090f09a32",
+        "hyperbolic": "75d8a08798a00b02f3281a42be396c18d42ee7a29fbd7b36669da23d97cde047",
+        "hyperbolic_end": "cc1bfca5dce80e081ee1fcf7e95ce5b4bf501efb1f1f283c7f1229bd8fbc83db",
+        "immerse_rows": "7c70ef058d8d555743ca5172dccbb9ed400d0c28b7478cb06381be47a4be4a67",
+        "lorentz": "440c6be2c2b808f50e75e0935dbd77c803ada24ff0a58ffa8c390cc44504688b",
+        "lorentz_light_cone": "ef750fac1c8d72b93d0c31b05567037e865d5ec758b2d31303b77aeeac6bda47",
+        "mean_curvature": "a1ec5179f116b21a5a59ccfb74b41523409d2685717584616b97c33302062302",
+        "off_level": "52350da4b3866e355c8de93ba93741420c2f0ec3d32b110b7f22520c9ee5a950",
+    },
+    "ambient_h3_run": {
+        "forward_limit": "5a10e41762711a8ca0e4849820b19b16026a6168d51931b6f6b91840bb7ba9eb",
+        "hyperbolic": "537e35b311c6acd45d520c2c735a8eed022baf1e62626dd1095ec1bd6d4e5e0d",
+        "immerse_rows": "5a10e41762711a8ca0e4849820b19b16026a6168d51931b6f6b91840bb7ba9eb",
+        "lorentz": "7911f08ef5f894d8e4d1c75aa68b1e98c02f9245fdeb2b79cb99fdab2714c640",
+        "lorentz_far": "5a10e41762711a8ca0e4849820b19b16026a6168d51931b6f6b91840bb7ba9eb",
+        "mean_curvature": "e8e185dc9a865e7ffa88109a254fde3fa5d9abe17f47ac2641fa6602e02b2a42",
+        "off_level": "ad1e2408f91dbb0c93d6810ddb317d7be9171dd029811169f98d5d334cfae49e",
+    },
+    "circle_a128_run2": {
+        "backward_limit": "47cb083d56950a7608933f9926b83fdb2e34b6d962a59e522be70ea0593b7ae9",
+        "forward_limit": "0fb3c52bb342778dc5e052fcd14dbfd844c2db460b0b13dc03bb56bae5da6e3e",
+        "hyperbolic": "a6123c09b491a4b1ccb2b84abf6fcd2d518773aaee3eff297433f04294cf2327",
+        "hyperbolic_end": "f32c367de394a8670c8423f8045781fd9629a0cba84f0bd4e82f2303895180d9",
+        "immerse_rows": "bd5e2f236a26944f7b7820b3807b2db126e0f5c30c7d4bf2a5e1cf97d7cb0140",
+        "lorentz": "9d9bb65e9a76f19a04f933969299c1a3fa6cb2fc171bd3318d56778cb798e156",
+        "lorentz_light_cone": "5eebe6ba31320056fda173f7bcadb94c1de89d672725e7bfb7637ebd5b07097d",
+        "mean_curvature": "e6113e1280d3c51381a19f330639e0962b7489e9132e35b23dfcadc83cd060dc",
+        "off_level": "12900d7056f67531aaa6f53820373e390e89536e2c1767daca239c7064bacf32",
+    },
+    "circle_h2_run1": {
+        "backward_limit": "1bccdae77410683ed22012f244d7050efb8ecbcad753348cf5844cdfdae418fd",
+        "forward_limit": "33284118e4e0d42915cc19c540a188f9e60884c74825f4b7d7ae682d75062986",
+        "hyperbolic": "9b3461beae483b237fa85b532daf89b9d5304c21f6e789b39b6f5f69490d700f",
+        "hyperbolic_end": "3d0cf42b6b83224904f4c82fe4cbca2ce99a195870b96d278f3c2a44ff765bb1",
+        "immerse_rows": "54c238b9d6cb391d907403337c4b21186cf870a16925649993c655967b4d5cad",
+        "lorentz": "b4523bffc5232f1034f90fe317b8ae4d53ee5a1e0f147512e8040eb392264760",
+        "lorentz_light_cone": "645a6b045eea45dfc9d7faa342d56f5fc76ec7c4c8bc1eabaf64c04f25219e59",
+        "mean_curvature": "6c6ba8a1a7b00c9d64ada4011f8d130bc0271f75a3b932d64a53a1ea1dc93b51",
+        "off_level": "ad1e2408f91dbb0c93d6810ddb317d7be9171dd029811169f98d5d334cfae49e",
+    },
+    "circle_h2_run2": {
+        "backward_limit": "e60787c5537560737041ffe0492109d8bf09e204302d2092f7f95b6e91e258e5",
+        "forward_limit": "562d8fb349bd161e4580c3247d54c579e6201eb42a764174b82f40c93f79c31b",
+        "hyperbolic": "18dbcd96cb04e3b6924e77a8222705781c8fdde5ca55e8b11c4f574a66de0e34",
+        "hyperbolic_end": "01371b46420e2ecefa484b3df11af9af13797dacf3ba820a877996ea7eea3453",
+        "immerse_rows": "becc9f26e426e515d18f4c061e1347dde5b6c597358b194ebf8980d9d78ae1b6",
+        "lorentz": "9a935dd6a74c41faf4f6436aba4b0b5b2fc317281b7fd0ec8791093037f0dfcf",
+        "lorentz_light_cone": "780de4de7474c08932f5103488699d9f10093cfd1ee478d8d4269cb71674e0ab",
+        "mean_curvature": "b520fb60bf0e1f1a0b6a3e0c7bec74bd278fd83856aa43321edc361d46213df8",
+        "off_level": "12900d7056f67531aaa6f53820373e390e89536e2c1767daca239c7064bacf32",
+    },
+    "circle_h2_run24": {
+        "backward_limit": "9dd3ce08a933ab1fb3f7abfc75165dd0b152fbeabc9669918ad400868dcbb3fe",
+        "forward_limit": "1f612373113ab02ba59e51aa5e0530989d955d5f61bfca71198241676b7b03e3",
+        "hyperbolic": "ec282656a3ddceb1ddc6457907efdf8ab289cb8445d50427bae3c1d5127b345d",
+        "hyperbolic_end": "6b655e774414bd774ed26254c72f3d91218802eb5f6ced3fa89e81308ff64608",
+        "immerse_rows": "fd620c7c3cded4fb152dc66629247ca7ab352f15e00e8590ef86be3123e8a311",
+        "lorentz": "846651856aa4181e5600a8978dc10d5f23aeed24a57b51cc09610625827ed77c",
+        "lorentz_light_cone": "933df6b6accbe6feb2c21cd3efa4e90a9a6f8e0f2598d9f47667602fc123fe85",
+        "mean_curvature": "dd9d945c108309f69b50cea36a4468ea4301f0d3b6647b7f18a299679e376afa",
+        "off_level": "f81d42384e23dd250d5f27e4ffafbb718eb27967038e116aa2601c700308bdfe",
+    },
+    "circle_h2_run8": {
+        "backward_limit": "ec28b455e4eda7190a4d49b91290f5daddd2bf03e5f4edd525736c4432cfaf76",
+        "forward_limit": "91961bbdcc4b60c29f845b33d044d82a7d6ea7290e60da052f4d4833be683b6a",
+        "hyperbolic": "1513fd2ef57dc859527d1dea4e90e514b419c1b784e059a0840a7f90a5bbf54e",
+        "hyperbolic_end": "32cb5913b18bfe3d77797ea3f3f16a5ecbf5052d7611664df9a595b34d6f1dea",
+        "immerse_rows": "91a3e80cd42d8ae7ad5e0f6a81ab48f83f48fd00f4677cc26317f05ffe47c712",
+        "lorentz": "71df10d38c37f2083af1e91298cd98bf953528c052e0269fb4b8a20dc860d42e",
+        "lorentz_light_cone": "7505b173b72ff55d8c7b38d43f69f742e002d36a1bfa580ba79e7a9ee42eaefa",
+        "mean_curvature": "bbedd59ad2374550b5da391e0263df27b7021bd40d1aec4c6b26378ff796d59e",
+        "off_level": "1bc233648839a01c0631dfb002934ea95976df0f175aa74b3ec5e4e55a633a87",
+    },
+    "clifford_tube_h5_run": {
+        "backward_limit": "0361f5cdba27e868c3bd0f7e0f483ecbbacb9aa4ce7930d6db77b7c8f678c927",
+        "forward_limit": "f2e11e961e20ca0e9d20e60e6223f29077755725c7958efd2a3a7287a16755f8",
+        "hyperbolic": "9d02e18d9042d65f8c7b86ce0e13f7149920f31b2706a0f60f98715ff4108662",
+        "hyperbolic_end": "376d596dd8dca96dd42b01ad2fd5c20c53956c4eeb412ca8d1c508e15e460e91",
+        "immerse_rows": "c371545234665df86d17893fee45ab4d2c1816a20d657b72c7e8cb08a1676512",
+        "lorentz": "08dab7938759b323db91178525a1f7afc6a89d96a0b892119fb1453e0000a1a1",
+        "lorentz_light_cone": "71872c8649fb4413ed18c56c28ba3f882bd9be896b7b1347f008aa43b673461c",
+        "mean_curvature": "15306790ff6b61533a5accc66367521242c13c439a5ec18e10402e365c665198",
+        "off_level": "60205d4bdf7e74d3db556a5f36451bb462a29bc045e8435086fc119fb8d97b5c",
+    },
+    "equidistant_h2_run": {
+        "backward_limit": "0f9a695a48bc5482fb6a87f7902885da92b0aa3ef6388def53c7b63fe60a245c",
+        "forward_limit": "4962e0305a1232404a6f747ee7092acbce9e42d696c96a071cf2601072420182",
+        "hyperbolic": "fab40b8223a1282d16050049b232950f20309ce814b3b54b52f99c4a8346b652",
+        "immerse_rows": "113d7206235d41b8c90d8e9830a89018fde6c991042afba88b7a1e93b3001101",
+        "lorentz": "dc4fe43e65edbc66814f1ee2f113922091873942ca328c73b1e0eaf03c7e53b2",
+        "lorentz_far": "4962e0305a1232404a6f747ee7092acbce9e42d696c96a071cf2601072420182",
+        "lorentz_light_cone": "a738d1376fcdffef76eafa0f0b8d4ba937f0a1e9866ff6c3753342e9503922b6",
+        "mean_curvature": "65450d8ddd7da566168ae3f15c0c42d3d93aa21c6a577b155ea3f234256a2fe6",
+        "off_level": "fd8c9f0db369f24e19899bea06c77b0b2e2d6602c338a70e4ec1b0c6b9993a15",
+    },
+    "horocycle_h2_run": {
+        "backward_limit": "119d2ef0e9afe3f5959c7f942b384cdd277682a5abbade0f5dbdbfcf71756d81",
+        "forward_limit": "9166a844bb4ff59c00df2b7c418092a12274e2dcc16a0f6443b6b5c53a56badd",
+        "hyperbolic": "28d34c57f697c65f8fc1d0539859a407d3ee8f8c3ab13720f7dd329acb999a58",
+        "immerse_rows": "91067122292af19cb8e042dfed19c5ec1011f8ddc06500a1e7a03d2042054cc8",
+        "lorentz": "deb61e1e33fcbb9c6c411483d3ee4e736d2ade6700bfee0d429de056ac28c085",
+        "lorentz_far": "63a8ff1ce8d3cb355a92c8c1bb0ec29647d6e4836aa84bea65e8eb9247c0dd9c",
+        "lorentz_light_cone": "9c1942d06c3a20c618e1c7de61b6b6138395ffe480c691cd8f79801c35b7a53d",
+        "mean_curvature": "27130cddca73ac80d8d26d346fe8dba1f93a97d9874a08639a5ce88bcfdd6273",
+        "off_level": "12900d7056f67531aaa6f53820373e390e89536e2c1767daca239c7064bacf32",
+    },
+    "minus_e0_run": {
+        "backward_limit": "8a0633595605b06fea5dfb4a3724146248c22f45e7f66d5e4bfcc4b46944f090",
+        "forward_limit": "7ba00c658630872fa5d6b23a809b4bb7281bfddc03514ded1659f07411a4b3e7",
+        "hyperbolic": "39a8d52f4dc51e19fd6187cc3edea9e3d763000253116d0d35a73c526dc7302d",
+        "hyperbolic_end": "519efb93ac553d5117da26f36a6004242c1ffac0b4053f35d3bcd24930c1e359",
+        "immerse_rows": "299b44fd887841c149b214e67ff9b2f1adf208ba7cfc9c9ccb4c8d2163149f15",
+        "lorentz": "de300510c5282bbbe6518d7629d1e4581ef935636d6b3c10f129add42eff06f4",
+        "lorentz_light_cone": "2578183424af02678d6f257faa7d0d20a0304656867516c450f0e1f9ef081fcc",
+        "mean_curvature": "b9840c0bc76ba60c52dc1a973d6f8d0a4ee7268935537f717e4851c8bbf7f9be",
+        "off_level": "fd8c9f0db369f24e19899bea06c77b0b2e2d6602c338a70e4ec1b0c6b9993a15",
+    },
+    "tilted_break": {
+        "backward_limit": "8f3186c173ea65fca93c607a9421ecec90d8f1feef6b1fefbba139631d949833",
+        "forward_limit": "3c85052b045a08c7a384c1086f590793ab512c9568f3c72a9d82619db7028263",
+        "hyperbolic": "15bc2b321ef74f26d963c1a5395d649aadc844119350b2c4d4f8de0d65006638",
+        "hyperbolic_end": "95362aa5e1729d01261918ce1d538ac743fbee6bd4ebba4afe99cf02f753524e",
+        "immerse_rows": "18bcfecf344d7df64a5b6388fae7c2f95c4f64ab8e1a66b7fa3ee7acbab4c2bb",
+        "lorentz": "4048da74247aa35e38f3847a28a9c40e63413a9d88fe36aa39fa119c327098f2",
+        "lorentz_light_cone": "98372198622d6a6fcf570e4faad3183d2d8701858115c8f17d152474c0e666e9",
+        "mean_curvature": "02a72c4db63079a7ec8b43578ab184f0a8d2823e9c5b273c68239f0f7aaab9b9",
+        "off_level": "8bc82f371a0f87a6fa0b0388d590d23fc32217b4df3da00213961009b84159de",
+    },
+    "tube_h3_run": {
+        "backward_limit": "b447b48da9e2aab0a15edbb14acda5d237fc53f58a8fdf9785938dacc67723aa",
+        "forward_limit": "2a61228ffb1dfd4789d7c035af674b7af709d0de9e063e442b3d43e5d3b9925f",
+        "hyperbolic": "8fc5df3025406160b4114957e5384632fc205ace3ebe10c531f5874713f4b6da",
+        "hyperbolic_end": "5576f3819898a01ae8589e5020839af5a985ab9cf0c644aded450f181144c198",
+        "immerse_rows": "323a20fb836291343c65e89379d26109a38362218891b5a90fb8dba4a6a1fc7a",
+        "lorentz": "305d1fc16c0fbef88af33e21391c48c0068f0778a668e54a0b0ead0693022ac5",
+        "lorentz_light_cone": "ad1b4e86b67b6c2b587931fdbdf377905cc1faa2e13ee21bac47cf1b3a105a39",
+        "mean_curvature": "3ce4809ace28d2c9b8c4211c1c9861df585dd87411900cd7e5522aa7a858f49a",
+        "off_level": "56401f7e14954e4f17ef8e1ce61c577ceeaf3702bb539b86ef498a471cb767b2",
+    },
+}
+
+
+class TestLevelRunPins:
+    """Chains of geodesic levels, whole or broken, keep every output bit."""
+
+    @pytest.mark.parametrize("name", sorted(LEVEL_RUN_CASES))
+    def test_outputs_keep_their_bits(self, name):
+        assert _level_run_digests(LEVEL_RUN_CASES[name]) == LEVEL_RUN_SHA256[name]
+
+
+class TestLevelRuns:
+    """A run of geodesic levels with unit gathers is crossed in one split and one embed."""
+
+    WALKS = ("_hyperbolic_flow_rows", "_lorentz_flow_rows", "_validate_levels", "_immerse")
+
+    @staticmethod
+    def _counted(monkeypatch, names) -> dict:
+        """Count the calls of each named function, through every module that holds it."""
+        from hyperflow import descriptors, limits, oracle, scenario
+
+        counts = {name: 0 for name in names}
+        for name in names:
+            original = getattr(descriptors, name, None) or getattr(flow_module, name)
+
+            def counted(*args, _f=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _f(*args, **kwargs)
+
+            for module in (descriptors, flow_module, limits, oracle, scenario):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_plans_hold_the_run_from_each_level_down(self):
+        from hyperflow.descriptors import _plan
+
+        for depth in (1, 2, 8, 24):
+            d = geodesic_chain(depth)
+            levels = _hyperbolic_levels(d)
+            for level in levels[:-1]:
+                assert _plan(level).run.below is levels[-1]
+            assert _plan(levels[-1]).run is None
+        top, l1, tilted, l3, l4, circle = _hyperbolic_levels(LEVEL_RUN_CASES["tilted_break"])
+        assert _plan(top).run.below is _plan(l1).run.below is tilted
+        assert _plan(tilted).run is None and _plan(tilted).placement.J_rows is None
+        assert _plan(l3).run.below is _plan(l4).run.below is circle
+        top, l1, half, l3, circle = _hyperbolic_levels(LEVEL_RUN_CASES["a05_break"])
+        assert _plan(top).run.below is _plan(l1).run.below is half
+        assert _plan(half).run is None and _plan(l3).run.below is circle
+        # a rotation in one coordinate plane keeps one non-zero entry a row, but not of unit size
+        rotated = _wrapped(CATALOG["circle_h2"], ((0.6, 0.8), 0.0))
+        assert _plan(rotated).placement.J_rows is not None and _plan(rotated).run is None
+
+    def test_depth_24_walks_make_two_calls(self, monkeypatch):
+        d = geodesic_chain(24)
+        S = chart_samples(d, 3, 7)
+        X = immerse_rows(d, np.array(S))
+        counts = self._counted(monkeypatch, self.WALKS)
+        calls = {
+            "immerse_rows": lambda: immerse_rows(d, np.array(S)),
+            "hyperbolic_flow": lambda: hyperbolic_flow(d, X[0], 0.1),
+            "hyperbolic_flow_batch": lambda: hyperbolic_flow_batch(d, X, 0.1),
+            "lorentz_flow_batch": lambda: lorentz_flow_batch(d, X, 0.1),
+            "mean_curvature": lambda: mean_curvature(d, X[0]),
+            "forward_limit": lambda: forward_limit(d, S),
+            "backward_limit": lambda: backward_limit(d, S, estimate_dim=False),
+        }
+        for label, call in calls.items():
+            for name in counts:
+                counts[name] = 0
+            call()
+            # each walk crosses the 24 geodesic levels at once: at most the top call and one below the run
+            assert 0 < max(counts.values()) <= 2, (label, counts)
+        assert counts["_lorentz_flow_rows"] == 2  # the light-cone endpoint of the backward limit
+
+    def test_broken_run_keeps_the_tilted_levels_dense_path(self, monkeypatch):
+        from hyperflow import descriptors
+
+        d = LEVEL_RUN_CASES["tilted_break"]
+        tilted, circle = _hyperbolic_levels(d)[2], _hyperbolic_levels(d)[-1]
+        pl = descriptors._plan(tilted).placement
+        X = immerse_rows(d, np.array(chart_samples(d, 3, 7)))
+        counts = self._counted(monkeypatch, self.WALKS)
+        own = []
+        for name in ("_umbilic_split_rows", "_umbilic_embed"):
+            original = getattr(descriptors, name)
+            monkeypatch.setattr(descriptors, name, lambda level, A, _f=original: own.append(level) or _f(level, A))
+        products = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda A, B: products.append(A.shape) or matmul(A, B))
+        hyperbolic_flow_batch(d, X, 0.1)
+        monkeypatch.undo()
+        # two runs and the tilted level between them: the top, the tilted level, the run below it and the circle
+        assert counts["_hyperbolic_flow_rows"] == 4
+        # only the tilted level splits and embeds by itself, through its dense matrices; the circle's level splits and embeds its leaf
+        assert [level for level in own if level is not circle] == [tilted, tilted]
+        assert pl.J.shape in products and pl.G.shape in products
