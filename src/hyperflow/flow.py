@@ -255,7 +255,8 @@ def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> 
 
     Entry (j, k) has the bits of the flow of row k alone at ts[j] alone.
     Each level computes its time scalars with ``math``, time by time in the
-    order of one time's recursion, and works the rows once for all times.
+    order of one time's recursion, and works the rows once for all times,
+    in place on the new array of its inner flow.
     With ``end`` an alpha = 0 level, whose scaling vanishes at the light-cone
     time -1/(2n), is its continuous extension there: the Lorentzian flow of
     its inner level, embedded (R = 1 and eta = 0 on a geodesic hypersurface).
@@ -298,7 +299,9 @@ def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> 
     one = umb.one_minus_alpha2
     if umb.kind == "euclidean":
         drift = _per_time([n * t * umb.beta for t in ts])
-        return _umbilic_inner_flow_rows(d, X, ts) - drift * pl.xi
+        f1 = _umbilic_inner_flow_rows(d, X, ts)
+        f1 -= drift * pl.xi
+        return f1
     window = existence_window(d)
     scale = []
     for t in ts:
@@ -306,7 +309,10 @@ def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> 
             raise TimeOutOfRangeError(f"t={t} >= Lorentzian collapse bound {window.t_dprime}")
         scale.append(math.sqrt(_positive_radicand(2.0 * n * t * one + 1.0, t)))
     f1 = _umbilic_inner_flow_rows(d, X, [_s_alpha(n, one, t) for t in ts])
-    return _per_time(scale) * (f1 - pl.eta) + pl.eta
+    f1 -= pl.eta
+    f1 *= _per_time(scale)
+    f1 += pl.eta
+    return f1
 
 
 def _product_rows(d: FullProduct, X: np.ndarray, lorentz_ts: list[float], end: bool = False) -> np.ndarray:
@@ -364,14 +370,14 @@ def _hyperbolic_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) 
     Entry (j, k) has the bits of the flow of row k alone at ts[j] alone:
     each level computes its time scalars with ``math``, time by time in the
     order of one time's recursion, splits and embeds its rows once, and
-    scales them for all times at once.  A stationary descriptor (totally
-    geodesic, or n = 0: the predicate the limits use) keeps its rows at
-    every time, exactly; its gauge composition would round the factor
-    1 + expm1(2nt) to 0 a few time units back.  With ``end`` it is the
-    continuous extension to t = T: every level takes its window's exact
-    times, T'' for the ambient gauge of a product and T' for the inner
-    flow, instead of their images of t, and radicands that vanish there are
-    taken as zero.
+    scales them for all times at once, in place on the new array they are
+    built in.  A stationary descriptor (totally geodesic, or n = 0: the
+    predicate the limits use) keeps its rows at every time, exactly; its
+    gauge composition would round the factor 1 + expm1(2nt) to 0 a few
+    time units back.  With ``end`` it is the continuous extension to t = T:
+    every level takes its window's exact times, T'' for the ambient gauge
+    of a product and T' for the inner flow, instead of their images of t,
+    and radicands that vanish there are taken as zero.
     """
     if _is_stationary(d):
         return np.broadcast_to(X, (len(ts),) + X.shape).copy()
@@ -380,7 +386,9 @@ def _hyperbolic_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) 
     if isinstance(d, FullProduct):
         # the gauge composition e^(-nt) F(x, w(t)) of the ambient H^m(-1)
         s, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
-        return _per_time(decay) * _product_rows(d, X, [window.t_dprime] * len(ts) if end else s, end)
+        rows = _product_rows(d, X, [window.t_dprime] * len(ts) if end else s, end)
+        rows *= _per_time(decay)
+        return rows
     umb, pl = d.umb, _plan(d).placement
     one = umb.one_minus_alpha2
     if end and window.t_prime is None:
@@ -391,11 +399,15 @@ def _hyperbolic_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) 
         s, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
         f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else s, end)
         drift = _per_time([math.sinh(n * t) * umb.beta for t in ts])
-        return _per_time(decay) * f1 - drift * pl.xi
+        f1 *= _per_time(decay)
+        f1 -= drift * pl.xi
+        return f1
     v = [_v_alpha(n, umb.alpha, one, t) for t in ts]
     f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else [_s_alpha_of_w(n, umb.alpha, one, t) for t in ts], end)
     shift = _per_time([vk - math.exp(-n * t) for vk, t in zip(v, ts)])
-    return _per_time(v) * f1 - shift * pl.eta
+    f1 *= _per_time(v)
+    f1 -= shift * pl.eta
+    return f1
 
 
 def _umbilic_inner_flow_rows(d: Umbilic, X: np.ndarray, ss: list[float], end: bool = False) -> np.ndarray:

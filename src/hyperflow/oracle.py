@@ -43,9 +43,11 @@ _COND_LIMIT = 1e12
 # a Gershgorin bound on the condition number this far inside _COND_LIMIT
 # certifies a Gram without its eigenvalues (``_check_gram``)
 _GERSHGORIN_LIMIT = 1e11
-# steps of the Euler walk whose stencils are differenced together; larger
-# blocks save little time and hold proportionally more flowed stencils
-_EULER_BLOCK = 64
+# bytes of flowed stencils (S K (m+1) doubles a step) that one block of the
+# Euler walk holds and differences together: 64 steps of clifford_tube_h5's
+# four 19-point stencils, about 200 of a surface's 9-point ones, and one
+# step of an n = 20 walk's 801-point stencils
+_WALK_BUDGET = 228 << 10
 
 
 @dataclass(frozen=True)
@@ -538,20 +540,27 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
 
     Each sample is stepped by x <- x + dt * H_numeric(flow surface at t_k)
     and reprojected to the hyperboloid; the return value is the largest
-    Euclidean distance to the closed-form position at t1.  Error is O(dt)
-    from the stepping plus O(h^2) from the differencing.  H_numeric at step
-    k depends on the flow surface at t0 + k dt only, not on the walked
-    points, so it is evaluated up front for a block of steps at a time: one
-    flow of every sample's stencil over the block's times (the stencil rows
-    are validated once, before the first step), then one differencing of
-    all the block's stencils, scaled by dt in one product, then the
-    sequential updates of all samples at once.
+    Euclidean distance to the closed-form position at the walk's end t0 +
+    steps dt, steps = round((t1 - t0) / dt).  Error is O(dt) from the
+    stepping plus O(h^2) from the differencing.  A walk whose t1 or end
+    reaches the collapse time is refused before its first step.
+
+    H_numeric at step k depends on the flow surface at t0 + k dt only, not
+    on the walked points, so it is evaluated up front for a block of steps
+    at a time: one flow of every sample's stencil over the block's times
+    (the stencil rows are validated once, before the first step), then one
+    differencing of all the block's stencils, scaled by dt in place, then
+    the sequential updates of all samples at once.  A block holds as many
+    steps as fit ``_WALK_BUDGET`` bytes of flowed stencils, one at least,
+    and frees them before its steps, so the walk's memory does not grow
+    with the stencil.
 
     A step is x + dt H followed by x / sqrt(sum(x * x * -sig)), with the
-    negated signature -sig formed once per walk.  Its bits are those of
-    x / sqrt(-<x, x>): the products by +-1 and the negations are exact, the
-    sum runs in the same order, and dt H of the block is the same
-    elementwise product as dt H of the step.
+    negated signature -sig formed once per walk; every step writes into the
+    walk's own buffers.  Its bits are those of x / sqrt(-<x, x>): the
+    products by +-1 and the negations are exact, the sum runs in the same
+    order, and dt H of the block is the same elementwise product as dt H of
+    the step.
     """
     if not (0.0 < dt <= 1e-4):
         raise InvalidArgumentError(f"dt must be positive and at most 1e-4, got {dt!r}")
@@ -566,25 +575,35 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
         raise InsufficientSamplesError("no chart samples given")
     n = dimensions(d).n
     samples = _rows(samples, n)
+    end = t0 + steps * dt
     window = existence_window(d)
-    if window.t_max is not None and t1 >= window.t_max:
-        raise TimeOutOfRangeError(f"t1={t1} reaches past the collapse time {window.t_max}")
+    if window.t_max is not None and max(t1, end) >= window.t_max:
+        raise TimeOutOfRangeError(
+            f"the walk to t1={t1} in steps of dt={dt} ends at t={end}, which reaches past the collapse time {window.t_max}"
+        )
     offs = _stencil_offsets(n, h)
     S, K = samples.shape[0], offs.shape[0]
     stencil_points = immerse_rows(d, _stencil_points(samples, offs))
     _validate_rows(d, stencil_points)  # once: the rows do not change from step to step
     X0 = immerse_rows(d, samples)
     _validate_rows(d, X0)
-    X = hyperbolic_flow_batch(d, X0, t0)
+    X = hyperbolic_flow_batch(d, X0, t0)  # a new array, walked in place
     nsig = -HYPERBOLOID.signature(X.shape[1])
-    for k0 in range(0, steps, _EULER_BLOCK):
-        ks = range(k0, min(k0 + _EULER_BLOCK, steps))
-        flowed = _hyperbolic_flow_rows(d, stencil_points, [float(t0 + k * dt) for k in ks])
-        dX = dt * _mc_from_stencil(flowed.reshape(len(ks) * S, K, -1), n, h, HYPERBOLOID).reshape(len(ks), S, -1)
+    sq, norm = np.empty_like(X), np.empty((S, 1))
+    block = max(1, _WALK_BUDGET // stencil_points.nbytes)
+    for k0 in range(0, steps, block):
+        ks = range(k0, min(k0 + block, steps))
+        flowed = _hyperbolic_flow_rows(d, stencil_points, [float(t0 + k * dt) for k in ks]).reshape(len(ks) * S, K, -1)
+        dX = _mc_from_stencil(flowed, n, h, HYPERBOLOID).reshape(len(ks), S, -1)
+        del flowed  # not kept through the next block's flow
+        dX *= dt
         for dXk in dX:
-            X = X + dXk
-            X = X / np.sqrt(np.add.reduce(X * X * nsig, axis=-1, keepdims=True))
-    targets = hyperbolic_flow_batch(d, X0, t0 + steps * dt)
+            np.add(X, dXk, out=X)
+            np.multiply(X, X, out=sq)
+            np.multiply(sq, nsig, out=sq)
+            np.add.reduce(sq, axis=-1, keepdims=True, out=norm)
+            np.divide(X, np.sqrt(norm, out=norm), out=X)
+    targets = hyperbolic_flow_batch(d, X0, end)
     return float(np.max([np.linalg.norm(x - target) for x, target in zip(X, targets)]))
 
 
@@ -611,9 +630,10 @@ def _shape_eigenvalues(imm: ImmersionEvaluator, g: np.ndarray, II: np.ndarray, Z
 _TRANSPORT_SUBSEGMENTS = 4
 _CONNECTION_DELTA = 1e-5
 # bytes of moving normal bases that one group of the transport holds
-# (``_transport_chain``); a geodesic chain of depth L has (L + 1) (L + 3)
-# frame doubles at every path point, so this bounds the isoparametric
-# check's memory on deep chains, while every catalog check is one group
+# (``_transport_chain``), and of normal candidates that one group of the
+# loop holonomy holds (``_holonomy_defect``); a geodesic chain of depth L
+# has (L + 1) (L + 3) frame doubles at every path point, so this bounds
+# both checks' memory on deep chains, while every catalog check is one group
 _FRAME_BUDGET = 1 << 19
 
 
@@ -1121,7 +1141,8 @@ def normal_holonomy_defect(imm: ImmersionEvaluator, u_start, period, steps: int 
     trivial-holonomy bundle the defect is at the differencing floor.  P does
     not depend on zeta, so the projectors at every time the scheme asks for,
     and at the partners of its central difference in time, are evaluated up
-    front in one ``at_rows`` call and all commutators are formed at once.
+    front in one ``at_rows`` call, and the commutators are formed in groups
+    of keys that fit ``_FRAME_BUDGET`` (``_holonomy_defect``).
     Column i of a projector is the image of the axis e_i, the i-th row of
     ``_normal_candidates``.  The first time is 0, so the first projector's
     candidates also give the start frame (``_normal_frames``).  Whether the
@@ -1145,19 +1166,34 @@ def _period_closes(imm: ImmersionEvaluator, u0: np.ndarray, per: np.ndarray) -> 
 
 
 def _holonomy_defect(imm: ImmersionEvaluator, u0: np.ndarray, per: np.ndarray, steps: int = 256, h: float = 1e-3) -> float:
-    """``normal_holonomy_defect`` of a period already known to close: the loop's one ``at_rows`` call."""
+    """``normal_holonomy_defect`` of a period already known to close: the loop's one ``at_rows`` call.
+
+    The projectors and their commutators are formed group by group of RK4
+    keys, whose normal candidates (three dim x dim matrices a key) fit
+    ``_FRAME_BUDGET`` bytes, one key at least; only the commutators are
+    kept, so the loop's memory scales with one group and the commutators,
+    not with every candidate of the loop.  Each candidate and commutator is
+    computed matrix by matrix, so the grouping changes no bit.
+    """
     delta = 1e-4
     dt = 1.0 / steps
     keys = _rk4_times(0.0, dt, steps)
     ts = np.array([s for t in keys for s in (t, t + delta, t - delta)])
-    W = _normal_candidates(imm, *_first_derivative_rows(imm, u0 + ts[:, None] * per, h))
-    proj = W.transpose(0, 2, 1)
-    Pt = proj[0::3]
-    dP = (proj[1::3] - proj[2::3]) / (2.0 * delta)
-    C = dict(zip(keys, dP @ Pt - Pt @ dP))
-
-    start = _normal_frames(imm, W[:1], np.zeros(1, dtype=int))[0].T
-    return float(np.max(np.abs(_rk4(C, start, 0.0, dt, steps) - start)))
+    center, first = _first_derivative_rows(imm, u0 + ts[:, None] * per, h)
+    dim = center.shape[-1]
+    per_group = max(1, _FRAME_BUDGET // (8 * 3 * dim * dim))
+    C = np.empty((len(keys), dim, dim))
+    for g0 in range(0, len(keys), per_group):
+        g1 = min(g0 + per_group, len(keys))
+        W = _normal_candidates(imm, center[3 * g0 : 3 * g1], first[3 * g0 : 3 * g1])
+        if g0 == 0:
+            W0 = W[:1].copy()  # the start frame's, formed after every group so a candidate's refusal comes first
+        proj = W.transpose(0, 2, 1)
+        Pt = proj[0::3]
+        dP = (proj[1::3] - proj[2::3]) / (2.0 * delta)
+        C[g0:g1] = dP @ Pt - Pt @ dP
+    start = _normal_frames(imm, W0, np.zeros(1, dtype=int))[0].T
+    return float(np.max(np.abs(_rk4(dict(zip(keys, C)), start, 0.0, dt, steps) - start)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -643,6 +644,33 @@ class TestFlatNormalBundle:
         monkeypatch.setattr(oracle, "_period_closes", lambda imm, u0, per: False)
         monkeypatch.setattr(oracle, "_holonomy_defect", lambda *args, **kwargs: pytest.fail("the loop ran"))
         assert verify_flat_normal_bundle(d, bwd) == 0.0
+
+    @staticmethod
+    def _traced_peak(d, bwd):
+        verify_flat_normal_bundle(d, bwd)  # the caches of the descriptor and the stencils
+        tracemalloc.start()
+        try:
+            verify_flat_normal_bundle(d, bwd)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_holonomy_memory_scales_with_one_group(self, monkeypatch):
+        # the loop's candidates are formed in groups of RK4 keys within
+        # _FRAME_BUDGET and only the commutators kept: 5.5 MB on numpy 2.4
+        # at depth 24 (26 coordinates, 513 keys), against 16.7 MB when the
+        # candidates of the whole loop are held at once
+        d = geodesic_chain(24)
+        bwd = backward_limit(d, chart_samples(d, 3, 7))
+        groups, candidates = [], oracle._normal_candidates
+        monkeypatch.setattr(oracle, "_normal_candidates", lambda *a: groups.append(candidates(*a)) or groups[-1])
+        assert verify_flat_normal_bundle(d, bwd) == 0.0
+        assert len(groups) > 1 and max(W.nbytes for W in groups) <= oracle._FRAME_BUDGET
+        monkeypatch.setattr(oracle, "_normal_candidates", candidates)
+        peak = self._traced_peak(d, bwd)
+        assert peak <= 7e6
+        monkeypatch.setattr(oracle, "_FRAME_BUDGET", 1 << 40)
+        assert peak <= 0.5 * self._traced_peak(d, bwd)
 
     def test_codimension_one_is_trivially_flat(self):
         d = CATALOG["tube_h3"]

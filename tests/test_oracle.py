@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import hyperflow
 from hyperflow import limits, oracle
 from hyperflow.catalog import CATALOG
-from hyperflow.descriptors import dimensions, immerse
+from hyperflow.descriptors import FullProduct, ProductOfSpheres, dimensions, immerse
 from hyperflow.errors import (
     ChartDegenerateError,
     InsufficientSamplesError,
@@ -228,6 +228,10 @@ _GRAMS = {
 }
 
 
+# diagonally dominant, so Gershgorin's discs certify it
+_DOMINANT = np.array([[2.0, 0.5], [0.5, 1.0]])
+
+
 def _cond_refuses(G: np.ndarray) -> bool:
     """The Gram check as a 2-norm condition number computed from an SVD."""
     return not np.isfinite(G).all() or bool(np.any(np.linalg.cond(G) > oracle._COND_LIMIT))
@@ -257,6 +261,39 @@ class TestGramCheck:
         with pytest.raises(ChartDegenerateError, match="refused"):
             oracle._check_gram(np.stack(good[:2] + [_GRAMS[bad]] + good[2:]), "refused")
 
+    @pytest.mark.parametrize(
+        "stack, decided",
+        [
+            # the discs certify the two cheap Grams and leave cond_1e11
+            # (accepted) or cond_1e13 (refused) to eigvalsh
+            ([np.eye(2), "cond_1e11", _DOMINANT], 1),
+            ([np.eye(2), "cond_1e13", _DOMINANT], 1),
+            (["cond_1e13", "cond_1e11", np.eye(2)], 2),
+            # each Gram is bounded on its own: 1e-6 I and 1e6 I are both
+            # certified, though the stack spans 1e12
+            ([1e-6 * np.eye(2), 1e6 * np.eye(2), _DOMINANT], 0),
+            # a row sum that overflows leaves its Gram to eigvalsh
+            ([np.eye(2), np.full((2, 2), 1e308)], 1),
+            (["nan", np.eye(2)], 0),
+            ([np.eye(2), "inf"], 0),
+        ],
+    )
+    def test_mixed_stack_keeps_every_decision(self, stack, decided, monkeypatch):
+        G = np.stack([_GRAMS[g] if isinstance(g, str) else g for g in stack])
+        seen, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: seen.append(len(A)) or eigvalsh(A))
+        if _cond_refuses(G):
+            with pytest.raises(ChartDegenerateError, match="refused"):
+                oracle._check_gram(G, "refused")
+        else:
+            oracle._check_gram(G, "refused")
+        assert sum(seen) == decided  # only the Grams that no disc bound certifies
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (0, 3, 3)])
+    def test_empty_stack_is_accepted(self, shape, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: pytest.fail("eigvalsh ran"))
+        assert oracle._check_gram(np.empty(shape), "refused") is None
+
     def test_signature_is_cached_and_read_only(self):
         sig = oracle.HYPERBOLOID.signature(4)
         assert sig is oracle.LORENTZIAN.signature(4)
@@ -282,6 +319,36 @@ class TestEvolveAndCompare:
         # the benchmark's Euler walks, to the last bit
         d = CATALOG[name]
         assert oracle.evolve_and_compare(d, chart_samples(d, 2, seed)[:4], 0.0, 0.02, 1e-5) == expected
+
+    def test_one_step_blocks_keep_the_bits(self, monkeypatch):
+        d = CATALOG["tube_h3"]
+        monkeypatch.setattr(oracle, "_WALK_BUDGET", 1)
+        # the value was recorded with 64-step blocks
+        assert oracle.evolve_and_compare(d, chart_samples(d, 2, 7)[:4], 0.0, 2e-3, 1e-5) == 2.805333148260972e-08
+
+    def test_block_memory_is_bounded(self):
+        # n = 20, 801-point stencils: with 64-step blocks this walk peaked at
+        # 72.8 MB traced, and the budget walks it one step a block (3.6 MB
+        # on numpy 2.4); the value was recorded with 64-step blocks
+        d = FullProduct(1, 20.0, ProductOfSpheres(((19, 19.0),)))
+        us = chart_samples(d, 2, 7)[:4]
+        assert oracle.evolve_and_compare(d, us, 0.0, 64e-5, 1e-5) == 4.5696056226862545e-07
+        tracemalloc.start()
+        try:
+            oracle.evolve_and_compare(d, us, 0.0, 64e-5, 1e-5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_rounded_end_past_the_collapse_refused(self, monkeypatch):
+        # t1 lies before T, but 2747 steps of 1e-4 end at 0.2747, past it:
+        # refused before any flow, naming t1, dt and the end
+        d = CATALOG["tube_h3"]
+        T = existence_window(d).t_max
+        monkeypatch.setattr(oracle, "_hyperbolic_flow_rows", lambda *a, **k: pytest.fail("the walk started"))
+        with pytest.raises(TimeOutOfRangeError, match=r"t1=0\.27465207\d* in steps of dt=0\.0001 ends at t=0\.2747,"):
+            oracle.evolve_and_compare(d, chart_samples(d, 2, 5)[:2], 0.0, T - 1e-6, 1e-4)
 
     def test_nan_distance_is_not_lost(self, monkeypatch):
         # a nan target at t1 for one sample must give nan, not the other samples' distance
@@ -1095,13 +1162,23 @@ class TestBatchedOracle:
         walked = oracle.evolve_and_compare(d, us, 0.0, 1.5e-3, 1e-5)
         assert abs(walked - _euler_reference(d, us, 0.0, 1.5e-3, 1e-5)) < 1e-12
 
-    def test_euler_walk_flows_each_block_once(self, monkeypatch):
-        d = CATALOG["tube_h3"]
-        blocks = []
+    @pytest.mark.parametrize(
+        "name, samples, t1, blocks",
+        [
+            # a block holds the steps whose S K (m+1) doubles of stencils fit
+            # _WALK_BUDGET: 864 bytes a step, so 270 steps, and 150 are walked
+            ("tube_h3", 3, 1.5e-3, [150]),
+            ("tube_h3", 4, 0.02, [202] * 9 + [182]),  # 1152 bytes a step
+            ("clifford_tube_h5", 4, 0.02, [64] * 31 + [16]),  # 3648 bytes a step
+        ],
+    )
+    def test_euler_walk_flows_each_block_once(self, name, samples, t1, blocks, monkeypatch):
+        d = CATALOG[name]
+        seen = []
         real = oracle._hyperbolic_flow_rows
-        monkeypatch.setattr(oracle, "_hyperbolic_flow_rows", lambda d, X, ts, **k: blocks.append(len(ts)) or real(d, X, ts, **k))
-        oracle.evolve_and_compare(d, chart_samples(d, 2, 11)[:3], 0.0, 1.5e-3, 1e-5)
-        assert blocks == [64, 64, 22]
+        monkeypatch.setattr(oracle, "_hyperbolic_flow_rows", lambda d, X, ts, **k: seen.append(len(ts)) or real(d, X, ts, **k))
+        oracle.evolve_and_compare(d, chart_samples(d, 2, 11)[:samples], 0.0, t1, 1e-5)
+        assert seen == blocks
 
     @pytest.mark.parametrize(
         "imm, U",
@@ -1135,6 +1212,11 @@ class TestBatchedOracle:
         monkeypatch.setattr(oracle.ImmersionEvaluator, "__call__", lambda imm, u: points.append(1) or point(imm, u))
         assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619538662278823
         assert len(calls) == 2 and calls[0] == 2 and len(points) == sum(calls)
+
+    def test_holonomy_groups_keep_the_bits(self, monkeypatch):
+        # one RK4 key a group: every candidate and commutator keeps its bits
+        monkeypatch.setattr(oracle, "_FRAME_BUDGET", 1)
+        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619538662278823
 
     def test_torus_knot_has_holonomy(self):
         assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) > 1e-2
