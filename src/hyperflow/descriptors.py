@@ -926,16 +926,23 @@ def _umbilic_placement(umb: UmbilicData):
     x0 = -xi / (2.0 * a) - (a / (2.0 * xi[-1] ** 2)) * nu
     zeta = xi / a + x0
     # x0 grows like a, so for a large a the pair's <w, w> (-1 and +1 exactly)
-    # rounds to 0 or overflows, and the complement cannot divide by it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # can round to 0 or overflow, and its products round like a^2: the
+    # columns then leave the complement of span{xi, nu} = span{x0, zeta},
+    # and the chart its level, long before that
+    with np.errstate(all="ignore"):
         norms = [minkowski_inner(w, w) for w in (x0, zeta)]
-    if not all(0.0 < abs(q) < math.inf for q in norms):
+        off = math.inf
+        if all(0.0 < abs(q) < math.inf for q in norms):
+            W = np.column_stack(_complement_basis([x0, zeta]))
+            G = _signed_transpose(W, False)
+            # <w, xi> and <w, nu> for every column w, on the scale of xi and nu
+            off = float(np.max(np.abs(G @ np.column_stack([xi, nu])))) / abs(xi[-1])
+    if not off <= _POINT_TOL:
         raise InvalidArgumentError(
             f"umbilic.a = {a!r} is too large for a euclidean level: the horospherical chart's "
-            f"span vectors have <w,w> = {norms[0]!r}, {norms[1]!r} (exactly -1 and +1)"
+            f"span vectors have <w,w> = {norms[0]!r}, {norms[1]!r} (exactly -1 and +1), and its "
+            f"columns leave the complement of xi and nu by {off:.3e}"
         )
-    W = np.column_stack(_complement_basis([x0, zeta]))
-    G = _signed_transpose(W, False)
     return _HorosphericalPlacement(x0, W, xi, a, G, _row_gather(W), _row_gather(G))
 
 
@@ -1014,6 +1021,45 @@ def _columns_across(d: Umbilic, C: np.ndarray) -> np.ndarray:
     return _umbilic_columns(d, C) if run is None else _gather_rows(run.J_rows, C)
 
 
+def _quadric_rows(d, X) -> np.ndarray:
+    """X as float rows, refused unless every row is a finite point of the upper sheet of <x,x> = -r.
+
+    The one quadric membership predicate of the rows: |<x,x> + r| at most
+    max(1e-8 max(1, r), 1e-12 |x|^2), the second term being the rounding
+    scale of the signature form at x.
+    """
+    Xv = np.atleast_2d(np.asarray(X, dtype=float))
+    m = dimensions(d).m
+    if Xv.ndim != 2 or Xv.shape[1] != m + 1:
+        raise InvalidArgumentError(f"expected rows of length {m + 1}, got shape {Xv.shape}")
+    r_top = _ambient_r(d)
+    # rows too large to square give nan here, and nan fails the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.sum(Xv[:, :-1] ** 2, axis=1) - Xv[:, -1] ** 2
+        tol = np.maximum(1e-8 * max(1.0, r_top), 1e-12 * np.sum(Xv * Xv, axis=1))
+        on = (np.abs(q + r_top) <= tol) & (Xv[:, -1] > 0)
+    if not (on.all() and np.isfinite(Xv).all()):
+        raise InvalidArgumentError("rows are not on the ambient hyperboloid")
+    return Xv
+
+
+def _validate_rows(d, X) -> np.ndarray:
+    """Every membership check of a point of d, on a whole batch; returns the rows of ``_quadric_rows``.
+
+    Rows off the ambient quadric (``_quadric_rows``), on the lower sheet or
+    not finite raise InvalidArgumentError.  Rows off any level of d, at any
+    depth of the recursion, raise DomainError: a product block, an umbilic
+    hypersurface, an umbilic leaf, or the point of an n = 0 descriptor (the
+    walk of ``_validate_levels``, which ``mean_curvature`` runs too).  The
+    chart (``immerse_rows``) returns only rows that pass it, and the
+    one-point flows check their point with it; the batch flows check only
+    the quadric.
+    """
+    Xv = _quadric_rows(d, X)
+    _validate_levels(d, Xv)
+    return Xv
+
+
 def _validate_levels(d, X: np.ndarray) -> None:
     """Membership of every row of X in the submanifold of d: the one membership walk.
 
@@ -1055,6 +1101,10 @@ def immerse_rows(d, U) -> np.ndarray:
     """The canonical chart at every row of a (K, n) array: (K, m+1) points.
 
     Row k has the same bits as ``immerse(d, U[k])``, whatever the batch.
+    The rows pass every membership check of ``_validate_rows`` before they
+    are returned, so no caller flows or differences a row off a level of d:
+    a row off the ambient hyperboloid raises InvalidArgumentError, one off
+    a level DomainError.
     """
     Uv = np.asarray(U, dtype=float)
     n = dimensions(d).n
@@ -1064,7 +1114,7 @@ def immerse_rows(d, U) -> np.ndarray:
         raise InvalidArgumentError(f"chart needs {n} parameters, got {Uv.shape[1]}")
     if not np.isfinite(Uv).all():
         raise InvalidArgumentError("chart parameters must be finite")
-    return _immerse(d, Uv)
+    return _validate_rows(d, _immerse(d, Uv))
 
 
 def _immerse(d, U: np.ndarray) -> np.ndarray:

@@ -33,7 +33,12 @@ evaluation path, a recursion over rows of points and a list of times
 each level, or run of geodesic levels, computes its time scalars with
 ``math`` and splits and embeds its rows once for all times.  An entry (t, row) has the same bits as that row
 alone at that time alone; the batch flows are calls with one time and the
-one-point entry points validated batches of one.  The public flows refuse
+one-point entry points validated batches of one.  This module holds no
+membership code: the public flows check the rows their callers pass in
+with the predicates of ``descriptors`` (``_validate_rows`` for one point,
+the ambient quadric for a batch), and the chart ``immerse_rows`` returns
+only rows that passed every membership check, so the row cores take chart
+rows as they come.  The public flows refuse
 t >= T; the endpoint mode of ``_hyperbolic_flow_rows`` evaluates the
 continuous extension at t = T, which is the forward focal limit, and that of
 ``_lorentz_flow_rows`` the extension of geodesic (alpha = 0) levels to the
@@ -63,16 +68,16 @@ from .descriptors import (
     ProductOfSpheres,
     SphereLeafFlow,
     Umbilic,
-    _ambient_r,
     _below,
     _columns_across,
     _embed_across,
     _is_stationary,
     _leaf_column_scales,
     _plan,
+    _quadric_rows,
     _sphere_leaf_flow,
     _split_across,
-    _validate_levels,
+    _validate_rows,
     dimensions,
     existence_window,
 )
@@ -156,43 +161,7 @@ def sphere_leaf_flow(leaf: ProductOfSpheres, y, s: float, radius2: float | None 
 
 
 # ---------------------------------------------------------------------------
-# membership checks
-
-
-def _quadric_rows(d, X) -> np.ndarray:
-    """X as float rows, refused unless every row is a finite point of the upper sheet of <x,x> = -r.
-
-    The one quadric membership predicate of the flows: |<x,x> + r| at most
-    max(1e-8 max(1, r), 1e-12 |x|^2), the second term being the rounding
-    scale of the signature form at x.
-    """
-    Xv = np.atleast_2d(np.asarray(X, dtype=float))
-    m = dimensions(d).m
-    if Xv.ndim != 2 or Xv.shape[1] != m + 1:
-        raise InvalidArgumentError(f"expected rows of length {m + 1}, got shape {Xv.shape}")
-    r_top = _ambient_r(d)
-    # rows too large to square give nan here, and nan fails the test
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = np.sum(Xv[:, :-1] ** 2, axis=1) - Xv[:, -1] ** 2
-        tol = np.maximum(1e-8 * max(1.0, r_top), 1e-12 * np.sum(Xv * Xv, axis=1))
-        on = (np.abs(q + r_top) <= tol) & (Xv[:, -1] > 0)
-    if not (on.all() and np.isfinite(Xv).all()):
-        raise InvalidArgumentError("flow input rows are not on the ambient hyperboloid")
-    return Xv
-
-
-def _validate_rows(d, X: np.ndarray) -> None:
-    """Every membership check of the one-point flows, on a whole batch.
-
-    Rows off the ambient quadric (``_quadric_rows``), on the lower sheet or
-    not finite raise InvalidArgumentError.  Rows off any level of d, at any
-    depth of the recursion, raise DomainError: a product block, an umbilic
-    hypersurface, an umbilic leaf, or the point of an n = 0 descriptor (the
-    walk of ``descriptors._validate_levels``, which ``mean_curvature`` runs
-    too).  The batch flows check only the quadric, so callers that flow
-    unvalidated rows call this once per batch.
-    """
-    _validate_levels(d, _quadric_rows(d, X))
+# flow times
 
 
 def _finite_time(t) -> float:
@@ -355,9 +324,10 @@ def hyperbolic_flow(d, x, t: float) -> np.ndarray:
 def hyperbolic_flow_batch(d, X, t: float) -> np.ndarray:
     """Hyperbolic flow of many points at once; rows of X are worked in bulk.
 
-    Rows must already lie on the immersed submanifold: only the ambient
-    quadric is checked here.  ``_validate_rows`` makes the other membership
-    checks of ``hyperbolic_flow`` on a whole batch.  Non-finite times raise
+    Rows must already lie on the immersed submanifold, as the rows of
+    ``immerse_rows`` do: only the ambient quadric is checked here.
+    ``descriptors._validate_rows`` makes the other membership checks of
+    ``hyperbolic_flow`` on a whole batch.  Non-finite times raise
     InvalidArgumentError.  One time of ``_hyperbolic_flow_rows``.
     """
     ts = _hyperbolic_times(d, [t])

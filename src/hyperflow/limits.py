@@ -35,7 +35,7 @@ import numpy as np
 
 from .descriptors import Umbilic, _is_stationary, chart_box, dimensions, immerse_rows
 from .errors import InvalidArgumentError, StationaryNoLimitError
-from .flow import _hyperbolic_flow_rows, _lorentz_flow_rows, _validate_rows, existence_window
+from .flow import _hyperbolic_flow_rows, _lorentz_flow_rows, existence_window
 from . import oracle
 
 FORWARD_STATIONARY = "stationary"
@@ -105,23 +105,18 @@ def evaluate_limits(d, chart_samples: Sequence[np.ndarray]) -> LimitReport:
 def _forward_rows(d) -> Callable[[np.ndarray], np.ndarray]:
     """The forward limit on rows: (K, n) chart points to (K, m+1) rows, in one row evaluation.
 
-    A focal flow's limit is its continuous extension to T: the rows are
-    immersed and validated once and flowed by ``_hyperbolic_flow_rows`` in
-    its endpoint mode.  An eternal flow's is the asymptotic endpoint of
-    ``_lorentz_flow_rows`` at s = +infinity, the leading coefficient of each
-    row: on H^m(-1) when it is timelike, null when the limit is an ideal
-    point.  Row k has the same bits as the chart at ``U[k]`` alone.
+    A focal flow's limit is its continuous extension to T: the chart rows
+    are flowed by ``_hyperbolic_flow_rows`` in its endpoint mode.  An eternal
+    flow's is the asymptotic endpoint of ``_lorentz_flow_rows`` at
+    s = +infinity, the leading coefficient of each row: on H^m(-1) when it
+    is timelike, null when the limit is an ideal point.  Either way the
+    rows come from ``immerse_rows``, which refuses a row off a level of d.
+    Row k has the same bits as the chart at ``U[k]`` alone.
     """
     T = existence_window(d).t_max
     if T is None:
         return lambda U: _lorentz_flow_rows(d, immerse_rows(d, U), [math.inf], end=True)[0]
-
-    def focal(U: np.ndarray) -> np.ndarray:
-        X = immerse_rows(d, U)
-        _validate_rows(d, X)
-        return _hyperbolic_flow_rows(d, X, [T], end=True)[0]
-
-    return focal
+    return lambda U: _hyperbolic_flow_rows(d, immerse_rows(d, U), [T], end=True)[0]
 
 
 def forward_limit(d, chart_samples: Sequence[np.ndarray]) -> ForwardLimit:
@@ -161,8 +156,9 @@ def backward_chart_rows(d) -> Callable[[np.ndarray], np.ndarray]:
 
     The ball image F[:-1] / F[-1] of the Lorentzian flow at its light-cone
     time s* = -1/(2n), where <F, F> = 0 by the norm law; the hyperbolic
-    time t -> -infinity is s* in the Lorentzian gauge.  Row k has the same
-    bits as the chart at ``U[k]`` alone, whatever the batch.
+    time t -> -infinity is s* in the Lorentzian gauge.  The flowed rows
+    are those of ``immerse_rows``, which refuses a row off a level of d.
+    Row k has the same bits as the chart at ``U[k]`` alone, whatever the batch.
     """
     if _is_stationary(d):
         raise StationaryNoLimitError("totally geodesic flows do not move")

@@ -34,9 +34,7 @@ from .flow import (
     _hyperbolic_times,
     _lorentz_flow_rows,
     _lorentz_times,
-    _validate_rows,
     existence_window,
-    hyperbolic_flow_batch,
 )
 
 _COND_LIMIT = 1e12
@@ -417,21 +415,16 @@ def _finite_flow(flow_rows, d, X: np.ndarray, ts: list[float]) -> np.ndarray:
 def descriptor_immersion(d, t: float | None = None, gauge: str = "hyperbolic") -> ImmersionEvaluator:
     """Chart evaluator of a descriptor, optionally pushed by one of its flows.
 
-    The evaluator maps rows of chart points: ``immerse_rows`` and, at a
-    time, ``_validate_rows`` followed by the gauge's flow at that time
+    The evaluator maps rows of chart points: ``immerse_rows``, which refuses
+    a row off a level of d, and at a time the gauge's flow at that time
     (``_flow_times``); one chart point is a batch of one.  Either way it
     receives chart points and returns points only.
     """
-    if t is None:
-        ambient = HYPERBOLOID
-        rows = lambda U: immerse_rows(d, U)
-    else:
-        *_, ambient = _gauge_flow(gauge)
+    ambient = HYPERBOLOID if t is None else _gauge_flow(gauge)[2]
 
-        def rows(U: np.ndarray) -> np.ndarray:
-            X = immerse_rows(d, U)
-            _validate_rows(d, X)
-            return _flow_times(gauge, d, X, [t])[0]
+    def rows(U: np.ndarray) -> np.ndarray:
+        X = immerse_rows(d, U)
+        return X if t is None else _flow_times(gauge, d, X, [t])[0]
 
     return ImmersionEvaluator(dimensions(d).n, ambient, lambda u: rows(u.reshape(1, -1))[0], rows)
 
@@ -479,7 +472,6 @@ def pde_residual_grid(
     steps, stencils = _mc_stencil_points(U, h, richardson)
     S = U.shape[0]
     X = immerse_rows(d, np.concatenate([U, stencils]))
-    _validate_rows(d, X)
     if not ts:
         return np.empty((S, 0))
 
@@ -583,11 +575,9 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
         )
     offs = _stencil_offsets(n, h)
     S, K = samples.shape[0], offs.shape[0]
-    stencil_points = immerse_rows(d, _stencil_points(samples, offs))
-    _validate_rows(d, stencil_points)  # once: the rows do not change from step to step
-    X0 = immerse_rows(d, samples)
-    _validate_rows(d, X0)
-    X = hyperbolic_flow_batch(d, X0, t0)  # a new array, walked in place
+    stencil_points = immerse_rows(d, _stencil_points(samples, offs))  # once: the rows do not change from step to step
+    # the walk's start and its closed-form targets at the end, one flow; X is walked in place
+    X, targets = _hyperbolic_flow_rows(d, immerse_rows(d, samples), [float(t0), end])
     nsig = -HYPERBOLOID.signature(X.shape[1])
     sq, norm = np.empty_like(X), np.empty((S, 1))
     block = max(1, _WALK_BUDGET // stencil_points.nbytes)
@@ -603,7 +593,6 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
             np.multiply(sq, nsig, out=sq)
             np.add.reduce(sq, axis=-1, keepdims=True, out=norm)
             np.divide(X, np.sqrt(norm, out=norm), out=X)
-    targets = hyperbolic_flow_batch(d, X0, end)
     return float(np.max([np.linalg.norm(x - target) for x, target in zip(X, targets)]))
 
 
@@ -827,11 +816,7 @@ def isoparametric_residuals(
         return np.zeros(len(ts))
     chart = descriptor_immersion(d)
 
-    def flowed(U: np.ndarray) -> np.ndarray:
-        X = chart.at_rows(U)
-        _validate_rows(d, X)
-        return _flow_times("hyperbolic", d, X, ts)
-
+    flowed = lambda U: _flow_times("hyperbolic", d, chart.at_rows(U), ts)
     return _isoparametric_spreads(chart, flowed, k, chart_samples, transport_steps, h)
 
 

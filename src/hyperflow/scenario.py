@@ -56,7 +56,6 @@ from .flow import (
     _lorentz_times,
     _lorentz_to_hyperbolic_scalars,
     _per_time,
-    _validate_rows,
     existence_window,
     hyperbolic_flow_batch,
 )
@@ -325,7 +324,6 @@ def run_invariant_battery(
     rng = np.random.default_rng(sampling.seed)
     us = chart_samples(d, sampling.per_dim, sampling.seed)
     X = immerse_rows(d, np.array(us))
-    _validate_rows(d, X)
     report = InvariantReport()
     scale = tolerance_scale
 
@@ -567,9 +565,7 @@ def run_scenario(source: str | Path, out_dir: str | Path, seed: int | None = Non
     if "trajectory" in scn.outputs or "ball" in scn.outputs:
         from . import csvrows  # imported by the first write: verify and limits format no CSV
 
-        X0 = immerse_rows(d, np.array(us))
-        _validate_rows(d, X0)
-        flowed = _flow_samples(d, X0, times)
+        flowed = _flow_samples(d, immerse_rows(d, np.array(us)), times)
         labels = csvrows.row_labels(times, len(us))
         if "ball" in scn.outputs:
             ball = ball_projection_rows(frame, _ambient_r(d), flowed.reshape(-1, dims.m + 1)).reshape(*flowed.shape[:2], dims.m)

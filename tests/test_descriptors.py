@@ -742,17 +742,31 @@ class TestRowGather:
 
 
 class TestLargeHorosphericalLevel:
-    @pytest.mark.parametrize("a", [9e7, 1e8, 1e9, 1e154, 1e200])
+    @pytest.mark.parametrize("a", [7e5, 2e6, 5e6, 1e7, 5e7, 9e7, 1e8, 1e9, 1e154, 1e200])
     def test_refused_naming_umbilic_a(self, a):
-        # the horospherical chart's span vectors have <w,w> = -1 and +1; past
-        # about 8e7 one of them rounds to 0 (or overflows) and the level is refused
+        # the horospherical chart's span vectors have <w,w> = -1 and +1 and
+        # grow like a, so the products that project them out round like a^2:
+        # from about 7e5 on they can tilt the chart's columns off the
+        # complement of xi and nu, and past about 8e7 one of the norms rounds
+        # to 0 (or overflows); either way the level is refused
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidArgumentError, match=r"umbilic\.a = .* too large for a euclidean level"):
                 Umbilic(derive_umbilic((1.0, 0.0, -1.0), a), EuclideanIso(1))
 
-    @pytest.mark.parametrize("a", [3e7, 5e7])
+    @pytest.mark.parametrize("a", [1e4, 1e6, 3e7])
     def test_still_builds_below_the_bound(self, a):
+        # these a round the projections to columns exactly on the complement, so the chart is on its level
         d = Umbilic(derive_umbilic((1.0, 0.0, -1.0), a), EuclideanIso(1))
         assert dimensions(d) == (1, 2, 1)
+        X = immerse_rows(d, np.array([[0.3], [-1.1]]))
+        assert np.abs(X[:, 0] + X[:, 2] - a).max() <= 4.0 * np.finfo(float).eps * a  # <x, xi> = x_0 + x_2
+
+    @pytest.mark.parametrize("a", [1e3, 1e4])
+    def test_tilted_level_is_refused_where_its_chart_leaves_the_level(self, a):
+        # with xi off the axes the columns leave the complement by about a^2
+        # eps: 5e-6 at a = 1e3, where the chart was 1e-6 off its level
+        with pytest.raises(InvalidArgumentError, match=r"umbilic\.a = .* too large for a euclidean level"):
+            Umbilic(derive_umbilic((0.6, 0.8, -1.0), a), EuclideanIso(1))
+        assert dimensions(Umbilic(derive_umbilic((0.6, 0.8, -1.0), 100.0), EuclideanIso(1))) == (1, 2, 1)
 

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hyperflow import cli, limits, oracle
+from hyperflow import cli, descriptors, limits, oracle
 from hyperflow.ball import ball_projection
 from hyperflow.catalog import CATALOG
 from hyperflow.descriptors import (
@@ -28,7 +28,7 @@ from hyperflow.descriptors import (
     immerse,
     immerse_rows,
 )
-from hyperflow.errors import StationaryNoLimitError, TimeOutOfRangeError
+from hyperflow.errors import DomainError, StationaryNoLimitError, TimeOutOfRangeError
 from hyperflow.flow import (
     _lorentz_flow_rows,
     _umbilic_inner_flow_rows,
@@ -359,7 +359,7 @@ class TestEternalForwardLimit:
     @pytest.mark.parametrize("name", sorted({**BIT_CASES, **ETERNAL_CASES}))
     def test_classification_agrees_and_evaluates_no_chart_point(self, name, monkeypatch):
         d = {**BIT_CASES, **ETERNAL_CASES}[name]
-        for fn in ("immerse_rows", "_lorentz_flow_rows", "_hyperbolic_flow_rows", "_validate_rows"):
+        for fn in ("immerse_rows", "_lorentz_flow_rows", "_hyperbolic_flow_rows"):
             monkeypatch.setattr(limits, fn, lambda *args, **kwargs: pytest.fail("classify_limits evaluated a chart point"))
         rep = classify_limits(d)
         monkeypatch.undo()
@@ -390,6 +390,51 @@ class TestEternalForwardLimit:
         X = immerse_rows(d, np.array(chart_samples(d, 3, 7)))
         with pytest.raises(TimeOutOfRangeError, match="not eternal"):
             _lorentz_flow_rows(d, X, [math.inf], end=True)
+
+
+def _boosted_once(embed, phi: float = 1e-3):
+    """``_embed_across`` whose first call, the chart's, is followed by a boost in the plane of the first and last coordinates.
+
+    The boost keeps rows on H^m(-1) to rounding and moves them off every
+    umbilic level of the catalog, which fix x_(m+1), x_1 or x_1 + x_(m+1);
+    the later calls, the membership walk's round trips, are left as they are.
+    """
+    c, s = math.cosh(phi), math.sinh(phi)
+    calls = []
+
+    def moved(d, Z):
+        X = embed(d, Z)
+        if not calls:
+            X = X.copy()
+            X[..., 0], X[..., -1] = c * X[..., 0] + s * X[..., -1], s * X[..., 0] + c * X[..., -1]
+        calls.append(d)
+        return X
+
+    return moved
+
+
+class TestChartRowsAreChecked:
+    # one catalog entry of each umbilic kind: hyperbolic, spherical,
+    # euclidean, and a run of geodesic levels over a spherical one
+    @pytest.mark.parametrize("name", ["equidistant_h2", "circle_h2", "horocycle_h2", "circle_in_h4_nested"])
+    def test_every_chart_path_refuses_rows_off_a_level(self, name, monkeypatch):
+        # the eternal forward limit, the backward chart and the unflowed
+        # oracle evaluator flow or difference chart rows without a check of
+        # their own: the chart refuses the rows before any of them sees one
+        d = CATALOG[name]
+        U = np.array(chart_samples(d, 3, 7))
+        embed = descriptors._embed_across
+        paths = {
+            "immerse_rows": lambda: immerse_rows(d, U),
+            "backward_chart_rows": lambda: backward_chart_rows(d)(U),
+            "forward_limit": lambda: forward_limit(d, U),
+            "descriptor_immersion": lambda: oracle.descriptor_immersion(d).at_rows(U),
+        }
+        for label, path in paths.items():
+            monkeypatch.setattr(descriptors, "_embed_across", _boosted_once(embed))
+            with pytest.raises(DomainError, match="not on the umbilical hypersurface"):
+                path()
+                pytest.fail(f"{label} returned rows off a level of {name}")
 
 
 class TestBackwardLimit:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperflow
-from hyperflow import limits, oracle
+from hyperflow import descriptors, limits, oracle
 from hyperflow.catalog import CATALOG
 from hyperflow.descriptors import FullProduct, ProductOfSpheres, dimensions, immerse
 from hyperflow.errors import (
@@ -353,16 +353,17 @@ class TestEvolveAndCompare:
     def test_nan_distance_is_not_lost(self, monkeypatch):
         # a nan target at t1 for one sample must give nan, not the other samples' distance
         d = CATALOG["circle_h2"]
-        real = oracle.hyperbolic_flow_batch
+        us = chart_samples(d, 2, 5)[:3]
+        real = oracle._hyperbolic_flow_rows
 
-        def flow(d, X, t):
-            out = real(d, X, t)
-            if t > 0.0:
-                out[1] = math.nan
+        def flow(d, X, ts, **kwargs):
+            out = real(d, X, ts, **kwargs)
+            if len(X) == len(us):  # the samples' start and target, not the stencils
+                out[[j for j, t in enumerate(ts) if t > 0.0], 1] = math.nan
             return out
 
-        monkeypatch.setattr(oracle, "hyperbolic_flow_batch", flow)
-        assert math.isnan(oracle.evolve_and_compare(d, chart_samples(d, 2, 5)[:3], 0.0, 1e-3, 1e-4))
+        monkeypatch.setattr(oracle, "_hyperbolic_flow_rows", flow)
+        assert math.isnan(oracle.evolve_and_compare(d, us, 0.0, 1e-3, 1e-4))
 
     def test_circle_short_walk(self):
         d = CATALOG["circle_h2"]
@@ -1124,12 +1125,12 @@ class TestBatchedOracle:
     def test_grid_immerses_once(self, gauge, richardson, monkeypatch):
         # chart rows are immersed and validated once per grid, whatever the
         # number of times, and the flows are one call for the samples and
-        # one for the stencils
+        # one for the stencils; the chart validates its rows itself
         d = CATALOG["clifford_tube_h5"]
         calls = {"immerse_rows": 0, "_validate_rows": 0, "flow": 0}
-        for fn in ("immerse_rows", "_validate_rows"):
-            real = getattr(oracle, fn)
-            monkeypatch.setattr(oracle, fn, lambda *a, real=real, fn=fn: calls.__setitem__(fn, calls[fn] + 1) or real(*a))
+        for module, fn in ((oracle, "immerse_rows"), (descriptors, "_validate_rows")):
+            real = getattr(module, fn)
+            monkeypatch.setattr(module, fn, lambda *a, real=real, fn=fn: calls.__setitem__(fn, calls[fn] + 1) or real(*a))
         _, core, _ = oracle._gauge_flow(gauge)
         counted = lambda *a, **k: calls.__setitem__("flow", calls["flow"] + 1) or core(*a, **k)
         name = "_hyperbolic_flow_rows" if gauge == "hyperbolic" else "_lorentz_flow_rows"
@@ -1165,11 +1166,12 @@ class TestBatchedOracle:
     @pytest.mark.parametrize(
         "name, samples, t1, blocks",
         [
-            # a block holds the steps whose S K (m+1) doubles of stencils fit
+            # one flow of the samples at the walk's start and end, then a block
+            # of the steps whose S K (m+1) doubles of stencils fit
             # _WALK_BUDGET: 864 bytes a step, so 270 steps, and 150 are walked
-            ("tube_h3", 3, 1.5e-3, [150]),
-            ("tube_h3", 4, 0.02, [202] * 9 + [182]),  # 1152 bytes a step
-            ("clifford_tube_h5", 4, 0.02, [64] * 31 + [16]),  # 3648 bytes a step
+            ("tube_h3", 3, 1.5e-3, [2, 150]),
+            ("tube_h3", 4, 0.02, [2] + [202] * 9 + [182]),  # 1152 bytes a step
+            ("clifford_tube_h5", 4, 0.02, [2] + [64] * 31 + [16]),  # 3648 bytes a step
         ],
     )
     def test_euler_walk_flows_each_block_once(self, name, samples, t1, blocks, monkeypatch):

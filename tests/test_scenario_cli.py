@@ -17,7 +17,7 @@ import pytest
 
 import hyperflow
 from conftest import random_admissible_frame
-from hyperflow import cli, flow, limits, oracle, scenario
+from hyperflow import cli, descriptors, flow, limits, oracle, scenario
 from hyperflow.ball import ball_projection
 from hyperflow.catalog import CATALOG, catalog_names
 from hyperflow.descriptors import (
@@ -325,12 +325,12 @@ class TestTrajectoryWriters:
         assert sha.hexdigest() == RUN_CSV_SHA256[(name, seed)]
 
     def test_one_flow_per_scenario(self, tmp_path, catalog_entry, monkeypatch):
-        # the whole grid is one flow call, and the rows pass the quadric check once
+        # the whole grid is one flow call, and the rows pass the quadric check once, in the chart
         name, d = catalog_entry
         calls = {"flow": 0, "quadric": 0}
-        core, quadric = scenario._hyperbolic_flow_rows, flow._quadric_rows
+        core, quadric = scenario._hyperbolic_flow_rows, descriptors._quadric_rows
         monkeypatch.setattr(scenario, "_hyperbolic_flow_rows", lambda *a: calls.__setitem__("flow", calls["flow"] + 1) or core(*a))
-        monkeypatch.setattr(flow, "_quadric_rows", lambda *a: calls.__setitem__("quadric", calls["quadric"] + 1) or quadric(*a))
+        monkeypatch.setattr(descriptors, "_quadric_rows", lambda *a: calls.__setitem__("quadric", calls["quadric"] + 1) or quadric(*a))
         path = write_scenario(
             tmp_path / "scn.json", name, d,
             time_grid={"start": -3.0, "end": 2.0, "steps": 50}, outputs=["trajectory", "ball"],
@@ -584,13 +584,14 @@ class TestVerify:
                 if getattr(module, core.__name__, None) is core:
                     monkeypatch.setattr(module, core.__name__, wrapper)
         quadric = []
-        quadric_rows = flow._quadric_rows
-        monkeypatch.setattr(flow, "_quadric_rows", lambda d, X: quadric.append(len(X)) or quadric_rows(d, X))
+        quadric_rows = descriptors._quadric_rows
+        monkeypatch.setattr(descriptors, "_quadric_rows", lambda d, X: quadric.append(len(X)) or quadric_rows(d, X))
         report = run_invariant_battery(d, Sampling(3, 7), OracleSettings(enabled=False))
         assert report.overall_pass, name
         assert 0 < len(calls) <= 7, (name, calls)
         assert sum(len_ts for _, len_ts in calls) >= 40 + 25, (name, calls)
-        assert len(quadric) <= 2, (name, quadric)  # the battery's validation, and forward_limit's at a focal limit
+        # the chart validates every row it makes: the battery's samples, forward_limit's and backward_limit's
+        assert len(quadric) <= 3, (name, quadric)
 
     def test_non_finite_flow_fails_the_norm_law(self):
         # a nan at one sampled time must not be lost in the maximum over times
@@ -938,6 +939,20 @@ class TestCli:
         out = run_cli_process("limits", str(path))
         assert out.returncode == 2
         assert len(out.stderr.splitlines()) == 1 and "umbilic.a" in out.stderr, out.stderr
+
+    @pytest.mark.parametrize("a", [2e6, 1e7])
+    def test_horosphere_whose_chart_leaves_its_level_exits_two_in_every_verb(self, tmp_path, a):
+        # rounding tilts the horospherical chart's columns off the complement
+        # of xi and nu, so its rows would lie off the level: `limits` refuses
+        # the level as `verify` and `run` do, naming umbilic.a
+        path = tmp_path / "scn.json"
+        inner = {"type": "euclidean", "flat_dim": 1}
+        path.write_text(json.dumps({"name": "far", "descriptor": {"type": "umbilic", "xi": [1.0, 0.0, -1.0], "a": a, "inner": inner}}))
+        for args in (("limits", str(path)), ("verify", str(path)), ("run", str(path), "--out", str(tmp_path / "out"))):
+            out = run_cli(*args)
+            assert out.returncode == 2, (args[0], out.stderr)
+            assert "umbilic.a" in out.stderr and out.stdout == "", (args[0], out.stderr)
+        assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
 
     @pytest.mark.parametrize("m", [0, -2])
     def test_ambient_below_one_dimension_names_m(self, tmp_path, m):
