@@ -933,10 +933,14 @@ def _umbilic_placement(umb: UmbilicData):
         norms = [minkowski_inner(w, w) for w in (x0, zeta)]
         off = math.inf
         if all(0.0 < abs(q) < math.inf for q in norms):
-            W = np.column_stack(_complement_basis([x0, zeta]))
-            G = _signed_transpose(W, False)
-            # <w, xi> and <w, nu> for every column w, on the scale of xi and nu
-            off = float(np.max(np.abs(G @ np.column_stack([xi, nu])))) / abs(xi[-1])
+            try:
+                W = np.column_stack(_complement_basis([x0, zeta]))
+            except InvalidArgumentError:
+                pass  # a complement lost to rounding has no columns on it: off stays inf
+            else:
+                G = _signed_transpose(W, False)
+                # <w, xi> and <w, nu> for every column w, on the scale of xi and nu
+                off = float(np.max(np.abs(G @ np.column_stack([xi, nu])))) / abs(xi[-1])
     if not off <= _POINT_TOL:
         raise InvalidArgumentError(
             f"umbilic.a = {a!r} is too large for a euclidean level: the horospherical chart's "

@@ -10,6 +10,12 @@ afterwards.  The module also hosts a forward Euler comparison loop, a
 principal-curvature transport check, normal-bundle curvature estimators in
 flat, spherical and conformally flat ambient metrics, and the scalar ODE
 oracle for the collapse of geodesic spheres.
+
+Every normal frame here, seeded or transported, comes out of one frozen
+Gram-Schmidt pass (``_gram_schmidt``).  The transport check reads curvature
+through those frames: a frame vector Z is normal, so <d^2 X / du_i du_j, Z>
+= <II_ij, Z>, and the shape operator along Z takes the raw second
+derivatives without forming the second fundamental form.
 """
 
 from __future__ import annotations
@@ -176,14 +182,13 @@ def _finite(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _metric_inverse(imm: ImmersionEvaluator, first) -> tuple[np.ndarray, np.ndarray]:
-    """The induced metrics (..., n, n) of chart derivatives (..., n, dim), checked, and their inverses."""
+def _induced_metric(imm: ImmersionEvaluator, first) -> np.ndarray:
+    """The induced metrics (..., n, n) of chart derivatives (..., n, dim), checked."""
     first = np.asarray(first, dtype=float)
     g = imm.ambient.inners(first[..., :, None, :], first[..., None, :, :])
-    if first.shape[-2] == 0:
-        return g, g
-    _check_gram(g, "induced metric is numerically singular at this chart point")
-    return g, np.linalg.inv(g)
+    if first.shape[-2] > 0:
+        _check_gram(g, "induced metric is numerically singular at this chart point")
+    return g
 
 
 @lru_cache(maxsize=64)
@@ -329,29 +334,20 @@ def second_fundamental_form(imm: ImmersionEvaluator, u, h: float = 1e-3):
     """Normal components II_ij of the second fundamental form at u.
 
     For quadric ambients the component along the position vector is removed
-    as well, leaving the second fundamental form inside the quadric.
+    as well, leaving the second fundamental form inside the quadric.  Every
+    d^2 X / du_i du_j is projected off the tangent frame in one
+    ``_tangential_parts`` call: one Gram matrix for all of them.
     Returns (center, first derivatives, metric, II) for reuse by callers.
     """
     n = imm.chart_dim
     vals = imm.at_rows(_point(u, n)[0] + _stencil_offsets(n, h))
     center, first, second = (a[0] for a in _stencil_derivatives(vals[None], n, h))
-    g, II = _second_fundamental_form_at(imm, center, first, second)
-    return center, first, g, II
-
-
-def _second_fundamental_form_at(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray, second: np.ndarray):
-    """Metrics (..., n, n) and II (..., n, n, dim) at chart points, from their stencil derivatives.
-
-    Every d^2 X / du_i du_j of a point is projected off its tangent frame in
-    one ``_tangential_parts`` call: one Gram matrix per point for all of them.
-    """
-    n = imm.chart_dim
-    g, _ = _metric_inverse(imm, first)
+    g = _induced_metric(imm, first)
     if n == 0:
-        return g, second
-    frame = np.concatenate([first, center[..., None, :]], axis=-2) if imm.ambient.intrinsic_to_quadric else first
-    W = second.reshape(second.shape[:-3] + (n * n, second.shape[-1]))
-    return g, (W - _tangential_parts(imm, frame, W)).reshape(second.shape)
+        return center, first, g, second
+    frame = np.concatenate([first, center[None]]) if imm.ambient.intrinsic_to_quadric else first
+    W = second.reshape(n * n, -1)
+    return center, first, g, (W - _tangential_parts(imm, frame, W)).reshape(second.shape)
 
 
 def _tangential_parts(imm: ImmersionEvaluator, frame, W) -> np.ndarray:
@@ -535,7 +531,9 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
     Euclidean distance to the closed-form position at the walk's end t0 +
     steps dt, steps = round((t1 - t0) / dt).  Error is O(dt) from the
     stepping plus O(h^2) from the differencing.  A walk whose t1 or end
-    reaches the collapse time is refused before its first step.
+    reaches the collapse time is refused before its first step, and so is
+    one whose start or end flows out of the range of doubles: the samples
+    go to both in one ``_flow_times`` call, which names the first such time.
 
     H_numeric at step k depends on the flow surface at t0 + k dt only, not
     on the walked points, so it is evaluated up front for a block of steps
@@ -577,7 +575,7 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
     S, K = samples.shape[0], offs.shape[0]
     stencil_points = immerse_rows(d, _stencil_points(samples, offs))  # once: the rows do not change from step to step
     # the walk's start and its closed-form targets at the end, one flow; X is walked in place
-    X, targets = _hyperbolic_flow_rows(d, immerse_rows(d, samples), [float(t0), end])
+    X, targets = _flow_times("hyperbolic", d, immerse_rows(d, samples), [t0, end])
     nsig = -HYPERBOLOID.signature(X.shape[1])
     sq, norm = np.empty_like(X), np.empty((S, 1))
     block = max(1, _WALK_BUDGET // stencil_points.nbytes)
@@ -609,7 +607,12 @@ def principal_curvatures(imm: ImmersionEvaluator, u, normals: list[np.ndarray], 
 
 
 def _shape_eigenvalues(imm: ImmersionEvaluator, g: np.ndarray, II: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Sorted shape-operator eigenvalues (..., k, n) along normals Z (..., k, dim), from metrics (..., n, n) and II (..., n, n, dim)."""
+    """Sorted shape-operator eigenvalues (..., k, n) along normals Z (..., k, dim), from metrics (..., n, n) and II (..., n, n, dim).
+
+    Only the products <II_ij, Z> are read, so II may be the raw second
+    derivatives d^2 X / du_i du_j: their tangential parts are orthogonal to
+    every normal.
+    """
     S = imm.ambient.inners(II[..., None, :, :, :], Z[..., :, None, None, :])
     return np.sort(np.linalg.eigvals(np.linalg.solve(g[..., None, :, :], S)).real, axis=-1)
 
@@ -692,8 +695,11 @@ def _transport_chain(imm: ImmersionEvaluator, frame: np.ndarray, center: np.ndar
     its RK4 loops in order, each step one stacked (T, k, k) update of all T
     chains; its bases and connection forms go before the next group forms
     its own, so memory scales with one group, not with the whole path.
-    Drift is stripped at segment ends only.  Every basis vector and
-    connection form is computed row by row, so the grouping changes no bit.
+    Each segment's end frames are re-orthonormalized in order by the frozen
+    pass (``_gram_schmidt``) that builds every other normal frame, on a (k,
+    T, dim) copy; between segment ends the frames are not touched.  Every
+    basis vector and connection form is computed row by row, so the grouping
+    changes no bit.
     """
     T, _, dim = center.shape
     k = order.shape[-1]
@@ -719,7 +725,7 @@ def _transport_chain(imm: ImmersionEvaluator, frame: np.ndarray, center: np.ndar
                 first_key += len(keys)
             frame = sum(coeff[:, i, :, None] * N[:, a + 1, i, None, :] for i in range(k))
             if s % q == q - 1:
-                frame = out[:, s // q] = _strip_drift(imm, frame)
+                frame = out[:, s // q] = _gram_schmidt(imm, frame.transpose(1, 0, 2).copy())
         N = minus_A = None  # the group's bases and forms go before the next group forms its own
     return out
 
@@ -735,20 +741,6 @@ def _minus_connection_forms(imm: ImmersionEvaluator, N: np.ndarray, at: np.ndarr
     dN = (N[:, at + 1] - N[:, at + 2]) / (2.0 * _CONNECTION_DELTA)
     M = np.einsum("tid,tjd->tij", Nt.reshape(-1, k, dim), dN.reshape(-1, k, dim))
     return -(0.5 * (M - M.transpose(0, 2, 1))).reshape(T, len(at), k, k).swapaxes(0, 1)
-
-
-def _strip_drift(imm: ImmersionEvaluator, frames: np.ndarray) -> np.ndarray:
-    """Re-orthonormalize transported frames (T, k, dim) in order, which keeps their orientation."""
-    moved: list[np.ndarray] = []
-    for j in range(frames.shape[1]):
-        v = frames[:, j]
-        for m in moved:
-            v = v - imm.ambient.inners(v, m)[:, None] * m
-        q = imm.ambient.inners(v, v)
-        if np.any(q <= 1e-18):
-            raise ChartDegenerateError("normal frame degenerated during transport")
-        moved.append(v / np.sqrt(q)[:, None])
-    return np.stack(moved, axis=1)
 
 
 def transport_normal_frame(
@@ -853,9 +845,12 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
     the path in groups of sub-segments whose frames fit
     ``_FRAME_BUDGET`` (``_transport_chain``), so the check's memory scales
     with one group rather than with the whole path: on a chain of depth
-    24, k = 25 frame vectors of dim 27 at every point.  A time's spread is
-    one maximum over all of its stops, frame vectors and eigenvalues, so a
-    nan anywhere gives nan.
+    24, k = 25 frame vectors of dim 27 at every point.  The shape operators
+    along the frames take the samples' raw second derivatives: the frame
+    vectors are normal, so no second derivative is projected off the
+    tangent frame, and the check costs no n^2 solves per sample.  A time's
+    spread is one maximum over all of its stops, frame vectors and
+    eigenvalues, so a nan anywhere gives nan.
     """
     sub_steps = _sub_steps(transport_steps)
     n = imm.chart_dim
@@ -872,7 +867,7 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
     T, dim = vals.shape[0], vals.shape[-1]
     if k == 0:
         return np.zeros(T)
-    center, first, second = _stencil_derivatives(vals[:, : S * K].reshape(T * S, K, dim), n, h)
+    _, first, second = _stencil_derivatives(vals[:, : S * K].reshape(T * S, K, dim), n, h)
     # the chart values go before the frames are formed
     lead_center, lead_first = _first_derivatives_of(vals[:, S * K :].reshape(T, len(lead), F, dim), h)
     lead_center = lead_center.copy()  # a view would keep every chart value alive
@@ -885,9 +880,8 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
     start = _gram_schmidt(imm, W[::O][np.arange(T), order[: T * O : O].T])  # the first sample's frame at every time
     del W
     moved = _transport_chain(imm, start, lead_center[:, O:], lead_first[:, O:], order[T * O :].reshape(T, -1, k), subs, sub_steps)
-    g, II = _second_fundamental_form_at(imm, center, first, second)
     Z = np.concatenate([start[:, None], moved], axis=1).reshape(T * S, k, dim)
-    E = _shape_eigenvalues(imm, g, II, Z).reshape(T, S, k, n)
+    E = _shape_eigenvalues(imm, _induced_metric(imm, first), second, Z).reshape(T, S, k, n)
     return np.max(np.abs(E[:, 1:] - E[:, :1]), axis=(1, 2, 3))
 
 

@@ -770,3 +770,9 @@ class TestLargeHorosphericalLevel:
             Umbilic(derive_umbilic((0.6, 0.8, -1.0), a), EuclideanIso(1))
         assert dimensions(Umbilic(derive_umbilic((0.6, 0.8, -1.0), 100.0), EuclideanIso(1))) == (1, 2, 1)
 
+    def test_degenerate_complement_is_refused_naming_umbilic_a(self):
+        # a tilted level this far out rounds its chart's complement basis to
+        # a degenerate one, whose columns are off the complement altogether
+        xi = (0.9635823387213032, -0.30249503772584907, -0.1420190434025425, -1.0198841012749205)
+        with pytest.raises(InvalidArgumentError, match=r"umbilic\.a = .* too large for a euclidean level.* by inf"):
+            Umbilic(derive_umbilic(xi, 1153678855.4227526), EuclideanIso(2))

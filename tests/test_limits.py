@@ -717,6 +717,20 @@ class TestFlatNormalBundle:
         monkeypatch.setattr(oracle, "_FRAME_BUDGET", 1 << 40)
         assert peak <= 0.5 * self._traced_peak(d, bwd)
 
+    def test_surface_limit_takes_the_curvature_commutator(self, monkeypatch):
+        # a Clifford tube under one geodesic level has n = 3 and codimension 2
+        # in the boundary sphere: its flatness is one flat_normal_residual
+        # call on three samples, not the loop holonomy
+        d = Umbilic(derive_umbilic([1.0] + [0.0] * 6, 0.0), CATALOG["clifford_tube_h5"])
+        dims = dimensions(d)
+        assert (dims.n, dims.m - 1 - dims.n) == (3, 2)
+        bwd = backward_limit(d, chart_samples(d, 3, 7))
+        calls, residual = [], oracle.flat_normal_residual
+        monkeypatch.setattr(oracle, "flat_normal_residual", lambda imm, us, **kw: calls.append(len(us)) or residual(imm, us, **kw))
+        monkeypatch.setattr(oracle, "_holonomy_defect", lambda *args, **kwargs: pytest.fail("the loop ran"))
+        assert verify_flat_normal_bundle(d, bwd) < 1e-4
+        assert calls == [3]
+
     def test_codimension_one_is_trivially_flat(self):
         d = CATALOG["tube_h3"]
         bwd = backward_limit(d, chart_samples(d, 3, 5))

@@ -351,7 +351,8 @@ class TestEvolveAndCompare:
             oracle.evolve_and_compare(d, chart_samples(d, 2, 5)[:2], 0.0, T - 1e-6, 1e-4)
 
     def test_nan_distance_is_not_lost(self, monkeypatch):
-        # a nan target at t1 for one sample must give nan, not the other samples' distance
+        # a nan target at t1 for one sample must not give the other samples'
+        # distance: the start and target flow refuses it, naming the time
         d = CATALOG["circle_h2"]
         us = chart_samples(d, 2, 5)[:3]
         real = oracle._hyperbolic_flow_rows
@@ -363,7 +364,18 @@ class TestEvolveAndCompare:
             return out
 
         monkeypatch.setattr(oracle, "_hyperbolic_flow_rows", flow)
-        assert math.isnan(oracle.evolve_and_compare(d, us, 0.0, 1e-3, 1e-4))
+        with pytest.raises(TimeOutOfRangeError, match=r"t=0\.001 leaves the range of doubles"):
+            oracle.evolve_and_compare(d, us, 0.0, 1e-3, 1e-4)
+
+    def test_start_far_back_refused_naming_it(self, monkeypatch):
+        # the samples' flow to t0 = -800 leaves doubles in its time scalars:
+        # refused as out of range, naming t0, before any stencil is flowed
+        d = CATALOG["circle_h2"]
+        flows, real = [], oracle._hyperbolic_flow_rows
+        monkeypatch.setattr(oracle, "_hyperbolic_flow_rows", lambda d, X, ts: flows.append(len(X)) or real(d, X, ts))
+        with pytest.raises(TimeOutOfRangeError, match=r"the flow at t=-800\.0 leaves the range of doubles"):
+            oracle.evolve_and_compare(d, chart_samples(d, 2, 7)[:2], -800.0, -799.999, 1e-4)
+        assert flows == [2, 2]  # the start and target flow, then t0 alone
 
     def test_circle_short_walk(self):
         d = CATALOG["circle_h2"]
@@ -458,6 +470,21 @@ class TestIsoparametricResidual:
         samples = [np.array([0.1]), np.array([0.9]), np.array([1.7])]
         assert oracle.isoparametric_residual_of(imm, samples) > 1e-2
 
+    @pytest.mark.parametrize("name", ["circle_h2", "clifford_tube_h5", "circle_in_h4_nested"])
+    def test_curvature_is_read_through_the_frames(self, name, monkeypatch):
+        # the frame vectors are normal, so <d^2 X / du_i du_j, Z> = <II_ij, Z>:
+        # the check forms no second fundamental form, and its one
+        # Gram-Schmidt pass builds every frame, the transported ones included
+        d = CATALOG[name]
+        passes, gram_schmidt = [], oracle._gram_schmidt
+        monkeypatch.setattr(oracle, "_tangential_parts", lambda *a: pytest.fail("projected off the tangent frame"))
+        monkeypatch.setattr(oracle, "_gram_schmidt", lambda imm, Z, *buf: passes.append(Z.shape) or gram_schmidt(imm, Z, *buf))
+        us = chart_samples(d, 3, 7)[:4]
+        assert np.all(oracle.isoparametric_residuals(d, [-0.2, 0.0, 0.1], us) < 1e-5)
+        frames = (dimensions(d).codim, 3, dimensions(d).m + 1)  # (k, times, dim)
+        assert passes[0] == frames  # the first sample's frame at every time
+        assert passes[-(len(us) - 1) :] == [frames] * (len(us) - 1)  # each segment's end frames
+
     def test_non_finite_time_refused(self):
         d = CATALOG["tube_h3"]
         with pytest.raises(InvalidArgumentError, match="must be finite"):
@@ -528,7 +555,9 @@ class TestIsoparametricResidual:
         assert depth == 24 or max(f.nbytes for f in frames) <= oracle._FRAME_BUDGET
 
     # spreads and sha256 of the transported frames at -0.2, 0.0 and 0.1 of
-    # chart_samples(chain, 3, 7)[:3], recorded before the transport was grouped
+    # chart_samples(chain, 3, 7)[:3]; the frames were recorded before the
+    # transport was grouped, the spreads when the check stopped projecting
+    # its second derivatives off the tangent frame
     CHAIN_PINS = {
         4: "27397a768fb2367c29dc8988ffd147f11343d1089e2d1bde5f3e666e7519ba3c",
         8: "5dc64d63628ceb09a9ac94dce53f220b28b046e10c96efceac73f55f4a414dfe",
@@ -542,7 +571,7 @@ class TestIsoparametricResidual:
         moved, chain = [], oracle._transport_chain
         monkeypatch.setattr(oracle, "_transport_chain", lambda *a: moved.append(chain(*a)) or moved[-1])
         spreads = oracle.isoparametric_residuals(d, [-0.2, 0.0, 0.1], chart_samples(d, 3, 7)[:3])
-        assert [float(x).hex() for x in spreads] == ["0x1.2c0e980000000p-31", "0x1.8ee7f00000000p-32", "0x1.ce7d200000000p-33"]
+        assert [float(x).hex() for x in spreads] == ["0x1.2c0e400000000p-31", "0x1.8ee8400000000p-32", "0x1.ce7ce00000000p-33"]
         assert hashlib.sha256(moved[0].tobytes()).hexdigest() == self.CHAIN_PINS[depth]
 
     @staticmethod
@@ -1100,7 +1129,7 @@ class TestBatchedOracle:
             assert first[p].tobytes() == np.array(f0).tobytes()
             assert second[p].tobytes() == np.array(s0).tobytes()
             _, _, g, II = oracle.second_fundamental_form(imm, u, h)
-            g0, _ = oracle._metric_inverse(imm, f0)
+            g0 = oracle._induced_metric(imm, f0)
             frame = f0 + [c0]
             assert g.tobytes() == g0.tobytes()
             for i in range(n):
