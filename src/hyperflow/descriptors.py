@@ -94,7 +94,8 @@ class UmbilicData:
 def derive_umbilic(xi, a: float) -> UmbilicData:
     """Canonical umbilical data from a normal direction and its level.
 
-    ``xi`` must have <xi,xi> in {-1, 0, +1}; the sign of ``a`` is normalized
+    ``xi`` must have <xi,xi> in {-1, 0, +1}, to within 1e-12 max(1, |xi|^2)
+    with the Euclidean |xi|; the sign of ``a`` is normalized
     to a >= 0 by flipping xi.  Raises when the hypersurface would be empty
     on the upper sheet (<xi,xi> + a^2 <= 0, or a time orientation of xi
     incompatible with a > 0), and when doubles cannot hold the level's kind:
@@ -103,10 +104,12 @@ def derive_umbilic(xi, a: float) -> UmbilicData:
     xiv = as_vector(xi)
     with np.errstate(over="ignore", invalid="ignore"):
         q = minkowski_inner(xiv, xiv)
+        size2 = float(np.dot(xiv, xiv))
     if not math.isfinite(q):
         raise InvalidArgumentError(f"umbilic.xi is too large: <xi,xi> overflows (|xi| = {np.max(np.abs(xiv)):.3e})")
     q_exact = round(q)
-    if q_exact not in (-1, 0, 1) or abs(q - q_exact) > _XI_NORM_TOL:
+    # <xi,xi> rounds like its terms, so the tolerance scales with the Euclidean |xi|^2
+    if q_exact not in (-1, 0, 1) or abs(q - q_exact) > _XI_NORM_TOL * max(1.0, size2):
         raise InvalidArgumentError(f"<xi,xi> = {q!r} must be -1, 0 or +1")
     a = float(a)
     if not math.isfinite(a):
@@ -714,22 +717,21 @@ def _leaf_column_scales(leaf: ProductOfSpheres, ts: list[float], end: bool = Fal
     """Euclidean flow of a leaf as column scales, (T, coords) for the times ts.
 
     Each factor block scales by sqrt(1 - 2 p t / s); at the endpoint
-    (``end``) a radicand that vanishes is taken as zero.
+    (``end``) a radicand that vanishes is taken as zero.  A collapse names
+    the first time in list order, then the first factor at it.
     """
     if leaf.is_point:
         return np.ones((len(ts), len(leaf.point_position)))
-    rows = []
-    for t in ts:
-        row: list[float] = []
-        for p, s in leaf.factors:
-            rad = 1.0 - 2.0 * p * t / s
-            if end:
-                rad = max(rad, 0.0)
-            elif rad <= 0:
-                raise TimeOutOfRangeError(f"sphere factor S^{p}({s}) collapsed before t={t}")
-            row += [math.sqrt(rad)] * (p + 1)
-        rows.append(row)
-    return np.array(rows).reshape(len(ts), leaf.coords_dim)
+    p, s = np.array(leaf.factors).T
+    with np.errstate(over="ignore"):
+        rad = 1.0 - 2.0 * p * np.array(ts)[:, None] / s
+    if end:
+        np.maximum(rad, 0.0, out=rad)
+    elif (rad <= 0.0).any():
+        k, i = np.argwhere(rad <= 0.0)[0]
+        p_i, s_i = leaf.factors[i]
+        raise TimeOutOfRangeError(f"sphere factor S^{p_i}({s_i}) collapsed before t={ts[k]}")
+    return np.repeat(np.sqrt(rad, out=rad), p.astype(int) + 1, axis=1)
 
 
 def _sphere_leaf_flow(leaf: ProductOfSpheres, Y: np.ndarray, ss: list[float], R2: float, end: bool = False) -> SphereLeafFlow:
@@ -1108,7 +1110,9 @@ def immerse_rows(d, U) -> np.ndarray:
     The rows pass every membership check of ``_validate_rows`` before they
     are returned, so no caller flows or differences a row off a level of d:
     a row off the ambient hyperboloid raises InvalidArgumentError, one off
-    a level DomainError.
+    a level DomainError.  Finite chart parameters whose point leaves the
+    range of doubles (past |u| of about 710 in a hyperbolic factor) raise
+    InvalidArgumentError naming the first such row.
     """
     Uv = np.asarray(U, dtype=float)
     n = dimensions(d).n
@@ -1118,7 +1122,19 @@ def immerse_rows(d, U) -> np.ndarray:
         raise InvalidArgumentError(f"chart needs {n} parameters, got {Uv.shape[1]}")
     if not np.isfinite(Uv).all():
         raise InvalidArgumentError("chart parameters must be finite")
-    return _validate_rows(d, _immerse(d, Uv))
+    return _validate_rows(d, _finite_chart(d, Uv))
+
+
+def _finite_chart(d, U: np.ndarray) -> np.ndarray:
+    """``_immerse(d, U)``, where a row that overflows ``math`` or numpy is refused with its chart parameters."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _immerse(d, U)
+    except (OverflowError, FloatingPointError):
+        pass
+    for u in U[:-1]:  # rows are independent: the first one that overflows alone refuses itself
+        _finite_chart(d, u[None])
+    raise InvalidArgumentError(f"chart parameters {U[-1].tolist()} carry the chart out of the range of doubles")
 
 
 def _immerse(d, U: np.ndarray) -> np.ndarray:

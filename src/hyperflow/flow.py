@@ -30,11 +30,14 @@ where w(t) overflows; the horospherical level takes
 its inner time and e^(-nt) from the same time change.  Both flows have one
 evaluation path, a recursion over rows of points and a list of times
 (``_hyperbolic_flow_rows``, ``_lorentz_flow_rows``, returning (T, K, m+1)):
-each level, or run of geodesic levels, computes its time scalars with
-``math`` and splits and embeds its rows once for all times.  An entry (t, row) has the same bits as that row
-alone at that time alone; the batch flows are calls with one time and the
-one-point entry points validated batches of one.  This module holds no
-membership code: the public flows check the rows their callers pass in
+each level, or run of geodesic levels, computes its time scalars (the
+roots sqrt(1 + 2lt/r) and sqrt(1 - 2pt/s) as arrays over the times, with
+the bits of the scalar forms; exp, expm1, log and log1p with ``math``, time
+by time) and splits and embeds its rows once for all times.  An entry
+(t, row) has the same bits as that row alone at that time alone; the batch
+flows are calls with one time and the one-point entry points validated
+batches of one.  This module holds no membership code: the public flows
+check the rows their callers pass in
 with the predicates of ``descriptors`` (``_validate_rows`` for one point,
 the ambient quadric for a batch), and the chart ``immerse_rows`` returns
 only rows that passed every membership check, so the row cores take chart
@@ -89,12 +92,14 @@ from .lorentz import as_vector
 # scalar time-gauge helpers
 
 
-def _a1(l: int, r: float, t: float) -> float:
-    """Scaling of the minimal H^l(-r) factor, sqrt(1 + 2lt/r)."""
-    rad = 1.0 + 2.0 * l * t / r
-    if rad <= 0:
-        raise TimeOutOfRangeError(f"a1 radicand 1 + 2lt/r = {rad:.3e} <= 0 at t={t}")
-    return math.sqrt(rad)
+def _a1(l: int, r: float, ts: list[float]) -> np.ndarray:
+    """Scaling sqrt(1 + 2lt/r) of the minimal H^l(-r) factor at every time of ts, (T,), refused at the first radicand <= 0."""
+    with np.errstate(over="ignore"):
+        rad = 1.0 + 2.0 * l * np.array(ts) / r
+    if (rad <= 0.0).any():
+        k = int(np.argmax(rad <= 0.0))
+        raise TimeOutOfRangeError(f"a1 radicand 1 + 2lt/r = {rad[k]:.3e} <= 0 at t={ts[k]}")
+    return np.sqrt(rad, out=rad)
 
 
 def _s_alpha(n: int, one: float, t: float) -> float:
@@ -223,9 +228,10 @@ def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> 
     """The Lorentzian flow of rows X (K, m+1) at every time of ts, as (T, K, m+1).
 
     Entry (j, k) has the bits of the flow of row k alone at ts[j] alone.
-    Each level computes its time scalars with ``math``, time by time in the
-    order of one time's recursion, and works the rows once for all times,
-    in place on the new array of its inner flow.
+    Each level computes its time scalars, with ``math`` or as arrays of the
+    same bits (see the module docstring), in the order of one time's
+    recursion, and works the rows once for all times, in place on the new
+    array of its inner flow.
     With ``end`` an alpha = 0 level, whose scaling vanishes at the light-cone
     time -1/(2n), is its continuous extension there: the Lorentzian flow of
     its inner level, embedded (R = 1 and eta = 0 on a geodesic hypersurface).
@@ -250,7 +256,7 @@ def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> 
     if n == 0 or (far and _is_stationary(d)):
         return np.broadcast_to(X, (len(ts),) + X.shape).copy()
     if isinstance(d, Ambient):
-        return _per_time([_a1(d.m, d.r, t) for t in ts]) * X
+        return _a1(d.m, d.r, ts)[:, None, None] * X
     if isinstance(d, FullProduct):
         if far:
             C = X / math.sqrt(d.r)
@@ -290,10 +296,10 @@ def _product_rows(d: FullProduct, X: np.ndarray, lorentz_ts: list[float], end: b
     The H^l(-r) factor scales by sqrt(1 + 2lt/r) and the leaf by its
     Euclidean flow; ``end`` takes a leaf radicand that vanishes as zero.
     """
-    a1 = [_a1(d.l, d.r, t) for t in lorentz_ts]
+    a1 = _a1(d.l, d.r, lorentz_ts)
     m = X.shape[1] - 1
     cols = np.empty((len(lorentz_ts), m + 1))
-    cols[:, : d.l] = np.array(a1)[:, None]
+    cols[:, : d.l] = a1[:, None]
     cols[:, -1] = a1
     cols[:, d.l : m] = _leaf_column_scales(d.leaf, lorentz_ts, end)
     return X * cols[:, None, :]
@@ -338,12 +344,12 @@ def _hyperbolic_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) 
     """The hyperbolic flow of rows X (K, m+1) at every time of ts, as (T, K, m+1).
 
     Entry (j, k) has the bits of the flow of row k alone at ts[j] alone:
-    each level computes its time scalars with ``math``, time by time in the
-    order of one time's recursion, splits and embeds its rows once, and
-    scales them for all times at once, in place on the new array they are
-    built in.  A stationary descriptor (totally geodesic, or n = 0: the
-    predicate the limits use) keeps its rows at every time, exactly; its
-    gauge composition would round the factor 1 + expm1(2nt) to 0 a few
+    each level computes its time scalars, with ``math`` or as arrays of the
+    same bits, in the order of one time's recursion, splits and embeds its
+    rows once, and scales them for all times at once, in place on the new
+    array they are built in.  A stationary descriptor (totally geodesic, or
+    n = 0: the predicate the limits use) keeps its rows at every time,
+    exactly; its gauge composition would round the factor 1 + expm1(2nt) to 0 a few
     time units back.  With ``end`` it is the continuous extension to t = T:
     every level takes its window's exact times, T'' for the ambient gauge
     of a product and T' for the inner flow, instead of their images of t,

@@ -244,19 +244,23 @@ def _stencil_derivatives(vals: np.ndarray, n: int, h: float):
 def _mc_from_stencil(vals: np.ndarray, n: int, h: float, ambient: AmbientSpace) -> np.ndarray:
     """Mean curvature (P, dim) from P stencils (P, K, dim) laid out by ``_stencil_offsets``.
 
-    Each stencil's result has the same bits in any batch.  Raises ``ChartDegenerateError`` when the induced metric of any stencil
+    The metric, the trace g^ij d^2 X / du_i du_j, the tangential
+    coefficients and H are stacked ``matmul`` calls, one BLAS call per
+    stencil, so each stencil's result has the same bits in any batch.
+    Raises ``ChartDegenerateError`` when the induced metric of any stencil
     is numerically singular.
     """
     if n == 0:
         return np.zeros_like(vals[:, 0])
     center, first, second = _stencil_derivatives(vals, n, h)
-    sig = ambient.signature(vals.shape[2])
-    g = np.einsum("pid,pjd->pij", first * sig, first)
+    P, dim = vals.shape[0], vals.shape[2]
+    first_sig = first * ambient.signature(dim)
+    g = np.matmul(first_sig, first.transpose(0, 2, 1))
     _check_gram(g, "induced metric is numerically singular at this chart point")
     ginv = np.linalg.inv(g)
-    trace = np.einsum("pij,pijd->pd", ginv, second)
-    coeff = np.einsum("pij,pjd,d,pd->pi", ginv, first, sig, trace)
-    H = trace - np.einsum("pk,pkd->pd", coeff, first)
+    trace = np.matmul(ginv.reshape(P, 1, n * n), second.reshape(P, n * n, dim))  # (P, 1, dim)
+    coeff = np.matmul(ginv, np.matmul(first_sig, trace.transpose(0, 2, 1)))  # (P, n, 1)
+    H = (trace - np.matmul(coeff.transpose(0, 2, 1), first))[:, 0]
     if ambient.intrinsic_to_quadric:
         # far out on a quadric <x,x> cancels to rounding, possibly to zero
         q = ambient.inner_rows(center, center)
@@ -547,7 +551,8 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
 
     A step is x + dt H followed by x / sqrt(sum(x * x * -sig)), with the
     negated signature -sig formed once per walk; every step writes into the
-    walk's own buffers.  Its bits are those of x / sqrt(-<x, x>): the
+    walk's own buffers, through ufuncs bound once per walk with their
+    ``out`` passed positionally.  Its bits are those of x / sqrt(-<x, x>): the
     products by +-1 and the negations are exact, the sum runs in the same
     order, and dt H of the block is the same elementwise product as dt H of
     the step.
@@ -578,6 +583,7 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
     X, targets = _flow_times("hyperbolic", d, immerse_rows(d, samples), [t0, end])
     nsig = -HYPERBOLOID.signature(X.shape[1])
     sq, norm = np.empty_like(X), np.empty((S, 1))
+    add, multiply, divide, sqrt, reduce = np.add, np.multiply, np.divide, np.sqrt, np.add.reduce
     block = max(1, _WALK_BUDGET // stencil_points.nbytes)
     for k0 in range(0, steps, block):
         ks = range(k0, min(k0 + block, steps))
@@ -586,11 +592,11 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
         del flowed  # not kept through the next block's flow
         dX *= dt
         for dXk in dX:
-            np.add(X, dXk, out=X)
-            np.multiply(X, X, out=sq)
-            np.multiply(sq, nsig, out=sq)
-            np.add.reduce(sq, axis=-1, keepdims=True, out=norm)
-            np.divide(X, np.sqrt(norm, out=norm), out=X)
+            add(X, dXk, X)
+            multiply(X, X, sq)
+            multiply(sq, nsig, sq)
+            reduce(sq, -1, None, norm, True)  # axis, dtype, out, keepdims
+            divide(X, sqrt(norm, norm), X)
     return float(np.max([np.linalg.norm(x - target) for x, target in zip(X, targets)]))
 
 

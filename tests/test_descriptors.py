@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import pickle
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -87,6 +88,18 @@ class TestDeriveUmbilic:
     def test_unnormalized_xi_rejected(self):
         with pytest.raises(InvalidArgumentError):
             derive_umbilic([2.0, 0.0, 0.0], 1.0)
+
+    def test_null_to_rounding_at_size_accepted(self):
+        # <xi,xi> = -1.82e-12, two ulps of xi_t^2 = 4784: past an absolute
+        # 1e-12, inside 1e-12 |xi|^2
+        xi = [-60.352546003884505, -33.596284288269125, -3.5426017172414217, -69.164225970195]
+        assert minkowski_inner(np.array(xi), np.array(xi)) == pytest.approx(-1.82e-12, rel=1e-2)
+        assert derive_umbilic(xi, 1.5).kind == "euclidean"
+
+    def test_off_null_xi_still_refused(self):
+        # <xi,xi> = -2e-11 against a tolerance of 1e-12 |xi|^2 = 2e-12
+        with pytest.raises(InvalidArgumentError, match="must be -1, 0 or"):
+            derive_umbilic([1.0, 0.0, 0.0, 1.0 + 1e-11], 1.0)
 
     def test_center_radius_identity(self):
         # <x - eta, x - eta> = 1/(alpha^2 - 1) at points of the hypersurface
@@ -245,6 +258,22 @@ class TestImmerseRows:
         for s, x in zip(S, descriptors._hyperbolic_chart(S, 2.0)):
             q = float(np.sqrt(np.dot(s, s)))
             assert x.tobytes() == (math.sqrt(2.0) * np.append(sinhc(q) * s, math.cosh(q))).tobytes()
+
+    @pytest.mark.parametrize(
+        "name, u0",
+        [(name, u0) for name in ("tube_h3", "ambient_h3", "equidistant_h2") for u0 in (800.0, 1e300)] + [("horocycle_h2", 1e300)],
+    )
+    def test_chart_overflow_refused_naming_its_row(self, name, u0):
+        # sinh overflows math past |u| of about 710, |u|^2 numpy near 1e154:
+        # refused as bad input, naming the row, with no numpy warning
+        d = CATALOG[name]
+        U = np.full((3, dimensions(d).n), 0.1)
+        U[1, 0] = u0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match=r"chart parameters \[%s" % re.escape(repr(u0))):
+                immerse_rows(d, U)
+            immerse_rows(d, U[[0, 2]])  # the other rows are fine
 
     def test_bad_rows_rejected(self):
         d = CATALOG["tube_h3"]

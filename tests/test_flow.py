@@ -16,6 +16,7 @@ from hyperflow.descriptors import (
     ProductOfSpheres,
     Umbilic,
     _is_stationary,
+    _leaf_column_scales,
     _leaf_spherical_collapse,
     _umbilic_embed,
     _umbilic_split_rows,
@@ -372,7 +373,7 @@ class TestGaugeScalars:
         # n = 2, r = 2, l = 1, alpha = 2/sqrt(3)
         alpha = 2.0 / math.sqrt(3.0)
         with pytest.raises(TimeOutOfRangeError):
-            _a1(1, 2.0, -1.5)
+            _a1(1, 2.0, [-1.5])
         with pytest.raises(TimeOutOfRangeError):
             _s_alpha(2, 1.0 - alpha**2, 2.0)
         # the leaf time q at the Euclidean collapse t = 3 of a 2-dimensional
@@ -380,6 +381,27 @@ class TestGaugeScalars:
         leaf = ProductOfSpheres(((1, 6.0), (1, 8.0)))
         with pytest.raises(TimeOutOfRangeError, match="q logarithm argument"):
             _leaf_spherical_collapse(leaf, 4.0)
+
+    def test_time_arrays_keep_the_scalar_bits(self):
+        # the array forms of sqrt(1 + 2lt/r) and sqrt(1 - 2pt/s) against the math forms
+        rng = np.random.default_rng(3)
+        ts = (rng.normal(size=200) * 10.0 ** rng.integers(-12, 0, size=200)).tolist() + [0.0, -0.0, 0.2]
+        assert _a1(3, 2.5, ts).tolist() == [math.sqrt(1.0 + 2.0 * 3 * t / 2.5) for t in ts]
+        leaf = ProductOfSpheres(((1, 3.0), (2, 1.7)))
+        want = [[math.sqrt(1.0 - 2.0 * p * t / s) for p, s in leaf.factors for _ in range(p + 1)] for t in ts]
+        assert _leaf_column_scales(leaf, ts).tolist() == want
+
+    def test_time_array_refusals_name_the_first_time_then_factor(self):
+        # S^2(1.0) collapses at t = 0.25 and S^1(3.0) at t = 1.5: at t = 2.0
+        # both have, and the first factor is named at the first bad time
+        leaf = ProductOfSpheres(((1, 3.0), (2, 1.0)))
+        with pytest.raises(TimeOutOfRangeError, match=r"S\^1\(3\.0\) collapsed before t=2\.0$"):
+            _leaf_column_scales(leaf, [0.1, 2.0, 0.6])
+        with pytest.raises(TimeOutOfRangeError, match=r"S\^2\(1\.0\) collapsed before t=0\.6$"):
+            _leaf_column_scales(leaf, [0.1, 0.6, 2.0])
+        assert _leaf_column_scales(leaf, [0.6], end=True).tolist() == [[math.sqrt(0.6)] * 2 + [0.0] * 3]
+        with pytest.raises(TimeOutOfRangeError, match=r"= -2\.000e\+00 <= 0 at t=-3\.0$"):
+            _a1(1, 2.0, [0.5, -3.0, -4.0])
 
     def test_alpha_zero_is_the_identity_gauge(self):
         for t in (-700.0, -2.0, 0.0, 2.0):

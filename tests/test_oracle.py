@@ -329,10 +329,12 @@ class TestEvolveAndCompare:
     def test_block_memory_is_bounded(self):
         # n = 20, 801-point stencils: with 64-step blocks this walk peaked at
         # 72.8 MB traced, and the budget walks it one step a block (3.6 MB
-        # on numpy 2.4); the value was recorded with 64-step blocks
+        # on numpy 2.4); the value was recorded with 64-step blocks, and
+        # re-recorded (4.5696056226862545e-07 before) when the stencil
+        # kernel's contractions became stacked matmuls
         d = FullProduct(1, 20.0, ProductOfSpheres(((19, 19.0),)))
         us = chart_samples(d, 2, 7)[:4]
-        assert oracle.evolve_and_compare(d, us, 0.0, 64e-5, 1e-5) == 4.5696056226862545e-07
+        assert oracle.evolve_and_compare(d, us, 0.0, 64e-5, 1e-5) == 4.569604941965993e-07
         tracemalloc.start()
         try:
             oracle.evolve_and_compare(d, us, 0.0, 64e-5, 1e-5)
@@ -340,6 +342,11 @@ class TestEvolveAndCompare:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_chart_overflow_refused(self):
+        # cosh(800) overflows math: refused as bad input, not a bare OverflowError
+        with pytest.raises(InvalidArgumentError, match=r"chart parameters \[800\.0, 0\.1\]"):
+            oracle.evolve_and_compare(CATALOG["tube_h3"], [[800.0, 0.1]], 0.0, 1e-3, 1e-5)
 
     def test_rounded_end_past_the_collapse_refused(self, monkeypatch):
         # t1 lies before T, but 2747 steps of 1e-4 end at 0.2747, past it:
@@ -1096,22 +1103,28 @@ def _euler_reference(d, samples, t0, t1, dt, h=1e-3):
     )
 
 
+def _assert_mean_curvature_rows(d, t, gauge):
+    """P stacked stencils give what one call per stencil gives, bit for bit, and the per-stencil reference to rounding."""
+    imm = oracle.descriptor_immersion(d, t, gauge)
+    n, h = imm.chart_dim, 1e-3
+    vals = _stencils(imm, np.array(chart_samples(d, 3, 13)[:5]), h)
+    H = oracle._mc_from_stencil(vals, n, h, imm.ambient)
+    assert H.shape == (len(vals), vals.shape[2])
+    for p in range(len(vals)):
+        assert H[p].tobytes() == oracle._mc_from_stencil(vals[p : p + 1], n, h, imm.ambient)[0].tobytes()
+        ref = _mc_reference(vals[p], n, h, imm.ambient)
+        assert np.max(np.abs(H[p] - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
 class TestBatchedOracle:
     @pytest.mark.parametrize("t, gauge", [(None, "hyperbolic"), (0.2, "hyperbolic"), (0.2, "lorentz")])
     def test_mean_curvature_rows(self, catalog_entry, t, gauge):
-        # P stacked stencils give what one call per stencil and the
-        # per-stencil reference give
-        name, d = catalog_entry
-        imm = oracle.descriptor_immersion(d, t, gauge)
-        n, h = imm.chart_dim, 1e-3
-        vals = _stencils(imm, np.array(chart_samples(d, 3, 13)[:5]), h)
-        H = oracle._mc_from_stencil(vals, n, h, imm.ambient)
-        assert H.shape == (len(vals), vals.shape[2])
-        for p in range(len(vals)):
-            ref = _mc_reference(vals[p], n, h, imm.ambient)
-            scale = max(1.0, float(np.max(np.abs(ref))))
-            assert np.max(np.abs(H[p] - oracle._mc_from_stencil(vals[p : p + 1], n, h, imm.ambient)[0])) <= 1e-12 * scale
-            assert np.max(np.abs(H[p] - ref)) <= 1e-12 * scale
+        _assert_mean_curvature_rows(catalog_entry[1], t, gauge)
+
+    @pytest.mark.parametrize("t, gauge", [(None, "hyperbolic"), (0.01, "hyperbolic"), (0.01, "lorentz")])
+    def test_mean_curvature_rows_of_long_contractions(self, t, gauge):
+        # n = 20: 801-point stencils, and every contraction runs over 20 or 400 terms
+        _assert_mean_curvature_rows(FullProduct(1, 20.0, ProductOfSpheres(((19, 19.0),))), t, gauge)
 
     @pytest.mark.parametrize("name", ["circle_h2", "tube_h3", "clifford_tube_h5", "circle_in_h4_nested"])
     def test_stencil_derivatives_bitwise(self, name):
