@@ -1200,17 +1200,19 @@ def mean_curvature(d, x) -> MeanCurvature:
 
     Returns both the hyperbolic vector H (tangent to the hyperboloid) and the
     Lorentzian vector H^L = H + (n/r) x of the same submanifold viewed in
-    R^(m,1).  A point off the upper sheet of the ambient hyperboloid, or
-    off any level of d (a product block, an umbilic hypersurface, an
-    umbilic leaf, or the point of an n = 0 descriptor; the walk of
-    ``_validate_levels``), raises DomainError.
+    R^(m,1).  A point off the upper sheet of the ambient hyperboloid (by
+    the one quadric predicate, ``_quadric_rows``, of the flows and the
+    chart), or off any level of d (a product block, an umbilic
+    hypersurface, an umbilic leaf, or the point of an n = 0 descriptor;
+    the walk of ``_validate_levels``), raises DomainError.
     """
     dims = dimensions(d)
     xv = as_vector(x, dims.m)
     r_top = _ambient_r(d)
-    floor = 1e-12 * float(np.dot(xv, xv))
-    if abs(minkowski_inner(xv, xv) + r_top) > max(_POINT_TOL, floor) or xv[-1] <= 0:
-        raise DomainError("point is not on the ambient hyperboloid")
+    try:
+        _quadric_rows(d, xv[None, :])
+    except InvalidArgumentError:
+        raise DomainError("point is not on the ambient hyperboloid") from None
     _validate_levels(d, xv[None, :])
     H = _hyperbolic_H(d, xv)
     return MeanCurvature(hyperbolic=H, lorentzian=H + (dims.n / r_top) * xv)

@@ -55,6 +55,13 @@ part of its plan in ``descriptors``: the inner maximal time T', the
 Lorentzian bound T'', the hyperbolic maximal time T and the backward gauge
 limit, computed once per level; unbounded times are represented by None,
 never by a floating sentinel.
+
+Doubles hold the ancient flows only a few hundred time units back.  The
+oracle, ``run`` and the battery flow chart rows through ``_flow_times``,
+which refuses the first time whose flow fails or leaves doubles.  The public
+flows stay raw, since a far-back time is legal there, and so do the limits'
+endpoint modes and the Euler walk's stencil blocks, whose kernel refuses
+non-finite stencils itself.
 """
 
 from __future__ import annotations
@@ -408,6 +415,58 @@ def _umbilic_inner_flow_rows(d: Umbilic, X: np.ndarray, ss: list[float], end: bo
         R = plan.placement.scale ** 2
         Zt = _hyperbolic_flow_rows(below, Z, [s / R for s in ss], end)
     return _embed_across(d, Zt)
+
+
+# ---------------------------------------------------------------------------
+# the checked flow of rows over times
+
+
+def _flow_times(d, X: np.ndarray, times, gauge: str = "hyperbolic") -> np.ndarray:
+    """The gauge's flow of chart rows X at every time, (T, K, m+1), in one core call, refused where it leaves doubles.
+
+    The times are checked in list order as by the gauge's batch flow, which
+    refuses a non-finite time with InvalidArgumentError.  A time list that the
+    check or the core refuses, or whose flowed rows or their squared norms
+    are not finite, is flowed again one time at a time, and the first time
+    in list order that fails is refused: with its own TimeOutOfRangeError,
+    or, where its flow overflows doubles, with TimeOutOfRangeError("the
+    flow at t=... leaves the range of doubles").  No numpy warning escapes.
+    """
+    check, flow_rows, _ = _gauge(gauge)
+    try:
+        return _finite_flow(flow_rows, d, X, check(d, times))
+    except (OverflowError, TimeOutOfRangeError):
+        for t in times:
+            ts = check(d, [t])
+            try:
+                _finite_flow(flow_rows, d, X, ts)
+            except OverflowError:
+                raise TimeOutOfRangeError(f"the flow at t={ts[0]!r} leaves the range of doubles") from None
+        raise
+
+
+def _finite_flow(flow_rows, d, X: np.ndarray, ts: list[float]) -> np.ndarray:
+    """``flow_rows(d, X, ts)``, with an OverflowError in place of numpy's warning when a row or its square leaves doubles."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = flow_rows(d, X, ts)
+        # every row's squared norm, (T, K): nothing as large as F is allocated
+        finite = np.isfinite(np.einsum("tki,tki->tk", F, F)).all()
+    if not finite:
+        raise OverflowError("a flowed row or its squared norm is not finite")
+    return F
+
+
+def _gauge(gauge: str):
+    """A gauge's time check, its flow of rows over times, and the kind of ambient space its flowed points lie in.
+
+    The one place a gauge name is read: the oracle takes its ambient space
+    from the kind (``oracle._gauge_ambient``).
+    """
+    if gauge == "hyperbolic":
+        return _hyperbolic_times, _hyperbolic_flow_rows, "hyperboloid"
+    if gauge == "lorentz":
+        return _lorentz_times, _lorentz_flow_rows, "lorentzian"
+    raise InvalidArgumentError(f"unknown gauge {gauge!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -119,19 +119,24 @@ def _forward_rows(d) -> Callable[[np.ndarray], np.ndarray]:
     return lambda U: _hyperbolic_flow_rows(d, immerse_rows(d, U), [T], end=True)[0]
 
 
+def _chart_rows(d, chart_samples: Sequence[np.ndarray]) -> np.ndarray:
+    """The chart samples as (P, n) rows, refused by the one shape check (``oracle._rows``); no samples give (0, n)."""
+    n = dimensions(d).n
+    return oracle._rows(chart_samples, n) if len(chart_samples) else np.empty((0, n))
+
+
 def forward_limit(d, chart_samples: Sequence[np.ndarray]) -> ForwardLimit:
     """Evaluate the forward limit at the given chart samples, in one row evaluation of ``_forward_rows``.
 
     ``immersion`` is a batch of one of the same row map.  An ideal point is
     the same for every row, so it is read at the centre of the chart box
-    and no samples are kept.
+    and no samples are kept; they pass the shape check all the same.
     """
-    variant, rows = _forward_variant(d), _forward_rows(d)
+    variant, rows, U = _forward_variant(d), _forward_rows(d), _chart_rows(d, chart_samples)
     if variant == FORWARD_IDEAL_POINT:
         C = rows(np.array([[(lo + hi) / 2.0 for lo, hi in chart_box(d)]]))[0]
         return ForwardLimit(variant, ideal_point=C[:-1] / C[-1])
-    samples_u = [np.asarray(u, dtype=float) for u in chart_samples]
-    pts = rows(np.array(samples_u)) if samples_u else np.array([])
+    pts = rows(U) if len(U) else np.array([])
     return ForwardLimit(variant, existence_window(d).t_max, pts, immersion=_batch_of_one(rows))
 
 
@@ -180,12 +185,9 @@ def backward_limit(d, chart_samples: Sequence[np.ndarray], estimate_dim: bool = 
     """
     if _is_stationary(d):
         return BackwardLimit(BACKWARD_STATIONARY)
-    rows = backward_chart_rows(d)
-    samples_u = [np.asarray(u, dtype=float) for u in chart_samples]
-    pts = rows(np.array(samples_u)) if samples_u else np.array([])
-    dim_est = None
-    if estimate_dim and samples_u:
-        dim_est = _pca_dimension(rows, samples_u, dimensions(d).n)
+    rows, U = backward_chart_rows(d), _chart_rows(d, chart_samples)
+    pts = rows(U) if len(U) else np.array([])
+    dim_est = _pca_dimension(rows, U, dimensions(d).n) if estimate_dim and len(U) else None
     return BackwardLimit(BACKWARD_IDEAL, samples=pts, dim=dim_est, chart_map=backward_chart_map(d))
 
 

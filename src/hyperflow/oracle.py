@@ -34,14 +34,7 @@ from .errors import (
     InvalidArgumentError,
     TimeOutOfRangeError,
 )
-from .flow import (
-    _finite_time,
-    _hyperbolic_flow_rows,
-    _hyperbolic_times,
-    _lorentz_flow_rows,
-    _lorentz_times,
-    existence_window,
-)
+from .flow import _finite_time, _flow_times, _gauge, _hyperbolic_flow_rows, existence_window
 
 _COND_LIMIT = 1e12
 # a Gershgorin bound on the condition number this far inside _COND_LIMIT
@@ -112,6 +105,7 @@ EUCLIDEAN = AmbientSpace("euclidean")
 LORENTZIAN = AmbientSpace("lorentzian")
 SPHERE = AmbientSpace("sphere")
 HYPERBOLOID = AmbientSpace("hyperboloid")
+_AMBIENTS = {a.kind: a for a in (EUCLIDEAN, LORENTZIAN, SPHERE, HYPERBOLOID)}
 
 
 @dataclass(frozen=True)
@@ -373,43 +367,9 @@ def _tangential_parts(imm: ImmersionEvaluator, frame, W) -> np.ndarray:
 # flow-equation residuals
 
 
-def _gauge_flow(gauge: str):
-    """The time check of a gauge, its flow of rows over times, and the ambient space its points lie in."""
-    if gauge == "hyperbolic":
-        return _hyperbolic_times, _hyperbolic_flow_rows, HYPERBOLOID
-    if gauge == "lorentz":
-        return _lorentz_times, _lorentz_flow_rows, LORENTZIAN
-    raise InvalidArgumentError(f"unknown gauge {gauge!r}")
-
-
-def _flow_times(gauge: str, d, X: np.ndarray, times: Sequence[float]) -> np.ndarray:
-    """The gauge's flow of validated rows X at every time, (T, K, dim), in one flow call.
-
-    Times are checked as by the gauge's batch flow.  A time list whose flow
-    fails is flowed again one time at a time, so the error raised is that of
-    the first failing time, and a time whose flow overflows doubles, in its
-    time scalars or in any row, is refused as out of range.
-    """
-    check, flow_rows, _ = _gauge_flow(gauge)
-    ts = check(d, times)
-    try:
-        return _finite_flow(flow_rows, d, X, ts)
-    except (OverflowError, TimeOutOfRangeError):
-        for t in ts:
-            try:
-                _finite_flow(flow_rows, d, X, [t])
-            except OverflowError:
-                raise TimeOutOfRangeError(f"the flow at t={t!r} leaves the range of doubles") from None
-        raise
-
-
-def _finite_flow(flow_rows, d, X: np.ndarray, ts: list[float]) -> np.ndarray:
-    """``flow_rows(d, X, ts)``, with an OverflowError in place of numpy's warning when a row leaves doubles."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        F = flow_rows(d, X, ts)
-    if not np.isfinite(F).all():
-        raise OverflowError("flowed rows leave the range of doubles")
-    return F
+def _gauge_ambient(gauge: str) -> AmbientSpace:
+    """The ambient space of a gauge's flowed points, of the kind that ``flow._gauge`` names."""
+    return _AMBIENTS[_gauge(gauge)[2]]
 
 
 def descriptor_immersion(d, t: float | None = None, gauge: str = "hyperbolic") -> ImmersionEvaluator:
@@ -420,11 +380,11 @@ def descriptor_immersion(d, t: float | None = None, gauge: str = "hyperbolic") -
     (``_flow_times``); one chart point is a batch of one.  Either way it
     receives chart points and returns points only.
     """
-    ambient = HYPERBOLOID if t is None else _gauge_flow(gauge)[2]
+    ambient = HYPERBOLOID if t is None else _gauge_ambient(gauge)
 
     def rows(U: np.ndarray) -> np.ndarray:
         X = immerse_rows(d, U)
-        return X if t is None else _flow_times(gauge, d, X, [t])[0]
+        return X if t is None else _flow_times(d, X, [t], gauge)[0]
 
     return ImmersionEvaluator(dimensions(d).n, ambient, lambda u: rows(u.reshape(1, -1))[0], rows)
 
@@ -461,7 +421,7 @@ def pde_residual_grid(
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidArgumentError(f"dt must be positive and finite, got {dt!r}")
     ts = [_finite_time(t) for t in times]
-    *_, ambient = _gauge_flow(gauge)
+    ambient = _gauge_ambient(gauge)
     n = dimensions(d).n
     U = _rows(chart_samples, n)
     window = existence_window(d)
@@ -477,8 +437,8 @@ def pde_residual_grid(
 
     def residuals(times: list[float]) -> np.ndarray:
         # in the order a time-by-time evaluation flows them: t + dt, t - dt, t
-        moved = _flow_times(gauge, d, X[:S], [s for t in times for s in (t + dt, t - dt, t)])
-        charts = _flow_times(gauge, d, X[S:], times)
+        moved = _flow_times(d, X[:S], [s for t in times for s in (t + dt, t - dt, t)], gauge)
+        charts = _flow_times(d, X[S:], times, gauge)
         return _residuals_at(moved, charts, n, steps, dt, ambient)
 
     try:
@@ -565,11 +525,10 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
     steps = round((t1 - t0) / dt)
     if steps < 1:
         raise InvalidArgumentError(f"t1={t1} lies less than half a step dt={dt} after t0={t0}")
-    samples = np.array(chart_samples, dtype=float)
-    if samples.shape[0] == 0:
+    if len(chart_samples) == 0:
         raise InsufficientSamplesError("no chart samples given")
     n = dimensions(d).n
-    samples = _rows(samples, n)
+    samples = _rows(chart_samples, n)
     end = t0 + steps * dt
     window = existence_window(d)
     if window.t_max is not None and max(t1, end) >= window.t_max:
@@ -580,7 +539,7 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
     S, K = samples.shape[0], offs.shape[0]
     stencil_points = immerse_rows(d, _stencil_points(samples, offs))  # once: the rows do not change from step to step
     # the walk's start and its closed-form targets at the end, one flow; X is walked in place
-    X, targets = _flow_times("hyperbolic", d, immerse_rows(d, samples), [t0, end])
+    X, targets = _flow_times(d, immerse_rows(d, samples), [t0, end])
     nsig = -HYPERBOLOID.signature(X.shape[1])
     sq, norm = np.empty_like(X), np.empty((S, 1))
     add, multiply, divide, sqrt, reduce = np.add, np.multiply, np.divide, np.sqrt, np.add.reduce
@@ -814,7 +773,7 @@ def isoparametric_residuals(
         return np.zeros(len(ts))
     chart = descriptor_immersion(d)
 
-    flowed = lambda U: _flow_times("hyperbolic", d, chart.at_rows(U), ts)
+    flowed = lambda U: _flow_times(d, chart.at_rows(U), ts)
     return _isoparametric_spreads(chart, flowed, k, chart_samples, transport_steps, h)
 
 

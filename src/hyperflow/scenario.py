@@ -6,15 +6,17 @@ hyperboloid and ball coordinates plus JSON reports (existence window, limit
 report, invariant report); ``run_invariant_battery`` drives the checks that
 ``verify`` gates on.  Outputs are deterministic for a fixed seed.  The
 trajectory and ball writers flow all samples over the whole time grid in
-one call of the flow core; ``csvrows`` formats the rows with numpy, every
+one call of the checked flow (``flow._flow_times``), which refuses the
+first grid time whose rows or their squared norms leave doubles before
+anything is written; ``csvrows`` formats the rows with numpy, every
 number as ``"%.17g" % v`` would write it, and each grid time once per run.
 A stationary descriptor keeps its rows at every time, so its run flows,
 projects and formats each sample once and repeats the sample's text at
 every grid time.
 Every artifact is written to a temporary file beside it and renamed into
 place, so a failed run leaves no partial file.  Each of the battery's
-closed-form checks is one call of the flow core over all of its sampled
-times.
+closed-form checks is one call of the same checked flow over all of its
+sampled times.
 """
 
 from __future__ import annotations
@@ -47,18 +49,8 @@ from .descriptors import (
     dimensions,
     immerse_rows,
 )
-from .errors import InvalidArgumentError, TimeOutOfRangeError
-from .flow import (
-    ExistenceWindow,
-    _hyperbolic_flow_rows,
-    _hyperbolic_times,
-    _lorentz_flow_rows,
-    _lorentz_times,
-    _lorentz_to_hyperbolic_scalars,
-    _per_time,
-    existence_window,
-    hyperbolic_flow_batch,
-)
+from .errors import InvalidArgumentError
+from .flow import ExistenceWindow, _flow_times, _lorentz_to_hyperbolic_scalars, _per_time, existence_window
 from .limits import (
     FORWARD_FOCAL,
     FORWARD_GEODESIC,
@@ -310,14 +302,14 @@ def run_invariant_battery(
     normal-frame transports run as one stacked chain.
     ``lorentz_eval`` and ``hyperbolic_eval`` map validated rows X (K, m+1)
     and an array of T times to the flowed rows (T, K, m+1); they default to
-    ``_lorentz_flow_rows``/``_hyperbolic_flow_rows`` after the time checks
-    of the public flows, and tests may substitute corrupted evaluators as
-    negative controls.  Tolerances scale with ``tolerance_scale``, which
-    must be positive and finite.
+    the checked flow of each gauge (``flow._flow_times``), which refuses the
+    first time whose flow leaves doubles, and tests may substitute
+    corrupted evaluators as negative controls.  Tolerances scale with
+    ``tolerance_scale``, which must be positive and finite.
     """
     _check_tolerance_scale(tolerance_scale)
-    F = lorentz_eval or (lambda X, ts: _lorentz_flow_rows(d, X, _lorentz_times(d, ts)))
-    f = hyperbolic_eval or (lambda X, ts: _hyperbolic_flow_rows(d, X, _hyperbolic_times(d, ts)))
+    F = lorentz_eval or (lambda X, ts: _flow_times(d, X, ts, "lorentz"))
+    f = hyperbolic_eval or (lambda X, ts: _flow_times(d, X, ts))
     dims = dimensions(d)
     n = dims.n
     window = existence_window(d)
@@ -453,36 +445,16 @@ def invariant_report_to_json(rep: InvariantReport) -> dict:
 
 
 def _flow_samples(d, X0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Flowed sample points as an (S, T, m+1) array, from one flow of the validated rows X0 over the grid.
+    """Flowed sample points as an (S, T, m+1) array, from one checked flow of the chart rows X0 over the grid.
 
     Times far enough back overflow doubles, in the rows or in their squared
-    norms; they are refused here, before anything is written, instead of
-    writing rows whose <x,x> cannot be evaluated.  The refusal names the
-    first grid time that fails, so a grid that fails as a whole is flowed
-    again one time at a time, up to the first time whose flow overflows
-    ``math``.  A stationary descriptor keeps its rows at every time, so its
-    grid is checked at every time but flowed at the first only, as
-    (S, 1, m+1).
+    norms; ``_flow_times`` refuses the first such grid time, before anything
+    is written, instead of writing rows whose <x,x> cannot be evaluated.  A
+    stationary descriptor has no maximal time and keeps its rows at every
+    time, so its grid is flowed at the first time only, as (S, 1, m+1).
     """
     ts = times.tolist()
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            checked = _hyperbolic_times(d, ts)
-            out = _hyperbolic_flow_rows(d, X0, checked[:1] if _is_stationary(d) else checked)
-        except (OverflowError, TimeOutOfRangeError):
-            out = np.full((len(ts),) + X0.shape, np.nan)
-            for k, t in enumerate(ts):
-                try:
-                    out[k] = hyperbolic_flow_batch(d, X0, t)
-                except OverflowError:
-                    break  # math.exp overflowed; refused with the rest below
-        finite = np.isfinite(np.sum(out * out, axis=2)).all(axis=1)
-    if not finite.all():
-        t = ts[int(np.argmin(finite))]
-        raise TimeOutOfRangeError(
-            f"flowed points or their squared norms are not finite at t={t!r}; the time grid leaves the range of doubles"
-        )
-    return out.transpose(1, 0, 2)
+    return _flow_times(d, X0, ts[:1] if _is_stationary(d) else ts).transpose(1, 0, 2)
 
 
 @contextmanager

@@ -727,9 +727,9 @@ class TestRowGather:
     @pytest.mark.parametrize(
         "caller, inner, times, named",
         [
-            ("run", "circle_h2", (-709.5, -709.0, 2), "not finite at t=-709.5;"),
+            ("run", "circle_h2", (-709.5, -709.0, 2), "the flow at t=-709.5 leaves"),
             # the squares overflow first, from the middle of the grid on
-            ("run", "horocycle_h2", (0.0, 800.0, 9), "not finite at t=400.0;"),
+            ("run", "horocycle_h2", (0.0, 800.0, 9), "the flow at t=400.0 leaves"),
             # t + dt is flowed first
             ("pde_residual_grid", "circle_h2", [0.1, -709.0, -709.5], "the flow at t=-708.9999 leaves"),
             ("isoparametric_residuals", "circle_h2", [0.1, -709.0, -709.5], "the flow at t=-709.0 leaves"),

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -312,6 +313,19 @@ class TestAncientness:
         except GeometryError as exc:  # pragma: no cover - would be a bug
             pytest.fail(f"time-domain rejection at t=-1000: {exc}")
 
+    def test_checked_flow_refuses_by_row(self):
+        # three rows whose squared norms are each 0.4 of the largest double:
+        # their sum overflows, but no row's squared norm does, so they pass;
+        # a row of squared norm 1.2 of it is refused
+        big = math.sqrt(0.4 * sys.float_info.max)
+        F = np.zeros((1, 3, 4))
+        F[0, :, 0] = big
+        core = lambda d, X, ts: F.copy()
+        assert np.array_equal(flow_module._finite_flow(core, None, None, [0.0]), F)
+        F[0, 0, 1:3] = big
+        with pytest.raises(OverflowError):
+            flow_module._finite_flow(core, None, None, [0.0])
+
     def test_membership_deep_in_the_past(self, catalog_entry):
         name, d = catalog_entry
         n = max(dimensions(d).n, 1)
@@ -489,6 +503,18 @@ class TestValidateRows:
             assert _outcome(lambda: mean_curvature(d, bad)) is (None if scalar is None else DomainError), (name, label)
             if not isinstance(d, Ambient):
                 assert scalar is not None, (name, label)
+
+    @pytest.mark.parametrize("gap, flows, mean", [(5e-7, None, None), (5e-6, InvalidArgumentError, DomainError)])
+    def test_quadric_tolerance_of_a_scaled_ambient(self, gap, flows, mean):
+        # on H^3(-100) the quadric tolerance is 1e-8 r = 1e-6: a point with
+        # <x,x> + r = 5e-7 is on it for the flows and for mean_curvature
+        # alike, and one with 5e-6 is off it for all of them
+        d = Ambient(3, 100.0)
+        x = np.array([0.0, 0.0, 0.0, math.sqrt(100.0 - gap)])
+        assert _outcome(lambda: hyperbolic_flow(d, x, 0.0)) is flows
+        assert _outcome(lambda: lorentz_flow(d, x, 0.0)) is flows
+        assert _outcome(lambda: _validate_rows(d, x[None, :])) is flows
+        assert _outcome(lambda: mean_curvature(d, x)) is mean
 
     @pytest.mark.parametrize(
         "name, inner_point",

@@ -159,6 +159,12 @@ class TestForwardLimit:
         for u in ([0.0], [0.6], [-0.9]):
             assert np.max(np.abs(oracle.numeric_mean_curvature(imm, u))) < 1e-6
 
+    def test_no_samples_give_empty_limits(self):
+        # an empty sample list is not a malformed one: both limits return no samples
+        d = CATALOG["tube_h3"]
+        fwd, back = forward_limit(d, []), backward_limit(d, [])
+        assert fwd.samples.shape == (0,) and back.samples.shape == (0,) and back.dim is None
+
     def test_horocycle_ideal_point(self):
         d = CATALOG["horocycle_h2"]
         fwd = forward_limit(d, [])

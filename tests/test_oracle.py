@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperflow
-from hyperflow import descriptors, limits, oracle
+from hyperflow import descriptors, flow, limits, oracle
 from hyperflow.catalog import CATALOG
 from hyperflow.descriptors import FullProduct, ProductOfSpheres, dimensions, immerse
 from hyperflow.errors import (
@@ -362,15 +363,15 @@ class TestEvolveAndCompare:
         # distance: the start and target flow refuses it, naming the time
         d = CATALOG["circle_h2"]
         us = chart_samples(d, 2, 5)[:3]
-        real = oracle._hyperbolic_flow_rows
+        real = flow._hyperbolic_flow_rows
 
-        def flow(d, X, ts, **kwargs):
+        def flowed(d, X, ts, **kwargs):
             out = real(d, X, ts, **kwargs)
             if len(X) == len(us):  # the samples' start and target, not the stencils
                 out[[j for j, t in enumerate(ts) if t > 0.0], 1] = math.nan
             return out
 
-        monkeypatch.setattr(oracle, "_hyperbolic_flow_rows", flow)
+        monkeypatch.setattr(flow, "_hyperbolic_flow_rows", flowed)
         with pytest.raises(TimeOutOfRangeError, match=r"t=0\.001 leaves the range of doubles"):
             oracle.evolve_and_compare(d, us, 0.0, 1e-3, 1e-4)
 
@@ -378,8 +379,10 @@ class TestEvolveAndCompare:
         # the samples' flow to t0 = -800 leaves doubles in its time scalars:
         # refused as out of range, naming t0, before any stencil is flowed
         d = CATALOG["circle_h2"]
-        flows, real = [], oracle._hyperbolic_flow_rows
-        monkeypatch.setattr(oracle, "_hyperbolic_flow_rows", lambda d, X, ts: flows.append(len(X)) or real(d, X, ts))
+        flows = []
+        for module in (flow, oracle):  # the checked flow's core, and the walk's stencils
+            real = module._hyperbolic_flow_rows
+            monkeypatch.setattr(module, "_hyperbolic_flow_rows", lambda d, X, ts, real=real: flows.append(len(X)) or real(d, X, ts))
         with pytest.raises(TimeOutOfRangeError, match=r"the flow at t=-800\.0 leaves the range of doubles"):
             oracle.evolve_and_compare(d, chart_samples(d, 2, 7)[:2], -800.0, -799.999, 1e-4)
         assert flows == [2, 2]  # the start and target flow, then t0 alone
@@ -502,9 +505,15 @@ class TestIsoparametricResidual:
         with pytest.raises(TimeOutOfRangeError, match="range of doubles"):
             oracle.isoparametric_residual(d, -1e6, chart_samples(d, 3, 7)[:4])
 
-    def test_infinite_gram_is_degenerate(self):
-        # the rows are finite at -400, but the squares in their Gram matrix overflow
+    def test_infinite_gram_is_degenerate(self, monkeypatch):
+        # the rows are finite at -400, but their squares overflow: the
+        # checked flow refuses the time; with its core standing in for it,
+        # the squares in the frame's Gram matrix overflow and the frame is
+        # refused as degenerate
         d = CATALOG["circle_h2"]
+        with pytest.raises(TimeOutOfRangeError, match=r"^the flow at t=-400\.0 leaves the range of doubles$"):
+            oracle.isoparametric_residual(d, -400.0, chart_samples(d, 3, 7)[:4])
+        monkeypatch.setattr(oracle, "_flow_times", lambda d, X, ts, *a: flow._hyperbolic_flow_rows(d, X, ts))
         with pytest.raises(ChartDegenerateError, match="degenerate frame"):
             oracle.isoparametric_residual(d, -400.0, chart_samples(d, 3, 7)[:4])
 
@@ -524,10 +533,10 @@ class TestIsoparametricResidual:
         # one chart evaluation and one flow call, whatever the number of times
         d = CATALOG["clifford_tube_h5"]
         calls = {"at_rows": 0, "flow": 0}
-        at_rows, core = oracle.ImmersionEvaluator.at_rows, oracle._hyperbolic_flow_rows
+        at_rows, core = oracle.ImmersionEvaluator.at_rows, oracle._flow_times
         count = lambda key: calls.__setitem__(key, calls[key] + 1)
         monkeypatch.setattr(oracle.ImmersionEvaluator, "at_rows", lambda imm, U: count("at_rows") or at_rows(imm, U))
-        monkeypatch.setattr(oracle, "_hyperbolic_flow_rows", lambda *a, **k: count("flow") or core(*a, **k))
+        monkeypatch.setattr(oracle, "_flow_times", lambda *a, **k: count("flow") or core(*a, **k))
         assert oracle.isoparametric_residuals(d, times, chart_samples(d, 3, 7)[:4]).shape == (len(times),)
         assert calls == {"at_rows": 1, "flow": 1}
 
@@ -614,6 +623,20 @@ class TestIsoparametricResidual:
         # the first time whose flow overflows is named
         with pytest.raises(TimeOutOfRangeError, match=r"t=-1000000\.0 leaves the range of doubles"):
             oracle.isoparametric_residuals(d, [0.1, -1e6, -2e6], us)
+
+    @pytest.mark.parametrize(
+        "times, named",
+        [
+            ([-1000.0, 5.0], "the flow at t=-1000.0 leaves the range of doubles"),
+            ([5.0, -1000.0], "t=5.0 >= hyperbolic maximal time"),
+        ],
+    )
+    def test_first_failing_time_is_named(self, times, named):
+        # the first time in list order that fails is named, whether its flow
+        # overflows doubles or it lies past T
+        d = CATALOG["circle_h2"]
+        with pytest.raises(TimeOutOfRangeError, match=f"^{re.escape(named)}"):
+            oracle.isoparametric_residuals(d, times, chart_samples(d, 3, 7)[:4])
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_transport_without_steps_refused(self, steps):
@@ -1173,10 +1196,9 @@ class TestBatchedOracle:
         for module, fn in ((oracle, "immerse_rows"), (descriptors, "_validate_rows")):
             real = getattr(module, fn)
             monkeypatch.setattr(module, fn, lambda *a, real=real, fn=fn: calls.__setitem__(fn, calls[fn] + 1) or real(*a))
-        _, core, _ = oracle._gauge_flow(gauge)
+        core = oracle._flow_times
         counted = lambda *a, **k: calls.__setitem__("flow", calls["flow"] + 1) or core(*a, **k)
-        name = "_hyperbolic_flow_rows" if gauge == "hyperbolic" else "_lorentz_flow_rows"
-        monkeypatch.setattr(oracle, name, counted)
+        monkeypatch.setattr(oracle, "_flow_times", counted)
         us = chart_samples(d, 3, 7)[:3]
         for times in ([0.05], [-0.3, -0.1, 0.0, 0.05, 0.1]):
             calls.update(immerse_rows=0, _validate_rows=0, flow=0)
@@ -1219,8 +1241,9 @@ class TestBatchedOracle:
     def test_euler_walk_flows_each_block_once(self, name, samples, t1, blocks, monkeypatch):
         d = CATALOG[name]
         seen = []
-        real = oracle._hyperbolic_flow_rows
-        monkeypatch.setattr(oracle, "_hyperbolic_flow_rows", lambda d, X, ts, **k: seen.append(len(ts)) or real(d, X, ts, **k))
+        for name in ("_flow_times", "_hyperbolic_flow_rows"):  # the samples' checked flow, then the blocks
+            real = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, lambda d, X, ts, *a, real=real: seen.append(len(ts)) or real(d, X, ts, *a))
         oracle.evolve_and_compare(d, chart_samples(d, 2, 11)[:samples], 0.0, t1, 1e-5)
         assert seen == blocks
 
@@ -1569,6 +1592,14 @@ MALFORMED = {
     "transport_mismatched_ends": lambda: oracle.transport_normal_frame(_TUBE_IMM, _U[0], _U[1][:2], _NORMALS),
     "mean_curvature_ragged_point": lambda: oracle.numeric_mean_curvature(_TUBE_IMM, [[0.1, 0.2], [0.3]]),
     "transport_frame_vector": lambda: oracle.transport_normal_frame(_TUBE_IMM, _U[0], _U[1], [v[:-1] for v in _NORMALS]),
+    # the walk and both limits take their samples through the same shape check
+    "walk_ragged_samples": lambda: oracle.evolve_and_compare(CATALOG["tube_h3"], [[0.1, 0.2], [0.3]], 0.0, 1e-3, 1e-4),
+    "walk_string_samples": lambda: oracle.evolve_and_compare(CATALOG["tube_h3"], [["a", "b"]], 0.0, 1e-3, 1e-4),
+    "forward_limit_ragged_samples": lambda: limits.forward_limit(CATALOG["tube_h3"], [[0.1, 0.2], [0.3]]),
+    "forward_limit_string_samples": lambda: limits.forward_limit(CATALOG["tube_h3"], [["a", "b"]]),
+    "ideal_point_ragged_samples": lambda: limits.forward_limit(CATALOG["horocycle_h2"], [[0.1, 0.2], [0.3]]),
+    "backward_limit_ragged_samples": lambda: limits.backward_limit(CATALOG["tube_h3"], [[0.1, 0.2], [0.3]]),
+    "backward_limit_string_samples": lambda: limits.backward_limit(CATALOG["tube_h3"], [["a", "b"]]),
     "hausdorff_empty_set": lambda: limits.hausdorff_distance(np.zeros((0, 3)), np.zeros((2, 3))),
     "hausdorff_dimensions": lambda: limits.hausdorff_distance(np.zeros((2, 3)), np.zeros((2, 4))),
 }

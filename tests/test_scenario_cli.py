@@ -279,7 +279,7 @@ class TestRunScenario:
             tmp_path / "scn.json", "far", CATALOG["circle_h2"],
             time_grid={"start": start, "end": 0.0, "steps": 3}, outputs=["trajectory", "ball"],
         )
-        with pytest.raises(TimeOutOfRangeError, match="not finite"):
+        with pytest.raises(TimeOutOfRangeError, match=f"^the flow at t={start!r} leaves the range of doubles$"):
             run_scenario(path, tmp_path / "out")
         assert not list((tmp_path / "out").glob("*.csv"))
 
@@ -332,8 +332,8 @@ class TestTrajectoryWriters:
         # the whole grid is one flow call, and the rows pass the quadric check once, in the chart
         name, d = catalog_entry
         calls = {"flow": 0, "quadric": 0}
-        core, quadric = scenario._hyperbolic_flow_rows, descriptors._quadric_rows
-        monkeypatch.setattr(scenario, "_hyperbolic_flow_rows", lambda *a: calls.__setitem__("flow", calls["flow"] + 1) or core(*a))
+        core, quadric = scenario._flow_times, descriptors._quadric_rows
+        monkeypatch.setattr(scenario, "_flow_times", lambda *a: calls.__setitem__("flow", calls["flow"] + 1) or core(*a))
         monkeypatch.setattr(descriptors, "_quadric_rows", lambda *a: calls.__setitem__("quadric", calls["quadric"] + 1) or quadric(*a))
         path = write_scenario(
             tmp_path / "scn.json", name, d,
@@ -363,9 +363,7 @@ class TestTrajectoryWriters:
         )
         with pytest.raises(TimeOutOfRangeError) as err:
             run_scenario(path, tmp_path / "out")
-        assert str(err.value) == (
-            f"flowed points or their squared norms are not finite at t={named!r}; the time grid leaves the range of doubles"
-        )
+        assert str(err.value) == f"the flow at t={named!r} leaves the range of doubles"
         assert not list((tmp_path / "out").glob("*.csv"))
 
     @pytest.mark.parametrize("name, grid, named", [("circle_h2", (-1.0, 1.0, 5), 1.0), ("tube_h3", (-1.0, 3.0, 9), 0.5)])
@@ -681,18 +679,27 @@ class TestLargeDimensionProbes:
             code = cli.main(["verify", str(path)])
         assert code == (0 if name in LARGE_N_PASSING else 3), err.getvalue()
 
+    def test_overflowing_probe_is_refused_naming_it(self, tmp_path):
+        # at r = 1e48 the backward probe at -300/30 = -10 flows the rows out
+        # of doubles: refused at the flow, naming the time, not by the ball
+        # projection's quadric check on nan rows
+        path = write_scenario(tmp_path / "far.json", "far", _point_product(30, 1e48), oracle={"enabled": False})
+        out = run_cli("verify", str(path))
+        assert out.returncode == 2, out.stderr
+        assert "t=-10.0" in out.stderr and "range of doubles" in out.stderr
+
     def test_probe_times_shrink_with_n(self, monkeypatch):
         # probes at -min(15, 300/n), min(15, 300/n) and min(5, 300/n):
         # n <= 20, the catalog and the chains included, keeps -15, 15 and 5
         seen = []
-        core = scenario._hyperbolic_flow_rows
+        core = scenario._flow_times
 
         def recorded(d, X, ts, *args, **kwargs):
             if len(ts) == 1:  # the probes; sampled checks flow many times at once
                 seen.append((dimensions(d).n, ts[0]))
             return core(d, X, ts, *args, **kwargs)
 
-        monkeypatch.setattr(scenario, "_hyperbolic_flow_rows", recorded)
+        monkeypatch.setattr(scenario, "_flow_times", recorded)
         for d in (_equidistant(20), _point_product(20, 1.0), _equidistant(24), _point_product(75, 1.0)):
             run_invariant_battery(d, Sampling(), OracleSettings(enabled=False))
         assert seen == [(20, -15.0), (20, 15.0), (20, 5.0), (24, -12.5), (24, 12.5), (75, 4.0)]
@@ -1084,7 +1091,7 @@ class TestCli:
         out = run_cli("run", str(path), "--out", str(tmp_path / "out"))
         assert out.returncode == code, out.stderr
         if code:
-            assert "time grid" in out.stderr
+            assert "the flow at t=-400.0 leaves the range of doubles" in out.stderr
             assert not list((tmp_path / "out").glob("*.csv"))
 
     def test_thread_cap_is_honored(self, tmp_path, monkeypatch):
