@@ -19,9 +19,9 @@ instance, built once from the plan of its inner level by ``_build_plan``,
 the one walk over descriptor kinds for them; the plan of an umbilic level
 also holds the placement that embeds and splits its points, affine
 (x = eta + scale J z) or horospherical.  An umbilic level branches once on
-its kind: a hyperbolic level recurses into its inner descriptor, any other
-asks its leaf, a ``ProductOfSpheres`` or ``EuclideanIso``, which owns its
-layout: its facts, chart, membership, flow, mean curvature and JSON form.
+its kind: a hyperbolic level leads the walks to its inner descriptor, any
+other asks its leaf, a ``ProductOfSpheres`` or ``EuclideanIso``, which owns
+its layout: its facts, chart, membership, flow, mean curvature and JSON form.
 Charts are explicit: hyperbolic factors use polar coordinates on R^l,
 sphere factors use angles, so every immersion is a smooth map from a box in
 R^n that finite differencing can probe.
@@ -997,10 +997,17 @@ def _umbilic_columns(d: Umbilic, C: np.ndarray) -> np.ndarray:
     return _apply_rows(pl.J, pl.J_rows, C)
 
 
-# The level walks (the flow cores, ``_validate_levels``, ``_immerse``) step
-# from an umbilic level to ``_below`` it: past its whole run when it starts
-# one, else to its inner level.  Across a run the three maps below are one
-# gather each; elsewhere they are the level's own.
+# The level walks (``flow._flow_rows``, ``_validate_levels``, ``_immerse``)
+# loop over ``_levels``.  Across a run the three maps below are one gather
+# each; elsewhere they are the level's own.
+
+
+def _levels(d):
+    """The levels the walks visit, top first: d, then ``_below`` each hyperbolic umbilic level (past the whole run it starts), down to the first other descriptor."""
+    while isinstance(d, Umbilic) and d.umb.kind == "hyperbolic":
+        yield d
+        d = _below(d)
+    yield d
 
 
 def _below(d: Umbilic):
@@ -1054,7 +1061,7 @@ def _validate_rows(d, X) -> np.ndarray:
 
     Rows off the ambient quadric (``_quadric_rows``), on the lower sheet or
     not finite raise InvalidArgumentError.  Rows off any level of d, at any
-    depth of the recursion, raise DomainError: a product block, an umbilic
+    depth, raise DomainError: a product block, an umbilic
     hypersurface, an umbilic leaf, or the point of an n = 0 descriptor (the
     walk of ``_validate_levels``, which ``mean_curvature`` runs too).  The
     chart (``immerse_rows``) returns only rows that pass it, and the
@@ -1069,8 +1076,8 @@ def _validate_rows(d, X) -> np.ndarray:
 def _validate_levels(d, X: np.ndarray) -> None:
     """Membership of every row of X in the submanifold of d: the one membership walk.
 
-    X holds rows already on the ambient quadric.  The walk follows the
-    recursion of the flows and checks every level: the blocks of a full
+    X holds rows already on the ambient quadric.  The walk visits the levels
+    of the flow walk (``_levels``) and checks each: the blocks of a full
     product (``_check_product_rows``), the round trip of each umbilic
     hypersurface through its placement, and the leaf of an umbilic level:
     the factor spheres of a product of spheres, the fixed position of a
@@ -1081,18 +1088,18 @@ def _validate_levels(d, X: np.ndarray) -> None:
     out, each an exact copy of a coordinate of X, so it fails exactly when
     the round trip of one of its levels fails.
     """
-    if isinstance(d, Ambient):
-        return
-    if isinstance(d, FullProduct):
-        _check_product_rows(d, X)
-        return
-    Z = _split_across(d, X)
-    if np.any(np.abs(_embed_across(d, Z) - X) > _POINT_TOL):
-        raise DomainError("point is not on the umbilical hypersurface of this level")
-    if d.umb.kind == "hyperbolic":
-        _validate_levels(_below(d), Z)
-    else:
-        d.inner._check_rows(Z, d.umb)
+    for level in _levels(d):
+        if isinstance(level, Ambient):
+            return
+        if isinstance(level, FullProduct):
+            _check_product_rows(level, X)
+            return
+        Z = _split_across(level, X)
+        if np.any(np.abs(_embed_across(level, Z) - X) > _POINT_TOL):
+            raise DomainError("point is not on the umbilical hypersurface of this level")
+        if level.umb.kind != "hyperbolic":
+            level.inner._check_rows(Z, level.umb)
+        X = Z
 
 
 def immerse(d, u) -> np.ndarray:
@@ -1138,14 +1145,18 @@ def _finite_chart(d, U: np.ndarray) -> np.ndarray:
 
 
 def _immerse(d, U: np.ndarray) -> np.ndarray:
-    if isinstance(d, Ambient):
-        return _hyperbolic_chart(U, d.r)
-    if isinstance(d, FullProduct):
-        xv = _hyperbolic_chart(U[:, : d.l], d.r)
-        y = _leaf_immersion(d.leaf, U[:, d.l :], d.r - 1.0)
-        return _product_assemble(d, xv, y)
-    z = _immerse(_below(d), U) if d.umb.kind == "hyperbolic" else d.inner._chart_rows(U, d.umb)
-    return _embed_across(d, z)
+    """The chart of the bottom of ``_levels(d)`` at U, embedded through each level above it."""
+    *above, bottom = _levels(d)
+    if isinstance(bottom, Ambient):
+        x = _hyperbolic_chart(U, bottom.r)
+    elif isinstance(bottom, FullProduct):
+        xv = _hyperbolic_chart(U[:, : bottom.l], bottom.r)
+        x = _product_assemble(bottom, xv, _leaf_immersion(bottom.leaf, U[:, bottom.l :], bottom.r - 1.0))
+    else:
+        x = _embed_across(bottom, bottom.inner._chart_rows(U, bottom.umb))
+    for level in reversed(above):
+        x = _embed_across(level, x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -1238,9 +1249,9 @@ def descriptor_to_json(d) -> dict:
 
 
 # Deepest nesting of descriptors (Ambient, FullProduct, Umbilic) that the JSON
-# loader accepts; a geodesic chain of depth 24 is 25 deep.  The loader and the
-# flows recurse once or more per level, so far deeper input would exhaust the
-# interpreter's recursion limit instead of being refused.
+# loader accepts; a geodesic chain of depth 24 is 25 deep.  The loader, the JSON
+# writer and the closed-form mean curvature recurse once per level, so far deeper
+# input would exhaust the interpreter's recursion limit instead of being refused.
 MAX_DESCRIPTOR_DEPTH = 64
 
 

@@ -11,9 +11,10 @@ descriptor grammar is assembled level by level:
 * a submanifold of an umbilical hypersurface with invariant alpha evolves as
   F = sqrt(2nt(1-alpha^2)+1) (f_1(x, s_alpha(t)) - eta) + eta on a hyperbolic
   or spherical level and F = f_1(x,t) - n t beta xi on a horospherical one, where
-  f_1 is the flow inside the hypersurface: the recursion into a hyperbolic
-  level's inner descriptor, or the leaf's own flow (``descriptors``, where
-  the leaves keep their layouts; this module reads no leaf field);
+  f_1 is the flow inside the hypersurface: the flow of a hyperbolic level's
+  inner descriptor, one level further down the same walk, or the leaf's own
+  flow (``descriptors``, where the leaves keep their layouts; this module
+  reads no leaf field);
 * a run of geodesic (alpha = 0) levels whose placements are exact row
   gathers is one step: below the run's top level each has R = 1, eta = 0
   and, in the hyperbolic gauge, s_alpha(w(t)) = t, so the flow of the
@@ -27,26 +28,29 @@ scaled by e^(-nt), both scalars coming from
 ``_lorentz_to_hyperbolic_scalars``.  Only the umbilic levels use direct
 stable forms, which agree with the composition to rounding and stay finite
 where w(t) overflows; the horospherical level takes
-its inner time and e^(-nt) from the same time change.  Both flows have one
-evaluation path, a recursion over rows of points and a list of times
-(``_hyperbolic_flow_rows``, ``_lorentz_flow_rows``, returning (T, K, m+1)):
-each level, or run of geodesic levels, computes its time scalars (the
-roots sqrt(1 + 2lt/r) and sqrt(1 - 2pt/s) as arrays over the times, with
-the bits of the scalar forms; exp, expm1, log and log1p with ``math``, time
-by time) and splits and embeds its rows once for all times.  An entry
+its inner time and e^(-nt) from the same time change.  Both flows, in both
+gauges and every endpoint mode, have one evaluation path over rows of
+points and a list of times: the walk ``_flow_rows``, returning
+(T, K, m+1), a loop that goes down the levels of the descriptor once and
+back up, with no recursion.  On the way down each level, or run of geodesic
+levels, computes its time scalars (the roots sqrt(1 + 2lt/r) and
+sqrt(1 - 2pt/s) as arrays over the times, with the bits of the scalar
+forms; exp, expm1, log and log1p with ``math``, time by time), refuses a
+bad time, and splits its rows once for all times; on the way up it embeds
+them and applies its scale and shift in the order of its formula.  An entry
 (t, row) has the same bits as that row alone at that time alone; the batch
 flows are calls with one time and the one-point entry points validated
 batches of one.  This module holds no membership code: the public flows
 check the rows their callers pass in
 with the predicates of ``descriptors`` (``_validate_rows`` for one point,
 the ambient quadric for a batch), and the chart ``immerse_rows`` returns
-only rows that passed every membership check, so the row cores take chart
+only rows that passed every membership check, so the walk takes chart
 rows as they come.  The public flows refuse
-t >= T; the endpoint mode of ``_hyperbolic_flow_rows`` evaluates the
-continuous extension at t = T, which is the forward focal limit, and that of
-``_lorentz_flow_rows`` the extension of geodesic (alpha = 0) levels to the
+t >= T; the hyperbolic endpoint mode of the walk evaluates the continuous
+extension at t = T, which is the forward focal limit, and its Lorentzian
+endpoint mode the extension of geodesic (alpha = 0) levels to the
 light-cone time -1/(2n), whose ball image is the backward limit.  At
-s = +infinity the endpoint mode of ``_lorentz_flow_rows`` is asymptotic:
+s = +infinity the Lorentzian endpoint mode is asymptotic:
 each level keeps its leading coefficient in s, which is the forward limit
 of every eternal descriptor (a timelike coefficient over sqrt(2ns) is the
 totally geodesic limit, a null one names the ideal point).  The
@@ -77,12 +81,12 @@ from .descriptors import (
     FullProduct,
     ProductOfSpheres,
     SphereLeafFlow,
-    Umbilic,
     _below,
     _columns_across,
     _embed_across,
     _is_stationary,
     _leaf_column_scales,
+    _levels,
     _plan,
     _quadric_rows,
     _sphere_leaf_flow,
@@ -151,6 +155,12 @@ def _v_alpha(n: int, alpha: float, one: float, t: float) -> float:
     return math.exp(-n * t) * math.sqrt(rad)
 
 
+def _positive_radicand(rad: float, t: float) -> float:
+    if rad <= 0:
+        raise TimeOutOfRangeError(f"flow radicand {rad:.3e} <= 0 at t={t}")
+    return rad
+
+
 def _per_time(values: list[float]) -> np.ndarray:
     """Per-time scalars as a (T, 1, 1) array, to scale (T, K, c) rows time by time."""
     return np.array(values)[:, None, None]
@@ -202,7 +212,7 @@ def _lorentz_times(d, times) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Lorentzian flow
+# the public flows
 
 
 def lorentz_flow(d, x, t: float) -> np.ndarray:
@@ -216,7 +226,7 @@ def lorentz_flow(d, x, t: float) -> np.ndarray:
     """
     X = as_vector(x, dimensions(d).m)[None, :]
     _validate_rows(d, X)
-    return _lorentz_flow_rows(d, X, _lorentz_times(d, [t]))[0, 0]
+    return _flow_rows(d, X, _lorentz_times(d, [t]), "lorentz")[0, 0]
 
 
 def lorentz_flow_batch(d, X, t: float) -> np.ndarray:
@@ -225,101 +235,10 @@ def lorentz_flow_batch(d, X, t: float) -> np.ndarray:
     Rows must already lie on the immersed submanifold: only the ambient
     quadric is checked here, as in ``hyperbolic_flow_batch``.  Times at or
     past the Lorentzian collapse bound raise TimeOutOfRangeError, and
-    non-finite times InvalidArgumentError.  One time of ``_lorentz_flow_rows``.
+    non-finite times InvalidArgumentError.  One time of ``_flow_rows``.
     """
     ts = _lorentz_times(d, [t])
-    return _lorentz_flow_rows(d, _quadric_rows(d, X), ts)[0]
-
-
-def _lorentz_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> np.ndarray:
-    """The Lorentzian flow of rows X (K, m+1) at every time of ts, as (T, K, m+1).
-
-    Entry (j, k) has the bits of the flow of row k alone at ts[j] alone.
-    Each level computes its time scalars, with ``math`` or as arrays of the
-    same bits (see the module docstring), in the order of one time's
-    recursion, and works the rows once for all times, in place on the new
-    array of its inner flow.
-    With ``end`` an alpha = 0 level, whose scaling vanishes at the light-cone
-    time -1/(2n), is its continuous extension there: the Lorentzian flow of
-    its inner level, embedded (R = 1 and eta = 0 on a geodesic hypersurface).
-
-    With ``end`` and ts = [inf], the asymptotic endpoint of an eternal flow,
-    each level keeps its leading coefficient C in s, (1, K, m+1):
-    * a stationary level keeps its rows (F = sqrt(1 + 2ns) X, or X if n = 0);
-    * a full product (an eternal one has a point leaf, so n = l) grows like
-      sqrt(1 + 2ls/r) on its H^l(-r) block: C against sqrt(2ns) is that
-      block over sqrt(r), the leaf block zero;
-    * a horospherical level drifts by -n s beta xi: C = -(beta/2) xi
-      against 2ns, null and the same for every row;
-    * a hyperbolic level is F = eta + sqrt(R) J F_in(z, (1 - alpha^2) s), so
-      C = J C_in, exact against sqrt(2ns) as sqrt(R (1 - alpha^2)) = 1; a
-      null C_in keeps its direction, up to the factor sqrt(1 - alpha^2).
-    A spherical level collapses in finite time and is refused.  A timelike C
-    is the totally geodesic limit, a null one names the ideal point
-    F[:-1] / F[-1] tends to.
-    """
-    n = dimensions(d).n
-    far = end and ts == [math.inf]
-    if n == 0 or (far and _is_stationary(d)):
-        return np.broadcast_to(X, (len(ts),) + X.shape).copy()
-    if isinstance(d, Ambient):
-        return _a1(d.m, d.r, ts)[:, None, None] * X
-    if isinstance(d, FullProduct):
-        if far:
-            C = X / math.sqrt(d.r)
-            C[:, d.l : -1] = 0.0
-            return C[None]
-        return _product_rows(d, X, ts)
-    umb, pl = d.umb, _plan(d).placement
-    if far and umb.kind == "euclidean":
-        return np.broadcast_to(-0.5 * umb.beta * pl.xi, (1,) + X.shape).copy()
-    if far and umb.kind == "spherical":
-        raise TimeOutOfRangeError("s = inf: a spherical level collapses in finite time, its flow is not eternal")
-    if far or (end and umb.totally_geodesic):
-        # J C_in at s = inf; a geodesic level's embedding is J z too, so across a run both are one gather
-        return _columns_across(d, _lorentz_flow_rows(_below(d), _split_across(d, X), ts, end))
-    one = umb.one_minus_alpha2
-    if umb.kind == "euclidean":
-        drift = _per_time([n * t * umb.beta for t in ts])
-        f1 = _umbilic_inner_flow_rows(d, X, ts)
-        f1 -= drift * pl.xi
-        return f1
-    window = existence_window(d)
-    scale = []
-    for t in ts:
-        if window.t_dprime is not None and t >= window.t_dprime:
-            raise TimeOutOfRangeError(f"t={t} >= Lorentzian collapse bound {window.t_dprime}")
-        scale.append(math.sqrt(_positive_radicand(2.0 * n * t * one + 1.0, t)))
-    f1 = _umbilic_inner_flow_rows(d, X, [_s_alpha(n, one, t) for t in ts])
-    f1 -= pl.eta
-    f1 *= _per_time(scale)
-    f1 += pl.eta
-    return f1
-
-
-def _product_rows(d: FullProduct, X: np.ndarray, lorentz_ts: list[float], end: bool = False) -> np.ndarray:
-    """The Lorentzian flow of a full product at every time of lorentz_ts, (T, K, m+1).
-
-    The H^l(-r) factor scales by sqrt(1 + 2lt/r) and the leaf by its
-    Euclidean flow; ``end`` takes a leaf radicand that vanishes as zero.
-    """
-    a1 = _a1(d.l, d.r, lorentz_ts)
-    m = X.shape[1] - 1
-    cols = np.empty((len(lorentz_ts), m + 1))
-    cols[:, : d.l] = a1[:, None]
-    cols[:, -1] = a1
-    cols[:, d.l : m] = _leaf_column_scales(d.leaf, lorentz_ts, end)
-    return X * cols[:, None, :]
-
-
-def _positive_radicand(rad: float, t: float) -> float:
-    if rad <= 0:
-        raise TimeOutOfRangeError(f"flow radicand {rad:.3e} <= 0 at t={t}")
-    return rad
-
-
-# ---------------------------------------------------------------------------
-# hyperbolic flow
+    return _flow_rows(d, _quadric_rows(d, X), ts, "lorentz")[0]
 
 
 def hyperbolic_flow(d, x, t: float) -> np.ndarray:
@@ -331,7 +250,7 @@ def hyperbolic_flow(d, x, t: float) -> np.ndarray:
     """
     X = as_vector(x, dimensions(d).m)[None, :]
     _validate_rows(d, X)
-    return _hyperbolic_flow_rows(d, X, _hyperbolic_times(d, [t]))[0, 0]
+    return _flow_rows(d, X, _hyperbolic_times(d, [t]))[0, 0]
 
 
 def hyperbolic_flow_batch(d, X, t: float) -> np.ndarray:
@@ -341,80 +260,141 @@ def hyperbolic_flow_batch(d, X, t: float) -> np.ndarray:
     ``immerse_rows`` do: only the ambient quadric is checked here.
     ``descriptors._validate_rows`` makes the other membership checks of
     ``hyperbolic_flow`` on a whole batch.  Non-finite times raise
-    InvalidArgumentError.  One time of ``_hyperbolic_flow_rows``.
+    InvalidArgumentError.  One time of ``_flow_rows``.
     """
     ts = _hyperbolic_times(d, [t])
-    return _hyperbolic_flow_rows(d, _quadric_rows(d, X), ts)[0]
+    return _flow_rows(d, _quadric_rows(d, X), ts)[0]
 
 
-def _hyperbolic_flow_rows(d, X: np.ndarray, ts: list[float], end: bool = False) -> np.ndarray:
-    """The hyperbolic flow of rows X (K, m+1) at every time of ts, as (T, K, m+1).
 
-    Entry (j, k) has the bits of the flow of row k alone at ts[j] alone:
-    each level computes its time scalars, with ``math`` or as arrays of the
-    same bits, in the order of one time's recursion, splits and embeds its
-    rows once, and scales them for all times at once, in place on the new
-    array they are built in.  A stationary descriptor (totally geodesic, or
-    n = 0: the predicate the limits use) keeps its rows at every time,
-    exactly; its gauge composition would round the factor 1 + expm1(2nt) to 0 a few
-    time units back.  With ``end`` it is the continuous extension to t = T:
-    every level takes its window's exact times, T'' for the ambient gauge
-    of a product and T' for the inner flow, instead of their images of t,
-    and radicands that vanish there are taken as zero.
+# ---------------------------------------------------------------------------
+# the flow walk
+
+
+def _flow_rows(d, X: np.ndarray, ts: list[float], gauge: str = "hyperbolic", end: bool = False) -> np.ndarray:
+    """The gauge's flow of rows X (K, m+1) at every time of ts, as (T, K, m+1): the one flow path.
+
+    Entry (j, k) has the bits of the flow of row k alone at ts[j] alone.  The
+    walk goes down the levels of d once (``descriptors._levels``): each
+    umbilic level computes its time scalars and refuses a bad time, then
+    splits the rows into its inner model, across its whole run when it
+    starts one.  The bottom takes its own flow; a stationary one (totally
+    geodesic, or n = 0: the predicate the limits use) keeps its rows
+    exactly, where the gauge composition would round 1 + expm1(2nt) to 0 a
+    few time units back.  Back up, each level embeds the rows and applies
+    its scale and shift (the formulas of the module docstring) in place, in
+    the order of its formula; the hyperbolic e^(-nt) of the shift is taken
+    only then, so a time the inner flow refuses is refused first.  Only the
+    top level can be in the Lorentzian gauge: below it the walk is
+    hyperbolic, unless ``end`` keeps the gauge across a level.
+
+    ``end`` is the continuous extension at an endpoint.  In the hyperbolic
+    gauge at T every level takes its window's exact times, T'' for a
+    product's ambient gauge and T' for the inner flow (T for the level below
+    a run), and radicands that vanish there are taken as zero; a level with
+    no T' shrinks to the point e^(-nt) eta.  In the Lorentzian gauge at the
+    light-cone time -1/(2n) an alpha = 0 level is the Lorentzian flow of its
+    inner level, embedded by its columns J.  At ts = [inf] each level keeps
+    its leading coefficient C in s, (1, K, m+1): a stationary level its rows,
+    a full product (n = l) its H^l(-r) block over sqrt(r) and a zero leaf
+    block, against sqrt(2ns); a horospherical level -(beta/2) xi, null,
+    against 2ns; a hyperbolic level J C_in, as sqrt(R (1 - alpha^2)) = 1.  A
+    spherical level collapses in finite time and is refused there.
     """
-    if _is_stationary(d):
-        return np.broadcast_to(X, (len(ts),) + X.shape).copy()
-    n = dimensions(d).n
-    window = existence_window(d) if end else None
-    if isinstance(d, FullProduct):
-        # the gauge composition e^(-nt) F(x, w(t)) of the ambient H^m(-1)
-        s, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
-        rows = _product_rows(d, X, [window.t_dprime] * len(ts) if end else s, end)
-        rows *= _per_time(decay)
-        return rows
-    umb, pl = d.umb, _plan(d).placement
-    one = umb.one_minus_alpha2
-    if end and window.t_prime is None:
-        # the level's own scaling vanishes at T: the hypersurface shrinks to one point
-        point = _per_time([math.exp(-n * t) for t in ts]) * pl.eta
-        return np.broadcast_to(point, (len(ts),) + X.shape).copy()
-    if umb.kind == "euclidean":
-        s, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
-        f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else s, end)
-        drift = _per_time([math.sinh(n * t) * umb.beta for t in ts])
-        f1 *= _per_time(decay)
-        f1 -= drift * pl.xi
-        return f1
-    v = [_v_alpha(n, umb.alpha, one, t) for t in ts]
-    f1 = _umbilic_inner_flow_rows(d, X, [window.t_prime] * len(ts) if end else [_s_alpha_of_w(n, umb.alpha, one, t) for t in ts], end)
-    shift = _per_time([vk - math.exp(-n * t) for vk, t in zip(v, ts)])
-    f1 *= _per_time(v)
-    f1 -= shift * pl.eta
-    return f1
-
-
-def _umbilic_inner_flow_rows(d: Umbilic, X: np.ndarray, ss: list[float], end: bool = False) -> np.ndarray:
-    """The flow f_1 inside the umbilical hypersurface, (T, K, m+1) for rows X and inner times ss.
-
-    A level that starts a run of geodesic levels flows the descriptor below
-    the run and crosses the run in one split and one embed.  Each level of
-    the run keeps every bit of the flow below it: its R is 1.0, its
-    s_alpha(w(t)) is t, its scaling 1.0 and its center a signed zero, and
-    its embedding leaves no -0.0 for that zero to flip; its one exponential,
-    e^(-ns), is finite at every time the level above the run accepted.
-    """
-    plan, below, Z = _plan(d), _below(d), _split_across(d, X)
-    if d.umb.kind != "hyperbolic":
-        Zt = below._flow_rows(Z, ss, d.umb, end)
-    elif end and plan.run is not None:
-        # at the endpoint each level of the run takes its own T', so the level below the run takes its T
-        Zt = _hyperbolic_flow_rows(below, Z, [existence_window(below).t_max] * len(ss), end)
-    else:
-        # the hypersurface is H^(m-1)(-R); flowing its unit-curvature model for
-        # time s/R and rescaling by sqrt(R) is the flow inside the hypersurface
-        R = plan.placement.scale ** 2
-        Zt = _hyperbolic_flow_rows(below, Z, [s / R for s in ss], end)
-    return _embed_across(d, Zt)
+    lorentz = gauge == "lorentz"
+    ups = []  # (level, placement, n, times, the formula of its scale and shift, scale, drift) above the bottom, top first
+    for d in _levels(d):
+        plan = _plan(d)
+        n, window, far = plan.dims.n, plan.window, lorentz and end and ts == [math.inf]
+        if _is_stationary(d) and (far or n == 0 or not lorentz):
+            rows = np.broadcast_to(X, (len(ts),) + X.shape).copy()
+            break
+        if isinstance(d, Ambient):
+            rows = _a1(d.m, d.r, ts)[:, None, None] * X
+            break
+        if isinstance(d, FullProduct):
+            if far:
+                rows = X[None] / math.sqrt(d.r)
+                rows[..., d.l : -1] = 0.0
+                break
+            s, decay = (ts, None) if lorentz else _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
+            if end and not lorentz:
+                s = [window.t_dprime] * len(ts)
+            a1 = _a1(d.l, d.r, s)
+            cols = np.empty((len(ts), X.shape[1]))
+            cols[:, : d.l] = a1[:, None]
+            cols[:, -1] = a1
+            cols[:, d.l : -1] = _leaf_column_scales(d.leaf, s, end)
+            rows = X * cols[:, None, :]
+            if decay is not None:
+                rows *= _per_time(decay)
+            break
+        umb, pl = d.umb, plan.placement
+        one = umb.one_minus_alpha2
+        if far and umb.kind != "hyperbolic":
+            if umb.kind == "spherical":
+                raise TimeOutOfRangeError("s = inf: a spherical level collapses in finite time, its flow is not eternal")
+            rows = np.broadcast_to(-0.5 * umb.beta * pl.xi, (1,) + X.shape).copy()
+            break
+        if end and not lorentz and window.t_prime is None:
+            # the level's own scaling vanishes at T: the hypersurface shrinks to one point
+            rows = np.broadcast_to(_per_time([math.exp(-n * t) for t in ts]) * pl.eta, (len(ts),) + X.shape).copy()
+            break
+        if far or (lorentz and end and umb.totally_geodesic):
+            # J C_in at s = inf; a geodesic level's embedding is J z too, so across a run both are one gather
+            ups.append((d, pl, n, ts, "columns", None, None))
+            X = _split_across(d, X)
+            continue
+        if umb.kind == "euclidean":
+            ss, decay = (ts, None) if lorentz else _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
+            drift = [n * t * umb.beta for t in ts] if lorentz else [math.sinh(n * t) * umb.beta for t in ts]
+            ups.append((d, pl, n, ts, "horospherical", decay, drift))
+        elif lorentz:
+            root = []
+            for t in ts:
+                if window.t_dprime is not None and t >= window.t_dprime:
+                    raise TimeOutOfRangeError(f"t={t} >= Lorentzian collapse bound {window.t_dprime}")
+                root.append(math.sqrt(_positive_radicand(2.0 * n * t * one + 1.0, t)))
+            ss = [_s_alpha(n, one, t) for t in ts]
+            ups.append((d, pl, n, ts, "lorentzian", root, None))
+        else:
+            v = [_v_alpha(n, umb.alpha, one, t) for t in ts]
+            ss = None if end else [_s_alpha_of_w(n, umb.alpha, one, t) for t in ts]
+            ups.append((d, pl, n, ts, "hyperbolic", v, None))
+        end, lorentz = end and not lorentz, False
+        if end:
+            ss = [window.t_prime] * len(ts)
+        X = _split_across(d, X)
+        if umb.kind != "hyperbolic":
+            rows = d.inner._flow_rows(X, ss, umb, end)
+            break
+        if end and plan.run is not None:
+            # at the endpoint each level of the run takes its own T', so the level below the run takes its T
+            ts = [existence_window(_below(d)).t_max] * len(ts)
+        else:
+            # the hypersurface is H^(m-1)(-R); flowing its unit-curvature model for
+            # time s/R and rescaling by sqrt(R) is the flow inside the hypersurface
+            R = pl.scale**2
+            ts = [s / R for s in ss]
+    for d, pl, n, ts, form, scale, drift in reversed(ups):
+        if form == "columns":
+            rows = _columns_across(d, rows)
+            continue
+        rows = _embed_across(d, rows)
+        if form == "horospherical":
+            if scale is not None:
+                rows *= _per_time(scale)
+            rows -= _per_time(drift) * pl.xi
+        elif form == "lorentzian":
+            rows -= pl.eta
+            rows *= _per_time(scale)
+            rows += pl.eta
+        else:
+            # e^(-nt) after the inner flow, which refuses its own bad times first
+            shift = _per_time([vk - math.exp(-n * t) for vk, t in zip(scale, ts)])
+            rows *= _per_time(scale)
+            rows -= shift * pl.eta
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -432,23 +412,23 @@ def _flow_times(d, X: np.ndarray, times, gauge: str = "hyperbolic") -> np.ndarra
     or, where its flow overflows doubles, with TimeOutOfRangeError("the
     flow at t=... leaves the range of doubles").  No numpy warning escapes.
     """
-    check, flow_rows, _ = _gauge(gauge)
+    check, _ = _gauge(gauge)
     try:
-        return _finite_flow(flow_rows, d, X, check(d, times))
+        return _finite_flow(d, X, check(d, times), gauge)
     except (OverflowError, TimeOutOfRangeError):
         for t in times:
             ts = check(d, [t])
             try:
-                _finite_flow(flow_rows, d, X, ts)
+                _finite_flow(d, X, ts, gauge)
             except OverflowError:
                 raise TimeOutOfRangeError(f"the flow at t={ts[0]!r} leaves the range of doubles") from None
         raise
 
 
-def _finite_flow(flow_rows, d, X: np.ndarray, ts: list[float]) -> np.ndarray:
-    """``flow_rows(d, X, ts)``, with an OverflowError in place of numpy's warning when a row or its square leaves doubles."""
+def _finite_flow(d, X: np.ndarray, ts: list[float], gauge: str) -> np.ndarray:
+    """``_flow_rows(d, X, ts, gauge)``, with an OverflowError in place of numpy's warning when a row or its square leaves doubles."""
     with np.errstate(over="ignore", invalid="ignore"):
-        F = flow_rows(d, X, ts)
+        F = _flow_rows(d, X, ts, gauge)
         # every row's squared norm, (T, K): nothing as large as F is allocated
         finite = np.isfinite(np.einsum("tki,tki->tk", F, F)).all()
     if not finite:
@@ -457,15 +437,16 @@ def _finite_flow(flow_rows, d, X: np.ndarray, ts: list[float]) -> np.ndarray:
 
 
 def _gauge(gauge: str):
-    """A gauge's time check, its flow of rows over times, and the kind of ambient space its flowed points lie in.
+    """A gauge's time check and the kind of ambient space its flowed points lie in.
 
-    The one place a gauge name is read: the oracle takes its ambient space
+    The one place a gauge name is checked: the checked flow passes a name
+    that passed here on to the walk, and the oracle takes its ambient space
     from the kind (``oracle._gauge_ambient``).
     """
     if gauge == "hyperbolic":
-        return _hyperbolic_times, _hyperbolic_flow_rows, "hyperboloid"
+        return _hyperbolic_times, "hyperboloid"
     if gauge == "lorentz":
-        return _lorentz_times, _lorentz_flow_rows, "lorentzian"
+        return _lorentz_times, "lorentzian"
     raise InvalidArgumentError(f"unknown gauge {gauge!r}")
 
 

@@ -33,9 +33,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .descriptors import Umbilic, _is_stationary, chart_box, dimensions, immerse_rows
+from .descriptors import Umbilic, _is_stationary, _levels, chart_box, dimensions, immerse_rows
 from .errors import InvalidArgumentError, StationaryNoLimitError
-from .flow import _hyperbolic_flow_rows, _lorentz_flow_rows, existence_window
+from .flow import _flow_rows, existence_window
 from . import oracle
 
 FORWARD_STATIONARY = "stationary"
@@ -80,10 +80,9 @@ def _forward_variant(d) -> str:
         return FORWARD_STATIONARY
     if existence_window(d).t_max is not None:
         return FORWARD_FOCAL
-    # an eternal leading term is null only below hyperbolic levels, on a horosphere
-    while isinstance(d, Umbilic) and d.umb.kind == "hyperbolic":
-        d = d.inner
-    return FORWARD_IDEAL_POINT if isinstance(d, Umbilic) else FORWARD_GEODESIC
+    # an eternal leading term is null only below hyperbolic levels, on a horosphere: the walk's bottom level
+    *_, bottom = _levels(d)
+    return FORWARD_IDEAL_POINT if isinstance(bottom, Umbilic) else FORWARD_GEODESIC
 
 
 def classify_limits(d) -> LimitReport:
@@ -106,8 +105,8 @@ def _forward_rows(d) -> Callable[[np.ndarray], np.ndarray]:
     """The forward limit on rows: (K, n) chart points to (K, m+1) rows, in one row evaluation.
 
     A focal flow's limit is its continuous extension to T: the chart rows
-    are flowed by ``_hyperbolic_flow_rows`` in its endpoint mode.  An eternal
-    flow's is the asymptotic endpoint of ``_lorentz_flow_rows`` at
+    are flowed by the walk ``_flow_rows`` in its hyperbolic endpoint mode.
+    An eternal flow's is the walk's asymptotic Lorentzian endpoint at
     s = +infinity, the leading coefficient of each row: on H^m(-1) when it
     is timelike, null when the limit is an ideal point.  Either way the
     rows come from ``immerse_rows``, which refuses a row off a level of d.
@@ -115,8 +114,8 @@ def _forward_rows(d) -> Callable[[np.ndarray], np.ndarray]:
     """
     T = existence_window(d).t_max
     if T is None:
-        return lambda U: _lorentz_flow_rows(d, immerse_rows(d, U), [math.inf], end=True)[0]
-    return lambda U: _hyperbolic_flow_rows(d, immerse_rows(d, U), [T], end=True)[0]
+        return lambda U: _flow_rows(d, immerse_rows(d, U), [math.inf], "lorentz", end=True)[0]
+    return lambda U: _flow_rows(d, immerse_rows(d, U), [T], "hyperbolic", end=True)[0]
 
 
 def _chart_rows(d, chart_samples: Sequence[np.ndarray]) -> np.ndarray:
@@ -170,7 +169,7 @@ def backward_chart_rows(d) -> Callable[[np.ndarray], np.ndarray]:
     s_star = [-1.0 / (2.0 * dimensions(d).n)]
 
     def chart(U: np.ndarray) -> np.ndarray:
-        F = _lorentz_flow_rows(d, immerse_rows(d, U), s_star, end=True)[0]
+        F = _flow_rows(d, immerse_rows(d, U), s_star, "lorentz", end=True)[0]
         return F[:, :-1] / F[:, -1:]
 
     return chart

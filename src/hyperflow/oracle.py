@@ -34,7 +34,7 @@ from .errors import (
     InvalidArgumentError,
     TimeOutOfRangeError,
 )
-from .flow import _finite_time, _flow_times, _gauge, _hyperbolic_flow_rows, existence_window
+from .flow import _finite_time, _flow_rows, _flow_times, _gauge, existence_window
 
 _COND_LIMIT = 1e12
 # a Gershgorin bound on the condition number this far inside _COND_LIMIT
@@ -369,7 +369,7 @@ def _tangential_parts(imm: ImmersionEvaluator, frame, W) -> np.ndarray:
 
 def _gauge_ambient(gauge: str) -> AmbientSpace:
     """The ambient space of a gauge's flowed points, of the kind that ``flow._gauge`` names."""
-    return _AMBIENTS[_gauge(gauge)[2]]
+    return _AMBIENTS[_gauge(gauge)[1]]
 
 
 def descriptor_immersion(d, t: float | None = None, gauge: str = "hyperbolic") -> ImmersionEvaluator:
@@ -546,7 +546,7 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
     block = max(1, _WALK_BUDGET // stencil_points.nbytes)
     for k0 in range(0, steps, block):
         ks = range(k0, min(k0 + block, steps))
-        flowed = _hyperbolic_flow_rows(d, stencil_points, [float(t0 + k * dt) for k in ks]).reshape(len(ks) * S, K, -1)
+        flowed = _flow_rows(d, stencil_points, [float(t0 + k * dt) for k in ks], "hyperbolic").reshape(len(ks) * S, K, -1)
         dX = _mc_from_stencil(flowed, n, h, HYPERBOLOID).reshape(len(ks), S, -1)
         del flowed  # not kept through the next block's flow
         dX *= dt

@@ -519,7 +519,7 @@ class TestPlan:
         monkeypatch.setattr(descriptors, "_umbilic_placement", lambda umb: pytest.fail("placement looked up by value"))
         X = immerse_rows(back, np.array(chart_samples(back, 3, 7)))
         flow._validate_rows(back, X)
-        assert flow._hyperbolic_flow_rows(back, X, [0.1]).tobytes() == flow._hyperbolic_flow_rows(d, X, [0.1]).tobytes()
+        assert flow._flow_rows(back, X, [0.1]).tobytes() == flow._flow_rows(d, X, [0.1]).tobytes()
         mean_curvature(back, X[0])
 
     def test_plan_is_invisible(self):

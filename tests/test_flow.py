@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperflow import flow as flow_module
 from hyperflow.catalog import CATALOG
@@ -30,11 +32,9 @@ from hyperflow.descriptors import (
 from hyperflow.errors import DomainError, GaugeDomainError, GeometryError, InvalidArgumentError, TimeOutOfRangeError
 from hyperflow.flow import (
     _a1,
-    _hyperbolic_flow_rows,
+    _flow_rows,
     _hyperbolic_times,
-    _lorentz_flow_rows,
     _lorentz_to_hyperbolic_scalars,
-    _product_rows,
     _s_alpha,
     _s_alpha_of_w,
     _v_alpha,
@@ -313,18 +313,18 @@ class TestAncientness:
         except GeometryError as exc:  # pragma: no cover - would be a bug
             pytest.fail(f"time-domain rejection at t=-1000: {exc}")
 
-    def test_checked_flow_refuses_by_row(self):
+    def test_checked_flow_refuses_by_row(self, monkeypatch):
         # three rows whose squared norms are each 0.4 of the largest double:
         # their sum overflows, but no row's squared norm does, so they pass;
         # a row of squared norm 1.2 of it is refused
         big = math.sqrt(0.4 * sys.float_info.max)
         F = np.zeros((1, 3, 4))
         F[0, :, 0] = big
-        core = lambda d, X, ts: F.copy()
-        assert np.array_equal(flow_module._finite_flow(core, None, None, [0.0]), F)
+        monkeypatch.setattr(flow_module, "_flow_rows", lambda d, X, ts, gauge: F.copy())
+        assert np.array_equal(flow_module._finite_flow(None, None, [0.0], "hyperbolic"), F)
         F[0, 0, 1:3] = big
         with pytest.raises(OverflowError):
-            flow_module._finite_flow(core, None, None, [0.0])
+            flow_module._finite_flow(None, None, [0.0], "hyperbolic")
 
     def test_membership_deep_in_the_past(self, catalog_entry):
         name, d = catalog_entry
@@ -640,12 +640,12 @@ class TestFlowCore:
         X = immerse_rows(d, np.array(chart_samples(d, 3, 17)[:6]))
         rng = np.random.default_rng(8)
         ts = sample_times(None, existence_window(d).t_max, 7, rng).tolist() + [0.0, -3.0]
-        grid = _hyperbolic_flow_rows(d, X, ts)
+        grid = _flow_rows(d, X, ts)
         assert grid.shape == (len(ts),) + X.shape
         for t, rows in zip(ts, grid):
             assert rows.tobytes() == hyperbolic_flow_batch(d, X, t).tobytes(), (name, t)
         ts = sample_times(*lorentz_time_range(d), 7, rng).tolist() + [0.0]
-        grid = _lorentz_flow_rows(d, X, ts)
+        grid = _flow_rows(d, X, ts, "lorentz")
         assert grid.shape == (len(ts),) + X.shape
         for t, rows in zip(ts, grid):
             assert rows.tobytes() == lorentz_flow_batch(d, X, t).tobytes(), (name, t)
@@ -656,9 +656,9 @@ class TestFlowCore:
         X = immerse_rows(d, np.array(chart_samples(d, 3, 17)[:6]))
         T = existence_window(d).t_max
         ts = [T, 0.5 * T, T, -1.0]
-        grid = _hyperbolic_flow_rows(d, X, ts, end=True)
+        grid = _flow_rows(d, X, ts, end=True)
         for t, rows in zip(ts, grid):
-            assert rows.tobytes() == _hyperbolic_flow_rows(d, X, [t], end=True)[0].tobytes(), (name, t)
+            assert rows.tobytes() == _flow_rows(d, X, [t], end=True)[0].tobytes(), (name, t)
 
     @pytest.mark.parametrize("name", sorted(n for n, d in BIT_CASES.items() if isinstance(d, FullProduct)))
     def test_product_is_the_gauge_composition(self, name):
@@ -669,8 +669,8 @@ class TestFlowCore:
         X = immerse_rows(d, np.array(chart_samples(d, 3, 17)[:6]))
         ts = sample_times(None, existence_window(d).t_max, 7, np.random.default_rng(8)).tolist() + [0.0, -3.0]
         s, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
-        lorentz = _lorentz_flow_rows(d, X, s)
-        for j, rows in enumerate(_hyperbolic_flow_rows(d, X, ts)):
+        lorentz = _flow_rows(d, X, s, "lorentz")
+        for j, rows in enumerate(_flow_rows(d, X, ts)):
             assert rows.tobytes() == (decay[j] * lorentz[j]).tobytes(), (name, ts[j])
             x, t = X[j % len(X)], ts[j]
             composed = gauge_lorentz_to_hyperbolic(lambda y, w: lorentz_flow(d, y, w), n, 1.0, x, t)
@@ -678,15 +678,15 @@ class TestFlowCore:
         T = existence_window(d).t_max
         ts = [T, 0.5 * T, -1.0]
         _, decay = _lorentz_to_hyperbolic_scalars(n, 1.0, ts)
-        at_end = _product_rows(d, X, [existence_window(d).t_dprime], end=True)[0]
-        for j, rows in enumerate(_hyperbolic_flow_rows(d, X, ts, end=True)):
+        at_end = _flow_rows(d, X, [existence_window(d).t_dprime], "lorentz", end=True)[0]
+        for j, rows in enumerate(_flow_rows(d, X, ts, end=True)):
             assert rows.tobytes() == (decay[j] * at_end).tobytes(), (name, ts[j])
 
     def test_empty_time_list(self):
         d = CATALOG["circle_in_h4_nested"]
         X = immerse_rows(d, np.array(chart_samples(d, 3, 17)[:4]))
-        assert _hyperbolic_flow_rows(d, X, []).shape == (0,) + X.shape
-        assert _lorentz_flow_rows(d, X, []).shape == (0,) + X.shape
+        assert _flow_rows(d, X, []).shape == (0,) + X.shape
+        assert _flow_rows(d, X, [], "lorentz").shape == (0,) + X.shape
 
     @pytest.mark.parametrize("name", ["circle_h2", "tube_h3", "clifford_tube_h5", "circle_in_h4_nested"])
     def test_time_list_reaching_T_is_refused_like_one_time(self, name):
@@ -716,7 +716,7 @@ class TestStationaryFlow:
         d = _geodesic_product(l)
         X = immerse_rows(d, np.array(chart_samples(d, 2, 5)[:4]))
         ts = [-19.0, -18.0, -2.0, 0.0, 0.5, 3.0]
-        for rows in _hyperbolic_flow_rows(d, X, ts):
+        for rows in _flow_rows(d, X, ts):
             assert rows.tobytes() == X.tobytes()
         for t in ts:
             assert hyperbolic_flow(d, X[0], t).tobytes() == X[0].tobytes()
@@ -725,7 +725,7 @@ class TestStationaryFlow:
     def test_geodesic_umbilic_level_is_stationary(self):
         d = Umbilic(derive_umbilic([1.0, 0.0, 0.0, 0.0, 0.0], 0.0), _geodesic_product(2))
         X = immerse_rows(d, np.array(chart_samples(d, 3, 5)[:4]))
-        for rows in _hyperbolic_flow_rows(d, X, [-30.0, -2.0, 4.0]):
+        for rows in _flow_rows(d, X, [-30.0, -2.0, 4.0]):
             assert rows.tobytes() == X.tobytes()
 
     def test_the_limits_share_the_predicate(self):
@@ -753,17 +753,17 @@ def _leaf_layout_outputs(d) -> dict:
     T = existence_window(d).t_max
     out = {
         "immerse_rows": X,
-        "hyperbolic": _hyperbolic_flow_rows(d, X, sample_times(None, T, 4, rng).tolist() + [0.0, -3.0]),
-        "lorentz": _lorentz_flow_rows(d, X, sample_times(*lorentz_time_range(d), 4, rng).tolist() + [0.0]),
+        "hyperbolic": _flow_rows(d, X, sample_times(None, T, 4, rng).tolist() + [0.0, -3.0]),
+        "lorentz": _flow_rows(d, X, sample_times(*lorentz_time_range(d), 4, rng).tolist() + [0.0], "lorentz"),
         "mean_curvature": np.array([mean_curvature(d, x) for x in X]),
     }
     # a totally geodesic flow has no light-cone endpoint: its radicand vanishes there
     if not (n > 0 and _is_stationary(d)):
-        out["lorentz_light_cone"] = _lorentz_flow_rows(d, X, [-1.0 / (2.0 * max(n, 1))], end=True)
+        out["lorentz_light_cone"] = _flow_rows(d, X, [-1.0 / (2.0 * max(n, 1))], "lorentz", end=True)
     if T is None:
-        out["lorentz_far"] = _lorentz_flow_rows(d, X, [math.inf], end=True)
+        out["lorentz_far"] = _flow_rows(d, X, [math.inf], "lorentz", end=True)
     else:
-        out["hyperbolic_end"] = _hyperbolic_flow_rows(d, X, [T, 0.5 * T, -1.0], end=True)
+        out["hyperbolic_end"] = _flow_rows(d, X, [T, 0.5 * T, -1.0], end=True)
     return out
 
 
@@ -846,7 +846,8 @@ GEODESIC = ((1.0,), 0.0)
 TILTED_GEODESIC = ((0.48, 0.6, 0.64), 0.0)
 
 # chains of geodesic levels with an axis-aligned xi, over each kind of inner
-# level, and chains whose run a tilted geodesic level or an a = 0.5 level breaks
+# level, chains whose run a tilted geodesic level or an a = 0.5 level breaks,
+# and a chain of 24 levels that alternate the two, so no run folds any of them
 LEVEL_RUN_CASES = {
     **{f"circle_h2_run{k}": geodesic_chain(k) for k in (1, 2, 8, 24)},
     "minus_e0_run": _wrapped(CATALOG["circle_h2"], *[((-1.0,), 0.0)] * 3),
@@ -860,6 +861,7 @@ LEVEL_RUN_CASES = {
     # the top level's T' reads 1 ulp off the circle's T (each level takes ln(1 + expm1(.))), so the
     # endpoint flow below the run must be given the circle's own T
     "circle_a128_run2": _wrapped(Umbilic(derive_umbilic((0.0, 0.0, -1.0), 1.28), ProductOfSpheres(((1, 1.28**2 - 1.0),))), GEODESIC, GEODESIC),
+    "mixed24": _wrapped(CATALOG["circle_h2"], *[TILTED_GEODESIC, ((0.0, 1.0), 0.5)] * 12),
 }
 
 
@@ -1019,6 +1021,18 @@ LEVEL_RUN_SHA256 = {
         "mean_curvature": "27130cddca73ac80d8d26d346fe8dba1f93a97d9874a08639a5ce88bcfdd6273",
         "off_level": "12900d7056f67531aaa6f53820373e390e89536e2c1767daca239c7064bacf32",
     },
+    # recorded before the flows became one loop over the levels
+    "mixed24": {
+        "backward_limit": "58b1428a21affc0616b8039c62f56c6c0fe6a21bf76d8d23a22f5e5dbfcf2e18",
+        "forward_limit": "31049e5cd2fe58f22fa2dc4f265816587176167af352adea9773de49d14599cd",
+        "hyperbolic": "7145735512d3e9cea3ddf9dc7737c7043e86ff9d1679d5b07582fe105c46c421",
+        "hyperbolic_end": "80e82b2b4fe04d6bef7a14fa6a01fc25491d1558e29b74bd312c570ef5037db5",
+        "immerse_rows": "0f0395a63b3353cb8b430183b16a570823b92eaf136cf24932e750b1ed8d19ee",
+        "lorentz": "a911b70874e6a370a7f2432094d9b5710f8ed0018b21b29d184f1f76ede431ac",
+        "lorentz_light_cone": "31bd4b78ab4c98c4075ca40204ec93d1d68cf8409c592fddb80dd73b385fb473",
+        "mean_curvature": "75d532807b66f49dc8f09146b9f8c7a793ddd86d34d98ec9d69213896bfc2aff",
+        "off_level": "f81d42384e23dd250d5f27e4ffafbb718eb27967038e116aa2601c700308bdfe",
+    },
     "minus_e0_run": {
         "backward_limit": "8a0633595605b06fea5dfb4a3724146248c22f45e7f66d5e4bfcc4b46944f090",
         "forward_limit": "7ba00c658630872fa5d6b23a809b4bb7281bfddc03514ded1659f07411a4b3e7",
@@ -1066,25 +1080,23 @@ class TestLevelRunPins:
 class TestLevelRuns:
     """A run of geodesic levels with unit gathers is crossed in one split and one embed."""
 
-    WALKS = ("_hyperbolic_flow_rows", "_lorentz_flow_rows", "_validate_levels", "_immerse")
-
     @staticmethod
-    def _counted(monkeypatch, names) -> dict:
-        """Count the calls of each named function, through every module that holds it."""
-        from hyperflow import descriptors, limits, oracle, scenario
+    def _visits(monkeypatch) -> list[int]:
+        """The number of levels each walk over ``_levels`` visits, one entry a walk, through every module that holds it."""
+        from hyperflow import descriptors, limits
 
-        counts = {name: 0 for name in names}
-        for name in names:
-            original = getattr(descriptors, name, None) or getattr(flow_module, name)
+        original, visits = descriptors._levels, []
 
-            def counted(*args, _f=original, _name=name, **kwargs):
-                counts[_name] += 1
-                return _f(*args, **kwargs)
+        def levels(d):
+            visits.append(0)
+            k = len(visits) - 1
+            for level in original(d):
+                visits[k] += 1
+                yield level
 
-            for module in (descriptors, flow_module, limits, oracle, scenario):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
-        return counts
+        for module in (descriptors, flow_module, limits):
+            monkeypatch.setattr(module, "_levels", levels)
+        return visits
 
     def test_plans_hold_the_run_from_each_level_down(self):
         from hyperflow.descriptors import _plan
@@ -1106,11 +1118,11 @@ class TestLevelRuns:
         rotated = _wrapped(CATALOG["circle_h2"], ((0.6, 0.8), 0.0))
         assert _plan(rotated).placement.J_rows is not None and _plan(rotated).run is None
 
-    def test_depth_24_walks_make_two_calls(self, monkeypatch):
+    def test_depth_24_walks_visit_two_levels(self, monkeypatch):
         d = geodesic_chain(24)
         S = chart_samples(d, 3, 7)
         X = immerse_rows(d, np.array(S))
-        counts = self._counted(monkeypatch, self.WALKS)
+        visits = self._visits(monkeypatch)
         calls = {
             "immerse_rows": lambda: immerse_rows(d, np.array(S)),
             "hyperbolic_flow": lambda: hyperbolic_flow(d, X[0], 0.1),
@@ -1121,12 +1133,11 @@ class TestLevelRuns:
             "backward_limit": lambda: backward_limit(d, S, estimate_dim=False),
         }
         for label, call in calls.items():
-            for name in counts:
-                counts[name] = 0
+            visits.clear()
             call()
-            # each walk crosses the 24 geodesic levels at once: at most the top call and one below the run
-            assert 0 < max(counts.values()) <= 2, (label, counts)
-        assert counts["_lorentz_flow_rows"] == 2  # the light-cone endpoint of the backward limit
+            # each walk crosses the 24 geodesic levels at once: the top level, then the circle below the run
+            assert visits and set(visits) == {2}, (label, visits)
+        assert len(visits) == 3  # the chart's walk, the membership walk, and the flow walk of the light-cone endpoint
 
     def test_broken_run_keeps_the_tilted_levels_dense_path(self, monkeypatch):
         from hyperflow import descriptors
@@ -1135,7 +1146,7 @@ class TestLevelRuns:
         tilted, circle = _hyperbolic_levels(d)[2], _hyperbolic_levels(d)[-1]
         pl = descriptors._plan(tilted).placement
         X = immerse_rows(d, np.array(chart_samples(d, 3, 7)))
-        counts = self._counted(monkeypatch, self.WALKS)
+        visits = self._visits(monkeypatch)
         own = []
         for name in ("_umbilic_split_rows", "_umbilic_embed"):
             original = getattr(descriptors, name)
@@ -1146,7 +1157,46 @@ class TestLevelRuns:
         hyperbolic_flow_batch(d, X, 0.1)
         monkeypatch.undo()
         # two runs and the tilted level between them: the top, the tilted level, the run below it and the circle
-        assert counts["_hyperbolic_flow_rows"] == 4
+        assert visits == [4]
         # only the tilted level splits and embeds by itself, through its dense matrices; the circle's level splits and embeds its leaf
         assert [level for level in own if level is not circle] == [tilted, tilted]
         assert pl.J.shape in products and pl.G.shape in products
+
+
+# the levels the walk's property test draws its chains from, as _wrapped takes them
+WALK_LEVELS = (GEODESIC, TILTED_GEODESIC, ((0.0, 1.0), 0.5), ((0.6, 0.8), 0.3), ((-1.0,), 0.0))
+
+
+class TestWalkEntries:
+    """Drawn chains over the catalog: every (time, row) entry of the walk has the bits of its one-row, one-time call."""
+
+    @staticmethod
+    def _modes(d) -> list:
+        """(gauge, end, times) of both gauges and of each endpoint mode that applies to d."""
+        n, T = dimensions(d).n, existence_window(d).t_max
+        rng = np.random.default_rng(5)
+        modes = [
+            ("hyperbolic", False, sample_times(None, T, 3, rng).tolist() + [0.0]),
+            ("lorentz", False, sample_times(*lorentz_time_range(d), 3, rng).tolist() + [0.0]),
+            ("lorentz", True, [math.inf]) if T is None else ("hyperbolic", True, [T, 0.5 * T, -1.0]),
+        ]
+        if n > 0 and not _is_stationary(d):
+            modes.append(("lorentz", True, [-1.0 / (2.0 * n)]))  # the light-cone time
+        return modes
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CATALOG)),
+        levels=st.lists(st.sampled_from(WALK_LEVELS), min_size=1, max_size=6),
+        seed=st.integers(0, 10**6),
+    )
+    def test_entries_match_one_row_one_time_calls(self, name, levels, seed):
+        d = _wrapped(CATALOG[name], *levels)
+        X = immerse_rows(d, np.array(chart_samples(d, 2, seed)[:3]))
+        for gauge, end, ts in self._modes(d):
+            grid = _flow_rows(d, X, ts, gauge, end)
+            assert grid.shape == (len(ts),) + X.shape
+            for j, t in enumerate(ts):
+                for k in range(len(X)):
+                    one = _flow_rows(d, X[k : k + 1], [t], gauge, end)[0, 0]
+                    assert grid[j, k].tobytes() == one.tobytes(), (name, levels, gauge, end, t, k)

@@ -20,6 +20,7 @@ from hyperflow.descriptors import (
     _is_stationary,
     _umbilic_embed,
     _umbilic_placement,
+    _umbilic_split_rows,
     chart_box,
     classify_shape,
     derive_umbilic,
@@ -30,8 +31,7 @@ from hyperflow.descriptors import (
 )
 from hyperflow.errors import DomainError, StationaryNoLimitError, TimeOutOfRangeError
 from hyperflow.flow import (
-    _lorentz_flow_rows,
-    _umbilic_inner_flow_rows,
+    _flow_rows,
     existence_window,
     hyperbolic_flow,
     hyperbolic_flow_batch,
@@ -297,7 +297,7 @@ def _ulps_apart(a, b):
 
 def _leading_rows(d, U):
     """The asymptotic endpoint of the Lorentzian row core at the chart rows U."""
-    return _lorentz_flow_rows(d, immerse_rows(d, U), [math.inf], end=True)[0]
+    return _flow_rows(d, immerse_rows(d, U), [math.inf], "lorentz", end=True)[0]
 
 
 class TestEternalForwardLimit:
@@ -332,7 +332,7 @@ class TestEternalForwardLimit:
         fwd = forward_limit(d, U)
         errors = []
         for s in (1e4, 1e8, 1e12):
-            F = _lorentz_flow_rows(d, X, [s])[0]
+            F = _flow_rows(d, X, [s], "lorentz")[0]
             if fwd.variant == FORWARD_IDEAL_POINT:
                 errors.append(np.max(np.linalg.norm(F[:, :-1] / F[:, -1:] - fwd.ideal_point, axis=1)))
             else:
@@ -365,7 +365,7 @@ class TestEternalForwardLimit:
     @pytest.mark.parametrize("name", sorted({**BIT_CASES, **ETERNAL_CASES}))
     def test_classification_agrees_and_evaluates_no_chart_point(self, name, monkeypatch):
         d = {**BIT_CASES, **ETERNAL_CASES}[name]
-        for fn in ("immerse_rows", "_lorentz_flow_rows", "_hyperbolic_flow_rows"):
+        for fn in ("immerse_rows", "_flow_rows"):
             monkeypatch.setattr(limits, fn, lambda *args, **kwargs: pytest.fail("classify_limits evaluated a chart point"))
         rep = classify_limits(d)
         monkeypatch.undo()
@@ -384,10 +384,10 @@ class TestEternalForwardLimit:
     def test_one_flow_call_at_infinity(self, monkeypatch):
         d = ETERNAL_CASES["equidistant_h2_in_3"]
         calls = []
-        core = limits._lorentz_flow_rows
-        monkeypatch.setattr(limits, "_lorentz_flow_rows", lambda d, X, ts, end: calls.append((ts, end)) or core(d, X, ts, end))
+        core = limits._flow_rows
+        monkeypatch.setattr(limits, "_flow_rows", lambda d, X, ts, gauge, end: calls.append((ts, gauge, end)) or core(d, X, ts, gauge, end))
         forward_limit(d, chart_samples(d, 3, 7))
-        assert calls == [([math.inf], True)]
+        assert calls == [([math.inf], "lorentz", True)]
 
     def test_a_spherical_level_is_refused_at_infinity(self):
         # the far mode reads the level's kind: a spherical level's flow
@@ -395,7 +395,7 @@ class TestEternalForwardLimit:
         d = Umbilic(derive_umbilic((0.0, 0.0, 0.0, 0.0, -1.0), 2.0), ProductOfSpheres(((1, 1.5), (1, 1.5))))
         X = immerse_rows(d, np.array(chart_samples(d, 3, 7)))
         with pytest.raises(TimeOutOfRangeError, match="not eternal"):
-            _lorentz_flow_rows(d, X, [math.inf], end=True)
+            _flow_rows(d, X, [math.inf], "lorentz", end=True)
 
 
 def _boosted_once(embed, phi: float = 1e-3):
@@ -562,7 +562,21 @@ def _backward_chart_rows_reference(d):
         inner_chart = _backward_chart_rows_reference(d.inner)
         return lambda U: _embed_ideal_reference(d, inner_chart(U))
     t_alpha = existence_window(d).t_alpha
-    return lambda U: _umbilic_boundary_rows_reference(d.umb, _umbilic_inner_flow_rows(d, immerse_rows(d, U), [t_alpha])[0])
+    return lambda U: _umbilic_boundary_rows_reference(d.umb, _inner_flow_rows_reference(d, immerse_rows(d, U), t_alpha))
+
+
+def _inner_flow_rows_reference(d, X, s):
+    """The flow inside the umbilical hypersurface of d at inner time s, by the level's own split and embedding.
+
+    A hyperbolic level's hypersurface is H^(m-1)(-R): its unit-curvature
+    model flows for time s/R.  Any other level's leaf flows by its own code.
+    """
+    Z = _umbilic_split_rows(d, X)
+    if d.umb.kind == "hyperbolic":
+        Zt = _flow_rows(d.inner, Z, [s / _umbilic_placement(d.umb).scale ** 2])
+    else:
+        Zt = d.inner._flow_rows(Z, [s], d.umb, False)
+    return _umbilic_embed(d, Zt)[0]
 
 
 def _embed_ideal_reference(d, p):
@@ -653,10 +667,10 @@ class TestBackwardChartAtTheLightCone:
     def test_one_flow_call_at_the_light_cone_time(self, monkeypatch):
         d = CATALOG["circle_in_h4_nested"]
         calls = []
-        core = limits._lorentz_flow_rows
-        monkeypatch.setattr(limits, "_lorentz_flow_rows", lambda d, X, ts, end: calls.append((ts, end)) or core(d, X, ts, end))
+        core = limits._flow_rows
+        monkeypatch.setattr(limits, "_flow_rows", lambda d, X, ts, gauge, end: calls.append((ts, gauge, end)) or core(d, X, ts, gauge, end))
         backward_chart_rows(d)(np.array(chart_samples(d, 3, 7)))
-        assert calls == [([-1.0 / (2.0 * dimensions(d).n)], True)]
+        assert calls == [([-1.0 / (2.0 * dimensions(d).n)], "lorentz", True)]
 
     def test_public_lorentz_flows_refuse_the_light_cone_time(self):
         # only the backward chart continues a geodesic level to s* = -1/(2n)

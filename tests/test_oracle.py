@@ -354,7 +354,7 @@ class TestEvolveAndCompare:
         # refused before any flow, naming t1, dt and the end
         d = CATALOG["tube_h3"]
         T = existence_window(d).t_max
-        monkeypatch.setattr(oracle, "_hyperbolic_flow_rows", lambda *a, **k: pytest.fail("the walk started"))
+        monkeypatch.setattr(oracle, "_flow_rows", lambda *a, **k: pytest.fail("the walk started"))
         with pytest.raises(TimeOutOfRangeError, match=r"t1=0\.27465207\d* in steps of dt=0\.0001 ends at t=0\.2747,"):
             oracle.evolve_and_compare(d, chart_samples(d, 2, 5)[:2], 0.0, T - 1e-6, 1e-4)
 
@@ -363,15 +363,15 @@ class TestEvolveAndCompare:
         # distance: the start and target flow refuses it, naming the time
         d = CATALOG["circle_h2"]
         us = chart_samples(d, 2, 5)[:3]
-        real = flow._hyperbolic_flow_rows
+        real = flow._flow_rows
 
-        def flowed(d, X, ts, **kwargs):
-            out = real(d, X, ts, **kwargs)
+        def flowed(d, X, ts, *args, **kwargs):
+            out = real(d, X, ts, *args, **kwargs)
             if len(X) == len(us):  # the samples' start and target, not the stencils
                 out[[j for j, t in enumerate(ts) if t > 0.0], 1] = math.nan
             return out
 
-        monkeypatch.setattr(flow, "_hyperbolic_flow_rows", flowed)
+        monkeypatch.setattr(flow, "_flow_rows", flowed)
         with pytest.raises(TimeOutOfRangeError, match=r"t=0\.001 leaves the range of doubles"):
             oracle.evolve_and_compare(d, us, 0.0, 1e-3, 1e-4)
 
@@ -381,8 +381,8 @@ class TestEvolveAndCompare:
         d = CATALOG["circle_h2"]
         flows = []
         for module in (flow, oracle):  # the checked flow's core, and the walk's stencils
-            real = module._hyperbolic_flow_rows
-            monkeypatch.setattr(module, "_hyperbolic_flow_rows", lambda d, X, ts, real=real: flows.append(len(X)) or real(d, X, ts))
+            real = module._flow_rows
+            monkeypatch.setattr(module, "_flow_rows", lambda d, X, ts, *a, real=real: flows.append(len(X)) or real(d, X, ts, *a))
         with pytest.raises(TimeOutOfRangeError, match=r"the flow at t=-800\.0 leaves the range of doubles"):
             oracle.evolve_and_compare(d, chart_samples(d, 2, 7)[:2], -800.0, -799.999, 1e-4)
         assert flows == [2, 2]  # the start and target flow, then t0 alone
@@ -513,7 +513,7 @@ class TestIsoparametricResidual:
         d = CATALOG["circle_h2"]
         with pytest.raises(TimeOutOfRangeError, match=r"^the flow at t=-400\.0 leaves the range of doubles$"):
             oracle.isoparametric_residual(d, -400.0, chart_samples(d, 3, 7)[:4])
-        monkeypatch.setattr(oracle, "_flow_times", lambda d, X, ts, *a: flow._hyperbolic_flow_rows(d, X, ts))
+        monkeypatch.setattr(oracle, "_flow_times", lambda d, X, ts, *a: flow._flow_rows(d, X, ts))
         with pytest.raises(ChartDegenerateError, match="degenerate frame"):
             oracle.isoparametric_residual(d, -400.0, chart_samples(d, 3, 7)[:4])
 
@@ -1241,7 +1241,7 @@ class TestBatchedOracle:
     def test_euler_walk_flows_each_block_once(self, name, samples, t1, blocks, monkeypatch):
         d = CATALOG[name]
         seen = []
-        for name in ("_flow_times", "_hyperbolic_flow_rows"):  # the samples' checked flow, then the blocks
+        for name in ("_flow_times", "_flow_rows"):  # the samples' checked flow, then the blocks
             real = getattr(oracle, name)
             monkeypatch.setattr(oracle, name, lambda d, X, ts, *a, real=real: seen.append(len(ts)) or real(d, X, ts, *a))
         oracle.evolve_and_compare(d, chart_samples(d, 2, 11)[:samples], 0.0, t1, 1e-5)

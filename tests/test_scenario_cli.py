@@ -563,28 +563,17 @@ class TestVerify:
     def test_closed_form_checks_make_one_core_call_each(self, catalog_entry, monkeypatch):
         # five flow calls of the battery's own, over all of a check's times,
         # the endpoint call of ``forward_limit`` and the light-cone call of
-        # ``backward_limit``; calls the core makes inside itself (an umbilic
-        # level flowing its inner level) do not count
+        # ``backward_limit``; the walk goes down every level in its one call
         name, d = catalog_entry
-        calls, depth = [], [0]
+        calls, core = [], flow._flow_rows
 
-        def counted(core):
-            def wrapper(*args, **kwargs):
-                if depth[0] == 0:
-                    calls.append((core.__name__, len(args[2])))
-                depth[0] += 1
-                try:
-                    return core(*args, **kwargs)
-                finally:
-                    depth[0] -= 1
+        def counted(d, X, ts, *args, **kwargs):
+            calls.append((args[:1], len(ts)))
+            return core(d, X, ts, *args, **kwargs)
 
-            return wrapper
-
-        for core in (flow._hyperbolic_flow_rows, flow._lorentz_flow_rows):
-            wrapper = counted(core)
-            for module in (flow, scenario, limits):
-                if getattr(module, core.__name__, None) is core:
-                    monkeypatch.setattr(module, core.__name__, wrapper)
+        for module in (flow, scenario, limits):
+            if getattr(module, "_flow_rows", None) is core:
+                monkeypatch.setattr(module, "_flow_rows", counted)
         quadric = []
         quadric_rows = descriptors._quadric_rows
         monkeypatch.setattr(descriptors, "_quadric_rows", lambda d, X: quadric.append(len(X)) or quadric_rows(d, X))
