@@ -412,7 +412,7 @@ def _flow_times(d, X: np.ndarray, times, gauge: str = "hyperbolic") -> np.ndarra
     or, where its flow overflows doubles, with TimeOutOfRangeError("the
     flow at t=... leaves the range of doubles").  No numpy warning escapes.
     """
-    check, _ = _gauge(gauge)
+    check = _gauge(gauge)[0]
     try:
         return _finite_flow(d, X, check(d, times), gauge)
     except (OverflowError, TimeOutOfRangeError):
@@ -437,16 +437,16 @@ def _finite_flow(d, X: np.ndarray, ts: list[float], gauge: str) -> np.ndarray:
 
 
 def _gauge(gauge: str):
-    """A gauge's time check and the kind of ambient space its flowed points lie in.
+    """A gauge's time check, the kind of ambient space its flowed points lie in, and its time bound in an existence window.
 
     The one place a gauge name is checked: the checked flow passes a name
     that passed here on to the walk, and the oracle takes its ambient space
-    from the kind (``oracle._gauge_ambient``).
+    (``oracle._gauge_ambient``) and its residual times' bound from here.
     """
     if gauge == "hyperbolic":
-        return _hyperbolic_times, "hyperboloid"
+        return _hyperbolic_times, "hyperboloid", lambda window: window.t_max
     if gauge == "lorentz":
-        return _lorentz_times, "lorentzian"
+        return _lorentz_times, "lorentzian", lambda window: window.t_dprime
     raise InvalidArgumentError(f"unknown gauge {gauge!r}")
 
 

@@ -217,9 +217,10 @@ def verify_flat_normal_bundle(d, limit: BackwardLimit, h: float = 1e-3) -> float
     Codimension <= 1 in the boundary sphere is trivially flat (0 by
     convention).  One-dimensional limits are checked by the loop holonomy of
     the normal connection around the periodic chart, after one chart
-    evaluation of the period's two ends shows that it closes (0 if not);
-    higher-dimensional ones by the curvature commutator of covariant normal
-    derivatives.
+    evaluation of the period's two ends shows that it closes (0 if not): a
+    normal frame carried once around the loop by the transport of the
+    isoparametric check.  Higher-dimensional ones are checked by the
+    curvature commutator of covariant normal derivatives.
     """
     if limit.variant != BACKWARD_IDEAL or limit.chart_map is None:
         raise InvalidArgumentError("need an evaluated ideal backward limit")
@@ -232,11 +233,9 @@ def verify_flat_normal_bundle(d, limit: BackwardLimit, h: float = 1e-3) -> float
     box = chart_box(d)
     mids = np.array([(lo + hi) / 2.0 for lo, hi in box])
     if dims.n == 1:
-        period = np.array([2.0 * math.pi])
-        if not oracle._period_closes(imm, mids, period):
-            # non-periodic chart: the base is contractible, no holonomy exists
-            return 0.0
-        return oracle._holonomy_defect(imm, mids, period, h=h)
+        defect = oracle._holonomy_defect(imm, mids, np.array([2.0 * math.pi]), h=h)
+        # None for a non-periodic chart: the base is contractible, no holonomy exists
+        return 0.0 if defect is None else defect
     widths = np.array([(hi - lo) / 4.0 for lo, hi in box])
     samples = [mids, mids + widths / 2.0, mids - widths / 2.0]
     return oracle.flat_normal_residual(imm, samples, h=h)

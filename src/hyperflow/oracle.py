@@ -214,6 +214,11 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+def _first_derivatives_of(vals: np.ndarray, h: float):
+    """Centers (..., dim) and central first derivatives (..., n, dim) of first-derivative stencils (..., 1 + 2n, dim)."""
+    return vals[..., 0, :], (vals[..., 1::2, :] - vals[..., 2::2, :]) / (2.0 * h)
+
+
 def _stencil_derivatives(vals: np.ndarray, n: int, h: float):
     """Center, central first and second derivatives from ``_stencil_offsets`` values.
 
@@ -221,9 +226,8 @@ def _stencil_derivatives(vals: np.ndarray, n: int, h: float):
     (P, dim), first derivatives (P, n, dim) and second derivatives
     (P, n, n, dim).
     """
-    center = vals[:, 0]
+    center, first = _first_derivatives_of(vals[:, : 1 + 2 * n], h)
     plus, minus = vals[:, 1 : 1 + 2 * n : 2], vals[:, 2 : 2 + 2 * n : 2]
-    first = (plus - minus) / (2.0 * h)
     second = np.empty((vals.shape[0], n, n, vals.shape[2]))
     idx = np.arange(n)
     second[:, idx, idx] = (plus - 2.0 * center[:, None] + minus) / h**2
@@ -343,9 +347,18 @@ def second_fundamental_form(imm: ImmersionEvaluator, u, h: float = 1e-3):
     g = _induced_metric(imm, first)
     if n == 0:
         return center, first, g, second
-    frame = np.concatenate([first, center[None]]) if imm.ambient.intrinsic_to_quadric else first
     W = second.reshape(n * n, -1)
-    return center, first, g, (W - _tangential_parts(imm, frame, W)).reshape(second.shape)
+    return center, first, g, (W - _tangential_parts(imm, _tangent_frame(imm, center, first), W)).reshape(second.shape)
+
+
+def _tangent_frame(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """The tangent frame (..., kt, dim) at points (..., dim): the chart derivatives (..., n, dim), and the position vector inside a quadric."""
+    return np.concatenate([first, center[..., None, :]], axis=-2) if imm.ambient.intrinsic_to_quadric else first
+
+
+def _normal_rank(imm: ImmersionEvaluator, dim: int) -> int:
+    """The rank k of the chart's normal bundle in R^dim, inside the quadric when there is one."""
+    return dim - imm.chart_dim - (1 if imm.ambient.intrinsic_to_quadric else 0)
 
 
 def _tangential_parts(imm: ImmersionEvaluator, frame, W) -> np.ndarray:
@@ -424,8 +437,7 @@ def pde_residual_grid(
     ambient = _gauge_ambient(gauge)
     n = dimensions(d).n
     U = _rows(chart_samples, n)
-    window = existence_window(d)
-    bound = window.t_max if gauge == "hyperbolic" else window.t_dprime
+    bound = _gauge(gauge)[2](existence_window(d))
     for t in ts:
         if bound is not None and t + dt >= bound:
             raise TimeOutOfRangeError(f"t={t} leaves no margin dt={dt} before the bound {bound}")
@@ -587,10 +599,9 @@ def _shape_eigenvalues(imm: ImmersionEvaluator, g: np.ndarray, II: np.ndarray, Z
 _TRANSPORT_SUBSEGMENTS = 4
 _CONNECTION_DELTA = 1e-5
 # bytes of moving normal bases that one group of the transport holds
-# (``_transport_chain``), and of normal candidates that one group of the
-# loop holonomy holds (``_holonomy_defect``); a geodesic chain of depth L
-# has (L + 1) (L + 3) frame doubles at every path point, so this bounds
-# both checks' memory on deep chains, while every catalog check is one group
+# (``_transport_chain``), in the isoparametric and the loop holonomy check;
+# a geodesic chain of depth L has (L + 1) (L + 3) frame doubles at every path
+# point, so this bounds their memory on deep chains, where a catalog check is one group
 _FRAME_BUDGET = 1 << 19
 
 
@@ -693,6 +704,26 @@ def _transport_chain(imm: ImmersionEvaluator, frame: np.ndarray, center: np.ndar
                 frame = out[:, s // q] = _gram_schmidt(imm, frame.transpose(1, 0, 2).copy())
         N = minus_A = None  # the group's bases and forms go before the next group forms its own
     return out
+
+
+def _seeded_transport(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray, seeds: int, owner: np.ndarray, subs, sub_steps: int):
+    """A normal frame seeded at the first stop of a transport and carried along its path, at T times: (T, k, dim), (T, segments, k, dim).
+
+    ``center`` (T, P, dim) and ``first`` (T, P, n, dim) hold the first stop,
+    the ``seeds`` sub-segment seeds and the path points of ``_transport_path``
+    at every time.  One pivot pass (``_pivot_orders``) over the first stops
+    and seeds of all times picks every order from all dim candidates, whose
+    memory goes before the transport (``_transport_chain``).
+    """
+    T, _, dim = center.shape
+    # rows: the owners (the first stop and the seeds) of every time, then the path points of every time
+    O = 1 + seeds
+    owners = np.concatenate([np.arange(T * O), (np.arange(T)[:, None] * O + 1 + owner[seeds:]).reshape(-1)])
+    W = _normal_candidates(imm, center[:, :O], first[:, :O]).reshape(T * O, dim, dim)
+    order = _pivot_orders(imm, W, owners)
+    start = _gram_schmidt(imm, W[::O][np.arange(T), order[: T * O : O].T])  # the first stop's frame at every time
+    del W
+    return start, _transport_chain(imm, start, center[:, O:], first[:, O:], order[T * O :].reshape(T, -1, order.shape[-1]), subs, sub_steps)
 
 
 def _minus_connection_forms(imm: ImmersionEvaluator, N: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -803,11 +834,10 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
     (T, P, dim); ``k`` is the normal rank, or None to read it off one chart
     point.  No chart point depends on the transported frame, so ``values``
     is called once, on the stencils of the samples and of the transport
-    path.  One pivot pass (``_pivot_orders``) over the first sample and
-    every sub-segment seed at all times picks every pivot order from all dim
-    of their candidates; no row follows a row of another time.  The first
-    sample's frames come from those candidates, and the transport walks
-    the path in groups of sub-segments whose frames fit
+    path.  The first sample's frames are seeded and carried along the path
+    as the loop holonomy's are (``_seeded_transport``): one pivot pass
+    over the first sample and every sub-segment seed at all times, and a
+    transport in groups of sub-segments whose frames fit
     ``_FRAME_BUDGET`` (``_transport_chain``), so the check's memory scales
     with one group rather than with the whole path: on a chain of depth
     24, k = 25 frame vectors of dim 27 at every point.  The shape operators
@@ -823,7 +853,7 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
         raise InsufficientSamplesError("need at least two chart samples")
     samples = np.array(_chain_samples(list(_rows(chart_samples, n))))
     if k is None:
-        k = imm(samples[0]).shape[0] - n - (1 if imm.ambient.intrinsic_to_quadric else 0)
+        k = _normal_rank(imm, imm(samples[0]).shape[0])
     offs = _stencil_offsets(n, h)
     S, K, F = len(samples), offs.shape[0], 1 + 2 * n
     seeds, subs, path, owner = _transport_path(samples, sub_steps, k)
@@ -837,14 +867,7 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
     lead_center, lead_first = _first_derivatives_of(vals[:, S * K :].reshape(T, len(lead), F, dim), h)
     lead_center = lead_center.copy()  # a view would keep every chart value alive
     del vals
-    # rows: the owners (the first sample and the seeds) of every time, then the path points of every time
-    O = 1 + len(seeds)
-    owners = np.concatenate([np.arange(T * O), (np.arange(T)[:, None] * O + 1 + owner[len(seeds) :]).reshape(-1)])
-    W = _normal_candidates(imm, lead_center[:, :O], lead_first[:, :O]).reshape(T * O, dim, dim)
-    order = _pivot_orders(imm, W, owners)
-    start = _gram_schmidt(imm, W[::O][np.arange(T), order[: T * O : O].T])  # the first sample's frame at every time
-    del W
-    moved = _transport_chain(imm, start, lead_center[:, O:], lead_first[:, O:], order[T * O :].reshape(T, -1, k), subs, sub_steps)
+    start, moved = _seeded_transport(imm, lead_center, lead_first, len(seeds), owner, subs, sub_steps)
     Z = np.concatenate([start[:, None], moved], axis=1).reshape(T * S, k, dim)
     E = _shape_eigenvalues(imm, _induced_metric(imm, first), second, Z).reshape(T, S, k, n)
     return np.max(np.abs(E[:, 1:] - E[:, :1]), axis=(1, 2, 3))
@@ -873,11 +896,6 @@ def _first_derivative_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float):
     return _first_derivatives_of(vals.reshape(P, 1 + 2 * n, -1), h)
 
 
-def _first_derivatives_of(vals: np.ndarray, h: float):
-    """Centers (..., dim) and central first derivatives (..., n, dim) of first-derivative stencils (..., 1 + 2n, dim)."""
-    return vals[..., 0, :], (vals[..., 1::2, :] - vals[..., 2::2, :]) / (2.0 * h)
-
-
 def _normal_candidates(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray, axes: np.ndarray | None = None) -> np.ndarray:
     """Each axis e_i minus its tangential part, at points (...): (..., i, dim).
 
@@ -889,7 +907,7 @@ def _normal_candidates(imm: ImmersionEvaluator, center: np.ndarray, first: np.nd
     then taken (a solve with fewer right-hand sides can round differently),
     so a kept candidate has the bits of its row of the full candidates.
     """
-    T = np.concatenate([first, center[..., None, :]], axis=-2) if imm.ambient.intrinsic_to_quadric else first
+    T = _tangent_frame(imm, center, first)
     *points, kt, dim = T.shape
     # the axes as bools, an eighth of the memory: subtracting casts them to 1.0 and 0.0
     E = np.eye(dim, dtype=bool) if axes is None else np.eye(dim, dtype=bool)[axes]
@@ -916,7 +934,7 @@ def _pivot_orders(imm: ImmersionEvaluator, W: np.ndarray, owner: np.ndarray) -> 
     follow one owner thus share its order, and their frames vary smoothly.
     """
     dim = W.shape[-1]
-    k = dim - imm.chart_dim - (1 if imm.ambient.intrinsic_to_quadric else 0)
+    k = _normal_rank(imm, dim)
     owners, which = np.unique(owner, return_inverse=True)
     V, rows = W[owners], np.arange(len(owners))
     order = np.empty((len(owners), k), dtype=int)
@@ -997,8 +1015,7 @@ def _covariant_rows(imm: ImmersionEvaluator, dZ, Z, center, first, X, conformal)
     if conformal is not None:
         g, x = conformal(center)[..., None, :], X[..., None, :]
         dZ = dZ + EUCLIDEAN.inners(g, x)[..., None] * Z + EUCLIDEAN.inners(g, Z)[..., None] * x - EUCLIDEAN.inners(x, Z)[..., None] * g
-    frame = np.concatenate([first, center[..., None, :]], axis=-2) if imm.ambient.intrinsic_to_quadric else first
-    return dZ - _tangential_parts(imm, frame, dZ)
+    return dZ - _tangential_parts(imm, _tangent_frame(imm, center, first), dZ)
 
 
 def _normal_curvature_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float, conformal) -> tuple[np.ndarray, np.ndarray]:
@@ -1016,7 +1033,7 @@ def _normal_curvature_rows(imm: ImmersionEvaluator, U: np.ndarray, h: float, con
     K, F = offs.shape[0], 1 + 2 * n
     center, first = _first_derivatives_of(imm.at_rows(_stencil_points(_stencil_points(U, offs), offs[:F])).reshape(P, K, F, -1), h)
     dim = center.shape[-1]
-    k = dim - n - (1 if imm.ambient.intrinsic_to_quadric else 0)
+    k = _normal_rank(imm, dim)
     if k < 2 or n < 2:
         return np.zeros((P, 0, 0, dim)), first[:, 0]
     order = _pivot_orders(imm, _normal_candidates(imm, center[:, 0], first[:, 0]), np.repeat(np.arange(P), K))
@@ -1078,66 +1095,47 @@ def normal_holonomy_defect(imm: ImmersionEvaluator, u_start, period, steps: int 
     """Holonomy defect of the normal connection around a closed chart loop.
 
     Over a curve the normal curvature 2-form vanishes identically, so global
-    flatness is measured by transporting an orthonormal normal frame around
-    one chart period and comparing with the start.  The transport integrates
-    the subspace-tracking equation zeta' = [P', P] zeta (P the normal
-    projector along the loop) with a classical 4th order scheme; for a
-    trivial-holonomy bundle the defect is at the differencing floor.  P does
-    not depend on zeta, so the projectors at every time the scheme asks for,
-    and at the partners of its central difference in time, are evaluated up
-    front in one ``at_rows`` call, and the commutators are formed in groups
-    of keys that fit ``_FRAME_BUDGET`` (``_holonomy_defect``).
-    Column i of a projector is the image of the axis e_i, the i-th row of
-    ``_normal_candidates``.  The first time is 0, so the first projector's
-    candidates also give the start frame (``_normal_frames``).  Whether the
-    period closes is one more ``at_rows`` call, of the loop's two ends.
+    flatness is measured by carrying an orthonormal normal frame around one
+    chart period, by the isoparametric check's transport in ``steps`` RK4
+    steps, and comparing with the start (``_holonomy_defect``); for a
+    trivial-holonomy bundle the defect is at the differencing floor.  A
+    chart with no normal direction has none.
     """
-    u0 = np.asarray(u_start, dtype=float)
-    per = np.asarray(period, dtype=float)
+    u0, per = _point(u_start, imm.chart_dim)[0], _point(period, imm.chart_dim)[0]
     if steps < 1:
         raise InvalidArgumentError(f"the loop needs steps >= 1, got {steps!r}")
     if not np.all(np.isfinite(per)):
         raise InvalidArgumentError(f"the chart period must be finite, got {period!r}")
-    if not _period_closes(imm, u0, per):
+    defect = _holonomy_defect(imm, u0, per, steps, h)
+    if defect is None:
         raise InvalidArgumentError("the chart period does not close the loop")
-    return _holonomy_defect(imm, u0, per, steps, h)
+    return defect
 
 
-def _period_closes(imm: ImmersionEvaluator, u0: np.ndarray, per: np.ndarray) -> bool:
-    """Whether the chart maps u0 + per back onto u0's point, to 1e-9; one ``at_rows`` call."""
-    ends = imm.at_rows(np.array([u0 + per, u0]))
-    return not np.max(np.abs(ends[0] - ends[1])) > 1e-9
+def _holonomy_defect(imm: ImmersionEvaluator, u0: np.ndarray, per: np.ndarray, steps: int = 256, h: float = 1e-3) -> float | None:
+    """``normal_holonomy_defect`` of a checked u0 and period, or None when u0 + per does not map back onto u0's point, to 1e-9.
 
-
-def _holonomy_defect(imm: ImmersionEvaluator, u0: np.ndarray, per: np.ndarray, steps: int = 256, h: float = 1e-3) -> float:
-    """``normal_holonomy_defect`` of a period already known to close: the loop's one ``at_rows`` call.
-
-    The projectors and their commutators are formed group by group of RK4
-    keys, whose normal candidates (three dim x dim matrices a key) fit
-    ``_FRAME_BUDGET`` bytes, one key at least; only the commutators are
-    kept, so the loop's memory scales with one group and the commutators,
-    not with every candidate of the loop.  Each candidate and commutator is
-    computed matrix by matrix, so the grouping changes no bit.
+    The loop's two ends, one ``at_rows`` call, also give the normal rank.
+    The loop is a transport path (``_transport_path``) of S segments, each
+    of steps // S RK4 steps, S as large as keeps the transport's shortest
+    sub-segments of 4 steps (``_sub_steps``): a moving basis then holds its
+    pivot order over 1/4S of the loop only, not into the turn of the normal
+    space that degenerates it.  The stencils of u0, the seeds and the path
+    are one more call; the frame seeded at u0 is carried around it
+    (``_seeded_transport``) and compared with itself, entry by entry.
     """
-    delta = 1e-4
-    dt = 1.0 / steps
-    keys = _rk4_times(0.0, dt, steps)
-    ts = np.array([s for t in keys for s in (t, t + delta, t - delta)])
-    center, first = _first_derivative_rows(imm, u0 + ts[:, None] * per, h)
-    dim = center.shape[-1]
-    per_group = max(1, _FRAME_BUDGET // (8 * 3 * dim * dim))
-    C = np.empty((len(keys), dim, dim))
-    for g0 in range(0, len(keys), per_group):
-        g1 = min(g0 + per_group, len(keys))
-        W = _normal_candidates(imm, center[3 * g0 : 3 * g1], first[3 * g0 : 3 * g1])
-        if g0 == 0:
-            W0 = W[:1].copy()  # the start frame's, formed after every group so a candidate's refusal comes first
-        proj = W.transpose(0, 2, 1)
-        Pt = proj[0::3]
-        dP = (proj[1::3] - proj[2::3]) / (2.0 * delta)
-        C[g0:g1] = dP @ Pt - Pt @ dP
-    start = _normal_frames(imm, W0, np.zeros(1, dtype=int))[0].T
-    return float(np.max(np.abs(_rk4(dict(zip(keys, C)), start, 0.0, dt, steps) - start)))
+    ends = imm.at_rows(np.array([u0 + per, u0]))
+    if np.max(np.abs(ends[0] - ends[1])) > 1e-9:
+        return None
+    k = _normal_rank(imm, ends.shape[1])
+    if k == 0:
+        return 0.0
+    S = max(1, steps // (_TRANSPORT_SUBSEGMENTS * _sub_steps(1)))
+    sub_steps = _sub_steps(steps // S)
+    seeds, subs, path, owner = _transport_path(u0 + (np.arange(S + 1) / S)[:, None] * per, sub_steps, k)
+    center, first = _first_derivative_rows(imm, np.concatenate([u0[None], seeds, path]), h)
+    start, moved = _seeded_transport(imm, center[None], first[None], len(seeds), owner, subs, sub_steps)
+    return float(np.max(np.abs(moved[0, -1] - start[0])))
 
 
 # ---------------------------------------------------------------------------

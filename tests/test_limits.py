@@ -703,12 +703,16 @@ class TestFlatNormalBundle:
         assert value == oracle.normal_holonomy_defect(imm, mids, [2.0 * math.pi])
 
     def test_open_chart_has_no_holonomy(self, monkeypatch):
-        # a chart whose period does not close: 0 by convention, from the one check
+        # a chart whose period does not close: 0 by convention, from the one
+        # evaluation of the loop's two ends, and the loop is not evaluated
         d = CATALOG["circle_in_h4_nested"]
         bwd = backward_limit(d, chart_samples(d, 3, 7))
-        monkeypatch.setattr(oracle, "_period_closes", lambda imm, u0, per: False)
-        monkeypatch.setattr(oracle, "_holonomy_defect", lambda *args, **kwargs: pytest.fail("the loop ran"))
+        rows = limits.backward_chart_rows(d)
+        monkeypatch.setattr(limits, "backward_chart_rows", lambda d: lambda U: rows(0.9 * U))
+        calls, at_rows = [], oracle.ImmersionEvaluator.at_rows
+        monkeypatch.setattr(oracle.ImmersionEvaluator, "at_rows", lambda imm, U: calls.append(len(U)) or at_rows(imm, U))
         assert verify_flat_normal_bundle(d, bwd) == 0.0
+        assert calls == [2]
 
     @staticmethod
     def _traced_peak(d, bwd):
@@ -721,17 +725,17 @@ class TestFlatNormalBundle:
             tracemalloc.stop()
 
     def test_holonomy_memory_scales_with_one_group(self, monkeypatch):
-        # the loop's candidates are formed in groups of RK4 keys within
-        # _FRAME_BUDGET and only the commutators kept: 5.5 MB on numpy 2.4
-        # at depth 24 (26 coordinates, 513 keys), against 16.7 MB when the
-        # candidates of the whole loop are held at once
+        # the loop's transport keeps the frames of one group of sub-segments
+        # within _FRAME_BUDGET at a time: 4.0 MB on numpy 2.4 at depth 24 (26
+        # coordinates, 24 normal directions, 64 sub-segments), against 25.1
+        # MB when the frames of the whole loop are held at once
         d = geodesic_chain(24)
         bwd = backward_limit(d, chart_samples(d, 3, 7))
-        groups, candidates = [], oracle._normal_candidates
-        monkeypatch.setattr(oracle, "_normal_candidates", lambda *a: groups.append(candidates(*a)) or groups[-1])
+        groups, kept = [], oracle._kept_normal_frames
+        monkeypatch.setattr(oracle, "_kept_normal_frames", lambda *a: groups.append(kept(*a)) or groups[-1])
         assert verify_flat_normal_bundle(d, bwd) == 0.0
-        assert len(groups) > 1 and max(W.nbytes for W in groups) <= oracle._FRAME_BUDGET
-        monkeypatch.setattr(oracle, "_normal_candidates", candidates)
+        assert len(groups) > 1 and max(N.nbytes for N in groups) <= oracle._FRAME_BUDGET
+        monkeypatch.setattr(oracle, "_kept_normal_frames", kept)
         peak = self._traced_peak(d, bwd)
         assert peak <= 7e6
         monkeypatch.setattr(oracle, "_FRAME_BUDGET", 1 << 40)

@@ -907,6 +907,17 @@ def _torus_knot() -> oracle.ImmersionEvaluator:
     )
 
 
+def _torus_knot_in_r4() -> oracle.ImmersionEvaluator:
+    # the same curve in flat R^4: three normal directions, the position
+    # vector's among them, and a holonomy of its own
+    return oracle.ImmersionEvaluator(
+        1,
+        oracle.EUCLIDEAN,
+        lambda u: np.array([math.cos(u[0]), math.sin(u[0]), math.cos(2.0 * u[0]), math.sin(2.0 * u[0])])
+        / math.sqrt(2.0),
+    )
+
+
 # Per-stencil and per-call forms of the batched oracle paths, kept as the
 # references the batched code is compared against.
 
@@ -1033,29 +1044,6 @@ def _normal_curvature_reference(imm, u, h=1e-3, ball=False):
     return np.asarray(out)
 
 
-def _holonomy_reference(imm, u0, per, steps, h=1e-3):
-    u0, per = np.asarray(u0, dtype=float), np.asarray(per, dtype=float)
-    P = lambda t: _projector_reference(imm, u0 + t * per, h)
-    delta = 1e-4
-
-    def rhs(t, Z):
-        Pt = P(t)
-        dP = (P(t + delta) - P(t - delta)) / (2.0 * delta)
-        return (dP @ Pt - Pt @ dP) @ Z
-
-    start = _frame_field(imm, u0, h)(u0[None, :])[0].T
-    Z = start.copy()
-    dt = 1.0 / steps
-    for k in range(steps):
-        t = k * dt
-        k1 = rhs(t, Z)
-        k2 = rhs(t + dt / 2.0, Z + dt / 2.0 * k1)
-        k3 = rhs(t + dt / 2.0, Z + dt / 2.0 * k2)
-        k4 = rhs(t + dt, Z + dt * k3)
-        Z = Z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return float(np.max(np.abs(Z - start)))
-
-
 def _transport_reference(imm, u_from, u_to, frame, steps, h):
     # one frame field, and two chart evaluations, per sub-segment
     a, b = np.asarray(u_from, dtype=float), np.asarray(u_to, dtype=float)
@@ -1093,6 +1081,17 @@ def _transport_reference(imm, u_from, u_to, frame, steps, h):
             v = v - imm.ambient.inner(v, m) * m
         moved.append(v / math.sqrt(imm.ambient.inner(v, v)))
     return moved
+
+
+def _holonomy_reference(imm, u0, per, steps, h=1e-3):
+    # the frame seeded at u0 carried around the loop by the per-call
+    # transport, in segments of 16 RK4 steps
+    u0, per = np.asarray(u0, dtype=float), np.asarray(per, dtype=float)
+    segments = max(1, steps // 16)
+    start = frame = list(_frame_field(imm, u0, h)(u0[None, :])[0])
+    for j in range(segments):
+        frame = _transport_reference(imm, u0 + j / segments * per, u0 + (j + 1) / segments * per, frame, steps // segments, h)
+    return float(np.max(np.abs(np.array(frame) - np.array(start))))
 
 
 def _isoparametric_reference(imm, chart_samples, transport_steps=24, h=1e-3):
@@ -1263,30 +1262,36 @@ class TestBatchedOracle:
         for p, u in enumerate(U):
             assert np.max(np.abs(proj[p] - _projector_reference(imm, u, h))) < 1e-12
 
-    @pytest.mark.parametrize("imm", [_great_circle(), _torus_knot()], ids=["great_circle", "torus_knot"])
+    @pytest.mark.parametrize("imm", [_great_circle(), _torus_knot(), _torus_knot_in_r4()], ids=["great_circle", "torus_knot", "torus_knot_in_r4"])
     def test_holonomy_matches_per_call_loop(self, imm):
         defect = oracle.normal_holonomy_defect(imm, [0.3], [2.0 * math.pi], steps=64)
         assert abs(defect - _holonomy_reference(imm, [0.3], [2.0 * math.pi], 64)) < 1e-12
 
     def test_holonomy_evaluates_the_loop_once(self, monkeypatch):
-        # the start frame comes from the first projector's candidates, so the
-        # projectors and the frame take one at_rows call; the closing check
-        # is one more, of the loop's two ends, and every point evaluated is a
-        # row of one of the two (this chart has no row map)
+        # the closing check is one at_rows call, of the loop's two ends; the
+        # seeded frame and the transport around the loop take one more, and
+        # every point evaluated is a row of one of the two (this chart has no
+        # row map)
         calls, points = [], []
         at_rows, point = oracle.ImmersionEvaluator.at_rows, oracle.ImmersionEvaluator.__call__
         monkeypatch.setattr(oracle.ImmersionEvaluator, "at_rows", lambda imm, U: calls.append(len(U)) or at_rows(imm, U))
         monkeypatch.setattr(oracle.ImmersionEvaluator, "__call__", lambda imm, u: points.append(1) or point(imm, u))
-        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619538662278823
+        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619540328235606
         assert len(calls) == 2 and calls[0] == 2 and len(points) == sum(calls)
 
     def test_holonomy_groups_keep_the_bits(self, monkeypatch):
-        # one RK4 key a group: every candidate and commutator keeps its bits
+        # one sub-segment a group: every frame and connection form keeps its bits
         monkeypatch.setattr(oracle, "_FRAME_BUDGET", 1)
-        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619538662278823
+        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619540328235606
 
-    def test_torus_knot_has_holonomy(self):
-        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) > 1e-2
+    @pytest.mark.parametrize("imm", [_torus_knot(), _torus_knot_in_r4()], ids=["torus_knot", "torus_knot_in_r4"])
+    def test_torus_knot_has_holonomy(self, imm):
+        assert oracle.normal_holonomy_defect(imm, [0.3], [2.0 * math.pi]) > 1e-2
+
+    def test_loop_without_normal_directions(self):
+        # a great circle of S^1 is all of it: no normal direction, no holonomy
+        imm = oracle.ImmersionEvaluator(1, oracle.SPHERE, lambda u: np.array([math.cos(u[0]), math.sin(u[0])]))
+        assert oracle.normal_holonomy_defect(imm, [0.2], [2.0 * math.pi]) == 0.0
 
     @pytest.mark.parametrize(
         "imm, samples",
@@ -1592,6 +1597,8 @@ MALFORMED = {
     "transport_mismatched_ends": lambda: oracle.transport_normal_frame(_TUBE_IMM, _U[0], _U[1][:2], _NORMALS),
     "mean_curvature_ragged_point": lambda: oracle.numeric_mean_curvature(_TUBE_IMM, [[0.1, 0.2], [0.3]]),
     "transport_frame_vector": lambda: oracle.transport_normal_frame(_TUBE_IMM, _U[0], _U[1], [v[:-1] for v in _NORMALS]),
+    "holonomy_start_length": lambda: oracle.normal_holonomy_defect(_great_circle(), [0.2, 0.3], [2.0 * math.pi]),
+    "holonomy_period_length": lambda: oracle.normal_holonomy_defect(_great_circle(), [0.2], [2.0 * math.pi, 1.0]),
     # the walk and both limits take their samples through the same shape check
     "walk_ragged_samples": lambda: oracle.evolve_and_compare(CATALOG["tube_h3"], [[0.1, 0.2], [0.3]], 0.0, 1e-3, 1e-4),
     "walk_string_samples": lambda: oracle.evolve_and_compare(CATALOG["tube_h3"], [["a", "b"]], 0.0, 1e-3, 1e-4),
