@@ -521,13 +521,15 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
     and frees them before its steps, so the walk's memory does not grow
     with the stencil.
 
-    A step is x + dt H followed by x / sqrt(sum(x * x * -sig)), with the
-    negated signature -sig formed once per walk; every step writes into the
-    walk's own buffers, through ufuncs bound once per walk with their
-    ``out`` passed positionally.  Its bits are those of x / sqrt(-<x, x>): the
-    products by +-1 and the negations are exact, the sum runs in the same
-    order, and dt H of the block is the same elementwise product as dt H of
-    the step.
+    A step is x + dt H followed by x / sqrt((x * x) @ -sig): the square
+    norm -<x, x> is one matmul of the squared rows with the negated
+    signature column -sig, formed once per walk.  Every step writes into
+    the walk's own buffers, through ufuncs bound once per walk with their
+    ``out`` passed positionally, five calls a step.  The products by +-1
+    are exact, so a step differs from x / sqrt(-<x, x>) only in the order
+    of the matmul's sum, and dt H of the block is the same elementwise
+    product as dt H of the step.  The walk starts from the stencil
+    centers, the rows at offset zero, so the samples are immersed once.
     """
     if not (0.0 < dt <= 1e-4):
         raise InvalidArgumentError(f"dt must be positive and at most 1e-4, got {dt!r}")
@@ -550,11 +552,11 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
     offs = _stencil_offsets(n, h)
     S, K = samples.shape[0], offs.shape[0]
     stencil_points = immerse_rows(d, _stencil_points(samples, offs))  # once: the rows do not change from step to step
-    # the walk's start and its closed-form targets at the end, one flow; X is walked in place
-    X, targets = _flow_times(d, immerse_rows(d, samples), [t0, end])
-    nsig = -HYPERBOLOID.signature(X.shape[1])
+    # the walk's start (the stencil centers) and its closed-form targets at the end, one flow; X is walked in place
+    X, targets = _flow_times(d, stencil_points[::K], [t0, end])
+    nsig = -HYPERBOLOID.signature(X.shape[1])[:, None]
     sq, norm = np.empty_like(X), np.empty((S, 1))
-    add, multiply, divide, sqrt, reduce = np.add, np.multiply, np.divide, np.sqrt, np.add.reduce
+    add, multiply, matmul, divide, sqrt = np.add, np.multiply, np.matmul, np.divide, np.sqrt
     block = max(1, _WALK_BUDGET // stencil_points.nbytes)
     for k0 in range(0, steps, block):
         ks = range(k0, min(k0 + block, steps))
@@ -565,8 +567,7 @@ def evolve_and_compare(d, chart_samples: Sequence[np.ndarray], t0: float, t1: fl
         for dXk in dX:
             add(X, dXk, X)
             multiply(X, X, sq)
-            multiply(sq, nsig, sq)
-            reduce(sq, -1, None, norm, True)  # axis, dtype, out, keepdims
+            matmul(sq, nsig, norm)
             divide(X, sqrt(norm, norm), X)
     return float(np.max([np.linalg.norm(x - target) for x, target in zip(X, targets)]))
 
@@ -605,22 +606,16 @@ _CONNECTION_DELTA = 1e-5
 _FRAME_BUDGET = 1 << 19
 
 
-def _rk4_times(ta: float, dt: float, steps: int) -> list[float]:
-    """The times ``_rk4`` asks for, in its own arithmetic: t + dt need not equal the next step's t, and then both are kept."""
+def _step_times(ta: float, dt: float, steps: int) -> tuple[list[float], np.ndarray]:
+    """The times at which ``steps`` RK4 steps of dt from ta read the connection form, and each step's (steps, 3) positions among them.
+
+    A step from t reads t, t + dt/2 and t + dt in its own arithmetic:
+    t + dt need not equal the next step's t, and then both are kept.
+    """
     starts = [ta + i * dt for i in range(steps)]
-    return list(dict.fromkeys(s for t in starts for s in (t, t + dt / 2.0, t + dt)))
-
-
-def _rk4(at: dict, y: np.ndarray, ta: float, dt: float, steps: int) -> np.ndarray:
-    """Classical RK4 for y' = at[t] @ y from ta, in ``steps`` steps of dt; ``at`` holds the matrices at ``_rk4_times``."""
-    for i in range(steps):
-        t = ta + i * dt
-        k1 = at[t] @ y
-        k2 = at[t + dt / 2.0] @ (y + dt / 2.0 * k1)
-        k3 = at[t + dt / 2.0] @ (y + dt / 2.0 * k2)
-        k4 = at[t + dt] @ (y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+    stages = [(t, t + dt / 2.0, t + dt) for t in starts]
+    where = {s: j for j, s in enumerate(dict.fromkeys(s for stage in stages for s in stage))}
+    return list(where), np.array([[where[s] for s in stage] for stage in stages])
 
 
 def _sub_steps(steps: int) -> int:
@@ -630,15 +625,28 @@ def _sub_steps(steps: int) -> int:
     return max(4, steps // _TRANSPORT_SUBSEGMENTS)
 
 
+def _segment_stops(u0: np.ndarray, span: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
+    """The stops u0 + j / S span, j = 0 .. S, of a transport of ``steps`` RK4 steps along one chart segment, and the RK4 steps of its sub-segments.
+
+    S = max(1, steps // 16) segments of steps // S steps each: S is as
+    large as keeps the shortest sub-segments at 4 steps (``_sub_steps``),
+    so a moving basis holds its pivot order over 1/4S of the segment only,
+    not into a turn of the normal space that degenerates it.
+    """
+    S = max(1, steps // (_TRANSPORT_SUBSEGMENTS * _sub_steps(1)))
+    return u0 + (np.arange(S + 1) / S)[:, None] * span, _sub_steps(steps // S)
+
+
 def _transport_path(stops: np.ndarray, sub_steps: int, k: int):
     """The seeds, the sub-segments, the points and their owners of a transport along the chart segments stops[0] -> stops[1] -> ...
 
-    Every segment is split alike.  A sub-segment is (ta, dt, keys): its
-    start, its RK4 step and, for a frame of k > 1 vectors, the times its
-    RK4 loop asks the connection form for.  Its seed, which fixes its pivot
-    order, is its midpoint; its points are its two ends, then each key with
-    the two partners of its central difference in time.  The owners name,
-    for every row of the seeds followed by the points, the row whose pivot
+    Every segment is split alike.  A sub-segment is (ta, dt, keys, at):
+    its start, its RK4 step and, for a frame of k > 1 vectors, the times
+    its RK4 steps read the connection form at and each step's positions
+    among them (``_step_times``).  Its seed, which fixes its pivot order,
+    is its midpoint; its points are its two ends, then each key with the
+    two partners of its central difference in time.  The owners name, for
+    every row of the seeds followed by the points, the row whose pivot
     order its normal frame takes (``_pivot_orders``): a seed owns itself,
     a point follows its seed.
     """
@@ -647,66 +655,110 @@ def _transport_path(stops: np.ndarray, sub_steps: int, k: int):
     for seg in range(q):
         ta, tb = seg / q, (seg + 1) / q
         dt = (tb - ta) / sub_steps
-        keys = _rk4_times(ta, dt, sub_steps) if k > 1 else []
-        subs.append((ta, dt, keys))
+        keys, at = _step_times(ta, dt, sub_steps) if k > 1 else ([], np.empty((0, 3), dtype=int))
+        subs.append((ta, dt, keys, at))
         mids.append(0.5 * (ta + tb))
         ts += [ta, tb] + [s for t in keys for s in (t, t + delta, t - delta)]
     a, b = stops[:-1, None, :], stops[1:, None, :]
     seeds, path = (a + np.array(u)[:, None] * (b - a) for u in (mids, ts))
     seed = np.arange(q * len(a))
-    owner = np.concatenate([seed, np.repeat(seed, [2 + 3 * len(keys) for *_, keys in subs] * len(a))])
+    owner = np.concatenate([seed, np.repeat(seed, [2 + 3 * len(sub[2]) for sub in subs] * len(a))])
     return seeds.reshape(-1, stops.shape[1]), subs, path.reshape(-1, stops.shape[1]), owner
 
 
-def _transport_chain(imm: ImmersionEvaluator, frame: np.ndarray, center: np.ndarray, first: np.ndarray, order: np.ndarray, subs, sub_steps: int) -> np.ndarray:
+def _propagators(minus_A: np.ndarray, at: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """RK4 propagators (G, T, k, k) of c' = -A(t) c over G sub-segments of ``at.shape[1]`` steps each.
+
+    ``minus_A`` (keys, T, k, k) holds -A at the keys of the sub-segments,
+    ``at`` (G, steps, 3) the positions among them of each step's t, t +
+    dt/2 and t + dt, and ``dt`` (G,) each sub-segment's step.  The
+    equation is linear, so a step is the matrix Phi = I + dt/6 (L0 + 2 P2 +
+    2 P3 + P4) with P2 = Lm (I + dt/2 L0), P3 = Lm (I + dt/2 P2) and P4 =
+    L1 (I + dt P3), L being -A at t, t + dt/2 and t + dt: every step of
+    every sub-segment and time is formed in one set of stacked matmuls,
+    and each sub-segment's steps are then multiplied in order.  Every
+    product is one (k, k) matmul, so no batch changes a bit.
+    """
+    G, steps = at.shape[:2]
+    L0, Lm, L1 = (minus_A[at[..., i].ravel()] for i in range(3))
+    h = np.repeat(dt, steps)[:, None, None, None]
+    eye = np.eye(minus_A.shape[-1])
+    P2 = np.matmul(Lm, eye + h / 2.0 * L0)
+    P3 = np.matmul(Lm, eye + h / 2.0 * P2)
+    P4 = np.matmul(L1, eye + h * P3)
+    phi = (eye + h / 6.0 * (L0 + 2.0 * P2 + 2.0 * P3 + P4)).reshape(G, steps, *L0.shape[1:])
+    out = phi[:, 0]
+    for i in range(1, steps):
+        out = np.matmul(phi[:, i], out)
+    return out
+
+
+def _transport_chain(imm: ImmersionEvaluator, frame: np.ndarray, center: np.ndarray, first: np.ndarray, order: np.ndarray, subs) -> np.ndarray:
     """T frames (T, k, dim) transported along consecutive chart segments, at every stop after the first: (T, segments, k, dim).
 
     ``center`` (T, P, dim) and ``first`` (T, P, n, dim) are the P points of
     ``_transport_path``, whose sub-segments are ``subs``, at every time, and
-    ``order`` (T, P, k) the pivot order of each point's seed.  The walk
-    takes consecutive sub-segments in groups whose normal frames (T x
-    points x k x dim doubles) fit ``_FRAME_BUDGET`` bytes, one sub-segment
-    at least.  A group forms the moving bases at its points
-    (``_kept_normal_frames``) and the connection form at its keys, then runs
-    its RK4 loops in order, each step one stacked (T, k, k) update of all T
-    chains; its bases and connection forms go before the next group forms
-    its own, so memory scales with one group, not with the whole path.
-    Each segment's end frames are re-orthonormalized in order by the frozen
-    pass (``_gram_schmidt``) that builds every other normal frame, on a (k,
-    T, dim) copy; between segment ends the frames are not touched.  Every
-    basis vector and connection form is computed row by row, so the grouping
-    changes no bit.
+    ``order`` (T, P, k) the pivot order of each point's seed.  The frame is
+    carried as its coefficients c (T, k, k) on the moving basis, c' = -A(t)
+    c.  The walk takes consecutive sub-segments in groups whose normal
+    frames (T x points x k x dim doubles) fit ``_FRAME_BUDGET`` bytes, one
+    sub-segment at least.  A group forms the moving bases at its points
+    (``_kept_normal_frames``), the connection form at its keys and from
+    them every sub-segment's RK4 propagator (``_propagators``), and the
+    basis change B = <N_start(s)_i, N_end(s - 1)_j> from each sub-segment's
+    predecessor's end basis onto its start basis, which sit at one chart
+    point; its bases and forms go before the next group forms its own, so
+    memory scales with one group, not with the whole path.  Then each
+    sub-segment is one stacked (T, k, k) product of all T chains: a
+    segment's first sub-segment takes its coefficients off the frame, every
+    other one its predecessor's through B.  A frame is built only at a
+    segment's end, where the frozen pass (``_gram_schmidt``) that builds
+    every other normal frame re-orthonormalizes it, on a (k, T, dim) copy.
+    Every basis vector, connection form and product is computed row by
+    row or matrix by matrix, and the coefficients and the last end basis
+    cross group boundaries, so the grouping changes no bit.
     """
     T, _, dim = center.shape
     k = order.shape[-1]
-    counts = [2 + 3 * len(keys) for *_, keys in subs]
+    counts = [2 + 3 * len(sub[2]) for sub in subs]
     q, segments = len(subs), center.shape[1] // sum(counts)
     bounds = np.cumsum([0] + counts * segments)  # the path rows of every sub-segment
     per_group = max(1, _FRAME_BUDGET // (8 * T * max(counts) * k * dim))
+    inners = imm.ambient.inners
     out = np.empty((T, segments, k, dim))
+    coeff = end = None  # the coefficients on the end basis of the last sub-segment walked, and that basis
     for g0 in range(0, q * segments, per_group):
         g1 = min(g0 + per_group, q * segments)
         lo, hi = bounds[g0], bounds[g1]
         N = _kept_normal_frames(imm, center[:, lo:hi], first[:, lo:hi], order[:, lo:hi]).reshape(T, hi - lo, k, dim)
+        group = [subs[s % q] for s in range(g0, g1)]
+        a = bounds[g0:g1] - lo  # each sub-segment's start, then its end, in the group's rows
+        starts, ends = N[:, a], N[:, a + 1]
+        prev = np.concatenate([ends[:, :1] if end is None else end[:, None], ends[:, :-1]], axis=1)
+        # each sub-segment's map from its predecessor's end coefficients to its own: B, then Phi B
+        carry = inners(starts[:, :, :, None, :], prev[:, :, None, :, :]).swapaxes(0, 1)
         if k > 1:
-            keys_at = [bounds[s] - lo + 2 + 3 * np.arange(len(subs[s % q][2])) for s in range(g0, g1)]
-            minus_A = _minus_connection_forms(imm, N, np.concatenate(keys_at))
-        first_key = 0
-        for s in range(g0, g1):
-            ta, dt, keys = subs[s % q]
-            a = bounds[s] - lo  # the sub-segment's start, then its end, in the group's rows
-            coeff = imm.ambient.inners(N[:, a, :, None, :], frame[:, None, :, :])
-            if k > 1:
-                coeff = _rk4(dict(zip(keys, minus_A[first_key:])), coeff, ta, dt, sub_steps)  # c' = -A(t) c
-                first_key += len(keys)
-            frame = sum(coeff[:, i, :, None] * N[:, a + 1, i, None, :] for i in range(k))
+            keys = [r + 2 + 3 * np.arange(len(sub[2])) for r, sub in zip(a, group)]  # the rows of every key
+            first_key = np.cumsum([0] + [len(r) for r in keys])
+            at = np.stack([f + sub[3] for f, sub in zip(first_key, group)])
+            phi = _propagators(_minus_connection_forms(imm, N, np.concatenate(keys)), at, np.array([sub[1] for sub in group]))
+            carry = np.matmul(phi, carry)
+        N = None  # the group's bases go before the next group forms its own
+        for j, s in enumerate(range(g0, g1)):
+            if s % q == 0:  # off the frame
+                coeff = inners(starts[:, j, :, None, :], frame[:, None, :, :])
+                if k > 1:
+                    coeff = np.matmul(phi[j], coeff)
+            else:
+                coeff = np.matmul(carry[j], coeff)
             if s % q == q - 1:
-                frame = out[:, s // q] = _gram_schmidt(imm, frame.transpose(1, 0, 2).copy())
-        N = minus_A = None  # the group's bases and forms go before the next group forms its own
+                moved = np.matmul(coeff.swapaxes(1, 2), ends[:, j])  # frame vector j is sum_i c_ij N_end_i
+                frame = out[:, s // q] = _gram_schmidt(imm, moved.transpose(1, 0, 2).copy())
+        end = ends[:, -1].copy()
     return out
 
 
-def _seeded_transport(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray, seeds: int, owner: np.ndarray, subs, sub_steps: int):
+def _seeded_transport(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray, seeds: int, owner: np.ndarray, subs):
     """A normal frame seeded at the first stop of a transport and carried along its path, at T times: (T, k, dim), (T, segments, k, dim).
 
     ``center`` (T, P, dim) and ``first`` (T, P, n, dim) hold the first stop,
@@ -723,7 +775,7 @@ def _seeded_transport(imm: ImmersionEvaluator, center: np.ndarray, first: np.nda
     order = _pivot_orders(imm, W, owners)
     start = _gram_schmidt(imm, W[::O][np.arange(T), order[: T * O : O].T])  # the first stop's frame at every time
     del W
-    return start, _transport_chain(imm, start, center[:, O:], first[:, O:], order[T * O :].reshape(T, -1, order.shape[-1]), subs, sub_steps)
+    return start, _transport_chain(imm, start, center[:, O:], first[:, O:], order[T * O :].reshape(T, -1, order.shape[-1]), subs)
 
 
 def _minus_connection_forms(imm: ImmersionEvaluator, N: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -746,26 +798,30 @@ def transport_normal_frame(
 
     The frame is expressed in a smooth moving orthonormal basis of the
     normal bundle and the coefficient equation c' = -A(t) c is integrated
-    with a classical 4th order scheme; A is the (skew) connection form in
-    the moving basis, so its entries stay at the geometric rotation rate
-    even where boosted coordinates make raw projector matrices large.  The
-    segment is split into sub-segments, each with a freshly seeded basis:
-    the moving basis at a path point is its normal frame in the pivot
-    order of its sub-segment's seed (``_pivot_orders``).  Codimension one
-    needs no integration: the single coefficient rides the smooth unit
-    normal field unchanged.  A chain of one segment of
-    ``_transport_chain``, with one ``at_rows`` call.
+    with a classical 4th order scheme in ``steps`` steps; A is the (skew)
+    connection form in the moving basis, so its entries stay at the
+    geometric rotation rate even where boosted coordinates make raw
+    projector matrices large.  The segment is laid out as the loop
+    holonomy's loop is (``_segment_stops``): max(1, steps // 16) pieces of
+    equal steps, each split into sub-segments with a freshly seeded basis,
+    so no basis is carried into a turn of the normal space that
+    degenerates it.  The moving basis at a path point is its normal frame
+    in the pivot order of its sub-segment's seed (``_pivot_orders``).
+    Codimension one needs no integration: the single coefficient rides the
+    smooth unit normal field unchanged.  A chain of ``_transport_chain``,
+    with one ``at_rows`` call.
     """
-    sub_steps = _sub_steps(steps)
+    _sub_steps(steps)
     if len(frame) == 0:
         return []
-    stops = _rows([u_from, u_to], imm.chart_dim)
+    a, b = _rows([u_from, u_to], imm.chart_dim)
+    stops, sub_steps = _segment_stops(a, b - a, steps)
     seeds, subs, path, owner = _transport_path(stops, sub_steps, len(frame))
     center, first = _first_derivative_rows(imm, np.concatenate([seeds, path]), h)
     frame = _rows(frame, center.shape[-1], "frame vectors need {} coordinates, got vectors")
     s = len(seeds)
     order = _pivot_orders(imm, _normal_candidates(imm, center[:s], first[:s]), owner)[s:]
-    return list(_transport_chain(imm, frame[None], center[None, s:], first[None, s:], order[None], subs, sub_steps)[0, 0])
+    return list(_transport_chain(imm, frame[None], center[None, s:], first[None, s:], order[None], subs)[0, -1])
 
 
 def _chain_samples(samples: list[np.ndarray]) -> list[np.ndarray]:
@@ -867,7 +923,7 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
     lead_center, lead_first = _first_derivatives_of(vals[:, S * K :].reshape(T, len(lead), F, dim), h)
     lead_center = lead_center.copy()  # a view would keep every chart value alive
     del vals
-    start, moved = _seeded_transport(imm, lead_center, lead_first, len(seeds), owner, subs, sub_steps)
+    start, moved = _seeded_transport(imm, lead_center, lead_first, len(seeds), owner, subs)
     Z = np.concatenate([start[:, None], moved], axis=1).reshape(T * S, k, dim)
     E = _shape_eigenvalues(imm, _induced_metric(imm, first), second, Z).reshape(T, S, k, n)
     return np.max(np.abs(E[:, 1:] - E[:, :1]), axis=(1, 2, 3))
@@ -1116,13 +1172,13 @@ def _holonomy_defect(imm: ImmersionEvaluator, u0: np.ndarray, per: np.ndarray, s
     """``normal_holonomy_defect`` of a checked u0 and period, or None when u0 + per does not map back onto u0's point, to 1e-9.
 
     The loop's two ends, one ``at_rows`` call, also give the normal rank.
-    The loop is a transport path (``_transport_path``) of S segments, each
-    of steps // S RK4 steps, S as large as keeps the transport's shortest
-    sub-segments of 4 steps (``_sub_steps``): a moving basis then holds its
-    pivot order over 1/4S of the loop only, not into the turn of the normal
-    space that degenerates it.  The stencils of u0, the seeds and the path
-    are one more call; the frame seeded at u0 is carried around it
-    (``_seeded_transport``) and compared with itself, entry by entry.
+    The loop is a transport path (``_transport_path``) of S = max(1, steps
+    // 16) segments of steps // S RK4 steps each (``_segment_stops``, which
+    lays out ``transport_normal_frame``'s segment too).  The stencils of
+    u0, the seeds and the path are one more call; the frame seeded at u0 is
+    carried around it (``_seeded_transport``), its coefficients on the
+    moving bases through each sub-segment's composed RK4 propagator, and
+    compared with itself, entry by entry.
     """
     ends = imm.at_rows(np.array([u0 + per, u0]))
     if np.max(np.abs(ends[0] - ends[1])) > 1e-9:
@@ -1130,11 +1186,10 @@ def _holonomy_defect(imm: ImmersionEvaluator, u0: np.ndarray, per: np.ndarray, s
     k = _normal_rank(imm, ends.shape[1])
     if k == 0:
         return 0.0
-    S = max(1, steps // (_TRANSPORT_SUBSEGMENTS * _sub_steps(1)))
-    sub_steps = _sub_steps(steps // S)
-    seeds, subs, path, owner = _transport_path(u0 + (np.arange(S + 1) / S)[:, None] * per, sub_steps, k)
+    stops, sub_steps = _segment_stops(u0, per, steps)
+    seeds, subs, path, owner = _transport_path(stops, sub_steps, k)
     center, first = _first_derivative_rows(imm, np.concatenate([u0[None], seeds, path]), h)
-    start, moved = _seeded_transport(imm, center[None], first[None], len(seeds), owner, subs, sub_steps)
+    start, moved = _seeded_transport(imm, center[None], first[None], len(seeds), owner, subs)
     return float(np.max(np.abs(moved[0, -1] - start[0])))
 
 

@@ -308,12 +308,12 @@ class TestEvolveAndCompare:
     @pytest.mark.parametrize(
         "name, seed, expected",
         [
-            ("tube_h3", 7, 2.926192018532111e-07),
-            ("clifford_tube_h5", 7, 6.633162878841942e-07),
-            ("geodesic_sphere_h3", 7, 3.842689125137447e-07),
-            ("tube_h3", 101, 2.6923336604777585e-07),
-            ("clifford_tube_h5", 101, 6.043190778428179e-07),
-            ("geodesic_sphere_h3", 101, 3.8426025065265597e-07),
+            ("tube_h3", 7, 2.9261921444420164e-07),
+            ("clifford_tube_h5", 7, 6.633164726609385e-07),
+            ("geodesic_sphere_h3", 7, 3.8426890563273397e-07),
+            ("tube_h3", 101, 2.6923337424432553e-07),
+            ("clifford_tube_h5", 101, 6.043190911555589e-07),
+            ("geodesic_sphere_h3", 101, 3.8426022920454354e-07),
         ],
     )
     def test_walk_values_pinned(self, name, seed, expected):
@@ -324,18 +324,20 @@ class TestEvolveAndCompare:
     def test_one_step_blocks_keep_the_bits(self, monkeypatch):
         d = CATALOG["tube_h3"]
         monkeypatch.setattr(oracle, "_WALK_BUDGET", 1)
-        # the value was recorded with 64-step blocks
-        assert oracle.evolve_and_compare(d, chart_samples(d, 2, 7)[:4], 0.0, 2e-3, 1e-5) == 2.805333148260972e-08
+        # the value was recorded with 64-step blocks (re-recorded from
+        # 2.805333148260972e-08 when a step's square norm became one matmul)
+        assert oracle.evolve_and_compare(d, chart_samples(d, 2, 7)[:4], 0.0, 2e-3, 1e-5) == 2.8053346438683397e-08
 
     def test_block_memory_is_bounded(self):
         # n = 20, 801-point stencils: with 64-step blocks this walk peaked at
         # 72.8 MB traced, and the budget walks it one step a block (3.6 MB
         # on numpy 2.4); the value was recorded with 64-step blocks, and
         # re-recorded (4.5696056226862545e-07 before) when the stencil
-        # kernel's contractions became stacked matmuls
+        # kernel's contractions became stacked matmuls, and again
+        # (4.569604941965993e-07) when a step's square norm became one matmul
         d = FullProduct(1, 20.0, ProductOfSpheres(((19, 19.0),)))
         us = chart_samples(d, 2, 7)[:4]
-        assert oracle.evolve_and_compare(d, us, 0.0, 64e-5, 1e-5) == 4.569604941965993e-07
+        assert oracle.evolve_and_compare(d, us, 0.0, 64e-5, 1e-5) == 4.56960601698758e-07
         tracemalloc.start()
         try:
             oracle.evolve_and_compare(d, us, 0.0, 64e-5, 1e-5)
@@ -573,12 +575,14 @@ class TestIsoparametricResidual:
     # spreads and sha256 of the transported frames at -0.2, 0.0 and 0.1 of
     # chart_samples(chain, 3, 7)[:3]; the frames were recorded before the
     # transport was grouped, the spreads when the check stopped projecting
-    # its second derivatives off the tangent frame
+    # its second derivatives off the tangent frame; both were re-recorded
+    # when each sub-segment's RK4 steps became one composed propagator
+    # (the spread at 0.0 moved by 6.7e-16)
     CHAIN_PINS = {
-        4: "27397a768fb2367c29dc8988ffd147f11343d1089e2d1bde5f3e666e7519ba3c",
-        8: "5dc64d63628ceb09a9ac94dce53f220b28b046e10c96efceac73f55f4a414dfe",
-        16: "36dc16146eb46bd4f054ddc6b57225d983142ca848707639027b0c609a4e5e5c",
-        24: "fd87e9c841f0bbb685e9496f3d2b077e225a36de63fbd03e5a403da06d1c64fd",
+        4: "fd1c314f9cdb22dcee0c1953af8631525f0625c9fd257e447da7ec73664ce526",
+        8: "ef5d9d80ec05152a8edb397bce39ad32c068e09b86cf13ced6fe34a5c993e188",
+        16: "8a4ae3dbe154606dd0e18dfc876ba9d3c85eba9138ddee75163c1a882c55b140",
+        24: "12a47f999e17b84ff58b35ee857d01bf2a4b4133104b4bd9a4b2bdd927f20829",
     }
 
     @pytest.mark.parametrize("depth", sorted(CHAIN_PINS))
@@ -587,7 +591,7 @@ class TestIsoparametricResidual:
         moved, chain = [], oracle._transport_chain
         monkeypatch.setattr(oracle, "_transport_chain", lambda *a: moved.append(chain(*a)) or moved[-1])
         spreads = oracle.isoparametric_residuals(d, [-0.2, 0.0, 0.1], chart_samples(d, 3, 7)[:3])
-        assert [float(x).hex() for x in spreads] == ["0x1.2c0e400000000p-31", "0x1.8ee8400000000p-32", "0x1.ce7ce00000000p-33"]
+        assert [float(x).hex() for x in spreads] == ["0x1.2c0e400000000p-31", "0x1.8ee8100000000p-32", "0x1.ce7ce00000000p-33"]
         assert hashlib.sha256(moved[0].tobytes()).hexdigest() == self.CHAIN_PINS[depth]
 
     @staticmethod
@@ -761,6 +765,21 @@ class TestRowEvaluation:
         there = oracle.transport_normal_frame(imm, a, b, frame)
         back = oracle.transport_normal_frame(imm, b, a, there)
         assert np.max(np.abs(np.array(back) - np.array(frame))) < 1e-6
+
+    def test_long_segment_is_laid_out_like_the_loop(self):
+        # three quarters of the torus knot's period in one call: its segment
+        # is split as the loop holonomy's loop is, so no moving basis is
+        # carried into a turn of the normal space that degenerates it, and
+        # the frame agrees with 32 short transports (1.58 apart when the
+        # segment was one piece of 4 sub-segments, at any steps)
+        imm = _torus_knot_in_r4()
+        a, b = np.array([0.3]), np.array([0.3 + 1.5 * math.pi])
+        frame = short = list(_frame_field(imm, a, 1e-3)(a[None, :])[0])
+        for j in range(32):
+            short = oracle.transport_normal_frame(imm, a + j / 32 * (b - a), a + (j + 1) / 32 * (b - a), short)
+        for steps, tol in ((48, 1e-5), (256, 1e-7)):
+            long = oracle.transport_normal_frame(imm, a, b, frame, steps=steps)
+            assert np.max(np.abs(np.array(long) - np.array(short))) < tol, steps
 
 
 class TestFlatNormalBundle:
@@ -1044,6 +1063,41 @@ def _normal_curvature_reference(imm, u, h=1e-3, ball=False):
     return np.asarray(out)
 
 
+def _rk4_reference(L, y, ta, dt, steps):
+    # classical RK4 for y' = L(t) y from ta, one step at a time
+    for i in range(steps):
+        t = ta + i * dt
+        k1 = L(t) @ y
+        k2 = L(t + dt / 2.0) @ (y + dt / 2.0 * k1)
+        k3 = L(t + dt / 2.0) @ (y + dt / 2.0 * k2)
+        k4 = L(t + dt) @ (y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def _stepwise_chain_reference(imm, frame, center, first, order, subs):
+    # ``_transport_chain`` one RK4 step at a time, in one group: the frame
+    # is built at every sub-segment's end and read off again on the next
+    # sub-segment's start basis
+    T, P, dim = center.shape
+    k = order.shape[-1]
+    N = oracle._kept_normal_frames(imm, center, first, order).reshape(T, P, k, dim)
+    q, rows = len(subs), [2 + 3 * len(keys) for _, _, keys, _ in subs]
+    out, row = [], 0
+    for s in range(P // sum(rows) * q):
+        ta, dt, keys, at = subs[s % q]
+        coeff = imm.ambient.inners(N[:, row, :, None, :], frame[:, None, :, :])
+        if k > 1:
+            minus_A = oracle._minus_connection_forms(imm, N, row + 2 + 3 * np.arange(len(keys)))
+            coeff = _rk4_reference(dict(zip(keys, minus_A)).__getitem__, coeff, ta, dt, len(at))
+        frame = sum(coeff[:, i, :, None] * N[:, row + 1, i, None, :] for i in range(k))
+        if s % q == q - 1:
+            frame = oracle._gram_schmidt(imm, frame.transpose(1, 0, 2).copy())
+            out.append(frame)
+        row += rows[s % q]
+    return np.stack(out, axis=1)
+
+
 def _transport_reference(imm, u_from, u_to, frame, steps, h):
     # one frame field, and two chart evaluations, per sub-segment
     a, b = np.asarray(u_from, dtype=float), np.asarray(u_to, dtype=float)
@@ -1066,13 +1120,7 @@ def _transport_reference(imm, u_from, u_to, frame, steps, h):
             M = np.array([[imm.ambient.inner(x, (y - z) / (2.0 * delta)) for y, z in zip(Np, Nm)] for x in Nt])
             return 0.5 * (M - M.T)
 
-        for i in range(sub_steps):
-            t = ta + i * dt
-            k1 = -A(t) @ coeff
-            k2 = -A(t + dt / 2.0) @ (coeff + dt / 2.0 * k1)
-            k3 = -A(t + dt / 2.0) @ (coeff + dt / 2.0 * k2)
-            k4 = -A(t + dt) @ (coeff + dt * k3)
-            coeff = coeff + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        coeff = _rk4_reference(lambda t: -A(t), coeff, ta, dt, sub_steps)
         current = [sum(coeff[i, j] * N1[i] for i in range(k)) for j in range(k)]
     moved = []
     for w in current:
@@ -1276,13 +1324,31 @@ class TestBatchedOracle:
         at_rows, point = oracle.ImmersionEvaluator.at_rows, oracle.ImmersionEvaluator.__call__
         monkeypatch.setattr(oracle.ImmersionEvaluator, "at_rows", lambda imm, U: calls.append(len(U)) or at_rows(imm, U))
         monkeypatch.setattr(oracle.ImmersionEvaluator, "__call__", lambda imm, u: points.append(1) or point(imm, u))
-        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619540328235606
+        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619540328235614
         assert len(calls) == 2 and calls[0] == 2 and len(points) == sum(calls)
 
+    @pytest.mark.parametrize("case", ["torus_knot", "torus_knot_in_r4", "clifford_tube_h5", "geodesic_chain8"])
+    def test_composed_transport_matches_stepwise_rk4(self, case, monkeypatch):
+        # each sub-segment's composed RK4 propagator, and the coefficients
+        # carried through the basis changes, give the frames of the
+        # step-by-step loop to rounding: two loop holonomies (16 segments of
+        # 4 sub-segments) and two isoparametric checks at three times
+        calls, chain = [], oracle._transport_chain
+        monkeypatch.setattr(oracle, "_transport_chain", lambda *a: calls.append((a, chain(*a))) or calls[-1][1])
+        if case.startswith("torus"):
+            oracle.normal_holonomy_defect({"torus_knot": _torus_knot, "torus_knot_in_r4": _torus_knot_in_r4}[case](), [0.3], [2.0 * math.pi])
+        else:
+            d = TIME_AXIS_CASES[case]
+            oracle.isoparametric_residuals(d, [-0.2, 0.0, 0.1], chart_samples(d, 3, 7)[:4])
+        [(args, moved)] = calls
+        assert np.max(np.abs(moved - _stepwise_chain_reference(*args))) < 1e-13
+
     def test_holonomy_groups_keep_the_bits(self, monkeypatch):
-        # one sub-segment a group: every frame and connection form keeps its bits
+        # one sub-segment a group: every frame, connection form and
+        # propagator keeps its bits, and the coefficients and the last end
+        # basis cross every group boundary
         monkeypatch.setattr(oracle, "_FRAME_BUDGET", 1)
-        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619540328235606
+        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619540328235614
 
     @pytest.mark.parametrize("imm", [_torus_knot(), _torus_knot_in_r4()], ids=["torus_knot", "torus_knot_in_r4"])
     def test_torus_knot_has_holonomy(self, imm):

@@ -76,20 +76,20 @@ from hyperflow.scenario import (
 VERIFY_STDOUT_SHA256 = {
     ("ambient_h3", 3): "4c13654b60b5ba09deebca46ed07fee4e4bc8e270bac211c053f179b63dcfe6b",
     ("ambient_h3", 7): "4e56ca4e722342b13387928ac24798d772c6ba703747b029255bea4aef64627f",
-    ("circle_h2", 3): "4f9dc8ad4a2ee60e4dd8c0c1c08b69722002bdbcea0649a3a6d1f7b25e0636e2",
-    ("circle_h2", 7): "5a51c456ae106270bdee69ea8a546324b7c3f9d4ef50dcbe662b9d52c32cc164",
-    ("circle_in_h4_nested", 3): "4253ff029702f9c074e70bb078ab4838d01ae880f5307021af0568a08f6eca01",
-    ("circle_in_h4_nested", 7): "98067f188c9fba373ef0f409e8cecab4e64787c49da7d407f521148331ae0dff",
-    ("clifford_tube_h5", 3): "91ba800af6cb218c311bbbc5136920f88f87368e74078cd9714cda1b42a77505",
-    ("clifford_tube_h5", 7): "ffd112a98205a9bdaee9026574e7e1200ace8357f476af9e6f644af251cc312e",
-    ("equidistant_h2", 3): "50876c57167b99fb59e19ca32027f7d67a6887c4cb8d3c88c5f02a3604d9af94",
+    ("circle_h2", 3): "c9dd063924a2d6a2eca24a50e23014296243ff22f4c0e613aeca1bf0a93f66f0",
+    ("circle_h2", 7): "98098e9f668ed5f1f66915ee6338131c79f8a8e3823a8141f7d71e6c7d6db5e3",
+    ("circle_in_h4_nested", 3): "539a0f4ab53fc37fe360a9ba8bdade5e398bdab8ec632da46e278a6a6906320e",
+    ("circle_in_h4_nested", 7): "372bee372b4fffe9c4ea4852c8c5c6c431158a4830dc6c56f5f08f790a3bd7b2",
+    ("clifford_tube_h5", 3): "b1590c249f3730330ef7e46f2cd5855f1961a1814753ba28b68d531026c0b072",
+    ("clifford_tube_h5", 7): "e38919a63841d240d45a00affd68cfe0dc08ef17fd2d737add2b3c4dbe7da718",
+    ("equidistant_h2", 3): "4515980916c9eec7bcb4f96e26a4b8839eece62a81afa7a4d6919fe677aaeb0f",
     ("equidistant_h2", 7): "6b8f8ec9d03cf7ae8e5365f6411efc7c6a7a8a6bbef2d5b58a5fe289cc631a27",
     ("geodesic_sphere_h3", 3): "883b9571c7d5b9dac063c4df24dc88f1f8dce23986c29bc97cabd136cf8eb029",
     ("geodesic_sphere_h3", 7): "2dc899aec568985e3c9959902123adf1c6900a51760a83d3545450e6f0348df3",
     ("horocycle_h2", 3): "a2961fde4789d6073100dc2893ac4c1e3bb4380448c802850c6f2eb6159e1d39",
     ("horocycle_h2", 7): "48df913899999098aa941df1bc82bd54d525af45e9111e96f3942da6b6d7b0e2",
     ("tube_h3", 3): "77252c20e8b666072bb0e62c64be85e7dc75dda1d02ab60cbb15ca0237cb5a43",
-    ("tube_h3", 7): "74c8d789360e5bc3ca16f8308c066304e15ab4a3900843214da2c81c0499c0d5",
+    ("tube_h3", 7): "b8d419e1ce28fc09cb01a0ca2bb2b6d3acd10ac7ea1a30914831fd1ff0278bbc",
 }
 
 
