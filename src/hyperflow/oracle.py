@@ -12,10 +12,15 @@ flat, spherical and conformally flat ambient metrics, and the scalar ODE
 oracle for the collapse of geodesic spheres.
 
 Every normal frame here, seeded or transported, comes out of one frozen
-Gram-Schmidt pass (``_gram_schmidt``).  The transport check reads curvature
-through those frames: a frame vector Z is normal, so <d^2 X / du_i du_j, Z>
-= <II_ij, Z>, and the shape operator along Z takes the raw second
-derivatives without forming the second fundamental form.
+Gram-Schmidt pass (``_gram_schmidt``).  Every transport of a normal frame,
+the isoparametric check's, ``transport_normal_frame`` and the loop
+holonomy's, lays its path out by one rule (``_transport_path``): each leg
+from one stop to the next is cut into max(4, steps // 4) sub-segments of
+four RK4 steps, each with a freshly seeded moving basis, so ``steps``
+counts the RK4 steps of a leg in all three.  The transport check reads
+curvature through those frames: a frame vector Z is normal, so
+<d^2 X / du_i du_j, Z> = <II_ij, Z>, and the shape operator along Z takes
+the raw second derivatives without forming the second fundamental form.
 """
 
 from __future__ import annotations
@@ -595,10 +600,11 @@ def _shape_eigenvalues(imm: ImmersionEvaluator, g: np.ndarray, II: np.ndarray, Z
     return np.sort(np.linalg.eigvals(np.linalg.solve(g[..., None, :, :], S)).real, axis=-1)
 
 
-# Each transport segment is split into sub-segments, each with a freshly
-# seeded basis; the connection form is differenced in time with this step.
-_TRANSPORT_SUBSEGMENTS = 4
-_CONNECTION_DELTA = 1e-5
+# Every leg of a transport, from one stop to the next, is cut into
+# sub-segments of four RK4 steps, each with a freshly seeded basis; the
+# connection form is differenced in time with this step, in units of a
+# sub-segment.
+_CONNECTION_DELTA = 4e-5
 # bytes of moving normal bases that one group of the transport holds
 # (``_transport_chain``), in the isoparametric and the loop holonomy check;
 # a geodesic chain of depth L has (L + 1) (L + 3) frame doubles at every path
@@ -606,166 +612,131 @@ _CONNECTION_DELTA = 1e-5
 _FRAME_BUDGET = 1 << 19
 
 
-def _step_times(ta: float, dt: float, steps: int) -> tuple[list[float], np.ndarray]:
-    """The times at which ``steps`` RK4 steps of dt from ta read the connection form, and each step's (steps, 3) positions among them.
+def _leg_subsegments(steps: int) -> int:
+    """The number q = max(4, steps // 4) of sub-segments of four RK4 steps that a transport of ``steps`` RK4 steps a leg cuts each leg into.
 
-    A step from t reads t, t + dt/2 and t + dt in its own arithmetic:
-    t + dt need not equal the next step's t, and then both are kept.
+    So a leg takes ``steps`` rounded down to a multiple of four, and 16 at
+    least.  The one refusal of ``steps`` below 1, for every transport.
     """
-    starts = [ta + i * dt for i in range(steps)]
-    stages = [(t, t + dt / 2.0, t + dt) for t in starts]
-    where = {s: j for j, s in enumerate(dict.fromkeys(s for stage in stages for s in stage))}
-    return list(where), np.array([[where[s] for s in stage] for stage in stages])
-
-
-def _sub_steps(steps: int) -> int:
-    """RK4 steps per sub-segment for a transport of ``steps`` steps per segment."""
     if steps < 1:
         raise InvalidArgumentError(f"the transport needs steps >= 1, got {steps!r}")
-    return max(4, steps // _TRANSPORT_SUBSEGMENTS)
+    return max(4, steps // 4)
 
 
-def _segment_stops(u0: np.ndarray, span: np.ndarray, steps: int) -> tuple[np.ndarray, int]:
-    """The stops u0 + j / S span, j = 0 .. S, of a transport of ``steps`` RK4 steps along one chart segment, and the RK4 steps of its sub-segments.
+def _transport_path(stops: np.ndarray, q: int, k: int):
+    """The seeds, the points and their owners of a transport along the legs stops[0] -> stops[1] -> ...
 
-    S = max(1, steps // 16) segments of steps // S steps each: S is as
-    large as keeps the shortest sub-segments at 4 steps (``_sub_steps``),
-    so a moving basis holds its pivot order over 1/4S of the segment only,
-    not into a turn of the normal space that degenerates it.
-    """
-    S = max(1, steps // (_TRANSPORT_SUBSEGMENTS * _sub_steps(1)))
-    return u0 + (np.arange(S + 1) / S)[:, None] * span, _sub_steps(steps // S)
-
-
-def _transport_path(stops: np.ndarray, sub_steps: int, k: int):
-    """The seeds, the sub-segments, the points and their owners of a transport along the chart segments stops[0] -> stops[1] -> ...
-
-    Every segment is split alike.  A sub-segment is (ta, dt, keys, at):
-    its start, its RK4 step and, for a frame of k > 1 vectors, the times
-    its RK4 steps read the connection form at and each step's positions
-    among them (``_step_times``).  Its seed, which fixes its pivot order,
-    is its midpoint; its points are its two ends, then each key with the
-    two partners of its central difference in time.  The owners name, for
+    Every leg is cut into q sub-segments (``_leg_subsegments``), laid out
+    alike.  Sub-segment s of a leg is seeded at its midpoint, leg position
+    (2s + 1) / 2q, which fixes its pivot order; its keys lie at the leg
+    positions (8s + j) / 8q, j = 0 .. 8: its start, each half step of its
+    four RK4 steps and its end, so its end is exactly the next one's
+    start.  For a frame of k > 1 vectors each key is followed by the two
+    partners of its central difference in time, +- ``_CONNECTION_DELTA``
+    of a sub-segment; a single vector needs no connection form, and a
+    sub-segment keeps its start and end keys alone.  The owners name, for
     every row of the seeds followed by the points, the row whose pivot
     order its normal frame takes (``_pivot_orders``): a seed owns itself,
     a point follows its seed.
     """
-    q, delta = _TRANSPORT_SUBSEGMENTS, _CONNECTION_DELTA
-    subs, mids, ts = [], [], []
-    for seg in range(q):
-        ta, tb = seg / q, (seg + 1) / q
-        dt = (tb - ta) / sub_steps
-        keys, at = _step_times(ta, dt, sub_steps) if k > 1 else ([], np.empty((0, 3), dtype=int))
-        subs.append((ta, dt, keys, at))
-        mids.append(0.5 * (ta + tb))
-        ts += [ta, tb] + [s for t in keys for s in (t, t + delta, t - delta)]
-    a, b = stops[:-1, None, :], stops[1:, None, :]
-    seeds, path = (a + np.array(u)[:, None] * (b - a) for u in (mids, ts))
+    keys = (8 * np.arange(q)[:, None] + (np.arange(9) if k > 1 else np.array([0, 8]))) / (8 * q)
+    if k > 1:
+        keys = keys[..., None] + np.array([0.0, _CONNECTION_DELTA, -_CONNECTION_DELTA]) / q
+    a, span = stops[:-1, None, :], (stops[1:] - stops[:-1])[:, None, :]
+    seeds = a + ((2 * np.arange(q) + 1) / (2 * q))[:, None] * span
+    path = a + keys.reshape(-1, 1) * span
     seed = np.arange(q * len(a))
-    owner = np.concatenate([seed, np.repeat(seed, [2 + 3 * len(sub[2]) for sub in subs] * len(a))])
-    return seeds.reshape(-1, stops.shape[1]), subs, path.reshape(-1, stops.shape[1]), owner
+    owner = np.concatenate([seed, np.repeat(seed, keys[0].size)])
+    return seeds.reshape(-1, stops.shape[1]), path.reshape(-1, stops.shape[1]), owner
 
 
-def _propagators(minus_A: np.ndarray, at: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """RK4 propagators (G, T, k, k) of c' = -A(t) c over G sub-segments of ``at.shape[1]`` steps each.
+def _propagators(minus_A: np.ndarray) -> np.ndarray:
+    """RK4 propagators (..., k, k) of c' = -A(t) c over sub-segments of four steps, from -A (..., 9, k, k) at their keys.
 
-    ``minus_A`` (keys, T, k, k) holds -A at the keys of the sub-segments,
-    ``at`` (G, steps, 3) the positions among them of each step's t, t +
-    dt/2 and t + dt, and ``dt`` (G,) each sub-segment's step.  The
-    equation is linear, so a step is the matrix Phi = I + dt/6 (L0 + 2 P2 +
-    2 P3 + P4) with P2 = Lm (I + dt/2 L0), P3 = Lm (I + dt/2 P2) and P4 =
-    L1 (I + dt P3), L being -A at t, t + dt/2 and t + dt: every step of
-    every sub-segment and time is formed in one set of stacked matmuls,
-    and each sub-segment's steps are then multiplied in order.  Every
-    product is one (k, k) matmul, so no batch changes a bit.
+    A sub-segment is one unit of time, so a step is dt = 1/4 and reads -A
+    at its start, its half step and its end: L0, Lm and L1 of step i are
+    keys 2i, 2i + 1 and 2i + 2.  The equation is linear, so a step is the
+    matrix Phi = I + dt/6 (L0 + 2 P2 + 2 P3 + P4) with P2 = Lm (I + dt/2
+    L0), P3 = Lm (I + dt/2 P2) and P4 = L1 (I + dt P3): every step of every
+    sub-segment is formed in one set of stacked matmuls, and each
+    sub-segment's four steps are then multiplied in order.  Every product
+    is one (k, k) matmul, so no batch changes a bit.
     """
-    G, steps = at.shape[:2]
-    L0, Lm, L1 = (minus_A[at[..., i].ravel()] for i in range(3))
-    h = np.repeat(dt, steps)[:, None, None, None]
-    eye = np.eye(minus_A.shape[-1])
-    P2 = np.matmul(Lm, eye + h / 2.0 * L0)
-    P3 = np.matmul(Lm, eye + h / 2.0 * P2)
-    P4 = np.matmul(L1, eye + h * P3)
-    phi = (eye + h / 6.0 * (L0 + 2.0 * P2 + 2.0 * P3 + P4)).reshape(G, steps, *L0.shape[1:])
-    out = phi[:, 0]
-    for i in range(1, steps):
-        out = np.matmul(phi[:, i], out)
+    L0, Lm, L1 = minus_A[..., 0:8:2, :, :], minus_A[..., 1:8:2, :, :], minus_A[..., 2:9:2, :, :]
+    dt, eye = 0.25, np.eye(minus_A.shape[-1])
+    P2 = np.matmul(Lm, eye + dt / 2.0 * L0)
+    P3 = np.matmul(Lm, eye + dt / 2.0 * P2)
+    P4 = np.matmul(L1, eye + dt * P3)
+    phi = eye + dt / 6.0 * (L0 + 2.0 * P2 + 2.0 * P3 + P4)
+    out = phi[..., 0, :, :]
+    for i in range(1, 4):
+        out = np.matmul(phi[..., i, :, :], out)
     return out
 
 
-def _transport_chain(imm: ImmersionEvaluator, frame: np.ndarray, center: np.ndarray, first: np.ndarray, order: np.ndarray, subs) -> np.ndarray:
-    """T frames (T, k, dim) transported along consecutive chart segments, at every stop after the first: (T, segments, k, dim).
+def _transport_chain(imm: ImmersionEvaluator, frame: np.ndarray, center: np.ndarray, first: np.ndarray, order: np.ndarray, q: int) -> np.ndarray:
+    """T frames (T, k, dim) transported along consecutive legs, at every stop after the first: (T, legs, k, dim).
 
     ``center`` (T, P, dim) and ``first`` (T, P, n, dim) are the P points of
-    ``_transport_path``, whose sub-segments are ``subs``, at every time, and
-    ``order`` (T, P, k) the pivot order of each point's seed.  The frame is
-    carried as its coefficients c (T, k, k) on the moving basis, c' = -A(t)
-    c.  The walk takes consecutive sub-segments in groups whose normal
-    frames (T x points x k x dim doubles) fit ``_FRAME_BUDGET`` bytes, one
-    sub-segment at least.  A group forms the moving bases at its points
-    (``_kept_normal_frames``), the connection form at its keys and from
-    them every sub-segment's RK4 propagator (``_propagators``), and the
-    basis change B = <N_start(s)_i, N_end(s - 1)_j> from each sub-segment's
-    predecessor's end basis onto its start basis, which sit at one chart
-    point; its bases and forms go before the next group forms its own, so
-    memory scales with one group, not with the whole path.  Then each
-    sub-segment is one stacked (T, k, k) product of all T chains: a
-    segment's first sub-segment takes its coefficients off the frame, every
-    other one its predecessor's through B.  A frame is built only at a
-    segment's end, where the frozen pass (``_gram_schmidt``) that builds
-    every other normal frame re-orthonormalizes it, on a (k, T, dim) copy.
-    Every basis vector, connection form and product is computed row by
-    row or matrix by matrix, and the coefficients and the last end basis
+    ``_transport_path``, q sub-segments a leg, at every time, and ``order``
+    (T, P, k) the pivot order of each point's seed.  The frame is carried
+    as its coefficients c (T, k, k) on the moving bases, c' = -A(t) c.  The
+    walk splits the sub-segments into the fewest groups of equal size whose
+    normal frames (T x points x k x dim doubles) fit ``_FRAME_BUDGET``
+    bytes, one sub-segment at least.  A group forms the moving bases at its
+    points (``_kept_normal_frames``), the connection form at its keys and
+    from them every sub-segment's RK4 propagator Phi (``_propagators``),
+    and the basis change B = <N_start(s)_i, N_end(s - 1)_j> from each
+    sub-segment's predecessor's end basis onto its start basis, which sit
+    at one chart point; its bases and forms go before the next group forms
+    its own, so memory scales with one group, not with the whole path.  The
+    start frame stands as the end basis before the first sub-segment, with
+    c = I on it, and each sub-segment maps c by Phi B, one stacked (T, k,
+    k) product of all T chains.  At each leg's end a frame is built from c
+    and re-orthonormalized by the frozen pass (``_gram_schmidt``) that
+    builds every other normal frame, on a (k, T, dim) copy; nothing of it
+    is fed back into c.  Every basis vector, connection form and product is
+    computed row by row or matrix by matrix, and c and the last end basis
     cross group boundaries, so the grouping changes no bit.
     """
-    T, _, dim = center.shape
+    T, P, dim = center.shape
     k = order.shape[-1]
-    counts = [2 + 3 * len(sub[2]) for sub in subs]
-    q, segments = len(subs), center.shape[1] // sum(counts)
-    bounds = np.cumsum([0] + counts * segments)  # the path rows of every sub-segment
-    per_group = max(1, _FRAME_BUDGET // (8 * T * max(counts) * k * dim))
+    keys, partners = (9, 3) if k > 1 else (2, 1)
+    subs = P // (keys * partners)
+    most = max(1, _FRAME_BUDGET // (8 * T * keys * partners * k * dim))  # sub-segments whose frames fit the budget
+    groups = -(-subs // most)
+    per_group = -(-subs // groups)  # the last group may be smaller
     inners = imm.ambient.inners
-    out = np.empty((T, segments, k, dim))
-    coeff = end = None  # the coefficients on the end basis of the last sub-segment walked, and that basis
-    for g0 in range(0, q * segments, per_group):
-        g1 = min(g0 + per_group, q * segments)
-        lo, hi = bounds[g0], bounds[g1]
-        N = _kept_normal_frames(imm, center[:, lo:hi], first[:, lo:hi], order[:, lo:hi]).reshape(T, hi - lo, k, dim)
-        group = [subs[s % q] for s in range(g0, g1)]
-        a = bounds[g0:g1] - lo  # each sub-segment's start, then its end, in the group's rows
-        starts, ends = N[:, a], N[:, a + 1]
-        prev = np.concatenate([ends[:, :1] if end is None else end[:, None], ends[:, :-1]], axis=1)
-        # each sub-segment's map from its predecessor's end coefficients to its own: B, then Phi B
-        carry = inners(starts[:, :, :, None, :], prev[:, :, None, :, :]).swapaxes(0, 1)
+    out = np.empty((T, subs // q, k, dim))
+    coeff, end = np.broadcast_to(np.eye(k), (T, k, k)), frame
+    for g0 in range(0, subs, per_group):
+        g1 = min(g0 + per_group, subs)
+        rows = slice(g0 * keys * partners, g1 * keys * partners)
+        N = _kept_normal_frames(imm, center[:, rows], first[:, rows], order[:, rows]).reshape(T, g1 - g0, keys, partners, k, dim)
+        ends = N[:, :, -1, 0].copy()
+        prev = np.concatenate([end[:, None], ends[:, :-1]], axis=1)
+        carry = inners(N[:, :, 0, 0, :, None, :], prev[:, :, None, :, :]).swapaxes(0, 1)  # B of each sub-segment, (G, T, k, k)
         if k > 1:
-            keys = [r + 2 + 3 * np.arange(len(sub[2])) for r, sub in zip(a, group)]  # the rows of every key
-            first_key = np.cumsum([0] + [len(r) for r in keys])
-            at = np.stack([f + sub[3] for f, sub in zip(first_key, group)])
-            phi = _propagators(_minus_connection_forms(imm, N, np.concatenate(keys)), at, np.array([sub[1] for sub in group]))
-            carry = np.matmul(phi, carry)
+            carry = np.matmul(_propagators(_minus_connection_forms(imm, N)).swapaxes(0, 1), carry)
         N = None  # the group's bases go before the next group forms its own
         for j, s in enumerate(range(g0, g1)):
-            if s % q == 0:  # off the frame
-                coeff = inners(starts[:, j, :, None, :], frame[:, None, :, :])
-                if k > 1:
-                    coeff = np.matmul(phi[j], coeff)
-            else:
-                coeff = np.matmul(carry[j], coeff)
+            coeff = np.matmul(carry[j], coeff)
             if s % q == q - 1:
                 moved = np.matmul(coeff.swapaxes(1, 2), ends[:, j])  # frame vector j is sum_i c_ij N_end_i
-                frame = out[:, s // q] = _gram_schmidt(imm, moved.transpose(1, 0, 2).copy())
+                out[:, s // q] = _gram_schmidt(imm, moved.transpose(1, 0, 2).copy())
         end = ends[:, -1].copy()
     return out
 
 
-def _seeded_transport(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray, seeds: int, owner: np.ndarray, subs):
-    """A normal frame seeded at the first stop of a transport and carried along its path, at T times: (T, k, dim), (T, segments, k, dim).
+def _seeded_transport(imm: ImmersionEvaluator, center: np.ndarray, first: np.ndarray, seeds: int, owner: np.ndarray, q: int):
+    """A normal frame seeded at the first stop of a transport and carried along its path, at T times: (T, k, dim), (T, legs, k, dim).
 
     ``center`` (T, P, dim) and ``first`` (T, P, n, dim) hold the first stop,
     the ``seeds`` sub-segment seeds and the path points of ``_transport_path``
-    at every time.  One pivot pass (``_pivot_orders``) over the first stops
-    and seeds of all times picks every order from all dim candidates, whose
-    memory goes before the transport (``_transport_chain``).
+    (q sub-segments a leg) at every time.  One pivot pass
+    (``_pivot_orders``) over the first stops and seeds of all times picks
+    every order from all dim candidates, whose memory goes before the
+    transport (``_transport_chain``).
     """
     T, _, dim = center.shape
     # rows: the owners (the first stop and the seeds) of every time, then the path points of every time
@@ -775,20 +746,26 @@ def _seeded_transport(imm: ImmersionEvaluator, center: np.ndarray, first: np.nda
     order = _pivot_orders(imm, W, owners)
     start = _gram_schmidt(imm, W[::O][np.arange(T), order[: T * O : O].T])  # the first stop's frame at every time
     del W
-    return start, _transport_chain(imm, start, center[:, O:], first[:, O:], order[T * O :].reshape(T, -1, order.shape[-1]), subs)
+    return start, _transport_chain(imm, start, center[:, O:], first[:, O:], order[T * O :].reshape(T, -1, order.shape[-1]), q)
 
 
-def _minus_connection_forms(imm: ImmersionEvaluator, N: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """-A (keys, T, k, k) at the rows ``at`` of moving bases N (T, rows, k, dim), each differenced in time between rows at + 1 and at + 2.
+def _minus_connection_forms(imm: ImmersionEvaluator, N: np.ndarray) -> np.ndarray:
+    """-A (..., k, k) at keys whose moving bases N (..., 3, k, dim) are the key's and its two partners' in time.
 
     A = (M - M^T) / 2 with M_ij = <N_i, dN_j / dt>, the skew connection
-    form in the moving basis; one stacked product for all keys and times.
+    form in the moving basis, dN being the central difference between the
+    partners, +- ``_CONNECTION_DELTA`` of a sub-segment; one stacked
+    product for all keys.  -A is formed as (M^T - M) / 2, scaled in place,
+    which has the bits of -((M - M^T) / 2) in one buffer.
     """
-    T, _, k, dim = N.shape
-    Nt = N[:, at] * imm.ambient.signature(dim)
-    dN = (N[:, at + 1] - N[:, at + 2]) / (2.0 * _CONNECTION_DELTA)
+    *lead, _, k, dim = N.shape
+    Nt = N[..., 0, :, :] * imm.ambient.signature(dim)
+    dN = (N[..., 1, :, :] - N[..., 2, :, :]) / (2.0 * _CONNECTION_DELTA)
     M = np.einsum("tid,tjd->tij", Nt.reshape(-1, k, dim), dN.reshape(-1, k, dim))
-    return -(0.5 * (M - M.transpose(0, 2, 1))).reshape(T, len(at), k, k).swapaxes(0, 1)
+    del Nt, dN
+    minus_A = M.swapaxes(1, 2) - M
+    minus_A *= 0.5
+    return minus_A.reshape(*lead, k, k)
 
 
 def transport_normal_frame(
@@ -798,30 +775,29 @@ def transport_normal_frame(
 
     The frame is expressed in a smooth moving orthonormal basis of the
     normal bundle and the coefficient equation c' = -A(t) c is integrated
-    with a classical 4th order scheme in ``steps`` steps; A is the (skew)
-    connection form in the moving basis, so its entries stay at the
-    geometric rotation rate even where boosted coordinates make raw
-    projector matrices large.  The segment is laid out as the loop
-    holonomy's loop is (``_segment_stops``): max(1, steps // 16) pieces of
-    equal steps, each split into sub-segments with a freshly seeded basis,
-    so no basis is carried into a turn of the normal space that
-    degenerates it.  The moving basis at a path point is its normal frame
-    in the pivot order of its sub-segment's seed (``_pivot_orders``).
+    with a classical 4th order scheme in ``steps`` steps (rounded down to a
+    multiple of four, 16 at least); A is the (skew) connection form in the
+    moving basis, so its entries stay at the geometric rotation rate even
+    where boosted coordinates make raw projector matrices large.  The
+    segment is one leg of a transport path (``_transport_path``), laid out
+    as the isoparametric check's legs and the loop holonomy's loop are:
+    max(4, steps // 4) sub-segments of four steps, each with a freshly
+    seeded basis, so no basis is carried into a turn of the normal space
+    that degenerates it.  The moving basis at a path point is its normal
+    frame in the pivot order of its sub-segment's seed (``_pivot_orders``).
     Codimension one needs no integration: the single coefficient rides the
     smooth unit normal field unchanged.  A chain of ``_transport_chain``,
     with one ``at_rows`` call.
     """
-    _sub_steps(steps)
+    q = _leg_subsegments(steps)
     if len(frame) == 0:
         return []
-    a, b = _rows([u_from, u_to], imm.chart_dim)
-    stops, sub_steps = _segment_stops(a, b - a, steps)
-    seeds, subs, path, owner = _transport_path(stops, sub_steps, len(frame))
+    seeds, path, owner = _transport_path(_rows([u_from, u_to], imm.chart_dim), q, len(frame))
     center, first = _first_derivative_rows(imm, np.concatenate([seeds, path]), h)
     frame = _rows(frame, center.shape[-1], "frame vectors need {} coordinates, got vectors")
     s = len(seeds)
     order = _pivot_orders(imm, _normal_candidates(imm, center[:s], first[:s]), owner)[s:]
-    return list(_transport_chain(imm, frame[None], center[None, s:], first[None, s:], order[None], subs)[0, -1])
+    return list(_transport_chain(imm, frame[None], center[None, s:], first[None, s:], order[None], q)[0, -1])
 
 
 def _chain_samples(samples: list[np.ndarray]) -> list[np.ndarray]:
@@ -845,16 +821,20 @@ def isoparametric_residuals(
     ``transport_steps`` at least 1; a time whose flow overflows doubles is
     out of range.  The chart points are immersed and validated once and
     flowed over all times in one call; entry j has the bits of
-    ``isoparametric_residual`` at times[j] alone.  For S samples the T
-    times make one pivot pass (``_pivot_orders``): only the T (1 + 4 (S -
-    1)) pivot owners (the first sample and the seeds of the sub-segments)
-    form all dim normal candidates, every other transport point the k of
-    its owner's pivot order, and no Gram check of the catalog needs an
-    eigenvalue (``_check_gram``).  The transport holds the frames of one
-    group of sub-segments at a time (``_transport_chain``).
+    ``isoparametric_residual`` at times[j] alone.  ``transport_steps``
+    counts the RK4 steps of each leg, from one sample to the next, as
+    ``steps`` does in ``transport_normal_frame`` and
+    ``normal_holonomy_defect``: q = max(4, transport_steps // 4)
+    sub-segments of four steps a leg (``_transport_path``).  For S samples
+    the T times make one pivot pass (``_pivot_orders``): only the T (1 + q
+    (S - 1)) pivot owners (the first sample and the seeds of the
+    sub-segments) form all dim normal candidates, every other transport
+    point the k of its owner's pivot order, and no Gram check of the
+    catalog needs an eigenvalue (``_check_gram``).  The transport holds the
+    frames of one group of sub-segments at a time (``_transport_chain``).
     """
     ts = [_finite_time(t) for t in times]
-    _sub_steps(transport_steps)
+    _leg_subsegments(transport_steps)
     k = dimensions(d).codim
     if k == 0 or not ts:
         return np.zeros(len(ts))
@@ -890,20 +870,25 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
     (T, P, dim); ``k`` is the normal rank, or None to read it off one chart
     point.  No chart point depends on the transported frame, so ``values``
     is called once, on the stencils of the samples and of the transport
-    path.  The first sample's frames are seeded and carried along the path
-    as the loop holonomy's are (``_seeded_transport``): one pivot pass
-    over the first sample and every sub-segment seed at all times, and a
-    transport in groups of sub-segments whose frames fit
-    ``_FRAME_BUDGET`` (``_transport_chain``), so the check's memory scales
-    with one group rather than with the whole path: on a chain of depth
-    24, k = 25 frame vectors of dim 27 at every point.  The shape operators
-    along the frames take the samples' raw second derivatives: the frame
-    vectors are normal, so no second derivative is projected off the
-    tangent frame, and the check costs no n^2 solves per sample.  A time's
+    path, one leg from each sample to the next, laid out as every transport
+    is (``_transport_path``).  The first sample's frames are seeded and
+    carried along the path as the loop holonomy's are
+    (``_seeded_transport``): one pivot pass over the first sample and every
+    sub-segment seed at all times, and a transport in groups of
+    sub-segments whose frames fit ``_FRAME_BUDGET`` (``_transport_chain``),
+    so the check's memory scales with one group rather than with the whole
+    path: on a chain of depth 24, k = 25 frame vectors of dim 27 at every
+    point.  The frame at the second sample is, bit for bit, the one
+    ``transport_normal_frame`` gives from the first sample's seeded frame;
+    later legs carry the coefficients on, not the re-orthonormalized frame.
+    The shape operators along the frames take the samples' raw second
+    derivatives: the frame vectors are normal, so no second derivative is
+    projected off the tangent frame, and the check costs no n^2 solves per
+    sample.  A time's
     spread is one maximum over all of its stops, frame vectors and
     eigenvalues, so a nan anywhere gives nan.
     """
-    sub_steps = _sub_steps(transport_steps)
+    q = _leg_subsegments(transport_steps)
     n = imm.chart_dim
     if len(chart_samples) < 2:
         raise InsufficientSamplesError("need at least two chart samples")
@@ -912,7 +897,7 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
         k = _normal_rank(imm, imm(samples[0]).shape[0])
     offs = _stencil_offsets(n, h)
     S, K, F = len(samples), offs.shape[0], 1 + 2 * n
-    seeds, subs, path, owner = _transport_path(samples, sub_steps, k)
+    seeds, path, owner = _transport_path(samples, q, k)
     lead = np.concatenate([samples[:1], seeds, path])
     vals = values(np.concatenate([_stencil_points(samples, offs), _stencil_points(lead, offs[:F])]))
     T, dim = vals.shape[0], vals.shape[-1]
@@ -923,7 +908,7 @@ def _isoparametric_spreads(imm: ImmersionEvaluator, values, k: int | None, chart
     lead_center, lead_first = _first_derivatives_of(vals[:, S * K :].reshape(T, len(lead), F, dim), h)
     lead_center = lead_center.copy()  # a view would keep every chart value alive
     del vals
-    start, moved = _seeded_transport(imm, lead_center, lead_first, len(seeds), owner, subs)
+    start, moved = _seeded_transport(imm, lead_center, lead_first, len(seeds), owner, q)
     Z = np.concatenate([start[:, None], moved], axis=1).reshape(T * S, k, dim)
     E = _shape_eigenvalues(imm, _induced_metric(imm, first), second, Z).reshape(T, S, k, n)
     return np.max(np.abs(E[:, 1:] - E[:, :1]), axis=(1, 2, 3))
@@ -1153,13 +1138,12 @@ def normal_holonomy_defect(imm: ImmersionEvaluator, u_start, period, steps: int 
     Over a curve the normal curvature 2-form vanishes identically, so global
     flatness is measured by carrying an orthonormal normal frame around one
     chart period, by the isoparametric check's transport in ``steps`` RK4
-    steps, and comparing with the start (``_holonomy_defect``); for a
+    steps (the loop being one leg, as in ``transport_normal_frame``), and
+    comparing with the start (``_holonomy_defect``); for a
     trivial-holonomy bundle the defect is at the differencing floor.  A
     chart with no normal direction has none.
     """
     u0, per = _point(u_start, imm.chart_dim)[0], _point(period, imm.chart_dim)[0]
-    if steps < 1:
-        raise InvalidArgumentError(f"the loop needs steps >= 1, got {steps!r}")
     if not np.all(np.isfinite(per)):
         raise InvalidArgumentError(f"the chart period must be finite, got {period!r}")
     defect = _holonomy_defect(imm, u0, per, steps, h)
@@ -1172,24 +1156,24 @@ def _holonomy_defect(imm: ImmersionEvaluator, u0: np.ndarray, per: np.ndarray, s
     """``normal_holonomy_defect`` of a checked u0 and period, or None when u0 + per does not map back onto u0's point, to 1e-9.
 
     The loop's two ends, one ``at_rows`` call, also give the normal rank.
-    The loop is a transport path (``_transport_path``) of S = max(1, steps
-    // 16) segments of steps // S RK4 steps each (``_segment_stops``, which
-    lays out ``transport_normal_frame``'s segment too).  The stencils of
+    The loop is one leg of a transport path (``_transport_path``) from u0
+    to u0 + per, laid out as every transport's leg is: max(4, steps // 4)
+    sub-segments of four RK4 steps, 64 at the default 256.  The stencils of
     u0, the seeds and the path are one more call; the frame seeded at u0 is
     carried around it (``_seeded_transport``), its coefficients on the
     moving bases through each sub-segment's composed RK4 propagator, and
     compared with itself, entry by entry.
     """
+    q = _leg_subsegments(steps)
     ends = imm.at_rows(np.array([u0 + per, u0]))
     if np.max(np.abs(ends[0] - ends[1])) > 1e-9:
         return None
     k = _normal_rank(imm, ends.shape[1])
     if k == 0:
         return 0.0
-    stops, sub_steps = _segment_stops(u0, per, steps)
-    seeds, subs, path, owner = _transport_path(stops, sub_steps, k)
+    seeds, path, owner = _transport_path(np.array([u0, u0 + per]), q, k)
     center, first = _first_derivative_rows(imm, np.concatenate([u0[None], seeds, path]), h)
-    start, moved = _seeded_transport(imm, center[None], first[None], len(seeds), owner, subs)
+    start, moved = _seeded_transport(imm, center[None], first[None], len(seeds), owner, q)
     return float(np.max(np.abs(moved[0, -1] - start[0])))
 
 

@@ -726,8 +726,8 @@ class TestFlatNormalBundle:
 
     def test_holonomy_memory_scales_with_one_group(self, monkeypatch):
         # the loop's transport keeps the frames of one group of sub-segments
-        # within _FRAME_BUDGET at a time: 4.0 MB on numpy 2.4 at depth 24 (26
-        # coordinates, 24 normal directions, 64 sub-segments), against 25.1
+        # within _FRAME_BUDGET at a time: 3.7 MB on numpy 2.4 at depth 24 (26
+        # coordinates, 24 normal directions, 64 sub-segments), against 20.1
         # MB when the frames of the whole loop are held at once
         d = geodesic_chain(24)
         bwd = backward_limit(d, chart_samples(d, 3, 7))

@@ -545,7 +545,7 @@ class TestIsoparametricResidual:
     def test_one_gram_schmidt_for_all_pivot_orders(self, monkeypatch):
         # the pivot orders of all rows at all times come from one pivot
         # pass, which sees only the owner rows: the first sample and the
-        # sub-segment seeds of every time
+        # sub-segment seeds of every time, q = 6 a leg at 24 steps
         d = geodesic_chain(4)
         times, us = [-0.2, 0.0, 0.1], chart_samples(d, 3, 7)[:4]
         calls, pivots = [], []
@@ -556,33 +556,37 @@ class TestIsoparametricResidual:
         assert len(calls) == 1
         owners = np.unique(calls[0])
         assert np.array_equal(calls[0][owners], owners)  # an owner takes its own order
-        assert len(owners) == len(times) * (1 + oracle._TRANSPORT_SUBSEGMENTS * (len(us) - 1))
+        q = oracle._leg_subsegments(24)
+        assert len(owners) == len(times) * (1 + q * (len(us) - 1))
         dims = dimensions(d)
         assert pivots == [(len(owners), dims.m + 1, dims.m + 1)] * (2 * dims.codim)
 
-    @pytest.mark.parametrize("depth, groups", [(4, 1), (8, 2), (24, 8)])
+    @pytest.mark.parametrize("depth, groups", [(4, 1), (8, 2), (24, 12)])
     def test_transport_groups_fit_the_budget(self, depth, groups, monkeypatch):
-        # consecutive sub-segments whose frames fit _FRAME_BUDGET, one call
-        # per group; at depth 24 one sub-segment is over the budget, so each
-        # of the 8 is a group
+        # the fewest groups of equal size whose frames fit _FRAME_BUDGET, one
+        # call per group: 2 legs of 6 sub-segments at 24 steps, 27 points a
+        # sub-segment; at depth 24 one sub-segment's frames take 0.44 MB of
+        # the 0.5 MiB, so each of the 12 is a group
         d = geodesic_chain(depth)
         frames, kept = [], oracle._kept_normal_frames
         monkeypatch.setattr(oracle, "_kept_normal_frames", lambda *a: frames.append(kept(*a)) or frames[-1])
         oracle.isoparametric_residuals(d, [-0.2, 0.0, 0.1], chart_samples(d, 3, 7)[:3])
         assert len(frames) == groups
-        assert depth == 24 or max(f.nbytes for f in frames) <= oracle._FRAME_BUDGET
+        assert max(f.nbytes for f in frames) <= oracle._FRAME_BUDGET
 
     # spreads and sha256 of the transported frames at -0.2, 0.0 and 0.1 of
     # chart_samples(chain, 3, 7)[:3]; the frames were recorded before the
     # transport was grouped, the spreads when the check stopped projecting
     # its second derivatives off the tangent frame; both were re-recorded
     # when each sub-segment's RK4 steps became one composed propagator
-    # (the spread at 0.0 moved by 6.7e-16)
+    # (the spread at 0.0 moved by 6.7e-16), and again when every leg became
+    # sub-segments of four steps (the spreads at -0.2 and 0.0 moved by
+    # 6.7e-16 and 4.4e-16)
     CHAIN_PINS = {
-        4: "fd1c314f9cdb22dcee0c1953af8631525f0625c9fd257e447da7ec73664ce526",
-        8: "ef5d9d80ec05152a8edb397bce39ad32c068e09b86cf13ced6fe34a5c993e188",
-        16: "8a4ae3dbe154606dd0e18dfc876ba9d3c85eba9138ddee75163c1a882c55b140",
-        24: "12a47f999e17b84ff58b35ee857d01bf2a4b4133104b4bd9a4b2bdd927f20829",
+        4: "43fc8a79f838522669dda98e8f9096c5c8267f433da9aa4ad94785193be31189",
+        8: "638fb431d5a58aad43545fefae42278df98a06c072af7ec82e9f0c6f4c615673",
+        16: "890b38aaf2278796e8833ca659f3d942d7ff7663c0e2458a8e588e7aef367b71",
+        24: "ce22c2b6918c7ba44ee65c9ecd4f2b99cea740aff455266e505c5eed7cd1fc1c",
     }
 
     @pytest.mark.parametrize("depth", sorted(CHAIN_PINS))
@@ -591,7 +595,7 @@ class TestIsoparametricResidual:
         moved, chain = [], oracle._transport_chain
         monkeypatch.setattr(oracle, "_transport_chain", lambda *a: moved.append(chain(*a)) or moved[-1])
         spreads = oracle.isoparametric_residuals(d, [-0.2, 0.0, 0.1], chart_samples(d, 3, 7)[:3])
-        assert [float(x).hex() for x in spreads] == ["0x1.2c0e400000000p-31", "0x1.8ee8100000000p-32", "0x1.ce7ce00000000p-33"]
+        assert [float(x).hex() for x in spreads] == ["0x1.2c0e580000000p-31", "0x1.8ee8300000000p-32", "0x1.ce7ce00000000p-33"]
         assert hashlib.sha256(moved[0].tobytes()).hexdigest() == self.CHAIN_PINS[depth]
 
     @staticmethod
@@ -607,7 +611,7 @@ class TestIsoparametricResidual:
     @pytest.mark.parametrize("depth, limit_mb", [(8, 1.5), (24, 7.0)])
     def test_memory_scales_with_one_group(self, depth, limit_mb, monkeypatch):
         # the frames of one group are alive at a time, not those of the whole
-        # path: 1.37 and 3.85 MB on numpy 2.4, against 2.43 and 15.4 MB when
+        # path: 1.23 and 1.82 MB on numpy 2.4, against 1.97 and 11.8 MB when
         # the budget makes the whole path one group
         d = geodesic_chain(depth)
         times, us = [-0.2, 0.0, 0.1], chart_samples(d, 3, 7)[:3]
@@ -641,6 +645,42 @@ class TestIsoparametricResidual:
         d = CATALOG["circle_h2"]
         with pytest.raises(TimeOutOfRangeError, match=f"^{re.escape(named)}"):
             oracle.isoparametric_residuals(d, times, chart_samples(d, 3, 7)[:4])
+
+    def test_long_leg_converges(self):
+        # one leg of three quarters of the torus knot's period: the spread
+        # along it agrees with the frame that 32 short transports of 256
+        # steps carry (0.1890702); 1.3805, 1.3514 and 1.3425 at 24, 48 and
+        # 256 steps when a leg was 4 sub-segments of steps // 4 steps
+        imm = _torus_knot_in_r4()
+        a, b = np.array([0.3]), np.array([0.3 + 1.5 * math.pi])
+        frame = short = list(_frame_field(imm, a, 1e-3)(a[None, :])[0])
+        for j in range(32):
+            short = oracle.transport_normal_frame(imm, a + j / 32 * (b - a), a + (j + 1) / 32 * (b - a), short, steps=256)
+        pairs = zip(oracle.principal_curvatures(imm, a, frame), oracle.principal_curvatures(imm, b, short))
+        reference = max(float(np.max(np.abs(e1 - e0))) for e0, e1 in pairs)
+        for steps, tol in ((24, 1e-3), (48, 1e-5), (256, 1e-5)):
+            assert abs(oracle.isoparametric_residual_of(imm, [a, b], transport_steps=steps) - reference) < tol, steps
+
+    @pytest.mark.parametrize("steps", [24, 48, 256])
+    @pytest.mark.parametrize("case", ["torus_knot_in_r4", "twisted_surface", "clifford_tube_h5"])
+    def test_one_layout_with_transport_normal_frame(self, case, steps, monkeypatch):
+        # the check's frame at its second sample is transport_normal_frame
+        # of its seeded start frame over the same leg, bit for bit: every
+        # transport lays its legs out by one rule (at 48 and 256 steps 1.60
+        # and 1.58 apart on the torus knot's long leg when there were two);
+        # the flowed tube's chart maps rows
+        tube = CATALOG["clifford_tube_h5"]
+        imm, us = {
+            "torus_knot_in_r4": (_torus_knot_in_r4(), [np.array([0.3]), np.array([0.3 + 1.5 * math.pi])]),
+            "twisted_surface": (_twisted_surface(), [np.array([0.1, 0.2]), np.array([0.5, -0.3])]),
+            "clifford_tube_h5": (oracle.descriptor_immersion(tube, 0.1), chart_samples(tube, 3, 7)[:2]),
+        }[case]
+        seeded, transported = oracle._seeded_transport, []
+        monkeypatch.setattr(oracle, "_seeded_transport", lambda *a: transported.append(seeded(*a)) or transported[-1])
+        oracle.isoparametric_residual_of(imm, us, transport_steps=steps)
+        [(start, moved)] = transported
+        there = oracle.transport_normal_frame(imm, us[0], us[1], list(start[0]), steps=steps)
+        assert np.array(there).tobytes() == moved[0, 0].tobytes()
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_transport_without_steps_refused(self, steps):
@@ -768,16 +808,18 @@ class TestRowEvaluation:
 
     def test_long_segment_is_laid_out_like_the_loop(self):
         # three quarters of the torus knot's period in one call: its segment
-        # is split as the loop holonomy's loop is, so no moving basis is
-        # carried into a turn of the normal space that degenerates it, and
-        # the frame agrees with 32 short transports (1.58 apart when the
-        # segment was one piece of 4 sub-segments, at any steps)
+        # is cut as the loop holonomy's loop is, into sub-segments of four
+        # RK4 steps, so no moving basis is carried into a turn of the normal
+        # space that degenerates it, and the frame agrees with 32 short
+        # transports (1.58 apart when the segment was one piece of 4
+        # sub-segments, at any steps; 1.65 at 24 steps when it was
+        # steps // 16 pieces)
         imm = _torus_knot_in_r4()
         a, b = np.array([0.3]), np.array([0.3 + 1.5 * math.pi])
         frame = short = list(_frame_field(imm, a, 1e-3)(a[None, :])[0])
         for j in range(32):
             short = oracle.transport_normal_frame(imm, a + j / 32 * (b - a), a + (j + 1) / 32 * (b - a), short)
-        for steps, tol in ((48, 1e-5), (256, 1e-7)):
+        for steps, tol in ((24, 1e-3), (48, 1e-5), (256, 1e-7)):
             long = oracle.transport_normal_frame(imm, a, b, frame, steps=steps)
             assert np.max(np.abs(np.array(long) - np.array(short))) < tol, steps
 
@@ -1075,56 +1117,57 @@ def _rk4_reference(L, y, ta, dt, steps):
     return y
 
 
-def _stepwise_chain_reference(imm, frame, center, first, order, subs):
+def _stepwise_chain_reference(imm, frame, center, first, order, q):
     # ``_transport_chain`` one RK4 step at a time, in one group: the frame
     # is built at every sub-segment's end and read off again on the next
-    # sub-segment's start basis
+    # sub-segment's start basis, and a copy is re-orthonormalized at every
+    # leg's end
     T, P, dim = center.shape
     k = order.shape[-1]
-    N = oracle._kept_normal_frames(imm, center, first, order).reshape(T, P, k, dim)
-    q, rows = len(subs), [2 + 3 * len(keys) for _, _, keys, _ in subs]
-    out, row = [], 0
-    for s in range(P // sum(rows) * q):
-        ta, dt, keys, at = subs[s % q]
-        coeff = imm.ambient.inners(N[:, row, :, None, :], frame[:, None, :, :])
+    keys, partners = (9, 3) if k > 1 else (2, 1)
+    N = oracle._kept_normal_frames(imm, center, first, order).reshape(T, -1, keys, partners, k, dim)
+    out = []
+    for s in range(N.shape[1]):
+        coeff = imm.ambient.inners(N[:, s, 0, 0, :, None, :], frame[:, None, :, :])
         if k > 1:
-            minus_A = oracle._minus_connection_forms(imm, N, row + 2 + 3 * np.arange(len(keys)))
-            coeff = _rk4_reference(dict(zip(keys, minus_A)).__getitem__, coeff, ta, dt, len(at))
-        frame = sum(coeff[:, i, :, None] * N[:, row + 1, i, None, :] for i in range(k))
+            minus_A = oracle._minus_connection_forms(imm, N[:, s]).swapaxes(0, 1)  # at the keys j / 8 of the sub-segment
+            coeff = _rk4_reference(lambda t: minus_A[round(8 * t)], coeff, 0.0, 0.25, 4)
+        frame = sum(coeff[:, i, :, None] * N[:, s, -1, 0, i, None, :] for i in range(k))
         if s % q == q - 1:
-            frame = oracle._gram_schmidt(imm, frame.transpose(1, 0, 2).copy())
-            out.append(frame)
-        row += rows[s % q]
+            out.append(oracle._gram_schmidt(imm, frame.transpose(1, 0, 2).copy()))
     return np.stack(out, axis=1)
 
 
 def _transport_reference(imm, u_from, u_to, frame, steps, h):
-    # one frame field, and two chart evaluations, per sub-segment
+    # one leg, cut into max(4, steps // 4) sub-segments of four RK4 steps,
+    # with one frame field and one chart evaluation per key; the frame is
+    # returned as carried, not re-orthonormalized (``_orthonormal_reference``)
     a, b = np.asarray(u_from, dtype=float), np.asarray(u_to, dtype=float)
     k = len(frame)
     current = [np.asarray(z, dtype=float).copy() for z in frame]
-    n_sub, delta = 4, 1e-5
-    sub_steps = max(4, steps // n_sub)
-    for seg in range(n_sub):
-        ta, tb = seg / n_sub, (seg + 1) / n_sub
-        field = _frame_field(imm, a + 0.5 * (ta + tb) * (b - a), h)
-        dt = (tb - ta) / sub_steps
-        N0, N1 = field(np.array([a + ta * (b - a), a + tb * (b - a)]))
+    q, delta = max(4, steps // 4), 4e-5
+    for s in range(q):
+        field = _frame_field(imm, a + (2 * s + 1) / (2 * q) * (b - a), h)
+        at = lambda j, e=0.0: a + ((8 * s + j) / (8 * q) + e / q) * (b - a)  # key j of the sub-segment, moved by e of it
+        N0, N1 = field(np.array([at(0), at(8)]))
         coeff = np.array([[imm.ambient.inner(nu, z) for z in current] for nu in N0])
-        if k == 1:
-            current = [coeff[0, 0] * N1[0]]
-            continue
+        if k > 1:
 
-        def A(t):
-            Nt, Np, Nm = field(np.array([a + s * (b - a) for s in (t, t + delta, t - delta)]))
-            M = np.array([[imm.ambient.inner(x, (y - z) / (2.0 * delta)) for y, z in zip(Np, Nm)] for x in Nt])
-            return 0.5 * (M - M.T)
+            def A(t):  # t in units of the sub-segment, at its key 8t
+                Nt, Np, Nm = field(np.array([at(round(8 * t), e) for e in (0.0, delta, -delta)]))
+                M = np.array([[imm.ambient.inner(x, (y - z) / (2.0 * delta)) for y, z in zip(Np, Nm)] for x in Nt])
+                return 0.5 * (M - M.T)
 
-        coeff = _rk4_reference(lambda t: -A(t), coeff, ta, dt, sub_steps)
+            coeff = _rk4_reference(lambda t: -A(t), coeff, 0.0, 0.25, 4)
         current = [sum(coeff[i, j] * N1[i] for i in range(k)) for j in range(k)]
+    return current
+
+
+def _orthonormal_reference(imm, frame):
+    # left-looking Gram-Schmidt of a carried frame, one vector at a time
     moved = []
-    for w in current:
-        v = w.copy()
+    for w in frame:
+        v = np.asarray(w, dtype=float).copy()
         for m in moved:
             v = v - imm.ambient.inner(v, m) * m
         moved.append(v / math.sqrt(imm.ambient.inner(v, v)))
@@ -1133,24 +1176,23 @@ def _transport_reference(imm, u_from, u_to, frame, steps, h):
 
 def _holonomy_reference(imm, u0, per, steps, h=1e-3):
     # the frame seeded at u0 carried around the loop by the per-call
-    # transport, in segments of 16 RK4 steps
+    # transport, the loop being one leg
     u0, per = np.asarray(u0, dtype=float), np.asarray(per, dtype=float)
-    segments = max(1, steps // 16)
-    start = frame = list(_frame_field(imm, u0, h)(u0[None, :])[0])
-    for j in range(segments):
-        frame = _transport_reference(imm, u0 + j / segments * per, u0 + (j + 1) / segments * per, frame, steps // segments, h)
+    start = list(_frame_field(imm, u0, h)(u0[None, :])[0])
+    frame = _orthonormal_reference(imm, _transport_reference(imm, u0, u0 + per, start, steps, h))
     return float(np.max(np.abs(np.array(frame) - np.array(start))))
 
 
 def _isoparametric_reference(imm, chart_samples, transport_steps=24, h=1e-3):
-    # transport segment by segment, principal curvatures stop by stop
+    # transport leg by leg, carrying the frame on as it arrives, and
+    # principal curvatures stop by stop along its orthonormalized copy
     samples = oracle._chain_samples([np.asarray(u, dtype=float) for u in chart_samples])
     frame = list(_frame_field(imm, samples[0], h)(samples[0][None, :])[0])
     baseline = oracle.principal_curvatures(imm, samples[0], frame, h)
     spread = 0.0
     for prev, here in zip(samples, samples[1:]):
         frame = _transport_reference(imm, prev, here, frame, transport_steps, h)
-        for e0, e1 in zip(baseline, oracle.principal_curvatures(imm, here, frame, h)):
+        for e0, e1 in zip(baseline, oracle.principal_curvatures(imm, here, _orthonormal_reference(imm, frame), h)):
             spread = max(spread, float(np.max(np.abs(e1 - e0))))
     return spread
 
@@ -1324,15 +1366,15 @@ class TestBatchedOracle:
         at_rows, point = oracle.ImmersionEvaluator.at_rows, oracle.ImmersionEvaluator.__call__
         monkeypatch.setattr(oracle.ImmersionEvaluator, "at_rows", lambda imm, U: calls.append(len(U)) or at_rows(imm, U))
         monkeypatch.setattr(oracle.ImmersionEvaluator, "__call__", lambda imm, u: points.append(1) or point(imm, u))
-        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619540328235614
+        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619540323395062
         assert len(calls) == 2 and calls[0] == 2 and len(points) == sum(calls)
 
     @pytest.mark.parametrize("case", ["torus_knot", "torus_knot_in_r4", "clifford_tube_h5", "geodesic_chain8"])
     def test_composed_transport_matches_stepwise_rk4(self, case, monkeypatch):
         # each sub-segment's composed RK4 propagator, and the coefficients
         # carried through the basis changes, give the frames of the
-        # step-by-step loop to rounding: two loop holonomies (16 segments of
-        # 4 sub-segments) and two isoparametric checks at three times
+        # step-by-step loop to rounding: two loop holonomies (one leg of 64
+        # sub-segments) and two isoparametric checks at three times
         calls, chain = [], oracle._transport_chain
         monkeypatch.setattr(oracle, "_transport_chain", lambda *a: calls.append((a, chain(*a))) or calls[-1][1])
         if case.startswith("torus"):
@@ -1348,7 +1390,7 @@ class TestBatchedOracle:
         # propagator keeps its bits, and the coefficients and the last end
         # basis cross every group boundary
         monkeypatch.setattr(oracle, "_FRAME_BUDGET", 1)
-        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619540328235614
+        assert oracle.normal_holonomy_defect(_torus_knot(), [0.3], [2.0 * math.pi]) == 0.9619540323395062
 
     @pytest.mark.parametrize("imm", [_torus_knot(), _torus_knot_in_r4()], ids=["torus_knot", "torus_knot_in_r4"])
     def test_torus_knot_has_holonomy(self, imm):
@@ -1605,7 +1647,7 @@ class TestKeptCandidates:
         monkeypatch.setattr(oracle, "_transport_chain", lambda imm, frame, *a: starts.append(frame) or chain(imm, frame, *a))
         oracle.isoparametric_residuals(d, times, us)
         # the path's frames in groups: every row's frame once; the depth-8 chain takes more than one group
-        seeds, _, path, owner = oracle._transport_path(np.array(us), oracle._sub_steps(24), dimensions(d).codim)
+        seeds, path, owner = oracle._transport_path(np.array(us), oracle._leg_subsegments(24), dimensions(d).codim)
         assert sum(order[..., 0].size for *_, order, _ in seen) == len(times) * len(path)
         # owners: the first sample and the seeds of every time; a path point follows its seed at its own time
         O = 1 + len(seeds)
